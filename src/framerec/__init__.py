@@ -28,6 +28,7 @@ from .errors import (
     FrameRecError,
     IntegrityError,
     MissingFramesError,
+    NonFiniteError,
     ParseError,
     SamplingError,
     UnsupportedTaskError,
@@ -45,16 +46,9 @@ from .model import (
     ModelParams,
     active_param_names,
     dataset_digest,
-    frame_attention_logits,
-    frame_attention_weights,
     init_params,
-    item_visual_att,
-    item_visual_avg,
     item_visual_table,
     load_checkpoint,
-    predict_frame_score,
-    predict_item_score,
-    rating_attention,
     save_checkpoint,
     score_frames,
     score_pairs,

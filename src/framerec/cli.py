@@ -256,7 +256,6 @@ def _cmd_eval_items(args: argparse.Namespace) -> int:
         repeats=args.repeats,
         seed=args.seed,
         split_name=args.split,
-        threads=args.threads,
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -348,7 +347,6 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
             n_negatives=args.negatives,
             repeats=args.repeats,
             seed=args.seed,
-            threads=args.threads,
         )
         row = {
             "visual": visual,
@@ -448,7 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--split", choices=("test", "validation"), default="test")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_eval_items)
 
     p = sub.add_parser("eval-frames", help="ranking metrics for frame recommendation")
@@ -480,7 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--negatives", type=int, default=1000)
     p.add_argument("--repeats", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     _add_model_args(p)
     _add_train_args(p)
     p.set_defaults(func=_cmd_ablate)

@@ -57,13 +57,6 @@ class Dataset:
     frame_ids: tuple
 
     @cached_property
-    def ratings_array(self) -> np.ndarray:
-        """Ratings as an (R, 2) int64 array, sorted by (user, item)."""
-        if not self.ratings:
-            return np.empty((0, 2), dtype=np.int64)
-        return np.array(sorted(self.ratings), dtype=np.int64)
-
-    @cached_property
     def items_of_user(self) -> tuple:
         """Per-user sorted arrays of rated item ids."""
         per_user = [[] for _ in range(self.num_users)]
@@ -116,13 +109,6 @@ class SplitDataset:
         if not self.train:
             return np.empty((0, 2), dtype=np.int64)
         return np.array(sorted(self.train), dtype=np.int64)
-
-    @cached_property
-    def train_items_of_user(self) -> tuple:
-        per_user = [[] for _ in range(self.base.num_users)]
-        for u, i in sorted(self.train):
-            per_user[u].append(i)
-        return tuple(np.array(lst, dtype=np.int64) for lst in per_user)
 
 
 def check_dataset(d: Dataset) -> None:

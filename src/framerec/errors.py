@@ -36,3 +36,7 @@ class SamplingError(FrameRecError):
 
 class ConfigError(FrameRecError):
     """Invalid or inconsistent configuration."""
+
+
+class NonFiniteError(FrameRecError):
+    """A computation produced NaN or infinite values where finite ones are needed."""

@@ -1,30 +1,28 @@
 """Ranking evaluation for item and frame recommendation.
 
-Item evaluation follows the sampled-candidates protocol: each held-out
-positive is ranked against negatives drawn from the items the user never
-rated anywhere, the draw is repeated several times, and metrics are averaged
-across repeats.  Frame evaluation is exhaustive: a liked frame is ranked
-against all frames of its parent item, so it needs no sampling and no
-repeats.
+Both tasks rank a held-out positive within a row of candidate scores, fill
+a (repeats, pairs) matrix with its ranks, and reduce that matrix to HR@K
+and NDCG@K.  Item evaluation follows the sampled-candidates protocol: each
+positive is ranked against negatives drawn from the items its user never
+rated anywhere, and the draw is repeated.  Frame evaluation is exhaustive:
+a liked frame is ranked against all frames of its parent item, so it needs
+no sampling and no repeats.
 
 Ranks are pessimistic about ties: a candidate scoring exactly the same as
-the positive pushes the positive down.  All randomness derives from spawned
-seed sequences keyed by (repeat, pair), so results do not depend on thread
-count or evaluation order.
+the positive pushes the positive down.  Non-finite scores raise
+NonFiniteError.
 """
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import SplitDataset
-from .errors import ConfigError, UnsupportedTaskError
+from .errors import ConfigError, NonFiniteError
 from .model import (
-    VISUAL_OFF,
     ModelConfig,
     ModelParams,
     item_visual_table,
@@ -34,18 +32,29 @@ from .model import (
 
 logger = logging.getLogger(__name__)
 
+# Item evaluation draws and scores CANDIDATE_BLOCK // num_items pairs at a
+# time (at least one), so a block holds at most this many random keys and
+# candidates.  It bounds memory and does not change results.
+CANDIDATE_BLOCK = 1 << 17
 
-def rank_of_first(scores: np.ndarray) -> int:
-    """1-based rank of scores[0] among all entries, ties ranked worst."""
-    s = scores[0]
-    return int((scores > s).sum() + (scores == s).sum())
+
+def rank_of_first(scores):
+    """1-based rank of scores[..., 0] along the last axis, ties ranked worst.
+
+    An int for one list of scores, an array for a (rows, C) matrix.
+    """
+    scores = np.asarray(scores)
+    ranks = (scores >= scores[..., :1]).sum(axis=-1)
+    return int(ranks) if ranks.ndim == 0 else ranks
 
 
-def rank_metrics(rank: int, k_list) -> tuple:
-    """(hr, ndcg) dicts for one ranked positive."""
-    hr = {k: 1.0 if rank <= k else 0.0 for k in k_list}
-    gain = float(1.0 / np.log2(rank + 1.0))
-    ndcg = {k: gain if rank <= k else 0.0 for k in k_list}
+def rank_metrics(rank, k_list) -> tuple:
+    """(hr, ndcg) dicts keyed by cutoff: floats for one rank, arrays for many."""
+    rank = np.asarray(rank)
+    gain = 1.0 / np.log2(rank + 1.0)
+    out = float if rank.ndim == 0 else np.asarray
+    hr = {k: out(np.where(rank <= k, 1.0, 0.0)) for k in k_list}
+    ndcg = {k: out(np.where(rank <= k, gain, 0.0)) for k in k_list}
     return hr, ndcg
 
 
@@ -90,20 +99,56 @@ class EvalReport:
         }
 
 
-def _empty_report(task, split_name, k_list, warnings=()) -> EvalReport:
-    zeros = {k: 0.0 for k in k_list}
-    return EvalReport(
-        task=task, split_name=split_name, k_list=tuple(k_list),
-        hr=dict(zeros), ndcg=dict(zeros), hr_std=dict(zeros), ndcg_std=dict(zeros),
-        n_pairs=0, repeats=0, warnings=tuple(warnings),
-    )
-
-
 def _check_k_list(k_list) -> tuple:
     k_list = tuple(int(k) for k in k_list)
     if not k_list or any(k < 1 for k in k_list):
         raise ConfigError(f"cutoffs must be positive integers, got {k_list}")
     return k_list
+
+
+def _ranks(scores: np.ndarray, valid: np.ndarray, task: str) -> np.ndarray:
+    """rank_of_first of each row of a score matrix, over its valid entries."""
+    bad = int(np.count_nonzero(valid & ~np.isfinite(scores)))
+    if bad:
+        raise NonFiniteError(f"{task} evaluation: {bad} non-finite scores")
+    return rank_of_first(np.where(valid, scores, -np.inf))
+
+
+def _report(task, split_name, k_list, ranks, warnings, n_negatives=None) -> EvalReport:
+    """Reduce a (repeats, pairs) matrix of ranks to an EvalReport.
+
+    HR and NDCG are averaged over the pairs of each repeat; the report holds
+    their mean and standard deviation across repeats.
+    """
+    repeats, n = ranks.shape
+    if n == 0:
+        zeros = (dict.fromkeys(k_list, 0.0) for _ in range(4))
+        return EvalReport(task, split_name, k_list, *zeros, 0, 0,
+                          warnings=(*warnings, "no pairs to evaluate"))
+    stats = []
+    for per_pair in rank_metrics(ranks, k_list):
+        # cumsum adds the pairs left to right, as a per-pair loop does, so
+        # reports do not depend on numpy's pairwise summation
+        per_repeat = {k: np.cumsum(v, axis=1)[:, -1] / n for k, v in per_pair.items()}
+        stats.append(({k: float(v.mean()) for k, v in per_repeat.items()},
+                      {k: float(v.std()) for k, v in per_repeat.items()}))
+    (hr, hr_std), (ndcg, ndcg_std) = stats
+    return EvalReport(task, split_name, k_list, hr, ndcg, hr_std, ndcg_std, n, repeats,
+                      n_negatives, tuple(warnings))
+
+
+def _draw_negatives(rng: np.random.Generator, rated: np.ndarray, take: int):
+    """Draw ``take`` items per row of a (rows, N) rated mask, without replacement.
+
+    Each item gets a uniform random key, rated items +inf, and the ``take``
+    smallest keys are drawn.  Returns (negatives, valid); valid is False where
+    a row's unrated pool ran out and the slot holds a rated item.  Keys are
+    drawn row after row, so drawing a block of rows at a time changes nothing.
+    """
+    keys = rng.random(rated.shape)
+    keys[rated] = np.inf
+    negs = np.argpartition(keys, take - 1, axis=1)[:, :take]
+    return negs, np.take_along_axis(keys, negs, axis=1) < np.inf
 
 
 def evaluate_item_rec(
@@ -115,111 +160,84 @@ def evaluate_item_rec(
     repeats: int = 10,
     seed: int = 0,
     split_name: str = "test",
-    threads: int = 1,
 ) -> EvalReport:
     """Rank each held-out positive against sampled unrated negatives.
 
     The candidate pool for a user excludes every item the user rated in any
     portion of the split.  Negatives are drawn without replacement; when the
     pool is smaller than ``n_negatives`` the whole pool is used once and a
-    warning is recorded.  Per-(repeat, pair) seed streams make the result
-    independent of ``threads``.
+    warning is recorded.  Repeat r draws the negatives of all pairs, in
+    sorted pair order, from the r-th generator spawned from ``seed``.
     """
     k_list = _check_k_list(k_list)
-    if split_name == "test":
-        pairs = sorted(split.test)
-    elif split_name == "validation":
-        pairs = sorted(split.validation)
-    else:
+    pairs = {"test": split.test, "validation": split.validation}.get(split_name)
+    if pairs is None:
         raise ConfigError(f"unknown split_name {split_name!r}")
     if repeats < 1:
         raise ConfigError("repeats must be >= 1")
+    if n_negatives < 1:
+        raise ConfigError(f"n_negatives must be >= 1, got {n_negatives}")
     if not pairs:
-        return _empty_report("item", split_name, k_list, ("no pairs to evaluate",))
+        return _report("item", split_name, k_list, np.empty((0, 0)), ())
 
     base = split.base
-    pools = []
-    short = 0
-    all_items = np.arange(base.num_items, dtype=np.int64)
-    for u, _ in pairs:
-        pool = np.setdiff1d(all_items, base.items_of_user[u], assume_unique=True)
-        if len(pool) < n_negatives:
-            short += 1
-        pools.append(pool)
+    users, positives = np.array(sorted(pairs), dtype=np.int64).T
+    rated = np.zeros((base.num_users, base.num_items), dtype=bool)
+    rated[tuple(zip(*base.ratings))] = True
+    pool = base.num_items - rated.sum(axis=1)[users]
+    take = int(min(n_negatives, pool.max()))
     warnings = []
+    short = int(np.count_nonzero(pool < n_negatives))
     if short:
         warnings.append(
-            f"{short} of {len(pairs)} pairs had fewer than {n_negatives} "
+            f"{short} of {len(users)} pairs had fewer than {n_negatives} "
             "unrated items; used the full pool"
         )
         logger.warning(warnings[-1])
 
     table = item_visual_table(params, cfg, dataset=base)
-    repeat_seqs = np.random.SeedSequence(seed).spawn(repeats)
-
-    def run_repeat(r: int):
-        pair_seqs = repeat_seqs[r].spawn(len(pairs))
-        users, items, offsets = [], [], [0]
-        for (u, i), pool, seq in zip(pairs, pools, pair_seqs):
-            rng = np.random.default_rng(seq)
-            take = min(n_negatives, len(pool))
-            negs = rng.choice(pool, size=take, replace=False)
-            users.append(np.full(take + 1, u, dtype=np.int64))
-            items.append(np.concatenate(([i], negs)))
-            offsets.append(offsets[-1] + take + 1)
-        scores = score_pairs(
-            np.concatenate(users), np.concatenate(items), params, cfg, base, table=table
-        )
-        hr_sum = {k: 0.0 for k in k_list}
-        ndcg_sum = {k: 0.0 for k in k_list}
-        for p in range(len(pairs)):
-            rank = rank_of_first(scores[offsets[p]: offsets[p + 1]])
-            hr, ndcg = rank_metrics(rank, k_list)
-            for k in k_list:
-                hr_sum[k] += hr[k]
-                ndcg_sum[k] += ndcg[k]
-        n = float(len(pairs))
-        return (
-            {k: hr_sum[k] / n for k in k_list},
-            {k: ndcg_sum[k] / n for k in k_list},
-        )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_repeat, range(repeats)))
-    else:
-        results = [run_repeat(r) for r in range(repeats)]
-
-    hr_mat = {k: np.array([res[0][k] for res in results]) for k in k_list}
-    ndcg_mat = {k: np.array([res[1][k] for res in results]) for k in k_list}
-    return EvalReport(
-        task="item",
-        split_name=split_name,
-        k_list=k_list,
-        hr={k: float(hr_mat[k].mean()) for k in k_list},
-        ndcg={k: float(ndcg_mat[k].mean()) for k in k_list},
-        hr_std={k: float(hr_mat[k].std()) for k in k_list},
-        ndcg_std={k: float(ndcg_mat[k].std()) for k in k_list},
-        n_pairs=len(pairs),
-        repeats=repeats,
-        n_negatives=n_negatives,
-        warnings=tuple(warnings),
-    )
+    rows = max(1, CANDIDATE_BLOCK // base.num_items)
+    ranks = np.empty((repeats, len(users)), dtype=np.int64)
+    for r, seq in enumerate(np.random.SeedSequence(seed).spawn(repeats)):
+        rng = np.random.default_rng(seq)
+        for lo in range(0, len(users), rows):
+            u = users[lo: lo + rows]
+            negs, valid = _draw_negatives(rng, rated[u], take)
+            cands = np.column_stack([positives[lo: lo + rows], negs])
+            scores = score_pairs(
+                np.repeat(u, take + 1), cands.ravel(), params, cfg, base, table=table
+            ).reshape(cands.shape)
+            valid = np.column_stack([np.ones(len(u), dtype=bool), valid])
+            ranks[r, lo: lo + rows] = _ranks(scores, valid, "item")
+    return _report("item", split_name, k_list, ranks, warnings, n_negatives)
 
 
-def _frame_eval_pairs(split: SplitDataset, exclude_singletons: bool):
-    """Sorted (user, frame, item_frames) triples from the frame test set."""
+def _frame_report(task, split: SplitDataset, k_list, exclude_singletons, score):
+    """Rank each liked frame among its parent item's frames.
+
+    ``score(users, frames)`` is called once, on the (user, frame) pairs of
+    the padded (pairs, max frames) matrix in row-major order: pair by pair,
+    and within a pair in the item's frame order.
+    """
+    k_list = _check_k_list(k_list)
     base = split.base
-    out = []
-    skipped = 0
-    for u, f in sorted(split.frame_test):
-        item = int(base.frame_parent[f])
-        frames = base.frames_of_item[item]
-        if exclude_singletons and len(frames) == 1:
-            skipped += 1
-            continue
-        out.append((u, f, frames))
-    return out, skipped
+    pairs = np.array(sorted(split.frame_test), dtype=np.int64).reshape(-1, 2)
+    ids, mask, counts = base.frame_table
+    items = base.frame_parent[pairs[:, 1]]
+    warnings = []
+    if exclude_singletons:
+        single = counts[items] == 1
+        if single.any():
+            warnings.append(f"skipped {int(single.sum())} single-frame items")
+        pairs, items = pairs[~single], items[~single]
+    frames, valid = ids[items], mask[items]
+    scores = np.zeros(frames.shape)
+    scores[valid] = score(np.broadcast_to(pairs[:, :1], frames.shape)[valid], frames[valid])
+    # the liked frame's score trades places with column 0, the positive's
+    rows = np.arange(len(pairs))
+    liked = np.argmax(frames == pairs[:, 1:], axis=1)
+    scores[rows, 0], scores[rows, liked] = scores[rows, liked], scores[rows, 0]
+    return _report(task, "test", k_list, _ranks(scores, valid, task)[None], warnings)
 
 
 def evaluate_frame_rec(
@@ -232,52 +250,12 @@ def evaluate_frame_rec(
     """Rank each liked frame against all frames of its parent item.
 
     Exhaustive and deterministic, so repeats and negative sampling do not
-    apply.  Raises UnsupportedTaskError when the visual pathway is off,
-    because the model then has no frame scores at all.
+    apply.  score_frames raises UnsupportedTaskError when the visual pathway
+    is off, because the model then has no frame scores at all.
     """
-    if cfg.visual_mode == VISUAL_OFF:
-        raise UnsupportedTaskError(
-            "frame evaluation needs the visual pathway; visual_mode is off"
-        )
-    k_list = _check_k_list(k_list)
-    pairs, skipped = _frame_eval_pairs(split, exclude_singletons)
-    warnings = []
-    if skipped:
-        warnings.append(f"skipped {skipped} single-frame items")
-    if not pairs:
-        warnings.append("no pairs to evaluate")
-        return _empty_report("frame", "test", k_list, warnings)
-
-    users = np.concatenate([np.full(len(fr), u, dtype=np.int64) for u, _, fr in pairs])
-    frames = np.concatenate([np.array(fr, dtype=np.int64) for _, _, fr in pairs])
-    scores = score_frames(users, frames, params, cfg, split.base)
-
-    hr_sum = {k: 0.0 for k in k_list}
-    ndcg_sum = {k: 0.0 for k in k_list}
-    pos = 0
-    for u, f, fr in pairs:
-        block = scores[pos: pos + len(fr)]
-        liked = block[list(fr).index(f)]
-        rank = int((block > liked).sum() + (block == liked).sum())
-        hr, ndcg = rank_metrics(rank, k_list)
-        for k in k_list:
-            hr_sum[k] += hr[k]
-            ndcg_sum[k] += ndcg[k]
-        pos += len(fr)
-
-    n = float(len(pairs))
-    zeros = {k: 0.0 for k in k_list}
-    return EvalReport(
-        task="frame",
-        split_name="test",
-        k_list=k_list,
-        hr={k: float(hr_sum[k] / n) for k in k_list},
-        ndcg={k: float(ndcg_sum[k] / n) for k in k_list},
-        hr_std=dict(zeros),
-        ndcg_std=dict(zeros),
-        n_pairs=len(pairs),
-        repeats=1,
-        warnings=tuple(warnings),
+    return _frame_report(
+        "frame", split, k_list, exclude_singletons,
+        lambda users, frames: score_frames(users, frames, params, cfg, split.base),
     )
 
 
@@ -292,38 +270,8 @@ def random_frame_baseline(
     The reference point for the frame task: with m frames per item its
     expected hit rate at K is K/m.
     """
-    k_list = _check_k_list(k_list)
-    pairs, skipped = _frame_eval_pairs(split, exclude_singletons)
-    warnings = []
-    if skipped:
-        warnings.append(f"skipped {skipped} single-frame items")
-    if not pairs:
-        warnings.append("no pairs to evaluate")
-        return _empty_report("frame_baseline", "test", k_list, warnings)
-
     rng = np.random.default_rng(seed)
-    hr_sum = {k: 0.0 for k in k_list}
-    ndcg_sum = {k: 0.0 for k in k_list}
-    for u, f, fr in pairs:
-        block = rng.random(len(fr))
-        liked = block[list(fr).index(f)]
-        rank = int((block > liked).sum() + (block == liked).sum())
-        hr, ndcg = rank_metrics(rank, k_list)
-        for k in k_list:
-            hr_sum[k] += hr[k]
-            ndcg_sum[k] += ndcg[k]
-
-    n = float(len(pairs))
-    zeros = {k: 0.0 for k in k_list}
-    return EvalReport(
-        task="frame_baseline",
-        split_name="test",
-        k_list=k_list,
-        hr={k: float(hr_sum[k] / n) for k in k_list},
-        ndcg={k: float(ndcg_sum[k] / n) for k in k_list},
-        hr_std=dict(zeros),
-        ndcg_std=dict(zeros),
-        n_pairs=len(pairs),
-        repeats=1,
-        warnings=tuple(warnings),
+    return _frame_report(
+        "frame_baseline", split, k_list, exclude_singletons,
+        lambda users, frames: rng.random(len(frames)),
     )

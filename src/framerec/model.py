@@ -185,8 +185,9 @@ class VisualTable:
     """Per-item visual embeddings plus the intermediates backprop needs.
 
     ``x`` is (N, d2).  In attention mode ``alpha`` holds the per-item frame
-    weights (zero at padding), ``hidden_pre`` the pre-activation of the
-    attention MLP and ``keys`` the reduced per-frame keys.
+    weights (zero at padding), ``z`` the (N, m, d1 + d0) attention MLP input
+    (item factor beside each frame's reduced key) and ``hidden_pre`` its
+    pre-activation.
     """
 
     x: np.ndarray
@@ -195,12 +196,19 @@ class VisualTable:
     mask: np.ndarray
     counts: np.ndarray
     alpha: np.ndarray = None
+    z: np.ndarray = None
     hidden_pre: np.ndarray = None
-    keys: np.ndarray = None
 
 
-def _attention_key_matrix(params: ModelParams, cfg: ModelConfig) -> np.ndarray:
-    return params.visual_proj if cfg.share_visual_projection else params.attn_reduce
+def _attention_mlp(z, hidden, out, bias):
+    """(pre-activation, logits) of the one-hidden-layer ReLU attention network.
+
+    Serves the frame attention and the fusion; ``bias`` may be None.
+    """
+    hidden_pre = z @ hidden.T
+    if bias is not None:
+        hidden_pre = hidden_pre + bias
+    return hidden_pre, np.maximum(hidden_pre, 0.0) @ out
 
 
 def item_visual_table(params: ModelParams, cfg: ModelConfig, dataset: Dataset):
@@ -219,7 +227,8 @@ def item_visual_table(params: ModelParams, cfg: ModelConfig, dataset: Dataset):
         x = gathered.sum(axis=1) / safe[:, None]
         return VisualTable(x=x, frame_emb=frame_emb, ids=ids, mask=mask, counts=counts)
 
-    keys = dataset.frame_features @ _attention_key_matrix(params, cfg).T  # (L, d0)
+    key_matrix = params.visual_proj if cfg.share_visual_projection else params.attn_reduce
+    keys = dataset.frame_features @ key_matrix.T  # (L, d0)
     n, m = ids.shape
     z = np.concatenate(
         [
@@ -228,10 +237,10 @@ def item_visual_table(params: ModelParams, cfg: ModelConfig, dataset: Dataset):
         ],
         axis=2,
     )
-    hidden_pre = z @ params.attn_hidden.T
-    if cfg.attention_bias:
-        hidden_pre = hidden_pre + params.attn_hidden_bias
-    logits = np.maximum(hidden_pre, 0.0) @ params.attn_out  # (N, m)
+    hidden_pre, logits = _attention_mlp(
+        z, params.attn_hidden, params.attn_out,
+        params.attn_hidden_bias if cfg.attention_bias else None,
+    )  # logits (N, m)
     neg_inf = np.finfo(logits.dtype).min
     shifted = np.where(mask, logits, neg_inf)
     shifted = shifted - shifted.max(axis=1, keepdims=True)
@@ -241,7 +250,7 @@ def item_visual_table(params: ModelParams, cfg: ModelConfig, dataset: Dataset):
     x = (alpha[:, :, None] * gathered).sum(axis=1)
     return VisualTable(
         x=x, frame_emb=frame_emb, ids=ids, mask=mask, counts=counts,
-        alpha=alpha, hidden_pre=hidden_pre, keys=keys,
+        alpha=alpha, z=z, hidden_pre=hidden_pre,
     )
 
 
@@ -305,13 +314,9 @@ def score_pairs(
 
     z1 = np.concatenate([params.user_collab[users], params.item_collab[items]], axis=1)
     z2 = np.concatenate([params.user_visual[users], table.x[items]], axis=1)
-    h1_pre = z1 @ params.fusion_hidden.T
-    h2_pre = z2 @ params.fusion_hidden.T
-    if cfg.attention_bias:
-        h1_pre = h1_pre + params.fusion_hidden_bias
-        h2_pre = h2_pre + params.fusion_hidden_bias
-    g1 = np.maximum(h1_pre, 0.0) @ params.fusion_out
-    g2 = np.maximum(h2_pre, 0.0) @ params.fusion_out
+    bias = params.fusion_hidden_bias if cfg.attention_bias else None
+    h1_pre, g1 = _attention_mlp(z1, params.fusion_hidden, params.fusion_out, bias)
+    h2_pre, g2 = _attention_mlp(z2, params.fusion_hidden, params.fusion_out, bias)
     beta1, beta2 = _two_way_softmax(g1, g2)
     scores = beta1 * collab + beta2 * visual
     cache = PairCache(
@@ -331,135 +336,6 @@ def score_frames(users, frames, params: ModelParams, cfg: ModelConfig, dataset: 
     frames = np.asarray(frames, dtype=np.int64)
     frame_emb = dataset.frame_features[frames] @ params.visual_proj.T
     return np.einsum("bd,bd->b", params.user_visual[users], frame_emb)
-
-
-# ---------------------------------------------------------------------------
-# Single-instance operations
-# ---------------------------------------------------------------------------
-
-
-def _check_item(item_id: int, dataset: Dataset) -> None:
-    if not 0 <= item_id < dataset.num_items:
-        raise IndexError(f"item id {item_id} out of range")
-
-
-def _check_user(user_id: int, dataset: Dataset) -> None:
-    if not 0 <= user_id < dataset.num_users:
-        raise IndexError(f"user id {user_id} out of range")
-
-
-def _item_frames(item_id: int, dataset: Dataset) -> np.ndarray:
-    _check_item(item_id, dataset)
-    frames = dataset.frames_of_item[item_id]
-    if not frames:
-        raise MissingFramesError(f"item {item_id} has no frames")
-    return np.array(frames, dtype=np.int64)
-
-
-def item_visual_avg(item_id: int, params: ModelParams, dataset: Dataset) -> np.ndarray:
-    """Mean of the item's projected frame features (length d2)."""
-    frames = _item_frames(item_id, dataset)
-    return (dataset.frame_features[frames] @ params.visual_proj.T).mean(axis=0)
-
-
-def frame_attention_logits(
-    item_id: int, params: ModelParams, cfg: ModelConfig, dataset: Dataset
-) -> np.ndarray:
-    """Unnormalised attention scores for the item's frames, in frame order."""
-    if cfg.visual_mode != VISUAL_ATT:
-        raise ConfigError("frame attention requires visual_mode='att'")
-    frames = _item_frames(item_id, dataset)
-    keys = dataset.frame_features[frames] @ _attention_key_matrix(params, cfg).T
-    v = params.item_collab[item_id]
-    z = np.concatenate([np.broadcast_to(v, (len(frames), cfg.d1)), keys], axis=1)
-    hidden_pre = z @ params.attn_hidden.T
-    if cfg.attention_bias:
-        hidden_pre = hidden_pre + params.attn_hidden_bias
-    return np.maximum(hidden_pre, 0.0) @ params.attn_out
-
-
-def frame_attention_weights(
-    item_id: int, params: ModelParams, cfg: ModelConfig, dataset: Dataset
-) -> np.ndarray:
-    """Softmax of the attention logits over the item's frames."""
-    logits = frame_attention_logits(item_id, params, cfg, dataset)
-    shifted = np.exp(logits - logits.max())
-    return shifted / shifted.sum()
-
-
-def item_visual_att(
-    item_id: int, params: ModelParams, cfg: ModelConfig, dataset: Dataset
-) -> np.ndarray:
-    """Attention-weighted sum of the item's projected frame features."""
-    frames = _item_frames(item_id, dataset)
-    weights = frame_attention_weights(item_id, params, cfg, dataset)
-    emb = dataset.frame_features[frames] @ params.visual_proj.T
-    return weights @ emb
-
-
-def item_visual(item_id: int, params: ModelParams, cfg: ModelConfig, dataset: Dataset):
-    """Dispatch to the mean or attended item visual embedding per config."""
-    if cfg.visual_mode == VISUAL_AVG:
-        return item_visual_avg(item_id, params, dataset)
-    if cfg.visual_mode == VISUAL_ATT:
-        return item_visual_att(item_id, params, cfg, dataset)
-    raise ConfigError("item visual embedding requested with visual_mode='off'")
-
-
-def rating_attention(
-    user_id: int, item_id: int, x_i: np.ndarray, params: ModelParams, cfg: ModelConfig
-):
-    """Two-way attention over the collaborative and visual channels.
-
-    Returns (beta1, beta2) with beta2 = 1 - beta1 exactly.
-    """
-    if cfg.fusion_mode != FUSION_ATT:
-        raise ConfigError("rating attention requires fusion_mode='att'")
-    if cfg.d1 != cfg.d2:
-        raise ConfigError("rating attention requires d1 == d2")
-    z1 = np.concatenate([params.user_collab[user_id], params.item_collab[item_id]])
-    z2 = np.concatenate([params.user_visual[user_id], np.asarray(x_i)])
-    h1 = z1 @ params.fusion_hidden.T
-    h2 = z2 @ params.fusion_hidden.T
-    if cfg.attention_bias:
-        h1 = h1 + params.fusion_hidden_bias
-        h2 = h2 + params.fusion_hidden_bias
-    g1 = np.maximum(h1, 0.0) @ params.fusion_out
-    g2 = np.maximum(h2, 0.0) @ params.fusion_out
-    beta1, beta2 = _two_way_softmax(np.asarray(g1), np.asarray(g2))
-    return float(beta1), float(beta2)
-
-
-def predict_item_score(
-    user_id: int, item_id: int, params: ModelParams, cfg: ModelConfig, dataset: Dataset
-) -> float:
-    """Predicted preference of a user for an item under the config's modes."""
-    _check_user(user_id, dataset)
-    _check_item(item_id, dataset)
-    collab = float(params.user_collab[user_id] @ params.item_collab[item_id])
-    if cfg.visual_mode == VISUAL_OFF:
-        return collab
-    x = item_visual(item_id, params, cfg, dataset)
-    visual = float(params.user_visual[user_id] @ x)
-    if cfg.fusion_mode == FUSION_SUM:
-        return collab + visual
-    beta1, beta2 = rating_attention(user_id, item_id, x, params, cfg)
-    return beta1 * collab + beta2 * visual
-
-
-def predict_frame_score(
-    user_id: int, frame_id: int, params: ModelParams, cfg: ModelConfig, dataset: Dataset
-) -> float:
-    """Visual-only preference of a user for a single frame."""
-    if cfg.visual_mode == VISUAL_OFF:
-        raise UnsupportedTaskError(
-            "frame scoring needs the visual pathway; visual_mode is off"
-        )
-    _check_user(user_id, dataset)
-    if not 0 <= frame_id < dataset.num_frames:
-        raise IndexError(f"frame id {frame_id} out of range")
-    emb = params.visual_proj @ dataset.frame_features[frame_id]
-    return float(params.user_visual[user_id] @ emb)
 
 
 # ---------------------------------------------------------------------------

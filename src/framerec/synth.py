@@ -13,7 +13,7 @@ which gives the frame attention something to lock onto.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -208,19 +208,7 @@ def generate_synthetic(cfg: SynthConfig):
         for i in order[: cfg.ratings_per_user]:
             ratings.add((u, int(i)))
 
-    dataset = Dataset(
-        num_users=skeleton.num_users,
-        num_items=skeleton.num_items,
-        num_frames=skeleton.num_frames,
-        feature_dim=skeleton.feature_dim,
-        ratings=frozenset(ratings),
-        frames_of_item=skeleton.frames_of_item,
-        frame_parent=skeleton.frame_parent,
-        frame_features=skeleton.frame_features,
-        user_ids=skeleton.user_ids,
-        item_ids=skeleton.item_ids,
-        frame_ids=skeleton.frame_ids,
-    )
+    dataset = replace(skeleton, ratings=frozenset(ratings))
     check_dataset(dataset)
     likes = planted_frame_likes(planted, dataset, cfg.frame_likes_per_pair)
     return dataset, likes, planted

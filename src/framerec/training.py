@@ -64,8 +64,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.loss_reduction not in ("mean", "sum"):
             raise ConfigError(f"unknown loss_reduction {self.loss_reduction!r}")
-        if min(self.batch_size, self.epochs, self.neg_ratio, self.valid_k) < 1:
-            raise ConfigError("batch_size, epochs, neg_ratio, valid_k must be >= 1")
+        if min(self.batch_size, self.epochs, self.neg_ratio, self.valid_negatives,
+               self.valid_k) < 1:
+            raise ConfigError(
+                "batch_size, epochs, neg_ratio, valid_negatives, valid_k must be >= 1"
+            )
         if self.lr <= 0:
             raise ConfigError("lr must be > 0")
         if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
@@ -289,15 +292,7 @@ def _table_backward(params, cfg, dataset, table, gx, grads) -> None:
     act = np.maximum(hidden_pre, 0.0)
     grads["attn_out"] += np.einsum("nm,nmh->h", tau, act)
     dh = tau[:, :, None] * (params.attn_out * (hidden_pre > 0))
-    n, m = ids.shape
-    z = np.concatenate(
-        [
-            np.broadcast_to(params.item_collab[:, None, :], (n, m, cfg.d1)),
-            table.keys[ids],
-        ],
-        axis=2,
-    )
-    grads["attn_hidden"] += np.einsum("nmh,nmz->hz", dh, z)
+    grads["attn_hidden"] += np.einsum("nmh,nmz->hz", dh, table.z)
     if cfg.attention_bias:
         grads["attn_hidden_bias"] += dh.sum(axis=(0, 1))
     dz = dh @ params.attn_hidden  # (N, m, d1 + d0)

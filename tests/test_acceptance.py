@@ -27,18 +27,17 @@ from framerec.evaluation import (
 from framerec.model import (
     ModelConfig,
     dataset_digest,
-    frame_attention_logits,
-    frame_attention_weights,
     init_params,
     item_visual_table,
     load_checkpoint,
-    rating_attention,
     save_checkpoint,
     score_frames,
     score_pairs,
 )
 from framerec.synth import SynthConfig, generate_synthetic
 from framerec.training import TrainConfig, finite_diff_check, fit, gradcheck_instance
+
+from reference import frame_attention_logits
 
 
 def _verdict(name: str, ok: bool, detail: str) -> None:
@@ -82,8 +81,9 @@ def test_criterion_2_attention_normalisation():
                           reduced_visual_dim=3, visual_mode="att",
                           fusion_mode="att", init_scale=0.4, seed=i)
         params = init_params(cfg, ds)
+        table = item_visual_table(params, cfg, ds)
         item = int(rng.integers(ds.num_items))
-        weights = frame_attention_weights(item, params, cfg, ds)
+        weights = table.alpha[item][table.mask[item]]
         assert (weights >= 0.0).all()
         worst_sum = max(worst_sum, abs(float(weights.sum()) - 1.0))
 
@@ -93,8 +93,10 @@ def test_criterion_2_attention_normalisation():
         worst_shift = max(worst_shift, float(np.abs(weights - e / e.sum()).max()))
 
         u = int(rng.integers(ds.num_users))
-        beta1, beta2 = rating_attention(u, item, rng.normal(size=cfg.d2),
-                                        params, cfg)
+        table.x[item] = rng.normal(size=cfg.d2)  # a random visual channel input
+        _, cache = score_pairs([u], [item], params, cfg, ds, table=table,
+                               want_cache=True)
+        beta1, beta2 = float(cache.beta1[0]), float(cache.beta2[0])
         assert 0.0 < beta1 < 1.0
         worst_beta = max(worst_beta, abs(beta1 + beta2 - 1.0))
     ok = worst_sum < 1e-9 and worst_beta < 1e-12 and worst_shift < 1e-9

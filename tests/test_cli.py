@@ -128,6 +128,40 @@ class TestPipeline:
         assert "different dataset" in err
 
 
+class TestBadCounts:
+    """Negative counts below one end in a one-line error, not a traceback."""
+
+    @pytest.fixture
+    def trained(self, pipeline_dirs, capsys):
+        run_dir = pipeline_dirs / "run"
+        code, _, _ = call(capsys, "train", "--data", str(pipeline_dirs / "split"),
+                          "--out", str(run_dir), *SMALL_MODEL, *SMALL_TRAIN)
+        assert code == 0
+        return pipeline_dirs
+
+    def eval_items(self, capsys, root, negatives):
+        return call(capsys, "eval-items", "--data", str(root / "split"),
+                    "--checkpoint", str(root / "run" / "checkpoint.json"),
+                    "--out", str(root / "ev"), "--negatives", negatives)
+
+    def test_negative_eval_negatives(self, trained, capsys):
+        code, _, err = self.eval_items(capsys, trained, "-1")
+        assert code == 1
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+    def test_zero_eval_negatives(self, trained, capsys):
+        code, _, err = self.eval_items(capsys, trained, "0")
+        assert code == 1
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+    def test_zero_valid_negatives(self, pipeline_dirs, capsys):
+        code, _, err = call(capsys, "train", "--data", str(pipeline_dirs / "split"),
+                            "--out", str(pipeline_dirs / "run0"), *SMALL_MODEL,
+                            *SMALL_TRAIN, "--valid-negatives", "0")
+        assert code == 1
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
 class TestErrors:
     def test_missing_data_dir(self, tmp_path, capsys):
         code, _, err = call(capsys, "split", "--data", str(tmp_path / "nope"),

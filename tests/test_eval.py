@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from framerec import evaluation
 from framerec.data import split_ratings
-from framerec.errors import ConfigError, UnsupportedTaskError
+from framerec.errors import ConfigError, NonFiniteError, UnsupportedTaskError
 from framerec.evaluation import (
     evaluate_frame_rec,
     evaluate_item_rec,
@@ -12,6 +13,7 @@ from framerec.evaluation import (
     rank_metrics,
     rank_of_first,
 )
+from framerec.model import score_frames
 from framerec.synth import SynthConfig, generate_synthetic
 
 
@@ -46,6 +48,17 @@ class TestRanks:
             ref = 1 + sum(1 for c in scores[1:] if c >= scores[0])
             assert rank_of_first(scores) == ref
 
+    def test_rows_rank_like_single_lists(self):
+        rng = np.random.default_rng(1)
+        scores = rng.integers(0, 4, size=(50, 6)).astype(float)
+        ranks = rank_of_first(scores)
+        assert ranks.tolist() == [rank_of_first(row) for row in scores]
+        hr, ndcg = rank_metrics(ranks, (1, 3))
+        for row, rank in enumerate(ranks):
+            one_hr, one_ndcg = rank_metrics(int(rank), (1, 3))
+            assert {k: hr[k][row] for k in (1, 3)} == one_hr
+            assert {k: ndcg[k][row] for k in (1, 3)} == one_ndcg
+
     def test_metric_values(self):
         hr, ndcg = rank_metrics(1, (1, 2, 3))
         assert hr == {1: 1.0, 2: 1.0, 3: 1.0}
@@ -72,11 +85,34 @@ class TestItemEvaluation:
         params = init_params(cfg, split.base)
         a = evaluate_item_rec(params, cfg, split, n_negatives=8, repeats=4, seed=5)
         b = evaluate_item_rec(params, cfg, split, n_negatives=8, repeats=4, seed=5)
-        c = evaluate_item_rec(params, cfg, split, n_negatives=8, repeats=4, seed=5,
-                              threads=4)
-        assert a.hr == b.hr == c.hr and a.ndcg == b.ndcg == c.ndcg
+        assert a.hr == b.hr and a.ndcg == b.ndcg
         d = evaluate_item_rec(params, cfg, split, n_negatives=8, repeats=4, seed=6)
         assert d.hr != a.hr or d.ndcg != a.ndcg
+
+    @pytest.mark.parametrize("n_negatives", [8, 10_000])
+    def test_scoring_blocks_do_not_change_the_report(self, monkeypatch, n_negatives):
+        split, planted = synth_split(seed=3)
+        kw = dict(k_list=(1, 5), n_negatives=n_negatives, repeats=3, seed=4)
+        default = evaluate_item_rec(planted.params, planted.cfg, split, **kw)
+        monkeypatch.setattr(evaluation, "CANDIDATE_BLOCK", 1)  # one pair per block
+        blocked = evaluate_item_rec(planted.params, planted.cfg, split, **kw)
+        assert blocked.to_dict() == default.to_dict()
+        assert blocked.to_tsv() == default.to_tsv()
+
+    def test_negative_count_must_be_positive(self):
+        split, planted = synth_split(seed=3)
+        for bad in (0, -1):
+            with pytest.raises(ConfigError):
+                evaluate_item_rec(planted.params, planted.cfg, split, n_negatives=bad)
+
+    def test_non_finite_scores_raise(self):
+        split, planted = synth_split(seed=3)
+        broken = planted.params.copy()
+        broken.visual_proj[0, 0] = np.nan
+        with pytest.raises(NonFiniteError, match="item evaluation"):
+            evaluate_item_rec(broken, planted.cfg, split, n_negatives=5, repeats=1)
+        with pytest.raises(NonFiniteError, match="frame evaluation"):
+            evaluate_frame_rec(broken, planted.cfg, split)
 
     def test_perfect_and_inverted_models(self):
         split, planted = synth_split(seed=4)
@@ -172,6 +208,110 @@ class TestFrameEvaluation:
         a = random_frame_baseline(split, seed=3)
         b = random_frame_baseline(split, seed=3)
         assert a.hr == b.hr and a.ndcg == b.ndcg
+
+
+def frame_ranking_pairs(split, exclude_singletons: bool = False):
+    """Sorted (user, frame, item_frames) triples of the frame test set.
+
+    Returns (triples, skipped), where skipped counts the single-frame items
+    left out under ``exclude_singletons``.
+    """
+    base = split.base
+    out = []
+    skipped = 0
+    for u, f in sorted(split.frame_test):
+        frames = base.frames_of_item[int(base.frame_parent[f])]
+        if exclude_singletons and len(frames) == 1:
+            skipped += 1
+            continue
+        out.append((u, f, frames))
+    return out, skipped
+
+
+def frame_ranking_loop(triples, scores, k_list):
+    """(hr, ndcg) dicts from ranking each liked frame pair by pair.
+
+    ``scores`` holds every triple's item frames, concatenated in triple
+    order.  Ties rank the liked frame worst.
+    """
+    hr_sum = {k: 0.0 for k in k_list}
+    ndcg_sum = {k: 0.0 for k in k_list}
+    pos = 0
+    for _, f, frames in triples:
+        block = scores[pos: pos + len(frames)]
+        liked = block[list(frames).index(f)]
+        rank = int((block > liked).sum() + (block == liked).sum())
+        gain = float(1.0 / np.log2(rank + 1.0))
+        for k in k_list:
+            hr_sum[k] += 1.0 if rank <= k else 0.0
+            ndcg_sum[k] += gain if rank <= k else 0.0
+        pos += len(frames)
+    n = float(len(triples))
+    return (
+        {k: float(hr_sum[k] / n) for k in k_list},
+        {k: float(ndcg_sum[k] / n) for k in k_list},
+    )
+
+
+class TestFrameOracle:
+    """The matrix ranker against the per-pair loop it replaced."""
+
+    @pytest.mark.parametrize("seed", [9, 10, 12, 13, 14])
+    @pytest.mark.parametrize("exclude_singletons", [False, True])
+    def test_frame_evaluation_matches_per_pair_loop(self, seed, exclude_singletons):
+        split, planted = synth_split(seed=seed, frames_per_item=1 + seed % 4)
+        k_list = (1, 2, 3)
+        triples, skipped = frame_ranking_pairs(split, exclude_singletons)
+        users = [u for u, _, fr in triples for _ in fr]
+        frames = [f for _, _, fr in triples for f in fr]
+        scores = score_frames(np.array(users, dtype=np.int64),
+                              np.array(frames, dtype=np.int64),
+                              planted.params, planted.cfg, split.base)
+        rep = evaluate_frame_rec(planted.params, planted.cfg, split, k_list=k_list,
+                                 exclude_singletons=exclude_singletons)
+        assert rep.n_pairs == len(triples)
+        assert bool(skipped) == any("skipped" in w for w in rep.warnings)
+        if triples:
+            assert (rep.hr, rep.ndcg) == frame_ranking_loop(triples, scores, k_list)
+
+    @pytest.mark.parametrize("seed", [9, 10, 12, 13, 14])
+    @pytest.mark.parametrize("exclude_singletons", [False, True])
+    def test_baseline_matches_per_pair_loop(self, seed, exclude_singletons):
+        split, _ = synth_split(seed=seed, frames_per_item=1 + seed % 4)
+        k_list = (1, 2, 3)
+        triples, _ = frame_ranking_pairs(split, exclude_singletons)
+        rng = np.random.default_rng(seed)
+        scores = np.concatenate([rng.random(len(fr)) for _, _, fr in triples] + [[]])
+        rep = random_frame_baseline(split, k_list=k_list, seed=seed,
+                                    exclude_singletons=exclude_singletons)
+        assert rep.n_pairs == len(triples)
+        if triples:
+            assert (rep.hr, rep.ndcg) == frame_ranking_loop(triples, scores, k_list)
+
+
+def test_negative_draw_properties():
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+    from hypothesis.extra.numpy import arrays
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(
+        rated=arrays(np.bool_, st.tuples(st.integers(1, 6), st.integers(1, 30))),
+        n_negatives=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def check(rated, n_negatives, seed):
+        pool = (~rated).sum(axis=1)
+        take = int(min(n_negatives, pool.max()))
+        negs, valid = evaluation._draw_negatives(np.random.default_rng(seed), rated, take)
+        assert negs.shape == valid.shape == (len(rated), take)
+        for row in range(len(rated)):
+            drawn = negs[row][valid[row]]
+            assert len(drawn) == min(n_negatives, pool[row])
+            assert not rated[row, drawn].any()
+            assert len(np.unique(drawn)) == len(drawn)
+
+    check()
 
 
 def make_cfg():

@@ -16,22 +16,17 @@ from framerec.model import (
     ModelParams,
     active_param_names,
     dataset_digest,
-    frame_attention_logits,
-    frame_attention_weights,
     init_params,
-    item_visual_att,
-    item_visual_avg,
     item_visual_table,
     load_checkpoint,
     param_shapes,
-    predict_frame_score,
-    predict_item_score,
-    rating_attention,
     save_checkpoint,
     score_frames,
     score_pairs,
 )
 from framerec.training import gradcheck_instance
+
+import reference
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -120,9 +115,8 @@ class TestVisualEmbedding:
     def test_mean_embedding_hand_value(self, toy_dataset):
         # identity projection, item 0 frames (1,0) and (0,1): mean (0.5, 0.5)
         params = toy_params(toy_dataset, visual_proj=np.eye(2))
-        np.testing.assert_allclose(
-            item_visual_avg(0, params, toy_dataset), [0.5, 0.5], rtol=0, atol=0
-        )
+        table = item_visual_table(params, toy_config(visual_mode="avg"), toy_dataset)
+        np.testing.assert_allclose(table.x[0], [0.5, 0.5], rtol=0, atol=0)
 
     def test_attention_logit_hand_value(self, toy_dataset):
         # query (1,-1), identity keys; first hidden unit sums query[0] and
@@ -134,7 +128,10 @@ class TestVisualEmbedding:
             attn_hidden=[[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]],
             attn_out=[1.5, 5.0],
         )
-        logits = frame_attention_logits(0, params, toy_config(), toy_dataset)
+        table = item_visual_table(params, toy_config(), toy_dataset)
+        hidden_pre = table.hidden_pre[0, :2]
+        np.testing.assert_allclose(hidden_pre, [[2.0, -1.0], [1.0, 0.0]], rtol=0, atol=0)
+        logits = np.maximum(hidden_pre, 0.0) @ params.attn_out
         # f0: 1.5 * relu(1+1) + 5 * relu(-1+0) = 3; f1: 1.5 * relu(1+0) = 1.5
         np.testing.assert_allclose(logits, [3.0, 1.5], rtol=0, atol=0)
 
@@ -147,12 +144,11 @@ class TestVisualEmbedding:
             attn_hidden=[[1.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 2.0]],
             attn_out=[LN2, 0.0],
         )
-        cfg = toy_config()
+        table = item_visual_table(params, toy_config(), toy_dataset)
         np.testing.assert_allclose(
-            frame_attention_logits(0, params, cfg, toy_dataset), [2 * LN2, LN2]
+            np.maximum(table.hidden_pre[0, :2], 0.0) @ params.attn_out, [2 * LN2, LN2]
         )
-        weights = frame_attention_weights(0, params, cfg, toy_dataset)
-        np.testing.assert_allclose(weights, [2 / 3, 1 / 3], rtol=1e-15)
+        np.testing.assert_allclose(table.alpha[0], [2 / 3, 1 / 3, 0.0], rtol=1e-15)
 
     def test_attended_embedding_hand_value(self, toy_dataset):
         params = toy_params(
@@ -163,8 +159,8 @@ class TestVisualEmbedding:
             attn_hidden=[[1.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 2.0]],
             attn_out=[LN2, 0.0],
         )
-        x = item_visual_att(0, params, toy_config(), toy_dataset)
-        np.testing.assert_allclose(x, [2 / 3, 1 / 3], rtol=1e-15)
+        table = item_visual_table(params, toy_config(), toy_dataset)
+        np.testing.assert_allclose(table.x[0], [2 / 3, 1 / 3], rtol=1e-15)
 
     def test_weights_sum_to_one_and_shift_invariant(self):
         rng = np.random.default_rng(0)
@@ -172,14 +168,16 @@ class TestVisualEmbedding:
             params, cfg, ds, _ = gradcheck_instance(
                 seed=int(rng.integers(1 << 31)), visual_mode="att", fusion_mode="sum"
             )
+            table = item_visual_table(params, cfg, ds)
             for item in range(ds.num_items):
-                w = frame_attention_weights(item, params, cfg, ds)
+                w = table.alpha[item][table.mask[item]]
                 assert abs(w.sum() - 1.0) < 1e-12 and (w >= 0).all()
+            assert (table.alpha[~table.mask] == 0.0).all()
             # adding a constant to every logit leaves the weights unchanged
             item = int(rng.integers(ds.num_items))
-            base = frame_attention_weights(item, params, cfg, ds)
+            base = table.alpha[item][table.mask[item]]
             params.attn_hidden_bias[:] = 0.0
-            shifted_logits = frame_attention_logits(item, params, cfg, ds) + 7.5
+            shifted_logits = reference.frame_attention_logits(item, params, cfg, ds) + 7.5
             e = np.exp(shifted_logits - shifted_logits.max())
             np.testing.assert_allclose(base, e / e.sum(), atol=1e-9, rtol=0)
 
@@ -190,9 +188,15 @@ class TestVisualEmbedding:
             )
             table = item_visual_table(params, cfg, ds)
             for item in range(ds.num_items):
-                ref = (item_visual_avg(item, params, ds) if visual == "avg"
-                       else item_visual_att(item, params, cfg, ds))
+                ref = (reference.item_visual_avg(item, params, ds) if visual == "avg"
+                       else reference.item_visual_att(item, params, cfg, ds))
                 np.testing.assert_allclose(table.x[item], ref, rtol=1e-12, atol=1e-14)
+                if visual == "att":
+                    np.testing.assert_allclose(
+                        table.alpha[item][table.mask[item]],
+                        reference.frame_attention_weights(item, params, cfg, ds),
+                        rtol=1e-12, atol=1e-14,
+                    )
 
     def test_missing_frames_raise(self, toy_dataset):
         # an unrated item with no frames is structurally legal but unscorable
@@ -206,9 +210,9 @@ class TestVisualEmbedding:
         )
         params = toy_params(bare, visual_proj=np.eye(2))
         with pytest.raises(MissingFramesError):
-            item_visual_avg(1, params, bare)
+            reference.item_visual_avg(1, params, bare)
         with pytest.raises(MissingFramesError):
-            predict_item_score(0, 1, params, toy_config(fusion_mode="sum"), bare)
+            reference.predict_item_score(0, 1, params, toy_config(fusion_mode="sum"), bare)
         with pytest.raises(MissingFramesError):
             score_pairs([0], [1], params, toy_config(fusion_mode="sum"), bare)
 
@@ -224,7 +228,7 @@ class TestScoring:
             visual_proj=np.eye(2),
         )
         cfg = toy_config(visual_mode="avg", fusion_mode="sum")
-        assert predict_item_score(0, 0, params, cfg, toy_dataset) == 1.5
+        assert score_pairs([0], [0], params, cfg, toy_dataset)[0] == 1.5
 
     def test_zero_fusion_output_splits_evenly(self, toy_dataset):
         params = toy_params(
@@ -235,33 +239,42 @@ class TestScoring:
             visual_proj=np.eye(2),
         )
         cfg = toy_config(visual_mode="avg", fusion_mode="att")
-        beta1, beta2 = rating_attention(0, 0, [0.5, 0.5], params, cfg)
-        assert beta1 == 0.5 and beta2 == 0.5
-        assert predict_item_score(0, 0, params, cfg, toy_dataset) == 0.75
+        scores, cache = score_pairs([0], [0], params, cfg, toy_dataset, want_cache=True)
+        assert cache.beta1[0] == 0.5 and cache.beta2[0] == 0.5
+        assert scores[0] == 0.75
 
     def test_rating_attention_hand_value(self, toy_dataset):
-        # score gap of ln 3 between the two channels: weights (0.75, 0.25)
+        # score gap of ln 3 between the two channels: weights (0.75, 0.25);
+        # the mean visual embedding of item 0 is (0.5, 0.5)
         params = toy_params(
             toy_dataset,
             user_collab=[[1.0, 0.0], [0, 0], [0, 0]],
             item_collab=[[0.0, 1.0], [0, 0], [0, 0]],
+            visual_proj=np.eye(2),
             fusion_hidden=[[1.0, 0.0, 0.0, 1.0], [0.0, 0.0, 2.0, 0.0]],
             fusion_out=[LN3, 0.5 * LN3],
         )
-        beta1, beta2 = rating_attention(0, 0, [0.5, 0.5], params, toy_config())
+        _, cache = score_pairs([0], [0], params, toy_config(visual_mode="avg"),
+                               toy_dataset, want_cache=True)
+        beta1, beta2 = cache.beta1[0], cache.beta2[0]
         np.testing.assert_allclose([beta1, beta2], [0.75, 0.25], rtol=1e-15)
         assert beta1 + beta2 == 1.0
 
     def test_complement_is_exact_for_random_inputs(self):
         rng = np.random.default_rng(3)
         params, cfg, ds, _ = gradcheck_instance(seed=21)
-        for _ in range(200):
-            u = int(rng.integers(ds.num_users))
-            i = int(rng.integers(ds.num_items))
-            x = rng.normal(size=cfg.d2)
-            beta1, beta2 = rating_attention(u, i, x, params, cfg)
-            assert beta1 + beta2 == 1.0
-            assert 0.0 < beta1 < 1.0
+        users = rng.integers(ds.num_users, size=200)
+        items = rng.integers(ds.num_items, size=200)
+        # random visual channel inputs, one per item row
+        table = item_visual_table(params, cfg, ds)
+        table.x = rng.normal(size=table.x.shape)
+        _, cache = score_pairs(users, items, params, cfg, ds, table=table,
+                               want_cache=True)
+        assert (cache.beta1 + cache.beta2 == 1.0).all()
+        assert ((0.0 < cache.beta1) & (cache.beta1 < 1.0)).all()
+        for u, i, beta1 in zip(users[:20], items[:20], cache.beta1[:20]):
+            ref, _ = reference.rating_attention(int(u), int(i), table.x[i], params, cfg)
+            np.testing.assert_allclose(beta1, ref, rtol=1e-12)
 
     def test_frame_score_hand_value(self, toy_dataset):
         params = toy_params(
@@ -270,8 +283,9 @@ class TestScoring:
             visual_proj=np.eye(2),
         )
         cfg = toy_config(fusion_mode="sum")
-        assert predict_frame_score(0, 0, params, cfg, toy_dataset) == 1.0
-        assert predict_frame_score(0, 2, params, cfg, toy_dataset) == 2.0
+        scores = score_frames([0, 0], [0, 2], params, cfg, toy_dataset)
+        assert scores[0] == 1.0
+        assert scores[1] == 2.0
 
     def test_vectorised_scores_match_scalar_path(self):
         for visual, fusion in (("off", "sum"), ("avg", "sum"), ("avg", "att"),
@@ -285,7 +299,7 @@ class TestScoring:
             flat_u, flat_i = users.ravel(), items.ravel()
             bulk = score_pairs(flat_u, flat_i, params, cfg, ds)
             scalar = np.array([
-                predict_item_score(int(u), int(i), params, cfg, ds)
+                reference.predict_item_score(int(u), int(i), params, cfg, ds)
                 for u, i in zip(flat_u, flat_i)
             ])
             np.testing.assert_allclose(bulk, scalar, rtol=1e-12, atol=1e-13)
@@ -296,7 +310,7 @@ class TestScoring:
         frames = np.tile(np.arange(ds.num_frames), ds.num_users)
         bulk = score_frames(users, frames, params, cfg, ds)
         scalar = np.array([
-            predict_frame_score(int(u), int(f), params, cfg, ds)
+            reference.predict_frame_score(int(u), int(f), params, cfg, ds)
             for u, f in zip(users, frames)
         ])
         np.testing.assert_allclose(bulk, scalar, rtol=1e-12, atol=1e-14)
@@ -305,7 +319,7 @@ class TestScoring:
         params = toy_params(toy_dataset)
         cfg = toy_config(visual_mode="off", fusion_mode="sum")
         with pytest.raises(UnsupportedTaskError):
-            predict_frame_score(0, 0, params, cfg, toy_dataset)
+            reference.predict_frame_score(0, 0, params, cfg, toy_dataset)
         with pytest.raises(UnsupportedTaskError):
             score_frames([0], [0], params, cfg, toy_dataset)
 
@@ -313,11 +327,11 @@ class TestScoring:
         params = toy_params(toy_dataset, visual_proj=np.eye(2))
         cfg = toy_config(fusion_mode="sum", visual_mode="avg")
         with pytest.raises(IndexError):
-            predict_item_score(3, 0, params, cfg, toy_dataset)
+            reference.predict_item_score(3, 0, params, cfg, toy_dataset)
         with pytest.raises(IndexError):
-            predict_item_score(0, -1, params, cfg, toy_dataset)
+            reference.predict_item_score(0, -1, params, cfg, toy_dataset)
         with pytest.raises(IndexError):
-            predict_frame_score(0, 6, params, cfg, toy_dataset)
+            reference.predict_frame_score(0, 6, params, cfg, toy_dataset)
 
 
 class TestCheckpoint:
