@@ -105,7 +105,6 @@ def _model_config(args: argparse.Namespace) -> ModelConfig:
         seed=args.model_seed,
         share_visual_projection=args.share_projection,
         attention_bias=args.attention_bias,
-        precision=args.precision,
     )
 
 
@@ -143,7 +142,6 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     g.add_argument("--share-projection", action="store_true",
                    help="reuse the visual projection as the attention key map")
     g.add_argument("--attention-bias", action="store_true")
-    g.add_argument("--precision", choices=("f32", "f64"), default="f64")
 
 
 def _add_train_args(p: argparse.ArgumentParser) -> None:
@@ -242,6 +240,12 @@ def _load_checkpoint_for(dataset, path: Path):
     if digest != dataset_digest(dataset):
         raise IntegrityError(
             f"{path}: checkpoint was trained on a different dataset"
+        )
+    got = (len(params.user_collab), len(params.item_collab), params.visual_proj.shape[1])
+    want = (dataset.num_users, dataset.num_items, dataset.feature_dim)
+    if got != want:
+        raise IntegrityError(
+            f"{path}: (users, items, feature dim) are {got}, the dataset's {want}"
         )
     return params, cfg
 

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import EmptyDatasetError, IntegrityError, ParseError
+from .errors import ConfigError, EmptyDatasetError, IntegrityError, ParseError
 
 logger = logging.getLogger(__name__)
 
@@ -39,9 +39,9 @@ class Dataset:
     """Immutable user/item/frame universe with per-frame feature vectors.
 
     Ids are dense: users in ``0..num_users-1``, items in ``0..num_items-1``,
-    frames in ``0..num_frames-1``.  ``user_ids`` (and friends) map each dense
-    id back to its original token.  Instances are safe to share read-only
-    across threads.
+    frames in ``0..num_frames-1``.  ``frame_parent`` names each frame's item.
+    ``user_ids`` (and friends) map each dense id back to its original token.
+    Instances are safe to share read-only across threads.
     """
 
     num_users: int
@@ -49,7 +49,6 @@ class Dataset:
     num_frames: int
     feature_dim: int
     ratings: frozenset
-    frames_of_item: tuple
     frame_parent: np.ndarray
     frame_features: np.ndarray
     user_ids: tuple
@@ -63,6 +62,13 @@ class Dataset:
         for u, i in sorted(self.ratings):
             per_user[u].append(i)
         return tuple(np.array(lst, dtype=np.int64) for lst in per_user)
+
+    @cached_property
+    def frames_of_item(self) -> tuple:
+        """Per-item tuples of frame ids in ascending order."""
+        order = np.argsort(self.frame_parent, kind="stable")
+        bounds = np.searchsorted(self.frame_parent[order], np.arange(self.num_items + 1))
+        return tuple(tuple(order[lo:hi].tolist()) for lo, hi in zip(bounds[:-1], bounds[1:]))
 
     @cached_property
     def frame_table(self):
@@ -114,8 +120,8 @@ class SplitDataset:
 def check_dataset(d: Dataset) -> None:
     """Raise IntegrityError if any structural invariant is violated.
 
-    Checked: id ranges, feature matrix shape, one parent item per frame,
-    and that every rated item has at least one frame.
+    Checked: id ranges, feature matrix shape, and that every rated item has
+    at least one frame.
     """
     if d.frame_features.shape != (d.num_frames, d.feature_dim):
         raise IntegrityError(
@@ -126,20 +132,6 @@ def check_dataset(d: Dataset) -> None:
         raise IntegrityError("frame_parent length does not match num_frames")
     if d.num_frames and (d.frame_parent.min() < 0 or d.frame_parent.max() >= d.num_items):
         raise IntegrityError("frame_parent references an out-of-range item")
-    if len(d.frames_of_item) != d.num_items:
-        raise IntegrityError("frames_of_item length does not match num_items")
-    seen = set()
-    for item, frames in enumerate(d.frames_of_item):
-        for f in frames:
-            if f in seen:
-                raise IntegrityError(f"frame {f} is listed under more than one item")
-            seen.add(f)
-            if not 0 <= f < d.num_frames:
-                raise IntegrityError(f"frame id {f} out of range")
-            if d.frame_parent[f] != item:
-                raise IntegrityError(f"frame {f} parent mismatch")
-    if len(seen) != d.num_frames:
-        raise IntegrityError("some frames are not assigned to any item")
     for u, i in d.ratings:
         if not (0 <= u < d.num_users and 0 <= i < d.num_items):
             raise IntegrityError(f"rating ({u}, {i}) out of range")
@@ -231,13 +223,10 @@ def _build_dataset(
     num_frames = len(frame_tokens)
     feats = np.zeros((num_frames, feature_dim), dtype=np.float64)
     frame_parent = np.zeros(num_frames, dtype=np.int64)
-    frames_of_item = [[] for _ in item_tokens]
     for f in frame_tokens:
         k = frame_index[f]
         feats[k] = features[f]
-        item = item_index[parent_by_frame[f]]
-        frame_parent[k] = item
-        frames_of_item[item].append(k)
+        frame_parent[k] = item_index[parent_by_frame[f]]
 
     ratings = frozenset(
         (user_index[u], item_index[i]) for u, i in rating_pairs
@@ -249,7 +238,6 @@ def _build_dataset(
         num_frames=num_frames,
         feature_dim=feature_dim,
         ratings=ratings,
-        frames_of_item=tuple(tuple(f) for f in frames_of_item),
         frame_parent=frame_parent,
         frame_features=feats,
         user_ids=tuple(user_tokens),
@@ -341,24 +329,10 @@ def _subset(dataset: Dataset, keep_users, keep_items) -> Dataset:
     user_map = {old: new for new, old in enumerate(keep_users)}
     item_map = {old: new for new, old in enumerate(keep_items)}
 
-    keep_frames = []
-    for old_item in keep_items:
-        keep_frames.extend(dataset.frames_of_item[old_item])
-    keep_frames.sort()
-    frame_map = {old: new for new, old in enumerate(keep_frames)}
-
-    frames_of_item = tuple(
-        tuple(frame_map[f] for f in dataset.frames_of_item[old_item])
-        for old_item in keep_items
-    )
-    frame_parent = np.array(
-        [item_map[int(dataset.frame_parent[f])] for f in keep_frames], dtype=np.int64
-    )
-    features = (
-        dataset.frame_features[np.array(keep_frames, dtype=np.int64)]
-        if keep_frames
-        else np.zeros((0, dataset.feature_dim), dtype=np.float64)
-    )
+    parents = dataset.frame_parent.tolist()
+    keep_frames = [f for f, i in enumerate(parents) if i in item_map]
+    frame_parent = np.array([item_map[parents[f]] for f in keep_frames], dtype=np.int64)
+    features = dataset.frame_features[np.array(keep_frames, dtype=np.int64)]
     ratings = frozenset(
         (user_map[u], item_map[i])
         for u, i in dataset.ratings
@@ -370,7 +344,6 @@ def _subset(dataset: Dataset, keep_users, keep_items) -> Dataset:
         num_frames=len(keep_frames),
         feature_dim=dataset.feature_dim,
         ratings=ratings,
-        frames_of_item=frames_of_item,
         frame_parent=frame_parent,
         frame_features=features,
         user_ids=tuple(dataset.user_ids[u] for u in keep_users),
@@ -388,7 +361,7 @@ def prune_dataset(dataset: Dataset, min_count: int) -> Dataset:
     nothing survives.
     """
     if min_count < 1:
-        raise ValueError(f"min_count must be >= 1, got {min_count}")
+        raise ConfigError(f"min_count must be >= 1, got {min_count}")
     users = set(range(dataset.num_users))
     items = set(range(dataset.num_items))
     ratings = set(dataset.ratings)
@@ -429,8 +402,9 @@ def split_ratings(
     ``frame_test``.  Deterministic given the seed.
     """
     if not (0 < train_frac and 0 < valid_frac and train_frac + valid_frac < 1):
-        raise ValueError(
-            f"fractions out of range: train={train_frac}, valid={valid_frac}"
+        raise ConfigError(
+            f"fractions must be positive with a sum below 1, got "
+            f"train={train_frac}, valid={valid_frac}"
         )
     rng = np.random.default_rng(seed)
     train, valid, test = set(), set(), set()

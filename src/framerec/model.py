@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -25,9 +26,7 @@ VISUAL_ATT = "att"
 FUSION_SUM = "sum"
 FUSION_ATT = "att"
 
-CHECKPOINT_FORMAT = "framerec-checkpoint-v1"
-
-_DTYPES = {"f32": np.float32, "f64": np.float64}
+CHECKPOINT_FORMAT = "framerec-checkpoint-v2"
 
 
 @dataclass(frozen=True)
@@ -48,25 +47,20 @@ class ModelConfig:
     reduced_visual_dim: int = 32
     visual_mode: str = VISUAL_ATT
     fusion_mode: str = FUSION_ATT
-    activation: str = "relu"
     lambda1: float = 0.001
     init_scale: float = 0.1
     seed: int = 0
     share_visual_projection: bool = False
     attention_bias: bool = False
-    precision: str = "f64"
 
     def __post_init__(self):
-        if self.d1 < 1:
-            raise ConfigError(f"d1 must be >= 1, got {self.d1}")
+        if min(self.d1, self.attn_hidden_visual, self.attn_hidden_rating,
+               self.reduced_visual_dim) < 1:
+            raise ConfigError("d1, hidden sizes and reduced_visual_dim must be >= 1")
         if self.visual_mode not in (VISUAL_OFF, VISUAL_AVG, VISUAL_ATT):
             raise ConfigError(f"unknown visual_mode {self.visual_mode!r}")
         if self.fusion_mode not in (FUSION_SUM, FUSION_ATT):
             raise ConfigError(f"unknown fusion_mode {self.fusion_mode!r}")
-        if self.activation != "relu":
-            raise ConfigError(f"unsupported activation {self.activation!r}")
-        if self.precision not in _DTYPES:
-            raise ConfigError(f"precision must be one of {sorted(_DTYPES)}")
         if self.visual_mode != VISUAL_OFF and self.d2 < 1:
             raise ConfigError(f"d2 must be >= 1 with visual_mode={self.visual_mode}")
         if self.fusion_mode == FUSION_ATT and self.d1 != self.d2:
@@ -78,12 +72,8 @@ class ModelConfig:
             raise ConfigError(
                 "share_visual_projection requires reduced_visual_dim == d2"
             )
-        if self.lambda1 < 0:
-            raise ConfigError("lambda1 must be >= 0")
-
-    @property
-    def dtype(self):
-        return _DTYPES[self.precision]
+        if self.lambda1 < 0 or self.init_scale < 0:
+            raise ConfigError("lambda1 and init_scale must be >= 0")
 
 
 @dataclass
@@ -114,10 +104,6 @@ class ModelParams:
 
     def copy(self) -> "ModelParams":
         return ModelParams(**{k: v.copy() for k, v in self.tensors().items()})
-
-    @property
-    def dtype(self):
-        return self.user_collab.dtype
 
 
 def param_shapes(cfg: ModelConfig, num_users: int, num_items: int, feature_dim: int) -> dict:
@@ -164,15 +150,11 @@ def init_params(cfg: ModelConfig, dataset: Dataset) -> ModelParams:
     """
     rng = np.random.default_rng(cfg.seed)
     shapes = param_shapes(cfg, dataset.num_users, dataset.num_items, dataset.feature_dim)
-    tensors = {}
-    for name, shape in shapes.items():
-        if name.endswith("_bias"):
-            tensors[name] = np.zeros(shape, dtype=cfg.dtype)
-        else:
-            tensors[name] = rng.normal(0.0, cfg.init_scale, size=shape).astype(
-                cfg.dtype, copy=False
-            ) if cfg.init_scale > 0 else np.zeros(shape, dtype=cfg.dtype)
-    return ModelParams(**tensors)
+    return ModelParams(**{
+        name: np.zeros(shape) if name.endswith("_bias")
+        else rng.normal(0.0, cfg.init_scale, size=shape)
+        for name, shape in shapes.items()
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +260,18 @@ def _two_way_softmax(g1: np.ndarray, g2: np.ndarray):
     return beta1, 1.0 - beta1
 
 
+def _checked_ids(ids, size: int, kind: str) -> np.ndarray:
+    """ids as int64, or IntegrityError naming the first one outside 0..size-1.
+
+    Negative ids would otherwise wrap around silently in the gathers.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.size and (ids.min() < 0 or ids.max() >= size):
+        bad = int(ids[(ids < 0) | (ids >= size)][0])
+        raise IntegrityError(f"{kind} id {bad} is outside 0..{size - 1}")
+    return ids
+
+
 def score_pairs(
     users,
     items,
@@ -293,8 +287,8 @@ def score_pairs(
     is built on the fly.  With want_cache=True also returns the PairCache
     consumed by the training backward pass.
     """
-    users = np.asarray(users, dtype=np.int64)
-    items = np.asarray(items, dtype=np.int64)
+    users = _checked_ids(users, dataset.num_users, "user")
+    items = _checked_ids(items, dataset.num_items, "item")
     collab = np.einsum("bd,bd->b", params.user_collab[users], params.item_collab[items])
     if cfg.visual_mode == VISUAL_OFF:
         cache = PairCache(users=users, items=items, collab=collab)
@@ -332,8 +326,8 @@ def score_frames(users, frames, params: ModelParams, cfg: ModelConfig, dataset: 
         raise UnsupportedTaskError(
             "frame scoring needs the visual pathway; visual_mode is off"
         )
-    users = np.asarray(users, dtype=np.int64)
-    frames = np.asarray(frames, dtype=np.int64)
+    users = _checked_ids(users, dataset.num_users, "user")
+    frames = _checked_ids(frames, dataset.num_frames, "frame")
     frame_emb = dataset.frame_features[frames] @ params.visual_proj.T
     return np.einsum("bd,bd->b", params.user_visual[users], frame_emb)
 
@@ -382,15 +376,47 @@ def save_checkpoint(path, params: ModelParams, cfg: ModelConfig, digest: str) ->
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (params, config, dataset_digest)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != CHECKPOINT_FORMAT:
-        raise IntegrityError(f"{path}: not a {CHECKPOINT_FORMAT} document")
-    cfg = ModelConfig(**doc["config"])
-    tensors = {}
-    for name, entry in doc["params"].items():
-        arr = np.array(entry["data"], dtype=cfg.dtype).reshape(entry["shape"])
-        tensors[name] = arr
-    params = ModelParams(**tensors)
-    return params, cfg, doc["dataset_digest"]
+    """Read a checkpoint; returns (params, config, dataset_digest).
+
+    Raises IntegrityError unless the file is a JSON document of this format
+    with exactly this version's config keys and tensors, each tensor has the
+    shape the config implies for the sizes read from ``user_collab``,
+    ``item_collab`` and ``visual_proj``, its ``data`` holds that many values,
+    and every value is finite.
+    """
+    def broken(why):
+        return IntegrityError(f"{path}: {why}")
+
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise broken(f"not valid JSON: {exc}") from None
+    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
+        raise broken(f"not a {CHECKPOINT_FORMAT} document")
+    config, entries = doc.get("config"), doc.get("params")
+    for what, got, cls in (("config", config, ModelConfig), ("params", entries, ModelParams)):
+        if not isinstance(got, dict):
+            raise broken(f"{what} is not a JSON object")
+        want = {f.name for f in fields(cls)}
+        unknown, missing = sorted(set(got) - want), sorted(want - set(got))
+        if unknown or missing:
+            raise broken(f"{what}: unknown keys {unknown}, missing keys {missing}")
+    try:
+        cfg = ModelConfig(**config)
+        shapes = {name: tuple(entry["shape"]) for name, entry in entries.items()}
+        data = {name: np.array(entry["data"], dtype=np.float64)
+                for name, entry in entries.items()}
+        sizes = (shapes["user_collab"][0], shapes["item_collab"][0], shapes["visual_proj"][1])
+        expected = param_shapes(cfg, *(int(n) for n in sizes))
+    except (ConfigError, KeyError, IndexError, TypeError, ValueError) as exc:
+        raise broken(f"bad config or tensor entry: {exc!r}") from None
+    for name, shape in expected.items():
+        if shapes[name] != shape:
+            raise broken(f"tensor {name} has shape {list(shapes[name])}, not {list(shape)}")
+        if data[name].shape != (math.prod(shape),):
+            raise broken(f"tensor {name} has {data[name].size} values for shape {list(shape)}")
+        if not np.isfinite(data[name]).all():
+            raise broken(f"tensor {name} holds non-finite values")
+    params = ModelParams(**{name: data[name].reshape(s) for name, s in expected.items()})
+    return params, cfg, doc.get("dataset_digest")

@@ -19,6 +19,7 @@ import numpy as np
 
 from .data import Dataset, check_dataset
 from .errors import ConfigError
+from .evaluation import CANDIDATE_BLOCK
 from .model import (
     FUSION_ATT,
     VISUAL_ATT,
@@ -124,13 +125,23 @@ def _teacher_config(cfg: SynthConfig) -> ModelConfig:
 
 
 def planted_item_scores(planted: PlantedModel, dataset: Dataset) -> np.ndarray:
-    """Teacher scores for every (user, item) pair, shape (M, N)."""
+    """Teacher scores for every (user, item) pair, shape (M, N).
+
+    Scores ``CANDIDATE_BLOCK // N`` users (at least one) at a time, which
+    bounds the per-pair intermediates and does not change the scores.
+    """
     m, n = dataset.num_users, dataset.num_items
     table = item_visual_table(planted.params, planted.cfg, dataset)
-    users = np.repeat(np.arange(m, dtype=np.int64), n)
-    items = np.tile(np.arange(n, dtype=np.int64), m)
-    scores = score_pairs(users, items, planted.params, planted.cfg, dataset, table=table)
-    return scores.reshape(m, n)
+    rows = max(1, CANDIDATE_BLOCK // n)
+    items = np.arange(n, dtype=np.int64)
+    scores = np.empty((m, n))
+    for lo in range(0, m, rows):
+        users = np.arange(lo, min(lo + rows, m), dtype=np.int64)
+        scores[lo: lo + rows] = score_pairs(
+            np.repeat(users, n), np.tile(items, len(users)),
+            planted.params, planted.cfg, dataset, table=table,
+        ).reshape(len(users), n)
+    return scores
 
 
 def planted_frame_scores(planted: PlantedModel, dataset: Dataset) -> np.ndarray:
@@ -180,10 +191,6 @@ def generate_synthetic(cfg: SynthConfig):
     features[salient] += cfg.salient_shift * direction
 
     frame_parent = np.repeat(np.arange(cfg.num_items, dtype=np.int64), cfg.frames_per_item)
-    frames_of_item = tuple(
-        tuple(range(i * cfg.frames_per_item, (i + 1) * cfg.frames_per_item))
-        for i in range(cfg.num_items)
-    )
 
     planted = PlantedModel(cfg=_teacher_config(cfg), params=_planted_params(cfg, param_rng))
 
@@ -193,7 +200,6 @@ def generate_synthetic(cfg: SynthConfig):
         num_frames=n_frames,
         feature_dim=cfg.feature_dim,
         ratings=frozenset(),
-        frames_of_item=frames_of_item,
         frame_parent=frame_parent,
         frame_features=features,
         user_ids=_tokens("u", cfg.num_users),

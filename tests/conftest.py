@@ -20,7 +20,6 @@ def toy_dataset() -> Dataset:
         num_frames=6,
         feature_dim=2,
         ratings=frozenset({(0, 0), (0, 1), (1, 1), (1, 2), (2, 0), (2, 2)}),
-        frames_of_item=((0, 1), (2,), (3, 4, 5)),
         frame_parent=np.array([0, 0, 1, 2, 2, 2], dtype=np.int64),
         frame_features=np.array(
             [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 0.0], [0.0, 2.0], [1.0, 1.0]]

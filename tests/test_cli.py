@@ -129,7 +129,7 @@ class TestPipeline:
 
 
 class TestBadCounts:
-    """Negative counts below one end in a one-line error, not a traceback."""
+    """Bad counts, fractions, step sizes and checkpoints end in a one-line error."""
 
     @pytest.fixture
     def trained(self, pipeline_dirs, capsys):
@@ -160,6 +160,38 @@ class TestBadCounts:
                             *SMALL_TRAIN, "--valid-negatives", "0")
         assert code == 1
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+    def test_split_fractions_over_one(self, pipeline_dirs, capsys):
+        code, _, err = call(capsys, "split", "--data", str(pipeline_dirs / "data"),
+                            "--out", str(pipeline_dirs / "split2"),
+                            "--train-frac", "0.95", "--valid-frac", "0.1")
+        assert code == 1
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+    def test_zero_gradcheck_step(self, capsys):
+        code, _, err = call(capsys, "gradcheck", "--h", "0")
+        assert code == 1
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+    def test_truncated_checkpoint(self, trained, capsys):
+        ck = trained / "run" / "checkpoint.json"
+        ck.write_text(ck.read_text()[:1000])
+        code, _, err = self.eval_items(capsys, trained, "10")
+        assert code == 1
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+    def test_checkpoint_with_a_user_too_few(self, trained, capsys):
+        # consistent in itself and with the dataset digest, one user short
+        ck = trained / "run" / "checkpoint.json"
+        doc = json.loads(ck.read_text())
+        for name in ("user_collab", "user_visual"):
+            entry = doc["params"][name]
+            entry["data"] = entry["data"][entry["shape"][1]:]
+            entry["shape"][0] -= 1
+        ck.write_text(json.dumps(doc))
+        code, _, err = self.eval_items(capsys, trained, "10")
+        assert code == 1
+        assert "(users, items, feature dim)" in err and len(err.strip().splitlines()) == 1
 
 
 class TestErrors:

@@ -1,5 +1,7 @@
 """Dataset parsing, integrity checking, pruning, splitting, and round trips."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from framerec.data import (
     save_split,
     split_ratings,
 )
-from framerec.errors import EmptyDatasetError, IntegrityError, ParseError
+from framerec.errors import ConfigError, EmptyDatasetError, IntegrityError, ParseError
 
 from conftest import TOY_FEATURES, TOY_FRAMES, TOY_RATINGS, write_dataset_dir
 
@@ -105,18 +107,15 @@ class TestDatasetStructure:
         assert per_user[2].tolist() == [0, 2]
 
     def test_check_rejects_orphan_frame(self, toy_dataset):
-        broken = Dataset(
-            **{
-                **{f: getattr(toy_dataset, f) for f in (
-                    "num_users", "num_items", "num_frames", "feature_dim",
-                    "ratings", "frame_parent", "frame_features",
-                    "user_ids", "item_ids", "frame_ids",
-                )},
-                "frames_of_item": ((0, 1), (2,), (3, 4)),  # frame 5 unassigned
-            }
-        )
+        # frame 5's parent is not an item of the dataset
+        broken = replace(toy_dataset, frame_parent=np.array([0, 0, 1, 2, 2, 3]))
         with pytest.raises(IntegrityError):
             check_dataset(broken)
+
+    def test_frames_of_item_follow_frame_parent(self, toy_dataset):
+        assert toy_dataset.frames_of_item == ((0, 1), (2,), (3, 4, 5))
+        shuffled = replace(toy_dataset, frame_parent=np.array([2, 0, 1, 2, 0, 2]))
+        assert shuffled.frames_of_item == ((1, 4), (2,), (0, 3, 5))
 
 
 class TestPruning:
@@ -139,7 +138,7 @@ class TestPruning:
             prune_dataset(toy_dataset, min_count=5)
 
     def test_prune_rejects_bad_min_count(self, toy_dataset):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             prune_dataset(toy_dataset, min_count=0)
 
     def test_prune_reindexes_densely(self, tmp_path):
@@ -172,7 +171,6 @@ class TestSplitting:
             num_frames=5,
             feature_dim=1,
             ratings=frozenset((u, i) for u in range(2) for i in range(5)),
-            frames_of_item=tuple((i,) for i in range(5)),
             frame_parent=np.arange(5, dtype=np.int64),
             frame_features=rng.normal(size=(5, 1)),
             user_ids=("u0", "u1"),
@@ -202,7 +200,6 @@ class TestSplitting:
             num_frames=n,
             feature_dim=1,
             ratings=frozenset((u, i) for u in range(4) for i in range(n)),
-            frames_of_item=tuple((i,) for i in range(n)),
             frame_parent=np.arange(n, dtype=np.int64),
             frame_features=rng.normal(size=(n, 1)),
             user_ids=tuple(f"u{k}" for k in range(4)),
@@ -224,7 +221,6 @@ class TestSplitting:
             num_frames=4,
             feature_dim=1,
             ratings=frozenset({(0, 0), (0, 1), (0, 2), (1, 3)}),
-            frames_of_item=tuple((i,) for i in range(4)),
             frame_parent=np.arange(4, dtype=np.int64),
             frame_features=np.ones((4, 1)),
             user_ids=("u0", "u1"),
@@ -249,9 +245,9 @@ class TestSplitting:
         assert covered == set(split.test)
 
     def test_rejects_bad_fractions(self, toy_dataset):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             split_ratings(toy_dataset, 0.9, 0.2, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             split_ratings(toy_dataset, 0.0, 0.5, seed=0)
 
 
@@ -264,7 +260,6 @@ class TestRoundTrips:
             num_frames=3,
             feature_dim=4,
             ratings=frozenset({(0, 0), (1, 1)}),
-            frames_of_item=((0, 1), (2,)),
             frame_parent=np.array([0, 0, 1], dtype=np.int64),
             frame_features=rng.normal(size=(3, 4)),  # full-precision doubles
             user_ids=("alice", "bob"),

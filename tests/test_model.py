@@ -1,5 +1,6 @@
 """Forward scoring: configs, initialisation, attention, fusion, checkpoints."""
 
+import json
 import math
 
 import numpy as np
@@ -62,10 +63,6 @@ class TestConfig:
             toy_config(visual_mode="mean")
         with pytest.raises(ConfigError):
             toy_config(fusion_mode="cat")
-        with pytest.raises(ConfigError):
-            toy_config(activation="tanh")
-        with pytest.raises(ConfigError):
-            toy_config(precision="f16")
 
     def test_shared_projection_requires_matching_key_dim(self):
         with pytest.raises(ConfigError):
@@ -76,6 +73,14 @@ class TestConfig:
     def test_negative_lambda_rejected(self):
         with pytest.raises(ConfigError):
             toy_config(lambda1=-0.1)
+
+    @pytest.mark.parametrize("field,value", [
+        ("init_scale", -0.1), ("attn_hidden_visual", 0), ("attn_hidden_rating", 0),
+        ("reduced_visual_dim", 0),
+    ])
+    def test_rejects_out_of_range_sizes(self, field, value):
+        with pytest.raises(ConfigError):
+            toy_config(**{field: value})
 
 
 class TestInit:
@@ -203,7 +208,6 @@ class TestVisualEmbedding:
         bare = toy_dataset.__class__(
             num_users=1, num_items=2, num_frames=1, feature_dim=2,
             ratings=frozenset({(0, 0)}),
-            frames_of_item=((0,), ()),
             frame_parent=np.array([0], dtype=np.int64),
             frame_features=np.ones((1, 2)),
             user_ids=("u",), item_ids=("a", "b"), frame_ids=("f",),
@@ -323,6 +327,21 @@ class TestScoring:
         with pytest.raises(UnsupportedTaskError):
             score_frames([0], [0], params, cfg, toy_dataset)
 
+    @pytest.mark.parametrize("task,kind", [
+        ("pairs", "user"), ("pairs", "item"), ("frames", "user"), ("frames", "frame"),
+    ])
+    @pytest.mark.parametrize("past_end", [False, True])
+    def test_bulk_out_of_range_ids_raise(self, task, kind, past_end):
+        params, cfg, ds, _ = gradcheck_instance(seed=1)
+        bad = {"user": ds.num_users, "item": ds.num_items,
+               "frame": ds.num_frames}[kind] if past_end else -1
+        ids = {"user": [0, 0], "item": [0, 1], "frame": [0, 1]}
+        ids[kind] = [0, bad]
+        score = score_pairs if task == "pairs" else score_frames
+        other = "item" if task == "pairs" else "frame"
+        with pytest.raises(IntegrityError, match=f"{kind} id {bad} "):
+            score(ids["user"], ids[other], params, cfg, ds)
+
     def test_out_of_range_ids(self, toy_dataset):
         params = toy_params(toy_dataset, visual_proj=np.eye(2))
         cfg = toy_config(fusion_mode="sum", visual_mode="avg")
@@ -345,6 +364,43 @@ class TestCheckpoint:
         for name, tensor in params.tensors().items():
             np.testing.assert_array_equal(back.tensors()[name], tensor)
 
+    @pytest.mark.parametrize("corrupt", [
+        "not_json", "v1", "missing_tensor", "extra_tensor", "short_data",
+        "shape_vs_config", "rows_vs_user_collab", "non_finite",
+        "unknown_config_key", "missing_config_key",
+    ])
+    def test_rejects_corrupt_checkpoints(self, tmp_path, corrupt):
+        params, cfg, ds, _ = gradcheck_instance(seed=23)
+        path = tmp_path / "ck.json"
+        save_checkpoint(path, params, cfg, dataset_digest(ds))
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        tensors, config = doc["params"], doc["config"]
+        if corrupt == "v1":
+            doc["format"] = "framerec-checkpoint-v1"
+            config.update(activation="relu", precision="f64")
+        elif corrupt == "missing_tensor":
+            del tensors["attn_out"]
+        elif corrupt == "extra_tensor":
+            tensors["extra"] = {"shape": [1], "data": [0.0]}
+        elif corrupt == "short_data":
+            tensors["attn_out"]["data"].pop()
+        elif corrupt == "shape_vs_config":
+            tensors["fusion_out"] = {"shape": [5], "data": [0.0] * 5}
+        elif corrupt == "rows_vs_user_collab":
+            tensors["user_visual"]["shape"][0] += 1
+            tensors["user_visual"]["data"] += [0.0] * cfg.d2
+        elif corrupt == "non_finite":
+            tensors["user_collab"]["data"][3] = float("nan")
+        elif corrupt == "unknown_config_key":
+            config["precision"] = "f64"
+        elif corrupt == "missing_config_key":
+            del config["lambda1"]
+        text = json.dumps(doc)
+        path.write_text(text[:-7] if corrupt == "not_json" else text, encoding="utf-8")
+        with pytest.raises(IntegrityError) as exc:
+            load_checkpoint(path)
+        assert "\n" not in str(exc.value)  # the CLI prints it as one line
+
     def test_rejects_foreign_document(self, tmp_path):
         path = tmp_path / "not_ck.json"
         path.write_text('{"format": "something-else"}', encoding="utf-8")
@@ -356,7 +412,7 @@ class TestCheckpoint:
         renamed = toy_dataset.__class__(
             **{**{f: getattr(toy_dataset, f) for f in (
                 "num_users", "num_items", "num_frames", "feature_dim", "ratings",
-                "frames_of_item", "frame_parent", "frame_features",
+                "frame_parent", "frame_features",
                 "item_ids", "frame_ids",
             )}, "user_ids": ("u0", "u1", "zz")},
         )

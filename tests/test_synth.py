@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from framerec.data import check_dataset
+from framerec import synth
 from framerec.errors import ConfigError
 from framerec.synth import (
     SynthConfig,
@@ -26,6 +27,12 @@ class TestGeneration:
         check_dataset(ds)
         for u in range(ds.num_users):
             assert len(ds.items_of_user[u]) == 5
+
+    def test_user_blocks_do_not_change_the_dataset(self, monkeypatch):
+        ds, likes, _ = generate_synthetic(SynthConfig(**SMALL))
+        monkeypatch.setattr(synth, "CANDIDATE_BLOCK", 1)  # one user per block
+        one_ds, one_likes, _ = generate_synthetic(SynthConfig(**SMALL))
+        assert one_ds.ratings == ds.ratings and one_likes == likes
 
     def test_deterministic(self):
         a_ds, a_likes, a_pl = generate_synthetic(SynthConfig(**SMALL))

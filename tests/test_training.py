@@ -1,12 +1,13 @@
 """Loss values, sampling, gradients, the optimiser, and the fit loop."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from framerec.data import Dataset, split_ratings
-from framerec.errors import ConfigError, SamplingError
+from framerec.errors import ConfigError, NonFiniteError, SamplingError
 from framerec.model import ModelConfig, init_params
 from framerec.synth import SynthConfig, generate_synthetic
 from framerec.training import (
@@ -89,7 +90,6 @@ class TestSampling:
         ds = Dataset(
             num_users=1, num_items=2, num_frames=2, feature_dim=1,
             ratings=frozenset({(0, 0), (0, 1)}),
-            frames_of_item=((0,), (1,)),
             frame_parent=np.array([0, 1], dtype=np.int64),
             frame_features=np.ones((2, 1)),
             user_ids=("u",), item_ids=("a", "b"), frame_ids=("fa", "fb"),
@@ -101,9 +101,14 @@ class TestSampling:
 
 class TestBatchLoss:
     def test_full_vs_touched_reg_scopes(self):
+        # the penalty covers touched rows only: the whole-matrix norms exceed
+        # it by exactly the untouched rows
         params, cfg, ds, batch = gradcheck_instance(seed=2)
-        full = batch_loss(params, cfg, ds, batch, reg_scope="full")
-        touched = batch_loss(params, cfg, ds, batch, reg_scope="batch")
+        touched = batch_loss(params, cfg, ds, batch)
+        ranking = batch_loss(params, replace(cfg, lambda1=0.0), ds, batch)
+        full = ranking + cfg.lambda1 * sum(
+            np.sum(t ** 2) for t in (params.user_collab, params.item_collab,
+                                     params.user_visual))
         users = np.unique(batch[:, 0])
         items = np.unique(batch[:, 1:3])
         out_u = np.setdiff1d(np.arange(ds.num_users), users)
@@ -174,15 +179,8 @@ class TestGradients:
 
     def test_step_size_must_be_positive(self):
         params, cfg, ds, batch = gradcheck_instance(seed=2)
-        with pytest.raises(ValueError):
-            finite_diff_check(params, cfg, ds, batch, h=0.0)
-
-    def test_single_precision_rejected(self):
-        params, cfg, ds, batch = gradcheck_instance(seed=2)
-        cfg32 = ModelConfig(**{**cfg.__dict__, "precision": "f32"})
-        params32 = init_params(cfg32, ds)
         with pytest.raises(ConfigError):
-            finite_diff_check(params32, cfg32, ds, batch)
+            finite_diff_check(params, cfg, ds, batch, h=0.0)
 
 
 class TestAdam:
@@ -293,10 +291,21 @@ class TestFit:
         assert text.startswith("epoch\ttrain_loss")
         assert len(text.strip().splitlines()) == 3
 
+    def test_non_finite_gradient_stops_before_the_update(self):
+        split = small_split()
+        cfg = small_model()
+        params = init_params(cfg, split.base)
+        params.visual_proj[0, 0] = np.nan
+        before = params.copy()
+        # numpy warns about the planted NaN before fit raises
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NonFiniteError, match="epoch 1, batch 1:"):
+            fit(split, cfg, TrainConfig(epochs=2, batch_size=64, neg_ratio=2),
+                params=params)
+        np.testing.assert_array_equal(params.user_collab, before.user_collab)
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             TrainConfig(loss_reduction="median")
         with pytest.raises(ConfigError):
             TrainConfig(lr=0.0)
-        with pytest.raises(ConfigError):
-            TrainConfig(adam_beta1=1.0)
