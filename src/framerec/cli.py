@@ -21,6 +21,7 @@ from .data import (
     FRAME_LIKES_FILE,
     FRAMES_FILE,
     RATINGS_FILE,
+    atomic_writer,
     load_dataset,
     load_frame_likes,
     load_split,
@@ -54,17 +55,15 @@ def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace) -> No
         if k not in ("func", "verbose")
     }
     doc = {"command": command, "version": __version__, "parameters": params}
-    (out_dir / MANIFEST_NAME).write_text(
-        json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    with atomic_writer(out_dir / MANIFEST_NAME) as fh:
+        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def _write_report(report, out_dir: Path, stem: str) -> None:
-    (out_dir / f"{stem}.tsv").write_text(report.to_tsv(), encoding="utf-8")
-    (out_dir / f"{stem}.json").write_text(
-        json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    with atomic_writer(out_dir / f"{stem}.tsv") as fh:
+        fh.write(report.to_tsv())
+    with atomic_writer(out_dir / f"{stem}.json") as fh:
+        fh.write(json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
 
 
 def _parse_k_list(text: str) -> tuple:
@@ -103,8 +102,6 @@ def _model_config(args: argparse.Namespace) -> ModelConfig:
         lambda1=args.lambda1,
         init_scale=args.init_scale,
         seed=args.model_seed,
-        share_visual_projection=args.share_projection,
-        attention_bias=args.attention_bias,
     )
 
 
@@ -139,9 +136,6 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     g.add_argument("--lambda1", type=float, default=0.001)
     g.add_argument("--init-scale", type=float, default=0.1)
     g.add_argument("--model-seed", type=int, default=0)
-    g.add_argument("--share-projection", action="store_true",
-                   help="reuse the visual projection as the attention key map")
-    g.add_argument("--attention-bias", action="store_true")
 
 
 def _add_train_args(p: argparse.ArgumentParser) -> None:
@@ -386,7 +380,8 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     table = "\n".join(lines) + "\n"
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "ablation.tsv").write_text(table, encoding="utf-8")
+    with atomic_writer(out / "ablation.tsv") as fh:
+        fh.write(table)
     _write_manifest(out, "ablate", args)
     print(table, end="")
     return 0

@@ -8,7 +8,10 @@ and every file written back out uses the caller's ids.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+import os
+import uuid
+from contextlib import contextmanager
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -54,6 +57,16 @@ class Dataset:
     user_ids: tuple
     item_ids: tuple
     frame_ids: tuple
+
+    def __eq__(self, other) -> bool:
+        """Field-wise equality, comparing the array fields by value."""
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return all(
+            np.array_equal(mine, theirs) if isinstance(mine, np.ndarray) else mine == theirs
+            for mine, theirs in ((getattr(self, f.name), getattr(other, f.name))
+                                 for f in fields(self))
+        )
 
     @cached_property
     def items_of_user(self) -> tuple:
@@ -460,8 +473,27 @@ def split_ratings(
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def atomic_writer(path):
+    """Open ``path`` for UTF-8 text so that it is replaced whole or not at all.
+
+    The block writes a temporary file in the same directory, which replaces
+    ``path`` through ``os.replace`` when the block completes.  If the block
+    raises, the temporary file is removed and ``path`` is left as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _write_pairs(path, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_writer(path) as fh:
         for left, right in rows:
             fh.write(f"{left}\t{right}\n")
 
@@ -491,7 +523,7 @@ def save_dataset(dataset: Dataset, out_dir, frame_likes=None) -> dict:
             for f in dataset.frames_of_item[i]
         ],
     )
-    with open(paths["features"], "w", encoding="utf-8") as fh:
+    with atomic_writer(paths["features"]) as fh:
         for f in range(dataset.num_frames):
             vals = " ".join(repr(float(x)) for x in dataset.frame_features[f])
             fh.write(f"{dataset.frame_ids[f]}\t{vals}\n")

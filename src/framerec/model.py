@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, atomic_writer
 from .errors import ConfigError, IntegrityError, MissingFramesError, UnsupportedTaskError
 
 VISUAL_OFF = "off"
@@ -26,7 +26,7 @@ VISUAL_ATT = "att"
 FUSION_SUM = "sum"
 FUSION_ATT = "att"
 
-CHECKPOINT_FORMAT = "framerec-checkpoint-v2"
+CHECKPOINT_FORMAT = "framerec-checkpoint-v3"
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,8 @@ class ModelConfig:
 
     d1 is the collaborative dimension, d2 the visual dimension.  When
     ``fusion_mode`` is "att" the same fusion network scores both channel
-    inputs, which forces d1 == d2.  ``share_visual_projection`` reuses the
-    visual value projection as the attention key reduction (requires
-    reduced_visual_dim == d2).
+    inputs, which forces d1 == d2.  Frame attention keys are the frame
+    features reduced by their own projection to ``reduced_visual_dim``.
     """
 
     d1: int = 32
@@ -50,8 +49,6 @@ class ModelConfig:
     lambda1: float = 0.001
     init_scale: float = 0.1
     seed: int = 0
-    share_visual_projection: bool = False
-    attention_bias: bool = False
 
     def __post_init__(self):
         if min(self.d1, self.attn_hidden_visual, self.attn_hidden_rating,
@@ -67,10 +64,6 @@ class ModelConfig:
             raise ConfigError(
                 "fusion attention applies one shared network to both channels, "
                 f"which requires d1 == d2 (got {self.d1} != {self.d2})"
-            )
-        if self.share_visual_projection and self.reduced_visual_dim != self.d2:
-            raise ConfigError(
-                "share_visual_projection requires reduced_visual_dim == d2"
             )
         if self.lambda1 < 0 or self.init_scale < 0:
             raise ConfigError("lambda1 and init_scale must be >= 0")
@@ -93,8 +86,6 @@ class ModelParams:
     attn_out: np.ndarray         # (h_c,)
     fusion_hidden: np.ndarray    # (h_r, 2 * d1)
     fusion_out: np.ndarray       # (h_r,)
-    attn_hidden_bias: np.ndarray    # (h_c,)
-    fusion_hidden_bias: np.ndarray  # (h_r,)
 
     def names(self) -> tuple:
         return tuple(f.name for f in fields(self))
@@ -118,8 +109,6 @@ def param_shapes(cfg: ModelConfig, num_users: int, num_items: int, feature_dim: 
         "attn_out": (cfg.attn_hidden_visual,),
         "fusion_hidden": (cfg.attn_hidden_rating, 2 * cfg.d1),
         "fusion_out": (cfg.attn_hidden_rating,),
-        "attn_hidden_bias": (cfg.attn_hidden_visual,),
-        "fusion_hidden_bias": (cfg.attn_hidden_rating,),
     }
 
 
@@ -129,15 +118,9 @@ def active_param_names(cfg: ModelConfig) -> tuple:
     if cfg.visual_mode != VISUAL_OFF:
         names += ["user_visual", "visual_proj"]
         if cfg.visual_mode == VISUAL_ATT:
-            if not cfg.share_visual_projection:
-                names.append("attn_reduce")
-            names += ["attn_hidden", "attn_out"]
-            if cfg.attention_bias:
-                names.append("attn_hidden_bias")
+            names += ["attn_reduce", "attn_hidden", "attn_out"]
         if cfg.fusion_mode == FUSION_ATT:
             names += ["fusion_hidden", "fusion_out"]
-            if cfg.attention_bias:
-                names.append("fusion_hidden_bias")
     return tuple(names)
 
 
@@ -145,15 +128,12 @@ def init_params(cfg: ModelConfig, dataset: Dataset) -> ModelParams:
     """Sample fresh parameters, N(0, init_scale), deterministic in cfg.seed.
 
     Every tensor is drawn in a fixed order regardless of the mode switches,
-    so configs differing only in modes share identical arrays.  Bias vectors
-    start at zero.
+    so configs differing only in modes share identical arrays.
     """
     rng = np.random.default_rng(cfg.seed)
     shapes = param_shapes(cfg, dataset.num_users, dataset.num_items, dataset.feature_dim)
     return ModelParams(**{
-        name: np.zeros(shape) if name.endswith("_bias")
-        else rng.normal(0.0, cfg.init_scale, size=shape)
-        for name, shape in shapes.items()
+        name: rng.normal(0.0, cfg.init_scale, size=shape) for name, shape in shapes.items()
     })
 
 
@@ -166,10 +146,11 @@ def init_params(cfg: ModelConfig, dataset: Dataset) -> ModelParams:
 class VisualTable:
     """Per-item visual embeddings plus the intermediates backprop needs.
 
-    ``x`` is (N, d2).  In attention mode ``alpha`` holds the per-item frame
-    weights (zero at padding), ``z`` the (N, m, d1 + d0) attention MLP input
-    (item factor beside each frame's reduced key) and ``hidden_pre`` its
-    pre-activation.
+    ``x`` is (N, d2) and ``alpha`` (N, m) the frame weights that pool it,
+    zero at padding: 1 / count in mean mode, the attention softmax in
+    attention mode.  In attention mode ``z`` holds the (N, m, d1 + d0)
+    attention MLP input (item factor beside each frame's reduced key) and
+    ``hidden_pre`` its pre-activation.
     """
 
     x: np.ndarray
@@ -177,20 +158,30 @@ class VisualTable:
     ids: np.ndarray
     mask: np.ndarray
     counts: np.ndarray
-    alpha: np.ndarray = None
+    alpha: np.ndarray
     z: np.ndarray = None
     hidden_pre: np.ndarray = None
 
 
-def _attention_mlp(z, hidden, out, bias):
+def _attention_mlp(z, hidden, out):
     """(pre-activation, logits) of the one-hidden-layer ReLU attention network.
 
-    Serves the frame attention and the fusion; ``bias`` may be None.
+    Serves the frame attention and the fusion.
     """
     hidden_pre = z @ hidden.T
-    if bias is not None:
-        hidden_pre = hidden_pre + bias
     return hidden_pre, np.maximum(hidden_pre, 0.0) @ out
+
+
+def _attention_mlp_backward(hidden, out, z, hidden_pre, dlogits, ghidden, gout):
+    """Backward of ``_attention_mlp`` for the (R,) logit gradients ``dlogits``.
+
+    Adds the weight gradients into ``ghidden`` and ``gout`` in place and
+    returns the (R, Z) gradient with respect to the inputs ``z``.
+    """
+    gout += np.maximum(hidden_pre, 0.0).T @ dlogits
+    dh = dlogits[:, None] * (out * (hidden_pre > 0))
+    ghidden += dh.T @ z
+    return dh @ hidden
 
 
 def item_visual_table(params: ModelParams, cfg: ModelConfig, dataset: Dataset):
@@ -206,11 +197,12 @@ def item_visual_table(params: ModelParams, cfg: ModelConfig, dataset: Dataset):
     gathered = frame_emb[ids] * mask[:, :, None]  # (N, m, d2)
     if cfg.visual_mode == VISUAL_AVG:
         safe = np.maximum(counts, 1).astype(frame_emb.dtype)
+        # the exact sum / count, not the alpha-weighted sum, which rounds apart
         x = gathered.sum(axis=1) / safe[:, None]
-        return VisualTable(x=x, frame_emb=frame_emb, ids=ids, mask=mask, counts=counts)
+        return VisualTable(x=x, frame_emb=frame_emb, ids=ids, mask=mask, counts=counts,
+                           alpha=mask / safe[:, None])
 
-    key_matrix = params.visual_proj if cfg.share_visual_projection else params.attn_reduce
-    keys = dataset.frame_features @ key_matrix.T  # (L, d0)
+    keys = dataset.frame_features @ params.attn_reduce.T  # (L, d0)
     n, m = ids.shape
     z = np.concatenate(
         [
@@ -219,10 +211,7 @@ def item_visual_table(params: ModelParams, cfg: ModelConfig, dataset: Dataset):
         ],
         axis=2,
     )
-    hidden_pre, logits = _attention_mlp(
-        z, params.attn_hidden, params.attn_out,
-        params.attn_hidden_bias if cfg.attention_bias else None,
-    )  # logits (N, m)
+    hidden_pre, logits = _attention_mlp(z, params.attn_hidden, params.attn_out)  # (N, m)
     neg_inf = np.finfo(logits.dtype).min
     shifted = np.where(mask, logits, neg_inf)
     shifted = shifted - shifted.max(axis=1, keepdims=True)
@@ -308,9 +297,8 @@ def score_pairs(
 
     z1 = np.concatenate([params.user_collab[users], params.item_collab[items]], axis=1)
     z2 = np.concatenate([params.user_visual[users], table.x[items]], axis=1)
-    bias = params.fusion_hidden_bias if cfg.attention_bias else None
-    h1_pre, g1 = _attention_mlp(z1, params.fusion_hidden, params.fusion_out, bias)
-    h2_pre, g2 = _attention_mlp(z2, params.fusion_hidden, params.fusion_out, bias)
+    h1_pre, g1 = _attention_mlp(z1, params.fusion_hidden, params.fusion_out)
+    h2_pre, g2 = _attention_mlp(z2, params.fusion_hidden, params.fusion_out)
     beta1, beta2 = _two_way_softmax(g1, g2)
     scores = beta1 * collab + beta2 * visual
     cache = PairCache(
@@ -370,7 +358,7 @@ def save_checkpoint(path, params: ModelParams, cfg: ModelConfig, digest: str) ->
             for name, tensor in params.tensors().items()
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_writer(path) as fh:
         json.dump(doc, fh, sort_keys=True)
         fh.write("\n")
 

@@ -105,8 +105,6 @@ def _planted_params(cfg: SynthConfig, rng: np.random.Generator) -> ModelParams:
         attn_out=rng.normal(0.0, cfg.attention_gain * np.sqrt(2.0 / d), (d,)),
         fusion_hidden=rng.normal(0.0, np.sqrt(2.0 / (2 * d)), (d, 2 * d)),
         fusion_out=rng.normal(0.0, np.sqrt(2.0 / d), (d,)),
-        attn_hidden_bias=np.zeros(d),
-        fusion_hidden_bias=np.zeros(d),
     )
 
 

@@ -20,11 +20,10 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .data import SplitDataset
+from .data import SplitDataset, atomic_writer
 from .errors import ConfigError, NonFiniteError, SamplingError
 from .evaluation import evaluate_item_rec
 from .model import (
@@ -34,6 +33,7 @@ from .model import (
     VISUAL_OFF,
     ModelConfig,
     ModelParams,
+    _attention_mlp_backward,
     active_param_names,
     init_params,
     item_visual_table,
@@ -101,21 +101,17 @@ def sample_epoch(split: SplitDataset, neg_ratio: int, rng: np.random.Generator) 
     if train.size == 0:
         raise SamplingError("training split is empty")
     all_items = np.arange(base.num_items, dtype=np.int64)
-    pool_of_user = {}
-    for u in np.unique(train[:, 0]):
+    reps = np.repeat(train, neg_ratio, axis=0)  # sorted, so each user's rows are contiguous
+    negs = np.empty(len(reps), dtype=np.int64)
+    users, starts, counts = np.unique(reps[:, 0], return_index=True, return_counts=True)
+    for u, lo, n in zip(users, starts, counts):
         pool = np.setdiff1d(all_items, base.items_of_user[u], assume_unique=True)
         if len(pool) == 0:
             raise SamplingError(
                 f"user {base.user_ids[u]!r} has rated every item; "
                 "cannot sample negatives"
             )
-        pool_of_user[int(u)] = pool
-
-    reps = np.repeat(train, neg_ratio, axis=0)
-    negs = np.empty(len(reps), dtype=np.int64)
-    for u, pool in pool_of_user.items():
-        rows = np.nonzero(reps[:, 0] == u)[0]
-        negs[rows] = pool[rng.integers(0, len(pool), size=len(rows))]
+        negs[lo: lo + n] = pool[rng.integers(0, len(pool), size=n)]
     triples = np.column_stack([reps, negs])
     return triples[rng.permutation(len(triples))]
 
@@ -201,48 +197,26 @@ def batch_gradients(
 
     active = active_param_names(cfg)
     grads = {name: np.zeros_like(params.tensors()[name]) for name in active}
-    d1, d2 = cfg.d1, cfg.d2
-    uu = params.user_collab[users]
-    vt = params.item_collab[items]
-
-    if cfg.visual_mode == VISUAL_OFF:
-        dcf = g
-        np.add.at(grads["user_collab"], users, dcf[:, None] * vt)
-        np.add.at(grads["item_collab"], items, dcf[:, None] * uu)
-    else:
-        wu = params.user_visual[users]
-        xt = table.x[items]
+    dcf = dvs = g  # d(loss)/d(collaborative and visual channel score) per pair
+    if cfg.visual_mode != VISUAL_OFF:
         gx = np.zeros_like(table.x)  # d(loss)/d(item visual embedding)
-
         if cfg.fusion_mode == FUSION_ATT:
             beta1, beta2 = cache.beta1, cache.beta2
-            dcf = g * beta1
-            dvs = g * beta2
+            dcf, dvs = g * beta1, g * beta2
             gamma = g * (cache.collab - cache.visual) * beta1 * beta2
-            act1 = np.maximum(cache.h1_pre, 0.0)
-            act2 = np.maximum(cache.h2_pre, 0.0)
-            grads["fusion_out"] += act1.T @ gamma - act2.T @ gamma
-            live = params.fusion_out
-            dh1 = gamma[:, None] * (live * (cache.h1_pre > 0))
-            dh2 = -gamma[:, None] * (live * (cache.h2_pre > 0))
-            grads["fusion_hidden"] += dh1.T @ cache.z1 + dh2.T @ cache.z2
-            if cfg.attention_bias:
-                grads["fusion_hidden_bias"] += dh1.sum(axis=0) + dh2.sum(axis=0)
-            dz1 = dh1 @ params.fusion_hidden
-            dz2 = dh2 @ params.fusion_hidden
-            np.add.at(grads["user_collab"], users, dz1[:, :d1])
-            np.add.at(grads["item_collab"], items, dz1[:, d1:])
-            np.add.at(grads["user_visual"], users, dz2[:, :d2])
-            np.add.at(gx, items, dz2[:, d2:])
-        else:
-            dcf = g
-            dvs = g
-
-        np.add.at(grads["user_collab"], users, dcf[:, None] * vt)
-        np.add.at(grads["item_collab"], items, dcf[:, None] * uu)
-        np.add.at(grads["user_visual"], users, dvs[:, None] * xt)
-        np.add.at(gx, items, dvs[:, None] * wu)
+            mlp = (params.fusion_hidden, params.fusion_out)
+            acc = (grads["fusion_hidden"], grads["fusion_out"])
+            dz1 = _attention_mlp_backward(*mlp, cache.z1, cache.h1_pre, gamma, *acc)
+            dz2 = _attention_mlp_backward(*mlp, cache.z2, cache.h2_pre, -gamma, *acc)
+            np.add.at(grads["user_collab"], users, dz1[:, :cfg.d1])
+            np.add.at(grads["item_collab"], items, dz1[:, cfg.d1:])
+            np.add.at(grads["user_visual"], users, dz2[:, :cfg.d2])
+            np.add.at(gx, items, dz2[:, cfg.d2:])
+        np.add.at(grads["user_visual"], users, dvs[:, None] * table.x[items])
+        np.add.at(gx, items, dvs[:, None] * params.user_visual[users])
         _table_backward(params, cfg, dataset, table, gx, grads)
+    np.add.at(grads["user_collab"], users, dcf[:, None] * params.item_collab[items])
+    np.add.at(grads["item_collab"], items, dcf[:, None] * params.user_collab[users])
 
     lam = cfg.lambda1
     if lam:
@@ -257,40 +231,36 @@ def batch_gradients(
 def _table_backward(params, cfg, dataset, table, gx, grads) -> None:
     """Push gradients w.r.t. per-item visual embeddings into the tensors.
 
-    gx is (N, d2).  For the mean pathway only the projection receives
-    gradient; attention additionally feeds its weight network, the key
-    reduction, and the item factors (which act as attention queries).
+    gx is (N, d2).  Both modes pool projected frames with the weights
+    ``table.alpha``, so the projection's gradient is one product of per-frame
+    coefficients and frame features.  Attention additionally feeds its
+    weight network, the key reduction, and the item factors (which act as
+    attention queries).
     """
-    ids, mask, counts = table.ids, table.mask, table.counts
-    feats = dataset.frame_features[ids]  # (N, m, F)
+    ids, mask, alpha = table.ids, table.mask, table.alpha
+    frames = ids[mask]  # each frame once
+
+    def frame_product(rows):
+        """Sum over frames of (N, m, k) ``rows`` times each frame's features."""
+        per_frame = np.zeros((dataset.num_frames, rows.shape[2]))
+        per_frame[frames] = rows[mask]
+        return per_frame.T @ dataset.frame_features
+
+    grads["visual_proj"] += frame_product(alpha[:, :, None] * gx[:, None, :])
     if cfg.visual_mode == VISUAL_AVG:
-        safe = np.maximum(counts, 1).astype(gx.dtype)
-        mean_feats = (feats * mask[:, :, None]).sum(axis=1) / safe[:, None]
-        grads["visual_proj"] += gx.T @ mean_feats
         return
 
-    alpha = table.alpha  # (N, m), zero at padding
-    emb = table.frame_emb[ids]  # (N, m, d2)
-    grads["visual_proj"] += gx.T @ np.einsum("nm,nmf->nf", alpha, feats)
-
-    s = np.einsum("nmd,nd->nm", emb, gx)
+    s = np.einsum("nmd,nd->nm", table.frame_emb[ids], gx)
     sbar = (alpha * s).sum(axis=1, keepdims=True)
     tau = alpha * (s - sbar)  # gradient w.r.t. the attention logits
-
-    hidden_pre = table.hidden_pre  # (N, m, h)
-    act = np.maximum(hidden_pre, 0.0)
-    grads["attn_out"] += np.einsum("nm,nmh->h", tau, act)
-    dh = tau[:, :, None] * (params.attn_out * (hidden_pre > 0))
-    grads["attn_hidden"] += np.einsum("nmh,nmz->hz", dh, table.z)
-    if cfg.attention_bias:
-        grads["attn_hidden_bias"] += dh.sum(axis=(0, 1))
-    dz = dh @ params.attn_hidden  # (N, m, d1 + d0)
+    n, m, width = table.z.shape
+    dz = _attention_mlp_backward(
+        params.attn_hidden, params.attn_out,
+        table.z.reshape(n * m, width), table.hidden_pre.reshape(n * m, -1), tau.reshape(-1),
+        grads["attn_hidden"], grads["attn_out"],
+    ).reshape(n, m, width)
     grads["item_collab"] += dz[:, :, : cfg.d1].sum(axis=1)
-    dkey = np.einsum("nmk,nmf->kf", dz[:, :, cfg.d1:], feats)
-    if cfg.share_visual_projection:
-        grads["visual_proj"] += dkey
-    else:
-        grads["attn_reduce"] += dkey
+    grads["attn_reduce"] += frame_product(dz[:, :, cfg.d1:])
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +343,8 @@ class TrainLog:
         return "\n".join(lines) + "\n"
 
     def save(self, path) -> None:
-        Path(path).write_text(self.to_tsv(), encoding="utf-8")
+        with atomic_writer(path) as fh:
+            fh.write(self.to_tsv())
 
 
 def fit(
@@ -546,8 +517,6 @@ def gradcheck_instance(
     visual_mode: str = VISUAL_ATT,
     fusion_mode: str = FUSION_ATT,
     lambda1: float = 0.001,
-    attention_bias: bool = False,
-    share_visual_projection: bool = False,
 ):
     """A small random model/dataset/batch for gradient verification.
 
@@ -581,21 +550,14 @@ def gradcheck_instance(
         d2=4,
         attn_hidden_visual=4,
         attn_hidden_rating=4,
-        reduced_visual_dim=4 if share_visual_projection else 3,
+        reduced_visual_dim=3,
         visual_mode=visual_mode,
         fusion_mode=fusion_mode,
         lambda1=lambda1,
         init_scale=0.3,
         seed=seed,
-        attention_bias=attention_bias,
-        share_visual_projection=share_visual_projection,
     )
     params = init_params(cfg, dataset)
-    if attention_bias:
-        # zero biases are a ReLU kink hazard for finite differences
-        brng = np.random.default_rng(seed + 1)
-        params.attn_hidden_bias[:] = brng.normal(0.0, 0.3, params.attn_hidden_bias.shape)
-        params.fusion_hidden_bias[:] = brng.normal(0.0, 0.3, params.fusion_hidden_bias.shape)
     triples = []
     for u in range(m):
         rated = sorted(i for uu, i in ratings if uu == u)

@@ -42,13 +42,10 @@ def frame_attention_logits(item_id: int, params, cfg, dataset) -> np.ndarray:
     if cfg.visual_mode != "att":
         raise ConfigError("frame attention requires visual_mode='att'")
     frames = _item_frames(item_id, dataset)
-    key_matrix = params.visual_proj if cfg.share_visual_projection else params.attn_reduce
-    keys = dataset.frame_features[frames] @ key_matrix.T
+    keys = dataset.frame_features[frames] @ params.attn_reduce.T
     v = params.item_collab[item_id]
     z = np.concatenate([np.broadcast_to(v, (len(frames), cfg.d1)), keys], axis=1)
     hidden_pre = z @ params.attn_hidden.T
-    if cfg.attention_bias:
-        hidden_pre = hidden_pre + params.attn_hidden_bias
     return np.maximum(hidden_pre, 0.0) @ params.attn_out
 
 
@@ -80,9 +77,6 @@ def rating_attention(user_id: int, item_id: int, x_i, params, cfg):
     z2 = np.concatenate([params.user_visual[user_id], np.asarray(x_i)])
     h1 = z1 @ params.fusion_hidden.T
     h2 = z2 @ params.fusion_hidden.T
-    if cfg.attention_bias:
-        h1 = h1 + params.fusion_hidden_bias
-        h2 = h2 + params.fusion_hidden_bias
     g1 = float(np.maximum(h1, 0.0) @ params.fusion_out)
     g2 = float(np.maximum(h2, 0.0) @ params.fusion_out)
     top = max(g1, g2)

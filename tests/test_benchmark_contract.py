@@ -1,0 +1,76 @@
+"""The benchmark's use of the package: the names and keywords it relies on.
+
+``perfbench/workloads.py`` imports from ``framerec`` and calls the imported
+functions directly or through ``rec.call(label, function, *args, **kw)``.
+A rename or a dropped keyword in ``src/`` would otherwise show only as
+failed benchmark operations.
+"""
+
+import ast
+import importlib
+import inspect
+from dataclasses import fields
+from pathlib import Path
+
+import pytest
+
+from framerec import TrainConfig
+from framerec.model import VisualTable
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def package_imports(tree) -> dict:
+    """Name -> object for every ``from framerec[.data] import name``."""
+    found = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in ("framerec", "framerec.data"):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                assert hasattr(module, alias.name), f"{node.module} has no {alias.name}"
+                found[alias.asname or alias.name] = getattr(module, alias.name)
+    return found
+
+
+def package_calls(tree, imported):
+    """(line, callee, positional count or None, keyword names) per package call."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func, args = node.func, node.args
+        is_rec_call = isinstance(func, ast.Attribute) and func.attr == "call" and len(args) >= 2
+        if is_rec_call:
+            func, args = args[1], args[2:]
+        if isinstance(func, ast.Name) and func.id in imported:
+            starred = any(isinstance(a, ast.Starred) for a in args)
+            keywords = [k.arg for k in node.keywords if k.arg is not None]
+            yield node.lineno, func.id, None if starred else len(args), keywords
+
+
+@pytest.fixture(scope="module")
+def tree():
+    if not WORKLOADS.exists():
+        pytest.skip("perfbench/workloads.py is not in this checkout")
+    return ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+
+
+def test_imported_names_exist(tree):
+    imported = package_imports(tree)
+    assert "score_pairs" in imported and "RATINGS_FILE" in imported
+
+
+def test_calls_bind_to_current_signatures(tree):
+    imported = package_imports(tree)
+    calls = list(package_calls(tree, imported))
+    assert {"batch_gradients", "score_pairs", "item_visual_table"} <= {c[1] for c in calls}
+    for line, name, n_positional, keywords in calls:
+        signature = inspect.signature(imported[name])
+        try:
+            signature.bind_partial(*[None] * (n_positional or 0), **dict.fromkeys(keywords))
+        except TypeError as exc:
+            pytest.fail(f"workloads.py:{line}: {name}{signature} rejects the call: {exc}")
+
+
+def test_attributes_read_by_the_benchmark_exist():
+    assert "x" in {f.name for f in fields(VisualTable)}
+    assert "loss_reduction" in {f.name for f in fields(TrainConfig)}

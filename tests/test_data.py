@@ -27,6 +27,27 @@ def load_toy(tmp_path, ratings=TOY_RATINGS, frames=TOY_FRAMES, features=TOY_FEAT
     return load_dataset(d / "ratings.tsv", d / "frames.tsv", d / "features.tsv")
 
 
+def draw_dataset(data, st) -> Dataset:
+    """A random dataset of up to 6 users and 8 items with 1 to 3 frames each.
+
+    Each frame's feature row holds its own id, so subsets can be traced.
+    """
+    m = data.draw(st.integers(1, 6))
+    n = data.draw(st.integers(1, 8))
+    counts = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    ratings = data.draw(st.frozensets(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1))))
+    frame_parent = np.repeat(np.arange(n, dtype=np.int64), counts)
+    num_frames = len(frame_parent)
+    return Dataset(
+        num_users=m, num_items=n, num_frames=num_frames, feature_dim=1,
+        ratings=ratings, frame_parent=frame_parent,
+        frame_features=np.arange(num_frames, dtype=np.float64)[:, None],
+        user_ids=tuple(f"u{k}" for k in range(m)),
+        item_ids=tuple(f"i{k}" for k in range(n)),
+        frame_ids=tuple(f"f{k}" for k in range(num_frames)),
+    )
+
+
 class TestParsing:
     def test_basic_load(self, tmp_path):
         ds = load_toy(tmp_path)
@@ -117,6 +138,18 @@ class TestDatasetStructure:
         shuffled = replace(toy_dataset, frame_parent=np.array([2, 0, 1, 2, 0, 2]))
         assert shuffled.frames_of_item == ((1, 4), (2,), (0, 3, 5))
 
+    def test_equality_compares_arrays_by_value(self, toy_dataset):
+        twin = replace(toy_dataset, frame_parent=toy_dataset.frame_parent.copy(),
+                       frame_features=toy_dataset.frame_features.copy())
+        assert (twin == toy_dataset) is True and (twin != toy_dataset) is False
+        features = toy_dataset.frame_features.copy()
+        features[0, 0] += 1.0
+        changed = replace(toy_dataset, frame_features=features)
+        assert (changed == toy_dataset) is False
+        split = split_ratings(toy_dataset, 0.5, 0.25, seed=1)
+        assert (replace(split, base=twin) == split) is True
+        assert (replace(split, base=changed) == split) is False
+
 
 class TestPruning:
     def test_prune_cascades_to_fixed_point(self, tmp_path):
@@ -140,6 +173,33 @@ class TestPruning:
     def test_prune_rejects_bad_min_count(self, toy_dataset):
         with pytest.raises(ConfigError):
             prune_dataset(toy_dataset, min_count=0)
+
+    def test_prune_properties(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        from hypothesis import strategies as st
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(data=st.data(), min_count=st.integers(1, 3))
+        def check(data, min_count):
+            ds = draw_dataset(data, st)
+            try:
+                pruned = prune_dataset(ds, min_count)
+            except EmptyDatasetError:
+                return
+            users = [u for u, _ in pruned.ratings]
+            items = [i for _, i in pruned.ratings]
+            assert min(np.bincount(users, minlength=pruned.num_users)) >= min_count
+            assert min(np.bincount(items, minlength=pruned.num_items)) >= min_count
+            kept_items = set(pruned.item_ids)
+            want = [f for f in range(ds.num_frames)
+                    if ds.item_ids[ds.frame_parent[f]] in kept_items]
+            assert pruned.frame_ids == tuple(ds.frame_ids[f] for f in want)
+            assert pruned.frame_features[:, 0].tolist() == want
+            assert [pruned.item_ids[i] for i in pruned.frame_parent] == [
+                ds.item_ids[ds.frame_parent[f]] for f in want]
+            assert prune_dataset(pruned, min_count) == pruned
+
+        check()
 
     def test_prune_reindexes_densely(self, tmp_path):
         ratings = TOY_RATINGS + "d\tv\n"
@@ -243,6 +303,39 @@ class TestSplitting:
         # every test rating whose item frames were liked is represented
         covered = {(u, int(parent[f])) for u, f in split.frame_test}
         assert covered == set(split.test)
+
+    def test_split_properties(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        from hypothesis import strategies as st
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(
+            data=st.data(),
+            train_frac=st.floats(0.05, 0.9),
+            valid_frac=st.floats(0.05, 0.9),
+            per_user=st.booleans(),
+            seed=st.integers(0, 2**32 - 1),
+        )
+        def check(data, train_frac, valid_frac, per_user, seed):
+            hypothesis.assume(train_frac + valid_frac < 1.0)
+            ds = draw_dataset(data, st)
+            likes = data.draw(st.frozensets(st.tuples(
+                st.integers(0, ds.num_users - 1), st.integers(0, ds.num_frames - 1))))
+            split = split_ratings(ds, train_frac, valid_frac, seed=seed,
+                                  per_user=per_user, frame_likes=likes)
+            portions = (split.train, split.validation, split.test)
+            assert sum(map(len, portions)) == len(ds.ratings)
+            assert split.train | split.validation | split.test == ds.ratings
+            groups = ([[p for p in ds.ratings if p[0] == u] for u in range(ds.num_users)]
+                      if per_user else [list(ds.ratings)])
+            n_train = sum(int(len(g) * train_frac) for g in groups)
+            n_valid = sum(int(len(g) * valid_frac) for g in groups)
+            assert (len(split.train), len(split.validation)) == (n_train, n_valid)
+            parent = ds.frame_parent
+            assert split.frame_test == {
+                (u, f) for u, f in likes if (u, int(parent[f])) in split.test}
+
+        check()
 
     def test_rejects_bad_fractions(self, toy_dataset):
         with pytest.raises(ConfigError):
