@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import SplitDataset, atomic_writer
-from .errors import ConfigError, NonFiniteError, SamplingError
+from .errors import ConfigError, EmptyDatasetError, NonFiniteError, SamplingError
 from .evaluation import evaluate_item_rec
 from .model import (
     FUSION_ATT,
@@ -121,15 +121,8 @@ def sample_epoch(split: SplitDataset, neg_ratio: int, rng: np.random.Generator) 
 # ---------------------------------------------------------------------------
 
 
-def _touched_rows(batch: np.ndarray):
-    """Unique user rows and item rows referenced by a batch of triples."""
-    users = np.unique(batch[:, 0])
-    items = np.unique(batch[:, 1:3])
-    return users, items
-
-
 def _reg_value(params: ModelParams, cfg: ModelConfig, batch) -> float:
-    users, items = _touched_rows(batch)
+    users, items = np.unique(batch[:, 0]), np.unique(batch[:, 1:3])
     total = float(np.sum(params.user_collab[users] ** 2))
     total += float(np.sum(params.item_collab[items] ** 2))
     if cfg.visual_mode != VISUAL_OFF:
@@ -173,11 +166,12 @@ def batch_gradients(
     Returns (data_loss, grads) where grads maps each active tensor name to a
     dense array and already includes the touched-row regularisation.  The
     returned loss is the reduced ranking term without the regulariser.
+    Raises EmptyDatasetError for a batch without triples.
     """
     batch = np.asarray(batch, dtype=np.int64)
     b = len(batch)
     if b == 0:
-        raise ValueError("empty batch")
+        raise EmptyDatasetError("empty batch")
     if table is None and cfg.visual_mode != VISUAL_OFF:
         table = item_visual_table(params, cfg, dataset)
 
@@ -195,72 +189,92 @@ def batch_gradients(
         w = w / b
     g = np.concatenate([-w, w])  # d(loss)/d(score) per pair
 
-    active = active_param_names(cfg)
-    grads = {name: np.zeros_like(params.tensors()[name]) for name in active}
-    dcf = dvs = g  # d(loss)/d(collaborative and visual channel score) per pair
-    if cfg.visual_mode != VISUAL_OFF:
-        gx = np.zeros_like(table.x)  # d(loss)/d(item visual embedding)
-        if cfg.fusion_mode == FUSION_ATT:
-            beta1, beta2 = cache.beta1, cache.beta2
-            dcf, dvs = g * beta1, g * beta2
-            gamma = g * (cache.collab - cache.visual) * beta1 * beta2
-            mlp = (params.fusion_hidden, params.fusion_out)
-            acc = (grads["fusion_hidden"], grads["fusion_out"])
-            dz1 = _attention_mlp_backward(*mlp, cache.z1, cache.h1_pre, gamma, *acc)
-            dz2 = _attention_mlp_backward(*mlp, cache.z2, cache.h2_pre, -gamma, *acc)
-            np.add.at(grads["user_collab"], users, dz1[:, :cfg.d1])
-            np.add.at(grads["item_collab"], items, dz1[:, cfg.d1:])
-            np.add.at(grads["user_visual"], users, dz2[:, :cfg.d2])
-            np.add.at(gx, items, dz2[:, cfg.d2:])
-        np.add.at(grads["user_visual"], users, dvs[:, None] * table.x[items])
-        np.add.at(gx, items, dvs[:, None] * params.user_visual[users])
-        _table_backward(params, cfg, dataset, table, gx, grads)
-    np.add.at(grads["user_collab"], users, dcf[:, None] * params.item_collab[items])
-    np.add.at(grads["item_collab"], items, dcf[:, None] * params.user_collab[users])
+    # Per pair, the gradient w.r.t. the user's and the item's row of each
+    # embedding; each is summed into the rows the batch touches, once.
+    dcf = dvs = g  # d(loss)/d(collaborative and visual channel score)
+    visual = cfg.visual_mode != VISUAL_OFF
+    fused = visual and cfg.fusion_mode == FUSION_ATT
+    grads = {name: np.zeros_like(params.tensors()[name]) for name in active_param_names(cfg)}
+    if fused:
+        beta1, beta2 = cache.beta1, cache.beta2
+        dcf, dvs = g * beta1, g * beta2
+        gamma = g * (cache.collab - cache.visual) * beta1 * beta2
+        mlp = (params.fusion_hidden, params.fusion_out)
+        acc = (grads["fusion_hidden"], grads["fusion_out"])
+        dz1 = _attention_mlp_backward(*mlp, cache.z1, cache.h1_pre, gamma, *acc)
+        dz2 = _attention_mlp_backward(*mlp, cache.z2, cache.h2_pre, -gamma, *acc)
+    du = dcf[:, None] * params.item_collab[items]
+    di = dcf[:, None] * params.user_collab[users]
+    if fused:
+        du += dz1[:, :cfg.d1]
+        di += dz1[:, cfg.d1:]
 
-    lam = cfg.lambda1
-    if lam:
-        t_users, t_items = _touched_rows(batch)
-        grads["user_collab"][t_users] += 2.0 * lam * params.user_collab[t_users]
-        grads["item_collab"][t_items] += 2.0 * lam * params.item_collab[t_items]
-        if "user_visual" in grads:
-            grads["user_visual"][t_users] += 2.0 * lam * params.user_visual[t_users]
+    user_rows, user_of = np.unique(users, return_inverse=True)
+    rows, item_of = np.unique(items, return_inverse=True)
+    decay = 2.0 * cfg.lambda1  # d(lambda1 * |row|^2)/d(row) = decay * row
+    grads["user_collab"][user_rows] = (
+        _row_sums(user_of, du, len(user_rows)) + decay * params.user_collab[user_rows]
+    )
+    gi = _row_sums(item_of, di, len(rows)) + decay * params.item_collab[rows]
+    if visual:
+        dv = dvs[:, None] * table.x[items]
+        dx = dvs[:, None] * params.user_visual[users]
+        if fused:
+            dv += dz2[:, :cfg.d2]
+            dx += dz2[:, cfg.d2:]
+        grads["user_visual"][user_rows] = (
+            _row_sums(user_of, dv, len(user_rows)) + decay * params.user_visual[user_rows]
+        )
+        gi += _table_backward(params, cfg, dataset, table, rows,
+                              _row_sums(item_of, dx, len(rows)), grads)
+    grads["item_collab"][rows] = gi
     return float(data), grads
 
 
-def _table_backward(params, cfg, dataset, table, gx, grads) -> None:
-    """Push gradients w.r.t. per-item visual embeddings into the tensors.
+def _row_sums(index, values, num_rows) -> np.ndarray:
+    """(num_rows, d) array whose row r sums the rows of ``values`` with index r.
 
-    gx is (N, d2).  Both modes pool projected frames with the weights
-    ``table.alpha``, so the projection's gradient is one product of per-frame
-    coefficients and frame features.  Attention additionally feeds its
-    weight network, the key reduction, and the item factors (which act as
-    attention queries).
+    Adds in input order, like ``np.add.at`` into zeros, so the bits agree.
     """
-    ids, mask, alpha = table.ids, table.mask, table.alpha
-    frames = ids[mask]  # each frame once
+    d = values.shape[1]
+    flat = (index[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(flat, weights=values.ravel(), minlength=num_rows * d).reshape(num_rows, d)
 
-    def frame_product(rows):
-        """Sum over frames of (N, m, k) ``rows`` times each frame's features."""
-        per_frame = np.zeros((dataset.num_frames, rows.shape[2]))
-        per_frame[frames] = rows[mask]
-        return per_frame.T @ dataset.frame_features
+
+def _table_backward(params, cfg, dataset, table, rows, gx, grads):
+    """Push gradients w.r.t. the visual embeddings of items ``rows`` into the tensors.
+
+    gx is (len(rows), d2); every other item's gradient is zero, so only the
+    frames of ``rows`` take part.  Both modes pool projected frames with the
+    weights ``table.alpha``, so the projection's gradient is one product of
+    per-frame coefficients and frame features.  Attention additionally feeds
+    its weight network and the key reduction.  Returns the (len(rows), d1)
+    gradient w.r.t. the rows' item factors, which act as attention queries
+    (0.0 in mean mode).
+    """
+    ids, mask, alpha = table.ids[rows], table.mask[rows], table.alpha[rows]
+    features = dataset.frame_features[ids[mask]]  # the rows' frames, each once
+
+    def frame_product(coef):
+        """Sum over the rows' frames of (R, m, k) ``coef`` times each frame's features."""
+        return coef[mask].T @ features
 
     grads["visual_proj"] += frame_product(alpha[:, :, None] * gx[:, None, :])
     if cfg.visual_mode == VISUAL_AVG:
-        return
+        return 0.0
 
     s = np.einsum("nmd,nd->nm", table.frame_emb[ids], gx)
     sbar = (alpha * s).sum(axis=1, keepdims=True)
     tau = alpha * (s - sbar)  # gradient w.r.t. the attention logits
-    n, m, width = table.z.shape
+    z, hidden_pre = table.z[rows], table.hidden_pre[rows]
+    n, m, width = z.shape
     dz = _attention_mlp_backward(
         params.attn_hidden, params.attn_out,
-        table.z.reshape(n * m, width), table.hidden_pre.reshape(n * m, -1), tau.reshape(-1),
+        z.reshape(n * m, width), hidden_pre.reshape(n * m, -1), tau.reshape(-1),
         grads["attn_hidden"], grads["attn_out"],
     ).reshape(n, m, width)
-    grads["item_collab"] += dz[:, :, : cfg.d1].sum(axis=1)
     grads["attn_reduce"] += frame_product(dz[:, :, cfg.d1:])
+    return dz[:, :, : cfg.d1].sum(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,15 @@
-"""The scalar forward path: an independent oracle for the bulk scoring code.
+"""Test oracles: the scalar forward path and the full-catalog backward.
 
 The package scores in bulk (``item_visual_table``, ``score_pairs``,
-``score_frames``).  These functions score one instance at a time, straight
-from the model's definition, sharing no code with the package beyond its
-errors.  Tests compare the package's outputs against them.
+``score_frames``).  The scalar functions score one instance at a time,
+straight from the model's definition, sharing no code with the package
+beyond its errors.  Tests compare the package's outputs against them.
+
+``full_catalog_gradients`` is the batch gradient as it was before the
+backward was restricted to the items a batch touches: ``np.add.at``
+scatters into dense arrays and a table backward over every item and every
+frame.  It shares the forward and the attention-network backward with the
+package, so it checks exactly the touched-row restriction and the scatter.
 """
 
 from __future__ import annotations
@@ -11,6 +17,12 @@ from __future__ import annotations
 import numpy as np
 
 from framerec.errors import ConfigError, MissingFramesError, UnsupportedTaskError
+from framerec.model import (
+    _attention_mlp_backward,
+    active_param_names,
+    item_visual_table,
+    score_pairs,
+)
 
 
 def _check_item(item_id: int, dataset) -> None:
@@ -113,3 +125,80 @@ def predict_frame_score(user_id: int, frame_id: int, params, cfg, dataset) -> fl
         raise IndexError(f"frame id {frame_id} out of range")
     emb = params.visual_proj @ dataset.frame_features[frame_id]
     return float(params.user_visual[user_id] @ emb)
+
+
+def full_catalog_gradients(params, cfg, dataset, batch, reduction="mean", table=None):
+    """(data_loss, grads) of the batch objective, backpropagated over the whole catalog."""
+    batch = np.asarray(batch, dtype=np.int64)
+    b = len(batch)
+    if table is None and cfg.visual_mode != "off":
+        table = item_visual_table(params, cfg, dataset)
+    users = np.concatenate([batch[:, 0], batch[:, 0]])
+    items = np.concatenate([batch[:, 1], batch[:, 2]])
+    scores, cache = score_pairs(
+        users, items, params, cfg, dataset, table=table, want_cache=True
+    )
+    margin = scores[:b] - scores[b:]
+    losses = np.logaddexp(0.0, -margin)
+    data = losses.mean() if reduction == "mean" else losses.sum()
+    w = np.exp(-np.logaddexp(0.0, margin))
+    if reduction == "mean":
+        w = w / b
+    g = np.concatenate([-w, w])
+
+    grads = {name: np.zeros_like(params.tensors()[name]) for name in active_param_names(cfg)}
+    dcf = dvs = g
+    if cfg.visual_mode != "off":
+        gx = np.zeros_like(table.x)
+        if cfg.fusion_mode == "att":
+            beta1, beta2 = cache.beta1, cache.beta2
+            dcf, dvs = g * beta1, g * beta2
+            gamma = g * (cache.collab - cache.visual) * beta1 * beta2
+            mlp = (params.fusion_hidden, params.fusion_out)
+            acc = (grads["fusion_hidden"], grads["fusion_out"])
+            dz1 = _attention_mlp_backward(*mlp, cache.z1, cache.h1_pre, gamma, *acc)
+            dz2 = _attention_mlp_backward(*mlp, cache.z2, cache.h2_pre, -gamma, *acc)
+            np.add.at(grads["user_collab"], users, dz1[:, :cfg.d1])
+            np.add.at(grads["item_collab"], items, dz1[:, cfg.d1:])
+            np.add.at(grads["user_visual"], users, dz2[:, :cfg.d2])
+            np.add.at(gx, items, dz2[:, cfg.d2:])
+        np.add.at(grads["user_visual"], users, dvs[:, None] * table.x[items])
+        np.add.at(gx, items, dvs[:, None] * params.user_visual[users])
+        table_backward_full(params, cfg, dataset, table, gx, grads)
+    np.add.at(grads["user_collab"], users, dcf[:, None] * params.item_collab[items])
+    np.add.at(grads["item_collab"], items, dcf[:, None] * params.user_collab[users])
+
+    lam = cfg.lambda1
+    t_users, t_items = np.unique(batch[:, 0]), np.unique(batch[:, 1:3])
+    grads["user_collab"][t_users] += 2.0 * lam * params.user_collab[t_users]
+    grads["item_collab"][t_items] += 2.0 * lam * params.item_collab[t_items]
+    if "user_visual" in grads:
+        grads["user_visual"][t_users] += 2.0 * lam * params.user_visual[t_users]
+    return float(data), grads
+
+
+def table_backward_full(params, cfg, dataset, table, gx, grads) -> None:
+    """Push the (N, d2) item-embedding gradient ``gx`` through every item's frames."""
+    ids, mask, alpha = table.ids, table.mask, table.alpha
+    frames = ids[mask]
+
+    def frame_product(rows):
+        """Sum over all L frames of (N, m, k) ``rows`` times each frame's features."""
+        per_frame = np.zeros((dataset.num_frames, rows.shape[2]))
+        per_frame[frames] = rows[mask]
+        return per_frame.T @ dataset.frame_features
+
+    grads["visual_proj"] += frame_product(alpha[:, :, None] * gx[:, None, :])
+    if cfg.visual_mode == "avg":
+        return
+    s = np.einsum("nmd,nd->nm", table.frame_emb[ids], gx)
+    sbar = (alpha * s).sum(axis=1, keepdims=True)
+    tau = alpha * (s - sbar)
+    n, m, width = table.z.shape
+    dz = _attention_mlp_backward(
+        params.attn_hidden, params.attn_out,
+        table.z.reshape(n * m, width), table.hidden_pre.reshape(n * m, -1), tau.reshape(-1),
+        grads["attn_hidden"], grads["attn_out"],
+    ).reshape(n, m, width)
+    grads["item_collab"] += dz[:, :, : cfg.d1].sum(axis=1)
+    grads["attn_reduce"] += frame_product(dz[:, :, cfg.d1:])

@@ -7,8 +7,14 @@ import numpy as np
 import pytest
 
 from framerec.data import Dataset, split_ratings
-from framerec.errors import ConfigError, NonFiniteError, SamplingError
-from framerec.model import ModelConfig, init_params
+from framerec.errors import (
+    ConfigError,
+    EmptyDatasetError,
+    FrameRecError,
+    NonFiniteError,
+    SamplingError,
+)
+from framerec.model import ModelConfig, init_params, item_visual_table
 from framerec.synth import SynthConfig, generate_synthetic
 from framerec.training import (
     AdamState,
@@ -23,6 +29,7 @@ from framerec.training import (
     init_adam_state,
     sample_epoch,
 )
+from reference import full_catalog_gradients
 
 LN2 = math.log(2.0)
 
@@ -213,6 +220,50 @@ class TestGradients:
         with pytest.raises(ConfigError):
             finite_diff_check(params, cfg, ds, batch, h=0.0)
 
+    def test_empty_batch_raises(self):
+        params, cfg, ds, batch = gradcheck_instance(seed=2)
+        with pytest.raises(EmptyDatasetError, match="empty batch") as info:
+            batch_gradients(params, cfg, ds, batch[:0])
+        assert isinstance(info.value, FrameRecError)
+
+
+MODES = [(v, f) for v in ("off", "avg", "att") for f in ("sum", "att")]
+
+
+@pytest.fixture(scope="module")
+def s_split():
+    """The acceptance size: 200 users x 300 items x 5 frames, F=16."""
+    ds, likes, _ = generate_synthetic(SynthConfig(
+        num_users=200, num_items=300, frames_per_item=5, feature_dim=16,
+        latent_dim=8, ratings_per_user=20, frame_likes_per_pair=1, seed=42,
+    ))
+    return split_ratings(ds, 0.7, 0.1, seed=123, frame_likes=likes)
+
+
+class TestTouchedRowBackward:
+    @pytest.mark.parametrize("visual,fusion", MODES)
+    def test_matches_the_full_catalog_backward(self, visual, fusion, s_split):
+        instances = [gradcheck_instance(seed=seed, visual_mode=visual, fusion_mode=fusion)
+                     for seed in range(5)]
+        cfg = ModelConfig(d1=8, d2=8, attn_hidden_visual=8, attn_hidden_rating=8,
+                          reduced_visual_dim=8, visual_mode=visual, fusion_mode=fusion,
+                          seed=1)
+        base = s_split.base
+        batch = sample_epoch(s_split, 10, np.random.default_rng(2))[:512]
+        instances.append((init_params(cfg, base), cfg, base, batch))
+        for params, cfg, ds, batch in instances:
+            full = item_visual_table(params, cfg, ds)
+            for reduction in ("mean", "sum"):
+                for table in (None, full):
+                    loss, grads = batch_gradients(params, cfg, ds, batch, reduction, table)
+                    want_loss, want = full_catalog_gradients(
+                        params, cfg, ds, batch, reduction, table)
+                    assert loss == want_loss
+                    assert set(grads) == set(want)
+                    for name, g in want.items():
+                        err = np.abs(grads[name] - g).max()
+                        assert err <= 1e-12 * np.abs(g).max(), (name, err)
+
 
 class TestAdam:
     def test_first_step_hand_value(self):
@@ -334,6 +385,32 @@ class TestFit:
             fit(split, cfg, TrainConfig(epochs=2, batch_size=64, neg_ratio=2),
                 params=params)
         np.testing.assert_array_equal(params.user_collab, before.user_collab)
+
+    @pytest.mark.parametrize("visual,fusion", [("att", "att"), ("avg", "sum")])
+    def test_train_loss_matches_a_loop_passing_the_full_table(self, visual, fusion):
+        # perfbench's traced loop passes a full-catalog table to
+        # batch_gradients and compares its losses with fit's bit for bit
+        split = small_split()
+        cfg = small_model(visual_mode=visual, fusion_mode=fusion)
+        tcfg = TrainConfig(lr=0.01, epochs=3, batch_size=64, neg_ratio=2, patience=3, seed=7)
+        _, log = fit(split, cfg, tcfg)
+        base = split.base
+        params = init_params(cfg, base)
+        state = init_adam_state(params, cfg)
+        sample_seq, _ = np.random.SeedSequence(tcfg.seed).spawn(2)
+        rng = np.random.default_rng(sample_seq)
+        losses = []
+        for _ in range(tcfg.epochs):
+            triples = sample_epoch(split, tcfg.neg_ratio, rng)
+            total = 0.0
+            for lo in range(0, len(triples), tcfg.batch_size):
+                chunk = triples[lo: lo + tcfg.batch_size]
+                table = item_visual_table(params, cfg, base)
+                loss, grads = batch_gradients(params, cfg, base, chunk, table=table)
+                adam_step(params, grads, state, tcfg)
+                total += loss * len(chunk)
+            losses.append(total / len(triples))
+        assert losses == [r.train_loss for r in log.epochs]
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
