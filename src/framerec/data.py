@@ -286,6 +286,8 @@ def load_dataset(ratings_path, frames_path, features_path) -> Dataset:
             vec = np.array([float(tok) for tok in rest.split()], dtype=np.float64)
         except ValueError as exc:
             raise ParseError(features_path, line_no, f"bad float: {exc}") from None
+        if not np.isfinite(vec).all():
+            raise ParseError(features_path, line_no, "feature values must be finite")
         if feature_dim is None:
             feature_dim = vec.size
         elif vec.size != feature_dim:

@@ -204,9 +204,7 @@ def evaluate_item_rec(
             u = users[lo: lo + rows]
             negs, valid = _draw_negatives(rng, rated[u], take)
             cands = np.column_stack([positives[lo: lo + rows], negs])
-            scores = score_pairs(
-                np.repeat(u, take + 1), cands.ravel(), params, cfg, base, table=table
-            ).reshape(cands.shape)
+            scores = score_pairs(u[:, None], cands, params, cfg, base, table=table)
             valid = np.column_stack([np.ones(len(u), dtype=bool), valid])
             ranks[r, lo: lo + rows] = _ranks(scores, valid, "item")
     return _report("item", split_name, k_list, ranks, warnings, n_negatives)

@@ -65,8 +65,8 @@ class ModelConfig:
                 "fusion attention applies one shared network to both channels, "
                 f"which requires d1 == d2 (got {self.d1} != {self.d2})"
             )
-        if self.lambda1 < 0 or self.init_scale < 0:
-            raise ConfigError("lambda1 and init_scale must be >= 0")
+        if not all(math.isfinite(v) and v >= 0 for v in (self.lambda1, self.init_scale)):
+            raise ConfigError("lambda1 and init_scale must be finite and >= 0")
 
 
 @dataclass
@@ -146,42 +146,49 @@ def init_params(cfg: ModelConfig, dataset: Dataset) -> ModelParams:
 class VisualTable:
     """Per-item visual embeddings plus the intermediates backprop needs.
 
-    ``x`` is (N, d2) and ``alpha`` (N, m) the frame weights that pool it,
-    zero at padding: 1 / count in mean mode, the attention softmax in
-    attention mode.  In attention mode ``z`` holds the (N, m, d1 + d0)
-    attention MLP input (item factor beside each frame's reduced key) and
-    ``hidden_pre`` its pre-activation.
+    ``x`` is (N, d2) and ``alpha`` (N, m) the weights that pool each item's
+    projected frames (``dataset.frame_table`` order), zero at padding:
+    1 / count in mean mode, the attention softmax in attention mode.  In
+    attention mode ``keys`` holds the (L, d0) reduced frame keys and
+    ``hidden_pre`` the (N, m, h) pre-activation of the attention network.
     """
 
     x: np.ndarray
     frame_emb: np.ndarray
-    ids: np.ndarray
-    mask: np.ndarray
-    counts: np.ndarray
     alpha: np.ndarray
-    z: np.ndarray = None
+    keys: np.ndarray = None
     hidden_pre: np.ndarray = None
 
 
-def _attention_mlp(z, hidden, out):
+def _attention_mlp(query, key, hidden, out):
     """(pre-activation, logits) of the one-hidden-layer ReLU attention network.
 
-    Serves the frame attention and the fusion.
+    The first layer is applied to the [query, key] halves apart, before they
+    broadcast against each other.  Serves the frame attention and the fusion.
     """
-    hidden_pre = z @ hidden.T
+    k = query.shape[-1]
+    hidden_pre = query @ hidden[:, :k].T + key @ hidden[:, k:].T
     return hidden_pre, np.maximum(hidden_pre, 0.0) @ out
 
 
-def _attention_mlp_backward(hidden, out, z, hidden_pre, dlogits, ghidden, gout):
-    """Backward of ``_attention_mlp`` for the (R,) logit gradients ``dlogits``.
+def _attention_mlp_backward(hidden, out, query, key, hidden_pre, dlogits, ghidden, gout):
+    """Backward of ``_attention_mlp`` for the logit gradients ``dlogits``.
 
-    Adds the weight gradients into ``ghidden`` and ``gout`` in place and
-    returns the (R, Z) gradient with respect to the inputs ``z``.
+    Both halves have the rank of ``hidden_pre``.  Adds the weight gradients
+    into ``ghidden`` and ``gout`` in place and returns (dquery, dkey), each
+    summed over the axes along which its half was broadcast.
     """
-    gout += np.maximum(hidden_pre, 0.0).T @ dlogits
-    dh = dlogits[:, None] * (out * (hidden_pre > 0))
-    ghidden += dh.T @ z
-    return dh @ hidden
+    h = hidden_pre.shape[-1]
+    gout += np.maximum(hidden_pre, 0.0).reshape(-1, h).T @ dlogits.reshape(-1)
+    dh = dlogits[..., None] * (out * (hidden_pre > 0))
+    k = query.shape[-1]
+    halves = []
+    for half, cols in ((query, slice(None, k)), (key, slice(k, None))):
+        axes = tuple(a for a, n in enumerate(half.shape[:-1]) if n < dh.shape[a])
+        dh_half = dh.sum(axis=axes, keepdims=True) if axes else dh
+        ghidden[:, cols] += dh_half.reshape(-1, h).T @ half.reshape(-1, half.shape[-1])
+        halves.append(dh_half @ hidden[:, cols])
+    return tuple(halves)
 
 
 def item_visual_table(params: ModelParams, cfg: ModelConfig, dataset: Dataset):
@@ -199,19 +206,12 @@ def item_visual_table(params: ModelParams, cfg: ModelConfig, dataset: Dataset):
         safe = np.maximum(counts, 1).astype(frame_emb.dtype)
         # the exact sum / count, not the alpha-weighted sum, which rounds apart
         x = gathered.sum(axis=1) / safe[:, None]
-        return VisualTable(x=x, frame_emb=frame_emb, ids=ids, mask=mask, counts=counts,
-                           alpha=mask / safe[:, None])
+        return VisualTable(x=x, frame_emb=frame_emb, alpha=mask / safe[:, None])
 
     keys = dataset.frame_features @ params.attn_reduce.T  # (L, d0)
-    n, m = ids.shape
-    z = np.concatenate(
-        [
-            np.broadcast_to(params.item_collab[:, None, :], (n, m, cfg.d1)),
-            keys[ids],
-        ],
-        axis=2,
+    hidden_pre, logits = _attention_mlp(  # (N, m, h), (N, m)
+        params.item_collab[:, None, :], keys[ids], params.attn_hidden, params.attn_out
     )
-    hidden_pre, logits = _attention_mlp(z, params.attn_hidden, params.attn_out)  # (N, m)
     neg_inf = np.finfo(logits.dtype).min
     shifted = np.where(mask, logits, neg_inf)
     shifted = shifted - shifted.max(axis=1, keepdims=True)
@@ -219,10 +219,8 @@ def item_visual_table(params: ModelParams, cfg: ModelConfig, dataset: Dataset):
     denom = expd.sum(axis=1, keepdims=True)
     alpha = np.divide(expd, denom, out=np.zeros_like(expd), where=denom > 0)
     x = (alpha[:, :, None] * gathered).sum(axis=1)
-    return VisualTable(
-        x=x, frame_emb=frame_emb, ids=ids, mask=mask, counts=counts,
-        alpha=alpha, z=z, hidden_pre=hidden_pre,
-    )
+    return VisualTable(x=x, frame_emb=frame_emb, alpha=alpha, keys=keys,
+                       hidden_pre=hidden_pre)
 
 
 @dataclass
@@ -233,8 +231,6 @@ class PairCache:
     items: np.ndarray
     collab: np.ndarray
     visual: np.ndarray = None
-    z1: np.ndarray = None
-    z2: np.ndarray = None
     h1_pre: np.ndarray = None
     h2_pre: np.ndarray = None
     beta1: np.ndarray = None
@@ -272,38 +268,42 @@ def score_pairs(
 ):
     """Score (user, item) pairs in bulk.
 
-    ``table`` may be passed to reuse a precomputed visual table; otherwise it
-    is built on the fly.  With want_cache=True also returns the PairCache
-    consumed by the training backward pass.
+    ``users`` and ``items`` are id arrays that broadcast together; the
+    scores have their broadcast shape, so ``users[:, None]`` against a
+    (U, C) item block scores each user's row of candidates.  ``table`` may
+    be passed to reuse a precomputed visual table; otherwise it is built on
+    the fly.  With want_cache=True also returns the PairCache consumed by
+    the training backward pass.
     """
     users = _checked_ids(users, dataset.num_users, "user")
     items = _checked_ids(items, dataset.num_items, "item")
-    collab = np.einsum("bd,bd->b", params.user_collab[users], params.item_collab[items])
+    user_collab, item_collab = params.user_collab[users], params.item_collab[items]
+    collab = np.einsum("...d,...d->...", user_collab, item_collab)
     if cfg.visual_mode == VISUAL_OFF:
         cache = PairCache(users=users, items=items, collab=collab)
         return (collab, cache) if want_cache else collab
 
     if table is None:
         table = item_visual_table(params, cfg, dataset)
-    if items.size and table.counts[items].min() == 0:
-        bad = int(items[np.argmin(table.counts[items])])
-        raise MissingFramesError(f"item {bad} has no frames")
-    visual = np.einsum("bd,bd->b", params.user_visual[users], table.x[items])
+    counts = dataset.frame_table[2][items]
+    if counts.size and counts.min() == 0:
+        raise MissingFramesError(f"item {items.flat[np.argmin(counts)]} has no frames")
+    user_visual, item_visual = params.user_visual[users], table.x[items]
+    visual = np.einsum("...d,...d->...", user_visual, item_visual)
 
     if cfg.fusion_mode == FUSION_SUM:
         scores = collab + visual
         cache = PairCache(users=users, items=items, collab=collab, visual=visual)
         return (scores, cache) if want_cache else scores
 
-    z1 = np.concatenate([params.user_collab[users], params.item_collab[items]], axis=1)
-    z2 = np.concatenate([params.user_visual[users], table.x[items]], axis=1)
-    h1_pre, g1 = _attention_mlp(z1, params.fusion_hidden, params.fusion_out)
-    h2_pre, g2 = _attention_mlp(z2, params.fusion_hidden, params.fusion_out)
+    mlp = (params.fusion_hidden, params.fusion_out)
+    h1_pre, g1 = _attention_mlp(user_collab, item_collab, *mlp)
+    h2_pre, g2 = _attention_mlp(user_visual, item_visual, *mlp)
     beta1, beta2 = _two_way_softmax(g1, g2)
     scores = beta1 * collab + beta2 * visual
     cache = PairCache(
         users=users, items=items, collab=collab, visual=visual,
-        z1=z1, z2=z2, h1_pre=h1_pre, h2_pre=h2_pre, beta1=beta1, beta2=beta2,
+        h1_pre=h1_pre, h2_pre=h2_pre, beta1=beta1, beta2=beta2,
     )
     return (scores, cache) if want_cache else scores
 

@@ -13,6 +13,7 @@ which gives the frame attention something to lock onto.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -66,6 +67,8 @@ class SynthConfig:
             raise ConfigError("frame_likes_per_pair cannot exceed frames_per_item")
         if not 0 <= self.salient_frac <= 1:
             raise ConfigError("salient_frac must lie in [0, 1]")
+        if not (math.isfinite(self.salient_shift) and math.isfinite(self.attention_gain)):
+            raise ConfigError("salient_shift and attention_gain must be finite")
 
 
 @dataclass(frozen=True)
@@ -136,32 +139,28 @@ def planted_item_scores(planted: PlantedModel, dataset: Dataset) -> np.ndarray:
     for lo in range(0, m, rows):
         users = np.arange(lo, min(lo + rows, m), dtype=np.int64)
         scores[lo: lo + rows] = score_pairs(
-            np.repeat(users, n), np.tile(items, len(users)),
-            planted.params, planted.cfg, dataset, table=table,
-        ).reshape(len(users), n)
+            users[:, None], items[None, :], planted.params, planted.cfg, dataset, table=table,
+        )
     return scores
-
-
-def planted_frame_scores(planted: PlantedModel, dataset: Dataset) -> np.ndarray:
-    """Teacher visual-only scores for every (user, frame) pair, shape (M, L)."""
-    frame_emb = dataset.frame_features @ planted.params.visual_proj.T
-    return planted.params.user_visual @ frame_emb.T
 
 
 def planted_frame_likes(planted: PlantedModel, dataset: Dataset, k: int) -> frozenset:
     """Top-k teacher-scored frames of every rated (user, item) pair.
 
-    Ties break toward the smaller frame id.  Returns (user, frame) pairs
-    covering all ratings; callers filter to a test split as needed.
+    Scores only the rated pairs' frames, by the visual channel alone.  Ties
+    break toward the smaller frame id.  Returns (user, frame) pairs covering
+    all ratings; callers filter to a test split as needed.
     """
-    scores = planted_frame_scores(planted, dataset)
-    likes = set()
-    for u, i in sorted(dataset.ratings):
-        frames = np.array(dataset.frames_of_item[i], dtype=np.int64)
-        order = np.lexsort((frames, -scores[u, frames]))
-        for f in frames[order[: min(k, len(frames))]]:
-            likes.add((u, int(f)))
-    return frozenset(likes)
+    ids, mask, _ = dataset.frame_table
+    users, items = np.array(sorted(dataset.ratings), dtype=np.int64).reshape(-1, 2).T
+    frame_emb = dataset.frame_features @ planted.params.visual_proj.T  # (L, d)
+    frames = ids[items]  # (pairs, m), each row in ascending frame id
+    scores = np.einsum("pd,pmd->pm", planted.params.user_visual[users], frame_emb[frames])
+    keys = np.where(mask[items], -scores, np.inf)
+    top = np.argsort(keys, axis=1, kind="stable")[:, :k]  # ties keep the smaller id first
+    liked = np.take_along_axis(keys, top, axis=1) < np.inf
+    return frozenset(zip(np.broadcast_to(users[:, None], top.shape)[liked].tolist(),
+                         np.take_along_axis(frames, top, axis=1)[liked].tolist()))
 
 
 def generate_synthetic(cfg: SynthConfig):
@@ -205,14 +204,9 @@ def generate_synthetic(cfg: SynthConfig):
         frame_ids=_tokens("f", n_frames),
     )
     scores = planted_item_scores(planted, skeleton)
-    item_ids = np.arange(cfg.num_items, dtype=np.int64)
-    ratings = set()
-    for u in range(cfg.num_users):
-        order = np.lexsort((item_ids, -scores[u]))
-        for i in order[: cfg.ratings_per_user]:
-            ratings.add((u, int(i)))
-
-    dataset = replace(skeleton, ratings=frozenset(ratings))
+    top = np.argsort(-scores, axis=1, kind="stable")[:, : cfg.ratings_per_user]
+    users = np.repeat(np.arange(cfg.num_users), cfg.ratings_per_user)
+    dataset = replace(skeleton, ratings=frozenset(zip(users.tolist(), top.ravel().tolist())))
     check_dataset(dataset)
     likes = planted_frame_likes(planted, dataset, cfg.frame_likes_per_pair)
     return dataset, likes, planted

@@ -18,6 +18,7 @@ coordinate.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -64,13 +65,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.loss_reduction not in ("mean", "sum"):
             raise ConfigError(f"unknown loss_reduction {self.loss_reduction!r}")
-        if min(self.batch_size, self.epochs, self.neg_ratio, self.valid_negatives,
-               self.valid_k) < 1:
-            raise ConfigError(
-                "batch_size, epochs, neg_ratio, valid_negatives, valid_k must be >= 1"
-            )
-        if self.lr <= 0:
-            raise ConfigError("lr must be > 0")
+        if min(self.batch_size, self.epochs, self.neg_ratio, self.patience,
+               self.valid_negatives, self.valid_k) < 1:
+            raise ConfigError("batch_size, epochs, neg_ratio, patience, valid_negatives "
+                              "and valid_k must be >= 1")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
 
 
 def bpr_pair_loss(pos_scores, neg_scores) -> np.ndarray:
@@ -198,17 +198,21 @@ def batch_gradients(
     if fused:
         beta1, beta2 = cache.beta1, cache.beta2
         dcf, dvs = g * beta1, g * beta2
-        gamma = g * (cache.collab - cache.visual) * beta1 * beta2
-        mlp = (params.fusion_hidden, params.fusion_out)
-        acc = (grads["fusion_hidden"], grads["fusion_out"])
-        dz1 = _attention_mlp_backward(*mlp, cache.z1, cache.h1_pre, gamma, *acc)
-        dz2 = _attention_mlp_backward(*mlp, cache.z2, cache.h2_pre, -gamma, *acc)
-    du = dcf[:, None] * params.item_collab[items]
-    di = dcf[:, None] * params.user_collab[users]
-    if fused:
-        du += dz1[:, :cfg.d1]
-        di += dz1[:, cfg.d1:]
+        gamma = g * (cache.collab - cache.visual) * beta1 * beta2  # d(loss)/d(g1) = -d/d(g2)
 
+    def pair_grads(user_rows, item_rows, dscore, hidden_pre, sign):
+        """One channel's per-pair gradients w.r.t. its user and item rows."""
+        du, di = dscore[:, None] * item_rows, dscore[:, None] * user_rows
+        if fused:
+            dq, dk = _attention_mlp_backward(
+                params.fusion_hidden, params.fusion_out, user_rows, item_rows,
+                hidden_pre, sign * gamma, grads["fusion_hidden"], grads["fusion_out"],
+            )
+            du, di = du + dq, di + dk
+        return du, di
+
+    du, di = pair_grads(params.user_collab[users], params.item_collab[items], dcf,
+                        cache.h1_pre, 1.0)
     user_rows, user_of = np.unique(users, return_inverse=True)
     rows, item_of = np.unique(items, return_inverse=True)
     decay = 2.0 * cfg.lambda1  # d(lambda1 * |row|^2)/d(row) = decay * row
@@ -217,11 +221,8 @@ def batch_gradients(
     )
     gi = _row_sums(item_of, di, len(rows)) + decay * params.item_collab[rows]
     if visual:
-        dv = dvs[:, None] * table.x[items]
-        dx = dvs[:, None] * params.user_visual[users]
-        if fused:
-            dv += dz2[:, :cfg.d2]
-            dx += dz2[:, cfg.d2:]
+        dv, dx = pair_grads(params.user_visual[users], table.x[items], dvs,
+                            cache.h2_pre, -1.0)
         grads["user_visual"][user_rows] = (
             _row_sums(user_of, dv, len(user_rows)) + decay * params.user_visual[user_rows]
         )
@@ -252,7 +253,8 @@ def _table_backward(params, cfg, dataset, table, rows, gx, grads):
     gradient w.r.t. the rows' item factors, which act as attention queries
     (0.0 in mean mode).
     """
-    ids, mask, alpha = table.ids[rows], table.mask[rows], table.alpha[rows]
+    ids, mask, _ = dataset.frame_table
+    ids, mask, alpha = ids[rows], mask[rows], table.alpha[rows]
     features = dataset.frame_features[ids[mask]]  # the rows' frames, each once
 
     def frame_product(coef):
@@ -266,15 +268,13 @@ def _table_backward(params, cfg, dataset, table, rows, gx, grads):
     s = np.einsum("nmd,nd->nm", table.frame_emb[ids], gx)
     sbar = (alpha * s).sum(axis=1, keepdims=True)
     tau = alpha * (s - sbar)  # gradient w.r.t. the attention logits
-    z, hidden_pre = table.z[rows], table.hidden_pre[rows]
-    n, m, width = z.shape
-    dz = _attention_mlp_backward(
-        params.attn_hidden, params.attn_out,
-        z.reshape(n * m, width), hidden_pre.reshape(n * m, -1), tau.reshape(-1),
+    dquery, dkey = _attention_mlp_backward(
+        params.attn_hidden, params.attn_out, params.item_collab[rows, None],
+        table.keys[ids], table.hidden_pre[rows], tau,
         grads["attn_hidden"], grads["attn_out"],
-    ).reshape(n, m, width)
-    grads["attn_reduce"] += frame_product(dz[:, :, cfg.d1:])
-    return dz[:, :, : cfg.d1].sum(axis=1)
+    )
+    grads["attn_reduce"] += frame_product(dkey)
+    return dquery[:, 0]
 
 
 # ---------------------------------------------------------------------------

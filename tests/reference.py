@@ -1,4 +1,4 @@
-"""Test oracles: the scalar forward path and the full-catalog backward.
+"""Test oracles: the scalar forward path, the full-catalog backward, dense teacher scores.
 
 The package scores in bulk (``item_visual_table``, ``score_pairs``,
 ``score_frames``).  The scalar functions score one instance at a time,
@@ -10,6 +10,10 @@ backward was restricted to the items a batch touches: ``np.add.at``
 scatters into dense arrays and a table backward over every item and every
 frame.  It shares the forward and the attention-network backward with the
 package, so it checks exactly the touched-row restriction and the scatter.
+
+``planted_frame_scores`` scores every (user, frame) pair under the synthetic
+teacher, the dense matrix the generator no longer builds; it checks the
+teacher's frame likes.
 """
 
 from __future__ import annotations
@@ -156,12 +160,15 @@ def full_catalog_gradients(params, cfg, dataset, batch, reduction="mean", table=
             gamma = g * (cache.collab - cache.visual) * beta1 * beta2
             mlp = (params.fusion_hidden, params.fusion_out)
             acc = (grads["fusion_hidden"], grads["fusion_out"])
-            dz1 = _attention_mlp_backward(*mlp, cache.z1, cache.h1_pre, gamma, *acc)
-            dz2 = _attention_mlp_backward(*mlp, cache.z2, cache.h2_pre, -gamma, *acc)
-            np.add.at(grads["user_collab"], users, dz1[:, :cfg.d1])
-            np.add.at(grads["item_collab"], items, dz1[:, cfg.d1:])
-            np.add.at(grads["user_visual"], users, dz2[:, :cfg.d2])
-            np.add.at(gx, items, dz2[:, cfg.d2:])
+            du, di = _attention_mlp_backward(
+                *mlp, params.user_collab[users], params.item_collab[items],
+                cache.h1_pre, gamma, *acc)
+            dv, dx = _attention_mlp_backward(
+                *mlp, params.user_visual[users], table.x[items], cache.h2_pre, -gamma, *acc)
+            np.add.at(grads["user_collab"], users, du)
+            np.add.at(grads["item_collab"], items, di)
+            np.add.at(grads["user_visual"], users, dv)
+            np.add.at(gx, items, dx)
         np.add.at(grads["user_visual"], users, dvs[:, None] * table.x[items])
         np.add.at(gx, items, dvs[:, None] * params.user_visual[users])
         table_backward_full(params, cfg, dataset, table, gx, grads)
@@ -179,7 +186,8 @@ def full_catalog_gradients(params, cfg, dataset, batch, reduction="mean", table=
 
 def table_backward_full(params, cfg, dataset, table, gx, grads) -> None:
     """Push the (N, d2) item-embedding gradient ``gx`` through every item's frames."""
-    ids, mask, alpha = table.ids, table.mask, table.alpha
+    ids, mask, _ = dataset.frame_table
+    alpha = table.alpha
     frames = ids[mask]
 
     def frame_product(rows):
@@ -194,11 +202,15 @@ def table_backward_full(params, cfg, dataset, table, gx, grads) -> None:
     s = np.einsum("nmd,nd->nm", table.frame_emb[ids], gx)
     sbar = (alpha * s).sum(axis=1, keepdims=True)
     tau = alpha * (s - sbar)
-    n, m, width = table.z.shape
-    dz = _attention_mlp_backward(
-        params.attn_hidden, params.attn_out,
-        table.z.reshape(n * m, width), table.hidden_pre.reshape(n * m, -1), tau.reshape(-1),
-        grads["attn_hidden"], grads["attn_out"],
-    ).reshape(n, m, width)
-    grads["item_collab"] += dz[:, :, : cfg.d1].sum(axis=1)
-    grads["attn_reduce"] += frame_product(dz[:, :, cfg.d1:])
+    dquery, dkey = _attention_mlp_backward(
+        params.attn_hidden, params.attn_out, params.item_collab[:, None],
+        table.keys[ids], table.hidden_pre, tau, grads["attn_hidden"], grads["attn_out"],
+    )
+    grads["item_collab"] += dquery[:, 0]
+    grads["attn_reduce"] += frame_product(dkey)
+
+
+def planted_frame_scores(planted, dataset) -> np.ndarray:
+    """Teacher visual-only scores for every (user, frame) pair, shape (M, L)."""
+    frame_emb = dataset.frame_features @ planted.params.visual_proj.T
+    return planted.params.user_visual @ frame_emb.T

@@ -83,7 +83,7 @@ def test_criterion_2_attention_normalisation():
         params = init_params(cfg, ds)
         table = item_visual_table(params, cfg, ds)
         item = int(rng.integers(ds.num_items))
-        weights = table.alpha[item][table.mask[item]]
+        weights = table.alpha[item][ds.frame_table[1][item]]
         assert (weights >= 0.0).all()
         worst_sum = max(worst_sum, abs(float(weights.sum()) - 1.0))
 

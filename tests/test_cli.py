@@ -161,6 +161,14 @@ class TestBadCounts:
         assert code == 1
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
+    def test_nan_learning_rate(self, pipeline_dirs, capsys):
+        code, _, err = call(capsys, "train", "--data", str(pipeline_dirs / "split"),
+                            "--out", str(pipeline_dirs / "run0"), *SMALL_MODEL,
+                            *SMALL_TRAIN, "--lr", "nan")
+        assert code == 1
+        assert err.startswith("error: lr must be finite")
+        assert len(err.strip().splitlines()) == 1
+
     def test_split_fractions_over_one(self, pipeline_dirs, capsys):
         code, _, err = call(capsys, "split", "--data", str(pipeline_dirs / "data"),
                             "--out", str(pipeline_dirs / "split2"),

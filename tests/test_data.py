@@ -82,6 +82,12 @@ class TestParsing:
             load_toy(tmp_path, features=feats)
         assert "features.tsv:4" in str(exc.value)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_names_line(self, tmp_path, value):
+        feats = TOY_FEATURES.replace("2.0 0.0", f"2.0 {value}")
+        with pytest.raises(ParseError, match="features.tsv:4: feature values must be finite"):
+            load_toy(tmp_path, features=feats)
+
     def test_inconsistent_feature_dim(self, tmp_path):
         feats = TOY_FEATURES.replace("fy1\t1.0 1.0", "fy1\t1.0 1.0 9.0")
         with pytest.raises(IntegrityError):

@@ -31,6 +31,7 @@ import reference
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
+MODES = [(v, f) for v in ("off", "avg", "att") for f in ("sum", "att")]
 
 
 def toy_params(dataset, **overrides) -> ModelParams:
@@ -70,7 +71,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("field,value", [
         ("init_scale", -0.1), ("attn_hidden_visual", 0), ("attn_hidden_rating", 0),
-        ("reduced_visual_dim", 0),
+        ("reduced_visual_dim", 0), ("lambda1", float("nan")), ("init_scale", float("inf")),
     ])
     def test_rejects_out_of_range_sizes(self, field, value):
         with pytest.raises(ConfigError):
@@ -160,12 +161,12 @@ class TestVisualEmbedding:
             )
             table = item_visual_table(params, cfg, ds)
             for item in range(ds.num_items):
-                w = table.alpha[item][table.mask[item]]
+                w = table.alpha[item][ds.frame_table[1][item]]
                 assert abs(w.sum() - 1.0) < 1e-12 and (w >= 0).all()
-            assert (table.alpha[~table.mask] == 0.0).all()
+            assert (table.alpha[~ds.frame_table[1]] == 0.0).all()
             # adding a constant to every logit leaves the weights unchanged
             item = int(rng.integers(ds.num_items))
-            base = table.alpha[item][table.mask[item]]
+            base = table.alpha[item][ds.frame_table[1][item]]
             shifted_logits = reference.frame_attention_logits(item, params, cfg, ds) + 7.5
             e = np.exp(shifted_logits - shifted_logits.max())
             np.testing.assert_allclose(base, e / e.sum(), atol=1e-9, rtol=0)
@@ -182,7 +183,7 @@ class TestVisualEmbedding:
                 np.testing.assert_allclose(table.x[item], ref, rtol=1e-12, atol=1e-14)
                 if visual == "att":
                     np.testing.assert_allclose(
-                        table.alpha[item][table.mask[item]],
+                        table.alpha[item][ds.frame_table[1][item]],
                         reference.frame_attention_weights(item, params, cfg, ds),
                         rtol=1e-12, atol=1e-14,
                     )
@@ -203,6 +204,9 @@ class TestVisualEmbedding:
             reference.predict_item_score(0, 1, params, toy_config(fusion_mode="sum"), bare)
         with pytest.raises(MissingFramesError):
             score_pairs([0], [1], params, toy_config(fusion_mode="sum"), bare)
+        with pytest.raises(MissingFramesError, match="item 1 has"):
+            score_pairs([[0], [0]], [[0, 0], [0, 1]], params, toy_config(fusion_mode="sum"),
+                        bare)
 
 
 class TestScoring:
@@ -276,21 +280,21 @@ class TestScoring:
         assert scores[1] == 2.0
 
     def test_vectorised_scores_match_scalar_path(self):
-        for visual, fusion in (("off", "sum"), ("avg", "sum"), ("avg", "att"),
-                               ("att", "sum"), ("att", "att")):
+        for visual, fusion in MODES:
             params, cfg, ds, _ = gradcheck_instance(
                 seed=17, visual_mode=visual, fusion_mode=fusion
             )
             users, items = np.meshgrid(
                 np.arange(ds.num_users), np.arange(ds.num_items), indexing="ij"
             )
-            flat_u, flat_i = users.ravel(), items.ravel()
-            bulk = score_pairs(flat_u, flat_i, params, cfg, ds)
             scalar = np.array([
                 reference.predict_item_score(int(u), int(i), params, cfg, ds)
-                for u, i in zip(flat_u, flat_i)
-            ])
-            np.testing.assert_allclose(bulk, scalar, rtol=1e-12, atol=1e-13)
+                for u, i in zip(users.ravel(), items.ravel())
+            ]).reshape(users.shape)
+            # flat pairs, and a (users, 1) column broadcast against a (1, items) row
+            for u, i in ((users.ravel(), items.ravel()), (users[:, :1], items[:1, :])):
+                bulk = score_pairs(u, i, params, cfg, ds).reshape(users.shape)
+                np.testing.assert_allclose(bulk, scalar, rtol=1e-12, atol=1e-13)
 
     def test_bulk_frame_scores_match_scalar(self):
         params, cfg, ds, _ = gradcheck_instance(seed=19)
@@ -325,6 +329,10 @@ class TestScoring:
         other = "item" if task == "pairs" else "frame"
         with pytest.raises(IntegrityError, match=f"{kind} id {bad} "):
             score(ids["user"], ids[other], params, cfg, ds)
+        if task == "pairs":  # a (2, 1) user column against a (1, 2) item row
+            with pytest.raises(IntegrityError, match=f"{kind} id {bad} "):
+                score(np.array(ids["user"])[:, None], np.array(ids["item"])[None, :],
+                      params, cfg, ds)
 
     def test_out_of_range_ids(self, toy_dataset):
         params = toy_params(toy_dataset, visual_proj=np.eye(2))

@@ -1,5 +1,8 @@
 """Synthetic generator: determinism, sizes, and planted-model consistency."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,12 +12,21 @@ from framerec.errors import ConfigError
 from framerec.synth import (
     SynthConfig,
     generate_synthetic,
-    planted_frame_scores,
+    planted_frame_likes,
     planted_item_scores,
 )
 
+from reference import planted_frame_scores
+
 SMALL = dict(num_users=12, num_items=20, frames_per_item=4, feature_dim=6,
              latent_dim=4, ratings_per_user=5, frame_likes_per_pair=2, seed=11)
+
+# sha256 of repr((sorted ratings, sorted likes)): a generator change that
+# moves a single rating or like fails here
+PINNED = {
+    "default": "cc60abb01e08b53aba1fe8591726593c9dce01a5c74bfdd8405a549273a7e959",
+    "small": "d24f4a244d0f186b04818fb28945f5963d608cda5993479b645c0eb2a7fd4738",
+}
 
 
 class TestGeneration:
@@ -76,6 +88,25 @@ class TestGeneration:
             if others:
                 assert worst_liked >= max(fscores[u, sorted(others)])
 
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_data_is_pinned(self, name):
+        ds, likes, _ = generate_synthetic(SynthConfig(**(SMALL if name == "small" else {})))
+        text = repr((sorted(ds.ratings), sorted(likes)))
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED[name]
+
+    def test_frame_likes_score_only_the_rated_pairs_frames(self):
+        cfg = SynthConfig(num_users=400, num_items=1000, frames_per_item=20, feature_dim=16)
+        ds, likes, planted = generate_synthetic(cfg)
+        dense_bytes = ds.num_users * ds.num_frames * 8  # a (users, frames) float64 matrix
+        tracemalloc.start()
+        try:
+            again = planted_frame_likes(planted, ds, cfg.frame_likes_per_pair)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert again == likes
+        assert peak < dense_bytes / 2, (peak, dense_bytes)
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             SynthConfig(**{**SMALL, "ratings_per_user": 21})
@@ -85,6 +116,10 @@ class TestGeneration:
             SynthConfig(**{**SMALL, "num_users": 0})
         with pytest.raises(ConfigError):
             SynthConfig(**{**SMALL, "salient_frac": 1.5})
+        with pytest.raises(ConfigError):
+            SynthConfig(**{**SMALL, "salient_shift": float("nan")})
+        with pytest.raises(ConfigError):
+            SynthConfig(**{**SMALL, "attention_gain": float("inf")})
 
     def test_salient_minority_shifts_features(self):
         cfg = SynthConfig(**{**SMALL, "salient_shift": 50.0})

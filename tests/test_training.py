@@ -415,5 +415,7 @@ class TestFit:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             TrainConfig(loss_reduction="median")
-        with pytest.raises(ConfigError):
-            TrainConfig(lr=0.0)
+        for bad in ({"lr": 0.0}, {"lr": float("nan")}, {"lr": float("inf")},
+                    {"patience": 0}, {"patience": -3}):
+            with pytest.raises(ConfigError):
+                TrainConfig(**bad)
