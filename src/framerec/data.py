@@ -193,7 +193,7 @@ def _parse_pair_file(path) -> list:
         parts = line.split("\t")
         if len(parts) != 2 or not parts[0] or not parts[1]:
             raise ParseError(path, line_no, f"expected two tab-separated ids, got {line!r}")
-        if any(ch.isspace() for tok in parts for ch in tok):
+        if line.split() != parts:  # str.split breaks at exactly the str.isspace characters
             raise ParseError(path, line_no, "ids must not contain whitespace")
         out.append((line_no, parts[0], parts[1]))
     return out

@@ -147,17 +147,23 @@ class VisualTable:
     """Per-item visual embeddings plus the intermediates backprop needs.
 
     ``x`` is (N, d2) and ``alpha`` (N, m) the weights that pool each item's
-    projected frames (``dataset.frame_table`` order), zero at padding:
-    1 / count in mean mode, the attention softmax in attention mode.  In
-    attention mode ``keys`` holds the (L, d0) reduced frame keys and
-    ``hidden_pre`` the (N, m, h) pre-activation of the attention network.
+    frames (``dataset.frame_table`` order), zero at padding: 1 / count in
+    mean mode, the attention softmax in attention mode.  ``pooled`` is the
+    (N, F) alpha-weighted sum of the raw frame features, so ``x`` is
+    ``pooled @ visual_proj.T`` (in mean mode up to rounding: there ``x`` is
+    the exact mean of the projected frames).  In attention mode
+    ``hidden_pre`` is the (N, m, h) pre-activation of the attention network.
     """
 
     x: np.ndarray
-    frame_emb: np.ndarray
     alpha: np.ndarray
-    keys: np.ndarray = None
+    pooled: np.ndarray
     hidden_pre: np.ndarray = None
+
+
+def _linear(a, weight):
+    """``a @ weight.T`` over the last axis, as one 2-D product at any rank of ``a``."""
+    return (a.reshape(-1, a.shape[-1]) @ weight.T).reshape(*a.shape[:-1], weight.shape[0])
 
 
 def _attention_mlp(query, key, hidden, out):
@@ -167,7 +173,7 @@ def _attention_mlp(query, key, hidden, out):
     broadcast against each other.  Serves the frame attention and the fusion.
     """
     k = query.shape[-1]
-    hidden_pre = query @ hidden[:, :k].T + key @ hidden[:, k:].T
+    hidden_pre = _linear(query, hidden[:, :k]) + _linear(key, hidden[:, k:])
     return hidden_pre, np.maximum(hidden_pre, 0.0) @ out
 
 
@@ -187,30 +193,50 @@ def _attention_mlp_backward(hidden, out, query, key, hidden_pre, dlogits, ghidde
         axes = tuple(a for a, n in enumerate(half.shape[:-1]) if n < dh.shape[a])
         dh_half = dh.sum(axis=axes, keepdims=True) if axes else dh
         ghidden[:, cols] += dh_half.reshape(-1, h).T @ half.reshape(-1, half.shape[-1])
-        halves.append(dh_half @ hidden[:, cols])
+        halves.append(_linear(dh_half, hidden[:, cols].T))
     return tuple(halves)
+
+
+def _frame_attention_hidden(params: ModelParams, cfg: ModelConfig) -> np.ndarray:
+    """The frame attention's first layer on [item factor, raw frame features].
+
+    Keys are ``features @ attn_reduce.T``, so the key half of ``attn_hidden``
+    folds into ``attn_hidden[:, d1:] @ attn_reduce``, an (h, F) weight.
+    """
+    return np.concatenate(
+        [params.attn_hidden[:, :cfg.d1], params.attn_hidden[:, cfg.d1:] @ params.attn_reduce],
+        axis=1,
+    )
+
+
+def _pool(alpha, feats):
+    """(N, F) sums of each item's (N, m, F) frame features weighted by (N, m) ``alpha``."""
+    return (alpha[:, None, :] @ feats)[:, 0]
 
 
 def item_visual_table(params: ModelParams, cfg: ModelConfig, dataset: Dataset):
     """Compute visual embeddings for every item at once.
 
     Returns None when the visual pathway is off.  Items without frames get a
-    zero row; scoring such an item raises at the call site.
+    zero row; scoring such an item raises at the call site.  The frames are
+    pooled before they are projected, so attention mode multiplies each
+    frame's features by one weight only, the folded attention layer.
     """
     if cfg.visual_mode == VISUAL_OFF:
         return None
     ids, mask, counts = dataset.frame_table
-    frame_emb = dataset.frame_features @ params.visual_proj.T  # (L, d2)
-    gathered = frame_emb[ids] * mask[:, :, None]  # (N, m, d2)
+    feats = dataset.frame_features[ids]  # (N, m, F), padding holds a real frame
     if cfg.visual_mode == VISUAL_AVG:
-        safe = np.maximum(counts, 1).astype(frame_emb.dtype)
-        # the exact sum / count, not the alpha-weighted sum, which rounds apart
-        x = gathered.sum(axis=1) / safe[:, None]
-        return VisualTable(x=x, frame_emb=frame_emb, alpha=mask / safe[:, None])
+        safe = np.maximum(counts, 1).astype(feats.dtype)
+        alpha = mask / safe[:, None]
+        frame_emb = dataset.frame_features @ params.visual_proj.T  # (L, d2)
+        # the exact sum / count, not the pooled projection, which rounds apart
+        x = (frame_emb[ids] * mask[:, :, None]).sum(axis=1) / safe[:, None]
+        return VisualTable(x=x, alpha=alpha, pooled=_pool(alpha, feats))
 
-    keys = dataset.frame_features @ params.attn_reduce.T  # (L, d0)
     hidden_pre, logits = _attention_mlp(  # (N, m, h), (N, m)
-        params.item_collab[:, None, :], keys[ids], params.attn_hidden, params.attn_out
+        params.item_collab[:, None, :], feats,
+        _frame_attention_hidden(params, cfg), params.attn_out,
     )
     neg_inf = np.finfo(logits.dtype).min
     shifted = np.where(mask, logits, neg_inf)
@@ -218,8 +244,8 @@ def item_visual_table(params: ModelParams, cfg: ModelConfig, dataset: Dataset):
     expd = np.where(mask, np.exp(shifted), 0.0)
     denom = expd.sum(axis=1, keepdims=True)
     alpha = np.divide(expd, denom, out=np.zeros_like(expd), where=denom > 0)
-    x = (alpha[:, :, None] * gathered).sum(axis=1)
-    return VisualTable(x=x, frame_emb=frame_emb, alpha=alpha, keys=keys,
+    pooled = _pool(alpha, feats)
+    return VisualTable(x=pooled @ params.visual_proj.T, alpha=alpha, pooled=pooled,
                        hidden_pre=hidden_pre)
 
 

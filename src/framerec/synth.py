@@ -125,23 +125,25 @@ def _teacher_config(cfg: SynthConfig) -> ModelConfig:
     )
 
 
-def planted_item_scores(planted: PlantedModel, dataset: Dataset) -> np.ndarray:
-    """Teacher scores for every (user, item) pair, shape (M, N).
+def planted_top_items(planted: PlantedModel, dataset: Dataset, k: int) -> np.ndarray:
+    """Each user's k top teacher-scored items, shape (M, k), best first.
 
-    Scores ``CANDIDATE_BLOCK // N`` users (at least one) at a time, which
-    bounds the per-pair intermediates and does not change the scores.
+    Ties break toward the smaller item id.  Scores ``CANDIDATE_BLOCK // N``
+    users (at least one) at a time and keeps only each block's top k, so the
+    (M, N) score matrix is never held; the block size changes no result.
     """
     m, n = dataset.num_users, dataset.num_items
     table = item_visual_table(planted.params, planted.cfg, dataset)
     rows = max(1, CANDIDATE_BLOCK // n)
     items = np.arange(n, dtype=np.int64)
-    scores = np.empty((m, n))
+    top = np.empty((m, k), dtype=np.int64)
     for lo in range(0, m, rows):
         users = np.arange(lo, min(lo + rows, m), dtype=np.int64)
-        scores[lo: lo + rows] = score_pairs(
+        scores = score_pairs(
             users[:, None], items[None, :], planted.params, planted.cfg, dataset, table=table,
         )
-    return scores
+        top[lo: lo + rows] = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+    return top
 
 
 def planted_frame_likes(planted: PlantedModel, dataset: Dataset, k: int) -> frozenset:
@@ -203,8 +205,7 @@ def generate_synthetic(cfg: SynthConfig):
         item_ids=_tokens("i", cfg.num_items),
         frame_ids=_tokens("f", n_frames),
     )
-    scores = planted_item_scores(planted, skeleton)
-    top = np.argsort(-scores, axis=1, kind="stable")[:, : cfg.ratings_per_user]
+    top = planted_top_items(planted, skeleton, cfg.ratings_per_user)
     users = np.repeat(np.arange(cfg.num_users), cfg.ratings_per_user)
     dataset = replace(skeleton, ratings=frozenset(zip(users.tolist(), top.ravel().tolist())))
     check_dataset(dataset)

@@ -35,6 +35,7 @@ from .model import (
     ModelConfig,
     ModelParams,
     _attention_mlp_backward,
+    _frame_attention_hidden,
     active_param_names,
     init_params,
     item_visual_table,
@@ -246,34 +247,34 @@ def _table_backward(params, cfg, dataset, table, rows, gx, grads):
     """Push gradients w.r.t. the visual embeddings of items ``rows`` into the tensors.
 
     gx is (len(rows), d2); every other item's gradient is zero, so only the
-    frames of ``rows`` take part.  Both modes pool projected frames with the
-    weights ``table.alpha``, so the projection's gradient is one product of
-    per-frame coefficients and frame features.  Attention additionally feeds
-    its weight network and the key reduction.  Returns the (len(rows), d1)
-    gradient w.r.t. the rows' item factors, which act as attention queries
-    (0.0 in mean mode).
+    frames of ``rows`` take part.  ``x`` is the projection of the pooled
+    features, so the projection's gradient is ``gx.T @ pooled[rows]``.
+    Attention additionally feeds its weight network, whose key half acts on
+    raw features through the folded weight ``attn_hidden[:, d1:] @
+    attn_reduce``; that weight's gradient is chained into both factors.
+    Returns the (len(rows), d1) gradient w.r.t. the rows' item factors,
+    which act as attention queries (0.0 in mean mode).
     """
-    ids, mask, _ = dataset.frame_table
-    ids, mask, alpha = ids[rows], mask[rows], table.alpha[rows]
-    features = dataset.frame_features[ids[mask]]  # the rows' frames, each once
-
-    def frame_product(coef):
-        """Sum over the rows' frames of (R, m, k) ``coef`` times each frame's features."""
-        return coef[mask].T @ features
-
-    grads["visual_proj"] += frame_product(alpha[:, :, None] * gx[:, None, :])
+    grads["visual_proj"] += gx.T @ table.pooled[rows]
     if cfg.visual_mode == VISUAL_AVG:
         return 0.0
 
-    s = np.einsum("nmd,nd->nm", table.frame_emb[ids], gx)
+    alpha = table.alpha[rows]
+    feats = dataset.frame_features[dataset.frame_table[0][rows]]  # (R, m, F)
+    s = (feats @ (gx @ params.visual_proj)[:, :, None])[:, :, 0]  # d(loss)/d(alpha)
     sbar = (alpha * s).sum(axis=1, keepdims=True)
     tau = alpha * (s - sbar)  # gradient w.r.t. the attention logits
-    dquery, dkey = _attention_mlp_backward(
-        params.attn_hidden, params.attn_out, params.item_collab[rows, None],
-        table.keys[ids], table.hidden_pre[rows], tau,
-        grads["attn_hidden"], grads["attn_out"],
+    k = cfg.d1
+    hidden = _frame_attention_hidden(params, cfg)
+    ghidden = np.zeros_like(hidden)
+    dquery, _ = _attention_mlp_backward(
+        hidden, params.attn_out, params.item_collab[rows, None], feats,
+        table.hidden_pre[rows], tau, ghidden, grads["attn_out"],
     )
-    grads["attn_reduce"] += frame_product(dkey)
+    dfold = ghidden[:, k:]  # (h, F)
+    grads["attn_hidden"][:, :k] += ghidden[:, :k]
+    grads["attn_hidden"][:, k:] += dfold @ params.attn_reduce.T
+    grads["attn_reduce"] += params.attn_hidden[:, k:].T @ dfold
     return dquery[:, 0]
 
 

@@ -1,4 +1,4 @@
-"""Test oracles: the scalar forward path, the full-catalog backward, dense teacher scores.
+"""Test oracles: scalar forward path, projected table, full-catalog backward, dense teacher.
 
 The package scores in bulk (``item_visual_table``, ``score_pairs``,
 ``score_frames``).  The scalar functions score one instance at a time,
@@ -11,9 +11,14 @@ scatters into dense arrays and a table backward over every item and every
 frame.  It shares the forward and the attention-network backward with the
 package, so it checks exactly the touched-row restriction and the scatter.
 
-``planted_frame_scores`` scores every (user, frame) pair under the synthetic
-teacher, the dense matrix the generator no longer builds; it checks the
-teacher's frame likes.
+``visual_table_projected`` is the visual table as it was computed before
+pooling moved ahead of the projection: every frame projected, and the
+attention keys reduced, one frame at a time.
+
+``planted_item_scores`` and ``planted_frame_scores`` score every (user,
+item) and every (user, frame) pair under the synthetic teacher, the dense
+matrices the generator no longer builds; they check the teacher's ratings
+and frame likes.
 """
 
 from __future__ import annotations
@@ -185,7 +190,11 @@ def full_catalog_gradients(params, cfg, dataset, batch, reduction="mean", table=
 
 
 def table_backward_full(params, cfg, dataset, table, gx, grads) -> None:
-    """Push the (N, d2) item-embedding gradient ``gx`` through every item's frames."""
+    """Push the (N, d2) item-embedding gradient ``gx`` through every item's frames.
+
+    Works on the projected frames and reduced keys, which it computes from
+    ``params``; the table supplies ``alpha`` and ``hidden_pre`` only.
+    """
     ids, mask, _ = dataset.frame_table
     alpha = table.alpha
     frames = ids[mask]
@@ -199,15 +208,48 @@ def table_backward_full(params, cfg, dataset, table, gx, grads) -> None:
     grads["visual_proj"] += frame_product(alpha[:, :, None] * gx[:, None, :])
     if cfg.visual_mode == "avg":
         return
-    s = np.einsum("nmd,nd->nm", table.frame_emb[ids], gx)
+    frame_emb = dataset.frame_features @ params.visual_proj.T
+    keys = dataset.frame_features @ params.attn_reduce.T
+    s = np.einsum("nmd,nd->nm", frame_emb[ids], gx)
     sbar = (alpha * s).sum(axis=1, keepdims=True)
     tau = alpha * (s - sbar)
     dquery, dkey = _attention_mlp_backward(
         params.attn_hidden, params.attn_out, params.item_collab[:, None],
-        table.keys[ids], table.hidden_pre, tau, grads["attn_hidden"], grads["attn_out"],
+        keys[ids], table.hidden_pre, tau, grads["attn_hidden"], grads["attn_out"],
     )
     grads["item_collab"] += dquery[:, 0]
     grads["attn_reduce"] += frame_product(dkey)
+
+
+def visual_table_projected(params, cfg, dataset):
+    """(x, alpha, hidden_pre) with every frame projected before pooling.
+
+    The table as it was computed before pooling moved ahead of the
+    projection: each frame's features times ``visual_proj`` and, for the
+    attention keys, times ``attn_reduce``; the keys then meet the key half
+    of ``attn_hidden`` unfolded.  ``hidden_pre`` is None in mean mode.
+    """
+    ids, mask, counts = dataset.frame_table
+    frame_emb = dataset.frame_features @ params.visual_proj.T
+    gathered = frame_emb[ids] * mask[:, :, None]
+    safe = np.maximum(counts, 1).astype(float)
+    if cfg.visual_mode == "avg":
+        return gathered.sum(axis=1) / safe[:, None], mask / safe[:, None], None
+    keys = dataset.frame_features @ params.attn_reduce.T
+    hidden_pre = (params.item_collab @ params.attn_hidden[:, :cfg.d1].T)[:, None, :] \
+        + keys[ids] @ params.attn_hidden[:, cfg.d1:].T
+    logits = np.maximum(hidden_pre, 0.0) @ params.attn_out
+    shifted = np.where(mask, logits, -np.inf)
+    expd = np.exp(shifted - shifted.max(axis=1, keepdims=True))
+    alpha = expd / expd.sum(axis=1, keepdims=True)
+    return (alpha[:, :, None] * gathered).sum(axis=1), alpha, hidden_pre
+
+
+def planted_item_scores(planted, dataset) -> np.ndarray:
+    """Teacher scores for every (user, item) pair, shape (M, N), in one block."""
+    users = np.arange(dataset.num_users)[:, None]
+    items = np.arange(dataset.num_items)[None, :]
+    return score_pairs(users, items, planted.params, planted.cfg, dataset)
 
 
 def planted_frame_scores(planted, dataset) -> np.ndarray:

@@ -32,15 +32,20 @@ def package_imports(tree) -> dict:
     return found
 
 
+def callee(node):
+    """(function, positional args) of a call, looking through ``rec.call(label, f, ...)``."""
+    func, args = node.func, node.args
+    if isinstance(func, ast.Attribute) and func.attr == "call" and len(args) >= 2:
+        return args[1], args[2:]
+    return func, args
+
+
 def package_calls(tree, imported):
     """(line, callee, positional count or None, keyword names) per package call."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
-        func, args = node.func, node.args
-        is_rec_call = isinstance(func, ast.Attribute) and func.attr == "call" and len(args) >= 2
-        if is_rec_call:
-            func, args = args[1], args[2:]
+        func, args = callee(node)
         if isinstance(func, ast.Name) and func.id in imported:
             starred = any(isinstance(a, ast.Starred) for a in args)
             keywords = [k.arg for k in node.keywords if k.arg is not None]
@@ -71,6 +76,21 @@ def test_calls_bind_to_current_signatures(tree):
             pytest.fail(f"workloads.py:{line}: {name}{signature} rejects the call: {exc}")
 
 
-def test_attributes_read_by_the_benchmark_exist():
-    assert "x" in {f.name for f in fields(VisualTable)}
+def visual_table_reads(tree) -> set:
+    """Attributes read from every name bound to an ``item_visual_table`` result."""
+    tables = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+            func, _ = callee(node.value)
+            if isinstance(func, ast.Name) and func.id == "item_visual_table":
+                tables.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id in tables}
+
+
+def test_attributes_read_by_the_benchmark_exist(tree):
+    reads = visual_table_reads(tree)
+    assert "x" in reads
+    missing = reads - {f.name for f in fields(VisualTable)}
+    assert not missing, f"workloads.py reads VisualTable attributes {sorted(missing)}"
     assert "loss_reduction" in {f.name for f in fields(TrainConfig)}

@@ -76,6 +76,14 @@ class TestParsing:
         with pytest.raises(ParseError):
             load_toy(tmp_path, ratings="a b\tx\n")
 
+    @pytest.mark.parametrize("space", [" ", "\u00a0", "\u2003", "\x1c", "\x0b"],
+                             ids=["space", "nbsp", "em-space", "file-separator", "vtab"])
+    def test_every_str_whitespace_in_an_id_is_rejected(self, tmp_path, space):
+        with pytest.raises(ParseError, match="ratings.tsv:2: ids must not contain whitespace"):
+            load_toy(tmp_path, ratings=f"a\tx\na{space}b\tx\n")
+        with pytest.raises(ParseError, match="frames.tsv:1: ids must not contain whitespace"):
+            load_toy(tmp_path, frames=f"fx1\tx{space}\n" + TOY_FRAMES)
+
     def test_bad_feature_float(self, tmp_path):
         feats = TOY_FEATURES.replace("2.0 0.0", "2.0 oops")
         with pytest.raises(ParseError) as exc:

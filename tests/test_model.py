@@ -25,6 +25,7 @@ from framerec.model import (
     score_frames,
     score_pairs,
 )
+from framerec.synth import SynthConfig, generate_synthetic
 from framerec.training import gradcheck_instance
 
 import reference
@@ -187,6 +188,27 @@ class TestVisualEmbedding:
                         reference.frame_attention_weights(item, params, cfg, ds),
                         rtol=1e-12, atol=1e-14,
                     )
+
+    @pytest.mark.parametrize("visual", ["avg", "att"])
+    def test_pooled_table_matches_the_projected_table(self, visual):
+        instances = [gradcheck_instance(seed=seed, visual_mode=visual, fusion_mode="sum")[:3]
+                     for seed in range(5)]
+        ds, _, _ = generate_synthetic(SynthConfig(seed=3))  # S: 200 x 300 x 5, F=16
+        cfg = ModelConfig(d1=8, d2=8, attn_hidden_visual=8, attn_hidden_rating=8,
+                          reduced_visual_dim=8, visual_mode=visual, fusion_mode="sum", seed=2)
+        instances.append((init_params(cfg, ds), cfg, ds))
+        for params, cfg, ds in instances:
+            table = item_visual_table(params, cfg, ds)
+            x, alpha, hidden_pre = reference.visual_table_projected(params, cfg, ds)
+            got = {"x": table.x, "alpha": table.alpha, "hidden_pre": table.hidden_pre}
+            for name, want in (("x", x), ("alpha", alpha), ("hidden_pre", hidden_pre)):
+                if want is None:
+                    assert got[name] is None
+                    continue
+                err = np.abs(got[name] - want).max()
+                assert err <= 1e-12 * np.abs(want).max(), (name, err)
+            if visual == "avg":  # the mean stays the exact mean of the projected frames
+                np.testing.assert_array_equal(table.x, x)
 
     def test_missing_frames_raise(self, toy_dataset):
         # an unrated item with no frames is structurally legal but unscorable

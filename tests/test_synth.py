@@ -13,10 +13,9 @@ from framerec.synth import (
     SynthConfig,
     generate_synthetic,
     planted_frame_likes,
-    planted_item_scores,
 )
 
-from reference import planted_frame_scores
+from reference import planted_frame_scores, planted_item_scores
 
 SMALL = dict(num_users=12, num_items=20, frames_per_item=4, feature_dim=6,
              latent_dim=4, ratings_per_user=5, frame_likes_per_pair=2, seed=11)
@@ -105,6 +104,19 @@ class TestGeneration:
         finally:
             tracemalloc.stop()
         assert again == likes
+        assert peak < dense_bytes / 2, (peak, dense_bytes)
+
+    def test_ratings_never_hold_the_dense_score_matrix(self):
+        cfg = SynthConfig(num_users=4000, num_items=1500, frames_per_item=1, feature_dim=2,
+                          latent_dim=2, ratings_per_user=5)
+        dense_bytes = cfg.num_users * cfg.num_items * 8  # a (users, items) float64 matrix
+        tracemalloc.start()
+        try:
+            ds, _, _ = generate_synthetic(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ds.ratings) == cfg.num_users * cfg.ratings_per_user
         assert peak < dense_bytes / 2, (peak, dense_bytes)
 
     def test_config_validation(self):
