@@ -43,14 +43,11 @@ class Dataset:
 
     Ids are dense: users in ``0..num_users-1``, items in ``0..num_items-1``,
     frames in ``0..num_frames-1``.  ``frame_parent`` names each frame's item.
-    ``user_ids`` (and friends) map each dense id back to its original token.
-    Instances are safe to share read-only across threads.
+    ``user_ids`` (and friends) map each dense id back to its original token,
+    and their lengths are the sizes.  Instances are safe to share read-only
+    across threads.
     """
 
-    num_users: int
-    num_items: int
-    num_frames: int
-    feature_dim: int
     ratings: frozenset
     frame_parent: np.ndarray
     frame_features: np.ndarray
@@ -68,6 +65,22 @@ class Dataset:
                                  for f in fields(self))
         )
 
+    @property
+    def num_users(self) -> int:
+        return len(self.user_ids)
+
+    @property
+    def num_items(self) -> int:
+        return len(self.item_ids)
+
+    @property
+    def num_frames(self) -> int:
+        return len(self.frame_ids)
+
+    @property
+    def feature_dim(self) -> int:
+        return self.frame_features.shape[1]
+
     @cached_property
     def items_of_user(self) -> tuple:
         """Per-user sorted arrays of rated item ids."""
@@ -77,28 +90,20 @@ class Dataset:
         return tuple(np.array(lst, dtype=np.int64) for lst in per_user)
 
     @cached_property
-    def frames_of_item(self) -> tuple:
-        """Per-item tuples of frame ids in ascending order."""
-        order = np.argsort(self.frame_parent, kind="stable")
-        bounds = np.searchsorted(self.frame_parent[order], np.arange(self.num_items + 1))
-        return tuple(tuple(order[lo:hi].tolist()) for lo, hi in zip(bounds[:-1], bounds[1:]))
-
-    @cached_property
     def frame_table(self):
         """Padded per-item frame index arrays for vectorised scoring.
 
         Returns (ids, mask, counts) where ids is (N, max_frames) int64 with
-        zero padding, mask is the matching bool validity array, and counts
-        holds each item's frame count.
+        each item's frames in ascending order and zero padding, mask is the
+        matching bool validity array, and counts holds each item's frame count.
         """
-        counts = np.array([len(f) for f in self.frames_of_item], dtype=np.int64)
-        max_m = int(counts.max()) if self.num_items else 0
-        ids = np.zeros((self.num_items, max(max_m, 1)), dtype=np.int64)
-        mask = np.zeros_like(ids, dtype=bool)
-        for i, frames in enumerate(self.frames_of_item):
-            ids[i, : len(frames)] = frames
-            mask[i, : len(frames)] = True
-        return ids, mask, counts
+        counts = np.bincount(self.frame_parent, minlength=self.num_items)
+        order = np.argsort(self.frame_parent, kind="stable")
+        ids = np.zeros((self.num_items, max(int(counts.max(initial=0)), 1)), dtype=np.int64)
+        # each frame's position among its item's frames: rank minus the item's first rank
+        slot = np.arange(len(order)) - np.repeat(np.cumsum(counts) - counts, counts)
+        ids[self.frame_parent[order], slot] = order
+        return ids, np.arange(ids.shape[1]) < counts[:, None], counts
 
     def describe(self) -> str:
         return (
@@ -133,22 +138,25 @@ class SplitDataset:
 def check_dataset(d: Dataset) -> None:
     """Raise IntegrityError if any structural invariant is violated.
 
-    Checked: id ranges, feature matrix shape, and that every rated item has
-    at least one frame.
+    Checked: one feature row and one parent per frame id, id ranges, and
+    that every rated item has at least one frame.
     """
-    if d.frame_features.shape != (d.num_frames, d.feature_dim):
+    if d.frame_features.ndim != 2 or len(d.frame_features) != d.num_frames:
         raise IntegrityError(
             f"feature matrix shape {d.frame_features.shape} does not match "
-            f"({d.num_frames}, {d.feature_dim})"
+            f"{d.num_frames} frame ids"
         )
     if d.frame_parent.shape != (d.num_frames,):
-        raise IntegrityError("frame_parent length does not match num_frames")
+        raise IntegrityError(
+            f"frame_parent shape {d.frame_parent.shape} does not match {d.num_frames} frame ids"
+        )
     if d.num_frames and (d.frame_parent.min() < 0 or d.frame_parent.max() >= d.num_items):
         raise IntegrityError("frame_parent references an out-of-range item")
+    num_users, num_items, counts = d.num_users, d.num_items, d.frame_table[2].tolist()
     for u, i in d.ratings:
-        if not (0 <= u < d.num_users and 0 <= i < d.num_items):
+        if not (0 <= u < num_users and 0 <= i < num_items):
             raise IntegrityError(f"rating ({u}, {i}) out of range")
-        if not d.frames_of_item[i]:
+        if not counts[i]:
             raise IntegrityError(
                 f"item {d.item_ids[i]!r} is rated but has no frames"
             )
@@ -161,9 +169,9 @@ def check_split(s: SplitDataset) -> None:
     if (s.train | s.validation | s.test) != s.base.ratings:
         raise IntegrityError("split portions do not cover the ratings exactly")
     test_set = s.test
-    parent = s.base.frame_parent
+    parent, num_frames = s.base.frame_parent, s.base.num_frames
     for u, f in s.frame_test:
-        if not 0 <= f < s.base.num_frames:
+        if not 0 <= f < num_frames:
             raise IntegrityError(f"frame_test frame id {f} out of range")
         if (u, int(parent[f])) not in test_set:
             raise IntegrityError(
@@ -246,10 +254,6 @@ def _build_dataset(
     )
 
     d = Dataset(
-        num_users=len(user_tokens),
-        num_items=len(item_tokens),
-        num_frames=num_frames,
-        feature_dim=feature_dim,
         ratings=ratings,
         frame_parent=frame_parent,
         frame_features=feats,
@@ -301,14 +305,7 @@ def load_dataset(ratings_path, frames_path, features_path) -> Dataset:
     if feature_dim is None:
         feature_dim = 0
 
-    seen_pairs = set()
-    deduped = []
-    for u, i in rating_pairs:
-        if (u, i) not in seen_pairs:
-            seen_pairs.add((u, i))
-            deduped.append((u, i))
-
-    return _build_dataset(deduped, frame_pairs, features, feature_dim)
+    return _build_dataset(rating_pairs, frame_pairs, features, feature_dim)
 
 
 def load_frame_likes(path, dataset: Dataset) -> frozenset:
@@ -354,10 +351,6 @@ def _subset(dataset: Dataset, keep_users, keep_items) -> Dataset:
         if u in user_map and i in item_map
     )
     return Dataset(
-        num_users=len(keep_users),
-        num_items=len(keep_items),
-        num_frames=len(keep_frames),
-        feature_dim=dataset.feature_dim,
         ratings=ratings,
         frame_parent=frame_parent,
         frame_features=features,
@@ -517,13 +510,11 @@ def save_dataset(dataset: Dataset, out_dir, frame_likes=None) -> dict:
         paths["ratings"],
         sorted((dataset.user_ids[u], dataset.item_ids[i]) for u, i in dataset.ratings),
     )
+    ids, mask, _ = dataset.frame_table
+    parents = dataset.frame_parent.tolist()
     _write_pairs(
         paths["frames"],
-        [
-            (dataset.frame_ids[f], dataset.item_ids[i])
-            for i in range(dataset.num_items)
-            for f in dataset.frames_of_item[i]
-        ],
+        [(dataset.frame_ids[f], dataset.item_ids[parents[f]]) for f in ids[mask].tolist()],
     )
     with atomic_writer(paths["features"]) as fh:
         for f in range(dataset.num_frames):

@@ -148,16 +148,15 @@ class VisualTable:
 
     ``x`` is (N, d2) and ``alpha`` (N, m) the weights that pool each item's
     frames (``dataset.frame_table`` order), zero at padding: 1 / count in
-    mean mode, the attention softmax in attention mode.  ``pooled`` is the
-    (N, F) alpha-weighted sum of the raw frame features, so ``x`` is
-    ``pooled @ visual_proj.T`` (in mean mode up to rounding: there ``x`` is
-    the exact mean of the projected frames).  In attention mode
-    ``hidden_pre`` is the (N, m, h) pre-activation of the attention network.
+    mean mode, the attention softmax in attention mode.  ``x`` is the
+    alpha-pooled raw frame features times ``visual_proj.T`` (in mean mode up
+    to rounding: there ``x`` is the exact mean of the projected frames).  In
+    attention mode ``hidden_pre`` is the (N, m, h) pre-activation of the
+    attention network.
     """
 
     x: np.ndarray
     alpha: np.ndarray
-    pooled: np.ndarray
     hidden_pre: np.ndarray = None
 
 
@@ -181,8 +180,10 @@ def _attention_mlp_backward(hidden, out, query, key, hidden_pre, dlogits, ghidde
     """Backward of ``_attention_mlp`` for the logit gradients ``dlogits``.
 
     Both halves have the rank of ``hidden_pre``.  Adds the weight gradients
-    into ``ghidden`` and ``gout`` in place and returns (dquery, dkey), each
-    summed over the axes along which its half was broadcast.
+    into ``ghidden`` and ``gout`` in place and returns the pre-activation
+    gradient once per half, summed over the axes along which that half was
+    broadcast.  A half's own gradient is its pre-activation gradient times
+    its columns of ``hidden``; callers form only the ones they need.
     """
     h = hidden_pre.shape[-1]
     gout += np.maximum(hidden_pre, 0.0).reshape(-1, h).T @ dlogits.reshape(-1)
@@ -193,7 +194,7 @@ def _attention_mlp_backward(hidden, out, query, key, hidden_pre, dlogits, ghidde
         axes = tuple(a for a, n in enumerate(half.shape[:-1]) if n < dh.shape[a])
         dh_half = dh.sum(axis=axes, keepdims=True) if axes else dh
         ghidden[:, cols] += dh_half.reshape(-1, h).T @ half.reshape(-1, half.shape[-1])
-        halves.append(_linear(dh_half, hidden[:, cols].T))
+        halves.append(dh_half)
     return tuple(halves)
 
 
@@ -218,22 +219,22 @@ def item_visual_table(params: ModelParams, cfg: ModelConfig, dataset: Dataset):
     """Compute visual embeddings for every item at once.
 
     Returns None when the visual pathway is off.  Items without frames get a
-    zero row; scoring such an item raises at the call site.  The frames are
-    pooled before they are projected, so attention mode multiplies each
-    frame's features by one weight only, the folded attention layer.
+    zero row; scoring such an item raises at the call site.  Mean mode
+    averages the projected frames.  Attention mode pools the raw frame
+    features before it projects them, so it multiplies each frame's features
+    by one weight only, the folded attention layer.
     """
     if cfg.visual_mode == VISUAL_OFF:
         return None
     ids, mask, counts = dataset.frame_table
-    feats = dataset.frame_features[ids]  # (N, m, F), padding holds a real frame
     if cfg.visual_mode == VISUAL_AVG:
-        safe = np.maximum(counts, 1).astype(feats.dtype)
-        alpha = mask / safe[:, None]
+        safe = np.maximum(counts, 1).astype(dataset.frame_features.dtype)
         frame_emb = dataset.frame_features @ params.visual_proj.T  # (L, d2)
         # the exact sum / count, not the pooled projection, which rounds apart
         x = (frame_emb[ids] * mask[:, :, None]).sum(axis=1) / safe[:, None]
-        return VisualTable(x=x, alpha=alpha, pooled=_pool(alpha, feats))
+        return VisualTable(x=x, alpha=mask / safe[:, None])
 
+    feats = dataset.frame_features[ids]  # (N, m, F), padding holds a real frame
     hidden_pre, logits = _attention_mlp(  # (N, m, h), (N, m)
         params.item_collab[:, None, :], feats,
         _frame_attention_hidden(params, cfg), params.attn_out,
@@ -244,8 +245,7 @@ def item_visual_table(params: ModelParams, cfg: ModelConfig, dataset: Dataset):
     expd = np.where(mask, np.exp(shifted), 0.0)
     denom = expd.sum(axis=1, keepdims=True)
     alpha = np.divide(expd, denom, out=np.zeros_like(expd), where=denom > 0)
-    pooled = _pool(alpha, feats)
-    return VisualTable(x=pooled @ params.visual_proj.T, alpha=alpha, pooled=pooled,
+    return VisualTable(x=_pool(alpha, feats) @ params.visual_proj.T, alpha=alpha,
                        hidden_pre=hidden_pre)
 
 
@@ -253,8 +253,6 @@ def item_visual_table(params: ModelParams, cfg: ModelConfig, dataset: Dataset):
 class PairCache:
     """Per-pair intermediates for one vectorised scoring call."""
 
-    users: np.ndarray
-    items: np.ndarray
     collab: np.ndarray
     visual: np.ndarray = None
     h1_pre: np.ndarray = None
@@ -306,7 +304,7 @@ def score_pairs(
     user_collab, item_collab = params.user_collab[users], params.item_collab[items]
     collab = np.einsum("...d,...d->...", user_collab, item_collab)
     if cfg.visual_mode == VISUAL_OFF:
-        cache = PairCache(users=users, items=items, collab=collab)
+        cache = PairCache(collab=collab)
         return (collab, cache) if want_cache else collab
 
     if table is None:
@@ -319,7 +317,7 @@ def score_pairs(
 
     if cfg.fusion_mode == FUSION_SUM:
         scores = collab + visual
-        cache = PairCache(users=users, items=items, collab=collab, visual=visual)
+        cache = PairCache(collab=collab, visual=visual)
         return (scores, cache) if want_cache else scores
 
     mlp = (params.fusion_hidden, params.fusion_out)
@@ -327,10 +325,8 @@ def score_pairs(
     h2_pre, g2 = _attention_mlp(user_visual, item_visual, *mlp)
     beta1, beta2 = _two_way_softmax(g1, g2)
     scores = beta1 * collab + beta2 * visual
-    cache = PairCache(
-        users=users, items=items, collab=collab, visual=visual,
-        h1_pre=h1_pre, h2_pre=h2_pre, beta1=beta1, beta2=beta2,
-    )
+    cache = PairCache(collab=collab, visual=visual, h1_pre=h1_pre, h2_pre=h2_pre,
+                      beta1=beta1, beta2=beta2)
     return (scores, cache) if want_cache else scores
 
 

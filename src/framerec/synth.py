@@ -194,10 +194,6 @@ def generate_synthetic(cfg: SynthConfig):
     planted = PlantedModel(cfg=_teacher_config(cfg), params=_planted_params(cfg, param_rng))
 
     skeleton = Dataset(
-        num_users=cfg.num_users,
-        num_items=cfg.num_items,
-        num_frames=n_frames,
-        feature_dim=cfg.feature_dim,
         ratings=frozenset(),
         frame_parent=frame_parent,
         frame_features=features,

@@ -36,6 +36,7 @@ from .model import (
     ModelParams,
     _attention_mlp_backward,
     _frame_attention_hidden,
+    _pool,
     active_param_names,
     init_params,
     item_visual_table,
@@ -205,11 +206,13 @@ def batch_gradients(
         """One channel's per-pair gradients w.r.t. its user and item rows."""
         du, di = dscore[:, None] * item_rows, dscore[:, None] * user_rows
         if fused:
-            dq, dk = _attention_mlp_backward(
+            dhu, dhi = _attention_mlp_backward(
                 params.fusion_hidden, params.fusion_out, user_rows, item_rows,
                 hidden_pre, sign * gamma, grads["fusion_hidden"], grads["fusion_out"],
             )
-            du, di = du + dq, di + dk
+            k = cfg.d1
+            du = du + dhu @ params.fusion_hidden[:, :k]
+            di = di + dhi @ params.fusion_hidden[:, k:]
         return du, di
 
     du, di = pair_grads(params.user_collab[users], params.item_collab[items], dcf,
@@ -247,27 +250,28 @@ def _table_backward(params, cfg, dataset, table, rows, gx, grads):
     """Push gradients w.r.t. the visual embeddings of items ``rows`` into the tensors.
 
     gx is (len(rows), d2); every other item's gradient is zero, so only the
-    frames of ``rows`` take part.  ``x`` is the projection of the pooled
-    features, so the projection's gradient is ``gx.T @ pooled[rows]``.
-    Attention additionally feeds its weight network, whose key half acts on
-    raw features through the folded weight ``attn_hidden[:, d1:] @
-    attn_reduce``; that weight's gradient is chained into both factors.
-    Returns the (len(rows), d1) gradient w.r.t. the rows' item factors,
-    which act as attention queries (0.0 in mean mode).
+    frames of ``rows`` take part, gathered once.  ``x`` is the projection of
+    the alpha-pooled frame features, so the projection's gradient is
+    ``gx.T @ _pool(alpha[rows], feats)``.  Attention additionally feeds its
+    weight network, whose key half acts on raw features through the folded
+    weight ``attn_hidden[:, d1:] @ attn_reduce``; that weight's gradient is
+    chained into both factors.  Returns the (len(rows), d1) gradient w.r.t.
+    the rows' item factors, which act as attention queries (0.0 in mean
+    mode).
     """
-    grads["visual_proj"] += gx.T @ table.pooled[rows]
+    alpha = table.alpha[rows]
+    feats = dataset.frame_features[dataset.frame_table[0][rows]]  # (R, m, F)
+    grads["visual_proj"] += gx.T @ _pool(alpha, feats)
     if cfg.visual_mode == VISUAL_AVG:
         return 0.0
 
-    alpha = table.alpha[rows]
-    feats = dataset.frame_features[dataset.frame_table[0][rows]]  # (R, m, F)
     s = (feats @ (gx @ params.visual_proj)[:, :, None])[:, :, 0]  # d(loss)/d(alpha)
     sbar = (alpha * s).sum(axis=1, keepdims=True)
     tau = alpha * (s - sbar)  # gradient w.r.t. the attention logits
     k = cfg.d1
     hidden = _frame_attention_hidden(params, cfg)
     ghidden = np.zeros_like(hidden)
-    dquery, _ = _attention_mlp_backward(
+    dh_query, _ = _attention_mlp_backward(
         hidden, params.attn_out, params.item_collab[rows, None], feats,
         table.hidden_pre[rows], tau, ghidden, grads["attn_out"],
     )
@@ -275,7 +279,7 @@ def _table_backward(params, cfg, dataset, table, rows, gx, grads):
     grads["attn_hidden"][:, :k] += ghidden[:, :k]
     grads["attn_hidden"][:, k:] += dfold @ params.attn_reduce.T
     grads["attn_reduce"] += params.attn_hidden[:, k:].T @ dfold
-    return dquery[:, 0]
+    return dh_query[:, 0] @ params.attn_hidden[:, :k]
 
 
 # ---------------------------------------------------------------------------
@@ -548,10 +552,6 @@ def gradcheck_instance(
         rated = rng.choice(n, size=rng.integers(2, n - 1), replace=False)
         ratings.update((u, int(i)) for i in rated)
     dataset = Dataset(
-        num_users=m,
-        num_items=n,
-        num_frames=l,
-        feature_dim=fd,
         ratings=frozenset(ratings),
         frame_parent=np.repeat(np.arange(n, dtype=np.int64), counts),
         frame_features=rng.normal(0.0, 1.0, (l, fd)),

@@ -15,10 +15,6 @@ def toy_dataset() -> Dataset:
     identity projection is (0.5, 0.5).
     """
     return Dataset(
-        num_users=3,
-        num_items=3,
-        num_frames=6,
-        feature_dim=2,
         ratings=frozenset({(0, 0), (0, 1), (1, 1), (1, 2), (2, 0), (2, 2)}),
         frame_parent=np.array([0, 0, 1, 2, 2, 2], dtype=np.int64),
         frame_features=np.array(

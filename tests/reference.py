@@ -46,10 +46,10 @@ def _check_user(user_id: int, dataset) -> None:
 
 def _item_frames(item_id: int, dataset) -> np.ndarray:
     _check_item(item_id, dataset)
-    frames = dataset.frames_of_item[item_id]
-    if not frames:
+    frames = np.flatnonzero(dataset.frame_parent == item_id)
+    if not frames.size:
         raise MissingFramesError(f"item {item_id} has no frames")
-    return np.array(frames, dtype=np.int64)
+    return frames
 
 
 def item_visual_avg(item_id: int, params, dataset) -> np.ndarray:
@@ -165,15 +165,16 @@ def full_catalog_gradients(params, cfg, dataset, batch, reduction="mean", table=
             gamma = g * (cache.collab - cache.visual) * beta1 * beta2
             mlp = (params.fusion_hidden, params.fusion_out)
             acc = (grads["fusion_hidden"], grads["fusion_out"])
-            du, di = _attention_mlp_backward(
+            wq, wk = params.fusion_hidden[:, :cfg.d1], params.fusion_hidden[:, cfg.d1:]
+            dhu, dhi = _attention_mlp_backward(
                 *mlp, params.user_collab[users], params.item_collab[items],
                 cache.h1_pre, gamma, *acc)
-            dv, dx = _attention_mlp_backward(
+            dhv, dhx = _attention_mlp_backward(
                 *mlp, params.user_visual[users], table.x[items], cache.h2_pre, -gamma, *acc)
-            np.add.at(grads["user_collab"], users, du)
-            np.add.at(grads["item_collab"], items, di)
-            np.add.at(grads["user_visual"], users, dv)
-            np.add.at(gx, items, dx)
+            np.add.at(grads["user_collab"], users, dhu @ wq)
+            np.add.at(grads["item_collab"], items, dhi @ wk)
+            np.add.at(grads["user_visual"], users, dhv @ wq)
+            np.add.at(gx, items, dhx @ wk)
         np.add.at(grads["user_visual"], users, dvs[:, None] * table.x[items])
         np.add.at(gx, items, dvs[:, None] * params.user_visual[users])
         table_backward_full(params, cfg, dataset, table, gx, grads)
@@ -213,12 +214,12 @@ def table_backward_full(params, cfg, dataset, table, gx, grads) -> None:
     s = np.einsum("nmd,nd->nm", frame_emb[ids], gx)
     sbar = (alpha * s).sum(axis=1, keepdims=True)
     tau = alpha * (s - sbar)
-    dquery, dkey = _attention_mlp_backward(
+    dh_query, dh_key = _attention_mlp_backward(
         params.attn_hidden, params.attn_out, params.item_collab[:, None],
         keys[ids], table.hidden_pre, tau, grads["attn_hidden"], grads["attn_out"],
     )
-    grads["item_collab"] += dquery[:, 0]
-    grads["attn_reduce"] += frame_product(dkey)
+    grads["item_collab"] += dh_query[:, 0] @ params.attn_hidden[:, :cfg.d1]
+    grads["attn_reduce"] += frame_product(dh_key @ params.attn_hidden[:, cfg.d1:])
 
 
 def visual_table_projected(params, cfg, dataset):

@@ -116,7 +116,8 @@ def test_criterion_3_mode_degeneracies():
     items = np.tile(np.arange(ds.num_items), ds.num_users)
     got = score_pairs(users, items, params, cfg, ds)
     emb = ds.frame_features @ params.visual_proj.T
-    xbar = np.stack([emb[list(fr)].mean(axis=0) for fr in ds.frames_of_item])
+    xbar = np.stack([emb[np.flatnonzero(ds.frame_parent == i)].mean(axis=0)
+                     for i in range(ds.num_items)])
     ref = (
         np.einsum("bd,bd->b", params.user_collab[users], params.item_collab[items])
         + np.einsum("bd,bd->b", params.user_visual[users], xbar[items])

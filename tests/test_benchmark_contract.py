@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from framerec import TrainConfig
+from framerec.data import Dataset, SplitDataset
 from framerec.model import VisualTable
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -86,6 +87,35 @@ def visual_table_reads(tree) -> set:
                 tables.update(t.id for t in node.targets if isinstance(t, ast.Name))
     return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Name) and node.value.id in tables}
+
+
+# What workloads.py's names hold: a Dataset or a SplitDataset (``self.split`` too).
+HELD_BY_NAME = {"base": Dataset, "dataset": Dataset, "split": SplitDataset}
+
+
+def held_class(node):
+    """The class a workloads.py expression holds, judged by its name, or None."""
+    if isinstance(node, ast.Name):
+        return HELD_BY_NAME.get(node.id)
+    if isinstance(node, ast.Attribute):
+        if node.attr == "split" and isinstance(node.value, ast.Name) and node.value.id == "self":
+            return SplitDataset
+        if node.attr == "base" and held_class(node.value) is SplitDataset:
+            return Dataset
+    return None
+
+
+def test_dataset_attributes_read_by_the_benchmark_exist(tree):
+    reads = {Dataset: set(), SplitDataset: set()}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and held_class(node.value) is not None:
+            reads[held_class(node.value)].add(node.attr)
+    assert {"num_items", "items_of_user"} <= reads[Dataset]
+    assert {"base", "test", "validation", "frame_test"} <= reads[SplitDataset]
+    for cls, names in reads.items():
+        # dataclass fields without a default are no class attributes; properties are
+        missing = {n for n in names if not hasattr(cls, n)} - {f.name for f in fields(cls)}
+        assert not missing, f"workloads.py reads {cls.__name__} attributes {sorted(missing)}"
 
 
 def test_attributes_read_by_the_benchmark_exist(tree):

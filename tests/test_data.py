@@ -39,7 +39,6 @@ def draw_dataset(data, st) -> Dataset:
     frame_parent = np.repeat(np.arange(n, dtype=np.int64), counts)
     num_frames = len(frame_parent)
     return Dataset(
-        num_users=m, num_items=n, num_frames=num_frames, feature_dim=1,
         ratings=ratings, frame_parent=frame_parent,
         frame_features=np.arange(num_frames, dtype=np.float64)[:, None],
         user_ids=tuple(f"u{k}" for k in range(m)),
@@ -125,7 +124,7 @@ class TestParsing:
         assert ds.num_items == 4
         w = ds.item_ids.index("w")
         assert all(i != w for _, i in ds.ratings)
-        assert len(ds.frames_of_item[w]) == 1
+        assert len(np.flatnonzero(ds.frame_parent == w)) == 1
 
 
 class TestDatasetStructure:
@@ -147,10 +146,30 @@ class TestDatasetStructure:
         with pytest.raises(IntegrityError):
             check_dataset(broken)
 
-    def test_frames_of_item_follow_frame_parent(self, toy_dataset):
-        assert toy_dataset.frames_of_item == ((0, 1), (2,), (3, 4, 5))
+    @pytest.mark.parametrize("name, cut", [
+        ("frame_ids", lambda v: v[:-1]),
+        ("frame_parent", lambda v: v[:-1]),
+        ("frame_features", lambda v: v[:-1]),
+        ("frame_features", lambda v: v.ravel()[:len(v)]),  # one row per frame, but 1-d
+    ], ids=["frame_ids", "frame_parent", "frame_features", "flat_features"])
+    def test_check_rejects_frame_arrays_of_another_length(self, toy_dataset, name, cut):
+        with pytest.raises(IntegrityError):
+            check_dataset(replace(toy_dataset, **{name: cut(getattr(toy_dataset, name))}))
+
+    def test_sizes_follow_the_id_tuples(self, toy_dataset):
+        short = replace(toy_dataset, user_ids=toy_dataset.user_ids[:-1])
+        assert (short.num_users, short.num_items, short.num_frames) == (2, 3, 6)
+        with pytest.raises(IntegrityError):  # user 2's ratings are now out of range
+            check_dataset(short)
+
+    def test_frame_table_follows_frame_parent(self, toy_dataset):
+        def frames(ds):
+            ids, mask, _ = ds.frame_table
+            return tuple(tuple(row[keep].tolist()) for row, keep in zip(ids, mask))
+
+        assert frames(toy_dataset) == ((0, 1), (2,), (3, 4, 5))
         shuffled = replace(toy_dataset, frame_parent=np.array([2, 0, 1, 2, 0, 2]))
-        assert shuffled.frames_of_item == ((1, 4), (2,), (0, 3, 5))
+        assert frames(shuffled) == ((1, 4), (2,), (0, 3, 5))
 
     def test_equality_compares_arrays_by_value(self, toy_dataset):
         twin = replace(toy_dataset, frame_parent=toy_dataset.frame_parent.copy(),
@@ -222,7 +241,8 @@ class TestPruning:
         ds = load_toy(tmp_path, ratings=ratings, frames=frames, features=feats)
         pruned = prune_dataset(ds, min_count=2)
         assert set(range(pruned.num_frames)) == {
-            f for fr in pruned.frames_of_item for f in fr
+            f for i in range(pruned.num_items)
+            for f in np.flatnonzero(pruned.frame_parent == i).tolist()
         }
         # feature rows follow their frames through the re-indexing
         for tok, row in zip(pruned.frame_ids, pruned.frame_features):
@@ -240,10 +260,6 @@ class TestSplitting:
     def test_ten_ratings_split_seven_one_two(self):
         rng = np.random.default_rng(0)
         ds = Dataset(
-            num_users=2,
-            num_items=5,
-            num_frames=5,
-            feature_dim=1,
             ratings=frozenset((u, i) for u in range(2) for i in range(5)),
             frame_parent=np.arange(5, dtype=np.int64),
             frame_features=rng.normal(size=(5, 1)),
@@ -269,10 +285,6 @@ class TestSplitting:
         rng = np.random.default_rng(1)
         n = 10
         ds = Dataset(
-            num_users=4,
-            num_items=n,
-            num_frames=n,
-            feature_dim=1,
             ratings=frozenset((u, i) for u in range(4) for i in range(n)),
             frame_parent=np.arange(n, dtype=np.int64),
             frame_features=rng.normal(size=(n, 1)),
@@ -290,10 +302,6 @@ class TestSplitting:
     def test_cold_user_warning(self):
         # one user with a single rating: global split may leave them cold
         ds = Dataset(
-            num_users=2,
-            num_items=4,
-            num_frames=4,
-            feature_dim=1,
             ratings=frozenset({(0, 0), (0, 1), (0, 2), (1, 3)}),
             frame_parent=np.arange(4, dtype=np.int64),
             frame_features=np.ones((4, 1)),
@@ -308,7 +316,7 @@ class TestSplitting:
 
     def test_frame_test_follows_test_ratings(self, toy_dataset):
         likes = {(u, f) for u, i in toy_dataset.ratings
-                 for f in toy_dataset.frames_of_item[i]}
+                 for f in np.flatnonzero(toy_dataset.frame_parent == i).tolist()}
         split = split_ratings(toy_dataset, 0.5, 0.25, seed=2, frame_likes=likes)
         parent = toy_dataset.frame_parent
         assert split.frame_test  # the test portion is non-empty, so likes exist
@@ -362,10 +370,6 @@ class TestRoundTrips:
     def test_dataset_save_load_bit_exact(self, tmp_path):
         rng = np.random.default_rng(5)
         ds = Dataset(
-            num_users=2,
-            num_items=2,
-            num_frames=3,
-            feature_dim=4,
             ratings=frozenset({(0, 0), (1, 1)}),
             frame_parent=np.array([0, 0, 1], dtype=np.int64),
             frame_features=rng.normal(size=(3, 4)),  # full-precision doubles

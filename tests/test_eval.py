@@ -220,7 +220,7 @@ def frame_ranking_pairs(split, exclude_singletons: bool = False):
     out = []
     skipped = 0
     for u, f in sorted(split.frame_test):
-        frames = base.frames_of_item[int(base.frame_parent[f])]
+        frames = tuple(np.flatnonzero(base.frame_parent == base.frame_parent[f]).tolist())
         if exclude_singletons and len(frames) == 1:
             skipped += 1
             continue

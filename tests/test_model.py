@@ -213,7 +213,6 @@ class TestVisualEmbedding:
     def test_missing_frames_raise(self, toy_dataset):
         # an unrated item with no frames is structurally legal but unscorable
         bare = toy_dataset.__class__(
-            num_users=1, num_items=2, num_frames=1, feature_dim=2,
             ratings=frozenset({(0, 0)}),
             frame_parent=np.array([0], dtype=np.int64),
             frame_features=np.ones((1, 2)),
@@ -442,8 +441,7 @@ class TestCheckpoint:
         d1 = dataset_digest(toy_dataset)
         renamed = toy_dataset.__class__(
             **{**{f: getattr(toy_dataset, f) for f in (
-                "num_users", "num_items", "num_frames", "feature_dim", "ratings",
-                "frame_parent", "frame_features",
+                "ratings", "frame_parent", "frame_features",
                 "item_ids", "frame_ids",
             )}, "user_ids": ("u0", "u1", "zz")},
         )

@@ -82,7 +82,7 @@ class TestGeneration:
             by_pair.setdefault((u, item), set()).add(f)
         for (u, item), liked in by_pair.items():
             assert len(liked) == cfg.frame_likes_per_pair
-            others = set(ds.frames_of_item[item]) - liked
+            others = set(np.flatnonzero(ds.frame_parent == item).tolist()) - liked
             worst_liked = min(fscores[u, sorted(liked)])
             if others:
                 assert worst_liked >= max(fscores[u, sorted(others)])

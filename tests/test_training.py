@@ -115,7 +115,6 @@ class TestSampling:
 
     def test_saturated_user_raises(self):
         ds = Dataset(
-            num_users=1, num_items=2, num_frames=2, feature_dim=1,
             ratings=frozenset({(0, 0), (0, 1)}),
             frame_parent=np.array([0, 1], dtype=np.int64),
             frame_features=np.ones((2, 1)),
