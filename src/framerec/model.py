@@ -165,49 +165,37 @@ def _linear(a, weight):
     return (a.reshape(-1, a.shape[-1]) @ weight.T).reshape(*a.shape[:-1], weight.shape[0])
 
 
-def _attention_mlp(query, key, hidden, out):
+def _attention_mlp(query, key, w_query, w_key, out):
     """(pre-activation, logits) of the one-hidden-layer ReLU attention network.
 
-    The first layer is applied to the [query, key] halves apart, before they
-    broadcast against each other.  Serves the frame attention and the fusion.
+    The first layer is the two weight halves ``w_query`` and ``w_key``,
+    applied to the query and the key apart, before they broadcast against
+    each other.  Serves the frame attention and the fusion.
     """
-    k = query.shape[-1]
-    hidden_pre = _linear(query, hidden[:, :k]) + _linear(key, hidden[:, k:])
+    hidden_pre = _linear(query, w_query) + _linear(key, w_key)
     return hidden_pre, np.maximum(hidden_pre, 0.0) @ out
 
 
-def _attention_mlp_backward(hidden, out, query, key, hidden_pre, dlogits, ghidden, gout):
+def _attention_mlp_backward(out, hidden_pre, dlogits, gout, halves):
     """Backward of ``_attention_mlp`` for the logit gradients ``dlogits``.
 
-    Both halves have the rank of ``hidden_pre``.  Adds the weight gradients
-    into ``ghidden`` and ``gout`` in place and returns the pre-activation
-    gradient once per half, summed over the axes along which that half was
-    broadcast.  A half's own gradient is its pre-activation gradient times
-    its columns of ``hidden``; callers form only the ones they need.
+    ``halves`` holds one (input, weight gradient) pair per first-layer half;
+    each input has the rank of ``hidden_pre``.  Adds the weight gradients
+    into ``gout`` and each half's gradient array in place, and returns the
+    pre-activation gradient once per half, summed over the axes along which
+    that half was broadcast.  A half's input gradient is its pre-activation
+    gradient times its weight half; callers form only the ones they need.
     """
     h = hidden_pre.shape[-1]
     gout += np.maximum(hidden_pre, 0.0).reshape(-1, h).T @ dlogits.reshape(-1)
     dh = dlogits[..., None] * (out * (hidden_pre > 0))
-    k = query.shape[-1]
-    halves = []
-    for half, cols in ((query, slice(None, k)), (key, slice(k, None))):
-        axes = tuple(a for a, n in enumerate(half.shape[:-1]) if n < dh.shape[a])
+    dh_halves = []
+    for x, gweight in halves:
+        axes = tuple(a for a, n in enumerate(x.shape[:-1]) if n < dh.shape[a])
         dh_half = dh.sum(axis=axes, keepdims=True) if axes else dh
-        ghidden[:, cols] += dh_half.reshape(-1, h).T @ half.reshape(-1, half.shape[-1])
-        halves.append(dh_half)
-    return tuple(halves)
-
-
-def _frame_attention_hidden(params: ModelParams, cfg: ModelConfig) -> np.ndarray:
-    """The frame attention's first layer on [item factor, raw frame features].
-
-    Keys are ``features @ attn_reduce.T``, so the key half of ``attn_hidden``
-    folds into ``attn_hidden[:, d1:] @ attn_reduce``, an (h, F) weight.
-    """
-    return np.concatenate(
-        [params.attn_hidden[:, :cfg.d1], params.attn_hidden[:, cfg.d1:] @ params.attn_reduce],
-        axis=1,
-    )
+        gweight += dh_half.reshape(-1, h).T @ x.reshape(-1, x.shape[-1])
+        dh_halves.append(dh_half)
+    return tuple(dh_halves)
 
 
 def _pool(alpha, feats):
@@ -222,7 +210,8 @@ def item_visual_table(params: ModelParams, cfg: ModelConfig, dataset: Dataset):
     zero row; scoring such an item raises at the call site.  Mean mode
     averages the projected frames.  Attention mode pools the raw frame
     features before it projects them, so it multiplies each frame's features
-    by one weight only, the folded attention layer.
+    by one weight only: the attention's key half folded with the key
+    reduction, ``attn_hidden[:, d1:] @ attn_reduce`` (h, F), formed once here.
     """
     if cfg.visual_mode == VISUAL_OFF:
         return None
@@ -236,8 +225,8 @@ def item_visual_table(params: ModelParams, cfg: ModelConfig, dataset: Dataset):
 
     feats = dataset.frame_features[ids]  # (N, m, F), padding holds a real frame
     hidden_pre, logits = _attention_mlp(  # (N, m, h), (N, m)
-        params.item_collab[:, None, :], feats,
-        _frame_attention_hidden(params, cfg), params.attn_out,
+        params.item_collab[:, None, :], feats, params.attn_hidden[:, :cfg.d1],
+        params.attn_hidden[:, cfg.d1:] @ params.attn_reduce, params.attn_out,
     )
     neg_inf = np.finfo(logits.dtype).min
     shifted = np.where(mask, logits, neg_inf)
@@ -320,7 +309,8 @@ def score_pairs(
         cache = PairCache(collab=collab, visual=visual)
         return (scores, cache) if want_cache else scores
 
-    mlp = (params.fusion_hidden, params.fusion_out)
+    k = cfg.d1
+    mlp = (params.fusion_hidden[:, :k], params.fusion_hidden[:, k:], params.fusion_out)
     h1_pre, g1 = _attention_mlp(user_collab, item_collab, *mlp)
     h2_pre, g2 = _attention_mlp(user_visual, item_visual, *mlp)
     beta1, beta2 = _two_way_softmax(g1, g2)

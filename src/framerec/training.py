@@ -35,7 +35,6 @@ from .model import (
     ModelConfig,
     ModelParams,
     _attention_mlp_backward,
-    _frame_attention_hidden,
     _pool,
     active_param_names,
     init_params,
@@ -123,13 +122,19 @@ def sample_epoch(split: SplitDataset, neg_ratio: int, rng: np.random.Generator) 
 # ---------------------------------------------------------------------------
 
 
-def _reg_value(params: ModelParams, cfg: ModelConfig, batch) -> float:
-    users, items = np.unique(batch[:, 0]), np.unique(batch[:, 1:3])
-    total = float(np.sum(params.user_collab[users] ** 2))
-    total += float(np.sum(params.item_collab[items] ** 2))
-    if cfg.visual_mode != VISUAL_OFF:
-        total += float(np.sum(params.user_visual[users] ** 2))
-    return total
+def _score_batch(params: ModelParams, cfg: ModelConfig, dataset, batch, reduction, table):
+    """Score a batch's 2b pairs, every (user, positive) then every (user, negative).
+
+    Returns (users, items, scores, cache, reduced ranking loss).
+    """
+    users = np.concatenate([batch[:, 0], batch[:, 0]])
+    items = np.concatenate([batch[:, 1], batch[:, 2]])
+    scores, cache = score_pairs(
+        users, items, params, cfg, dataset, table=table, want_cache=True
+    )
+    losses = bpr_pair_loss(scores[:len(batch)], scores[len(batch):])
+    data = losses.mean() if reduction == "mean" else losses.sum()
+    return users, items, scores, cache, data
 
 
 def batch_loss(
@@ -138,7 +143,6 @@ def batch_loss(
     dataset,
     batch,
     reduction: str = "mean",
-    table=None,
 ) -> float:
     """Ranking loss of a batch plus the weighted regulariser.
 
@@ -146,13 +150,13 @@ def batch_loss(
     objective the analytic gradient differentiates.
     """
     batch = np.asarray(batch, dtype=np.int64)
-    b = len(batch)
-    users = np.concatenate([batch[:, 0], batch[:, 0]])
-    items = np.concatenate([batch[:, 1], batch[:, 2]])
-    scores = score_pairs(users, items, params, cfg, dataset, table=table)
-    losses = bpr_pair_loss(scores[:b], scores[b:])
-    data = losses.mean() if reduction == "mean" else losses.sum()
-    return float(data + cfg.lambda1 * _reg_value(params, cfg, batch))
+    data = _score_batch(params, cfg, dataset, batch, reduction, None)[-1]
+    users, items = np.unique(batch[:, 0]), np.unique(batch[:, 1:3])
+    reg = float(np.sum(params.user_collab[users] ** 2))
+    reg += float(np.sum(params.item_collab[items] ** 2))
+    if cfg.visual_mode != VISUAL_OFF:
+        reg += float(np.sum(params.user_visual[users] ** 2))
+    return float(data + cfg.lambda1 * reg)
 
 
 def batch_gradients(
@@ -177,16 +181,10 @@ def batch_gradients(
     if table is None and cfg.visual_mode != VISUAL_OFF:
         table = item_visual_table(params, cfg, dataset)
 
-    users = np.concatenate([batch[:, 0], batch[:, 0]])
-    items = np.concatenate([batch[:, 1], batch[:, 2]])
-    scores, cache = score_pairs(
-        users, items, params, cfg, dataset, table=table, want_cache=True
+    users, items, scores, cache, data = _score_batch(
+        params, cfg, dataset, batch, reduction, table
     )
-    margin = scores[:b] - scores[b:]
-    losses = np.logaddexp(0.0, -margin)
-    data = losses.mean() if reduction == "mean" else losses.sum()
-
-    w = _sigmoid_neg(margin)
+    w = _sigmoid_neg(scores[:b] - scores[b:])
     if reduction == "mean":
         w = w / b
     g = np.concatenate([-w, w])  # d(loss)/d(score) per pair
@@ -201,18 +199,20 @@ def batch_gradients(
         beta1, beta2 = cache.beta1, cache.beta2
         dcf, dvs = g * beta1, g * beta2
         gamma = g * (cache.collab - cache.visual) * beta1 * beta2  # d(loss)/d(g1) = -d/d(g2)
+        k = cfg.d1
+        w_user, w_item = params.fusion_hidden[:, :k], params.fusion_hidden[:, k:]
+        g_user, g_item = grads["fusion_hidden"][:, :k], grads["fusion_hidden"][:, k:]
 
     def pair_grads(user_rows, item_rows, dscore, hidden_pre, sign):
         """One channel's per-pair gradients w.r.t. its user and item rows."""
         du, di = dscore[:, None] * item_rows, dscore[:, None] * user_rows
         if fused:
             dhu, dhi = _attention_mlp_backward(
-                params.fusion_hidden, params.fusion_out, user_rows, item_rows,
-                hidden_pre, sign * gamma, grads["fusion_hidden"], grads["fusion_out"],
+                params.fusion_out, hidden_pre, sign * gamma, grads["fusion_out"],
+                ((user_rows, g_user), (item_rows, g_item)),
             )
-            k = cfg.d1
-            du = du + dhu @ params.fusion_hidden[:, :k]
-            di = di + dhi @ params.fusion_hidden[:, k:]
+            du = du + dhu @ w_user
+            di = di + dhi @ w_item
         return du, di
 
     du, di = pair_grads(params.user_collab[users], params.item_collab[items], dcf,
@@ -253,11 +253,12 @@ def _table_backward(params, cfg, dataset, table, rows, gx, grads):
     frames of ``rows`` take part, gathered once.  ``x`` is the projection of
     the alpha-pooled frame features, so the projection's gradient is
     ``gx.T @ _pool(alpha[rows], feats)``.  Attention additionally feeds its
-    weight network, whose key half acts on raw features through the folded
-    weight ``attn_hidden[:, d1:] @ attn_reduce``; that weight's gradient is
-    chained into both factors.  Returns the (len(rows), d1) gradient w.r.t.
-    the rows' item factors, which act as attention queries (0.0 in mean
-    mode).
+    weight network: the query half's gradient goes straight into
+    ``attn_hidden[:, :d1]``, and the key half, which acts on raw features
+    through the folded weight ``attn_hidden[:, d1:] @ attn_reduce``, has its
+    gradient collected in one (h, F) array and chained into both factors.
+    Returns the (len(rows), d1) gradient w.r.t. the rows' item factors,
+    which act as attention queries (0.0 in mean mode).
     """
     alpha = table.alpha[rows]
     feats = dataset.frame_features[dataset.frame_table[0][rows]]  # (R, m, F)
@@ -269,14 +270,11 @@ def _table_backward(params, cfg, dataset, table, rows, gx, grads):
     sbar = (alpha * s).sum(axis=1, keepdims=True)
     tau = alpha * (s - sbar)  # gradient w.r.t. the attention logits
     k = cfg.d1
-    hidden = _frame_attention_hidden(params, cfg)
-    ghidden = np.zeros_like(hidden)
+    dfold = np.zeros((params.attn_hidden.shape[0], feats.shape[-1]))
     dh_query, _ = _attention_mlp_backward(
-        hidden, params.attn_out, params.item_collab[rows, None], feats,
-        table.hidden_pre[rows], tau, ghidden, grads["attn_out"],
+        params.attn_out, table.hidden_pre[rows], tau, grads["attn_out"],
+        ((params.item_collab[rows, None], grads["attn_hidden"][:, :k]), (feats, dfold)),
     )
-    dfold = ghidden[:, k:]  # (h, F)
-    grads["attn_hidden"][:, :k] += ghidden[:, :k]
     grads["attn_hidden"][:, k:] += dfold @ params.attn_reduce.T
     grads["attn_reduce"] += params.attn_hidden[:, k:].T @ dfold
     return dh_query[:, 0] @ params.attn_hidden[:, :k]
@@ -466,11 +464,6 @@ class GradCheckReport:
     per_param: dict
     max_rel_err: float
     checked_coords: int
-    h: float
-
-    def worst(self) -> str:
-        name = max(self.per_param, key=self.per_param.get)
-        return f"{name}: {self.per_param[name]:.3e}"
 
 
 def finite_diff_check(
@@ -527,7 +520,6 @@ def finite_diff_check(
         per_param=per_param,
         max_rel_err=max(per_param.values()),
         checked_coords=checked,
-        h=h,
     )
 
 

@@ -8,8 +8,10 @@ beyond its errors.  Tests compare the package's outputs against them.
 ``full_catalog_gradients`` is the batch gradient as it was before the
 backward was restricted to the items a batch touches: ``np.add.at``
 scatters into dense arrays and a table backward over every item and every
-frame.  It shares the forward and the attention-network backward with the
-package, so it checks exactly the touched-row restriction and the scatter.
+frame.  It shares only the forward with the package; the attention-network
+backward is written out here, with each half broadcast to full size, so it
+checks the package's backward as well as the touched-row restriction and
+the scatter.
 
 ``visual_table_projected`` is the visual table as it was computed before
 pooling moved ahead of the projection: every frame projected, and the
@@ -26,12 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from framerec.errors import ConfigError, MissingFramesError, UnsupportedTaskError
-from framerec.model import (
-    _attention_mlp_backward,
-    active_param_names,
-    item_visual_table,
-    score_pairs,
-)
+from framerec.model import active_param_names, item_visual_table, score_pairs
 
 
 def _check_item(item_id: int, dataset) -> None:
@@ -136,6 +133,26 @@ def predict_frame_score(user_id: int, frame_id: int, params, cfg, dataset) -> fl
     return float(params.user_visual[user_id] @ emb)
 
 
+def attention_mlp_backward(out, hidden_pre, dlogits, halves):
+    """Gradients of the attention network whose pre-activation is ``hidden_pre``.
+
+    ``halves`` holds one (input, first-layer weight half) pair per half.
+    Each input is broadcast to ``hidden_pre``'s leading shape before it
+    meets the gradient.  Returns (gradient of ``out``, per half the gradient
+    of its weight, per half the full-size gradient of its input).
+    """
+    h = hidden_pre.shape[-1]
+    lead = hidden_pre.shape[:-1]
+    dh = (dlogits[..., None] * out * (hidden_pre > 0)).reshape(-1, h)
+    gout = np.maximum(hidden_pre, 0.0).reshape(-1, h).T @ dlogits.reshape(-1)
+    gweights, ginputs = [], []
+    for x, weight in halves:
+        full = np.broadcast_to(x, lead + x.shape[-1:]).reshape(-1, x.shape[-1])
+        gweights.append(dh.T @ full)
+        ginputs.append((dh @ weight).reshape(lead + x.shape[-1:]))
+    return gout, gweights, ginputs
+
+
 def full_catalog_gradients(params, cfg, dataset, batch, reduction="mean", table=None):
     """(data_loss, grads) of the batch objective, backpropagated over the whole catalog."""
     batch = np.asarray(batch, dtype=np.int64)
@@ -163,18 +180,21 @@ def full_catalog_gradients(params, cfg, dataset, batch, reduction="mean", table=
             beta1, beta2 = cache.beta1, cache.beta2
             dcf, dvs = g * beta1, g * beta2
             gamma = g * (cache.collab - cache.visual) * beta1 * beta2
-            mlp = (params.fusion_hidden, params.fusion_out)
-            acc = (grads["fusion_hidden"], grads["fusion_out"])
             wq, wk = params.fusion_hidden[:, :cfg.d1], params.fusion_hidden[:, cfg.d1:]
-            dhu, dhi = _attention_mlp_backward(
-                *mlp, params.user_collab[users], params.item_collab[items],
-                cache.h1_pre, gamma, *acc)
-            dhv, dhx = _attention_mlp_backward(
-                *mlp, params.user_visual[users], table.x[items], cache.h2_pre, -gamma, *acc)
-            np.add.at(grads["user_collab"], users, dhu @ wq)
-            np.add.at(grads["item_collab"], items, dhi @ wk)
-            np.add.at(grads["user_visual"], users, dhv @ wq)
-            np.add.at(gx, items, dhx @ wk)
+            for user_rows, item_rows, gu, gi, hidden_pre, sign in (
+                (params.user_collab[users], params.item_collab[items],
+                 grads["user_collab"], grads["item_collab"], cache.h1_pre, 1.0),
+                (params.user_visual[users], table.x[items],
+                 grads["user_visual"], gx, cache.h2_pre, -1.0),
+            ):
+                gout, (gwq, gwk), (du, di) = attention_mlp_backward(
+                    params.fusion_out, hidden_pre, sign * gamma,
+                    ((user_rows, wq), (item_rows, wk)))
+                grads["fusion_out"] += gout
+                grads["fusion_hidden"][:, :cfg.d1] += gwq
+                grads["fusion_hidden"][:, cfg.d1:] += gwk
+                np.add.at(gu, users, du)
+                np.add.at(gi, items, di)
         np.add.at(grads["user_visual"], users, dvs[:, None] * table.x[items])
         np.add.at(gx, items, dvs[:, None] * params.user_visual[users])
         table_backward_full(params, cfg, dataset, table, gx, grads)
@@ -214,12 +234,15 @@ def table_backward_full(params, cfg, dataset, table, gx, grads) -> None:
     s = np.einsum("nmd,nd->nm", frame_emb[ids], gx)
     sbar = (alpha * s).sum(axis=1, keepdims=True)
     tau = alpha * (s - sbar)
-    dh_query, dh_key = _attention_mlp_backward(
-        params.attn_hidden, params.attn_out, params.item_collab[:, None],
-        keys[ids], table.hidden_pre, tau, grads["attn_hidden"], grads["attn_out"],
-    )
-    grads["item_collab"] += dh_query[:, 0] @ params.attn_hidden[:, :cfg.d1]
-    grads["attn_reduce"] += frame_product(dh_key @ params.attn_hidden[:, cfg.d1:])
+    wq, wk = params.attn_hidden[:, :cfg.d1], params.attn_hidden[:, cfg.d1:]
+    gout, (gwq, gwk), (dq, dkey) = attention_mlp_backward(
+        params.attn_out, table.hidden_pre, tau,
+        ((params.item_collab[:, None], wq), (keys[ids], wk)))
+    grads["attn_out"] += gout
+    grads["attn_hidden"][:, :cfg.d1] += gwq
+    grads["attn_hidden"][:, cfg.d1:] += gwk
+    grads["item_collab"] += dq.sum(axis=1)
+    grads["attn_reduce"] += frame_product(dkey)
 
 
 def visual_table_projected(params, cfg, dataset):
