@@ -9,10 +9,11 @@ argument parsing failures.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import logging
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -33,13 +34,17 @@ from .data import (
 from .errors import FrameRecError, IntegrityError
 from .evaluation import evaluate_frame_rec, evaluate_item_rec, random_frame_baseline
 from .model import (
+    FUSION_ATT,
+    FUSION_MODES,
+    VISUAL_MODES,
+    VISUAL_OFF,
     ModelConfig,
     dataset_digest,
     load_checkpoint,
     save_checkpoint,
 )
 from .synth import SynthConfig, generate_synthetic
-from .training import TrainConfig, finite_diff_check, fit, gradcheck_instance
+from .training import LOSS_REDUCTIONS, TrainConfig, finite_diff_check, fit, gradcheck_instance
 
 logger = logging.getLogger(__name__)
 
@@ -77,10 +82,8 @@ def _parse_k_list(text: str) -> tuple:
 
 
 def _load_data_dir(data_dir: Path):
-    dataset = load_dataset(
-        data_dir / RATINGS_FILE, data_dir / FRAMES_FILE, data_dir / FEATURES_FILE
-    )
-    return dataset
+    return load_dataset(data_dir / RATINGS_FILE, data_dir / FRAMES_FILE,
+                        data_dir / FEATURES_FILE)
 
 
 def _load_split_dir(data_dir: Path):
@@ -88,68 +91,49 @@ def _load_split_dir(data_dir: Path):
     return dataset, load_split(dataset, data_dir)
 
 
-def _model_config(args: argparse.Namespace) -> ModelConfig:
-    d1 = args.d if args.d is not None else args.d1
-    d2 = args.d if args.d is not None else args.d2
-    return ModelConfig(
-        d1=d1,
-        d2=d2,
-        attn_hidden_visual=args.attn_hidden_visual,
-        attn_hidden_rating=args.attn_hidden_rating,
-        reduced_visual_dim=args.reduced_dim,
-        visual_mode=args.visual,
-        fusion_mode=args.fusion,
-        lambda1=args.lambda1,
-        init_scale=args.init_scale,
-        seed=args.model_seed,
-    )
+# Each config field is one flag named after its field, or its FLAG_NAMES entry,
+# with the field's type, default and CHOICES entry.
+FLAG_NAMES = {
+    (ModelConfig, "reduced_visual_dim"): "reduced_dim",
+    (ModelConfig, "visual_mode"): "visual",
+    (ModelConfig, "fusion_mode"): "fusion",
+    (ModelConfig, "seed"): "model_seed",
+    (TrainConfig, "seed"): "train_seed",
+    (SynthConfig, "num_users"): "users",
+    (SynthConfig, "num_items"): "items",
+    (SynthConfig, "frame_likes_per_pair"): "likes_per_pair",
+}
+CHOICES = {
+    "visual_mode": VISUAL_MODES,
+    "fusion_mode": FUSION_MODES,
+    "loss_reduction": LOSS_REDUCTIONS,
+}
+HELP = {
+    "d1": "collaborative factor dimension",
+    "d2": "visual factor dimension",
+    "visual_mode": "item visual embedding mode",
+    "fusion_mode": "how the two score channels combine",
+    "reduced_visual_dim": "attention key dimension for frame features",
+    "neg_ratio": "negatives sampled per observed feedback",
+}
 
 
-def _train_config(args: argparse.Namespace) -> TrainConfig:
-    return TrainConfig(
-        lr=args.lr,
-        batch_size=args.batch_size,
-        epochs=args.epochs,
-        neg_ratio=args.neg_ratio,
-        patience=args.patience,
-        valid_negatives=args.valid_negatives,
-        valid_k=args.valid_k,
-        loss_reduction=args.loss_reduction,
-        seed=args.train_seed,
-    )
+def _dest(cls, name: str) -> str:
+    return FLAG_NAMES.get((cls, name), name)
 
 
-def _add_model_args(p: argparse.ArgumentParser) -> None:
-    g = p.add_argument_group("model")
-    g.add_argument("--d", type=int, default=None,
-                   help="shorthand setting both factor dimensions at once")
-    g.add_argument("--d1", type=int, default=32, help="collaborative factor dimension")
-    g.add_argument("--d2", type=int, default=32, help="visual factor dimension")
-    g.add_argument("--visual", choices=("off", "avg", "att"), default="att",
-                   help="item visual embedding mode")
-    g.add_argument("--fusion", choices=("sum", "att"), default="att",
-                   help="how the two score channels combine")
-    g.add_argument("--attn-hidden-visual", type=int, default=32)
-    g.add_argument("--attn-hidden-rating", type=int, default=32)
-    g.add_argument("--reduced-dim", type=int, default=32,
-                   help="attention key dimension for frame features")
-    g.add_argument("--lambda1", type=float, default=0.001)
-    g.add_argument("--init-scale", type=float, default=0.1)
-    g.add_argument("--model-seed", type=int, default=0)
+def _add_config_args(p: argparse.ArgumentParser, cls, title: str) -> None:
+    """One flag per field of the config dataclass ``cls``."""
+    g = p.add_argument_group(title)
+    for f in fields(cls):
+        dest = _dest(cls, f.name)
+        g.add_argument("--" + dest.replace("_", "-"), type=type(f.default),
+                       default=f.default, choices=CHOICES.get(f.name),
+                       help=HELP.get(f.name))
 
 
-def _add_train_args(p: argparse.ArgumentParser) -> None:
-    g = p.add_argument_group("training")
-    g.add_argument("--lr", type=float, default=0.001)
-    g.add_argument("--batch-size", type=int, default=512)
-    g.add_argument("--epochs", type=int, default=50)
-    g.add_argument("--neg-ratio", type=int, default=10,
-                   help="negatives sampled per observed feedback")
-    g.add_argument("--patience", type=int, default=10)
-    g.add_argument("--valid-negatives", type=int, default=100)
-    g.add_argument("--valid-k", type=int, default=10)
-    g.add_argument("--loss-reduction", choices=("mean", "sum"), default="mean")
-    g.add_argument("--train-seed", type=int, default=0)
+def _config(cls, args: argparse.Namespace):
+    return cls(**{f.name: getattr(args, _dest(cls, f.name)) for f in fields(cls)})
 
 
 # ---------------------------------------------------------------------------
@@ -158,19 +142,7 @@ def _add_train_args(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    cfg = SynthConfig(
-        num_users=args.users,
-        num_items=args.items,
-        frames_per_item=args.frames_per_item,
-        feature_dim=args.feature_dim,
-        latent_dim=args.latent_dim,
-        ratings_per_user=args.ratings_per_user,
-        frame_likes_per_pair=args.likes_per_pair,
-        seed=args.seed,
-        salient_frac=args.salient_frac,
-        salient_shift=args.salient_shift,
-        attention_gain=args.attention_gain,
-    )
+    cfg = _config(SynthConfig, args)
     dataset, likes, _ = generate_synthetic(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -182,7 +154,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_split(args: argparse.Namespace) -> int:
     dataset = _load_data_dir(Path(args.data))
-    if args.min_count > 1:
+    # min_count 1 keeps unrated users and items; prune_dataset rejects values below 1
+    if args.min_count != 1:
         before = dataset.describe()
         dataset = prune_dataset(dataset, args.min_count)
         logger.info("pruned: %s -> %s", before, dataset.describe())
@@ -211,8 +184,8 @@ def _cmd_split(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     dataset, split = _load_split_dir(Path(args.data))
-    cfg = _model_config(args)
-    tcfg = _train_config(args)
+    cfg = _config(ModelConfig, args)
+    tcfg = _config(TrainConfig, args)
     params, log = fit(split, cfg, tcfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -284,11 +257,7 @@ def _cmd_eval_frames(args: argparse.Namespace) -> int:
     return 0
 
 
-GRADCHECK_COMBOS = (
-    ("off", "sum"), ("off", "att"),
-    ("avg", "sum"), ("avg", "att"),
-    ("att", "sum"), ("att", "att"),
-)
+GRADCHECK_COMBOS = tuple(itertools.product(VISUAL_MODES, FUSION_MODES))
 
 
 def _parse_modes(text: str) -> tuple:
@@ -308,9 +277,8 @@ def _parse_modes(text: str) -> tuple:
 
 
 def _cmd_gradcheck(args: argparse.Namespace) -> int:
-    combos = args.modes
     ok = True
-    for visual, fusion in combos:
+    for visual, fusion in args.modes:
         params, cfg, dataset, batch = gradcheck_instance(
             seed=args.seed, visual_mode=visual, fusion_mode=fusion
         )
@@ -331,9 +299,10 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
     dataset, split = _load_split_dir(Path(args.data))
-    base_cfg = _model_config(args)
-    tcfg = _train_config(args)
-    cells = [("off", "sum"), ("avg", "sum"), ("avg", "att"), ("att", "sum"), ("att", "att")]
+    base_cfg = _config(ModelConfig, args)
+    tcfg = _config(TrainConfig, args)
+    # off/att scores exactly like off/sum: with no visual channel there is nothing to fuse
+    cells = [c for c in GRADCHECK_COMBOS if c != (VISUAL_OFF, FUSION_ATT)]
     rows = []
     for visual, fusion in cells:
         cfg = replace(base_cfg, visual_mode=visual, fusion_mode=fusion)
@@ -402,17 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset with known structure")
     p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--users", type=int, default=200)
-    p.add_argument("--items", type=int, default=300)
-    p.add_argument("--frames-per-item", type=int, default=5)
-    p.add_argument("--feature-dim", type=int, default=16)
-    p.add_argument("--latent-dim", type=int, default=8)
-    p.add_argument("--ratings-per-user", type=int, default=20)
-    p.add_argument("--likes-per-pair", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--salient-frac", type=float, default=0.25)
-    p.add_argument("--salient-shift", type=float, default=2.5)
-    p.add_argument("--attention-gain", type=float, default=2.5)
+    _add_config_args(p, SynthConfig, "synthetic data")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("split", help="prune and split a dataset into train/valid/test")
@@ -431,8 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit a model on a split directory")
     p.add_argument("--data", required=True, type=Path, help="split directory")
     p.add_argument("--out", required=True, type=Path)
-    _add_model_args(p)
-    _add_train_args(p)
+    _add_config_args(p, ModelConfig, "model")
+    _add_config_args(p, TrainConfig, "training")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval-items", help="ranking metrics for item recommendation")
@@ -476,8 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--negatives", type=int, default=1000)
     p.add_argument("--repeats", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    _add_model_args(p)
-    _add_train_args(p)
+    _add_config_args(p, ModelConfig, "model")
+    _add_config_args(p, TrainConfig, "training")
     p.set_defaults(func=_cmd_ablate)
 
     return parser

@@ -101,8 +101,8 @@ class EvalReport:
 
 def _check_k_list(k_list) -> tuple:
     k_list = tuple(int(k) for k in k_list)
-    if not k_list or any(k < 1 for k in k_list):
-        raise ConfigError(f"cutoffs must be positive integers, got {k_list}")
+    if not k_list or any(k < 1 for k in k_list) or len(set(k_list)) < len(k_list):
+        raise ConfigError(f"cutoffs must be distinct positive integers, got {k_list}")
     return k_list
 
 

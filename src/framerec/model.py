@@ -25,6 +25,8 @@ VISUAL_AVG = "avg"
 VISUAL_ATT = "att"
 FUSION_SUM = "sum"
 FUSION_ATT = "att"
+VISUAL_MODES = (VISUAL_OFF, VISUAL_AVG, VISUAL_ATT)
+FUSION_MODES = (FUSION_SUM, FUSION_ATT)
 
 CHECKPOINT_FORMAT = "framerec-checkpoint-v3"
 
@@ -54,9 +56,9 @@ class ModelConfig:
         if min(self.d1, self.attn_hidden_visual, self.attn_hidden_rating,
                self.reduced_visual_dim) < 1:
             raise ConfigError("d1, hidden sizes and reduced_visual_dim must be >= 1")
-        if self.visual_mode not in (VISUAL_OFF, VISUAL_AVG, VISUAL_ATT):
+        if self.visual_mode not in VISUAL_MODES:
             raise ConfigError(f"unknown visual_mode {self.visual_mode!r}")
-        if self.fusion_mode not in (FUSION_SUM, FUSION_ATT):
+        if self.fusion_mode not in FUSION_MODES:
             raise ConfigError(f"unknown fusion_mode {self.fusion_mode!r}")
         if self.visual_mode != VISUAL_OFF and self.d2 < 1:
             raise ConfigError(f"d2 must be >= 1 with visual_mode={self.visual_mode}")
@@ -365,7 +367,7 @@ def save_checkpoint(path, params: ModelParams, cfg: ModelConfig, digest: str) ->
         "params": {
             name: {
                 "shape": list(tensor.shape),
-                "data": [float(x) for x in tensor.ravel()],
+                "data": tensor.ravel().tolist(),
             }
             for name, tensor in params.tensors().items()
         },

@@ -47,6 +47,7 @@ logger = logging.getLogger(__name__)
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+LOSS_REDUCTIONS = ("mean", "sum")
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.loss_reduction not in ("mean", "sum"):
+        if self.loss_reduction not in LOSS_REDUCTIONS:
             raise ConfigError(f"unknown loss_reduction {self.loss_reduction!r}")
         if min(self.batch_size, self.epochs, self.neg_ratio, self.patience,
                self.valid_negatives, self.valid_k) < 1:
@@ -106,7 +107,7 @@ def sample_epoch(split: SplitDataset, neg_ratio: int, rng: np.random.Generator) 
     negs = np.empty(len(reps), dtype=np.int64)
     users, starts, counts = np.unique(reps[:, 0], return_index=True, return_counts=True)
     for u, lo, n in zip(users, starts, counts):
-        pool = np.setdiff1d(all_items, base.items_of_user[u], assume_unique=True)
+        pool = np.delete(all_items, base.items_of_user[u])
         if len(pool) == 0:
             raise SamplingError(
                 f"user {base.user_ids[u]!r} has rated every item; "
@@ -194,7 +195,7 @@ def batch_gradients(
     dcf = dvs = g  # d(loss)/d(collaborative and visual channel score)
     visual = cfg.visual_mode != VISUAL_OFF
     fused = visual and cfg.fusion_mode == FUSION_ATT
-    grads = {name: np.zeros_like(params.tensors()[name]) for name in active_param_names(cfg)}
+    grads = {name: np.zeros_like(getattr(params, name)) for name in active_param_names(cfg)}
     if fused:
         beta1, beta2 = cache.beta1, cache.beta2
         dcf, dvs = g * beta1, g * beta2
@@ -481,10 +482,13 @@ def finite_diff_check(
     The numeric side differences the batch objective with the regulariser
     restricted to touched rows, matching what the analytic gradient computes.
     Large tensors are subsampled to ``max_coords`` coordinates.  Relative
-    error uses max(1e-8, |analytic| + |numeric|) as the denominator.
+    error uses max(1e-8, |analytic| + |numeric|) as the denominator.  Raises
+    NonFiniteError if either side of a compared coordinate is not finite.
     """
-    if h <= 0:
-        raise ConfigError(f"step size h must be > 0, got {h}")
+    if not (math.isfinite(h) and h > 0):
+        raise ConfigError(f"step size h must be finite and > 0, got {h}")
+    if max_coords < 1:
+        raise ConfigError(f"max_coords must be >= 1, got {max_coords}")
     batch = np.asarray(batch, dtype=np.int64)
     _, grads = batch_gradients(params, cfg, dataset, batch, reduction=reduction)
     rng = np.random.default_rng(seed)
@@ -495,8 +499,7 @@ def finite_diff_check(
     per_param = {}
     checked = 0
     for name in active_param_names(cfg):
-        tensor = params.tensors()[name]
-        flat = tensor.reshape(-1)
+        flat = getattr(params, name).reshape(-1)
         gflat = grads[name].reshape(-1)
         if flat.size <= max_coords:
             coords = np.arange(flat.size)
@@ -512,6 +515,10 @@ def finite_diff_check(
             flat[c] = keep
             numeric = (up - down) / (2.0 * h)
             analytic = gflat[c]
+            if not (math.isfinite(numeric) and math.isfinite(analytic)):
+                raise NonFiniteError(
+                    f"gradient check: {name}[{c}] has analytic {analytic}, numeric {numeric}"
+                )
             denom = max(1e-8, abs(analytic) + abs(numeric))
             worst = max(worst, abs(analytic - numeric) / denom)
         per_param[name] = worst

@@ -1,11 +1,16 @@
 """End-to-end command line pipeline and its failure modes."""
 
+import argparse
 import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from framerec.cli import run
+from framerec.cli import _config, _dest, build_parser, run
+from framerec.model import ModelConfig
+from framerec.synth import SynthConfig
+from framerec.training import TrainConfig
 
 
 def call(capsys, *argv):
@@ -83,17 +88,6 @@ class TestPipeline:
         assert code == 0
         assert (eval_dir / "frame_eval.json").exists()
         assert (eval_dir / "frame_baseline.json").exists()
-
-    def test_dimension_shorthand_sets_both_factors(self, pipeline_dirs, capsys):
-        split_dir = str(pipeline_dirs / "split")
-        run_dir = pipeline_dirs / "run_d"
-        code, _, _ = call(capsys, "train", "--data", split_dir, "--out", str(run_dir),
-                          "--d", "4", "--attn-hidden-visual", "4",
-                          "--attn-hidden-rating", "4", "--reduced-dim", "4",
-                          *SMALL_TRAIN)
-        assert code == 0
-        doc = json.loads((run_dir / "checkpoint.json").read_text())
-        assert doc["config"]["d1"] == 4 and doc["config"]["d2"] == 4
 
     def test_off_mode_checkpoint_cannot_eval_frames(self, pipeline_dirs, capsys):
         split_dir = str(pipeline_dirs / "split")
@@ -181,6 +175,28 @@ class TestBadCounts:
         assert code == 1
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("flag,value", [("--h", "nan"), ("--max-coords", "0"),
+                                            ("--max-coords", "-1")])
+    def test_gradcheck_that_checks_nothing(self, capsys, flag, value):
+        code, _, err = call(capsys, "gradcheck", "--modes", "off:sum", flag, value)
+        assert code == 1
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+    def test_negative_min_count(self, pipeline_dirs, capsys):
+        code, _, err = call(capsys, "split", "--data", str(pipeline_dirs / "data"),
+                            "--out", str(pipeline_dirs / "split2"), "--min-count", "-3")
+        assert code == 1
+        assert err.startswith("error: min_count must be >= 1")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_duplicate_cutoffs(self, trained, capsys):
+        code, _, err = call(capsys, "eval-items", "--data", str(trained / "split"),
+                            "--checkpoint", str(trained / "run" / "checkpoint.json"),
+                            "--out", str(trained / "ev"), "--k", "5,5")
+        assert code == 1
+        assert "distinct" in err and len(err.strip().splitlines()) == 1
+        assert not (trained / "ev" / "item_eval.tsv").exists()
+
     def test_truncated_checkpoint(self, trained, capsys):
         ck = trained / "run" / "checkpoint.json"
         ck.write_text(ck.read_text()[:1000])
@@ -228,6 +244,55 @@ class TestErrors:
     def test_missing_required_flag_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["synth"])
+        assert exc.value.code == 2
+
+
+def subparser(command):
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices[command]
+
+
+CONFIG_COMMANDS = [("synth", SynthConfig), ("train", ModelConfig),
+                   ("train", TrainConfig), ("ablate", ModelConfig),
+                   ("ablate", TrainConfig)]
+REQUIRED = {"synth": ["--out", "o"], "train": ["--data", "d", "--out", "o"],
+            "ablate": ["--data", "d", "--out", "o"]}
+
+
+class TestConfigFlags:
+    """The synth, train and ablate flags are the config dataclasses' fields."""
+
+    def test_required_flags_alone_give_default_configs(self):
+        args = build_parser().parse_args(["train", *REQUIRED["train"]])
+        assert _config(ModelConfig, args) == ModelConfig()
+        assert _config(TrainConfig, args) == TrainConfig()
+        args = build_parser().parse_args(["synth", *REQUIRED["synth"]])
+        assert _config(SynthConfig, args) == SynthConfig()
+
+    @pytest.mark.parametrize("command,cls", CONFIG_COMMANDS,
+                             ids=[f"{c}-{k.__name__}" for c, k in CONFIG_COMMANDS])
+    def test_every_field_has_one_flag_that_sets_it(self, command, cls):
+        actions = subparser(command)._actions
+        # fusion "sum" lets d1 and d2 differ; it is set for every other model field
+        base = ["--fusion", "sum"] if cls is ModelConfig else []
+        for f in fields(cls):
+            matching = [a for a in actions if a.dest == _dest(cls, f.name)]
+            assert len(matching) == 1 and len(matching[0].option_strings) == 1, f.name
+            flag = matching[0].option_strings[0]
+            if matching[0].choices:
+                value = next(c for c in matching[0].choices if c != f.default)
+            else:
+                value = f.default + 1 if isinstance(f.default, int) else f.default / 2
+            argv = [] if f.name == "fusion_mode" else base
+            args = build_parser().parse_args(
+                [command, *REQUIRED[command], *argv, flag, str(value)])
+            want = _config(cls, build_parser().parse_args(
+                [command, *REQUIRED[command], *argv]))
+            assert _config(cls, args) == replace(want, **{f.name: value}), f.name
+
+    def test_dimension_shorthand_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["train", "--data", "d", "--out", "o", "--d", "4"])
         assert exc.value.code == 2
 
 

@@ -219,6 +219,25 @@ class TestGradients:
         with pytest.raises(ConfigError):
             finite_diff_check(params, cfg, ds, batch, h=0.0)
 
+    @pytest.mark.parametrize("h", [math.nan, math.inf])
+    def test_step_size_must_be_finite(self, h):
+        params, cfg, ds, batch = gradcheck_instance(seed=2)
+        with pytest.raises(ConfigError, match="finite"):
+            finite_diff_check(params, cfg, ds, batch, h=h)
+
+    @pytest.mark.parametrize("max_coords", [0, -1])
+    def test_checks_at_least_one_coordinate(self, max_coords):
+        params, cfg, ds, batch = gradcheck_instance(seed=2)
+        with pytest.raises(ConfigError, match="max_coords"):
+            finite_diff_check(params, cfg, ds, batch, max_coords=max_coords)
+
+    def test_non_finite_parameter_fails_the_check(self):
+        # max() drops NaN, so a NaN error would otherwise read as a pass
+        params, cfg, ds, batch = gradcheck_instance(seed=0)
+        params.attn_out[0] = np.nan
+        with pytest.raises(NonFiniteError, match=r"gradient check: \w+\[\d+\] has analytic"):
+            finite_diff_check(params, cfg, ds, batch)
+
     def test_empty_batch_raises(self):
         params, cfg, ds, batch = gradcheck_instance(seed=2)
         with pytest.raises(EmptyDatasetError, match="empty batch") as info:
