@@ -9,6 +9,7 @@ argument parsing failures.
 from __future__ import annotations
 
 import argparse
+import inspect
 import itertools
 import json
 import logging
@@ -32,7 +33,8 @@ from .data import (
     split_ratings,
 )
 from .errors import FrameRecError, IntegrityError
-from .evaluation import evaluate_frame_rec, evaluate_item_rec, random_frame_baseline
+from .evaluation import (ITEM_SPLITS, check_cutoffs, check_sampling, evaluate_frame_rec,
+                         evaluate_item_rec, random_frame_baseline)
 from .model import (
     FUSION_ATT,
     FUSION_MODES,
@@ -301,6 +303,10 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     dataset, split = _load_split_dir(Path(args.data))
     base_cfg = _config(ModelConfig, args)
     tcfg = _config(TrainConfig, args)
+    # bad evaluation flags fail here, not after the first cell's training
+    check_cutoffs((args.item_k,))
+    check_cutoffs((args.frame_k,))
+    check_sampling(args.negatives, args.repeats)
     # off/att scores exactly like off/sum: with no visual channel there is nothing to fuse
     cells = [c for c in GRADCHECK_COMBOS if c != (VISUAL_OFF, FUSION_ATT)]
     rows = []
@@ -394,23 +400,26 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_args(p, TrainConfig, "training")
     p.set_defaults(func=_cmd_train)
 
+    # evaluation and gradient-check flags default to their functions' keywords
+    item_eval = inspect.signature(evaluate_item_rec).parameters
     p = sub.add_parser("eval-items", help="ranking metrics for item recommendation")
     p.add_argument("--data", required=True, type=Path, help="split directory")
     p.add_argument("--checkpoint", required=True, type=Path)
     p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--k", type=_parse_k_list, default=(5, 10, 15, 20),
+    p.add_argument("--k", type=_parse_k_list, default=item_eval["k_list"].default,
                    help="comma-separated cutoffs")
-    p.add_argument("--negatives", type=int, default=1000)
-    p.add_argument("--repeats", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--split", choices=("test", "validation"), default="test")
+    p.add_argument("--negatives", type=int, default=item_eval["n_negatives"].default)
+    p.add_argument("--repeats", type=int, default=item_eval["repeats"].default)
+    p.add_argument("--seed", type=int, default=item_eval["seed"].default)
+    p.add_argument("--split", choices=ITEM_SPLITS, default=item_eval["split_name"].default)
     p.set_defaults(func=_cmd_eval_items)
 
     p = sub.add_parser("eval-frames", help="ranking metrics for frame recommendation")
     p.add_argument("--data", required=True, type=Path, help="split directory")
     p.add_argument("--checkpoint", required=True, type=Path)
     p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--k", type=_parse_k_list, default=(1, 2, 3))
+    p.add_argument("--k", type=_parse_k_list,
+                   default=inspect.signature(evaluate_frame_rec).parameters["k_list"].default)
     p.add_argument("--exclude-singletons", action="store_true",
                    help="skip items with a single frame")
     p.add_argument("--with-baseline", action="store_true",
@@ -422,9 +431,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modes", type=_parse_modes, default=GRADCHECK_COMBOS,
                    help="'all' or comma-separated visual:fusion pairs, e.g. att:att")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--h", type=float, default=1e-5)
+    check = inspect.signature(finite_diff_check).parameters
+    p.add_argument("--h", type=float, default=check["h"].default)
     p.add_argument("--threshold", type=float, default=1e-4)
-    p.add_argument("--max-coords", type=int, default=200)
+    p.add_argument("--max-coords", type=int, default=check["max_coords"].default)
     p.set_defaults(func=_cmd_gradcheck)
 
     p = sub.add_parser("ablate", help="train and compare all mode combinations")
@@ -432,9 +442,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, type=Path)
     p.add_argument("--item-k", type=int, default=10)
     p.add_argument("--frame-k", type=int, default=3)
-    p.add_argument("--negatives", type=int, default=1000)
-    p.add_argument("--repeats", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--negatives", type=int, default=item_eval["n_negatives"].default)
+    p.add_argument("--repeats", type=int, default=item_eval["repeats"].default)
+    p.add_argument("--seed", type=int, default=item_eval["seed"].default)
     _add_config_args(p, ModelConfig, "model")
     _add_config_args(p, TrainConfig, "training")
     p.set_defaults(func=_cmd_ablate)

@@ -13,6 +13,8 @@ import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import cached_property
+from itertools import compress, groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -130,9 +132,7 @@ class SplitDataset:
 
     @cached_property
     def train_array(self) -> np.ndarray:
-        if not self.train:
-            return np.empty((0, 2), dtype=np.int64)
-        return np.array(sorted(self.train), dtype=np.int64)
+        return np.array(sorted(self.train), dtype=np.int64).reshape(-1, 2)
 
 
 def check_dataset(d: Dataset) -> None:
@@ -168,12 +168,11 @@ def check_split(s: SplitDataset) -> None:
         raise IntegrityError("split portions overlap")
     if (s.train | s.validation | s.test) != s.base.ratings:
         raise IntegrityError("split portions do not cover the ratings exactly")
-    test_set = s.test
     parent, num_frames = s.base.frame_parent, s.base.num_frames
     for u, f in s.frame_test:
         if not 0 <= f < num_frames:
             raise IntegrityError(f"frame_test frame id {f} out of range")
-        if (u, int(parent[f])) not in test_set:
+        if (u, int(parent[f])) not in s.test:
             raise IntegrityError(
                 f"frame_test pair ({u}, {f}) has no matching test rating"
             )
@@ -207,62 +206,30 @@ def _parse_pair_file(path) -> list:
     return out
 
 
-def _build_dataset(
-    rating_pairs,
-    frame_pairs,
-    features,
-    feature_dim,
-) -> Dataset:
-    """Assemble a Dataset from token-level records, enforcing invariants.
+def _index(tokens) -> dict:
+    """``{token: position}``: the dense id of each token in a sorted id tuple."""
+    return {t: k for k, t in enumerate(tokens)}
 
-    rating_pairs: iterable of (user_token, item_token); frame_pairs:
-    iterable of (frame_token, item_token) in file order; features: dict
-    frame_token -> 1-D float array.
+
+def _read_ids(path, left: dict, right: dict, drop_unknown: bool = False) -> frozenset:
+    """Read a two-column token file as a frozenset of (left id, right id) pairs.
+
+    ``left`` and ``right`` map each column's tokens to dense ids.  A line
+    naming an absent token raises IntegrityError with the file and line, or,
+    with ``drop_unknown``, is skipped and counted in the log.
     """
-    user_tokens = sorted({u for u, _ in rating_pairs})
-    item_tokens = sorted({i for _, i in rating_pairs} | {i for _, i in frame_pairs})
-    frame_tokens = sorted({f for f, _ in frame_pairs})
-    user_index = {t: k for k, t in enumerate(user_tokens)}
-    item_index = {t: k for k, t in enumerate(item_tokens)}
-    frame_index = {t: k for k, t in enumerate(frame_tokens)}
-
-    parent_by_frame = {}
-    for f, i in frame_pairs:
-        if f in parent_by_frame and parent_by_frame[f] != i:
-            raise IntegrityError(
-                f"frame {f!r} is assigned to both items {parent_by_frame[f]!r} and {i!r}"
-            )
-        parent_by_frame[f] = i
-
-    missing = [f for f in frame_tokens if f not in features]
-    if missing:
-        raise IntegrityError(f"no feature vector for frame {missing[0]!r}")
-    unknown = [f for f in features if f not in frame_index]
-    if unknown:
-        raise IntegrityError(f"features reference unknown frame {unknown[0]!r}")
-
-    num_frames = len(frame_tokens)
-    feats = np.zeros((num_frames, feature_dim), dtype=np.float64)
-    frame_parent = np.zeros(num_frames, dtype=np.int64)
-    for f in frame_tokens:
-        k = frame_index[f]
-        feats[k] = features[f]
-        frame_parent[k] = item_index[parent_by_frame[f]]
-
-    ratings = frozenset(
-        (user_index[u], item_index[i]) for u, i in rating_pairs
-    )
-
-    d = Dataset(
-        ratings=ratings,
-        frame_parent=frame_parent,
-        frame_features=feats,
-        user_ids=tuple(user_tokens),
-        item_ids=tuple(item_tokens),
-        frame_ids=tuple(frame_tokens),
-    )
-    check_dataset(d)
-    return d
+    pairs = set()
+    dropped = 0
+    for line_no, a, b in _parse_pair_file(path):
+        if a in left and b in right:
+            pairs.add((left[a], right[b]))
+        elif drop_unknown:
+            dropped += 1
+        else:
+            raise IntegrityError(f"{path}:{line_no}: unknown id {b if a in left else a!r}")
+    if dropped:
+        logger.info("%s: dropped %d lines naming absent ids", path, dropped)
+    return frozenset(pairs)
 
 
 def load_dataset(ratings_path, frames_path, features_path) -> Dataset:
@@ -271,12 +238,11 @@ def load_dataset(ratings_path, frames_path, features_path) -> Dataset:
     Duplicate rating lines collapse to one positive.  Items mentioned only
     in the frames file are kept as unrated items.  Raises ParseError for
     malformed lines and IntegrityError for broken cross-references (a rated
-    item without frames, a frame without features, a feature row for an
-    unknown frame, or inconsistent feature dimensions).
+    item without frames, a frame without features or with two parents, a
+    feature row for an unknown frame, or inconsistent feature dimensions).
     """
     rating_pairs = [(u, i) for _, u, i in _parse_pair_file(ratings_path)]
     frame_records = _parse_pair_file(frames_path)
-    frame_pairs = [(f, i) for _, f, i in frame_records]
 
     features = {}
     feature_dim = None
@@ -302,10 +268,36 @@ def load_dataset(ratings_path, frames_path, features_path) -> Dataset:
         if head in features:
             raise IntegrityError(f"duplicate feature row for frame {head!r}")
         features[head] = vec
-    if feature_dim is None:
-        feature_dim = 0
 
-    return _build_dataset(rating_pairs, frame_pairs, features, feature_dim)
+    parent_by_frame = {}
+    for _, f, i in frame_records:
+        if parent_by_frame.setdefault(f, i) != i:
+            raise IntegrityError(
+                f"frame {f!r} is assigned to both items {parent_by_frame[f]!r} and {i!r}"
+            )
+    user_tokens = sorted({u for u, _ in rating_pairs})
+    item_tokens = sorted({i for _, i in rating_pairs} | set(parent_by_frame.values()))
+    frame_tokens = sorted(parent_by_frame)
+    missing = [f for f in frame_tokens if f not in features]
+    if missing:
+        raise IntegrityError(f"no feature vector for frame {missing[0]!r}")
+    unknown = [f for f in features if f not in parent_by_frame]
+    if unknown:
+        raise IntegrityError(f"features reference unknown frame {unknown[0]!r}")
+
+    user_index, item_index = _index(user_tokens), _index(item_tokens)
+    d = Dataset(
+        ratings=frozenset((user_index[u], item_index[i]) for u, i in rating_pairs),
+        frame_parent=np.array([item_index[parent_by_frame[f]] for f in frame_tokens],
+                              dtype=np.int64),
+        frame_features=np.array([features[f] for f in frame_tokens],
+                                dtype=np.float64).reshape(len(frame_tokens), feature_dim or 0),
+        user_ids=tuple(user_tokens),
+        item_ids=tuple(item_tokens),
+        frame_ids=tuple(frame_tokens),
+    )
+    check_dataset(d)
+    return d
 
 
 def load_frame_likes(path, dataset: Dataset) -> frozenset:
@@ -315,49 +307,13 @@ def load_frame_likes(path, dataset: Dataset) -> frozenset:
     because pruning removed them) are dropped with a log message; malformed
     lines still raise ParseError.
     """
-    user_index = {t: k for k, t in enumerate(dataset.user_ids)}
-    frame_index = {t: k for k, t in enumerate(dataset.frame_ids)}
-    likes = set()
-    dropped = 0
-    for _, u, f in _parse_pair_file(path):
-        if u in user_index and f in frame_index:
-            likes.add((user_index[u], frame_index[f]))
-        else:
-            dropped += 1
-    if dropped:
-        logger.info("dropped %d frame likes referencing absent users/frames", dropped)
-    return frozenset(likes)
+    return _read_ids(path, _index(dataset.user_ids), _index(dataset.frame_ids),
+                     drop_unknown=True)
 
 
 # ---------------------------------------------------------------------------
 # Pruning and splitting
 # ---------------------------------------------------------------------------
-
-
-def _subset(dataset: Dataset, keep_users, keep_items) -> Dataset:
-    """Re-index a dataset onto the given (sorted) user/item id subsets."""
-    keep_users = sorted(keep_users)
-    keep_items = sorted(keep_items)
-    user_map = {old: new for new, old in enumerate(keep_users)}
-    item_map = {old: new for new, old in enumerate(keep_items)}
-
-    parents = dataset.frame_parent.tolist()
-    keep_frames = [f for f, i in enumerate(parents) if i in item_map]
-    frame_parent = np.array([item_map[parents[f]] for f in keep_frames], dtype=np.int64)
-    features = dataset.frame_features[np.array(keep_frames, dtype=np.int64)]
-    ratings = frozenset(
-        (user_map[u], item_map[i])
-        for u, i in dataset.ratings
-        if u in user_map and i in item_map
-    )
-    return Dataset(
-        ratings=ratings,
-        frame_parent=frame_parent,
-        frame_features=features,
-        user_ids=tuple(dataset.user_ids[u] for u in keep_users),
-        item_ids=tuple(dataset.item_ids[i] for i in keep_items),
-        frame_ids=tuple(dataset.frame_ids[f] for f in keep_frames),
-    )
 
 
 def prune_dataset(dataset: Dataset, min_count: int) -> Dataset:
@@ -370,27 +326,29 @@ def prune_dataset(dataset: Dataset, min_count: int) -> Dataset:
     """
     if min_count < 1:
         raise ConfigError(f"min_count must be >= 1, got {min_count}")
-    users = set(range(dataset.num_users))
-    items = set(range(dataset.num_items))
-    ratings = set(dataset.ratings)
+    pairs = np.array(sorted(dataset.ratings), dtype=np.int64).reshape(-1, 2)
     while True:
-        user_counts = {u: 0 for u in users}
-        item_counts = {i: 0 for i in items}
-        for u, i in ratings:
-            user_counts[u] += 1
-            item_counts[i] += 1
-        bad_users = {u for u, c in user_counts.items() if c < min_count}
-        bad_items = {i for i, c in item_counts.items() if c < min_count}
-        if not bad_users and not bad_items:
+        users = np.bincount(pairs[:, 0], minlength=dataset.num_users) >= min_count
+        items = np.bincount(pairs[:, 1], minlength=dataset.num_items) >= min_count
+        live = users[pairs[:, 0]] & items[pairs[:, 1]]
+        if live.all():
             break
-        users -= bad_users
-        items -= bad_items
-        ratings = {(u, i) for u, i in ratings if u in users and i in items}
-    if not users or not items:
+        pairs = pairs[live]
+    if not users.any() or not items.any():
         raise EmptyDatasetError(
             f"pruning with min_count={min_count} removed every user or item"
         )
-    return _subset(dataset, users, items)
+    # a kept entity's new id is the number of kept entities before it
+    user_map, item_map = np.cumsum(users) - 1, np.cumsum(items) - 1
+    frames = items[dataset.frame_parent]
+    return Dataset(
+        ratings=frozenset(zip(user_map[pairs[:, 0]].tolist(), item_map[pairs[:, 1]].tolist())),
+        frame_parent=item_map[dataset.frame_parent[frames]],
+        frame_features=dataset.frame_features[frames],
+        user_ids=tuple(compress(dataset.user_ids, users)),
+        item_ids=tuple(compress(dataset.item_ids, items)),
+        frame_ids=tuple(compress(dataset.frame_ids, frames)),
+    )
 
 
 def split_ratings(
@@ -432,11 +390,8 @@ def split_ratings(
                 test.add(pair)
 
     if per_user:
-        by_user = {}
-        for u, i in sorted(dataset.ratings):
-            by_user.setdefault(u, []).append((u, i))
-        for u in sorted(by_user):
-            partition(by_user[u])
+        for _, pairs in groupby(sorted(dataset.ratings), key=itemgetter(0)):
+            partition(pairs)
     else:
         partition(dataset.ratings)
 
@@ -487,17 +442,19 @@ def atomic_writer(path):
         raise
 
 
-def _write_pairs(path, rows) -> None:
+def _write_pairs(path, pairs, left_ids, right_ids) -> None:
+    """Write (left id, right id) pairs as their tokens, one line each, in token order."""
+    rows = sorted((left_ids[a], right_ids[b]) for a, b in pairs)
     with atomic_writer(path) as fh:
-        for left, right in rows:
-            fh.write(f"{left}\t{right}\n")
+        fh.writelines(f"{a}\t{b}\n" for a, b in rows)
 
 
 def save_dataset(dataset: Dataset, out_dir, frame_likes=None) -> dict:
     """Write ratings/frames/features (and optionally frame likes) TSVs.
 
-    Feature values are written with repr so a reload reproduces them
-    bit-for-bit.  Returns a name -> path dict of everything written.
+    Frames are written item by item.  Feature values are written with repr
+    so a reload reproduces them bit-for-bit.  Returns a name -> path dict of
+    everything written.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -506,26 +463,19 @@ def save_dataset(dataset: Dataset, out_dir, frame_likes=None) -> dict:
         "frames": out_dir / FRAMES_FILE,
         "features": out_dir / FEATURES_FILE,
     }
-    _write_pairs(
-        paths["ratings"],
-        sorted((dataset.user_ids[u], dataset.item_ids[i]) for u, i in dataset.ratings),
-    )
-    ids, mask, _ = dataset.frame_table
-    parents = dataset.frame_parent.tolist()
-    _write_pairs(
-        paths["frames"],
-        [(dataset.frame_ids[f], dataset.item_ids[parents[f]]) for f in ids[mask].tolist()],
-    )
+    d = dataset
+    _write_pairs(paths["ratings"], d.ratings, d.user_ids, d.item_ids)
+    ids, mask, _ = d.frame_table
+    frames = ids[mask]
+    with atomic_writer(paths["frames"]) as fh:
+        fh.writelines(f"{d.frame_ids[f]}\t{d.item_ids[i]}\n"
+                      for f, i in zip(frames.tolist(), d.frame_parent[frames].tolist()))
     with atomic_writer(paths["features"]) as fh:
-        for f in range(dataset.num_frames):
-            vals = " ".join(repr(float(x)) for x in dataset.frame_features[f])
-            fh.write(f"{dataset.frame_ids[f]}\t{vals}\n")
+        for tok, row in zip(d.frame_ids, d.frame_features):
+            fh.write(f"{tok}\t{' '.join(map(repr, row.tolist()))}\n")
     if frame_likes is not None:
         paths["frame_likes"] = out_dir / FRAME_LIKES_FILE
-        _write_pairs(
-            paths["frame_likes"],
-            sorted((dataset.user_ids[u], dataset.frame_ids[f]) for u, f in frame_likes),
-        )
+        _write_pairs(paths["frame_likes"], frame_likes, d.user_ids, d.frame_ids)
     return paths
 
 
@@ -535,54 +485,31 @@ def save_split(split: SplitDataset, out_dir) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     d = split.base
     paths = {}
-    for name, pairs in (
-        (TRAIN_FILE, split.train),
-        (VALID_FILE, split.validation),
-        (TEST_FILE, split.test),
+    for name, pairs, right_ids in (
+        (TRAIN_FILE, split.train, d.item_ids),
+        (VALID_FILE, split.validation, d.item_ids),
+        (TEST_FILE, split.test, d.item_ids),
+        (FRAME_TEST_FILE, split.frame_test, d.frame_ids),
     ):
         paths[name] = out_dir / name
-        _write_pairs(
-            paths[name],
-            sorted((d.user_ids[u], d.item_ids[i]) for u, i in pairs),
-        )
-    paths[FRAME_TEST_FILE] = out_dir / FRAME_TEST_FILE
-    _write_pairs(
-        paths[FRAME_TEST_FILE],
-        sorted((d.user_ids[u], d.frame_ids[f]) for u, f in split.frame_test),
-    )
+        _write_pairs(paths[name], pairs, d.user_ids, right_ids)
     return paths
 
 
 def load_split(dataset: Dataset, split_dir) -> SplitDataset:
-    """Read a split manifest written by save_split and validate it."""
+    """Read a split manifest written by save_split and validate it.
+
+    A line naming a user, item or frame absent from ``dataset`` raises
+    IntegrityError with the file and line.
+    """
     split_dir = Path(split_dir)
-    user_index = {t: k for k, t in enumerate(dataset.user_ids)}
-    item_index = {t: k for k, t in enumerate(dataset.item_ids)}
-    frame_index = {t: k for k, t in enumerate(dataset.frame_ids)}
-
-    def read_rating_pairs(name):
-        pairs = set()
-        for line_no, u, i in _parse_pair_file(split_dir / name):
-            if u not in user_index or i not in item_index:
-                raise IntegrityError(f"{name}:{line_no}: unknown user or item")
-            pairs.add((user_index[u], item_index[i]))
-        return frozenset(pairs)
-
-    train = read_rating_pairs(TRAIN_FILE)
-    valid = read_rating_pairs(VALID_FILE)
-    test = read_rating_pairs(TEST_FILE)
-    frame_test = set()
-    for line_no, u, f in _parse_pair_file(split_dir / FRAME_TEST_FILE):
-        if u not in user_index or f not in frame_index:
-            raise IntegrityError(f"{FRAME_TEST_FILE}:{line_no}: unknown user or frame")
-        frame_test.add((user_index[u], frame_index[f]))
-
+    users, items = _index(dataset.user_ids), _index(dataset.item_ids)
     split = SplitDataset(
         base=dataset,
-        train=train,
-        validation=valid,
-        test=test,
-        frame_test=frozenset(frame_test),
+        train=_read_ids(split_dir / TRAIN_FILE, users, items),
+        validation=_read_ids(split_dir / VALID_FILE, users, items),
+        test=_read_ids(split_dir / TEST_FILE, users, items),
+        frame_test=_read_ids(split_dir / FRAME_TEST_FILE, users, _index(dataset.frame_ids)),
     )
     check_split(split)
     return split

@@ -37,6 +37,9 @@ logger = logging.getLogger(__name__)
 # candidates.  It bounds memory and does not change results.
 CANDIDATE_BLOCK = 1 << 17
 
+# The split portions item evaluation ranks, named as SplitDataset's fields.
+ITEM_SPLITS = ("test", "validation")
+
 
 def rank_of_first(scores):
     """1-based rank of scores[..., 0] along the last axis, ties ranked worst.
@@ -99,11 +102,20 @@ class EvalReport:
         }
 
 
-def _check_k_list(k_list) -> tuple:
+def check_cutoffs(k_list) -> tuple:
+    """The cutoffs as a tuple of ints; ConfigError unless distinct and positive."""
     k_list = tuple(int(k) for k in k_list)
     if not k_list or any(k < 1 for k in k_list) or len(set(k_list)) < len(k_list):
         raise ConfigError(f"cutoffs must be distinct positive integers, got {k_list}")
     return k_list
+
+
+def check_sampling(n_negatives: int, repeats: int) -> None:
+    """ConfigError unless item evaluation draws at least one negative, at least once."""
+    if repeats < 1:
+        raise ConfigError("repeats must be >= 1")
+    if n_negatives < 1:
+        raise ConfigError(f"n_negatives must be >= 1, got {n_negatives}")
 
 
 def _ranks(scores: np.ndarray, valid: np.ndarray, task: str) -> np.ndarray:
@@ -169,22 +181,19 @@ def evaluate_item_rec(
     warning is recorded.  Repeat r draws the negatives of all pairs, in
     sorted pair order, from the r-th generator spawned from ``seed``.
     """
-    k_list = _check_k_list(k_list)
-    pairs = {"test": split.test, "validation": split.validation}.get(split_name)
-    if pairs is None:
+    k_list = check_cutoffs(k_list)
+    if split_name not in ITEM_SPLITS:
         raise ConfigError(f"unknown split_name {split_name!r}")
-    if repeats < 1:
-        raise ConfigError("repeats must be >= 1")
-    if n_negatives < 1:
-        raise ConfigError(f"n_negatives must be >= 1, got {n_negatives}")
+    check_sampling(n_negatives, repeats)
+    pairs = getattr(split, split_name)
     if not pairs:
         return _report("item", split_name, k_list, np.empty((0, 0)), ())
 
     base = split.base
     users, positives = np.array(sorted(pairs), dtype=np.int64).T
-    rated = np.zeros((base.num_users, base.num_items), dtype=bool)
-    rated[tuple(zip(*base.ratings))] = True
-    pool = base.num_items - rated.sum(axis=1)[users]
+    rated = base.items_of_user
+    n_rated = np.array([len(r) for r in rated], dtype=np.int64)
+    pool = base.num_items - n_rated[users]
     take = int(min(n_negatives, pool.max()))
     warnings = []
     short = int(np.count_nonzero(pool < n_negatives))
@@ -202,7 +211,11 @@ def evaluate_item_rec(
         rng = np.random.default_rng(seq)
         for lo in range(0, len(users), rows):
             u = users[lo: lo + rows]
-            negs, valid = _draw_negatives(rng, rated[u], take)
+            # the block's rows of the (users, items) rated mask, never held whole
+            mask = np.zeros((len(u), base.num_items), dtype=bool)
+            mask[np.repeat(np.arange(len(u)), n_rated[u]),
+                 np.concatenate([rated[x] for x in u])] = True
+            negs, valid = _draw_negatives(rng, mask, take)
             cands = np.column_stack([positives[lo: lo + rows], negs])
             scores = score_pairs(u[:, None], cands, params, cfg, base, table=table)
             valid = np.column_stack([np.ones(len(u), dtype=bool), valid])
@@ -217,7 +230,7 @@ def _frame_report(task, split: SplitDataset, k_list, exclude_singletons, score):
     the padded (pairs, max frames) matrix in row-major order: pair by pair,
     and within a pair in the item's frame order.
     """
-    k_list = _check_k_list(k_list)
+    k_list = check_cutoffs(k_list)
     base = split.base
     pairs = np.array(sorted(split.frame_test), dtype=np.int64).reshape(-1, 2)
     ids, mask, counts = base.frame_table

@@ -235,7 +235,8 @@ def item_visual_table(params: ModelParams, cfg: ModelConfig, dataset: Dataset):
     shifted = shifted - shifted.max(axis=1, keepdims=True)
     expd = np.where(mask, np.exp(shifted), 0.0)
     denom = expd.sum(axis=1, keepdims=True)
-    alpha = np.divide(expd, denom, out=np.zeros_like(expd), where=denom > 0)
+    # divide wherever the item has frames, so a NaN logit reaches the scores
+    alpha = np.divide(expd, denom, out=np.zeros_like(expd), where=counts[:, None] > 0)
     return VisualTable(x=_pool(alpha, feats) @ params.visual_proj.T, alpha=alpha,
                        hidden_pre=hidden_pre)
 

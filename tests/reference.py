@@ -1,4 +1,5 @@
-"""Test oracles: scalar forward path, projected table, full-catalog backward, dense teacher.
+"""Test oracles: scalar forward path, projected table, full-catalog backward, dense teacher,
+set-based prune.
 
 The package scores in bulk (``item_visual_table``, ``score_pairs``,
 ``score_frames``).  The scalar functions score one instance at a time,
@@ -21,13 +22,23 @@ attention keys reduced, one frame at a time.
 item) and every (user, frame) pair under the synthetic teacher, the dense
 matrices the generator no longer builds; they check the teacher's ratings
 and frame likes.
+
+``prune_dataset`` is the set-based prune the package ran before it pruned
+with arrays: a fixed point over Python sets of users, items and ratings,
+then ``subset`` re-indexes through dicts.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from framerec.errors import ConfigError, MissingFramesError, UnsupportedTaskError
+from framerec.data import Dataset
+from framerec.errors import (
+    ConfigError,
+    EmptyDatasetError,
+    MissingFramesError,
+    UnsupportedTaskError,
+)
 from framerec.model import active_param_names, item_visual_table, score_pairs
 
 
@@ -280,3 +291,56 @@ def planted_frame_scores(planted, dataset) -> np.ndarray:
     """Teacher visual-only scores for every (user, frame) pair, shape (M, L)."""
     frame_emb = dataset.frame_features @ planted.params.visual_proj.T
     return planted.params.user_visual @ frame_emb.T
+
+
+def subset(dataset, keep_users, keep_items):
+    """Re-index a dataset onto the given user/item id subsets."""
+    keep_users = sorted(keep_users)
+    keep_items = sorted(keep_items)
+    user_map = {old: new for new, old in enumerate(keep_users)}
+    item_map = {old: new for new, old in enumerate(keep_items)}
+
+    parents = dataset.frame_parent.tolist()
+    keep_frames = [f for f, i in enumerate(parents) if i in item_map]
+    frame_parent = np.array([item_map[parents[f]] for f in keep_frames], dtype=np.int64)
+    features = dataset.frame_features[np.array(keep_frames, dtype=np.int64)]
+    ratings = frozenset(
+        (user_map[u], item_map[i])
+        for u, i in dataset.ratings
+        if u in user_map and i in item_map
+    )
+    return Dataset(
+        ratings=ratings,
+        frame_parent=frame_parent,
+        frame_features=features,
+        user_ids=tuple(dataset.user_ids[u] for u in keep_users),
+        item_ids=tuple(dataset.item_ids[i] for i in keep_items),
+        frame_ids=tuple(dataset.frame_ids[f] for f in keep_frames),
+    )
+
+
+def prune_dataset(dataset, min_count: int):
+    """Drop users/items with fewer than min_count ratings until a fixed point."""
+    if min_count < 1:
+        raise ConfigError(f"min_count must be >= 1, got {min_count}")
+    users = set(range(dataset.num_users))
+    items = set(range(dataset.num_items))
+    ratings = set(dataset.ratings)
+    while True:
+        user_counts = {u: 0 for u in users}
+        item_counts = {i: 0 for i in items}
+        for u, i in ratings:
+            user_counts[u] += 1
+            item_counts[i] += 1
+        bad_users = {u for u, c in user_counts.items() if c < min_count}
+        bad_items = {i for i, c in item_counts.items() if c < min_count}
+        if not bad_users and not bad_items:
+            break
+        users -= bad_users
+        items -= bad_items
+        ratings = {(u, i) for u, i in ratings if u in users and i in items}
+    if not users or not items:
+        raise EmptyDatasetError(
+            f"pruning with min_count={min_count} removed every user or item"
+        )
+    return subset(dataset, users, items)

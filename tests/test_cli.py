@@ -1,16 +1,19 @@
 """End-to-end command line pipeline and its failure modes."""
 
 import argparse
+import inspect
 import json
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from framerec import cli
 from framerec.cli import _config, _dest, build_parser, run
+from framerec.evaluation import ITEM_SPLITS, evaluate_frame_rec, evaluate_item_rec
 from framerec.model import ModelConfig
 from framerec.synth import SynthConfig
-from framerec.training import TrainConfig
+from framerec.training import TrainConfig, finite_diff_check
 
 
 def call(capsys, *argv):
@@ -296,6 +299,32 @@ class TestConfigFlags:
         assert exc.value.code == 2
 
 
+def defaults(fn) -> dict:
+    return {name: p.default for name, p in inspect.signature(fn).parameters.items()}
+
+
+class TestFunctionFlags:
+    """Evaluation and gradient-check flags take their defaults and choices from the functions."""
+
+    def test_defaults_and_choices_are_the_functions(self):
+        item, check = defaults(evaluate_item_rec), defaults(finite_diff_check)
+        args = build_parser().parse_args(
+            ["eval-items", "--data", "d", "--checkpoint", "c", "--out", "o"])
+        assert (args.k, args.negatives, args.repeats, args.seed, args.split) == (
+            item["k_list"], item["n_negatives"], item["repeats"], item["seed"],
+            item["split_name"])
+        split_flag = next(a for a in subparser("eval-items")._actions if a.dest == "split")
+        assert tuple(split_flag.choices) == ITEM_SPLITS
+        args = build_parser().parse_args(
+            ["eval-frames", "--data", "d", "--checkpoint", "c", "--out", "o"])
+        assert args.k == defaults(evaluate_frame_rec)["k_list"]
+        args = build_parser().parse_args(["gradcheck"])
+        assert (args.h, args.max_coords) == (check["h"], check["max_coords"])
+        args = build_parser().parse_args(["ablate", *REQUIRED["ablate"]])
+        assert (args.negatives, args.repeats, args.seed) == (
+            item["n_negatives"], item["repeats"], item["seed"])
+
+
 class TestGradcheckCommand:
     def test_passes_and_prints_all_combos(self, capsys):
         code, stdout, _ = call(capsys, "gradcheck", "--max-coords", "40")
@@ -338,3 +367,16 @@ class TestAblate:
         assert len(table) == 6  # header + off/sum + four visual cells
         assert table[1].startswith("off\tsum") and "\t-\t-\t" in table[1]
         assert table[-1].startswith("att\tatt")
+
+    @pytest.mark.parametrize("flag", ["--item-k", "--frame-k", "--negatives", "--repeats"])
+    def test_bad_evaluation_flag_fails_before_training(self, pipeline_dirs, capsys,
+                                                       monkeypatch, flag):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("ablate trained before it checked its evaluation flags")
+
+        monkeypatch.setattr(cli, "fit", no_fit)
+        code, _, err = call(capsys, "ablate", "--data", str(pipeline_dirs / "split"),
+                            "--out", str(pipeline_dirs / "abl"), flag, "0")
+        assert code == 1
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert not (pipeline_dirs / "abl").exists()

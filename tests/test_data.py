@@ -19,6 +19,7 @@ from framerec.data import (
 )
 from framerec.errors import ConfigError, EmptyDatasetError, IntegrityError, ParseError
 
+import reference
 from conftest import TOY_FEATURES, TOY_FRAMES, TOY_RATINGS, write_dataset_dir
 
 
@@ -27,15 +28,17 @@ def load_toy(tmp_path, ratings=TOY_RATINGS, frames=TOY_FRAMES, features=TOY_FEAT
     return load_dataset(d / "ratings.tsv", d / "frames.tsv", d / "features.tsv")
 
 
-def draw_dataset(data, st) -> Dataset:
-    """A random dataset of up to 6 users and 8 items with 1 to 3 frames each.
+def draw_dataset(data, st, min_frames=1) -> Dataset:
+    """A random dataset of up to 6 users and 8 items with min_frames to 3 frames each.
 
-    Each frame's feature row holds its own id, so subsets can be traced.
+    Only items with frames are rated.  Each frame's feature row holds its
+    own id, so subsets can be traced.
     """
     m = data.draw(st.integers(1, 6))
     n = data.draw(st.integers(1, 8))
-    counts = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    counts = data.draw(st.lists(st.integers(min_frames, 3), min_size=n, max_size=n))
     ratings = data.draw(st.frozensets(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1))))
+    ratings = frozenset((u, i) for u, i in ratings if counts[i])
     frame_parent = np.repeat(np.arange(n, dtype=np.int64), counts)
     num_frames = len(frame_parent)
     return Dataset(
@@ -234,6 +237,28 @@ class TestPruning:
 
         check()
 
+    def test_prune_matches_the_set_based_oracle(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        from hypothesis import strategies as st
+
+        # items without frames, and users and items without ratings, are drawn too
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(data=st.data(), min_count=st.integers(1, 3))
+        def check(data, min_count):
+            ds = draw_dataset(data, st, min_frames=0)
+            try:
+                want = reference.prune_dataset(ds, min_count)
+            except EmptyDatasetError:
+                with pytest.raises(EmptyDatasetError):
+                    prune_dataset(ds, min_count)
+                return
+            got = prune_dataset(ds, min_count)
+            assert got == want
+            assert got.frame_parent.dtype == np.int64
+            assert got.frame_features.dtype == np.float64
+
+        check()
+
     def test_prune_reindexes_densely(self, tmp_path):
         ratings = TOY_RATINGS + "d\tv\n"
         frames = TOY_FRAMES + "fv1\tv\n"
@@ -402,3 +427,84 @@ class TestRoundTrips:
         p.write_text("u0\tf0\nu9\tf0\nu1\tghost\n", encoding="utf-8")
         likes = load_frame_likes(p, toy_dataset)
         assert likes == frozenset({(0, 0)})
+
+    def test_save_load_round_trip_properties(self, tmp_path):
+        hypothesis = pytest.importorskip("hypothesis")
+        from hypothesis import strategies as st
+
+        tokens = st.text(alphabet="abxy019_-", min_size=1, max_size=3)
+
+        @hypothesis.settings(max_examples=100, deadline=None)
+        @hypothesis.given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+        def check(data, seed):
+            users = sorted(data.draw(st.sets(tokens, min_size=1, max_size=5)))
+            items = sorted(data.draw(st.sets(tokens, min_size=1, max_size=5)))
+            frames = sorted(data.draw(st.sets(tokens, min_size=len(items), max_size=9)))
+            # every item owns a frame; frame tokens are not in item order
+            parent = data.draw(st.permutations(
+                list(range(len(items))) + data.draw(st.lists(
+                    st.integers(0, len(items) - 1),
+                    min_size=len(frames) - len(items), max_size=len(frames) - len(items)))))
+            dim = data.draw(st.integers(1, 3))
+            feats = data.draw(st.lists(
+                st.floats(allow_nan=False, allow_infinity=False),
+                min_size=len(frames) * dim, max_size=len(frames) * dim))
+            ratings = frozenset(
+                (u, i) for u in range(len(users))
+                for i in data.draw(st.sets(st.integers(0, len(items) - 1), min_size=1)))
+            likes = data.draw(st.frozensets(st.tuples(
+                st.integers(0, len(users) - 1), st.integers(0, len(frames) - 1))))
+            ds = Dataset(
+                ratings=ratings, frame_parent=np.array(parent, dtype=np.int64),
+                frame_features=np.array(feats).reshape(len(frames), dim),
+                user_ids=tuple(users), item_ids=tuple(items), frame_ids=tuple(frames),
+            )
+            split = split_ratings(ds, 0.5, 0.25, seed=seed, frame_likes=likes)
+            out = tmp_path / "out"
+            save_dataset(ds, out, frame_likes=likes)
+            save_split(split, out)
+
+            back = load_dataset(out / "ratings.tsv", out / "frames.tsv", out / "features.tsv")
+            assert back == ds
+            assert load_frame_likes(out / "frame_likes.tsv", back) == likes
+            got = load_split(back, out)
+            assert (got.train, got.validation, got.test, got.frame_test) == (
+                split.train, split.validation, split.test, split.frame_test)
+            # frames.tsv lists the frames item by item, each item's in id order
+            order = sorted(range(len(frames)), key=lambda f: (parent[f], f))
+            assert (out / "frames.tsv").read_text(encoding="utf-8").splitlines() == [
+                f"{frames[f]}\t{items[parent[f]]}" for f in order]
+
+        check()
+
+    def test_pair_files_are_written_in_token_order(self, tmp_path):
+        # ids in another order than their tokens, as synthetic "u2" < "u10" ids are
+        ds = Dataset(
+            ratings=frozenset({(0, 0), (0, 1), (1, 0), (1, 1), (2, 1)}),
+            frame_parent=np.array([0, 1, 1], dtype=np.int64),
+            frame_features=np.ones((3, 1)),
+            user_ids=("u2", "u10", "u1"), item_ids=("i9", "i10"), frame_ids=("f3", "f20", "f1"),
+        )
+        likes = {(0, 0), (1, 1), (2, 2), (0, 2)}
+        split = split_ratings(ds, 0.4, 0.2, seed=0, frame_likes=likes)
+        save_dataset(ds, tmp_path, frame_likes=likes)
+        save_split(split, tmp_path)
+        for name in ("ratings", "frame_likes", "train", "valid", "test", "frame_test"):
+            rows = [line.split("\t") for line in
+                    (tmp_path / f"{name}.tsv").read_text(encoding="utf-8").splitlines()]
+            assert rows == sorted(rows), name
+        assert (tmp_path / "ratings.tsv").read_text(encoding="utf-8").startswith("u1\ti10\n")
+
+    @pytest.mark.parametrize("name,line", [
+        ("train.tsv", "ghost\ti0"),
+        ("valid.tsv", "u0\tghost"),
+        ("test.tsv", "ghost\ti1"),
+        ("frame_test.tsv", "u0\tghost"),
+    ])
+    def test_split_file_naming_an_unknown_id(self, toy_dataset, tmp_path, name, line):
+        split = split_ratings(toy_dataset, 0.5, 0.25, seed=4, frame_likes={(0, 0)})
+        save_split(split, tmp_path / "sp")
+        path = tmp_path / "sp" / name
+        path.write_text(f"# comment\n{line}\n", encoding="utf-8")
+        with pytest.raises(IntegrityError, match=rf"{name}:2: unknown id 'ghost'$"):
+            load_split(toy_dataset, tmp_path / "sp")

@@ -1,10 +1,12 @@
 """Rank computation, metric values, and the two evaluation protocols."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from framerec import evaluation
-from framerec.data import split_ratings
+from framerec.data import Dataset, split_ratings
 from framerec.errors import ConfigError, NonFiniteError, UnsupportedTaskError
 from framerec.evaluation import (
     evaluate_frame_rec,
@@ -13,7 +15,7 @@ from framerec.evaluation import (
     rank_metrics,
     rank_of_first,
 )
-from framerec.model import score_frames
+from framerec.model import ModelConfig, init_params, score_frames
 from framerec.synth import SynthConfig, generate_synthetic
 
 
@@ -155,6 +157,30 @@ class TestItemEvaluation:
         d = rep.to_dict()
         assert d["k_list"] == [2, 5] and d["n_negatives"] == 5
         assert rep.to_tsv() == tsv  # same object, same bytes
+
+    def test_never_holds_the_dense_rated_mask(self):
+        rng = np.random.default_rng(0)
+        m, n = 4000, 5000
+        ds = Dataset(
+            ratings=frozenset(zip(np.repeat(np.arange(m), 3).tolist(),
+                                  rng.integers(0, n, 3 * m).tolist())),
+            frame_parent=np.arange(n, dtype=np.int64), frame_features=np.ones((n, 1)),
+            user_ids=tuple(f"u{k}" for k in range(m)),
+            item_ids=tuple(f"i{k}" for k in range(n)),
+            frame_ids=tuple(f"f{k}" for k in range(n)),
+        )
+        split = split_ratings(ds, 0.6, 0.2, seed=0)
+        cfg = ModelConfig(d1=2, visual_mode="off", fusion_mode="sum")
+        params = init_params(cfg, ds)
+        dense_bytes = m * n  # a (users, items) bool mask
+        tracemalloc.start()
+        try:
+            rep = evaluate_item_rec(params, cfg, split, n_negatives=100, repeats=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.n_pairs == len(split.test)
+        assert peak < dense_bytes / 2, (peak, dense_bytes)
 
 
 class TestFrameEvaluation:

@@ -229,6 +229,25 @@ class TestVisualEmbedding:
             score_pairs([[0], [0]], [[0, 0], [0, 1]], params, toy_config(fusion_mode="sum"),
                         bare)
 
+    def test_nan_attention_logits_reach_alpha(self, toy_dataset):
+        # a NaN logit must not become zero weights and a finite score
+        params, cfg, ds, _ = gradcheck_instance(seed=0)
+        params.attn_out[0] = np.nan
+        table = item_visual_table(params, cfg, ds)
+        _, mask, _ = ds.frame_table
+        assert np.isnan(table.alpha[mask]).all()
+        assert np.isnan(table.x).all()
+        # an item without frames keeps its zero row
+        bare = toy_dataset.__class__(
+            ratings=frozenset({(0, 0)}),
+            frame_parent=np.array([0], dtype=np.int64),
+            frame_features=np.ones((1, 2)),
+            user_ids=("u",), item_ids=("a", "b"), frame_ids=("f",),
+        )
+        table = item_visual_table(toy_params(bare, attn_out=[np.nan, 0.0]), toy_config(), bare)
+        assert np.isnan(table.alpha[0, 0]) and np.isnan(table.x[0]).all()
+        assert not table.alpha[1].any() and not table.x[1].any()
+
 
 class TestScoring:
     def test_sum_fusion_hand_value(self, toy_dataset):

@@ -34,3 +34,21 @@ def test_every_parameter_is_read(path):
         read = set().union(*(reads(stmt) for stmt in node.body))
         unread += [f"{path.name}:{node.lineno} {node.name}({p})" for p in params if p not in read]
     assert not unread, unread
+
+
+TREES = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in SOURCES}
+HELPERS = [(module, node.name) for module, tree in TREES.items() for node in tree.body
+           if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+           and node.name.startswith("_") and not node.name.startswith("__")]
+
+
+@pytest.mark.parametrize("module,name", HELPERS, ids=[f"{m[:-3]}.{n}" for m, n in HELPERS])
+def test_every_private_helper_is_referenced(module, name):
+    """A module-level private function or class nothing uses is dead code, such as
+    a helper left behind when its only caller was folded into another function."""
+    definition = next(n for n in TREES[module].body if getattr(n, "name", None) == name)
+    inside = {id(n) for n in ast.walk(definition)}
+    uses = [n for tree in TREES.values() for n in ast.walk(tree) if id(n) not in inside
+            and (isinstance(n, ast.Name) and n.id == name
+                 or isinstance(n, ast.Attribute) and n.attr == name)]
+    assert uses, f"{module}: {name} is never referenced outside its definition"

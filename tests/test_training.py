@@ -235,7 +235,9 @@ class TestGradients:
         # max() drops NaN, so a NaN error would otherwise read as a pass
         params, cfg, ds, batch = gradcheck_instance(seed=0)
         params.attn_out[0] = np.nan
-        with pytest.raises(NonFiniteError, match=r"gradient check: \w+\[\d+\] has analytic"):
+        # the NaN now reaches the loss, and numpy warns about it before the check raises
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NonFiniteError, match=r"gradient check: \w+\[\d+\] has analytic"):
             finite_diff_check(params, cfg, ds, batch)
 
     def test_empty_batch_raises(self):
@@ -403,6 +405,17 @@ class TestFit:
             fit(split, cfg, TrainConfig(epochs=2, batch_size=64, neg_ratio=2),
                 params=params)
         np.testing.assert_array_equal(params.user_collab, before.user_collab)
+
+    def test_nan_attention_logits_stop_fit(self):
+        # the NaN reaches the loss, not only the gradients
+        split = small_split()
+        cfg = small_model()
+        params = init_params(cfg, split.base)
+        params.attn_out[0] = np.nan
+        # numpy warns about the NaN loss before fit raises
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NonFiniteError, match="epoch 1, batch 1: loss nan"):
+            fit(split, cfg, TrainConfig(epochs=2, batch_size=64, neg_ratio=2), params=params)
 
     @pytest.mark.parametrize("visual,fusion", [("att", "att"), ("avg", "sum")])
     def test_train_loss_matches_a_loop_passing_the_full_table(self, visual, fusion):
