@@ -1,9 +1,9 @@
 """Command line pipeline: synth -> split -> train -> eval.
 
-Every command that writes files also drops a ``run.json`` manifest with the
-exact parameters used, so a run can be reproduced byte for byte.  Commands
-exit 0 on success, 1 on a reported error (bad data, bad config), and 2 on
-argument parsing failures.
+Once a command that writes files succeeds, ``run`` writes a ``run.json``
+manifest of its exact parameters, so a run can be reproduced byte for byte.
+Commands exit 0 on success, 1 on a reported error (bad data, bad config), and
+2 on argument parsing failures.
 """
 
 from __future__ import annotations
@@ -55,14 +55,14 @@ TRAIN_LOG_NAME = "train_log.tsv"
 MANIFEST_NAME = "run.json"
 
 
-def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace) -> None:
+def _write_manifest(args: argparse.Namespace) -> None:
     params = {
         k: (str(v) if isinstance(v, Path) else v)
         for k, v in vars(args).items()
         if k not in ("func", "verbose")
     }
-    doc = {"command": command, "version": __version__, "parameters": params}
-    with atomic_writer(out_dir / MANIFEST_NAME) as fh:
+    doc = {"command": args.command, "version": __version__, "parameters": params}
+    with atomic_writer(args.out / MANIFEST_NAME) as fh:
         fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
@@ -89,8 +89,7 @@ def _load_data_dir(data_dir: Path):
 
 
 def _load_split_dir(data_dir: Path):
-    dataset = _load_data_dir(data_dir)
-    return dataset, load_split(dataset, data_dir)
+    return load_split(_load_data_dir(data_dir), data_dir)
 
 
 # Each config field is one flag named after its field, or its FLAG_NAMES entry,
@@ -146,22 +145,19 @@ def _config(cls, args: argparse.Namespace):
 def _cmd_synth(args: argparse.Namespace) -> int:
     cfg = _config(SynthConfig, args)
     dataset, likes, _ = generate_synthetic(cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_dataset(dataset, out, frame_likes=likes)
-    _write_manifest(out, "synth", args)
-    print(f"wrote {dataset.describe()} with {len(likes)} frame likes to {out}")
+    save_dataset(dataset, args.out, frame_likes=likes)
+    print(f"wrote {dataset.describe()} with {len(likes)} frame likes to {args.out}")
     return 0
 
 
 def _cmd_split(args: argparse.Namespace) -> int:
-    dataset = _load_data_dir(Path(args.data))
+    dataset = _load_data_dir(args.data)
     # min_count 1 keeps unrated users and items; prune_dataset rejects values below 1
     if args.min_count != 1:
         before = dataset.describe()
         dataset = prune_dataset(dataset, args.min_count)
         logger.info("pruned: %s -> %s", before, dataset.describe())
-    likes_path = Path(args.data) / FRAME_LIKES_FILE
+    likes_path = args.data / FRAME_LIKES_FILE
     likes = load_frame_likes(likes_path, dataset) if likes_path.exists() else frozenset()
     split = split_ratings(
         dataset,
@@ -171,11 +167,8 @@ def _cmd_split(args: argparse.Namespace) -> int:
         per_user=args.per_user,
         frame_likes=likes,
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_dataset(dataset, out, frame_likes=likes if likes else None)
-    save_split(split, out)
-    _write_manifest(out, "split", args)
+    save_dataset(dataset, args.out, frame_likes=likes if likes else None)
+    save_split(split, args.out)
     print(
         f"split {len(dataset.ratings)} ratings: {len(split.train)} train, "
         f"{len(split.validation)} valid, {len(split.test)} test "
@@ -185,17 +178,14 @@ def _cmd_split(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    dataset, split = _load_split_dir(Path(args.data))
+    split = _load_split_dir(args.data)
     cfg = _config(ModelConfig, args)
     tcfg = _config(TrainConfig, args)
     params, log = fit(split, cfg, tcfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(out / CHECKPOINT_NAME, params, cfg, dataset_digest(dataset))
-    log.save(out / TRAIN_LOG_NAME)
-    _write_manifest(out, "train", args)
-    final = log.epochs[-1] if log.epochs else None
-    if final is not None:
+    save_checkpoint(args.out / CHECKPOINT_NAME, params, cfg, dataset_digest(split.base))
+    log.save(args.out / TRAIN_LOG_NAME)
+    if log.epochs:
+        final = log.epochs[-1]
         print(
             f"trained {len(log.epochs)} epochs (best {log.best_epoch}), "
             f"final loss {final.train_loss:.5f}, valid HR@{tcfg.valid_k} "
@@ -220,8 +210,8 @@ def _load_checkpoint_for(dataset, path: Path):
 
 
 def _cmd_eval_items(args: argparse.Namespace) -> int:
-    dataset, split = _load_split_dir(Path(args.data))
-    params, cfg = _load_checkpoint_for(dataset, Path(args.checkpoint))
+    split = _load_split_dir(args.data)
+    params, cfg = _load_checkpoint_for(split.base, args.checkpoint)
     report = evaluate_item_rec(
         params, cfg, split,
         k_list=args.k,
@@ -230,31 +220,25 @@ def _cmd_eval_items(args: argparse.Namespace) -> int:
         seed=args.seed,
         split_name=args.split,
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_report(report, out, "item_eval")
-    _write_manifest(out, "eval-items", args)
+    _write_report(report, args.out, "item_eval")
     print(report.to_tsv(), end="")
     return 0
 
 
 def _cmd_eval_frames(args: argparse.Namespace) -> int:
-    dataset, split = _load_split_dir(Path(args.data))
-    params, cfg = _load_checkpoint_for(dataset, Path(args.checkpoint))
+    split = _load_split_dir(args.data)
+    params, cfg = _load_checkpoint_for(split.base, args.checkpoint)
     report = evaluate_frame_rec(
         params, cfg, split, k_list=args.k,
         exclude_singletons=args.exclude_singletons,
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_report(report, out, "frame_eval")
+    _write_report(report, args.out, "frame_eval")
     if args.with_baseline:
         baseline = random_frame_baseline(
             split, k_list=args.k, seed=args.seed,
             exclude_singletons=args.exclude_singletons,
         )
-        _write_report(baseline, out, "frame_baseline")
-    _write_manifest(out, "eval-frames", args)
+        _write_report(baseline, args.out, "frame_baseline")
     print(report.to_tsv(), end="")
     return 0
 
@@ -300,7 +284,7 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
 
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
-    dataset, split = _load_split_dir(Path(args.data))
+    split = _load_split_dir(args.data)
     base_cfg = _config(ModelConfig, args)
     tcfg = _config(TrainConfig, args)
     # bad evaluation flags fail here, not after the first cell's training
@@ -309,7 +293,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     check_sampling(args.negatives, args.repeats)
     # off/att scores exactly like off/sum: with no visual channel there is nothing to fuse
     cells = [c for c in GRADCHECK_COMBOS if c != (VISUAL_OFF, FUSION_ATT)]
-    rows = []
+    reports = []
     for visual, fusion in cells:
         cfg = replace(base_cfg, visual_mode=visual, fusion_mode=fusion)
         logger.info("ablate: training visual=%s fusion=%s", visual, fusion)
@@ -321,43 +305,26 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
             repeats=args.repeats,
             seed=args.seed,
         )
-        row = {
-            "visual": visual,
-            "fusion": fusion,
-            "item_hr": item.hr[args.item_k],
-            "item_ndcg": item.ndcg[args.item_k],
-            "frame_hr": None,
-            "frame_ndcg": None,
-        }
-        if visual != "off":
-            frame = evaluate_frame_rec(params, cfg, split, k_list=(args.frame_k,))
-            row["frame_hr"] = frame.hr[args.frame_k]
-            row["frame_ndcg"] = frame.ndcg[args.frame_k]
-        rows.append(row)
+        frame = (None if visual == VISUAL_OFF
+                 else evaluate_frame_rec(params, cfg, split, k_list=(args.frame_k,)))
+        reports.append((visual, fusion, item, frame))
 
-    ref = next(r for r in rows if (r["visual"], r["fusion"]) == ("avg", "sum"))
-    header = (
+    ref_hr = next(item.hr[args.item_k] for visual, fusion, item, _ in reports
+                  if (visual, fusion) == ("avg", "sum"))
+    lines = [
         f"visual\tfusion\titem_HR@{args.item_k}\titem_NDCG@{args.item_k}"
         f"\tframe_HR@{args.frame_k}\tframe_NDCG@{args.frame_k}\tHR_vs_avg_sum%"
-    )
-    lines = [header]
-    for r in rows:
-        impr = (
-            100.0 * (r["item_hr"] - ref["item_hr"]) / ref["item_hr"]
-            if ref["item_hr"] else float("nan")
-        )
-        fr_hr = "-" if r["frame_hr"] is None else repr(r["frame_hr"])
-        fr_nd = "-" if r["frame_ndcg"] is None else repr(r["frame_ndcg"])
-        lines.append(
-            f"{r['visual']}\t{r['fusion']}\t{r['item_hr']!r}\t{r['item_ndcg']!r}"
-            f"\t{fr_hr}\t{fr_nd}\t{impr:+.1f}"
-        )
+    ]
+    for visual, fusion, item, frame in reports:
+        hr = item.hr[args.item_k]
+        impr = 100.0 * (hr - ref_hr) / ref_hr if ref_hr else float("nan")
+        frame_cols = ("-\t-" if frame is None
+                      else f"{frame.hr[args.frame_k]!r}\t{frame.ndcg[args.frame_k]!r}")
+        lines.append(f"{visual}\t{fusion}\t{hr!r}\t{item.ndcg[args.item_k]!r}"
+                     f"\t{frame_cols}\t{impr:+.1f}")
     table = "\n".join(lines) + "\n"
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    with atomic_writer(out / "ablation.tsv") as fh:
+    with atomic_writer(args.out / "ablation.tsv") as fh:
         fh.write(table)
-    _write_manifest(out, "ablate", args)
     print(table, end="")
     return 0
 
@@ -424,7 +391,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip items with a single frame")
     p.add_argument("--with-baseline", action="store_true",
                    help="also report random-scoring baseline metrics")
-    p.add_argument("--seed", type=int, default=0, help="baseline scoring seed")
+    baseline = inspect.signature(random_frame_baseline).parameters
+    p.add_argument("--seed", type=int, default=baseline["seed"].default,
+                   help="baseline scoring seed")
     p.set_defaults(func=_cmd_eval_frames)
 
     p = sub.add_parser("gradcheck", help="verify analytic gradients numerically")
@@ -459,7 +428,10 @@ def run(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        return args.func(args)
+        code = args.func(args)
+        if code == 0 and "out" in args:
+            _write_manifest(args)
+        return code
     except (FrameRecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

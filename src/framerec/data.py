@@ -128,7 +128,6 @@ class SplitDataset:
     validation: frozenset
     test: frozenset
     frame_test: frozenset
-    warnings: tuple = ()
 
     @cached_property
     def train_array(self) -> np.ndarray:
@@ -395,12 +394,9 @@ def split_ratings(
     else:
         partition(dataset.ratings)
 
-    warnings = []
     trained_users = {u for u, _ in train}
     for u in sorted({u for u, _ in dataset.ratings} - trained_users):
-        msg = f"user {dataset.user_ids[u]!r} has no training ratings (cold)"
-        warnings.append(msg)
-        logger.warning(msg)
+        logger.warning("user %r has no training ratings (cold)", dataset.user_ids[u])
 
     parent = dataset.frame_parent
     frame_test = frozenset(
@@ -412,7 +408,6 @@ def split_ratings(
         validation=frozenset(valid),
         test=frozenset(test),
         frame_test=frame_test,
-        warnings=tuple(warnings),
     )
     check_split(split)
     return split
@@ -427,11 +422,13 @@ def split_ratings(
 def atomic_writer(path):
     """Open ``path`` for UTF-8 text so that it is replaced whole or not at all.
 
-    The block writes a temporary file in the same directory, which replaces
-    ``path`` through ``os.replace`` when the block completes.  If the block
-    raises, the temporary file is removed and ``path`` is left as it was.
+    Creates ``path``'s directory if it is missing.  The block writes a
+    temporary file in the same directory, which replaces ``path`` through
+    ``os.replace`` when the block completes.  If the block raises, the
+    temporary file is removed and ``path`` is left as it was.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
     try:
         with open(tmp, "x", encoding="utf-8") as fh:
@@ -457,7 +454,6 @@ def save_dataset(dataset: Dataset, out_dir, frame_likes=None) -> dict:
     everything written.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     paths = {
         "ratings": out_dir / RATINGS_FILE,
         "frames": out_dir / FRAMES_FILE,
@@ -482,7 +478,6 @@ def save_dataset(dataset: Dataset, out_dir, frame_likes=None) -> dict:
 def save_split(split: SplitDataset, out_dir) -> dict:
     """Write train/valid/test rating files plus the frame_test file."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     d = split.base
     paths = {}
     for name, pairs, right_ids in (

@@ -76,13 +76,15 @@ class TrainConfig:
 
 
 def bpr_pair_loss(pos_scores, neg_scores) -> np.ndarray:
-    """Per-triple softplus(neg - pos), computed without overflow."""
-    return np.logaddexp(0.0, -(np.asarray(pos_scores) - np.asarray(neg_scores)))
+    """Per-triple softplus(neg - pos), computed without overflow; NaN gives NaN silently."""
+    with np.errstate(invalid="ignore"):
+        return np.logaddexp(0.0, -(np.asarray(pos_scores) - np.asarray(neg_scores)))
 
 
 def _sigmoid_neg(x: np.ndarray) -> np.ndarray:
     """sigma(-x) = exp(-softplus(x)), stable for large |x|."""
-    return np.exp(-np.logaddexp(0.0, x))
+    with np.errstate(invalid="ignore"):
+        return np.exp(-np.logaddexp(0.0, x))
 
 
 # ---------------------------------------------------------------------------

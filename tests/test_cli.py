@@ -10,7 +10,8 @@ import pytest
 
 from framerec import cli
 from framerec.cli import _config, _dest, build_parser, run
-from framerec.evaluation import ITEM_SPLITS, evaluate_frame_rec, evaluate_item_rec
+from framerec.evaluation import (ITEM_SPLITS, evaluate_frame_rec, evaluate_item_rec,
+                                 random_frame_baseline)
 from framerec.model import ModelConfig
 from framerec.synth import SynthConfig
 from framerec.training import TrainConfig, finite_diff_check
@@ -39,6 +40,15 @@ def pipeline_dirs(tmp_path, capsys):
                       "--seed", "1")
     assert code == 0
     return tmp_path
+
+
+@pytest.fixture
+def trained(pipeline_dirs, capsys):
+    run_dir = pipeline_dirs / "run"
+    code, _, _ = call(capsys, "train", "--data", str(pipeline_dirs / "split"),
+                      "--out", str(run_dir), *SMALL_MODEL, *SMALL_TRAIN)
+    assert code == 0
+    return pipeline_dirs
 
 
 class TestPipeline:
@@ -128,14 +138,6 @@ class TestPipeline:
 class TestBadCounts:
     """Bad counts, fractions, step sizes and checkpoints end in a one-line error."""
 
-    @pytest.fixture
-    def trained(self, pipeline_dirs, capsys):
-        run_dir = pipeline_dirs / "run"
-        code, _, _ = call(capsys, "train", "--data", str(pipeline_dirs / "split"),
-                          "--out", str(run_dir), *SMALL_MODEL, *SMALL_TRAIN)
-        assert code == 0
-        return pipeline_dirs
-
     def eval_items(self, capsys, root, negatives):
         return call(capsys, "eval-items", "--data", str(root / "split"),
                     "--checkpoint", str(root / "run" / "checkpoint.json"),
@@ -219,6 +221,49 @@ class TestBadCounts:
         code, _, err = self.eval_items(capsys, trained, "10")
         assert code == 1
         assert "(users, items, feature dim)" in err and len(err.strip().splitlines()) == 1
+
+
+def command_argv(command, root):
+    """Every flag but --out for a small run of ``command`` on ``trained``'s directories."""
+    split, checkpoint = str(root / "split"), str(root / "run" / "checkpoint.json")
+    return {
+        "synth": ["synth", *SMALL_SYNTH],
+        "split": ["split", "--data", str(root / "data"), "--seed", "1"],
+        "train": ["train", "--data", split, *SMALL_MODEL, *SMALL_TRAIN],
+        "eval-items": ["eval-items", "--data", split, "--checkpoint", checkpoint,
+                       "--negatives", "10", "--repeats", "1"],
+        "eval-frames": ["eval-frames", "--data", split, "--checkpoint", checkpoint,
+                        "--with-baseline"],
+        "ablate": ["ablate", "--data", split, *SMALL_MODEL, "--epochs", "1",
+                   "--batch-size", "128", "--neg-ratio", "1", "--valid-negatives", "5",
+                   "--negatives", "10", "--repeats", "1"],
+    }[command]
+
+
+class TestRunner:
+    """``run`` writes a command's run.json after it succeeds; a failed command writes nothing."""
+
+    @pytest.mark.parametrize("command", ["synth", "split", "train", "eval-items",
+                                         "eval-frames", "ablate"])
+    def test_each_command_writes_its_own_manifest(self, trained, capsys, command):
+        out = trained / "runs" / command  # neither directory exists yet
+        code, _, _ = call(capsys, *command_argv(command, trained), "--out", str(out))
+        assert code == 0
+        manifest = json.loads((out / "run.json").read_text())
+        assert manifest["command"] == command
+        assert manifest["parameters"]["out"] == str(out)
+
+    @pytest.mark.parametrize("command,flags", [
+        ("eval-items", ["--k", "0"]),
+        ("split", ["--data", "{root}/missing"]),
+    ])
+    def test_failed_command_leaves_no_out_directory(self, trained, capsys, command, flags):
+        out = trained / "failed"
+        flags = [f.format(root=trained) for f in flags]
+        code, _, err = call(capsys, *command_argv(command, trained), *flags, "--out", str(out))
+        assert code == 1
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert not out.exists()
 
 
 class TestErrors:
@@ -318,6 +363,7 @@ class TestFunctionFlags:
         args = build_parser().parse_args(
             ["eval-frames", "--data", "d", "--checkpoint", "c", "--out", "o"])
         assert args.k == defaults(evaluate_frame_rec)["k_list"]
+        assert args.seed == defaults(random_frame_baseline)["seed"]
         args = build_parser().parse_args(["gradcheck"])
         assert (args.h, args.max_coords) == (check["h"], check["max_coords"])
         args = build_parser().parse_args(["ablate", *REQUIRED["ablate"]])

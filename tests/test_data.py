@@ -1,5 +1,6 @@
 """Dataset parsing, integrity checking, pruning, splitting, and round trips."""
 
+import logging
 from dataclasses import replace
 
 import numpy as np
@@ -324,7 +325,7 @@ class TestSplitting:
             rows = [p for p in split.train if p[0] == u]
             assert len(rows) == 7
 
-    def test_cold_user_warning(self):
+    def test_cold_user_warning(self, caplog):
         # one user with a single rating: global split may leave them cold
         ds = Dataset(
             ratings=frozenset({(0, 0), (0, 1), (0, 2), (1, 3)}),
@@ -335,9 +336,13 @@ class TestSplitting:
             frame_ids=("f0", "f1", "f2", "f3"),
         )
         for seed in range(20):
-            split = split_ratings(ds, 0.5, 0.25, seed=seed)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="framerec.data"):
+                split = split_ratings(ds, 0.5, 0.25, seed=seed)
             cold = {u for u, _ in ds.ratings} - {u for u, _ in split.train}
-            assert len(split.warnings) == len(cold)
+            warned = [r for r in caplog.records
+                      if r.levelno == logging.WARNING and "(cold)" in r.getMessage()]
+            assert len(warned) == len(cold)
 
     def test_frame_test_follows_test_ratings(self, toy_dataset):
         likes = {(u, f) for u, i in toy_dataset.ratings

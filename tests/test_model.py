@@ -439,6 +439,13 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert "\n" not in str(exc.value)  # the CLI prints it as one line
 
+    def test_save_creates_missing_directories(self, tmp_path):
+        params, cfg, ds, _ = gradcheck_instance(seed=23)
+        path = tmp_path / "a" / "b" / "ck.json"
+        save_checkpoint(path, params, cfg, dataset_digest(ds))
+        back, _, _ = load_checkpoint(path)
+        np.testing.assert_array_equal(back.user_collab, params.user_collab)
+
     def test_failed_save_leaves_the_old_checkpoint(self, tmp_path):
         params, cfg, ds, _ = gradcheck_instance(seed=23)
         path = tmp_path / "ck.json"

@@ -18,7 +18,9 @@ from framerec.model import ModelConfig, init_params, item_visual_table
 from framerec.synth import SynthConfig, generate_synthetic
 from framerec.training import (
     AdamState,
+    EpochRecord,
     TrainConfig,
+    TrainLog,
     adam_step,
     batch_gradients,
     batch_loss,
@@ -235,9 +237,7 @@ class TestGradients:
         # max() drops NaN, so a NaN error would otherwise read as a pass
         params, cfg, ds, batch = gradcheck_instance(seed=0)
         params.attn_out[0] = np.nan
-        # the NaN now reaches the loss, and numpy warns about it before the check raises
-        with np.errstate(invalid="ignore"), \
-                pytest.raises(NonFiniteError, match=r"gradient check: \w+\[\d+\] has analytic"):
+        with pytest.raises(NonFiniteError, match=r"gradient check: \w+\[\d+\] has analytic"):
             finite_diff_check(params, cfg, ds, batch)
 
     def test_empty_batch_raises(self):
@@ -393,15 +393,19 @@ class TestFit:
         assert text.startswith("epoch\ttrain_loss")
         assert len(text.strip().splitlines()) == 3
 
+    def test_log_save_creates_missing_directories(self, tmp_path):
+        log = TrainLog(epochs=[EpochRecord(1, 0.5, 0.25, 0.125, 0.0)], best_epoch=1)
+        path = tmp_path / "a" / "b" / "train_log.tsv"
+        log.save(path)
+        assert path.read_text(encoding="utf-8") == log.to_tsv()
+
     def test_non_finite_gradient_stops_before_the_update(self):
         split = small_split()
         cfg = small_model()
         params = init_params(cfg, split.base)
         params.visual_proj[0, 0] = np.nan
         before = params.copy()
-        # numpy warns about the planted NaN before fit raises
-        with np.errstate(invalid="ignore"), \
-                pytest.raises(NonFiniteError, match="epoch 1, batch 1:"):
+        with pytest.raises(NonFiniteError, match="epoch 1, batch 1:"):
             fit(split, cfg, TrainConfig(epochs=2, batch_size=64, neg_ratio=2),
                 params=params)
         np.testing.assert_array_equal(params.user_collab, before.user_collab)
@@ -412,9 +416,7 @@ class TestFit:
         cfg = small_model()
         params = init_params(cfg, split.base)
         params.attn_out[0] = np.nan
-        # numpy warns about the NaN loss before fit raises
-        with np.errstate(invalid="ignore"), \
-                pytest.raises(NonFiniteError, match="epoch 1, batch 1: loss nan"):
+        with pytest.raises(NonFiniteError, match="epoch 1, batch 1: loss nan"):
             fit(split, cfg, TrainConfig(epochs=2, batch_size=64, neg_ratio=2), params=params)
 
     @pytest.mark.parametrize("visual,fusion", [("att", "att"), ("avg", "sum")])
