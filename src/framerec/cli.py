@@ -349,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("split", help="prune and split a dataset into train/valid/test")
     p.add_argument("--data", required=True, type=Path,
-                   help="directory with ratings.tsv, frames.tsv, features.tsv")
+                   help=f"directory with {RATINGS_FILE}, {FRAMES_FILE} and {FEATURES_FILE}")
     p.add_argument("--out", required=True, type=Path)
     p.add_argument("--train-frac", type=float, default=0.7)
     p.add_argument("--valid-frac", type=float, default=0.1)

@@ -1,4 +1,4 @@
-"""Dataset ingestion, pruning, splitting, and the on-disk TSV formats.
+"""Dataset ingestion, pruning, splitting, and the on-disk TSV and ``.npy`` formats.
 
 All entities are re-indexed to dense integer ids when a dataset is built.
 The original string tokens are retained (sorted, so the mapping is stable)
@@ -26,7 +26,7 @@ logger = logging.getLogger(__name__)
 
 RATINGS_FILE = "ratings.tsv"
 FRAMES_FILE = "frames.tsv"
-FEATURES_FILE = "features.tsv"
+FEATURES_FILE = "features.npy"
 FRAME_LIKES_FILE = "frame_likes.tsv"
 TRAIN_FILE = "train.tsv"
 VALID_FILE = "valid.tsv"
@@ -183,10 +183,15 @@ def check_split(s: SplitDataset) -> None:
 
 
 def _records(path) -> Iterator:
-    """Yield (line_no, line) for non-empty, non-comment lines."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Yield (line_no, line) for non-empty, non-comment lines; ParseError on bad UTF-8."""
+    # surrogateescape keeps a bad byte as a lone surrogate, which does not re-encode
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n").rstrip("\r")
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ParseError(path, line_no, "not valid UTF-8") from None
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
             yield line_no, line
@@ -232,65 +237,46 @@ def _read_ids(path, left: dict, right: dict, drop_unknown: bool = False) -> froz
 
 
 def load_dataset(ratings_path, frames_path, features_path) -> Dataset:
-    """Load a dataset from the three TSV inputs and densely re-index it.
+    """Load a dataset from ``ratings.tsv``, ``frames.tsv`` and ``features.npy``.
 
-    Duplicate rating lines collapse to one positive.  Items mentioned only
-    in the frames file are kept as unrated items.  Raises ParseError for
-    malformed lines and IntegrityError for broken cross-references (a rated
-    item without frames, a frame without features or with two parents, a
-    feature row for an unknown frame, or inconsistent feature dimensions).
+    The features file is a 2-D float ``.npy`` array (no pickles) whose row k
+    belongs to the k-th record of the frames file.  Duplicate rating lines
+    collapse to one positive; items only in the frames file are kept unrated.
+    Raises ParseError for malformed lines and IntegrityError for broken
+    cross-references (a rated item without frames, a frame listed twice) and
+    for a feature array of the wrong shape or dtype or with a non-finite value.
     """
     rating_pairs = [(u, i) for _, u, i in _parse_pair_file(ratings_path)]
     frame_records = _parse_pair_file(frames_path)
+    row_of = {}
+    for k, (line_no, f, _) in enumerate(frame_records):
+        if row_of.setdefault(f, k) != k:
+            raise IntegrityError(f"{frames_path}:{line_no}: frame {f!r} is listed twice")
+    try:
+        with open(features_path, "rb") as fh:
+            features = np.lib.format.read_array(fh, allow_pickle=False)
+    except ValueError as exc:
+        raise IntegrityError(f"{features_path}: not a .npy array: {exc}") from None
+    if (features.dtype.kind != "f" or features.ndim != 2 or len(features) != len(frame_records)
+            or (frame_records and not features.shape[1])):
+        raise IntegrityError(f"{features_path}: want a float array with one row for each of "
+                             f"the {len(frame_records)} records of {frames_path} and at "
+                             f"least one column, got {features.dtype} {features.shape}")
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        raise IntegrityError(f"{features_path}: row {finite.argmin()} is not finite")
 
-    features = {}
-    feature_dim = None
-    for line_no, line in _records(features_path):
-        head, sep, rest = line.partition("\t")
-        if not sep or not head or not rest.strip():
-            raise ParseError(
-                features_path, line_no, "expected '<frame_id>\\t<v1> <v2> ...'"
-            )
-        try:
-            vec = np.array([float(tok) for tok in rest.split()], dtype=np.float64)
-        except ValueError as exc:
-            raise ParseError(features_path, line_no, f"bad float: {exc}") from None
-        if not np.isfinite(vec).all():
-            raise ParseError(features_path, line_no, "feature values must be finite")
-        if feature_dim is None:
-            feature_dim = vec.size
-        elif vec.size != feature_dim:
-            raise IntegrityError(
-                f"{features_path}:{line_no}: feature dimension {vec.size} "
-                f"differs from first row's {feature_dim}"
-            )
-        if head in features:
-            raise IntegrityError(f"duplicate feature row for frame {head!r}")
-        features[head] = vec
-
-    parent_by_frame = {}
-    for _, f, i in frame_records:
-        if parent_by_frame.setdefault(f, i) != i:
-            raise IntegrityError(
-                f"frame {f!r} is assigned to both items {parent_by_frame[f]!r} and {i!r}"
-            )
+    frame_tokens = sorted(row_of)
+    rows = [row_of[f] for f in frame_tokens]
+    # one copy, freeing the array as read before the ratings set is built (lower peak RSS)
+    features = np.asarray(features, dtype=np.float64)[rows]
     user_tokens = sorted({u for u, _ in rating_pairs})
-    item_tokens = sorted({i for _, i in rating_pairs} | set(parent_by_frame.values()))
-    frame_tokens = sorted(parent_by_frame)
-    missing = [f for f in frame_tokens if f not in features]
-    if missing:
-        raise IntegrityError(f"no feature vector for frame {missing[0]!r}")
-    unknown = [f for f in features if f not in parent_by_frame]
-    if unknown:
-        raise IntegrityError(f"features reference unknown frame {unknown[0]!r}")
-
+    item_tokens = sorted({i for _, i in rating_pairs} | {i for _, _, i in frame_records})
     user_index, item_index = _index(user_tokens), _index(item_tokens)
     d = Dataset(
         ratings=frozenset((user_index[u], item_index[i]) for u, i in rating_pairs),
-        frame_parent=np.array([item_index[parent_by_frame[f]] for f in frame_tokens],
-                              dtype=np.int64),
-        frame_features=np.array([features[f] for f in frame_tokens],
-                                dtype=np.float64).reshape(len(frame_tokens), feature_dim or 0),
+        frame_parent=np.array([item_index[frame_records[k][2]] for k in rows], dtype=np.int64),
+        frame_features=features,
         user_ids=tuple(user_tokens),
         item_ids=tuple(item_tokens),
         frame_ids=tuple(frame_tokens),
@@ -419,8 +405,8 @@ def split_ratings(
 
 
 @contextmanager
-def atomic_writer(path):
-    """Open ``path`` for UTF-8 text so that it is replaced whole or not at all.
+def atomic_writer(path, binary: bool = False):
+    """Open ``path`` for UTF-8 text (or bytes) so that it is replaced whole or not at all.
 
     Creates ``path``'s directory if it is missing.  The block writes a
     temporary file in the same directory, which replaces ``path`` through
@@ -431,7 +417,7 @@ def atomic_writer(path):
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
     try:
-        with open(tmp, "x", encoding="utf-8") as fh:
+        with (open(tmp, "xb") if binary else open(tmp, "x", encoding="utf-8")) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -447,11 +433,11 @@ def _write_pairs(path, pairs, left_ids, right_ids) -> None:
 
 
 def save_dataset(dataset: Dataset, out_dir, frame_likes=None) -> dict:
-    """Write ratings/frames/features (and optionally frame likes) TSVs.
+    """Write ``ratings.tsv``, ``frames.tsv``, ``features.npy`` (and optionally frame likes).
 
-    Frames are written item by item.  Feature values are written with repr
-    so a reload reproduces them bit-for-bit.  Returns a name -> path dict of
-    everything written.
+    Frames are written item by item, and row k of ``features.npy`` holds the
+    k-th frame's features, written by numpy's ``.npy`` writer so a reload
+    reproduces them bit-for-bit.  Returns a name -> path dict of everything written.
     """
     out_dir = Path(out_dir)
     paths = {
@@ -466,9 +452,8 @@ def save_dataset(dataset: Dataset, out_dir, frame_likes=None) -> dict:
     with atomic_writer(paths["frames"]) as fh:
         fh.writelines(f"{d.frame_ids[f]}\t{d.item_ids[i]}\n"
                       for f, i in zip(frames.tolist(), d.frame_parent[frames].tolist()))
-    with atomic_writer(paths["features"]) as fh:
-        for tok, row in zip(d.frame_ids, d.frame_features):
-            fh.write(f"{tok}\t{' '.join(map(repr, row.tolist()))}\n")
+    with atomic_writer(paths["features"], binary=True) as fh:
+        np.save(fh, d.frame_features[frames], allow_pickle=False)
     if frame_likes is not None:
         paths["frame_likes"] = out_dir / FRAME_LIKES_FILE
         _write_pairs(paths["frame_likes"], frame_likes, d.user_ids, d.frame_ids)

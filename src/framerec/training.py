@@ -367,6 +367,9 @@ class TrainLog:
             fh.write(self.to_tsv())
 
 
+# every batch's loss and gradients and every validation score are checked for
+# non-finite values, so numpy's overflow warnings would only repeat that check
+@np.errstate(over="ignore", invalid="ignore")
 def fit(
     split: SplitDataset,
     cfg: ModelConfig,
@@ -377,11 +380,11 @@ def fit(
 
     Parameters default to a fresh initialisation from cfg.seed.  Each epoch
     resamples negatives; a non-finite batch loss or gradient raises
-    NonFiniteError before the update, naming the epoch, batch and tensor.
-    Then validation hit rate at ``valid_k`` (fixed
-    candidate sets across epochs) drives early stopping: after ``patience``
-    epochs without improvement training stops and the best epoch's snapshot
-    is returned.
+    NonFiniteError before the update, naming the epoch, batch and tensor, and
+    so does a non-finite validation score.  Then validation hit rate at
+    ``valid_k`` (fixed candidate sets across epochs) drives early stopping:
+    after ``patience`` epochs without improvement training stops and the
+    best epoch's snapshot is returned.
     """
     base = split.base
     if params is None:
@@ -396,7 +399,6 @@ def fit(
     log = TrainLog()
     best_params = None
     best_hr = -np.inf
-    bad_epochs = 0
     for epoch in range(1, tcfg.epochs + 1):
         started = time.perf_counter()
         triples = sample_epoch(split, tcfg.neg_ratio, sample_rng)
@@ -420,14 +422,17 @@ def fit(
         valid_hr = float("nan")
         valid_ndcg = float("nan")
         if can_validate:
-            report = evaluate_item_rec(
-                params, cfg, split,
-                k_list=(tcfg.valid_k,),
-                n_negatives=tcfg.valid_negatives,
-                repeats=1,
-                seed=valid_seed,
-                split_name="validation",
-            )
+            try:
+                report = evaluate_item_rec(
+                    params, cfg, split,
+                    k_list=(tcfg.valid_k,),
+                    n_negatives=tcfg.valid_negatives,
+                    repeats=1,
+                    seed=valid_seed,
+                    split_name="validation",
+                )
+            except NonFiniteError as exc:
+                raise NonFiniteError(f"training diverged at epoch {epoch}: {exc}") from None
             valid_hr = report.hr[tcfg.valid_k]
             valid_ndcg = report.ndcg[tcfg.valid_k]
 
@@ -442,13 +447,10 @@ def fit(
                 best_hr = valid_hr
                 best_params = params.copy()
                 log.best_epoch = epoch
-                bad_epochs = 0
-            else:
-                bad_epochs += 1
-                if bad_epochs >= tcfg.patience:
-                    log.stopped_early = True
-                    logger.info("early stop at epoch %d (best %d)", epoch, log.best_epoch)
-                    break
+            elif epoch - log.best_epoch >= tcfg.patience:
+                log.stopped_early = True
+                logger.info("early stop at epoch %d (best %d)", epoch, log.best_epoch)
+                break
 
     if best_params is not None:
         params = best_params

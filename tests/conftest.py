@@ -1,4 +1,4 @@
-"""Shared fixtures: a small handcrafted dataset and TSV writing helpers."""
+"""Shared fixtures: a small handcrafted dataset and data directory writing helpers."""
 
 import numpy as np
 import pytest
@@ -27,11 +27,14 @@ def toy_dataset() -> Dataset:
 
 
 def write_dataset_dir(path, ratings, frames, features, frame_likes=None):
-    """Write raw TSV texts into a directory and return it."""
+    """Write raw TSV texts and ``features.npy`` into a directory and return it.
+
+    ``features`` holds one row per ``frames`` record, in that order.
+    """
     path.mkdir(parents=True, exist_ok=True)
     (path / "ratings.tsv").write_text(ratings, encoding="utf-8")
     (path / "frames.tsv").write_text(frames, encoding="utf-8")
-    (path / "features.tsv").write_text(features, encoding="utf-8")
+    np.save(path / "features.npy", np.asarray(features))
     if frame_likes is not None:
         (path / "frame_likes.tsv").write_text(frame_likes, encoding="utf-8")
     return path
@@ -39,11 +42,4 @@ def write_dataset_dir(path, ratings, frames, features, frame_likes=None):
 
 TOY_RATINGS = "a\tx\na\ty\nb\ty\nb\tz\nc\tx\nc\tz\n"
 TOY_FRAMES = "fx1\tx\nfx2\tx\nfy1\ty\nfz1\tz\nfz2\tz\nfz3\tz\n"
-TOY_FEATURES = (
-    "fx1\t1.0 0.0\n"
-    "fx2\t0.0 1.0\n"
-    "fy1\t1.0 1.0\n"
-    "fz1\t2.0 0.0\n"
-    "fz2\t0.0 2.0\n"
-    "fz3\t1.0 1.0\n"
-)
+TOY_FEATURES = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (2.0, 0.0), (0.0, 2.0), (1.0, 1.0))

@@ -56,7 +56,7 @@ class TestPipeline:
         out = tmp_path / "d"
         code, stdout, _ = call(capsys, "synth", "--out", str(out), *SMALL_SYNTH)
         assert code == 0
-        for name in ("ratings.tsv", "frames.tsv", "features.tsv",
+        for name in ("ratings.tsv", "frames.tsv", "features.npy",
                      "frame_likes.tsv", "run.json"):
             assert (out / name).exists()
         manifest = json.loads((out / "run.json").read_text())
@@ -166,6 +166,25 @@ class TestBadCounts:
                             *SMALL_TRAIN, "--lr", "nan")
         assert code == 1
         assert err.startswith("error: lr must be finite")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_diverging_train_ends_in_one_line(self, pipeline_dirs, capsys):
+        # one batch per epoch, so the first non-finite score is validation's
+        code, _, err = call(capsys, "train", "--data", str(pipeline_dirs / "split"),
+                            "--out", str(pipeline_dirs / "run0"), *SMALL_MODEL,
+                            *SMALL_TRAIN, "--lr", "1e200", "--epochs", "1",
+                            "--batch-size", "1024")
+        assert code == 1
+        assert err.startswith("error: training diverged at epoch 1: item evaluation: ")
+        assert len(err.strip().splitlines()) == 1 and "RuntimeWarning" not in err
+
+    def test_malformed_features_file(self, pipeline_dirs, capsys):
+        data = pipeline_dirs / "data"
+        (data / "features.npy").write_bytes((data / "features.npy").read_bytes()[:-8])
+        code, _, err = call(capsys, "split", "--data", str(data),
+                            "--out", str(pipeline_dirs / "split2"))
+        assert code == 1
+        assert err.startswith("error: ") and "features.npy: not a .npy array" in err
         assert len(err.strip().splitlines()) == 1
 
     def test_split_fractions_over_one(self, pipeline_dirs, capsys):
@@ -278,7 +297,7 @@ class TestErrors:
         bad.mkdir()
         (bad / "ratings.tsv").write_text("u1\ti1\nbroken\n", encoding="utf-8")
         (bad / "frames.tsv").write_text("f1\ti1\n", encoding="utf-8")
-        (bad / "features.tsv").write_text("f1\t1.0\n", encoding="utf-8")
+        np.save(bad / "features.npy", np.ones((1, 1)))
         code, _, err = call(capsys, "split", "--data", str(bad),
                             "--out", str(tmp_path / "o"))
         assert code == 1

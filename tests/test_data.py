@@ -26,7 +26,12 @@ from conftest import TOY_FEATURES, TOY_FRAMES, TOY_RATINGS, write_dataset_dir
 
 def load_toy(tmp_path, ratings=TOY_RATINGS, frames=TOY_FRAMES, features=TOY_FEATURES):
     d = write_dataset_dir(tmp_path / "data", ratings, frames, features)
-    return load_dataset(d / "ratings.tsv", d / "frames.tsv", d / "features.tsv")
+    return load_dataset(d / "ratings.tsv", d / "frames.tsv", d / "features.npy")
+
+
+def write_npz(path):
+    with open(path, "wb") as fh:  # given a path, np.savez would add an .npz suffix
+        np.savez(fh, features=np.array(TOY_FEATURES))
 
 
 def draw_dataset(data, st, min_frames=1) -> Dataset:
@@ -87,43 +92,83 @@ class TestParsing:
         with pytest.raises(ParseError, match="frames.tsv:1: ids must not contain whitespace"):
             load_toy(tmp_path, frames=f"fx1\tx{space}\n" + TOY_FRAMES)
 
+    @pytest.mark.parametrize("name", ["ratings.tsv", "frames.tsv", "valid.tsv"])
+    def test_bytes_that_are_not_utf8_name_the_line(self, tmp_path, name):
+        d = write_dataset_dir(tmp_path / "data", TOY_RATINGS, TOY_FRAMES, TOY_FEATURES)
+        files = (d / "ratings.tsv", d / "frames.tsv", d / "features.npy")
+        save_split(split_ratings(load_dataset(*files), 0.5, 0.25, seed=0), d)
+        (d / name).write_bytes(b"# header\r\nb\tz\xe9\n" + (d / name).read_bytes())
+        with pytest.raises(ParseError, match=f"{name}:2: not valid UTF-8$"):
+            load_split(load_dataset(*files), d)
+
     def test_bad_feature_float(self, tmp_path):
-        feats = TOY_FEATURES.replace("2.0 0.0", "2.0 oops")
-        with pytest.raises(ParseError) as exc:
+        # a string array loads without error, so only its dtype shows the fault
+        feats = np.array(TOY_FEATURES).astype(str)
+        with pytest.raises(IntegrityError, match=r"features.npy: .*, got <U\d+ \(6, 2\)$"):
             load_toy(tmp_path, features=feats)
-        assert "features.tsv:4" in str(exc.value)
+        with pytest.raises(IntegrityError, match=r"got int64 \(6, 2\)$"):
+            load_toy(tmp_path, features=np.array(TOY_FEATURES).astype(np.int64))
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_feature_names_line(self, tmp_path, value):
-        feats = TOY_FEATURES.replace("2.0 0.0", f"2.0 {value}")
-        with pytest.raises(ParseError, match="features.tsv:4: feature values must be finite"):
+        feats = np.array(TOY_FEATURES)
+        feats[3, 1] = float(value)
+        with pytest.raises(IntegrityError, match="features.npy: row 3 is not finite$"):
             load_toy(tmp_path, features=feats)
 
     def test_inconsistent_feature_dim(self, tmp_path):
-        feats = TOY_FEATURES.replace("fy1\t1.0 1.0", "fy1\t1.0 1.0 9.0")
-        with pytest.raises(IntegrityError):
-            load_toy(tmp_path, features=feats)
+        for feats in (np.ones(6), np.ones((6, 2, 1)), np.ones((6, 0))):
+            with pytest.raises(IntegrityError, match=r"features.npy: want a float array"):
+                load_toy(tmp_path, features=feats)
 
     def test_rated_item_without_frames(self, tmp_path):
         with pytest.raises(IntegrityError):
             load_toy(tmp_path, ratings=TOY_RATINGS + "a\tw\n")
 
     def test_frame_without_features(self, tmp_path):
-        feats = "\n".join(TOY_FEATURES.splitlines()[:-1]) + "\n"
-        with pytest.raises(IntegrityError):
-            load_toy(tmp_path, features=feats)
+        with pytest.raises(IntegrityError, match="each of the 6 records of .*, got float64 "
+                                                 r"\(5, 2\)$"):
+            load_toy(tmp_path, features=TOY_FEATURES[:-1])
 
     def test_feature_for_unknown_frame(self, tmp_path):
-        with pytest.raises(IntegrityError):
-            load_toy(tmp_path, features=TOY_FEATURES + "ghost\t1.0 1.0\n")
+        with pytest.raises(IntegrityError, match=r"got float64 \(7, 2\)$"):
+            load_toy(tmp_path, features=TOY_FEATURES + ((1.0, 1.0),))
+
+    def test_feature_rows_follow_frames_records(self, tmp_path):
+        # comment and blank lines are not records; frame ids sort apart from file order
+        frames = "# frame\titem\nfz3\tz\n\nfx1\tx\nfy1\ty\n"
+        feats = np.array([[3.0, 0.0], [1.0, 0.0], [2.0, 0.0]], dtype=np.float32)
+        ds = load_toy(tmp_path, frames=frames, ratings="a\tx\n", features=feats)
+        assert ds.frame_ids == ("fx1", "fy1", "fz3")
+        assert ds.frame_features.dtype == np.float64
+        assert ds.frame_features[:, 0].tolist() == [1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize("write", [
+        write_npz,
+        lambda p: np.save(p, np.array([{"f": 1.0}, None]), allow_pickle=True),
+        lambda p: p.write_bytes(p.read_bytes()[:-1]),
+        lambda p: p.write_bytes(p.read_bytes()[:20]),
+        lambda p: p.write_text("fx1\t1.0 0.0\n", encoding="utf-8"),
+    ], ids=["npz", "pickled-objects", "truncated-data", "truncated-header", "text"])
+    def test_features_not_an_npy_array(self, tmp_path, write):
+        d = write_dataset_dir(tmp_path / "data", TOY_RATINGS, TOY_FRAMES, TOY_FEATURES)
+        write(d / "features.npy")
+        with pytest.raises(IntegrityError, match="features.npy: not a .npy array: "):
+            load_dataset(d / "ratings.tsv", d / "frames.tsv", d / "features.npy")
 
     def test_frame_with_two_parents(self, tmp_path):
         with pytest.raises(IntegrityError):
             load_toy(tmp_path, frames=TOY_FRAMES + "fx1\ty\n")
 
+    def test_frame_listed_twice(self, tmp_path):
+        # each line owns a feature row, so even an identical repeat is an error
+        with pytest.raises(IntegrityError, match="frames.tsv:7: frame 'fx1' is listed twice$"):
+            load_toy(tmp_path, frames=TOY_FRAMES + "fx1\tx\n",
+                     features=TOY_FEATURES + TOY_FEATURES[:1])
+
     def test_item_only_in_frames_is_kept_unrated(self, tmp_path):
         frames = TOY_FRAMES + "fw1\tw\n"
-        feats = TOY_FEATURES + "fw1\t0.5 0.5\n"
+        feats = TOY_FEATURES + ((0.5, 0.5),)
         ds = load_toy(tmp_path, frames=frames, features=feats)
         assert ds.num_items == 4
         w = ds.item_ids.index("w")
@@ -193,7 +238,7 @@ class TestPruning:
         # user d has one rating on item v; dropping v orphans nothing else
         ratings = TOY_RATINGS + "d\tv\n"
         frames = TOY_FRAMES + "fv1\tv\n"
-        feats = TOY_FEATURES + "fv1\t3.0 3.0\n"
+        feats = TOY_FEATURES + ((3.0, 3.0),)
         ds = load_toy(tmp_path, ratings=ratings, frames=frames, features=feats)
         pruned = prune_dataset(ds, min_count=2)
         assert "d" not in pruned.user_ids
@@ -263,7 +308,7 @@ class TestPruning:
     def test_prune_reindexes_densely(self, tmp_path):
         ratings = TOY_RATINGS + "d\tv\n"
         frames = TOY_FRAMES + "fv1\tv\n"
-        feats = TOY_FEATURES + "fv1\t3.0 3.0\n"
+        feats = TOY_FEATURES + ((3.0, 3.0),)
         ds = load_toy(tmp_path, ratings=ratings, frames=frames, features=feats)
         pruned = prune_dataset(ds, min_count=2)
         assert set(range(pruned.num_frames)) == {
@@ -411,7 +456,7 @@ class TestRoundTrips:
         back = load_dataset(
             tmp_path / "out" / "ratings.tsv",
             tmp_path / "out" / "frames.tsv",
-            tmp_path / "out" / "features.tsv",
+            tmp_path / "out" / "features.npy",
         )
         assert back.ratings == ds.ratings
         assert back.frame_ids == ds.frame_ids
@@ -469,7 +514,7 @@ class TestRoundTrips:
             save_dataset(ds, out, frame_likes=likes)
             save_split(split, out)
 
-            back = load_dataset(out / "ratings.tsv", out / "frames.tsv", out / "features.tsv")
+            back = load_dataset(out / "ratings.tsv", out / "frames.tsv", out / "features.npy")
             assert back == ds
             assert load_frame_likes(out / "frame_likes.tsv", back) == likes
             got = load_split(back, out)
@@ -479,6 +524,9 @@ class TestRoundTrips:
             order = sorted(range(len(frames)), key=lambda f: (parent[f], f))
             assert (out / "frames.tsv").read_text(encoding="utf-8").splitlines() == [
                 f"{frames[f]}\t{items[parent[f]]}" for f in order]
+            saved = np.load(out / "features.npy", allow_pickle=False)
+            assert saved.dtype == np.float64
+            np.testing.assert_array_equal(saved, ds.frame_features[order])
 
         check()
 
