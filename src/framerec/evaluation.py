@@ -4,7 +4,10 @@ Both tasks rank a held-out positive within a row of candidate scores, fill
 a (repeats, pairs) matrix with its ranks, and reduce that matrix to HR@K
 and NDCG@K.  Item evaluation follows the sampled-candidates protocol: each
 positive is ranked against negatives drawn from the items its user never
-rated anywhere, and the draw is repeated.  Frame evaluation is exhaustive:
+rated anywhere, and the draw is repeated.  When the repeats would score
+more candidates per pair than the catalog holds, each user's whole catalog
+is scored once and every repeat reads its candidates from it; the draws,
+and so the reports, are the same either way.  Frame evaluation is exhaustive:
 a liked frame is ranked against all frames of its parent item, so it needs
 no sampling and no repeats.
 
@@ -34,7 +37,8 @@ logger = logging.getLogger(__name__)
 
 # Item evaluation draws and scores CANDIDATE_BLOCK // num_items pairs at a
 # time (at least one), so a block holds at most this many random keys and
-# candidates.  It bounds memory and does not change results.
+# candidate scores, or catalog scores when it scores its users' catalogs.
+# It bounds memory and does not change results.
 CANDIDATE_BLOCK = 1 << 17
 
 # The split portions item evaluation ranks, named as SplitDataset's fields.
@@ -180,6 +184,14 @@ def evaluate_item_rec(
     pool is smaller than ``n_negatives`` the whole pool is used once and a
     warning is recorded.  Repeat r draws the negatives of all pairs, in
     sorted pair order, from the r-th generator spawned from ``seed``.
+
+    Pairs are taken a block at a time, and each block runs every repeat.
+    When ``repeats * (take + 1)`` exceeds the catalog, ``take`` being the
+    negatives actually drawn per pair, the block scores each of its users
+    against every item once and each repeat gathers its candidates' scores
+    from that; otherwise each repeat scores its candidates.  The catalog
+    path scores every item, so a visual model raises MissingFramesError
+    for any item without frames, drawn or not.
     """
     k_list = check_cutoffs(k_list)
     if split_name not in ITEM_SPLITS:
@@ -206,18 +218,26 @@ def evaluate_item_rec(
 
     table = item_visual_table(params, cfg, dataset=base)
     rows = max(1, CANDIDATE_BLOCK // base.num_items)
+    catalog = repeats * (take + 1) > base.num_items
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(repeats)]
     ranks = np.empty((repeats, len(users)), dtype=np.int64)
-    for r, seq in enumerate(np.random.SeedSequence(seed).spawn(repeats)):
-        rng = np.random.default_rng(seq)
-        for lo in range(0, len(users), rows):
-            u = users[lo: lo + rows]
-            # the block's rows of the (users, items) rated mask, never held whole
-            mask = np.zeros((len(u), base.num_items), dtype=bool)
-            mask[np.repeat(np.arange(len(u)), n_rated[u]),
-                 np.concatenate([rated[x] for x in u])] = True
+    for lo in range(0, len(users), rows):
+        u = users[lo: lo + rows]
+        # the block's rows of the (users, items) rated mask, never held whole
+        mask = np.zeros((len(u), base.num_items), dtype=bool)
+        mask[np.repeat(np.arange(len(u)), n_rated[u]),
+             np.concatenate([rated[x] for x in u])] = True
+        if catalog:
+            uniq, inverse = np.unique(u, return_inverse=True)
+            block = score_pairs(uniq[:, None], np.arange(base.num_items)[None, :],
+                                params, cfg, base, table=table)[inverse]
+        for r, rng in enumerate(rngs):
             negs, valid = _draw_negatives(rng, mask, take)
             cands = np.column_stack([positives[lo: lo + rows], negs])
-            scores = score_pairs(u[:, None], cands, params, cfg, base, table=table)
+            if catalog:
+                scores = np.take_along_axis(block, cands, axis=1)
+            else:
+                scores = score_pairs(u[:, None], cands, params, cfg, base, table=table)
             valid = np.column_stack([np.ones(len(u), dtype=bool), valid])
             ranks[r, lo: lo + rows] = _ranks(scores, valid, "item")
     return _report("item", split_name, k_list, ranks, warnings, n_negatives)

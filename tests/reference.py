@@ -1,5 +1,5 @@
 """Test oracles: scalar forward path, projected table, full-catalog backward, dense teacher,
-set-based prune.
+set-based prune, per-candidate sampled evaluation.
 
 The package scores in bulk (``item_visual_table``, ``score_pairs``,
 ``score_frames``).  The scalar functions score one instance at a time,
@@ -26,12 +26,20 @@ and frame likes.
 ``prune_dataset`` is the set-based prune the package ran before it pruned
 with arrays: a fixed point over Python sets of users, items and ratings,
 then ``subset`` re-indexes through dicts.
+
+``sampled_item_eval`` is item evaluation as it ran before it learned to
+score each user's catalog once: repeat after repeat, every block of pairs
+draws its negatives and scores its (user, candidate) rows one by one.  It
+shares the package's draw, rank and report helpers, so a bit-identical
+report shows that the catalog block changed neither the draws nor the
+scores.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from framerec import evaluation
 from framerec.data import Dataset
 from framerec.errors import (
     ConfigError,
@@ -344,3 +352,38 @@ def prune_dataset(dataset, min_count: int):
             f"pruning with min_count={min_count} removed every user or item"
         )
     return subset(dataset, users, items)
+
+
+def sampled_item_eval(params, cfg, split, k_list=(5, 10, 15, 20), n_negatives=1000,
+                      repeats=10, seed=0, split_name="test"):
+    """``evaluate_item_rec`` scoring every repeat's candidates of every pair."""
+    k_list = evaluation.check_cutoffs(k_list)
+    evaluation.check_sampling(n_negatives, repeats)
+    pairs = getattr(split, split_name)
+    base = split.base
+    users, positives = np.array(sorted(pairs), dtype=np.int64).T
+    rated = base.items_of_user
+    n_rated = np.array([len(r) for r in rated], dtype=np.int64)
+    pool = base.num_items - n_rated[users]
+    take = int(min(n_negatives, pool.max()))
+    warnings = []
+    short = int(np.count_nonzero(pool < n_negatives))
+    if short:
+        warnings.append(f"{short} of {len(users)} pairs had fewer than {n_negatives} "
+                        "unrated items; used the full pool")
+    table = item_visual_table(params, cfg, dataset=base)
+    rows = max(1, evaluation.CANDIDATE_BLOCK // base.num_items)
+    ranks = np.empty((repeats, len(users)), dtype=np.int64)
+    for r, seq in enumerate(np.random.SeedSequence(seed).spawn(repeats)):
+        rng = np.random.default_rng(seq)
+        for lo in range(0, len(users), rows):
+            u = users[lo: lo + rows]
+            mask = np.zeros((len(u), base.num_items), dtype=bool)
+            mask[np.repeat(np.arange(len(u)), n_rated[u]),
+                 np.concatenate([rated[x] for x in u])] = True
+            negs, valid = evaluation._draw_negatives(rng, mask, take)
+            cands = np.column_stack([positives[lo: lo + rows], negs])
+            scores = score_pairs(u[:, None], cands, params, cfg, base, table=table)
+            valid = np.column_stack([np.ones(len(u), dtype=bool), valid])
+            ranks[r, lo: lo + rows] = evaluation._ranks(scores, valid, "item")
+    return evaluation._report("item", split_name, k_list, ranks, warnings, n_negatives)

@@ -1,13 +1,20 @@
 """Rank computation, metric values, and the two evaluation protocols."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from framerec import evaluation
+import reference
+from framerec import cli, evaluation
 from framerec.data import Dataset, split_ratings
-from framerec.errors import ConfigError, NonFiniteError, UnsupportedTaskError
+from framerec.errors import (
+    ConfigError,
+    MissingFramesError,
+    NonFiniteError,
+    UnsupportedTaskError,
+)
 from framerec.evaluation import (
     evaluate_frame_rec,
     evaluate_item_rec,
@@ -15,7 +22,15 @@ from framerec.evaluation import (
     rank_metrics,
     rank_of_first,
 )
-from framerec.model import ModelConfig, init_params, score_frames
+from framerec.model import (
+    FUSION_MODES,
+    VISUAL_MODES,
+    ModelConfig,
+    dataset_digest,
+    init_params,
+    save_checkpoint,
+    score_frames,
+)
 from framerec.synth import SynthConfig, generate_synthetic
 
 
@@ -91,7 +106,8 @@ class TestItemEvaluation:
         d = evaluate_item_rec(params, cfg, split, n_negatives=8, repeats=4, seed=6)
         assert d.hr != a.hr or d.ndcg != a.ndcg
 
-    @pytest.mark.parametrize("n_negatives", [8, 10_000])
+    # 3 negatives x 3 repeats score candidates; 8 and 10 000 score the catalog
+    @pytest.mark.parametrize("n_negatives", [3, 8, 10_000])
     def test_scoring_blocks_do_not_change_the_report(self, monkeypatch, n_negatives):
         split, planted = synth_split(seed=3)
         kw = dict(k_list=(1, 5), n_negatives=n_negatives, repeats=3, seed=4)
@@ -173,14 +189,106 @@ class TestItemEvaluation:
         cfg = ModelConfig(d1=2, visual_mode="off", fusion_mode="sum")
         params = init_params(cfg, ds)
         dense_bytes = m * n  # a (users, items) bool mask
-        tracemalloc.start()
-        try:
-            rep = evaluate_item_rec(params, cfg, split, n_negatives=100, repeats=1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert rep.n_pairs == len(split.test)
-        assert peak < dense_bytes / 2, (peak, dense_bytes)
+        # 100 x 1 scores candidates; 1000 x 10 asks for more candidates per
+        # pair than the 5000 items, so it scores the catalog
+        for n_negatives, repeats in [(100, 1), (1000, 10)]:
+            tracemalloc.start()
+            try:
+                rep = evaluate_item_rec(params, cfg, split, n_negatives=n_negatives,
+                                        repeats=repeats)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert rep.n_pairs == len(split.test)
+            assert peak < dense_bytes / 2, (repeats, peak, dense_bytes)
+
+    def test_frameless_item_fails_the_catalog_path(self, monkeypatch, tmp_path, capsys):
+        # item 3 is unrated and has no frames: check_dataset allows it and no
+        # loader makes it.  Scoring the catalog scores it whatever is drawn.
+        ds = Dataset(
+            ratings=frozenset((u, i) for u in range(4) for i in range(3) if u != i),
+            frame_parent=np.array([0, 1, 2], dtype=np.int64),
+            frame_features=np.eye(3),
+            user_ids=("u0", "u1", "u2", "u3"), item_ids=("a", "b", "c", "d"),
+            frame_ids=("fa", "fb", "fc"),
+        )
+        split = split_ratings(ds, 0.4, 0.3, seed=0)
+        cfg = replace(make_cfg(), visual_mode="avg")
+        params = init_params(cfg, ds)
+        # 1 negative x 3 repeats asks for 6 candidates per pair of 4 items
+        with pytest.raises(MissingFramesError, match="item 3 has no frames"):
+            evaluate_item_rec(params, cfg, split, n_negatives=1, repeats=3)
+
+        monkeypatch.setattr(cli, "_load_split_dir", lambda path: split)
+        save_checkpoint(tmp_path / "model.json", params, cfg, dataset_digest(ds))
+        code = cli.run(["eval-items", "--data", str(tmp_path), "--checkpoint",
+                        str(tmp_path / "model.json"), "--out", str(tmp_path / "eval"),
+                        "--negatives", "1", "--repeats", "3"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: item 3 has no frames\n"
+
+
+def rows_scored(monkeypatch):
+    """A list that gathers the (user, item) row count of every score_pairs call."""
+    counts = []
+    score_pairs = evaluation.score_pairs
+
+    def counting(users, items, *args, **kwargs):
+        counts.append(np.broadcast(np.asarray(users), np.asarray(items)).size)
+        return score_pairs(users, items, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "score_pairs", counting)
+    return counts
+
+
+class TestCatalogScoring:
+    """Repeats that would score more candidates than the catalog score it once."""
+
+    # (n_negatives, repeats) on 25 items with a pool of 17 per user: per
+    # candidate (5x2, 3x5), at equality (4x5: 5 x 5 == 25, per candidate),
+    # just past it (4x6, 8x3), and with a pool shortfall on each side
+    # (10 000x1, 10 000x3)
+    CASES = [(5, 2), (3, 5), (4, 5), (4, 6), (8, 3), (10_000, 1), (10_000, 3)]
+
+    @pytest.mark.parametrize("block", [None, 1])
+    @pytest.mark.parametrize("n_negatives, repeats", CASES)
+    @pytest.mark.parametrize("visual", VISUAL_MODES)
+    @pytest.mark.parametrize("fusion", FUSION_MODES)
+    def test_report_matches_per_candidate_oracle(self, monkeypatch, visual, fusion,
+                                                 n_negatives, repeats, block):
+        split, _ = synth_split(seed=3)
+        cfg = replace(make_cfg(), visual_mode=visual, fusion_mode=fusion)
+        params = init_params(cfg, split.base)
+        if block is not None:
+            monkeypatch.setattr(evaluation, "CANDIDATE_BLOCK", block)
+        kw = dict(k_list=(1, 3, 5), n_negatives=n_negatives, repeats=repeats, seed=4)
+        got = evaluate_item_rec(params, cfg, split, **kw)
+        want = reference.sampled_item_eval(params, cfg, split, **kw)
+        assert got.to_dict() == want.to_dict()
+        assert got.to_tsv() == want.to_tsv()
+
+    def test_exhausted_pool_scores_each_block_user_once(self, monkeypatch):
+        split, planted = synth_split(seed=3)
+        monkeypatch.setattr(evaluation, "CANDIDATE_BLOCK", 100)  # 4 pairs per block
+        counts = rows_scored(monkeypatch)
+        rep = evaluate_item_rec(planted.params, planted.cfg, split,
+                                n_negatives=10_000, repeats=10)
+        assert rep.warnings  # every pool ran out
+        n = split.base.num_items
+        users = np.array(sorted(split.test))[:, 0]
+        rows = 100 // n
+        bound = sum(len(np.unique(users[lo: lo + rows])) * n
+                    for lo in range(0, len(users), rows))
+        assert sum(counts) <= bound
+
+    def test_few_negatives_score_their_candidates(self, monkeypatch):
+        split, planted = synth_split(seed=3, num_items=150)
+        counts = rows_scored(monkeypatch)
+        rep = evaluate_item_rec(planted.params, planted.cfg, split,
+                                n_negatives=100, repeats=1)
+        assert not rep.warnings
+        assert sum(counts) == len(split.test) * (100 + 1)
 
 
 class TestFrameEvaluation:
