@@ -13,8 +13,7 @@ import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import compress, groupby
-from operator import itemgetter
+from itertools import compress
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -44,13 +43,16 @@ class Dataset:
     """Immutable user/item/frame universe with per-frame feature vectors.
 
     Ids are dense: users in ``0..num_users-1``, items in ``0..num_items-1``,
-    frames in ``0..num_frames-1``.  ``frame_parent`` names each frame's item.
+    frames in ``0..num_frames-1``.  ``ratings`` holds one (user, item) row per
+    rating in an (R, 2) int64 array, sorted by user and then item; the pairs
+    given (an array, a set of tuples, a ``zip``) are brought to that form.
+    ``frame_parent`` names each frame's item.
     ``user_ids`` (and friends) map each dense id back to its original token,
     and their lengths are the sizes.  Instances are safe to share read-only
     across threads.
     """
 
-    ratings: frozenset
+    ratings: np.ndarray
     frame_parent: np.ndarray
     frame_features: np.ndarray
     user_ids: tuple
@@ -66,6 +68,9 @@ class Dataset:
             for mine, theirs in ((getattr(self, f.name), getattr(other, f.name))
                                  for f in fields(self))
         )
+
+    def __post_init__(self):
+        object.__setattr__(self, "ratings", _pair_array(self.ratings))
 
     @property
     def num_users(self) -> int:
@@ -85,11 +90,10 @@ class Dataset:
 
     @cached_property
     def items_of_user(self) -> tuple:
-        """Per-user sorted arrays of rated item ids."""
-        per_user = [[] for _ in range(self.num_users)]
-        for u, i in sorted(self.ratings):
-            per_user[u].append(i)
-        return tuple(np.array(lst, dtype=np.int64) for lst in per_user)
+        """Per-user sorted arrays of rated item ids: slices of one copy of ``ratings[:, 1]``."""
+        ends = np.cumsum(np.bincount(self.ratings[:, 0], minlength=self.num_users)).tolist()
+        items = np.ascontiguousarray(self.ratings[:, 1])
+        return tuple(items[lo:hi] for lo, hi in zip([0] + ends, ends))
 
     @cached_property
     def frame_table(self):
@@ -131,14 +135,28 @@ class SplitDataset:
 
     @cached_property
     def train_array(self) -> np.ndarray:
-        return np.array(sorted(self.train), dtype=np.int64).reshape(-1, 2)
+        return _pair_array(self.train)
+
+
+def _pair_array(pairs) -> np.ndarray:
+    """Integer pairs (an array or an iterable of pairs) as sorted, unique (R, 2) int64 rows."""
+    try:
+        arr = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs))
+    except ValueError as exc:  # pairs of different lengths
+        raise IntegrityError(f"ratings are not (user, item) pairs: {exc}") from None
+    arr = np.empty((0, 2), dtype=np.int64) if arr.shape == (0,) else arr  # from an empty set
+    if arr.dtype.kind not in "iu" or arr.ndim != 2 or arr.shape[1] != 2:
+        raise IntegrityError(f"ratings must be integer (user, item) pairs, "
+                             f"got {arr.dtype} {arr.shape}")
+    arr = arr.astype(np.int64)[np.lexsort((arr[:, 1], arr[:, 0]))]
+    return arr[np.r_[True, (arr[1:] != arr[:-1]).any(axis=1)]] if len(arr) else arr
 
 
 def check_dataset(d: Dataset) -> None:
     """Raise IntegrityError if any structural invariant is violated.
 
     Checked: one feature row and one parent per frame id, id ranges, and
-    that every rated item has at least one frame.
+    that every rated item has at least one frame; the first bad rating is named.
     """
     if d.frame_features.ndim != 2 or len(d.frame_features) != d.num_frames:
         raise IntegrityError(
@@ -151,21 +169,23 @@ def check_dataset(d: Dataset) -> None:
         )
     if d.num_frames and (d.frame_parent.min() < 0 or d.frame_parent.max() >= d.num_items):
         raise IntegrityError("frame_parent references an out-of-range item")
-    num_users, num_items, counts = d.num_users, d.num_items, d.frame_table[2].tolist()
-    for u, i in d.ratings:
-        if not (0 <= u < num_users and 0 <= i < num_items):
-            raise IntegrityError(f"rating ({u}, {i}) out of range")
-        if not counts[i]:
-            raise IntegrityError(
-                f"item {d.item_ids[i]!r} is rated but has no frames"
-            )
+    users, items = d.ratings.T
+    bad = (users < 0) | (users >= d.num_users) | (items < 0) | (items >= d.num_items)
+    if bad.any():
+        u, i = d.ratings[bad.argmax()].tolist()
+        raise IntegrityError(f"rating ({u}, {i}) out of range")
+    frameless = d.frame_table[2][items] == 0
+    if frameless.any():
+        raise IntegrityError(
+            f"item {d.item_ids[items[frameless.argmax()]]!r} is rated but has no frames"
+        )
 
 
 def check_split(s: SplitDataset) -> None:
     """Raise IntegrityError unless the split partitions the ratings exactly."""
     if s.train & s.validation or s.train & s.test or s.validation & s.test:
         raise IntegrityError("split portions overlap")
-    if (s.train | s.validation | s.test) != s.base.ratings:
+    if not np.array_equal(_pair_array(s.train | s.validation | s.test), s.base.ratings):
         raise IntegrityError("split portions do not cover the ratings exactly")
     parent, num_frames = s.base.frame_parent, s.base.num_frames
     for u, f in s.frame_test:
@@ -268,13 +288,13 @@ def load_dataset(ratings_path, frames_path, features_path) -> Dataset:
 
     frame_tokens = sorted(row_of)
     rows = [row_of[f] for f in frame_tokens]
-    # one copy, freeing the array as read before the ratings set is built (lower peak RSS)
+    # one copy, freeing the array as read (lower peak RSS)
     features = np.asarray(features, dtype=np.float64)[rows]
     user_tokens = sorted({u for u, _ in rating_pairs})
     item_tokens = sorted({i for _, i in rating_pairs} | {i for _, _, i in frame_records})
     user_index, item_index = _index(user_tokens), _index(item_tokens)
     d = Dataset(
-        ratings=frozenset((user_index[u], item_index[i]) for u, i in rating_pairs),
+        ratings=[(user_index[u], item_index[i]) for u, i in rating_pairs],
         frame_parent=np.array([item_index[frame_records[k][2]] for k in rows], dtype=np.int64),
         frame_features=features,
         user_ids=tuple(user_tokens),
@@ -311,7 +331,7 @@ def prune_dataset(dataset: Dataset, min_count: int) -> Dataset:
     """
     if min_count < 1:
         raise ConfigError(f"min_count must be >= 1, got {min_count}")
-    pairs = np.array(sorted(dataset.ratings), dtype=np.int64).reshape(-1, 2)
+    pairs = dataset.ratings
     while True:
         users = np.bincount(pairs[:, 0], minlength=dataset.num_users) >= min_count
         items = np.bincount(pairs[:, 1], minlength=dataset.num_items) >= min_count
@@ -327,7 +347,7 @@ def prune_dataset(dataset: Dataset, min_count: int) -> Dataset:
     user_map, item_map = np.cumsum(users) - 1, np.cumsum(items) - 1
     frames = items[dataset.frame_parent]
     return Dataset(
-        ratings=frozenset(zip(user_map[pairs[:, 0]].tolist(), item_map[pairs[:, 1]].tolist())),
+        ratings=np.column_stack([user_map[pairs[:, 0]], item_map[pairs[:, 1]]]),
         frame_parent=item_map[dataset.frame_parent[frames]],
         frame_features=dataset.frame_features[frames],
         user_ids=tuple(compress(dataset.user_ids, users)),
@@ -358,43 +378,26 @@ def split_ratings(
             f"train={train_frac}, valid={valid_frac}"
         )
     rng = np.random.default_rng(seed)
-    train, valid, test = set(), set(), set()
+    ratings = dataset.ratings
+    counts = np.bincount(ratings[:, 0], minlength=dataset.num_users)
+    portion = np.empty(len(ratings), dtype=np.int8)  # 0 train, 1 validation, 2 test
+    lo = 0
+    # each group is a run of rows: one user's (rows are sorted by user) or all of them;
+    # a user without ratings is an empty group, and permutation(0) draws nothing
+    for n in (counts.tolist() if per_user else [len(ratings)]):
+        n_train, n_valid = int(n * train_frac), int(n * valid_frac)
+        portion[lo + rng.permutation(n)] = np.repeat(
+            [0, 1, 2], [n_train, n_valid, n - n_train - n_valid])
+        lo += n
+    train, valid, test = (frozenset(zip(*ratings[portion == k].T.tolist())) for k in range(3))
 
-    def partition(pairs):
-        pairs = sorted(pairs)
-        order = rng.permutation(len(pairs))
-        n_train = int(len(pairs) * train_frac)
-        n_valid = int(len(pairs) * valid_frac)
-        for pos, idx in enumerate(order):
-            pair = pairs[idx]
-            if pos < n_train:
-                train.add(pair)
-            elif pos < n_train + n_valid:
-                valid.add(pair)
-            else:
-                test.add(pair)
-
-    if per_user:
-        for _, pairs in groupby(sorted(dataset.ratings), key=itemgetter(0)):
-            partition(pairs)
-    else:
-        partition(dataset.ratings)
-
-    trained_users = {u for u, _ in train}
-    for u in sorted({u for u, _ in dataset.ratings} - trained_users):
+    trained = np.bincount(ratings[portion == 0, 0], minlength=dataset.num_users)
+    for u in np.flatnonzero((counts > 0) & (trained == 0)).tolist():
         logger.warning("user %r has no training ratings (cold)", dataset.user_ids[u])
 
     parent = dataset.frame_parent
-    frame_test = frozenset(
-        (u, f) for u, f in frame_likes if (u, int(parent[f])) in test
-    )
-    split = SplitDataset(
-        base=dataset,
-        train=frozenset(train),
-        validation=frozenset(valid),
-        test=frozenset(test),
-        frame_test=frame_test,
-    )
+    frame_test = frozenset((u, f) for u, f in frame_likes if (u, int(parent[f])) in test)
+    split = SplitDataset(dataset, train, valid, test, frame_test)
     check_split(split)
     return split
 
@@ -446,7 +449,7 @@ def save_dataset(dataset: Dataset, out_dir, frame_likes=None) -> dict:
         "features": out_dir / FEATURES_FILE,
     }
     d = dataset
-    _write_pairs(paths["ratings"], d.ratings, d.user_ids, d.item_ids)
+    _write_pairs(paths["ratings"], d.ratings.tolist(), d.user_ids, d.item_ids)
     ids, mask, _ = d.frame_table
     frames = ids[mask]
     with atomic_writer(paths["frames"]) as fh:

@@ -204,7 +204,7 @@ def evaluate_item_rec(
     base = split.base
     users, positives = np.array(sorted(pairs), dtype=np.int64).T
     rated = base.items_of_user
-    n_rated = np.array([len(r) for r in rated], dtype=np.int64)
+    n_rated = np.bincount(base.ratings[:, 0], minlength=base.num_users)
     pool = base.num_items - n_rated[users]
     take = int(min(n_negatives, pool.max()))
     warnings = []

@@ -154,7 +154,7 @@ def planted_frame_likes(planted: PlantedModel, dataset: Dataset, k: int) -> froz
     all ratings; callers filter to a test split as needed.
     """
     ids, mask, _ = dataset.frame_table
-    users, items = np.array(sorted(dataset.ratings), dtype=np.int64).reshape(-1, 2).T
+    users, items = dataset.ratings.T
     frame_emb = dataset.frame_features @ planted.params.visual_proj.T  # (L, d)
     frames = ids[items]  # (pairs, m), each row in ascending frame id
     scores = np.einsum("pd,pmd->pm", planted.params.user_visual[users], frame_emb[frames])
@@ -194,7 +194,7 @@ def generate_synthetic(cfg: SynthConfig):
     planted = PlantedModel(cfg=_teacher_config(cfg), params=_planted_params(cfg, param_rng))
 
     skeleton = Dataset(
-        ratings=frozenset(),
+        ratings=(),
         frame_parent=frame_parent,
         frame_features=features,
         user_ids=_tokens("u", cfg.num_users),
@@ -203,7 +203,7 @@ def generate_synthetic(cfg: SynthConfig):
     )
     top = planted_top_items(planted, skeleton, cfg.ratings_per_user)
     users = np.repeat(np.arange(cfg.num_users), cfg.ratings_per_user)
-    dataset = replace(skeleton, ratings=frozenset(zip(users.tolist(), top.ravel().tolist())))
+    dataset = replace(skeleton, ratings=np.column_stack([users, top.ravel()]))
     check_dataset(dataset)
     likes = planted_frame_likes(planted, dataset, cfg.frame_likes_per_pair)
     return dataset, likes, planted

@@ -104,18 +104,19 @@ def sample_epoch(split: SplitDataset, neg_ratio: int, rng: np.random.Generator) 
     train = split.train_array
     if train.size == 0:
         raise SamplingError("training split is empty")
-    all_items = np.arange(base.num_items, dtype=np.int64)
     reps = np.repeat(train, neg_ratio, axis=0)  # sorted, so each user's rows are contiguous
     negs = np.empty(len(reps), dtype=np.int64)
     users, starts, counts = np.unique(reps[:, 0], return_index=True, return_counts=True)
-    for u, lo, n in zip(users, starts, counts):
-        pool = np.delete(all_items, base.items_of_user[u])
-        if len(pool) == 0:
+    for u, lo, n in zip(users.tolist(), starts.tolist(), counts.tolist()):
+        rated = base.items_of_user[u]
+        if len(rated) == base.num_items:
             raise SamplingError(
                 f"user {base.user_ids[u]!r} has rated every item; "
                 "cannot sample negatives"
             )
-        negs[lo: lo + n] = pool[rng.integers(0, len(pool), size=n)]
+        # the k-th unrated item is k plus the rated items with at most k unrated ones below
+        k = rng.integers(0, base.num_items - len(rated), size=n)
+        negs[lo: lo + n] = k + np.searchsorted(rated - np.arange(len(rated)), k, side="right")
     triples = np.column_stack([reps, negs])
     return triples[rng.permutation(len(triples))]
 
@@ -550,12 +551,9 @@ def gradcheck_instance(
     rng = np.random.default_rng(seed)
     m, n, l, fd = 5, 8, 20, 6
     counts = rng.multinomial(l - n, np.full(n, 1.0 / n)) + 1  # every item >= 1
-    ratings = set()
-    for u in range(m):
-        rated = rng.choice(n, size=rng.integers(2, n - 1), replace=False)
-        ratings.update((u, int(i)) for i in rated)
+    picks = [rng.choice(n, size=rng.integers(2, n - 1), replace=False) for _ in range(m)]
     dataset = Dataset(
-        ratings=frozenset(ratings),
+        ratings=[(u, i) for u, items in enumerate(picks) for i in items],
         frame_parent=np.repeat(np.arange(n, dtype=np.int64), counts),
         frame_features=rng.normal(0.0, 1.0, (l, fd)),
         user_ids=tuple(f"u{k}" for k in range(m)),
@@ -577,12 +575,8 @@ def gradcheck_instance(
     )
     params = init_params(cfg, dataset)
     triples = []
-    for u in range(m):
-        rated = sorted(i for uu, i in ratings if uu == u)
-        unrated = sorted(set(range(n)) - set(rated))
-        for _ in range(3):
-            triples.append(
-                (u, int(rng.choice(rated)), int(rng.choice(unrated)))
-            )
+    for u, rated in enumerate(dataset.items_of_user):
+        unrated = np.setdiff1d(np.arange(n), rated)
+        triples += [(u, rng.choice(rated), rng.choice(unrated)) for _ in range(3)]
     batch = np.array(triples, dtype=np.int64)
     return params, cfg, dataset, batch

@@ -1,5 +1,5 @@
 """Test oracles: scalar forward path, projected table, full-catalog backward, dense teacher,
-set-based prune, per-candidate sampled evaluation.
+set-based prune and split, per-candidate sampled evaluation.
 
 The package scores in bulk (``item_visual_table``, ``score_pairs``,
 ``score_frames``).  The scalar functions score one instance at a time,
@@ -27,6 +27,11 @@ and frame likes.
 with arrays: a fixed point over Python sets of users, items and ratings,
 then ``subset`` re-indexes through dicts.
 
+``split_ratings`` is the split as it ran while a dataset held its ratings
+as a set of tuples: each group (one user's ratings, or all of them) is
+sorted as tuples, permuted, and dealt into Python sets pair by pair.
+``items_of_user`` scans every rating once per user.
+
 ``sampled_item_eval`` is item evaluation as it ran before it learned to
 score each user's catalog once: repeat after repeat, every block of pairs
 draws its negatives and scores its (user, candidate) rows one by one.  It
@@ -36,6 +41,9 @@ scores.
 """
 
 from __future__ import annotations
+
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -314,7 +322,7 @@ def subset(dataset, keep_users, keep_items):
     features = dataset.frame_features[np.array(keep_frames, dtype=np.int64)]
     ratings = frozenset(
         (user_map[u], item_map[i])
-        for u, i in dataset.ratings
+        for u, i in dataset.ratings.tolist()
         if u in user_map and i in item_map
     )
     return Dataset(
@@ -333,7 +341,7 @@ def prune_dataset(dataset, min_count: int):
         raise ConfigError(f"min_count must be >= 1, got {min_count}")
     users = set(range(dataset.num_users))
     items = set(range(dataset.num_items))
-    ratings = set(dataset.ratings)
+    ratings = set(map(tuple, dataset.ratings.tolist()))
     while True:
         user_counts = {u: 0 for u in users}
         item_counts = {i: 0 for i in items}
@@ -352,6 +360,43 @@ def prune_dataset(dataset, min_count: int):
             f"pruning with min_count={min_count} removed every user or item"
         )
     return subset(dataset, users, items)
+
+
+def split_ratings(dataset, train_frac, valid_frac, seed, per_user=False, frame_likes=()):
+    """(train, validation, test, frame_test, cold user ids) from the set-based partition."""
+    rng = np.random.default_rng(seed)
+    ratings = set(map(tuple, dataset.ratings.tolist()))
+    train, valid, test = set(), set(), set()
+
+    def partition(pairs):
+        pairs = sorted(pairs)
+        order = rng.permutation(len(pairs))
+        n_train = int(len(pairs) * train_frac)
+        n_valid = int(len(pairs) * valid_frac)
+        for pos, idx in enumerate(order):
+            pair = pairs[idx]
+            if pos < n_train:
+                train.add(pair)
+            elif pos < n_train + n_valid:
+                valid.add(pair)
+            else:
+                test.add(pair)
+
+    if per_user:
+        for _, pairs in groupby(sorted(ratings), key=itemgetter(0)):
+            partition(pairs)
+    else:
+        partition(ratings)
+    cold = sorted({u for u, _ in ratings} - {u for u, _ in train})
+    parent = dataset.frame_parent
+    frame_test = {(u, f) for u, f in frame_likes if (u, int(parent[f])) in test}
+    return train, valid, test, frame_test, [dataset.user_ids[u] for u in cold]
+
+
+def items_of_user(dataset) -> list:
+    """Each user's rated items, ascending, by a scan of every rating."""
+    pairs = dataset.ratings.tolist()
+    return [sorted(i for v, i in pairs if v == u) for u in range(dataset.num_users)]
 
 
 def sampled_item_eval(params, cfg, split, k_list=(5, 10, 15, 20), n_negatives=1000,

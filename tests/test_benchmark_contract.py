@@ -12,10 +12,22 @@ import inspect
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from framerec import TrainConfig
-from framerec.data import Dataset, SplitDataset
+from framerec import SynthConfig, TrainConfig, generate_synthetic
+from framerec.data import (
+    FEATURES_FILE,
+    FRAMES_FILE,
+    RATINGS_FILE,
+    Dataset,
+    SplitDataset,
+    load_dataset,
+    load_split,
+    save_dataset,
+    save_split,
+    split_ratings,
+)
 from framerec.model import VisualTable
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -124,3 +136,25 @@ def test_attributes_read_by_the_benchmark_exist(tree):
     missing = reads - {f.name for f in fields(VisualTable)}
     assert not missing, f"workloads.py reads VisualTable attributes {sorted(missing)}"
     assert "loss_reduction" in {f.name for f in fields(TrainConfig)}
+
+
+def test_split_portions_take_the_benchmarks_set_reads(tmp_path):
+    """workloads.py reads a split's portions as sets: ``sorted``, ``|`` and ``len``."""
+    ds, likes, _ = generate_synthetic(SynthConfig(
+        num_users=12, num_items=20, frames_per_item=3, feature_dim=4, latent_dim=3,
+        ratings_per_user=5))
+    made = split_ratings(ds, 0.7, 0.1, seed=0, frame_likes=likes)
+    save_dataset(ds, tmp_path, frame_likes=likes)
+    save_split(made, tmp_path)
+    loaded = load_split(load_dataset(tmp_path / RATINGS_FILE, tmp_path / FRAMES_FILE,
+                                     tmp_path / FEATURES_FILE), tmp_path)
+    for split in (made, loaded):
+        held_out = np.array(sorted(split.test | split.validation), dtype=np.int64)
+        assert held_out.shape == (len(split.test) + len(split.validation), 2)
+        valid = np.array(sorted(split.validation), dtype=np.int64)
+        assert valid.shape == (len(split.validation), 2)
+        assert len(split.frame_test) > 0
+        base = split.base
+        every = split.train | split.validation | split.test
+        assert [len(base.items_of_user[u]) for u, _ in sorted(split.test)] == [
+            sum(v == u for v, _ in every) for u, _ in sorted(split.test)]

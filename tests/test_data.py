@@ -189,6 +189,54 @@ class TestDatasetStructure:
         assert per_user[0].tolist() == [0, 1]
         assert per_user[2].tolist() == [0, 2]
 
+    def test_items_of_user_matches_a_scan(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        from hypothesis import strategies as st
+
+        # users without ratings are drawn too
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(data=st.data())
+        def check(data):
+            ds = draw_dataset(data, st, min_frames=0)
+            got = ds.items_of_user
+            assert [items.tolist() for items in got] == reference.items_of_user(ds)
+            assert all(items.dtype == np.int64 for items in got)
+
+        check()
+
+    @pytest.mark.parametrize("pairs", [
+        np.array([[2, 0], [0, 1], [2, 0], [0, 0], [1, 2], [0, 1]], dtype=np.int32),
+        [(2, 0), (0, 1), (2, 0), (0, 0), (1, 2)],
+        zip([2, 0, 0, 1, 2], [0, 1, 0, 2, 0]),
+        {(2, 0), (0, 1), (0, 0), (1, 2)},
+    ], ids=["array", "list", "zip", "set"])
+    def test_ratings_are_sorted_and_unique(self, toy_dataset, pairs):
+        ds = replace(toy_dataset, ratings=pairs)
+        assert ds.ratings.dtype == np.int64
+        assert ds.ratings.tolist() == [[0, 0], [0, 1], [1, 2], [2, 0]]
+
+    @pytest.mark.parametrize("pairs", [(), set(), zip(), np.empty((0, 2), dtype=np.int64)],
+                             ids=["tuple", "set", "zip", "array"])
+    def test_no_ratings_is_an_empty_pair_array(self, toy_dataset, pairs):
+        ds = replace(toy_dataset, ratings=pairs)
+        assert ds.ratings.shape == (0, 2) and ds.ratings.dtype == np.int64
+        assert [len(items) for items in ds.items_of_user] == [0, 0, 0]
+
+    @pytest.mark.parametrize("change, message", [
+        (dict(ratings=np.array([[0.0, 1.0]])), r"integer \(user, item\) pairs, got float64"),
+        (dict(ratings=np.array([[0, 1, 2]])), r"integer \(user, item\) pairs, got int64 \(1, 3\)"),
+        (dict(ratings={(0, 1), (2,)}), r"ratings are not \(user, item\) pairs"),
+        (dict(ratings={("u0", "i1")}), r"integer \(user, item\) pairs, got <U2"),
+        (dict(ratings={(0, 0), (-1, 0)}), r"^rating \(-1, 0\) out of range$"),
+        (dict(ratings={(0, 0), (1, 3)}), r"^rating \(1, 3\) out of range$"),
+        (dict(ratings={(3, 0), (0, 1)}), r"^rating \(3, 0\) out of range$"),
+        (dict(frame_parent=np.array([0, 0, 0, 2, 2, 2])), "^item 'i1' is rated but has no frames$"),
+    ], ids=["float", "three_columns", "ragged", "strings", "negative_user", "item_past_end",
+            "user_past_end", "rated_frameless"])
+    def test_bad_ratings_are_integrity_errors(self, toy_dataset, change, message):
+        with pytest.raises(IntegrityError, match=message):
+            check_dataset(replace(toy_dataset, **change))
+
     def test_check_rejects_orphan_frame(self, toy_dataset):
         # frame 5's parent is not an item of the dataset
         broken = replace(toy_dataset, frame_parent=np.array([0, 0, 1, 2, 2, 3]))
@@ -422,7 +470,8 @@ class TestSplitting:
                                   per_user=per_user, frame_likes=likes)
             portions = (split.train, split.validation, split.test)
             assert sum(map(len, portions)) == len(ds.ratings)
-            assert split.train | split.validation | split.test == ds.ratings
+            assert sorted(split.train | split.validation | split.test) == list(
+                map(tuple, ds.ratings.tolist()))
             groups = ([[p for p in ds.ratings if p[0] == u] for u in range(ds.num_users)]
                       if per_user else [list(ds.ratings)])
             n_train = sum(int(len(g) * train_frac) for g in groups)
@@ -431,6 +480,34 @@ class TestSplitting:
             parent = ds.frame_parent
             assert split.frame_test == {
                 (u, f) for u, f in likes if (u, int(parent[f])) in split.test}
+
+        check()
+
+    @pytest.mark.parametrize("per_user", [False, True])
+    def test_split_matches_the_set_based_oracle(self, caplog, per_user):
+        hypothesis = pytest.importorskip("hypothesis")
+        from hypothesis import strategies as st
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(
+            data=st.data(),
+            train_frac=st.floats(0.05, 0.9),
+            valid_frac=st.floats(0.05, 0.9),
+            seed=st.integers(0, 2**32 - 1),
+        )
+        def check(data, train_frac, valid_frac, seed):
+            hypothesis.assume(train_frac + valid_frac < 1.0)
+            ds = draw_dataset(data, st)
+            likes = data.draw(st.frozensets(st.tuples(
+                st.integers(0, ds.num_users - 1), st.integers(0, ds.num_frames - 1))))
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="framerec.data"):
+                split = split_ratings(ds, train_frac, valid_frac, seed=seed,
+                                      per_user=per_user, frame_likes=likes)
+            *want, cold = reference.split_ratings(ds, train_frac, valid_frac, seed,
+                                                  per_user=per_user, frame_likes=likes)
+            assert [split.train, split.validation, split.test, split.frame_test] == want
+            assert [r.args[0] for r in caplog.records if "(cold)" in r.getMessage()] == cold
 
         check()
 
@@ -458,7 +535,7 @@ class TestRoundTrips:
             tmp_path / "out" / "frames.tsv",
             tmp_path / "out" / "features.npy",
         )
-        assert back.ratings == ds.ratings
+        assert np.array_equal(back.ratings, ds.ratings)
         assert back.frame_ids == ds.frame_ids
         np.testing.assert_array_equal(back.frame_features, ds.frame_features)
 
