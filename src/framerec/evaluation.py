@@ -29,6 +29,7 @@ from .model import (
     ModelConfig,
     ModelParams,
     item_visual_table,
+    score_catalog,
     score_frames,
     score_pairs,
 )
@@ -36,9 +37,10 @@ from .model import (
 logger = logging.getLogger(__name__)
 
 # Item evaluation draws and scores CANDIDATE_BLOCK // num_items pairs at a
-# time (at least one), so a block holds at most this many random keys and
-# candidate scores, or catalog scores when it scores its users' catalogs.
-# It bounds memory and does not change results.
+# time (at least one), so a block's random keys, its rows of the rated mask
+# and its users' catalog scores hold at most this many entries each.  The
+# block changes no draw.  Catalog scores may round apart by an ulp with it,
+# because score_catalog forms the user half of the fusion once per block.
 CANDIDATE_BLOCK = 1 << 17
 
 # The split portions item evaluation ranks, named as SplitDataset's fields.
@@ -188,10 +190,11 @@ def evaluate_item_rec(
     Pairs are taken a block at a time, and each block runs every repeat.
     When ``repeats * (take + 1)`` exceeds the catalog, ``take`` being the
     negatives actually drawn per pair, the block scores each of its users
-    against every item once and each repeat gathers its candidates' scores
-    from that; otherwise each repeat scores its candidates.  The catalog
-    path scores every item, so a visual model raises MissingFramesError
-    for any item without frames, drawn or not.
+    against every item once, through ``score_catalog``, and each repeat
+    gathers its candidates' scores from that; otherwise each repeat scores
+    its candidates with ``score_pairs``.  The catalog path scores every
+    item, so a visual model raises MissingFramesError for any item without
+    frames, drawn or not.
     """
     k_list = check_cutoffs(k_list)
     if split_name not in ITEM_SPLITS:
@@ -229,8 +232,7 @@ def evaluate_item_rec(
              np.concatenate([rated[x] for x in u])] = True
         if catalog:
             uniq, inverse = np.unique(u, return_inverse=True)
-            block = score_pairs(uniq[:, None], np.arange(base.num_items)[None, :],
-                                params, cfg, base, table=table)[inverse]
+            block = score_catalog(uniq, params, cfg, base, table=table)[inverse]
         for r, rng in enumerate(rngs):
             negs, valid = _draw_negatives(rng, mask, take)
             cands = np.column_stack([positives[lo: lo + rows], negs])

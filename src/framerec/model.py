@@ -323,6 +323,58 @@ def score_pairs(
     return (scores, cache) if want_cache else scores
 
 
+# score_catalog scores CATALOG_BLOCK // (N * attn_hidden_rating) users at a
+# time (at least one), so the (rows, N, h) fusion hidden intermediate holds
+# at most this many elements and stays in cache.  Scores do not depend on it.
+CATALOG_BLOCK = 1 << 18
+
+
+def score_catalog(users, params: ModelParams, cfg: ModelConfig, dataset: Dataset,
+                  table: VisualTable = None, keep=None):
+    """Score each of ``users`` against every item, a block of users at a time.
+
+    Returns the (len(users), N) scores, which equal ``score_pairs`` of
+    ``users[:, None]`` against every item up to rounding.  Each fusion half
+    is formed once per call, the user half for all ``users`` and the item
+    half for all items, so the blocks change no bit.  With ``keep``, returns
+    ``keep(block)`` stacked over the blocks instead, so that only what it
+    keeps of each block is held.  Raises as ``score_pairs`` does: an
+    IntegrityError for a user id out of range, and, in a visual model, a
+    MissingFramesError for the first item without frames.
+    """
+    users = _checked_ids(users, dataset.num_users, "user")
+    n = dataset.num_items
+    user_collab, item_collab = params.user_collab[users], params.item_collab
+    if cfg.visual_mode != VISUAL_OFF:
+        if table is None:
+            table = item_visual_table(params, cfg, dataset)
+        counts = dataset.frame_table[2]
+        if counts.size and counts.min() == 0:
+            raise MissingFramesError(f"item {np.argmin(counts)} has no frames")
+        user_visual, item_visual = params.user_visual[users], table.x
+    fused = cfg.visual_mode != VISUAL_OFF and cfg.fusion_mode == FUSION_ATT
+    if fused:
+        w_user, w_item = params.fusion_hidden[:, :cfg.d1].T, params.fusion_hidden[:, cfg.d1:].T
+        halves = ((user_collab @ w_user, item_collab @ w_item),
+                  (user_visual @ w_user, item_visual @ w_item))
+    rows = max(1, CATALOG_BLOCK // (n * cfg.attn_hidden_rating))
+    blocks = []
+    for lo in range(0, max(len(users), 1), rows):  # one empty block when there are no users
+        b = slice(lo, lo + rows)
+        scores = np.einsum("...d,...d->...", user_collab[b, None, :], item_collab[None])
+        if cfg.visual_mode != VISUAL_OFF:
+            visual = np.einsum("...d,...d->...", user_visual[b, None, :], item_visual[None])
+            if fused:
+                hidden = [u[b, None, :] + i[None] for u, i in halves]
+                g1, g2 = (np.maximum(h, 0.0, out=h) @ params.fusion_out for h in hidden)
+                beta1, beta2 = _two_way_softmax(g1, g2)
+                scores = beta1 * scores + beta2 * visual
+            else:
+                scores = scores + visual
+        blocks.append(scores if keep is None else keep(scores))
+    return np.concatenate(blocks)
+
+
 def score_frames(users, frames, params: ModelParams, cfg: ModelConfig, dataset: Dataset):
     """Visual-only frame scores for (user, frame) pairs in bulk."""
     if cfg.visual_mode == VISUAL_OFF:

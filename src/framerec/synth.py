@@ -20,15 +20,7 @@ import numpy as np
 
 from .data import Dataset, check_dataset
 from .errors import ConfigError
-from .evaluation import CANDIDATE_BLOCK
-from .model import (
-    FUSION_ATT,
-    VISUAL_ATT,
-    ModelConfig,
-    ModelParams,
-    item_visual_table,
-    score_pairs,
-)
+from .model import FUSION_ATT, VISUAL_ATT, ModelConfig, ModelParams, score_catalog
 
 
 @dataclass(frozen=True)
@@ -125,25 +117,31 @@ def _teacher_config(cfg: SynthConfig) -> ModelConfig:
     )
 
 
+def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """``np.argsort(-scores, axis=1, kind="stable")[:, :k]`` of finite scores, without a full sort.
+
+    The entries at or above a row's k-th largest score are its candidates
+    (more than k when that score is tied); they are sorted by (-score, id)
+    and each row keeps its first k.
+    """
+    n = scores.shape[1]
+    kth = np.partition(scores, n - k, axis=1)[:, n - k]
+    rows, cols = np.nonzero(scores >= kth[:, None])  # row-major, so each row's run is contiguous
+    order = np.lexsort((cols, -scores[rows, cols], rows))
+    starts = np.searchsorted(rows, np.arange(len(scores)))
+    return cols[order[starts[:, None] + np.arange(k)]]
+
+
 def planted_top_items(planted: PlantedModel, dataset: Dataset, k: int) -> np.ndarray:
     """Each user's k top teacher-scored items, shape (M, k), best first.
 
-    Ties break toward the smaller item id.  Scores ``CANDIDATE_BLOCK // N``
-    users (at least one) at a time and keeps only each block's top k, so the
+    Ties break toward the smaller item id.  ``score_catalog`` scores the
+    users a block at a time and only each block's top k is kept, so the
     (M, N) score matrix is never held; the block size changes no result.
     """
-    m, n = dataset.num_users, dataset.num_items
-    table = item_visual_table(planted.params, planted.cfg, dataset)
-    rows = max(1, CANDIDATE_BLOCK // n)
-    items = np.arange(n, dtype=np.int64)
-    top = np.empty((m, k), dtype=np.int64)
-    for lo in range(0, m, rows):
-        users = np.arange(lo, min(lo + rows, m), dtype=np.int64)
-        scores = score_pairs(
-            users[:, None], items[None, :], planted.params, planted.cfg, dataset, table=table,
-        )
-        top[lo: lo + rows] = np.argsort(-scores, axis=1, kind="stable")[:, :k]
-    return top
+    users = np.arange(dataset.num_users, dtype=np.int64)
+    return score_catalog(users, planted.params, planted.cfg, dataset,
+                         keep=lambda scores: _top_k(scores, k))
 
 
 def planted_frame_likes(planted: PlantedModel, dataset: Dataset, k: int) -> frozenset:

@@ -106,8 +106,10 @@ def sample_epoch(split: SplitDataset, neg_ratio: int, rng: np.random.Generator) 
         raise SamplingError("training split is empty")
     reps = np.repeat(train, neg_ratio, axis=0)  # sorted, so each user's rows are contiguous
     negs = np.empty(len(reps), dtype=np.int64)
-    users, starts, counts = np.unique(reps[:, 0], return_index=True, return_counts=True)
-    for u, lo, n in zip(users.tolist(), starts.tolist(), counts.tolist()):
+    counts = np.bincount(train[:, 0]) * neg_ratio
+    users = np.flatnonzero(counts)
+    starts = np.cumsum(counts) - counts
+    for u, lo, n in zip(users.tolist(), starts[users].tolist(), counts[users].tolist()):
         rated = base.items_of_user[u]
         if len(rated) == base.num_items:
             raise SamplingError(

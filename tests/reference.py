@@ -1,5 +1,5 @@
 """Test oracles: scalar forward path, projected table, full-catalog backward, dense teacher,
-set-based prune and split, per-candidate sampled evaluation.
+sorted top-k, set-based prune and split, per-candidate sampled evaluation.
 
 The package scores in bulk (``item_visual_table``, ``score_pairs``,
 ``score_frames``).  The scalar functions score one instance at a time,
@@ -21,7 +21,8 @@ attention keys reduced, one frame at a time.
 ``planted_item_scores`` and ``planted_frame_scores`` score every (user,
 item) and every (user, frame) pair under the synthetic teacher, the dense
 matrices the generator no longer builds; they check the teacher's ratings
-and frame likes.
+and frame likes.  ``top_k_stable`` is the full stable sort the generator
+ran before it took each user's top items by partition.
 
 ``prune_dataset`` is the set-based prune the package ran before it pruned
 with arrays: a fixed point over Python sets of users, items and ratings,
@@ -307,6 +308,11 @@ def planted_frame_scores(planted, dataset) -> np.ndarray:
     """Teacher visual-only scores for every (user, frame) pair, shape (M, L)."""
     frame_emb = dataset.frame_features @ planted.params.visual_proj.T
     return planted.params.user_visual @ frame_emb.T
+
+
+def top_k_stable(scores, k: int) -> np.ndarray:
+    """Each row's k largest entries' columns, best first, ties toward the smaller column."""
+    return np.argsort(-scores, axis=1, kind="stable")[:, :k]
 
 
 def subset(dataset, keep_users, keep_items):

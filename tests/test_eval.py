@@ -230,15 +230,22 @@ class TestItemEvaluation:
 
 
 def rows_scored(monkeypatch):
-    """A list that gathers the (user, item) row count of every score_pairs call."""
-    counts = []
-    score_pairs = evaluation.score_pairs
+    """For each scorer evaluation calls, a list of the (user, item) rows each call
+    scores: ``score_pairs`` its broadcast pairs, ``score_catalog`` each of its
+    users against every item."""
+    counts = {"score_pairs": [], "score_catalog": []}
+    score_pairs, score_catalog = evaluation.score_pairs, evaluation.score_catalog
 
-    def counting(users, items, *args, **kwargs):
-        counts.append(np.broadcast(np.asarray(users), np.asarray(items)).size)
+    def counting_pairs(users, items, *args, **kwargs):
+        counts["score_pairs"].append(np.broadcast(np.asarray(users), np.asarray(items)).size)
         return score_pairs(users, items, *args, **kwargs)
 
-    monkeypatch.setattr(evaluation, "score_pairs", counting)
+    def counting_catalog(users, params, cfg, dataset, *args, **kwargs):
+        counts["score_catalog"].append(len(users) * dataset.num_items)
+        return score_catalog(users, params, cfg, dataset, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "score_pairs", counting_pairs)
+    monkeypatch.setattr(evaluation, "score_catalog", counting_catalog)
     return counts
 
 
@@ -280,7 +287,8 @@ class TestCatalogScoring:
         rows = 100 // n
         bound = sum(len(np.unique(users[lo: lo + rows])) * n
                     for lo in range(0, len(users), rows))
-        assert sum(counts) <= bound
+        assert 0 < sum(counts["score_catalog"]) <= bound
+        assert counts["score_pairs"] == []
 
     def test_few_negatives_score_their_candidates(self, monkeypatch):
         split, planted = synth_split(seed=3, num_items=150)
@@ -288,7 +296,8 @@ class TestCatalogScoring:
         rep = evaluate_item_rec(planted.params, planted.cfg, split,
                                 n_negatives=100, repeats=1)
         assert not rep.warnings
-        assert sum(counts) == len(split.test) * (100 + 1)
+        assert sum(counts["score_pairs"]) == len(split.test) * (100 + 1)
+        assert counts["score_catalog"] == []
 
 
 class TestFrameEvaluation:

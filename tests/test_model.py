@@ -2,10 +2,12 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from framerec import model
 from framerec.errors import (
     ConfigError,
     IntegrityError,
@@ -22,6 +24,7 @@ from framerec.model import (
     load_checkpoint,
     param_shapes,
     save_checkpoint,
+    score_catalog,
     score_frames,
     score_pairs,
 )
@@ -383,6 +386,71 @@ class TestScoring:
             reference.predict_item_score(0, -1, params, cfg, toy_dataset)
         with pytest.raises(IndexError):
             reference.predict_frame_score(0, 6, params, cfg, toy_dataset)
+
+
+def catalog_instance(visual, fusion):
+    """A random model on 30 users and 41 items, with 45 user ids in random order.
+
+    Unit-scale parameters make the fusion logits large enough that a product
+    whose height followed the user block would round some scores apart.
+    """
+    ds, _, _ = generate_synthetic(SynthConfig(num_users=30, num_items=41, frames_per_item=3,
+                                              feature_dim=6, ratings_per_user=4, seed=2))
+    cfg = ModelConfig(d1=8, d2=8, attn_hidden_visual=8, attn_hidden_rating=8,
+                      reduced_visual_dim=8, visual_mode=visual, fusion_mode=fusion,
+                      init_scale=1.0, seed=5)
+    users = np.random.default_rng(1).integers(0, ds.num_users, size=45)
+    return init_params(cfg, ds), cfg, ds, users
+
+
+class TestCatalogScoring:
+    @pytest.mark.parametrize("visual,fusion", MODES)
+    def test_user_blocks_change_no_bit(self, monkeypatch, visual, fusion):
+        params, cfg, ds, users = catalog_instance(visual, fusion)
+        default = score_catalog(users, params, cfg, ds)
+        assert default.shape == (len(users), ds.num_items)
+        per_user = ds.num_items * cfg.attn_hidden_rating
+        assert model.CATALOG_BLOCK // per_user >= len(users)  # one block
+        for rows in (1, 7):
+            monkeypatch.setattr(model, "CATALOG_BLOCK", rows * per_user)
+            assert score_catalog(users, params, cfg, ds).tobytes() == default.tobytes()
+        kept = score_catalog(users, params, cfg, ds, keep=lambda block: block[:, :2])
+        assert kept.tobytes() == np.ascontiguousarray(default[:, :2]).tobytes()
+
+    @pytest.mark.parametrize("visual,fusion", MODES)
+    def test_scores_match_score_pairs(self, visual, fusion):
+        params, cfg, ds, users = catalog_instance(visual, fusion)
+        got = score_catalog(users, params, cfg, ds)
+        want = score_pairs(users[:, None], np.arange(ds.num_items)[None, :], params, cfg, ds)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-14)
+
+    def test_no_users_score_an_empty_block(self):
+        params, cfg, ds, _ = catalog_instance("att", "att")
+        assert score_catalog([], params, cfg, ds).shape == (0, ds.num_items)
+
+    @pytest.mark.parametrize("bad", [-1, 30])
+    def test_out_of_range_users_raise_as_score_pairs(self, bad):
+        params, cfg, ds, _ = catalog_instance("att", "att")
+        items = np.arange(ds.num_items)[None, :]
+        for score in (lambda u: score_pairs(u[:, None], items, params, cfg, ds),
+                      lambda u: score_catalog(u, params, cfg, ds)):
+            with pytest.raises(IntegrityError, match=f"^user id {bad} is outside 0..29$"):
+                score(np.array([0, bad]))
+
+    @pytest.mark.parametrize("visual,fusion", MODES)
+    def test_frameless_items_raise_as_score_pairs(self, visual, fusion):
+        params, cfg, ds, _ = catalog_instance(visual, fusion)
+        ds = replace(ds, frame_parent=np.minimum(ds.frame_parent, 37))  # 38..40 frameless
+        users = np.array([3, 0])
+        pairs = lambda: score_pairs(users[:, None], np.arange(ds.num_items)[None, :],
+                                    params, cfg, ds)
+        catalog = lambda: score_catalog(users, params, cfg, ds)
+        if visual == "off":  # no visual channel, so no frames needed
+            assert catalog().shape == pairs().shape == (2, ds.num_items)
+            return
+        for score in (pairs, catalog):
+            with pytest.raises(MissingFramesError, match="^item 38 has no frames$"):
+                score()
 
 
 class TestCheckpoint:

@@ -52,3 +52,16 @@ def test_every_private_helper_is_referenced(module, name):
             and (isinstance(n, ast.Name) and n.id == name
                  or isinstance(n, ast.Attribute) and n.attr == name)]
     assert uses, f"{module}: {name} is never referenced outside its definition"
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    """A name a module imports and never reads is a dead import, such as one left
+    behind when the code that used it moved to another module.  ``__init__``
+    imports to re-export, so it is not checked."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = [alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__" for alias in node.names]
+    assert not set(imported) - reads(tree), sorted(set(imported) - reads(tree))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from framerec.data import check_dataset
-from framerec import synth
+from framerec import model, synth
 from framerec.errors import ConfigError
 from framerec.synth import (
     SynthConfig,
@@ -15,7 +15,7 @@ from framerec.synth import (
     planted_frame_likes,
 )
 
-from reference import planted_frame_scores, planted_item_scores
+from reference import planted_frame_scores, planted_item_scores, top_k_stable
 
 SMALL = dict(num_users=12, num_items=20, frames_per_item=4, feature_dim=6,
              latent_dim=4, ratings_per_user=5, frame_likes_per_pair=2, seed=11)
@@ -41,9 +41,18 @@ class TestGeneration:
 
     def test_user_blocks_do_not_change_the_dataset(self, monkeypatch):
         ds, likes, _ = generate_synthetic(SynthConfig(**SMALL))
-        monkeypatch.setattr(synth, "CANDIDATE_BLOCK", 1)  # one user per block
+        monkeypatch.setattr(model, "CATALOG_BLOCK", 1)  # one user per block
         one_ds, one_likes, _ = generate_synthetic(SynthConfig(**SMALL))
         assert np.array_equal(one_ds.ratings, ds.ratings) and one_likes == likes
+
+    # integer scores in 0..3 over 30 items: every row ties across its k-th place
+    @pytest.mark.parametrize("k", [1, 2, 7, 29, 30])
+    def test_top_k_matches_a_stable_argsort(self, k):
+        rng = np.random.default_rng(k)
+        scores = rng.integers(0, 4, size=(40, 30)).astype(np.float64)
+        scores[0] = 0.0  # one row tied throughout
+        scores[1, ::2] = -0.0  # signed zeros tie with zeros
+        assert np.array_equal(synth._top_k(scores, k), top_k_stable(scores, k))
 
     def test_deterministic(self):
         a_ds, a_likes, a_pl = generate_synthetic(SynthConfig(**SMALL))
