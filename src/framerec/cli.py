@@ -50,7 +50,7 @@ from .training import LOSS_REDUCTIONS, TrainConfig, finite_diff_check, fit, grad
 
 logger = logging.getLogger(__name__)
 
-CHECKPOINT_NAME = "checkpoint.json"
+CHECKPOINT_NAME = "checkpoint.npz"
 TRAIN_LOG_NAME = "train_log.tsv"
 MANIFEST_NAME = "run.json"
 

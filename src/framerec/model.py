@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import zipfile
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -28,7 +29,7 @@ FUSION_ATT = "att"
 VISUAL_MODES = (VISUAL_OFF, VISUAL_AVG, VISUAL_ATT)
 FUSION_MODES = (FUSION_SUM, FUSION_ATT)
 
-CHECKPOINT_FORMAT = "framerec-checkpoint-v3"
+CHECKPOINT_FORMAT = "framerec-checkpoint-v4"
 
 
 @dataclass(frozen=True)
@@ -408,70 +409,68 @@ def dataset_digest(dataset: Dataset) -> str:
 
 
 def save_checkpoint(path, params: ModelParams, cfg: ModelConfig, digest: str) -> None:
-    """Write config + parameters as a self-describing JSON text document.
+    """Write config + parameters as one uncompressed ``.npz`` archive at exactly ``path``.
 
-    Values are serialised with full repr precision so that a load reproduces
-    every score bit-for-bit.
+    The archive holds one float64 ``.npy`` member per tensor, which a load
+    reproduces bit-for-bit, and a 0-d unicode member ``meta``: the JSON text
+    of the format, the config and the dataset digest.  Handed an open file,
+    ``np.savez`` adds no ``.npz`` suffix; it stamps every member 1980-01-01,
+    so the same inputs give the same bytes.
     """
-    doc = {
-        "format": CHECKPOINT_FORMAT,
-        "config": asdict(cfg),
-        "dataset_digest": digest,
-        "params": {
-            name: {
-                "shape": list(tensor.shape),
-                "data": tensor.ravel().tolist(),
-            }
-            for name, tensor in params.tensors().items()
-        },
-    }
-    with atomic_writer(path) as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+    meta = {"format": CHECKPOINT_FORMAT, "config": asdict(cfg), "dataset_digest": digest}
+    with atomic_writer(path, binary=True) as fh:
+        np.savez(fh, meta=np.array(json.dumps(meta, sort_keys=True)), **params.tensors())
 
 
 def load_checkpoint(path):
     """Read a checkpoint; returns (params, config, dataset_digest).
 
-    Raises IntegrityError unless the file is a JSON document of this format
-    with exactly this version's config keys and tensors, each tensor has the
-    shape the config implies for the sizes read from ``user_collab``,
-    ``item_collab`` and ``visual_proj``, its ``data`` holds that many values,
-    and every value is finite.
+    Raises IntegrityError, in one line naming ``path``, unless the file is a
+    zip archive of pickle-free ``.npy`` members: ``meta``, naming this format
+    and exactly this version's config keys, and exactly the tensors, each
+    float64 with the shape the config implies for the sizes read from
+    ``user_collab``, ``item_collab`` and ``visual_proj``, and finite.  A
+    JSON checkpoint (v3 or older) is told apart by its first byte.
     """
     def broken(why):
         return IntegrityError(f"{path}: {why}")
 
+    with open(path, "rb") as fh:
+        magic = fh.read(4)
+    if magic[:1] == b"{":
+        raise broken(f"a JSON checkpoint (v3 or older), which {CHECKPOINT_FORMAT} "
+                     "cannot read: retrain the model")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-        raise broken(f"not valid JSON: {exc}") from None
+        if magic != b"PK\x03\x04":
+            raise ValueError("no zip header")
+        with np.load(path, allow_pickle=False) as z:
+            data = {name: z[name] for name in z.files}
+        meta = np.asarray(data.pop("meta", None))
+        doc = json.loads(str(meta)) if meta.dtype.kind == "U" and meta.ndim == 0 else None
+    except (zipfile.BadZipFile, EOFError, ValueError) as exc:
+        raise broken(f"not a readable .npz archive: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
-        raise broken(f"not a {CHECKPOINT_FORMAT} document")
-    config, entries = doc.get("config"), doc.get("params")
-    for what, got, cls in (("config", config, ModelConfig), ("params", entries, ModelParams)):
+        raise broken(f"not a {CHECKPOINT_FORMAT} archive")
+    config = doc.get("config")
+    for what, got, cls in (("config", config, ModelConfig), ("tensors", data, ModelParams)):
         if not isinstance(got, dict):
             raise broken(f"{what} is not a JSON object")
         want = {f.name for f in fields(cls)}
         unknown, missing = sorted(set(got) - want), sorted(want - set(got))
         if unknown or missing:
             raise broken(f"{what}: unknown keys {unknown}, missing keys {missing}")
+    for name, tensor in data.items():
+        if np.asarray(tensor).dtype != np.float64:
+            raise broken(f"tensor {name} is not a float64 array")
     try:
         cfg = ModelConfig(**config)
-        shapes = {name: tuple(entry["shape"]) for name, entry in entries.items()}
-        data = {name: np.array(entry["data"], dtype=np.float64)
-                for name, entry in entries.items()}
-        sizes = (shapes["user_collab"][0], shapes["item_collab"][0], shapes["visual_proj"][1])
-        expected = param_shapes(cfg, *(int(n) for n in sizes))
-    except (ConfigError, KeyError, IndexError, TypeError, ValueError) as exc:
+        expected = param_shapes(cfg, len(data["user_collab"]), len(data["item_collab"]),
+                                data["visual_proj"].shape[-1])
+    except (ConfigError, IndexError, TypeError) as exc:
         raise broken(f"bad config or tensor entry: {exc!r}") from None
     for name, shape in expected.items():
-        if shapes[name] != shape:
-            raise broken(f"tensor {name} has shape {list(shapes[name])}, not {list(shape)}")
-        if data[name].shape != (math.prod(shape),):
-            raise broken(f"tensor {name} has {data[name].size} values for shape {list(shape)}")
+        if data[name].shape != shape:
+            raise broken(f"tensor {name} has shape {list(data[name].shape)}, not {list(shape)}")
         if not np.isfinite(data[name]).all():
             raise broken(f"tensor {name} holds non-finite values")
-    params = ModelParams(**{name: data[name].reshape(s) for name, s in expected.items()})
-    return params, cfg, doc.get("dataset_digest")
+    return ModelParams(**data), cfg, doc.get("dataset_digest")

@@ -1,4 +1,6 @@
-"""Shared fixtures: a small handcrafted dataset and data directory writing helpers."""
+"""Shared fixtures: a small handcrafted dataset, data directory and checkpoint helpers."""
+
+import json
 
 import numpy as np
 import pytest
@@ -43,3 +45,20 @@ def write_dataset_dir(path, ratings, frames, features, frame_likes=None):
 TOY_RATINGS = "a\tx\na\ty\nb\ty\nb\tz\nc\tx\nc\tz\n"
 TOY_FRAMES = "fx1\tx\nfx2\tx\nfy1\ty\nfz1\tz\nfz2\tz\nfz3\tz\n"
 TOY_FEATURES = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (2.0, 0.0), (0.0, 2.0), (1.0, 1.0))
+
+
+def read_members(path) -> dict:
+    """Every member of a checkpoint archive by name, ``meta`` decoded from its JSON text."""
+    with np.load(path, allow_pickle=False) as z:
+        members = {name: z[name] for name in z.files}
+    members["meta"] = json.loads(str(members["meta"]))
+    return members
+
+
+def write_members(path, members) -> None:
+    """Write ``members`` (as ``read_members`` gives them) as an archive at exactly ``path``.
+
+    ``meta`` is encoded back to JSON text; object arrays are pickled.
+    """
+    with open(path, "wb") as fh:
+        np.savez(fh, **{**members, "meta": np.array(json.dumps(members["meta"]))})

@@ -10,6 +10,7 @@ checkpoint round trips.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -282,10 +283,10 @@ def test_criterion_7_pipeline_is_byte_reproducible(tmp_path, monkeypatch, capsys
              "--epochs", "3", "--batch-size", "128", "--neg-ratio", "2",
              "--valid-negatives", "10", "--lr", "0.01"]
     ev_items = ["eval-items", "--data", "split", "--checkpoint",
-                "run/checkpoint.json", "--out", "eval",
+                "run/checkpoint.npz", "--out", "eval",
                 "--k", "1,5", "--negatives", "20", "--repeats", "2"]
     ev_frames = ["eval-frames", "--data", "split", "--checkpoint",
-                 "run/checkpoint.json", "--out", "eval"]
+                 "run/checkpoint.npz", "--out", "eval"]
     roots = []
     for name in ("first", "second"):
         root = tmp_path / name
@@ -298,7 +299,7 @@ def test_criterion_7_pipeline_is_byte_reproducible(tmp_path, monkeypatch, capsys
 
     compared = [
         "data/run.json", "split/run.json", "run/run.json",
-        "run/checkpoint.json",
+        "run/checkpoint.npz",
         "eval/item_eval.tsv", "eval/item_eval.json",
         "eval/frame_eval.tsv", "eval/frame_eval.json", "eval/run.json",
     ]
@@ -322,9 +323,20 @@ def test_criterion_8_checkpoint_round_trip_preserves_scores(tmp_path):
                       reduced_visual_dim=6, visual_mode="att", fusion_mode="att",
                       seed=3)
     params = init_params(cfg, ds)
-    path = tmp_path / "ck.json"
+    path = tmp_path / "ck.npz"
     save_checkpoint(path, params, cfg, dataset_digest(ds))
     back, cfg2, _ = load_checkpoint(path)
+    modes = [(v, f) for v in ("off", "avg", "att") for f in ("sum", "att")]
+    tensors_ok = True
+    for seed, (visual, fusion) in enumerate(modes):
+        mode_cfg = replace(cfg, visual_mode=visual, fusion_mode=fusion, seed=seed)
+        mode_params = init_params(mode_cfg, ds)
+        save_checkpoint(tmp_path / "mode.npz", mode_params, mode_cfg, dataset_digest(ds))
+        loaded, loaded_cfg, _ = load_checkpoint(tmp_path / "mode.npz")
+        tensors_ok &= loaded_cfg == mode_cfg and all(
+            np.array_equal(loaded.tensors()[name], tensor)
+            for name, tensor in mode_params.tensors().items()
+        )
 
     rng = np.random.default_rng(0)
     users = rng.integers(0, ds.num_users, size=1000)
@@ -339,7 +351,8 @@ def test_criterion_8_checkpoint_round_trip_preserves_scores(tmp_path):
         score_frames(users, frames, back, cfg2, ds),
     ))
     _verdict(
-        "round-trip", items_ok and frames_ok,
+        "round-trip", items_ok and frames_ok and tensors_ok,
         f"1000 item queries bit-equal={items_ok}, "
-        f"1000 frame queries bit-equal={frames_ok}",
+        f"1000 frame queries bit-equal={frames_ok}, "
+        f"every tensor bit-equal in all {len(modes)} modes={tensors_ok}",
     )

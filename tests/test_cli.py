@@ -8,6 +8,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from conftest import read_members, write_members
 from framerec import cli
 from framerec.cli import _config, _dest, build_parser, run
 from framerec.evaluation import (ITEM_SPLITS, evaluate_frame_rec, evaluate_item_rec,
@@ -80,13 +81,13 @@ class TestPipeline:
         code, stdout, _ = call(capsys, "train", "--data", split_dir,
                                "--out", str(run_dir), *SMALL_MODEL, *SMALL_TRAIN)
         assert code == 0
-        assert (run_dir / "checkpoint.json").exists()
+        assert (run_dir / "checkpoint.npz").exists()
         assert (run_dir / "train_log.tsv").exists()
         assert "trained 2 epochs" in stdout
 
         eval_dir = pipeline_dirs / "eval"
         code, stdout, _ = call(capsys, "eval-items", "--data", split_dir,
-                               "--checkpoint", str(run_dir / "checkpoint.json"),
+                               "--checkpoint", str(run_dir / "checkpoint.npz"),
                                "--out", str(eval_dir),
                                "--k", "1,5", "--negatives", "10", "--repeats", "2")
         assert code == 0
@@ -96,7 +97,7 @@ class TestPipeline:
         assert 0.0 <= report["hr"]["5"] <= 1.0
 
         code, stdout, _ = call(capsys, "eval-frames", "--data", split_dir,
-                               "--checkpoint", str(run_dir / "checkpoint.json"),
+                               "--checkpoint", str(run_dir / "checkpoint.npz"),
                                "--out", str(eval_dir), "--with-baseline")
         assert code == 0
         assert (eval_dir / "frame_eval.json").exists()
@@ -110,7 +111,7 @@ class TestPipeline:
                           *SMALL_MODEL, *SMALL_TRAIN)
         assert code == 0
         code, _, err = call(capsys, "eval-frames", "--data", split_dir,
-                            "--checkpoint", str(run_dir / "checkpoint.json"),
+                            "--checkpoint", str(run_dir / "checkpoint.npz"),
                             "--out", str(pipeline_dirs / "ev"))
         assert code == 1
         assert err.startswith("error:")
@@ -129,7 +130,7 @@ class TestPipeline:
         call(capsys, "split", "--data", str(other_data), "--out", str(other_split),
              "--seed", "1")
         code, _, err = call(capsys, "eval-items", "--data", str(other_split),
-                            "--checkpoint", str(run_dir / "checkpoint.json"),
+                            "--checkpoint", str(run_dir / "checkpoint.npz"),
                             "--out", str(tmp_path / "ev2"))
         assert code == 1
         assert "different dataset" in err
@@ -140,7 +141,7 @@ class TestBadCounts:
 
     def eval_items(self, capsys, root, negatives):
         return call(capsys, "eval-items", "--data", str(root / "split"),
-                    "--checkpoint", str(root / "run" / "checkpoint.json"),
+                    "--checkpoint", str(root / "run" / "checkpoint.npz"),
                     "--out", str(root / "ev"), "--negatives", negatives)
 
     def test_negative_eval_negatives(self, trained, capsys):
@@ -215,28 +216,49 @@ class TestBadCounts:
 
     def test_duplicate_cutoffs(self, trained, capsys):
         code, _, err = call(capsys, "eval-items", "--data", str(trained / "split"),
-                            "--checkpoint", str(trained / "run" / "checkpoint.json"),
+                            "--checkpoint", str(trained / "run" / "checkpoint.npz"),
                             "--out", str(trained / "ev"), "--k", "5,5")
         assert code == 1
         assert "distinct" in err and len(err.strip().splitlines()) == 1
         assert not (trained / "ev" / "item_eval.tsv").exists()
 
     def test_truncated_checkpoint(self, trained, capsys):
-        ck = trained / "run" / "checkpoint.json"
-        ck.write_text(ck.read_text()[:1000])
+        ck = trained / "run" / "checkpoint.npz"
+        ck.write_bytes(ck.read_bytes()[:1000])
         code, _, err = self.eval_items(capsys, trained, "10")
         assert code == 1
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("case", ["empty", "random_bytes", "bare_npy", "pickled_member",
+                                      "v3_json"])
+    def test_unreadable_checkpoint(self, trained, capsys, case):
+        ck = trained / "run" / "checkpoint.npz"
+        if case == "empty":
+            ck.write_bytes(b"")
+        elif case == "random_bytes":
+            ck.write_bytes(np.random.default_rng(0).bytes(4096))
+        elif case == "bare_npy":
+            with open(ck, "wb") as fh:
+                np.save(fh, np.zeros((3, 4)))
+        elif case == "pickled_member":
+            members = read_members(ck)
+            members["attn_out"] = np.array([object()] * len(members["attn_out"]))
+            write_members(ck, members)
+        elif case == "v3_json":
+            ck.write_text('{"format": "framerec-checkpoint-v3", "params": {}}\n')
+        code, _, err = self.eval_items(capsys, trained, "10")
+        assert code == 1
+        assert err.startswith(f"error: {ck}: ") and len(err.strip().splitlines()) == 1
+        if case == "v3_json":
+            assert "JSON checkpoint (v3 or older)" in err
+
     def test_checkpoint_with_a_user_too_few(self, trained, capsys):
         # consistent in itself and with the dataset digest, one user short
-        ck = trained / "run" / "checkpoint.json"
-        doc = json.loads(ck.read_text())
+        ck = trained / "run" / "checkpoint.npz"
+        members = read_members(ck)
         for name in ("user_collab", "user_visual"):
-            entry = doc["params"][name]
-            entry["data"] = entry["data"][entry["shape"][1]:]
-            entry["shape"][0] -= 1
-        ck.write_text(json.dumps(doc))
+            members[name] = members[name][1:]
+        write_members(ck, members)
         code, _, err = self.eval_items(capsys, trained, "10")
         assert code == 1
         assert "(users, items, feature dim)" in err and len(err.strip().splitlines()) == 1
@@ -244,7 +266,7 @@ class TestBadCounts:
 
 def command_argv(command, root):
     """Every flag but --out for a small run of ``command`` on ``trained``'s directories."""
-    split, checkpoint = str(root / "split"), str(root / "run" / "checkpoint.json")
+    split, checkpoint = str(root / "split"), str(root / "run" / "checkpoint.npz")
     return {
         "synth": ["synth", *SMALL_SYNTH],
         "split": ["split", "--data", str(root / "data"), "--seed", "1"],

@@ -2,6 +2,8 @@
 
 import json
 import math
+import tracemalloc
+import zipfile
 from dataclasses import replace
 
 import numpy as np
@@ -32,6 +34,7 @@ from framerec.synth import SynthConfig, generate_synthetic
 from framerec.training import gradcheck_instance
 
 import reference
+from conftest import read_members, write_members
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -457,7 +460,7 @@ class TestCheckpoint:
     def test_round_trip_is_bit_exact(self, tmp_path):
         params, cfg, ds, _ = gradcheck_instance(seed=23)
         digest = dataset_digest(ds)
-        path = tmp_path / "ck.json"
+        path = tmp_path / "ck.npz"
         save_checkpoint(path, params, cfg, digest)
         back, cfg2, digest2 = load_checkpoint(path)
         assert cfg2 == cfg and digest2 == digest
@@ -468,68 +471,136 @@ class TestCheckpoint:
         "not_json", "v1", "v2", "missing_tensor", "extra_tensor", "short_data",
         "shape_vs_config", "rows_vs_user_collab", "non_finite",
         "unknown_config_key", "missing_config_key",
+        "v3_json", "empty", "pickled_member", "float32_tensor", "random_bytes", "bare_npy",
     ])
     def test_rejects_corrupt_checkpoints(self, tmp_path, corrupt):
         params, cfg, ds, _ = gradcheck_instance(seed=23)
-        path = tmp_path / "ck.json"
+        path = tmp_path / "ck.npz"
         save_checkpoint(path, params, cfg, dataset_digest(ds))
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        tensors, config = doc["params"], doc["config"]
-        if corrupt == "v1":
-            doc["format"] = "framerec-checkpoint-v1"
+        members = read_members(path)
+        meta, config = members["meta"], members["meta"]["config"]
+        if corrupt == "not_json":  # a truncated archive
+            path.write_bytes(path.read_bytes()[:-100])
+        elif corrupt == "v1":
+            meta["format"] = "framerec-checkpoint-v1"
             config.update(activation="relu", precision="f64")
         elif corrupt == "v2":
-            doc["format"] = "framerec-checkpoint-v2"
+            meta["format"] = "framerec-checkpoint-v2"
             config.update(attention_bias=False, share_visual_projection=False)
-            for name, size in (("attn_hidden_bias", cfg.attn_hidden_visual),
-                               ("fusion_hidden_bias", cfg.attn_hidden_rating)):
-                tensors[name] = {"shape": [size], "data": [0.0] * size}
+            members["attn_hidden_bias"] = np.zeros(cfg.attn_hidden_visual)
+            members["fusion_hidden_bias"] = np.zeros(cfg.attn_hidden_rating)
         elif corrupt == "missing_tensor":
-            del tensors["attn_out"]
+            del members["attn_out"]
         elif corrupt == "extra_tensor":
-            tensors["extra"] = {"shape": [1], "data": [0.0]}
+            members["extra"] = np.zeros(1)
         elif corrupt == "short_data":
-            tensors["attn_out"]["data"].pop()
+            members["attn_out"] = members["attn_out"][:-1]
         elif corrupt == "shape_vs_config":
-            tensors["fusion_out"] = {"shape": [5], "data": [0.0] * 5}
+            members["fusion_out"] = np.zeros(5)
         elif corrupt == "rows_vs_user_collab":
-            tensors["user_visual"]["shape"][0] += 1
-            tensors["user_visual"]["data"] += [0.0] * cfg.d2
+            members["user_visual"] = np.vstack([members["user_visual"], np.zeros(cfg.d2)])
         elif corrupt == "non_finite":
-            tensors["user_collab"]["data"][3] = float("nan")
+            members["user_collab"].flat[3] = np.nan
         elif corrupt == "unknown_config_key":
             config["precision"] = "f64"
         elif corrupt == "missing_config_key":
             del config["lambda1"]
-        text = json.dumps(doc)
-        path.write_text(text[:-7] if corrupt == "not_json" else text, encoding="utf-8")
+        elif corrupt == "v3_json":
+            path.write_text(json.dumps({
+                "format": "framerec-checkpoint-v3", "config": config,
+                "dataset_digest": meta["dataset_digest"],
+                "params": {name: {"shape": list(t.shape), "data": t.ravel().tolist()}
+                           for name, t in params.tensors().items()},
+            }, sort_keys=True), encoding="utf-8")
+        elif corrupt == "empty":
+            path.write_bytes(b"")
+        elif corrupt == "pickled_member":
+            members["attn_out"] = np.array([object()] * cfg.attn_hidden_visual)
+        elif corrupt == "float32_tensor":
+            members["user_collab"] = members["user_collab"].astype(np.float32)
+        elif corrupt == "random_bytes":
+            path.write_bytes(np.random.default_rng(0).bytes(len(path.read_bytes())))
+        elif corrupt == "bare_npy":
+            with open(path, "wb") as fh:
+                np.save(fh, params.user_collab)
+        if corrupt not in ("not_json", "v3_json", "empty", "random_bytes", "bare_npy"):
+            write_members(path, members)
         with pytest.raises(IntegrityError) as exc:
             load_checkpoint(path)
-        assert "\n" not in str(exc.value)  # the CLI prints it as one line
+        message = str(exc.value)
+        assert message.startswith(f"{path}: ") and "\n" not in message  # the CLI's one line
+        if corrupt == "v3_json":
+            assert "JSON checkpoint (v3 or older)" in message
+        if corrupt == "float32_tensor":
+            assert "user_collab is not a float64 array" in message
 
     def test_save_creates_missing_directories(self, tmp_path):
         params, cfg, ds, _ = gradcheck_instance(seed=23)
-        path = tmp_path / "a" / "b" / "ck.json"
+        path = tmp_path / "a" / "b" / "ck.npz"
         save_checkpoint(path, params, cfg, dataset_digest(ds))
         back, _, _ = load_checkpoint(path)
         np.testing.assert_array_equal(back.user_collab, params.user_collab)
 
-    def test_failed_save_leaves_the_old_checkpoint(self, tmp_path):
+    def test_failed_save_leaves_the_old_checkpoint(self, tmp_path, monkeypatch):
         params, cfg, ds, _ = gradcheck_instance(seed=23)
-        path = tmp_path / "ck.json"
+        path = tmp_path / "ck.npz"
         save_checkpoint(path, params, cfg, dataset_digest(ds))
         before = path.read_bytes()
-        # json.dump has written the config when it meets the digest it cannot encode
-        with pytest.raises(TypeError):
-            save_checkpoint(path, init_params(cfg, ds), cfg, object())
+        write_array, written = np.lib.format.write_array, []
+
+        def fail_on_second_member(*args, **kwargs):
+            if written:
+                raise OSError("disk full")
+            written.append(write_array(*args, **kwargs))
+
+        monkeypatch.setattr(np.lib.format, "write_array", fail_on_second_member)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, init_params(cfg, ds), cfg, dataset_digest(ds))
+        assert written  # the first member was written before the failure
         assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]
+        assert [p.name for p in tmp_path.iterdir()] == ["ck.npz"]
 
     def test_rejects_foreign_document(self, tmp_path):
         path = tmp_path / "not_ck.json"
         path.write_text('{"format": "something-else"}', encoding="utf-8")
         with pytest.raises(IntegrityError):
             load_checkpoint(path)
+
+    def test_members_are_stamped_1980_so_saves_are_byte_identical(self, tmp_path):
+        params, cfg, ds, _ = gradcheck_instance(seed=23)
+        first, second = tmp_path / "first.npz", tmp_path / "second.npz"
+        save_checkpoint(first, params, cfg, dataset_digest(ds))
+        with zipfile.ZipFile(first) as z:
+            assert {info.date_time for info in z.infolist()} == {(1980, 1, 1, 0, 0, 0)}
+            assert sorted(z.namelist()) == sorted(f"{n}.npy" for n in ("meta", *params.names()))
+        save_checkpoint(second, params.copy(), cfg, dataset_digest(ds))
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_writes_exactly_the_path_it_is_given(self, tmp_path):
+        # the benchmark writes and reads "checkpoint.json"; no ".npz" may be added
+        params, cfg, ds, _ = gradcheck_instance(seed=23)
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, params, cfg, dataset_digest(ds))
+        assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.json"]
+        back, _, _ = load_checkpoint(path)
+        np.testing.assert_array_equal(back.item_collab, params.item_collab)
+
+    def test_load_peak_memory_stays_below_twice_the_tensors(self, tmp_path):
+        cfg = ModelConfig()
+        rng = np.random.default_rng(0)
+        params = ModelParams(**{name: rng.normal(size=shape) for name, shape in
+                                param_shapes(cfg, 3000, 4000, 64).items()})
+        nbytes = sum(t.nbytes for t in params.tensors().values())  # about 2.6 MB
+        path = tmp_path / "ck.npz"
+        save_checkpoint(path, params, cfg, "digest")
+        tracemalloc.start()
+        try:
+            back, _, _ = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * nbytes, (peak, nbytes)
+        np.testing.assert_array_equal(back.user_visual, params.user_visual)
 
     def test_digest_tracks_id_mappings(self, toy_dataset):
         d1 = dataset_digest(toy_dataset)
