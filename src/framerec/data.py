@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import logging
 import os
+import re
 import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import compress
+from itertools import compress, islice, repeat
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -202,32 +203,42 @@ def check_split(s: SplitDataset) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _records(path) -> Iterator:
-    """Yield (line_no, line) for non-empty, non-comment lines; ParseError on bad UTF-8."""
-    # surrogateescape keeps a bad byte as a lone surrogate, which does not re-encode
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError:
-                raise ParseError(path, line_no, "not valid UTF-8") from None
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            yield line_no, line
+# A file is read with "\n" put before and after it, so that a "\n" starts each line.  A blank
+# line, or one whose first non-space character is "#", is skipped; any other is a record, two
+# ids around one tab.  \s is exactly str.isspace; a byte that is not UTF-8 reads as U+DC80-DCFF.
+_ID = r"[^\s\udc80-\udcff]"
+_SKIPPED = re.compile(r"\n[^\S\n]*(?:#[^\n\udc80-\udcff]*)?(?=\n)")
+_LINES = re.compile(rf"(?:\n{_ID}+\t{_ID}+(?=\n)|{_SKIPPED.pattern})*")
+_RECORD = re.compile(r"\n(?=[^\s#])")
 
 
-def _parse_pair_file(path) -> list:
-    """Parse a two-column TSV into (line_no, left, right) tuples."""
-    out = []
-    for line_no, line in _records(path):
+def _text(path) -> str:
+    r"""``path``'s text as ``_LINES`` reads it: a leading BOM dropped, "\r\n" and "\r" as "\n"."""
+    return f"\n{Path(path).read_text(encoding='utf-8-sig', errors='surrogateescape')}\n"
+
+
+def _read_pairs(path) -> tuple:
+    """A two-column TSV's left and right ids, as two lists with one entry per record."""
+    text = _text(path)
+    end = _LINES.match(text).end()  # the "\n" before the first line the pattern rejects, if any
+    if end < len(text) - 1:
+        line_no, line = text.count("\n", 0, end + 1), text[end + 1:text.index("\n", end + 1)]
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ParseError(path, line_no, "not valid UTF-8") from None
         parts = line.split("\t")
         if len(parts) != 2 or not parts[0] or not parts[1]:
             raise ParseError(path, line_no, f"expected two tab-separated ids, got {line!r}")
-        if line.split() != parts:  # str.split breaks at exactly the str.isspace characters
-            raise ParseError(path, line_no, "ids must not contain whitespace")
-        out.append((line_no, parts[0], parts[1]))
-    return out
+        raise ParseError(path, line_no, "ids must not contain whitespace")  # all that is left
+    tokens = (_SKIPPED.sub("", text) if "#" in text else text).split()  # comments drop out
+    return tokens[0::2], tokens[1::2]
+
+
+def _line_of(path, record: int) -> int:
+    """The number of the line holding record ``record`` (0-based) of a file that reads."""
+    text = _text(path)
+    return text.count("\n", 0, next(islice(_RECORD.finditer(text), record, None)).start() + 1)
 
 
 def _index(tokens) -> dict:
@@ -235,25 +246,28 @@ def _index(tokens) -> dict:
     return {t: k for k, t in enumerate(tokens)}
 
 
-def _read_ids(path, left: dict, right: dict, drop_unknown: bool = False) -> frozenset:
+def _ids(tokens, index: dict) -> np.ndarray:
+    """Each token's id in ``index`` as an int64 array, -1 where it has none."""
+    return np.fromiter(map(index.get, tokens, repeat(-1)), np.int64, len(tokens))
+
+
+def _read_ids(path, left: tuple, right: tuple, drop_unknown: bool = False) -> frozenset:
     """Read a two-column token file as a frozenset of (left id, right id) pairs.
 
-    ``left`` and ``right`` map each column's tokens to dense ids.  A line
+    ``left`` and ``right`` are the sorted id tuples of the two columns.  A line
     naming an absent token raises IntegrityError with the file and line, or,
     with ``drop_unknown``, is skipped and counted in the log.
     """
-    pairs = set()
-    dropped = 0
-    for line_no, a, b in _parse_pair_file(path):
-        if a in left and b in right:
-            pairs.add((left[a], right[b]))
-        elif drop_unknown:
-            dropped += 1
-        else:
-            raise IntegrityError(f"{path}:{line_no}: unknown id {b if a in left else a!r}")
-    if dropped:
-        logger.info("%s: dropped %d lines naming absent ids", path, dropped)
-    return frozenset(pairs)
+    a, b = _read_pairs(path)
+    ia, ib = _ids(a, _index(left)), _ids(b, _index(right))
+    known = (ia >= 0) & (ib >= 0)
+    if not known.all():
+        k = int(known.argmin())
+        if not drop_unknown:
+            raise IntegrityError(f"{path}:{_line_of(path, k)}: unknown id "
+                                 f"{b[k] if ia[k] >= 0 else a[k]!r}")
+        logger.info("%s: dropped %d lines naming absent ids", path, len(a) - known.sum())
+    return frozenset(zip(ia[known].tolist(), ib[known].tolist()))
 
 
 def load_dataset(ratings_path, frames_path, features_path) -> Dataset:
@@ -266,36 +280,38 @@ def load_dataset(ratings_path, frames_path, features_path) -> Dataset:
     cross-references (a rated item without frames, a frame listed twice) and
     for a feature array of the wrong shape or dtype or with a non-finite value.
     """
-    rating_pairs = [(u, i) for _, u, i in _parse_pair_file(ratings_path)]
-    frame_records = _parse_pair_file(frames_path)
-    row_of = {}
-    for k, (line_no, f, _) in enumerate(frame_records):
-        if row_of.setdefault(f, k) != k:
-            raise IntegrityError(f"{frames_path}:{line_no}: frame {f!r} is listed twice")
+    users, rated = _read_pairs(ratings_path)
+    frames, parents = _read_pairs(frames_path)
+    n = len(frames)
+    row_of = dict(zip(reversed(frames), range(n - 1, -1, -1)))  # each frame's first row
+    if len(row_of) < n:
+        k = int((_ids(frames, row_of) != np.arange(n)).argmax())  # the first repeat
+        raise IntegrityError(f"{frames_path}:{_line_of(frames_path, k)}: "
+                             f"frame {frames[k]!r} is listed twice")
     try:
         with open(features_path, "rb") as fh:
             features = np.lib.format.read_array(fh, allow_pickle=False)
     except ValueError as exc:
         raise IntegrityError(f"{features_path}: not a .npy array: {exc}") from None
-    if (features.dtype.kind != "f" or features.ndim != 2 or len(features) != len(frame_records)
-            or (frame_records and not features.shape[1])):
+    if (features.dtype.kind != "f" or features.ndim != 2 or len(features) != n
+            or (n and not features.shape[1])):
         raise IntegrityError(f"{features_path}: want a float array with one row for each of "
-                             f"the {len(frame_records)} records of {frames_path} and at "
+                             f"the {n} records of {frames_path} and at "
                              f"least one column, got {features.dtype} {features.shape}")
     finite = np.isfinite(features).all(axis=1)
     if not finite.all():
         raise IntegrityError(f"{features_path}: row {finite.argmin()} is not finite")
 
     frame_tokens = sorted(row_of)
-    rows = [row_of[f] for f in frame_tokens]
+    rows = _ids(frame_tokens, row_of)
     # one copy, freeing the array as read (lower peak RSS)
     features = np.asarray(features, dtype=np.float64)[rows]
-    user_tokens = sorted({u for u, _ in rating_pairs})
-    item_tokens = sorted({i for _, i in rating_pairs} | {i for _, _, i in frame_records})
+    user_tokens = sorted(set(users))
+    item_tokens = sorted(set(rated).union(parents))
     user_index, item_index = _index(user_tokens), _index(item_tokens)
     d = Dataset(
-        ratings=[(user_index[u], item_index[i]) for u, i in rating_pairs],
-        frame_parent=np.array([item_index[frame_records[k][2]] for k in rows], dtype=np.int64),
+        ratings=np.column_stack([_ids(users, user_index), _ids(rated, item_index)]),
+        frame_parent=_ids(parents, item_index)[rows],
         frame_features=features,
         user_ids=tuple(user_tokens),
         item_ids=tuple(item_tokens),
@@ -312,8 +328,7 @@ def load_frame_likes(path, dataset: Dataset) -> frozenset:
     because pruning removed them) are dropped with a log message; malformed
     lines still raise ParseError.
     """
-    return _read_ids(path, _index(dataset.user_ids), _index(dataset.frame_ids),
-                     drop_unknown=True)
+    return _read_ids(path, dataset.user_ids, dataset.frame_ids, drop_unknown=True)
 
 
 # ---------------------------------------------------------------------------
@@ -486,13 +501,13 @@ def load_split(dataset: Dataset, split_dir) -> SplitDataset:
     IntegrityError with the file and line.
     """
     split_dir = Path(split_dir)
-    users, items = _index(dataset.user_ids), _index(dataset.item_ids)
+    users, items = dataset.user_ids, dataset.item_ids
     split = SplitDataset(
         base=dataset,
         train=_read_ids(split_dir / TRAIN_FILE, users, items),
         validation=_read_ids(split_dir / VALID_FILE, users, items),
         test=_read_ids(split_dir / TEST_FILE, users, items),
-        frame_test=_read_ids(split_dir / FRAME_TEST_FILE, users, _index(dataset.frame_ids)),
+        frame_test=_read_ids(split_dir / FRAME_TEST_FILE, users, dataset.frame_ids),
     )
     check_split(split)
     return split

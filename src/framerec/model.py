@@ -54,6 +54,12 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("d1", "d2", "attn_hidden_visual", "attn_hidden_rating",
+                     "reduced_visual_dim", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # a numpy integer becomes an int
         if min(self.d1, self.attn_hidden_visual, self.attn_hidden_rating,
                self.reduced_visual_dim) < 1:
             raise ConfigError("d1, hidden sizes and reduced_visual_dim must be >= 1")

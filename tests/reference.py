@@ -1,5 +1,5 @@
 """Test oracles: scalar forward path, projected table, full-catalog backward, dense teacher,
-sorted top-k, set-based prune and split, per-candidate sampled evaluation.
+sorted top-k, set-based prune and split, per-candidate sampled evaluation, per-line id reader.
 
 The package scores in bulk (``item_visual_table``, ``score_pairs``,
 ``score_frames``).  The scalar functions score one instance at a time,
@@ -39,12 +39,18 @@ draws its negatives and scores its (user, candidate) rows one by one.  It
 shares the package's draw, rank and report helpers, so a bit-identical
 report shows that the catalog block changed neither the draws nor the
 scores.
+
+``parse_pair_file`` is the id-file reader as it ran before the package read
+each file whole: Python's text mode splits the lines, and each line is
+decoded, skipped or split on its own.  It differs from that reader only in
+dropping a leading byte-order mark.
 """
 
 from __future__ import annotations
 
 from itertools import groupby
 from operator import itemgetter
+from typing import Iterator
 
 import numpy as np
 
@@ -54,6 +60,7 @@ from framerec.errors import (
     ConfigError,
     EmptyDatasetError,
     MissingFramesError,
+    ParseError,
     UnsupportedTaskError,
 )
 from framerec.model import active_param_names, item_visual_table, score_pairs
@@ -438,3 +445,31 @@ def sampled_item_eval(params, cfg, split, k_list=(5, 10, 15, 20), n_negatives=10
             valid = np.column_stack([np.ones(len(u), dtype=bool), valid])
             ranks[r, lo: lo + rows] = evaluation._ranks(scores, valid, "item")
     return evaluation._report("item", split_name, k_list, ranks, warnings, n_negatives)
+
+
+def records(path) -> Iterator:
+    """Yield (line_no, line) for non-empty, non-comment lines; ParseError on bad UTF-8."""
+    # surrogateescape keeps a bad byte as a lone surrogate, which does not re-encode
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n").rstrip("\r")
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ParseError(path, line_no, "not valid UTF-8") from None
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            yield line_no, line
+
+
+def parse_pair_file(path) -> list:
+    """Parse a two-column TSV into (line_no, left, right) tuples."""
+    out = []
+    for line_no, line in records(path):
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            raise ParseError(path, line_no, f"expected two tab-separated ids, got {line!r}")
+        if line.split() != parts:  # str.split breaks at exactly the str.isspace characters
+            raise ParseError(path, line_no, "ids must not contain whitespace")
+        out.append((line_no, parts[0], parts[1]))
+    return out

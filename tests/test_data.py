@@ -1,5 +1,6 @@
 """Dataset parsing, integrity checking, pruning, splitting, and round trips."""
 
+import codecs
 import logging
 from dataclasses import replace
 
@@ -8,6 +9,9 @@ import pytest
 
 from framerec.data import (
     Dataset,
+    _line_of,
+    _read_ids,
+    _read_pairs,
     check_dataset,
     check_split,
     load_dataset,
@@ -32,6 +36,22 @@ def load_toy(tmp_path, ratings=TOY_RATINGS, frames=TOY_FRAMES, features=TOY_FEAT
 def write_npz(path):
     with open(path, "wb") as fh:  # given a path, np.savez would add an .npz suffix
         np.savez(fh, features=np.array(TOY_FEATURES))
+
+
+# the lines each layout puts before every record; two layouts change the line ends instead
+FILLERS = {"comment_lines": ["  # a comment\twith a tab"], "blank_lines": ["", " \t"],
+           "crlf": [], "no_final_newline": []}
+
+
+def lay_out(records, layout) -> tuple:
+    """The bytes of an id file holding ``records`` in a layout, and each record's line number."""
+    rows, numbers = [], []
+    for record in records:
+        rows += FILLERS[layout] + [record]
+        numbers.append(len(rows))
+    end = "\r\n" if layout == "crlf" else "\n"
+    text = end.join(rows) + ("" if layout == "no_final_newline" else end)
+    return text.encode("utf-8"), numbers
 
 
 def draw_dataset(data, st, min_frames=1) -> Dataset:
@@ -101,6 +121,70 @@ class TestParsing:
         with pytest.raises(ParseError, match=f"{name}:2: not valid UTF-8$"):
             load_split(load_dataset(*files), d)
 
+    @pytest.mark.parametrize("name", ["ratings.tsv", "frames.tsv", "valid.tsv"])
+    def test_a_leading_byte_order_mark_is_dropped(self, tmp_path, name):
+        d = write_dataset_dir(tmp_path / "data", TOY_RATINGS, TOY_FRAMES, TOY_FEATURES)
+        files = (d / "ratings.tsv", d / "frames.tsv", d / "features.npy")
+        save_split(split_ratings(load_dataset(*files), 0.5, 0.25, seed=0), d)
+        want = load_dataset(*files)
+        want_split = load_split(want, d)
+        (d / name).write_bytes(codecs.BOM_UTF8 + (d / name).read_bytes())
+        got = load_dataset(*files)
+        assert got == want
+        assert got.user_ids == ("a", "b", "c")
+        got_split = load_split(got, d)
+        assert (got_split.train, got_split.validation, got_split.test) == (
+            want_split.train, want_split.validation, want_split.test)
+
+    def test_reader_matches_the_per_line_oracle(self, tmp_path):
+        """Whole-file reading accepts the files the per-line reader accepts, with the same
+        records on the same lines, and rejects the others with the same ParseError."""
+        hypothesis = pytest.importorskip("hypothesis")
+        from hypothesis import strategies as st
+
+        spaces = [" ", "\t", "\u00a0", "\u2003", "\x1c", "\x0b", "\x85", "\u2028"]
+        space = st.sampled_from([c.encode("utf-8") for c in spaces])
+        id_ = st.lists(st.sampled_from([b"a", b"b", b"#", "\u00e9".encode("utf-8")]),
+                       min_size=1, max_size=3).map(b"".join)
+        piece = st.one_of(space, id_, st.just(b"\xff"))  # 0xff is never UTF-8
+        near = st.lists(piece, max_size=3).map(b"".join)
+        line = st.one_of(
+            *[st.tuples(id_, id_).map(b"\t".join)] * 3,  # records
+            st.tuples(near, near).map(b"\t".join),  # and near misses
+            st.tuples(st.lists(space, max_size=2), st.lists(piece, max_size=3)).map(
+                lambda p: b"".join(p[0]) + b"#" + b"".join(p[1])),  # comments
+            st.lists(space, max_size=3).map(b"".join),  # blank lines
+            st.lists(piece, max_size=4).map(b"".join),  # anything
+        )
+        path = tmp_path / "ids.tsv"
+
+        def outcome(read):
+            try:
+                return read(path)
+            except ParseError as exc:
+                return str(exc)
+
+        @hypothesis.settings(max_examples=400, deadline=None)
+        @hypothesis.example(lines=[(b"#", b"\n"), (b"a\tb", b"\r")], final_end=False, bom=False)
+        @hypothesis.example(lines=[(b"a\t\xff", b"\n")], final_end=True, bom=False)
+        @hypothesis.given(lines=st.lists(st.tuples(line, st.sampled_from([b"\n", b"\r\n", b"\r"])),
+                                         max_size=6),
+                          final_end=st.booleans(), bom=st.booleans())
+        def check(lines, final_end, bom):
+            data = b"".join(text + end for text, end in lines)
+            if lines and not final_end:
+                data = data[:-len(lines[-1][1])]
+            path.write_bytes(codecs.BOM_UTF8 * bom + data)
+            want = outcome(reference.parse_pair_file)
+            got = outcome(_read_pairs)
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert list(zip(*got)) == [(a, b) for _, a, b in want]
+                assert [_line_of(path, k) for k in range(len(want))] == [n for n, _, _ in want]
+
+        check()
+
     def test_bad_feature_float(self, tmp_path):
         # a string array loads without error, so only its dtype shows the fault
         feats = np.array(TOY_FEATURES).astype(str)
@@ -165,6 +249,30 @@ class TestParsing:
         with pytest.raises(IntegrityError, match="frames.tsv:7: frame 'fx1' is listed twice$"):
             load_toy(tmp_path, frames=TOY_FRAMES + "fx1\tx\n",
                      features=TOY_FEATURES + TOY_FEATURES[:1])
+
+    @pytest.mark.parametrize("layout", FILLERS)
+    def test_integrity_errors_name_the_line(self, toy_dataset, tmp_path, layout):
+        """The line of an unknown id or a repeated frame counts every line end, of any kind."""
+        split = split_ratings(toy_dataset, 0.5, 0.25, seed=4, frame_likes={(0, 0)})
+        save_split(split, tmp_path / "sp")
+        data, lines = lay_out(["u0\tf0", "u0\tfx1", "u1\tf2"], layout)
+        (tmp_path / "sp" / "frame_test.tsv").write_bytes(data)
+        with pytest.raises(IntegrityError, match=rf"frame_test.tsv:{lines[1]}: unknown id 'fx1'$"):
+            load_split(toy_dataset, tmp_path / "sp")
+
+        data, lines = lay_out(["u0\tf0", "u1\tf1", "ux\tf2"], layout)
+        (tmp_path / "likes.tsv").write_bytes(data)
+        with pytest.raises(IntegrityError, match=rf"likes.tsv:{lines[2]}: unknown id 'ux'$"):
+            _read_ids(tmp_path / "likes.tsv", toy_dataset.user_ids, toy_dataset.frame_ids)
+
+        frames = TOY_FRAMES.splitlines()
+        data, lines = lay_out(frames[:3] + ["fx1\tx"] + frames[3:], layout)
+        d = write_dataset_dir(tmp_path / "data", TOY_RATINGS, "",
+                              TOY_FEATURES + TOY_FEATURES[:1])
+        (d / "frames.tsv").write_bytes(data)
+        with pytest.raises(IntegrityError, match=rf"frames.tsv:{lines[3]}: frame 'fx1' is listed"
+                                                 " twice$"):
+            load_dataset(d / "ratings.tsv", d / "frames.tsv", d / "features.npy")
 
     def test_item_only_in_frames_is_kept_unrated(self, tmp_path):
         frames = TOY_FRAMES + "fw1\tw\n"

@@ -84,6 +84,19 @@ class TestConfig:
         with pytest.raises(ConfigError):
             toy_config(**{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("d1", 2.0), ("d2", np.float64(2)), ("attn_hidden_visual", True),
+        ("reduced_visual_dim", "2"), ("seed", 2.5), ("seed", np.bool_(True)),
+    ])
+    def test_dimensions_and_seed_must_be_integers(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer, got "):
+            toy_config(**{field: value})
+
+    def test_numpy_integers_are_held_as_ints(self):
+        cfg = toy_config(d1=np.int64(2), seed=np.int32(5))
+        assert cfg == toy_config(seed=5)
+        assert type(cfg.d1) is int and type(cfg.seed) is int
+
 
 class TestInit:
     def test_deterministic_and_mode_independent(self, toy_dataset):
@@ -472,6 +485,7 @@ class TestCheckpoint:
         "shape_vs_config", "rows_vs_user_collab", "non_finite",
         "unknown_config_key", "missing_config_key",
         "v3_json", "empty", "pickled_member", "float32_tensor", "random_bytes", "bare_npy",
+        "float_dimension", "float_seed",
     ])
     def test_rejects_corrupt_checkpoints(self, tmp_path, corrupt):
         params, cfg, ds, _ = gradcheck_instance(seed=23)
@@ -523,6 +537,10 @@ class TestCheckpoint:
         elif corrupt == "bare_npy":
             with open(path, "wb") as fh:
                 np.save(fh, params.user_collab)
+        elif corrupt == "float_dimension":  # loaded, it would pass the shape checks
+            config["d1"] = float(config["d1"])
+        elif corrupt == "float_seed":
+            config["seed"] = 2.5
         if corrupt not in ("not_json", "v3_json", "empty", "random_bytes", "bare_npy"):
             write_members(path, members)
         with pytest.raises(IntegrityError) as exc:
@@ -533,6 +551,8 @@ class TestCheckpoint:
             assert "JSON checkpoint (v3 or older)" in message
         if corrupt == "float32_tensor":
             assert "user_collab is not a float64 array" in message
+        if corrupt.startswith("float_"):
+            assert "must be an integer" in message
 
     def test_save_creates_missing_directories(self, tmp_path):
         params, cfg, ds, _ = gradcheck_instance(seed=23)
