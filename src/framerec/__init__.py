@@ -13,7 +13,6 @@ from .data import (
     Dataset,
     SplitDataset,
     check_dataset,
-    check_split,
     load_dataset,
     load_frame_likes,
     load_split,
@@ -32,6 +31,7 @@ from .errors import (
     ParseError,
     SamplingError,
     UnsupportedTaskError,
+    check_seed,
 )
 from .evaluation import (
     EvalReport,

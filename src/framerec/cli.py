@@ -22,6 +22,7 @@ from .data import (
     FEATURES_FILE,
     FRAME_LIKES_FILE,
     FRAMES_FILE,
+    PORTIONS,
     RATINGS_FILE,
     atomic_writer,
     load_dataset,
@@ -32,7 +33,7 @@ from .data import (
     save_split,
     split_ratings,
 )
-from .errors import FrameRecError, IntegrityError
+from .errors import FrameRecError, IntegrityError, check_seed
 from .evaluation import (ITEM_SPLITS, check_cutoffs, check_sampling, evaluate_frame_rec,
                          evaluate_item_rec, random_frame_baseline)
 from .model import (
@@ -158,7 +159,7 @@ def _cmd_split(args: argparse.Namespace) -> int:
         dataset = prune_dataset(dataset, args.min_count)
         logger.info("pruned: %s -> %s", before, dataset.describe())
     likes_path = args.data / FRAME_LIKES_FILE
-    likes = load_frame_likes(likes_path, dataset) if likes_path.exists() else frozenset()
+    likes = load_frame_likes(likes_path, dataset) if likes_path.exists() else ()
     split = split_ratings(
         dataset,
         train_frac=args.train_frac,
@@ -167,13 +168,11 @@ def _cmd_split(args: argparse.Namespace) -> int:
         per_user=args.per_user,
         frame_likes=likes,
     )
-    save_dataset(dataset, args.out, frame_likes=likes if likes else None)
+    save_dataset(dataset, args.out, frame_likes=likes if len(likes) else None)
     save_split(split, args.out)
-    print(
-        f"split {len(dataset.ratings)} ratings: {len(split.train)} train, "
-        f"{len(split.validation)} valid, {len(split.test)} test "
-        f"({len(split.frame_test)} frame-test likes)"
-    )
+    train, valid, test = (len(split.pairs(name)) for name in PORTIONS)
+    print(f"split {len(dataset.ratings)} ratings: {train} train, {valid} valid, {test} test "
+          f"({len(split.frame_test)} frame-test likes)")
     return 0
 
 
@@ -232,12 +231,13 @@ def _cmd_eval_frames(args: argparse.Namespace) -> int:
         params, cfg, split, k_list=args.k,
         exclude_singletons=args.exclude_singletons,
     )
+    # both reports are made before either is written, so a failed command writes neither
+    baseline = random_frame_baseline(
+        split, k_list=args.k, seed=args.seed,
+        exclude_singletons=args.exclude_singletons,
+    ) if args.with_baseline else None
     _write_report(report, args.out, "frame_eval")
-    if args.with_baseline:
-        baseline = random_frame_baseline(
-            split, k_list=args.k, seed=args.seed,
-            exclude_singletons=args.exclude_singletons,
-        )
+    if baseline is not None:
         _write_report(baseline, args.out, "frame_baseline")
     print(report.to_tsv(), end="")
     return 0
@@ -291,6 +291,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     check_cutoffs((args.item_k,))
     check_cutoffs((args.frame_k,))
     check_sampling(args.negatives, args.repeats)
+    check_seed(args.seed)
     # off/att scores exactly like off/sum: with no visual channel there is nothing to fuse
     cells = [c for c in GRADCHECK_COMBOS if c != (VISUAL_OFF, FUSION_ATT)]
     reports = []

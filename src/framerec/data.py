@@ -16,11 +16,10 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import compress, islice, repeat
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigError, EmptyDatasetError, IntegrityError, ParseError
+from .errors import ConfigError, EmptyDatasetError, IntegrityError, ParseError, check_seed
 
 logger = logging.getLogger(__name__)
 
@@ -28,15 +27,25 @@ RATINGS_FILE = "ratings.tsv"
 FRAMES_FILE = "frames.tsv"
 FEATURES_FILE = "features.npy"
 FRAME_LIKES_FILE = "frame_likes.tsv"
-TRAIN_FILE = "train.tsv"
-VALID_FILE = "valid.tsv"
-TEST_FILE = "test.tsv"
 FRAME_TEST_FILE = "frame_test.tsv"
+# A split's portions, in the order of their labels in SplitDataset.portion, and their files.
+PORTIONS = ("train", "validation", "test")
+SPLIT_FILES = ("train.tsv", "valid.tsv", "test.tsv")
 
 
 # ---------------------------------------------------------------------------
 # Core types
 # ---------------------------------------------------------------------------
+
+
+def _fields_equal(a, b) -> bool:
+    """Dataclass equality that compares the array fields by value."""
+    if type(a) is not type(b):
+        return NotImplemented
+    return all(
+        np.array_equal(mine, theirs) if isinstance(mine, np.ndarray) else mine == theirs
+        for mine, theirs in ((getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    )
 
 
 @dataclass(frozen=True)
@@ -60,15 +69,7 @@ class Dataset:
     item_ids: tuple
     frame_ids: tuple
 
-    def __eq__(self, other) -> bool:
-        """Field-wise equality, comparing the array fields by value."""
-        if not isinstance(other, Dataset):
-            return NotImplemented
-        return all(
-            np.array_equal(mine, theirs) if isinstance(mine, np.ndarray) else mine == theirs
-            for mine, theirs in ((getattr(self, f.name), getattr(other, f.name))
-                                 for f in fields(self))
-        )
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         object.__setattr__(self, "ratings", _pair_array(self.ratings))
@@ -122,21 +123,29 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SplitDataset:
-    """A disjoint train/validation/test partition of a dataset's ratings.
+    """A train/validation/test partition of a dataset's ratings.
 
-    ``frame_test`` holds (user, frame) pairs whose parent (user, item) rating
-    landed in the test portion; it is the ground truth for frame ranking.
+    ``portion`` labels each row of ``base.ratings`` with its portion's index in
+    PORTIONS, so no rating is in two portions or in none; ``pairs(name)`` gives
+    a portion's rows.  ``frame_test``, the ground truth for frame ranking, is a
+    sorted (L, 2) int64 array of the (user, frame) likes of test ratings.
     """
 
     base: Dataset
-    train: frozenset
-    validation: frozenset
-    test: frozenset
-    frame_test: frozenset
+    portion: np.ndarray
+    frame_test: np.ndarray
 
-    @cached_property
-    def train_array(self) -> np.ndarray:
-        return _pair_array(self.train)
+    __eq__ = _fields_equal
+
+    def pairs(self, name: str) -> np.ndarray:
+        """The sorted (user, item) rows of the portion ``name``, one of PORTIONS."""
+        return self.base.ratings[self.portion == PORTIONS.index(name)]
+
+    # The portions as frozensets of (user, item) tuples, only for perfbench/workloads.py's
+    # set reads until ROADMAP item 1 changes them; the package reads pairs(name).
+    train = property(lambda self: frozenset(map(tuple, self.pairs("train").tolist())))
+    validation = property(lambda self: frozenset(map(tuple, self.pairs("validation").tolist())))
+    test = property(lambda self: frozenset(map(tuple, self.pairs("test").tolist())))
 
 
 def _pair_array(pairs) -> np.ndarray:
@@ -182,20 +191,18 @@ def check_dataset(d: Dataset) -> None:
         )
 
 
-def check_split(s: SplitDataset) -> None:
-    """Raise IntegrityError unless the split partitions the ratings exactly."""
-    if s.train & s.validation or s.train & s.test or s.validation & s.test:
-        raise IntegrityError("split portions overlap")
-    if not np.array_equal(_pair_array(s.train | s.validation | s.test), s.base.ratings):
-        raise IntegrityError("split portions do not cover the ratings exactly")
-    parent, num_frames = s.base.frame_parent, s.base.num_frames
-    for u, f in s.frame_test:
-        if not 0 <= f < num_frames:
-            raise IntegrityError(f"frame_test frame id {f} out of range")
-        if (u, int(parent[f])) not in s.test:
-            raise IntegrityError(
-                f"frame_test pair ({u}, {f}) has no matching test rating"
-            )
+def _liked_in_test(dataset: Dataset, portion: np.ndarray, likes: np.ndarray) -> np.ndarray:
+    """Whether each (user, frame) like's parent (user, item) rating is labelled test;
+    IntegrityError, naming the first such like, for a frame id out of range."""
+    users, frames = likes.T
+    bad = (frames < 0) | (frames >= dataset.num_frames)
+    if bad.any():
+        u, f = likes[bad.argmax()].tolist()
+        raise IntegrityError(f"frame like ({u}, {f}): frame id out of range")
+    n, test = dataset.num_items, dataset.ratings[portion == PORTIONS.index("test")]
+    keys = test[:, 0] * n + test[:, 1]  # sorted and unique, as the rows are
+    want = users * n + dataset.frame_parent[frames]
+    return np.searchsorted(keys, want, side="right") > np.searchsorted(keys, want)
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +258,8 @@ def _ids(tokens, index: dict) -> np.ndarray:
     return np.fromiter(map(index.get, tokens, repeat(-1)), np.int64, len(tokens))
 
 
-def _read_ids(path, left: tuple, right: tuple, drop_unknown: bool = False) -> frozenset:
-    """Read a two-column token file as a frozenset of (left id, right id) pairs.
+def _read_ids(path, left: tuple, right: tuple, drop_unknown: bool = False) -> np.ndarray:
+    """Read a two-column token file as sorted, unique (left id, right id) int64 rows.
 
     ``left`` and ``right`` are the sorted id tuples of the two columns.  A line
     naming an absent token raises IntegrityError with the file and line, or,
@@ -267,7 +274,7 @@ def _read_ids(path, left: tuple, right: tuple, drop_unknown: bool = False) -> fr
             raise IntegrityError(f"{path}:{_line_of(path, k)}: unknown id "
                                  f"{b[k] if ia[k] >= 0 else a[k]!r}")
         logger.info("%s: dropped %d lines naming absent ids", path, len(a) - known.sum())
-    return frozenset(zip(ia[known].tolist(), ib[known].tolist()))
+    return _pair_array(np.column_stack([ia[known], ib[known]]))
 
 
 def load_dataset(ratings_path, frames_path, features_path) -> Dataset:
@@ -321,8 +328,8 @@ def load_dataset(ratings_path, frames_path, features_path) -> Dataset:
     return d
 
 
-def load_frame_likes(path, dataset: Dataset) -> frozenset:
-    """Load (user, frame) like records and map them to dense ids.
+def load_frame_likes(path, dataset: Dataset) -> np.ndarray:
+    """Load (user, frame) like records as sorted, unique (L, 2) int64 id rows.
 
     Records whose user or frame is not present in the dataset (for example
     because pruning removed them) are dropped with a log message; malformed
@@ -377,21 +384,23 @@ def split_ratings(
     valid_frac: float,
     seed: int,
     per_user: bool = False,
-    frame_likes: Iterable = (),
+    frame_likes=(),
 ) -> SplitDataset:
-    """Randomly partition ratings into train/validation/test portions.
+    """Randomly label each rating train, validation or test.
 
     Counts follow the floor rule: train gets ``floor(R * train_frac)``,
     validation ``floor(R * valid_frac)``, the remainder goes to test (applied
     per user when ``per_user`` is set).  ``frame_likes`` are (user, frame)
-    pairs; the ones whose parent (user, item) rating landed in test populate
-    ``frame_test``.  Deterministic given the seed.
+    pairs (an array or an iterable of pairs); the ones whose parent (user,
+    item) rating landed in test make up ``frame_test``, and a frame id out of
+    range raises IntegrityError.  Deterministic given the seed.
     """
     if not (0 < train_frac and 0 < valid_frac and train_frac + valid_frac < 1):
         raise ConfigError(
             f"fractions must be positive with a sum below 1, got "
             f"train={train_frac}, valid={valid_frac}"
         )
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     ratings = dataset.ratings
     counts = np.bincount(ratings[:, 0], minlength=dataset.num_users)
@@ -404,17 +413,13 @@ def split_ratings(
         portion[lo + rng.permutation(n)] = np.repeat(
             [0, 1, 2], [n_train, n_valid, n - n_train - n_valid])
         lo += n
-    train, valid, test = (frozenset(zip(*ratings[portion == k].T.tolist())) for k in range(3))
 
     trained = np.bincount(ratings[portion == 0, 0], minlength=dataset.num_users)
     for u in np.flatnonzero((counts > 0) & (trained == 0)).tolist():
         logger.warning("user %r has no training ratings (cold)", dataset.user_ids[u])
 
-    parent = dataset.frame_parent
-    frame_test = frozenset((u, f) for u, f in frame_likes if (u, int(parent[f])) in test)
-    split = SplitDataset(dataset, train, valid, test, frame_test)
-    check_split(split)
-    return split
+    likes = _pair_array(frame_likes)
+    return SplitDataset(dataset, portion, likes[_liked_in_test(dataset, portion, likes)])
 
 
 # ---------------------------------------------------------------------------
@@ -443,9 +448,9 @@ def atomic_writer(path, binary: bool = False):
         raise
 
 
-def _write_pairs(path, pairs, left_ids, right_ids) -> None:
-    """Write (left id, right id) pairs as their tokens, one line each, in token order."""
-    rows = sorted((left_ids[a], right_ids[b]) for a, b in pairs)
+def _write_pairs(path, pairs: np.ndarray, left_ids, right_ids) -> None:
+    """Write (left id, right id) rows as their tokens, one line each, in token order."""
+    rows = sorted((left_ids[a], right_ids[b]) for a, b in pairs.tolist())
     with atomic_writer(path) as fh:
         fh.writelines(f"{a}\t{b}\n" for a, b in rows)
 
@@ -464,7 +469,7 @@ def save_dataset(dataset: Dataset, out_dir, frame_likes=None) -> dict:
         "features": out_dir / FEATURES_FILE,
     }
     d = dataset
-    _write_pairs(paths["ratings"], d.ratings.tolist(), d.user_ids, d.item_ids)
+    _write_pairs(paths["ratings"], d.ratings, d.user_ids, d.item_ids)
     ids, mask, _ = d.frame_table
     frames = ids[mask]
     with atomic_writer(paths["frames"]) as fh:
@@ -474,7 +479,7 @@ def save_dataset(dataset: Dataset, out_dir, frame_likes=None) -> dict:
         np.save(fh, d.frame_features[frames], allow_pickle=False)
     if frame_likes is not None:
         paths["frame_likes"] = out_dir / FRAME_LIKES_FILE
-        _write_pairs(paths["frame_likes"], frame_likes, d.user_ids, d.frame_ids)
+        _write_pairs(paths["frame_likes"], _pair_array(frame_likes), d.user_ids, d.frame_ids)
     return paths
 
 
@@ -482,15 +487,10 @@ def save_split(split: SplitDataset, out_dir) -> dict:
     """Write train/valid/test rating files plus the frame_test file."""
     out_dir = Path(out_dir)
     d = split.base
-    paths = {}
-    for name, pairs, right_ids in (
-        (TRAIN_FILE, split.train, d.item_ids),
-        (VALID_FILE, split.validation, d.item_ids),
-        (TEST_FILE, split.test, d.item_ids),
-        (FRAME_TEST_FILE, split.frame_test, d.frame_ids),
-    ):
-        paths[name] = out_dir / name
-        _write_pairs(paths[name], pairs, d.user_ids, right_ids)
+    paths = {name: out_dir / name for name in (*SPLIT_FILES, FRAME_TEST_FILE)}
+    for name, portion in zip(SPLIT_FILES, PORTIONS):
+        _write_pairs(paths[name], split.pairs(portion), d.user_ids, d.item_ids)
+    _write_pairs(paths[FRAME_TEST_FILE], split.frame_test, d.user_ids, d.frame_ids)
     return paths
 
 
@@ -498,16 +498,26 @@ def load_split(dataset: Dataset, split_dir) -> SplitDataset:
     """Read a split manifest written by save_split and validate it.
 
     A line naming a user, item or frame absent from ``dataset`` raises
-    IntegrityError with the file and line.
+    IntegrityError with the file and line.  So does a pair listed in two
+    portion files, portion files whose pairs are not exactly the dataset's
+    ratings, and a frame_test pair whose parent rating is not in the test
+    file; the first such frame_test pair in sorted order is named.
     """
     split_dir = Path(split_dir)
     users, items = dataset.user_ids, dataset.item_ids
-    split = SplitDataset(
-        base=dataset,
-        train=_read_ids(split_dir / TRAIN_FILE, users, items),
-        validation=_read_ids(split_dir / VALID_FILE, users, items),
-        test=_read_ids(split_dir / TEST_FILE, users, items),
-        frame_test=_read_ids(split_dir / FRAME_TEST_FILE, users, dataset.frame_ids),
-    )
-    check_split(split)
+    portions = [_read_ids(split_dir / name, users, items) for name in SPLIT_FILES]
+    pairs = np.concatenate(portions)
+    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    union = pairs[order]
+    if (union[1:] == union[:-1]).all(axis=1).any():
+        raise IntegrityError("split portions overlap")
+    if not np.array_equal(union, dataset.ratings):
+        raise IntegrityError("split portions do not cover the ratings exactly")
+    portion = np.repeat(np.arange(len(portions), dtype=np.int8), list(map(len, portions)))
+    split = SplitDataset(dataset, portion[order],
+                         _read_ids(split_dir / FRAME_TEST_FILE, users, dataset.frame_ids))
+    matched = _liked_in_test(dataset, split.portion, split.frame_test)
+    if not matched.all():
+        u, f = split.frame_test[matched.argmin()].tolist()
+        raise IntegrityError(f"frame_test pair ({u}, {f}) has no matching test rating")
     return split

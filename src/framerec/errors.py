@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one seed check."""
+
+import numbers
 
 
 class FrameRecError(Exception):
@@ -40,3 +42,9 @@ class ConfigError(FrameRecError):
 
 class NonFiniteError(FrameRecError):
     """A computation produced NaN or infinite values where finite ones are needed."""
+
+
+def check_seed(seed) -> None:
+    """ConfigError unless ``seed`` is a non-negative integer, as numpy's generators need."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import SplitDataset
-from .errors import ConfigError, NonFiniteError
+from .errors import ConfigError, NonFiniteError, check_seed
 from .model import (
     ModelConfig,
     ModelParams,
@@ -43,7 +43,7 @@ logger = logging.getLogger(__name__)
 # because score_catalog forms the user half of the fusion once per block.
 CANDIDATE_BLOCK = 1 << 17
 
-# The split portions item evaluation ranks, named as SplitDataset's fields.
+# The split portions item evaluation ranks, named as in data.PORTIONS.
 ITEM_SPLITS = ("test", "validation")
 
 
@@ -200,12 +200,12 @@ def evaluate_item_rec(
     if split_name not in ITEM_SPLITS:
         raise ConfigError(f"unknown split_name {split_name!r}")
     check_sampling(n_negatives, repeats)
-    pairs = getattr(split, split_name)
-    if not pairs:
+    check_seed(seed)
+    users, positives = split.pairs(split_name).T
+    if not len(users):
         return _report("item", split_name, k_list, np.empty((0, 0)), ())
 
     base = split.base
-    users, positives = np.array(sorted(pairs), dtype=np.int64).T
     rated = base.items_of_user
     n_rated = np.bincount(base.ratings[:, 0], minlength=base.num_users)
     pool = base.num_items - n_rated[users]
@@ -254,7 +254,7 @@ def _frame_report(task, split: SplitDataset, k_list, exclude_singletons, score):
     """
     k_list = check_cutoffs(k_list)
     base = split.base
-    pairs = np.array(sorted(split.frame_test), dtype=np.int64).reshape(-1, 2)
+    pairs = split.frame_test
     ids, mask, counts = base.frame_table
     items = base.frame_parent[pairs[:, 1]]
     warnings = []
@@ -303,6 +303,7 @@ def random_frame_baseline(
     The reference point for the frame task: with m frames per item its
     expected hit rate at K is K/m.
     """
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     return _frame_report(
         "frame_baseline", split, k_list, exclude_singletons,

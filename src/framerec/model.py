@@ -19,7 +19,8 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .data import Dataset, atomic_writer
-from .errors import ConfigError, IntegrityError, MissingFramesError, UnsupportedTaskError
+from .errors import (ConfigError, IntegrityError, MissingFramesError, UnsupportedTaskError,
+                     check_seed)
 
 VISUAL_OFF = "off"
 VISUAL_AVG = "avg"
@@ -60,6 +61,7 @@ class ModelConfig:
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))  # a numpy integer becomes an int
+        check_seed(self.seed)
         if min(self.d1, self.attn_hidden_visual, self.attn_hidden_rating,
                self.reduced_visual_dim) < 1:
             raise ConfigError("d1, hidden sizes and reduced_visual_dim must be >= 1")

@@ -6,32 +6,32 @@ frame likes (each rated item's top-scoring frames for that user).  Because
 the teacher is an instance of the same model family, recovery experiments
 can measure how much of its structure training recaptures.
 
-A configurable minority of frames is shifted along a common feature-space
+A minority of each item's frames is shifted along a common feature-space
 direction.  These salient frames carry most of the between-frame variance,
 which gives the frame attention something to lock onto.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, check_dataset
-from .errors import ConfigError
+from .data import Dataset, _pair_array, check_dataset
+from .errors import ConfigError, check_seed
 from .model import FUSION_ATT, VISUAL_ATT, ModelConfig, ModelParams, score_catalog
+
+
+SALIENT_FRAC, SALIENT_SHIFT = 0.25, 2.5  # the share of each item's frames shifted, and by how much
+ATTENTION_GAIN = 2.5  # scales the teacher's attention output weights, sharpening its frame weights
 
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """Sizes and knobs for the generator.
+    """Sizes and the seed of the generator.
 
     ``latent_dim`` is the teacher's factor dimension (students may use any
-    dimension).  ``salient_frac`` of each item's frames are shifted by
-    ``salient_shift`` along a shared random unit direction; ``attention_gain``
-    scales the teacher's attention output weights, sharpening its frame
-    weighting beyond what fan-in initialisation alone would give.
+    dimension).
     """
 
     num_users: int = 200
@@ -42,9 +42,6 @@ class SynthConfig:
     ratings_per_user: int = 20
     frame_likes_per_pair: int = 1
     seed: int = 0
-    salient_frac: float = 0.25
-    salient_shift: float = 2.5
-    attention_gain: float = 2.5
 
     def __post_init__(self):
         if min(
@@ -57,10 +54,7 @@ class SynthConfig:
             raise ConfigError("ratings_per_user cannot exceed num_items")
         if self.frame_likes_per_pair > self.frames_per_item:
             raise ConfigError("frame_likes_per_pair cannot exceed frames_per_item")
-        if not 0 <= self.salient_frac <= 1:
-            raise ConfigError("salient_frac must lie in [0, 1]")
-        if not (math.isfinite(self.salient_shift) and math.isfinite(self.attention_gain)):
-            raise ConfigError("salient_shift and attention_gain must be finite")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -97,7 +91,7 @@ def _planted_params(cfg: SynthConfig, rng: np.random.Generator) -> ModelParams:
         visual_proj=rng.normal(0.0, s_feat, (d, f)),
         attn_reduce=rng.normal(0.0, s_feat, (d, f)),
         attn_hidden=rng.normal(0.0, np.sqrt(2.0 / (2 * d)), (d, 2 * d)),
-        attn_out=rng.normal(0.0, cfg.attention_gain * np.sqrt(2.0 / d), (d,)),
+        attn_out=rng.normal(0.0, ATTENTION_GAIN * np.sqrt(2.0 / d), (d,)),
         fusion_hidden=rng.normal(0.0, np.sqrt(2.0 / (2 * d)), (d, 2 * d)),
         fusion_out=rng.normal(0.0, np.sqrt(2.0 / d), (d,)),
     )
@@ -144,12 +138,12 @@ def planted_top_items(planted: PlantedModel, dataset: Dataset, k: int) -> np.nda
                          keep=lambda scores: _top_k(scores, k))
 
 
-def planted_frame_likes(planted: PlantedModel, dataset: Dataset, k: int) -> frozenset:
+def planted_frame_likes(planted: PlantedModel, dataset: Dataset, k: int) -> np.ndarray:
     """Top-k teacher-scored frames of every rated (user, item) pair.
 
     Scores only the rated pairs' frames, by the visual channel alone.  Ties
-    break toward the smaller frame id.  Returns (user, frame) pairs covering
-    all ratings; callers filter to a test split as needed.
+    break toward the smaller frame id.  Returns the (user, frame) likes of
+    all ratings as sorted (L, 2) int64 rows; split_ratings keeps the test ones.
     """
     ids, mask, _ = dataset.frame_table
     users, items = dataset.ratings.T
@@ -159,8 +153,8 @@ def planted_frame_likes(planted: PlantedModel, dataset: Dataset, k: int) -> froz
     keys = np.where(mask[items], -scores, np.inf)
     top = np.argsort(keys, axis=1, kind="stable")[:, :k]  # ties keep the smaller id first
     liked = np.take_along_axis(keys, top, axis=1) < np.inf
-    return frozenset(zip(np.broadcast_to(users[:, None], top.shape)[liked].tolist(),
-                         np.take_along_axis(frames, top, axis=1)[liked].tolist()))
+    return _pair_array(np.column_stack([np.broadcast_to(users[:, None], top.shape)[liked],
+                                        np.take_along_axis(frames, top, axis=1)[liked]]))
 
 
 def generate_synthetic(cfg: SynthConfig):
@@ -179,13 +173,13 @@ def generate_synthetic(cfg: SynthConfig):
     features = feat_rng.normal(0.0, 1.0, (n_frames, cfg.feature_dim))
     direction = feat_rng.normal(0.0, 1.0, cfg.feature_dim)
     direction /= np.linalg.norm(direction)
-    n_salient = int(round(cfg.salient_frac * cfg.frames_per_item))
+    n_salient = int(round(SALIENT_FRAC * cfg.frames_per_item))
     salient = np.zeros(n_frames, dtype=bool)
     for item in range(cfg.num_items):
         lo = item * cfg.frames_per_item
         picks = feat_rng.choice(cfg.frames_per_item, size=n_salient, replace=False)
         salient[lo + picks] = True
-    features[salient] += cfg.salient_shift * direction
+    features[salient] += SALIENT_SHIFT * direction
 
     frame_parent = np.repeat(np.arange(cfg.num_items, dtype=np.int64), cfg.frames_per_item)
 

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import SplitDataset, atomic_writer
-from .errors import ConfigError, EmptyDatasetError, NonFiniteError, SamplingError
+from .data import Dataset, SplitDataset, atomic_writer, check_dataset
+from .errors import ConfigError, EmptyDatasetError, NonFiniteError, SamplingError, check_seed
 from .evaluation import evaluate_item_rec
 from .model import (
     FUSION_ATT,
@@ -73,6 +73,7 @@ class TrainConfig:
                               "and valid_k must be >= 1")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
+        check_seed(self.seed)
 
 
 def bpr_pair_loss(pos_scores, neg_scores) -> np.ndarray:
@@ -101,7 +102,7 @@ def sample_epoch(split: SplitDataset, neg_ratio: int, rng: np.random.Generator) 
     training user has rated every item.
     """
     base = split.base
-    train = split.train_array
+    train = split.pairs("train")
     if train.size == 0:
         raise SamplingError("training split is empty")
     reps = np.repeat(train, neg_ratio, axis=0)  # sorted, so each user's rows are contiguous
@@ -397,7 +398,7 @@ def fit(
     sample_seq, valid_seq = root.spawn(2)
     sample_rng = np.random.default_rng(sample_seq)
     valid_seed = int(valid_seq.generate_state(1)[0])
-    can_validate = bool(split.validation)
+    can_validate = len(split.pairs("validation")) > 0
 
     log = TrainLog()
     best_params = None
@@ -496,6 +497,7 @@ def finite_diff_check(
         raise ConfigError(f"step size h must be finite and > 0, got {h}")
     if max_coords < 1:
         raise ConfigError(f"max_coords must be >= 1, got {max_coords}")
+    check_seed(seed)
     batch = np.asarray(batch, dtype=np.int64)
     _, grads = batch_gradients(params, cfg, dataset, batch, reduction=reduction)
     rng = np.random.default_rng(seed)
@@ -548,8 +550,7 @@ def gradcheck_instance(
     5 users, 8 items with uneven frame counts (20 frames total), feature
     dimension 6, factor dimensions 4.  Returns (params, cfg, dataset, batch).
     """
-    from .data import Dataset, check_dataset
-
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     m, n, l, fd = 5, 8, 20, 6
     counts = rng.multinomial(l - n, np.full(n, 1.0 / n)) + 1  # every item >= 1

@@ -47,6 +47,11 @@ TOY_FRAMES = "fx1\tx\nfx2\tx\nfy1\ty\nfz1\tz\nfz2\tz\nfz3\tz\n"
 TOY_FEATURES = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (2.0, 0.0), (0.0, 2.0), (1.0, 1.0))
 
 
+def pair_set(pairs: np.ndarray) -> set:
+    """The rows of an (R, 2) id array as a set of (int, int) tuples."""
+    return set(map(tuple, pairs.tolist()))
+
+
 def read_members(path) -> dict:
     """Every member of a checkpoint archive by name, ``meta`` decoded from its JSON text."""
     with np.load(path, allow_pickle=False) as z:

@@ -1,5 +1,6 @@
 """Test oracles: scalar forward path, projected table, full-catalog backward, dense teacher,
-sorted top-k, set-based prune and split, per-candidate sampled evaluation, per-line id reader.
+sorted top-k, set-based prune, split and split check, per-candidate sampled evaluation,
+per-line id reader.
 
 The package scores in bulk (``item_visual_table``, ``score_pairs``,
 ``score_frames``).  The scalar functions score one instance at a time,
@@ -31,7 +32,10 @@ then ``subset`` re-indexes through dicts.
 ``split_ratings`` is the split as it ran while a dataset held its ratings
 as a set of tuples: each group (one user's ratings, or all of them) is
 sorted as tuples, permuted, and dealt into Python sets pair by pair.
-``items_of_user`` scans every rating once per user.
+``items_of_user`` scans every rating once per user.  ``check_split`` is the
+split check as it ran while a split held its portions and frame likes as
+sets of tuples: set intersections, the union's sorted tuples against the
+ratings, and a membership test per frame_test pair, taken in sorted order.
 
 ``sampled_item_eval`` is item evaluation as it ran before it learned to
 score each user's catalog once: repeat after repeat, every block of pairs
@@ -59,6 +63,7 @@ from framerec.data import Dataset
 from framerec.errors import (
     ConfigError,
     EmptyDatasetError,
+    IntegrityError,
     MissingFramesError,
     ParseError,
     UnsupportedTaskError,
@@ -404,6 +409,21 @@ def split_ratings(dataset, train_frac, valid_frac, seed, per_user=False, frame_l
     parent = dataset.frame_parent
     frame_test = {(u, f) for u, f in frame_likes if (u, int(parent[f])) in test}
     return train, valid, test, frame_test, [dataset.user_ids[u] for u in cold]
+
+
+def check_split(base, train, validation, test, frame_test) -> None:
+    """Raise IntegrityError unless the (user, item) sets partition ``base``'s ratings and
+    every (user, frame) pair of ``frame_test`` has its parent rating in ``test``."""
+    if train & validation or train & test or validation & test:
+        raise IntegrityError("split portions overlap")
+    if sorted(train | validation | test) != list(map(tuple, base.ratings.tolist())):
+        raise IntegrityError("split portions do not cover the ratings exactly")
+    parent, num_frames = base.frame_parent, base.num_frames
+    for u, f in sorted(frame_test):
+        if not 0 <= f < num_frames:
+            raise IntegrityError(f"frame_test frame id {f} out of range")
+        if (u, int(parent[f])) not in test:
+            raise IntegrityError(f"frame_test pair ({u}, {f}) has no matching test rating")
 
 
 def items_of_user(dataset) -> list:

@@ -11,11 +11,13 @@ import pytest
 from conftest import read_members, write_members
 from framerec import cli
 from framerec.cli import _config, _dest, build_parser, run
+from framerec.data import split_ratings
+from framerec.errors import ConfigError, check_seed
 from framerec.evaluation import (ITEM_SPLITS, evaluate_frame_rec, evaluate_item_rec,
                                  random_frame_baseline)
 from framerec.model import ModelConfig
 from framerec.synth import SynthConfig
-from framerec.training import TrainConfig, finite_diff_check
+from framerec.training import TrainConfig, finite_diff_check, gradcheck_instance
 
 
 def call(capsys, *argv):
@@ -324,6 +326,45 @@ class TestErrors:
                             "--out", str(tmp_path / "o"))
         assert code == 1
         assert "ratings.tsv:2" in err
+
+    @pytest.mark.parametrize("command,flag", [
+        ("synth", "--seed"), ("split", "--seed"), ("train", "--model-seed"),
+        ("train", "--train-seed"), ("eval-items", "--seed"), ("eval-frames", "--seed"),
+        ("gradcheck", "--seed"), ("ablate", "--seed"), ("ablate", "--model-seed"),
+        ("ablate", "--train-seed"),
+    ])
+    def test_negative_seed_ends_in_one_line(self, trained, capsys, monkeypatch, command, flag):
+        def no_fit(*args, **kwargs):
+            raise AssertionError(f"{command} trained before it checked {flag}")
+
+        monkeypatch.setattr(cli, "fit", no_fit)
+        argv = (["gradcheck", "--modes", "off:sum"] if command == "gradcheck"
+                else [*command_argv(command, trained), "--out", str(trained / "failed")])
+        code, _, err = call(capsys, *argv, flag, "-1")
+        assert code == 1
+        assert err == "error: seed must be an integer >= 0, got -1\n"
+        assert not (trained / "failed").exists()
+
+    def test_every_seed_is_checked(self):
+        params, cfg, dataset, batch = gradcheck_instance()
+        split = split_ratings(dataset, 0.5, 0.25, seed=0)
+        for make in (
+            lambda seed: ModelConfig(seed=seed),
+            lambda seed: TrainConfig(seed=seed),
+            lambda seed: SynthConfig(seed=seed),
+            lambda seed: split_ratings(dataset, 0.5, 0.25, seed=seed),
+            lambda seed: evaluate_item_rec(params, cfg, split, seed=seed),
+            lambda seed: random_frame_baseline(split, seed=seed),
+            lambda seed: gradcheck_instance(seed=seed),
+            lambda seed: finite_diff_check(params, cfg, dataset, batch, seed=seed),
+        ):
+            for seed in (-1, np.int64(-3), True, 2.0, "1"):
+                with pytest.raises(ConfigError, match="^seed must be an integer"):
+                    make(seed)
+
+    @pytest.mark.parametrize("seed", [0, np.uint32(7), 2**64])
+    def test_seeds_numpy_takes_are_accepted(self, seed):
+        check_seed(seed)
 
     def test_unknown_command_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

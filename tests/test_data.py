@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from framerec.data import (
+    PORTIONS,
     Dataset,
     _line_of,
     _read_ids,
     _read_pairs,
     check_dataset,
-    check_split,
     load_dataset,
     load_frame_likes,
     load_split,
@@ -25,7 +25,7 @@ from framerec.data import (
 from framerec.errors import ConfigError, EmptyDatasetError, IntegrityError, ParseError
 
 import reference
-from conftest import TOY_FEATURES, TOY_FRAMES, TOY_RATINGS, write_dataset_dir
+from conftest import TOY_FEATURES, TOY_FRAMES, TOY_RATINGS, pair_set, write_dataset_dir
 
 
 def load_toy(tmp_path, ratings=TOY_RATINGS, frames=TOY_FRAMES, features=TOY_FEATURES):
@@ -499,7 +499,8 @@ class TestSplitting:
 
     def test_partition_is_exact(self, toy_dataset):
         split = split_ratings(toy_dataset, 0.5, 0.25, seed=1)
-        check_split(split)  # disjoint and covering
+        # disjoint and covering
+        reference.check_split(toy_dataset, split.train, split.validation, split.test, set())
 
     def test_deterministic_in_seed(self, toy_dataset):
         a = split_ratings(toy_dataset, 0.5, 0.25, seed=7)
@@ -550,11 +551,11 @@ class TestSplitting:
                  for f in np.flatnonzero(toy_dataset.frame_parent == i).tolist()}
         split = split_ratings(toy_dataset, 0.5, 0.25, seed=2, frame_likes=likes)
         parent = toy_dataset.frame_parent
-        assert split.frame_test  # the test portion is non-empty, so likes exist
-        for u, f in split.frame_test:
+        assert len(split.frame_test)  # the test portion is non-empty, so likes exist
+        for u, f in split.frame_test.tolist():
             assert (u, int(parent[f])) in split.test
         # every test rating whose item frames were liked is represented
-        covered = {(u, int(parent[f])) for u, f in split.frame_test}
+        covered = {(u, int(parent[f])) for u, f in split.frame_test.tolist()}
         assert covered == set(split.test)
 
     def test_split_properties(self):
@@ -586,7 +587,7 @@ class TestSplitting:
             n_valid = sum(int(len(g) * valid_frac) for g in groups)
             assert (len(split.train), len(split.validation)) == (n_train, n_valid)
             parent = ds.frame_parent
-            assert split.frame_test == {
+            assert pair_set(split.frame_test) == {
                 (u, f) for u, f in likes if (u, int(parent[f])) in split.test}
 
         check()
@@ -614,10 +615,25 @@ class TestSplitting:
                                       per_user=per_user, frame_likes=likes)
             *want, cold = reference.split_ratings(ds, train_frac, valid_frac, seed,
                                                   per_user=per_user, frame_likes=likes)
-            assert [split.train, split.validation, split.test, split.frame_test] == want
+            assert [split.train, split.validation, split.test, pair_set(split.frame_test)] == want
             assert [r.args[0] for r in caplog.records if "(cold)" in r.getMessage()] == cold
 
         check()
+
+    def test_portions_are_labels_of_the_ratings(self, toy_dataset):
+        split = split_ratings(toy_dataset, 0.5, 0.25, seed=3)
+        assert split.portion.dtype == np.int8 and len(split.portion) == 6
+        for label, name in enumerate(PORTIONS):
+            pairs = split.pairs(name)
+            assert pairs.dtype == np.int64
+            assert pairs.tolist() == toy_dataset.ratings[split.portion == label].tolist()
+            assert getattr(split, name) == pair_set(pairs)  # the set view of the portion
+
+    @pytest.mark.parametrize("frame", [6, -1])
+    def test_a_like_naming_no_frame_is_an_integrity_error(self, toy_dataset, frame):
+        with pytest.raises(IntegrityError, match=rf"^frame like \(1, {frame}\): frame id "
+                                                 "out of range$"):
+            split_ratings(toy_dataset, 0.5, 0.25, seed=0, frame_likes={(0, 0), (1, frame)})
 
     def test_rejects_bad_fractions(self, toy_dataset):
         with pytest.raises(ConfigError):
@@ -655,13 +671,13 @@ class TestRoundTrips:
         assert back.train == split.train
         assert back.validation == split.validation
         assert back.test == split.test
-        assert back.frame_test == split.frame_test
+        assert np.array_equal(back.frame_test, split.frame_test)
 
     def test_frame_likes_load_drops_unknown(self, tmp_path, toy_dataset):
         p = tmp_path / "likes.tsv"
         p.write_text("u0\tf0\nu9\tf0\nu1\tghost\n", encoding="utf-8")
         likes = load_frame_likes(p, toy_dataset)
-        assert likes == frozenset({(0, 0)})
+        assert likes.dtype == np.int64 and likes.tolist() == [[0, 0]]
 
     def test_save_load_round_trip_properties(self, tmp_path):
         hypothesis = pytest.importorskip("hypothesis")
@@ -701,10 +717,9 @@ class TestRoundTrips:
 
             back = load_dataset(out / "ratings.tsv", out / "frames.tsv", out / "features.npy")
             assert back == ds
-            assert load_frame_likes(out / "frame_likes.tsv", back) == likes
+            assert pair_set(load_frame_likes(out / "frame_likes.tsv", back)) == likes
             got = load_split(back, out)
-            assert (got.train, got.validation, got.test, got.frame_test) == (
-                split.train, split.validation, split.test, split.frame_test)
+            assert got == split
             # frames.tsv lists the frames item by item, each item's in id order
             order = sorted(range(len(frames)), key=lambda f: (parent[f], f))
             assert (out / "frames.tsv").read_text(encoding="utf-8").splitlines() == [
@@ -732,6 +747,75 @@ class TestRoundTrips:
                     (tmp_path / f"{name}.tsv").read_text(encoding="utf-8").splitlines()]
             assert rows == sorted(rows), name
         assert (tmp_path / "ratings.tsv").read_text(encoding="utf-8").startswith("u1\ti10\n")
+
+    def test_split_check_matches_the_set_based_oracle(self, tmp_path):
+        """load_split rejects a saved split with one kind of defect injected exactly as the
+        set-based check does: the same error class and text, or no error at all."""
+        hypothesis = pytest.importorskip("hypothesis")
+        from hypothesis import strategies as st
+
+        defects = ["none", "overlap", "missing", "extra", "unmatched_likes"]
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(data=st.data(), defect=st.sampled_from(defects),
+                          seed=st.integers(0, 2**32 - 1))
+        def check(data, defect, seed):
+            ds = draw_dataset(data, st)
+            likes = data.draw(st.frozensets(st.tuples(
+                st.integers(0, ds.num_users - 1), st.integers(0, ds.num_frames - 1))))
+            split = split_ratings(ds, 0.5, 0.25, seed=seed, frame_likes=likes)
+            out = tmp_path / "out"
+            save_split(split, out)
+            files = ["train.tsv", "valid.tsv", "test.tsv"]
+            rated, test = pair_set(ds.ratings), split.test
+
+            def pick(pool):
+                return data.draw(st.sampled_from(sorted(pool)))
+
+            def add(name, left, right):
+                with open(out / name, "a", encoding="utf-8") as fh:
+                    fh.write(f"{left}\t{right}\n")
+
+            if defect in ("overlap", "missing"):
+                hypothesis.assume(len(rated))
+                row = data.draw(st.integers(0, len(rated) - 1))
+                (u, i), home = ds.ratings[row].tolist(), files[split.portion[row]]
+                if defect == "overlap":
+                    add(pick(set(files) - {home}), ds.user_ids[u], ds.item_ids[i])
+                else:
+                    lines = (out / home).read_text(encoding="utf-8").splitlines(keepends=True)
+                    lines.remove(f"{ds.user_ids[u]}\t{ds.item_ids[i]}\n")
+                    (out / home).write_text("".join(lines), encoding="utf-8")
+            elif defect == "extra":
+                unrated = {(u, i) for u in range(ds.num_users) for i in range(ds.num_items)}
+                hypothesis.assume(unrated - rated)
+                u, i = pick(unrated - rated)
+                add(pick(files), ds.user_ids[u], ds.item_ids[i])
+            elif defect == "unmatched_likes":
+                unmatched = {(u, f) for u in range(ds.num_users) for f in range(ds.num_frames)
+                             if (u, int(ds.frame_parent[f])) not in test}
+                hypothesis.assume(unmatched)
+                for u, f in data.draw(st.lists(st.sampled_from(sorted(unmatched)),
+                                               min_size=1, max_size=3)):
+                    add("frame_test.tsv", ds.user_ids[u], ds.frame_ids[f])
+
+            def outcome(call):
+                try:
+                    return call()
+                except IntegrityError as exc:
+                    return type(exc), str(exc)
+
+            users, items = ds.user_ids, ds.item_ids
+            sets = [pair_set(_read_ids(out / name, users, items)) for name in files]
+            sets.append(pair_set(_read_ids(out / "frame_test.tsv", users, ds.frame_ids)))
+            want = outcome(lambda: reference.check_split(ds, *sets))
+            got = outcome(lambda: load_split(ds, out))
+            if want is None:
+                assert defect == "none" and got == split
+            else:
+                assert defect != "none" and got == want
+
+        check()
 
     @pytest.mark.parametrize("name,line", [
         ("train.tsv", "ghost\ti0"),

@@ -362,7 +362,7 @@ def frame_ranking_pairs(split, exclude_singletons: bool = False):
     base = split.base
     out = []
     skipped = 0
-    for u, f in sorted(split.frame_test):
+    for u, f in split.frame_test.tolist():
         frames = tuple(np.flatnonzero(base.frame_parent == base.frame_parent[f]).tolist())
         if exclude_singletons and len(frames) == 1:
             skipped += 1

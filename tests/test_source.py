@@ -65,3 +65,18 @@ def test_every_import_is_used(path):
                 for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
                 and getattr(node, "module", None) != "__future__" for alias in node.names]
     assert not set(imported) - reads(tree), sorted(set(imported) - reads(tree))
+
+
+# SplitDataset's set views of its portions, kept for the benchmark's reads alone; they go,
+# with this check, when the benchmark reads split.pairs(name) (ROADMAP item 1).
+PORTION_SETS = {"train", "validation", "test"}
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_no_module_reads_the_portion_sets(module):
+    """The package reads a split's portions as id arrays, through ``split.pairs(name)``."""
+    found = [f"{module}:{n.lineno}" for n in ast.walk(TREES[module])
+             if isinstance(n, ast.Attribute) and n.attr in PORTION_SETS
+             or isinstance(n, ast.Call) and getattr(n.func, "id", None) == "getattr"
+             and any(isinstance(a, ast.Constant) and a.value in PORTION_SETS for a in n.args)]
+    assert not found, found

@@ -43,7 +43,7 @@ class TestGeneration:
         ds, likes, _ = generate_synthetic(SynthConfig(**SMALL))
         monkeypatch.setattr(model, "CATALOG_BLOCK", 1)  # one user per block
         one_ds, one_likes, _ = generate_synthetic(SynthConfig(**SMALL))
-        assert np.array_equal(one_ds.ratings, ds.ratings) and one_likes == likes
+        assert np.array_equal(one_ds.ratings, ds.ratings) and np.array_equal(one_likes, likes)
 
     # integer scores in 0..3 over 30 items: every row ties across its k-th place
     @pytest.mark.parametrize("k", [1, 2, 7, 29, 30])
@@ -57,7 +57,7 @@ class TestGeneration:
     def test_deterministic(self):
         a_ds, a_likes, a_pl = generate_synthetic(SynthConfig(**SMALL))
         b_ds, b_likes, b_pl = generate_synthetic(SynthConfig(**SMALL))
-        assert np.array_equal(a_ds.ratings, b_ds.ratings) and a_likes == b_likes
+        assert np.array_equal(a_ds.ratings, b_ds.ratings) and np.array_equal(a_likes, b_likes)
         np.testing.assert_array_equal(a_ds.frame_features, b_ds.frame_features)
         np.testing.assert_array_equal(
             a_pl.params.user_visual, b_pl.params.user_visual
@@ -100,7 +100,7 @@ class TestGeneration:
     @pytest.mark.parametrize("name", sorted(PINNED))
     def test_data_is_pinned(self, name):
         ds, likes, _ = generate_synthetic(SynthConfig(**(SMALL if name == "small" else {})))
-        text = repr((sorted(map(tuple, ds.ratings.tolist())), sorted(likes)))
+        text = repr((sorted(map(tuple, ds.ratings.tolist())), sorted(map(tuple, likes.tolist()))))
         assert hashlib.sha256(text.encode()).hexdigest() == PINNED[name]
 
     def test_frame_likes_score_only_the_rated_pairs_frames(self):
@@ -113,7 +113,7 @@ class TestGeneration:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert again == likes
+        assert np.array_equal(again, likes)
         assert peak < dense_bytes / 2, (peak, dense_bytes)
 
     def test_ratings_never_hold_the_dense_score_matrix(self):
@@ -136,15 +136,16 @@ class TestGeneration:
             SynthConfig(**{**SMALL, "frame_likes_per_pair": 5})
         with pytest.raises(ConfigError):
             SynthConfig(**{**SMALL, "num_users": 0})
-        with pytest.raises(ConfigError):
-            SynthConfig(**{**SMALL, "salient_frac": 1.5})
-        with pytest.raises(ConfigError):
-            SynthConfig(**{**SMALL, "salient_shift": float("nan")})
-        with pytest.raises(ConfigError):
-            SynthConfig(**{**SMALL, "attention_gain": float("inf")})
+        with pytest.raises(ConfigError, match="^seed must be an integer >= 0, got -1$"):
+            SynthConfig(**{**SMALL, "seed": -1})
+        # the salient share and shift and the attention gain are constants, not settings
+        for name in ("salient_frac", "salient_shift", "attention_gain"):
+            with pytest.raises(TypeError):
+                SynthConfig(**{**SMALL, name: 0.5})
 
-    def test_salient_minority_shifts_features(self):
-        cfg = SynthConfig(**{**SMALL, "salient_shift": 50.0})
+    def test_salient_minority_shifts_features(self, monkeypatch):
+        monkeypatch.setattr(synth, "SALIENT_SHIFT", 50.0)
+        cfg = SynthConfig(**SMALL)
         ds, _, _ = generate_synthetic(cfg)
         norms = np.linalg.norm(ds.frame_features, axis=1)
         big = norms > 25.0

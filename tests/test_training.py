@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from framerec.data import Dataset, split_ratings
+from framerec.data import PORTIONS, Dataset, split_ratings
 from framerec.errors import (
     ConfigError,
     EmptyDatasetError,
@@ -31,6 +31,7 @@ from framerec.training import (
     init_adam_state,
     sample_epoch,
 )
+from conftest import pair_set
 from reference import full_catalog_gradients
 
 LN2 = math.log(2.0)
@@ -73,7 +74,7 @@ class TestPairLoss:
 def sample_epoch_loop(split, neg_ratio, rng):
     """The per-user scan sample_epoch replaced, kept as its oracle."""
     base = split.base
-    train = split.train_array
+    train = split.pairs("train")
     all_items = np.arange(base.num_items, dtype=np.int64)
     pool_of_user = {}
     for u in np.unique(train[:, 0]):
@@ -97,7 +98,7 @@ class TestSampling:
         triples = sample_epoch(split, neg_ratio=4, rng=rng)
         assert triples.shape == (len(split.train) * 4, 3)
         rated = {(int(u), int(i)) for u, i in split.base.ratings}
-        train = set(map(tuple, split.train_array.tolist()))
+        train = pair_set(split.pairs("train"))
         for u, i, j in triples.tolist():
             assert (u, i) in train
             assert (u, j) not in rated  # negatives avoid every portion
@@ -129,10 +130,11 @@ class TestSampling:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_matches_the_per_user_loop(self, seed):
         split = small_split(seed=seed)
-        # move user 0's training ratings to test: a cold user
-        cold = {(u, i) for u, i in split.train if u == 0}
-        split = replace(split, train=split.train - cold, test=split.test | cold)
-        assert 0 not in split.train_array[:, 0]
+        # relabel user 0's training ratings as test: a cold user
+        portion = split.portion.copy()
+        portion[(split.base.ratings[:, 0] == 0) & (portion == 0)] = PORTIONS.index("test")
+        split = replace(split, portion=portion)
+        assert not (split.pairs("train")[:, 0] == 0).any()
         for epoch_seed in range(3):
             got = sample_epoch(split, 4, np.random.default_rng(epoch_seed))
             want = sample_epoch_loop(split, 4, np.random.default_rng(epoch_seed))
