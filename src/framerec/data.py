@@ -58,8 +58,9 @@ class Dataset:
     given (an array, a set of tuples, a ``zip``) are brought to that form.
     ``frame_parent`` names each frame's item.
     ``user_ids`` (and friends) map each dense id back to its original token,
-    and their lengths are the sizes.  Instances are safe to share read-only
-    across threads.
+    and their lengths are the sizes; ``user_index`` (and friends) map each
+    token to its id, built once per dataset for every file read against it.
+    Instances are safe to share read-only across threads.
     """
 
     ratings: np.ndarray
@@ -113,6 +114,23 @@ class Dataset:
         ids[self.frame_parent[order], slot] = order
         return ids, np.arange(ids.shape[1]) < counts[:, None], counts
 
+    @cached_property
+    def padded_features(self) -> np.ndarray:
+        """The (N, max_frames, F) features ``frame_features[frame_table[0]]``, held once.
+
+        When the frames are stored item by item, each item with as many as
+        the others (the layout ``save_dataset`` writes), this is a reshaped
+        view of ``frame_features``; otherwise it is one gathered copy.
+        """
+        ids = self.frame_table[0]
+        if ids.size == self.num_frames and (ids.ravel() == np.arange(ids.size)).all():
+            return self.frame_features.reshape(*ids.shape, self.feature_dim)
+        return self.frame_features[ids]
+
+    user_index = cached_property(lambda self: _index(self.user_ids))
+    item_index = cached_property(lambda self: _index(self.item_ids))
+    frame_index = cached_property(lambda self: _index(self.frame_ids))
+
     def describe(self) -> str:
         return (
             f"{self.num_users} users, {self.num_items} items, "
@@ -158,8 +176,13 @@ def _pair_array(pairs) -> np.ndarray:
     if arr.dtype.kind not in "iu" or arr.ndim != 2 or arr.shape[1] != 2:
         raise IntegrityError(f"ratings must be integer (user, item) pairs, "
                              f"got {arr.dtype} {arr.shape}")
-    arr = arr.astype(np.int64)[np.lexsort((arr[:, 1], arr[:, 0]))]
-    return arr[np.r_[True, (arr[1:] != arr[:-1]).any(axis=1)]] if len(arr) else arr
+    arr = arr.astype(np.int64)
+    users, items = arr.T
+    # rows strictly increasing in (user, item) are sorted and unique already
+    if ((users[1:] > users[:-1]) | (users[1:] == users[:-1]) & (items[1:] > items[:-1])).all():
+        return arr
+    arr = arr[np.lexsort((items, users))]
+    return arr[np.r_[True, (arr[1:] != arr[:-1]).any(axis=1)]]
 
 
 def check_dataset(d: Dataset) -> None:
@@ -258,15 +281,16 @@ def _ids(tokens, index: dict) -> np.ndarray:
     return np.fromiter(map(index.get, tokens, repeat(-1)), np.int64, len(tokens))
 
 
-def _read_ids(path, left: tuple, right: tuple, drop_unknown: bool = False) -> np.ndarray:
+def _read_ids(path, left: dict, right: dict, drop_unknown: bool = False) -> np.ndarray:
     """Read a two-column token file as sorted, unique (left id, right id) int64 rows.
 
-    ``left`` and ``right`` are the sorted id tuples of the two columns.  A line
-    naming an absent token raises IntegrityError with the file and line, or,
-    with ``drop_unknown``, is skipped and counted in the log.
+    ``left`` and ``right`` are the ``{token: id}`` indexes of the two columns
+    (a Dataset's ``user_index`` and friends).  A line naming an absent token
+    raises IntegrityError with the file and line, or, with ``drop_unknown``,
+    is skipped and counted in the log.
     """
     a, b = _read_pairs(path)
-    ia, ib = _ids(a, _index(left)), _ids(b, _index(right))
+    ia, ib = _ids(a, left), _ids(b, right)
     known = (ia >= 0) & (ib >= 0)
     if not known.all():
         k = int(known.argmin())
@@ -335,7 +359,7 @@ def load_frame_likes(path, dataset: Dataset) -> np.ndarray:
     because pruning removed them) are dropped with a log message; malformed
     lines still raise ParseError.
     """
-    return _read_ids(path, dataset.user_ids, dataset.frame_ids, drop_unknown=True)
+    return _read_ids(path, dataset.user_index, dataset.frame_index, drop_unknown=True)
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +528,7 @@ def load_split(dataset: Dataset, split_dir) -> SplitDataset:
     file; the first such frame_test pair in sorted order is named.
     """
     split_dir = Path(split_dir)
-    users, items = dataset.user_ids, dataset.item_ids
+    users, items = dataset.user_index, dataset.item_index
     portions = [_read_ids(split_dir / name, users, items) for name in SPLIT_FILES]
     pairs = np.concatenate(portions)
     order = np.lexsort((pairs[:, 1], pairs[:, 0]))
@@ -515,7 +539,7 @@ def load_split(dataset: Dataset, split_dir) -> SplitDataset:
         raise IntegrityError("split portions do not cover the ratings exactly")
     portion = np.repeat(np.arange(len(portions), dtype=np.int8), list(map(len, portions)))
     split = SplitDataset(dataset, portion[order],
-                         _read_ids(split_dir / FRAME_TEST_FILE, users, dataset.frame_ids))
+                         _read_ids(split_dir / FRAME_TEST_FILE, users, dataset.frame_index))
     matched = _liked_in_test(dataset, split.portion, split.frame_test)
     if not matched.all():
         u, f = split.frame_test[matched.argmin()].tolist()

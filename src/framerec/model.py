@@ -181,9 +181,15 @@ def _attention_mlp(query, key, w_query, w_key, out):
 
     The first layer is the two weight halves ``w_query`` and ``w_key``,
     applied to the query and the key apart, before they broadcast against
-    each other.  Serves the frame attention and the fusion.
+    each other.  Serves the frame attention and the fusion.  When the key
+    half has the pre-activation's shape, as the frame keys do, the query
+    half is added in the key half's own buffer.
     """
-    hidden_pre = _linear(query, w_query) + _linear(key, w_key)
+    hidden_pre, query_half = _linear(key, w_key), _linear(query, w_query)
+    if np.broadcast_shapes(hidden_pre.shape, query_half.shape) == hidden_pre.shape:
+        hidden_pre += query_half
+    else:
+        hidden_pre = hidden_pre + query_half
     return hidden_pre, np.maximum(hidden_pre, 0.0) @ out
 
 
@@ -223,6 +229,8 @@ def item_visual_table(params: ModelParams, cfg: ModelConfig, dataset: Dataset):
     features before it projects them, so it multiplies each frame's features
     by one weight only: the attention's key half folded with the key
     reduction, ``attn_hidden[:, d1:] @ attn_reduce`` (h, F), formed once here.
+    It reads the frames as ``dataset.padded_features``, which the dataset
+    holds, so a call copies no frame features.
     """
     if cfg.visual_mode == VISUAL_OFF:
         return None
@@ -234,7 +242,7 @@ def item_visual_table(params: ModelParams, cfg: ModelConfig, dataset: Dataset):
         x = (frame_emb[ids] * mask[:, :, None]).sum(axis=1) / safe[:, None]
         return VisualTable(x=x, alpha=mask / safe[:, None])
 
-    feats = dataset.frame_features[ids]  # (N, m, F), padding holds a real frame
+    feats = dataset.padded_features  # (N, m, F), padding holds a real frame
     hidden_pre, logits = _attention_mlp(  # (N, m, h), (N, m)
         params.item_collab[:, None, :], feats, params.attn_hidden[:, :cfg.d1],
         params.attn_hidden[:, cfg.d1:] @ params.attn_reduce, params.attn_out,

@@ -13,6 +13,13 @@ Everything is plain numpy: the backward pass is derived by hand and verified
 against central finite differences of the batch objective restricted to the
 touched rows, so analytic and numeric gradients agree coordinate by
 coordinate.
+
+A step is row-sparse in the three embedding tensors (``EMBEDDINGS``): the
+gradient holds only the rows the batch touches, and Adam updates only those
+rows of the tensor and of both moments (the "lazy" Adam of TensorFlow's
+``LazyAdamOptimizer`` and PyTorch's ``SparseAdam``).  An untouched row's
+moments do not decay, and momentum does not move it.  The other tensors are
+small and get dense gradients and updates.
 """
 
 from __future__ import annotations
@@ -48,6 +55,8 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 LOSS_REDUCTIONS = ("mean", "sum")
+# The tensors with one row per user or item, whose gradients are (rows, values) pairs.
+EMBEDDINGS = ("user_collab", "item_collab", "user_visual")
 
 
 @dataclass(frozen=True)
@@ -176,10 +185,15 @@ def batch_gradients(
 ):
     """Hand-derived gradients of the batch objective for the active tensors.
 
-    Returns (data_loss, grads) where grads maps each active tensor name to a
-    dense array and already includes the touched-row regularisation.  The
-    returned loss is the reduced ranking term without the regulariser.
-    Raises EmptyDatasetError for a batch without triples.
+    Returns (data_loss, grads) where grads maps each active tensor name, in
+    ``active_param_names`` order, to its gradient, which already includes
+    the touched-row regularisation.  For the tensors in ``EMBEDDINGS`` the
+    gradient is a pair (rows, values): the sorted ids of the users or items
+    the batch touches and their gradient rows; every other row's gradient
+    is zero.  The other tensors get dense arrays (``dense_gradient`` turns
+    either form into a dense array).  The returned loss is the reduced
+    ranking term without the regulariser.  Raises EmptyDatasetError for a
+    batch without triples.
     """
     batch = np.asarray(batch, dtype=np.int64)
     b = len(batch)
@@ -201,7 +215,8 @@ def batch_gradients(
     dcf = dvs = g  # d(loss)/d(collaborative and visual channel score)
     visual = cfg.visual_mode != VISUAL_OFF
     fused = visual and cfg.fusion_mode == FUSION_ATT
-    grads = {name: np.zeros_like(getattr(params, name)) for name in active_param_names(cfg)}
+    grads = {name: np.zeros_like(getattr(params, name))
+             for name in active_param_names(cfg) if name not in EMBEDDINGS}
     if fused:
         beta1, beta2 = cache.beta1, cache.beta2
         dcf, dvs = g * beta1, g * beta2
@@ -227,20 +242,29 @@ def batch_gradients(
     user_rows, user_of = np.unique(users, return_inverse=True)
     rows, item_of = np.unique(items, return_inverse=True)
     decay = 2.0 * cfg.lambda1  # d(lambda1 * |row|^2)/d(row) = decay * row
-    grads["user_collab"][user_rows] = (
-        _row_sums(user_of, du, len(user_rows)) + decay * params.user_collab[user_rows]
-    )
+    grads["user_collab"] = (user_rows, _row_sums(user_of, du, len(user_rows))
+                            + decay * params.user_collab[user_rows])
     gi = _row_sums(item_of, di, len(rows)) + decay * params.item_collab[rows]
     if visual:
         dv, dx = pair_grads(params.user_visual[users], table.x[items], dvs,
                             cache.h2_pre, -1.0)
-        grads["user_visual"][user_rows] = (
-            _row_sums(user_of, dv, len(user_rows)) + decay * params.user_visual[user_rows]
-        )
+        grads["user_visual"] = (user_rows, _row_sums(user_of, dv, len(user_rows))
+                                + decay * params.user_visual[user_rows])
         gi += _table_backward(params, cfg, dataset, table, rows,
                               _row_sums(item_of, dx, len(rows)), grads)
-    grads["item_collab"][rows] = gi
-    return float(data), grads
+    grads["item_collab"] = (rows, gi)
+    return float(data), {name: grads[name] for name in active_param_names(cfg)}
+
+
+def dense_gradient(param: np.ndarray, grad) -> np.ndarray:
+    """A gradient as a dense array shaped like ``param``: a (rows, values) pair
+    scattered into zeros, a dense gradient as it is."""
+    if not isinstance(grad, tuple):
+        return grad
+    rows, values = grad
+    dense = np.zeros_like(param)
+    dense[rows] = values
+    return dense
 
 
 def _row_sums(index, values, num_rows) -> np.ndarray:
@@ -268,7 +292,7 @@ def _table_backward(params, cfg, dataset, table, rows, gx, grads):
     which act as attention queries (0.0 in mean mode).
     """
     alpha = table.alpha[rows]
-    feats = dataset.frame_features[dataset.frame_table[0][rows]]  # (R, m, F)
+    feats = dataset.padded_features[rows]  # (R, m, F)
     grads["visual_proj"] += gx.T @ _pool(alpha, feats)
     if cfg.visual_mode == VISUAL_AVG:
         return 0.0
@@ -313,7 +337,15 @@ def init_adam_state(params: ModelParams, cfg: ModelConfig) -> AdamState:
 def adam_step(
     params: ModelParams, grads: dict, state: AdamState, tcfg: TrainConfig
 ) -> None:
-    """One bias-corrected Adam update, in place, active tensors only."""
+    """One bias-corrected Adam update, in place, of the tensors in ``grads``.
+
+    A dense gradient updates its whole tensor and both moments.  A (rows,
+    values) gradient, as ``batch_gradients`` gives for ``EMBEDDINGS``,
+    updates only those rows (which must not repeat) of the tensor and of
+    both moments, through one gather and one scatter each; every other row
+    keeps its bits.  From a fresh state this equals the dense update bit for
+    bit, since at step one a dense update leaves a zero-gradient row in place.
+    """
     state.step += 1
     t = state.step
     b1, b2 = ADAM_BETA1, ADAM_BETA2
@@ -321,14 +353,19 @@ def adam_step(
     corr2 = 1.0 - b2 ** t
     tensors = params.tensors()
     for name, grad in grads.items():
-        m = state.m[name]
-        v = state.v[name]
+        rows = slice(None)  # a dense gradient: every row, with views updated in place
+        if isinstance(grad, tuple):
+            rows, grad = grad
+        m = state.m[name][rows]
+        v = state.v[name][rows]
         m *= b1
         m += (1.0 - b1) * grad
         v *= b2
         v += (1.0 - b2) * grad * grad
+        state.m[name][rows] = m
+        state.v[name][rows] = v
         update = (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
-        tensors[name] -= tcfg.lr * update
+        tensors[name][rows] -= tcfg.lr * update
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +420,12 @@ def fit(
     """Train a model on a split; returns (params, TrainLog).
 
     Parameters default to a fresh initialisation from cfg.seed.  Each epoch
-    resamples negatives; a non-finite batch loss or gradient raises
-    NonFiniteError before the update, naming the epoch, batch and tensor, and
-    so does a non-finite validation score.  Then validation hit rate at
+    resamples negatives.  Each batch takes one ``batch_gradients`` and one
+    row-sparse ``adam_step``, so the embedding rows a batch does not touch
+    stay as they are.  A non-finite batch loss or gradient (of an embedding,
+    its touched rows are read) raises NonFiniteError before the update,
+    naming the epoch, batch and first such tensor, and so does a non-finite
+    validation score.  Then validation hit rate at
     ``valid_k`` (fixed candidate sets across epochs) drives early stopping:
     after ``patience`` epochs without improvement training stops and the
     best epoch's snapshot is returned.
@@ -412,7 +452,8 @@ def fit(
             loss, grads = batch_gradients(
                 params, cfg, base, chunk, reduction=tcfg.loss_reduction
             )
-            bad = next((n for n, g in grads.items() if not np.isfinite(g).all()), None)
+            bad = next((n for n, g in grads.items()
+                        if not np.isfinite(g[1] if isinstance(g, tuple) else g).all()), None)
             if bad is not None or not np.isfinite(loss):
                 raise NonFiniteError(
                     f"training diverged at epoch {epoch}, batch {batch}: loss {loss!r}, "
@@ -489,6 +530,8 @@ def finite_diff_check(
 
     The numeric side differences the batch objective with the regulariser
     restricted to touched rows, matching what the analytic gradient computes.
+    The analytic side is each gradient scattered to dense (``dense_gradient``),
+    so an embedding row the batch does not touch compares 0 with 0.
     Large tensors are subsampled to ``max_coords`` coordinates.  Relative
     error uses max(1e-8, |analytic| + |numeric|) as the denominator.  Raises
     NonFiniteError if either side of a compared coordinate is not finite.
@@ -508,8 +551,9 @@ def finite_diff_check(
     per_param = {}
     checked = 0
     for name in active_param_names(cfg):
-        flat = getattr(params, name).reshape(-1)
-        gflat = grads[name].reshape(-1)
+        param = getattr(params, name)
+        flat = param.reshape(-1)
+        gflat = dense_gradient(param, grads[name]).reshape(-1)
         if flat.size <= max_coords:
             coords = np.arange(flat.size)
         else:

@@ -1,6 +1,6 @@
-"""Test oracles: scalar forward path, projected table, full-catalog backward, dense teacher,
-sorted top-k, set-based prune, split and split check, per-candidate sampled evaluation,
-per-line id reader.
+"""Test oracles: scalar forward path, projected table, full-catalog backward, dense Adam,
+dense teacher, sorted top-k, set-based prune, split and split check, per-candidate sampled
+evaluation, per-line id reader, always-sorting pair array.
 
 The package scores in bulk (``item_visual_table``, ``score_pairs``,
 ``score_frames``).  The scalar functions score one instance at a time,
@@ -14,6 +14,10 @@ frame.  It shares only the forward with the package; the attention-network
 backward is written out here, with each half broadcast to full size, so it
 checks the package's backward as well as the touched-row restriction and
 the scatter.
+
+``adam_step_dense`` is the Adam update as it ran before the embeddings were
+updated row by row: every row of every tensor and of both moments, with
+each gradient scattered to dense first.
 
 ``visual_table_projected`` is the visual table as it was computed before
 pooling moved ahead of the projection: every frame projected, and the
@@ -48,6 +52,9 @@ scores.
 each file whole: Python's text mode splits the lines, and each line is
 decoded, skipped or split on its own.  It differs from that reader only in
 dropping a leading byte-order mark.
+
+``pair_array`` sorts and deduplicates integer pairs the way the package did
+before it learned to skip the sort for rows already in order.
 """
 
 from __future__ import annotations
@@ -58,7 +65,7 @@ from typing import Iterator
 
 import numpy as np
 
-from framerec import evaluation
+from framerec import evaluation, training
 from framerec.data import Dataset
 from framerec.errors import (
     ConfigError,
@@ -248,6 +255,26 @@ def full_catalog_gradients(params, cfg, dataset, batch, reduction="mean", table=
     if "user_visual" in grads:
         grads["user_visual"][t_users] += 2.0 * lam * params.user_visual[t_users]
     return float(data), grads
+
+
+def adam_step_dense(params, grads, state, tcfg) -> None:
+    """Dense bias-corrected Adam over every row of each tensor in ``grads``, in place."""
+    state.step += 1
+    t = state.step
+    b1, b2 = training.ADAM_BETA1, training.ADAM_BETA2
+    for name, grad in grads.items():
+        param = getattr(params, name)
+        if isinstance(grad, tuple):
+            rows, values = grad
+            grad = np.zeros_like(param)
+            grad[rows] = values
+        m, v = state.m[name], state.v[name]
+        m *= b1
+        m += (1.0 - b1) * grad
+        v *= b2
+        v += (1.0 - b2) * grad * grad
+        param -= tcfg.lr * ((m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t))
+                                                      + training.ADAM_EPS))
 
 
 def table_backward_full(params, cfg, dataset, table, gx, grads) -> None:
@@ -493,3 +520,9 @@ def parse_pair_file(path) -> list:
             raise ParseError(path, line_no, "ids must not contain whitespace")
         out.append((line_no, parts[0], parts[1]))
     return out
+
+
+def pair_array(pairs: np.ndarray) -> np.ndarray:
+    """(R, 2) integer rows lexsorted by (first, second) column, repeats dropped."""
+    arr = pairs.astype(np.int64)[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    return arr[np.r_[True, (arr[1:] != arr[:-1]).any(axis=1)]] if len(arr) else arr

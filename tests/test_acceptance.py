@@ -238,11 +238,12 @@ def test_criterion_6_training_recovers_planted_structure():
                            reduced_visual_dim=8, visual_mode=visual,
                            fusion_mode=fusion, seed=1)
 
-    trained = {}
+    trained, epochs = {}, []
     for visual, fusion in (("att", "att"), ("avg", "sum"), ("off", "sum")):
         cfg = model(visual, fusion)
-        params, _ = fit(split, cfg, tcfg)
+        params, log = fit(split, cfg, tcfg)
         trained[(visual, fusion)] = (params, cfg)
+        epochs.append(f"{visual}/{fusion} {len(log.epochs)} (best {log.best_epoch})")
 
     baseline = random_frame_baseline(split, k_list=(3,), seed=9)
     att_frames = evaluate_frame_rec(*trained[("att", "att")], split, k_list=(3,))
@@ -268,7 +269,7 @@ def test_criterion_6_training_recovers_planted_structure():
         f"{1.5 * baseline.hr[3]:.3f}; frame NDCG@3 att {att_frames.ndcg[3]:.3f} "
         f">= mean {avg_frames.ndcg[3]:.3f}; item NDCG@15 att "
         f"{att_items.ndcg[15]:.3f} >= off {off_items.ndcg[15]:.3f}; "
-        f"frame scoring without visuals raises; {elapsed:.0f}s",
+        f"frame scoring without visuals raises; epochs {', '.join(epochs)}; {elapsed:.0f}s",
     )
 
 

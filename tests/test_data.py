@@ -11,6 +11,7 @@ from framerec.data import (
     PORTIONS,
     Dataset,
     _line_of,
+    _pair_array,
     _read_ids,
     _read_pairs,
     check_dataset,
@@ -23,6 +24,8 @@ from framerec.data import (
     split_ratings,
 )
 from framerec.errors import ConfigError, EmptyDatasetError, IntegrityError, ParseError
+from framerec.synth import SynthConfig, generate_synthetic
+from framerec.training import gradcheck_instance
 
 import reference
 from conftest import TOY_FEATURES, TOY_FRAMES, TOY_RATINGS, pair_set, write_dataset_dir
@@ -263,7 +266,7 @@ class TestParsing:
         data, lines = lay_out(["u0\tf0", "u1\tf1", "ux\tf2"], layout)
         (tmp_path / "likes.tsv").write_bytes(data)
         with pytest.raises(IntegrityError, match=rf"likes.tsv:{lines[2]}: unknown id 'ux'$"):
-            _read_ids(tmp_path / "likes.tsv", toy_dataset.user_ids, toy_dataset.frame_ids)
+            _read_ids(tmp_path / "likes.tsv", toy_dataset.user_index, toy_dataset.frame_index)
 
         frames = TOY_FRAMES.splitlines()
         data, lines = lay_out(frames[:3] + ["fx1\tx"] + frames[3:], layout)
@@ -375,6 +378,52 @@ class TestDatasetStructure:
         assert frames(toy_dataset) == ((0, 1), (2,), (3, 4, 5))
         shuffled = replace(toy_dataset, frame_parent=np.array([2, 0, 1, 2, 0, 2]))
         assert frames(shuffled) == ((1, 4), (2,), (0, 3, 5))
+
+    def test_pair_array_matches_an_always_sorting_oracle(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        from hypothesis import strategies as st
+
+        rows = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=12)
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.example(pairs=[])
+        @hypothesis.example(pairs=[(0, 1), (0, 2), (1, 0)])  # sorted and unique
+        @hypothesis.example(pairs=[(0, 1), (0, 1), (1, 0)])  # sorted, with a duplicate
+        @hypothesis.example(pairs=[(1, 0), (0, 2)])  # unsorted
+        @hypothesis.given(pairs=st.one_of(rows, rows.map(sorted), rows.map(lambda r: sorted(set(r)))))
+        def check(pairs):
+            arr = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+            got = _pair_array(arr)
+            assert got.dtype == np.int64 and not np.shares_memory(got, arr)
+            np.testing.assert_array_equal(got, reference.pair_array(arr))
+
+        check()
+
+    def test_padded_features_are_each_items_frames(self, toy_dataset):
+        def padded(ds):
+            got = ds.padded_features
+            np.testing.assert_array_equal(got, ds.frame_features[ds.frame_table[0]])
+            assert got is ds.padded_features  # held once
+            return got
+
+        even, _, _ = generate_synthetic(SynthConfig(num_users=6, num_items=7, frames_per_item=3,
+                                                    feature_dim=4, ratings_per_user=2))
+        assert np.shares_memory(padded(even), even.frame_features)  # item-major, equal counts
+        uneven = gradcheck_instance()[2]
+        assert len(set(uneven.frame_table[2].tolist())) > 1
+        assert not np.shares_memory(padded(uneven), uneven.frame_features)
+        order = np.random.default_rng(0).permutation(even.num_frames)
+        shuffled = replace(even, frame_parent=even.frame_parent[order],
+                           frame_features=even.frame_features[order])
+        assert not np.shares_memory(padded(shuffled), shuffled.frame_features)
+        assert not np.shares_memory(padded(toy_dataset), toy_dataset.frame_features)
+
+    def test_token_indexes_are_built_once(self, toy_dataset):
+        for index, tokens in ((toy_dataset.user_index, toy_dataset.user_ids),
+                              (toy_dataset.item_index, toy_dataset.item_ids),
+                              (toy_dataset.frame_index, toy_dataset.frame_ids)):
+            assert index == {t: k for k, t in enumerate(tokens)}
+        assert toy_dataset.user_index is toy_dataset.user_index
 
     def test_equality_compares_arrays_by_value(self, toy_dataset):
         twin = replace(toy_dataset, frame_parent=toy_dataset.frame_parent.copy(),
@@ -805,9 +854,9 @@ class TestRoundTrips:
                 except IntegrityError as exc:
                     return type(exc), str(exc)
 
-            users, items = ds.user_ids, ds.item_ids
+            users, items = ds.user_index, ds.item_index
             sets = [pair_set(_read_ids(out / name, users, items)) for name in files]
-            sets.append(pair_set(_read_ids(out / "frame_test.tsv", users, ds.frame_ids)))
+            sets.append(pair_set(_read_ids(out / "frame_test.tsv", users, ds.frame_index)))
             want = outcome(lambda: reference.check_split(ds, *sets))
             got = outcome(lambda: load_split(ds, out))
             if want is None:

@@ -17,6 +17,7 @@ from framerec.errors import (
 from framerec.model import ModelConfig, init_params, item_visual_table
 from framerec.synth import SynthConfig, generate_synthetic
 from framerec.training import (
+    EMBEDDINGS,
     AdamState,
     EpochRecord,
     TrainConfig,
@@ -25,6 +26,7 @@ from framerec.training import (
     batch_gradients,
     batch_loss,
     bpr_pair_loss,
+    dense_gradient,
     finite_diff_check,
     fit,
     gradcheck_instance,
@@ -32,7 +34,7 @@ from framerec.training import (
     sample_epoch,
 )
 from conftest import pair_set
-from reference import full_catalog_gradients
+from reference import adam_step_dense, full_catalog_gradients
 
 LN2 = math.log(2.0)
 
@@ -208,8 +210,27 @@ class TestGradients:
         batch = batch[batch[:, 0] != 0]  # drop user 0 from the batch
         assert len(batch)
         _, grads = batch_gradients(params, cfg, ds, batch)
-        assert not grads["user_collab"][0].any()
-        assert not grads["user_visual"][0].any()
+        for name in ("user_collab", "user_visual"):
+            rows, _ = grads[name]
+            assert 0 not in rows
+            assert not dense_gradient(params.tensors()[name], grads[name])[0].any()
+
+    @pytest.mark.parametrize("visual,fusion", [("off", "sum"), ("att", "att")])
+    def test_embedding_gradients_hold_the_touched_rows(self, visual, fusion):
+        params, cfg, ds, batch = gradcheck_instance(seed=43, visual_mode=visual,
+                                                    fusion_mode=fusion)
+        batch = batch[batch[:, 0] != 0]
+        _, grads = batch_gradients(params, cfg, ds, batch)
+        touched = {"user_collab": np.unique(batch[:, 0]), "item_collab": np.unique(batch[:, 1:]),
+                   "user_visual": np.unique(batch[:, 0])}
+        for name, grad in grads.items():
+            tensor = params.tensors()[name]
+            if name in EMBEDDINGS:
+                rows, values = grad
+                np.testing.assert_array_equal(rows, touched[name])
+                assert values.shape == (len(rows), tensor.shape[1])
+            else:
+                assert grad.shape == tensor.shape
 
     def test_gradients_only_for_active_tensors(self):
         params, cfg, ds, batch = gradcheck_instance(seed=43, visual_mode="avg",
@@ -283,7 +304,7 @@ class TestTouchedRowBackward:
                     assert loss == want_loss
                     assert set(grads) == set(want)
                     for name, g in want.items():
-                        err = np.abs(grads[name] - g).max()
+                        err = np.abs(dense_gradient(g, grads[name]) - g).max()
                         assert err <= 1e-12 * np.abs(g).max(), (name, err)
 
 
@@ -301,8 +322,8 @@ class TestAdam:
         params.user_collab[:] = 0.0
         params.item_collab[:] = 0.0
         state = init_adam_state(params, cfg)
-        grads = {
-            "user_collab": np.array([[1.0]]),
+        grads = {  # a (rows, values) pair and a dense gradient update alike
+            "user_collab": (np.array([0]), np.array([[1.0]])),
             "item_collab": np.array([[-1.0]]),
         }
         adam_step(params, grads, state, tcfg)
@@ -329,6 +350,55 @@ class TestAdam:
             adam_step(params, g, state, tcfg)
             step = before - params.user_collab[0, 0]
             np.testing.assert_allclose(step, 0.01 * 0.5 / (0.5 + 1e-8), rtol=1e-9)
+
+    @pytest.mark.parametrize("visual,fusion", MODES)
+    def test_first_step_equals_the_dense_update(self, visual, fusion, s_split):
+        # from a fresh state a dense update moves an untouched row by exactly 0
+        cfg = small_model(d1=8, d2=8, visual_mode=visual, fusion_mode=fusion)
+        base = s_split.base
+        batch = sample_epoch(s_split, 10, np.random.default_rng(4))[:64]
+        tcfg = TrainConfig(lr=0.01)
+        fresh = init_params(cfg, base)
+        _, grads = batch_gradients(fresh, cfg, base, batch)
+        lazy, dense = fresh.copy(), fresh.copy()
+        lazy_state, dense_state = init_adam_state(lazy, cfg), init_adam_state(dense, cfg)
+        adam_step(lazy, grads, lazy_state, tcfg)
+        adam_step_dense(dense, grads, dense_state, tcfg)
+        for name in grads:
+            np.testing.assert_array_equal(lazy.tensors()[name], dense.tensors()[name])
+            np.testing.assert_array_equal(lazy_state.m[name], dense_state.m[name])
+            np.testing.assert_array_equal(lazy_state.v[name], dense_state.v[name])
+        untouched = np.setdiff1d(np.arange(base.num_items), batch[:, 1:])
+        assert len(untouched)
+        np.testing.assert_array_equal(dense.item_collab[untouched], fresh.item_collab[untouched])
+        assert not np.array_equal(dense.item_collab, fresh.item_collab)
+
+    @pytest.mark.parametrize("visual,fusion", [("off", "sum"), ("att", "att")])
+    def test_rows_outside_the_batch_keep_their_bits(self, visual, fusion, s_split):
+        cfg = small_model(d1=8, d2=8, visual_mode=visual, fusion_mode=fusion)
+        base = s_split.base
+        triples = sample_epoch(s_split, 10, np.random.default_rng(5))
+        params = init_params(cfg, base)
+        state = init_adam_state(params, cfg)
+        tcfg = TrainConfig(lr=0.01)
+        for step, lo in enumerate(range(0, 4 * 64, 64), start=1):
+            batch = triples[lo: lo + 64]
+            _, grads = batch_gradients(params, cfg, base, batch)
+            before = params.copy()
+            moments = {n: (state.m[n].copy(), state.v[n].copy()) for n in grads}
+            adam_step(params, grads, state, tcfg)
+            for name in EMBEDDINGS:
+                if name not in grads:
+                    continue
+                rows = grads[name][0]
+                out = np.setdiff1d(np.arange(len(before.tensors()[name])), rows)
+                assert len(out) and len(rows)
+                for got, was in ((params.tensors()[name], before.tensors()[name]),
+                                 (state.m[name], moments[name][0]),
+                                 (state.v[name], moments[name][1])):
+                    np.testing.assert_array_equal(got[out], was[out])
+                    if step > 1:  # the touched rows' moments decay, so they move
+                        assert not np.array_equal(got[rows], was[rows])
 
     def test_only_active_tensors_tracked(self):
         params, cfg, ds, _ = gradcheck_instance(seed=3, visual_mode="off",
