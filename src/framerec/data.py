@@ -127,6 +127,27 @@ class Dataset:
             return self.frame_features.reshape(*ids.shape, self.feature_dim)
         return self.frame_features[ids]
 
+    @cached_property
+    def _pool_keys(self):
+        """(start, keys): each user's first row in ``ratings``, and per rating
+        ``user * N`` plus the count of the user's unrated items below the item."""
+        users, items = self.ratings.T
+        counts = np.bincount(users, minlength=self.num_users)
+        start = np.cumsum(counts) - counts
+        return start, users * self.num_items + items - (np.arange(len(users)) - start[users])
+
+    def unrated_items(self, users, k) -> np.ndarray:
+        """The item at pool index ``k`` of each of ``users``: its k-th (0-based) unrated item.
+
+        ``users`` and ``k`` are id arrays that broadcast together, and each k
+        lies below its user's count of unrated items.  The k-th unrated item
+        is k plus the rated items with at most k unrated ones below them,
+        found by one ``searchsorted`` over all ratings.
+        """
+        start, keys = self._pool_keys
+        users, k = np.asarray(users), np.asarray(k)
+        return k + np.searchsorted(keys, users * self.num_items + k, side="right") - start[users]
+
     user_index = cached_property(lambda self: _index(self.user_ids))
     item_index = cached_property(lambda self: _index(self.item_ids))
     frame_index = cached_property(lambda self: _index(self.frame_ids))
@@ -349,6 +370,9 @@ def load_dataset(ratings_path, frames_path, features_path) -> Dataset:
         frame_ids=tuple(frame_tokens),
     )
     check_dataset(d)
+    # the cached indexes, so that reading a split against d does not build them again
+    object.__setattr__(d, "user_index", user_index)
+    object.__setattr__(d, "item_index", item_index)
     return d
 
 

@@ -4,12 +4,11 @@ Both tasks rank a held-out positive within a row of candidate scores, fill
 a (repeats, pairs) matrix with its ranks, and reduce that matrix to HR@K
 and NDCG@K.  Item evaluation follows the sampled-candidates protocol: each
 positive is ranked against negatives drawn from the items its user never
-rated anywhere, and the draw is repeated.  When the repeats would score
-more candidates per pair than the catalog holds, each user's whole catalog
-is scored once and every repeat reads its candidates from it; the draws,
-and so the reports, are the same either way.  Frame evaluation is exhaustive:
-a liked frame is ranked against all frames of its parent item, so it needs
-no sampling and no repeats.
+rated anywhere, and the draw is repeated, by one of two paths that sample
+the same distribution of ranks from different random bits (see
+``evaluate_item_rec``); pools smaller than the negatives asked for give exact
+ranks on both.  Frame evaluation is exhaustive: a liked frame is ranked
+against all frames of its parent item, so it needs no sampling and no repeats.
 
 Ranks are pessimistic about ties: a candidate scoring exactly the same as
 the positive pushes the positive down.  Non-finite scores raise
@@ -36,12 +35,14 @@ from .model import (
 
 logger = logging.getLogger(__name__)
 
-# Item evaluation draws and scores CANDIDATE_BLOCK // num_items pairs at a
-# time (at least one), so a block's random keys, its rows of the rated mask
-# and its users' catalog scores hold at most this many entries each.  The
-# block changes no draw.  Catalog scores may round apart by an ulp with it,
-# because score_catalog forms the user half of the fusion once per block.
+# Item evaluation scores CANDIDATE_BLOCK // num_items pairs at a time (at
+# least one), so a block's rated mask, catalog scores and candidates hold at
+# most this many entries each, and draws DRAW_BLOCK // num_items pairs'
+# negatives at a time, over at most this many bools.  Neither changes a draw;
+# catalog scores may round apart by an ulp with CANDIDATE_BLOCK, because
+# score_catalog forms the user half of the fusion once per block.
 CANDIDATE_BLOCK = 1 << 17
+DRAW_BLOCK = 1 << 21
 
 # The split portions item evaluation ranks, named as in data.PORTIONS.
 ITEM_SPLITS = ("test", "validation")
@@ -124,12 +125,13 @@ def check_sampling(n_negatives: int, repeats: int) -> None:
         raise ConfigError(f"n_negatives must be >= 1, got {n_negatives}")
 
 
-def _ranks(scores: np.ndarray, valid: np.ndarray, task: str) -> np.ndarray:
-    """rank_of_first of each row of a score matrix, over its valid entries."""
+def _ranks(positive: np.ndarray, scores: np.ndarray, valid: np.ndarray, task: str):
+    """Rank of each row's ``positive`` among the row's valid ``scores``, which hold it:
+    how many are >= it, so ties rank it worst.  NonFiniteError for a valid non-finite score."""
     bad = int(np.count_nonzero(valid & ~np.isfinite(scores)))
     if bad:
         raise NonFiniteError(f"{task} evaluation: {bad} non-finite scores")
-    return rank_of_first(np.where(valid, scores, -np.inf))
+    return np.count_nonzero(valid & (scores >= positive[:, None]), axis=1)
 
 
 def _report(task, split_name, k_list, ranks, warnings, n_negatives=None) -> EvalReport:
@@ -155,46 +157,51 @@ def _report(task, split_name, k_list, ranks, warnings, n_negatives=None) -> Eval
                       n_negatives, tuple(warnings))
 
 
-def _draw_negatives(rng: np.random.Generator, rated: np.ndarray, take: int):
-    """Draw ``take`` items per row of a (rows, N) rated mask, without replacement.
+def _draw_pool(rng: np.random.Generator, pool: np.ndarray, take: int):
+    """Draw min(take, P) distinct pool indices in [0, P) for each pool size P in ``pool``.
 
-    Each item gets a uniform random key, rated items +inf, and the ``take``
-    smallest keys are drawn.  Returns (negatives, valid); valid is False where
-    a row's unrated pool ran out and the slot holds a rated item.  Keys are
-    drawn row after row, so drawing a block of rows at a time changes nothing.
+    Returns (negatives, valid), (rows, take) with rows ascending; valid is
+    False past a row's pool.  A row with P <= take holds its whole pool; one
+    with P > take runs Floyd's algorithm (Bentley & Floyd, CACM 1987) on
+    ``take`` uniforms of its own, so the rows drawn at a time change no draw.
+    All rows step together over a (rows, max P) membership workspace.
     """
-    keys = rng.random(rated.shape)
-    keys[rated] = np.inf
-    negs = np.argpartition(keys, take - 1, axis=1)[:, :take]
-    return negs, np.take_along_axis(keys, negs, axis=1) < np.inf
+    negs = np.tile(np.arange(take), (len(pool), 1))
+    big = np.flatnonzero(pool > take)
+    if len(big):
+        # step i draws t uniform in [0, j], j = P - take + i, and takes j instead if t is taken
+        u = rng.random((len(big), take)).T  # column r holds row r's uniforms
+        j = pool[big] - take + np.arange(take)[:, None]
+        t = np.ascontiguousarray((u * (j + 1)).astype(np.int64))
+        width = int(pool[big].max())
+        offset = np.arange(len(big)) * width
+        seen = np.zeros(len(big) * width, dtype=bool)
+        for i in range(take):
+            t[i] = np.where(seen[offset + t[i]], j[i], t[i])
+            seen[offset + t[i]] = True
+        negs[big] = np.sort(t.T, axis=1)  # sorted lookups make unrated_items' search faster
+    return negs, negs < pool[:, None]
 
 
-def evaluate_item_rec(
-    params: ModelParams,
-    cfg: ModelConfig,
-    split: SplitDataset,
-    k_list=(5, 10, 15, 20),
-    n_negatives: int = 1000,
-    repeats: int = 10,
-    seed: int = 0,
-    split_name: str = "test",
-) -> EvalReport:
+def evaluate_item_rec(params: ModelParams, cfg: ModelConfig, split: SplitDataset,
+                      k_list=(5, 10, 15, 20), n_negatives: int = 1000, repeats: int = 10,
+                      seed: int = 0, split_name: str = "test") -> EvalReport:
     """Rank each held-out positive against sampled unrated negatives.
 
-    The candidate pool for a user excludes every item the user rated in any
-    portion of the split.  Negatives are drawn without replacement; when the
-    pool is smaller than ``n_negatives`` the whole pool is used once and a
-    warning is recorded.  Repeat r draws the negatives of all pairs, in
-    sorted pair order, from the r-th generator spawned from ``seed``.
+    A user's pool holds the P items the user rated in no portion of the
+    split.  Negatives are drawn without replacement; when the pool is
+    smaller than ``n_negatives`` it is used whole and a warning is recorded.
+    Repeat r draws for all pairs, in sorted pair order, from the r-th
+    generator spawned from ``seed``.
 
-    Pairs are taken a block at a time, and each block runs every repeat.
     When ``repeats * (take + 1)`` exceeds the catalog, ``take`` being the
-    negatives actually drawn per pair, the block scores each of its users
-    against every item once, through ``score_catalog``, and each repeat
-    gathers its candidates' scores from that; otherwise each repeat scores
-    its candidates with ``score_pairs``.  The catalog path scores every
-    item, so a visual model raises MissingFramesError for any item without
-    frames, drawn or not.
+    negatives drawn per pair, ``score_catalog`` scores each pair's user
+    against every item (so a visual model raises MissingFramesError for any
+    item without frames), and c counts the pool items scoring at least the
+    positive.  Of min(take, P) negatives, Hypergeometric(c, P - c, min(take,
+    P)) score at least it (Krichene & Rendle, KDD 2020), so each repeat ranks
+    it at 1 plus one such draw.  Otherwise each repeat draws the negatives by
+    ``_draw_pool`` and scores them with ``score_pairs``.
     """
     k_list = check_cutoffs(k_list)
     if split_name not in ITEM_SPLITS:
@@ -210,38 +217,47 @@ def evaluate_item_rec(
     n_rated = np.bincount(base.ratings[:, 0], minlength=base.num_users)
     pool = base.num_items - n_rated[users]
     take = int(min(n_negatives, pool.max()))
-    warnings = []
     short = int(np.count_nonzero(pool < n_negatives))
-    if short:
-        warnings.append(
-            f"{short} of {len(users)} pairs had fewer than {n_negatives} "
-            "unrated items; used the full pool"
-        )
-        logger.warning(warnings[-1])
+    warnings = [f"{short} of {len(users)} pairs had fewer than {n_negatives} "
+                "unrated items; used the full pool"] if short else []
+    for warning in warnings:
+        logger.warning(warning)
 
     table = item_visual_table(params, cfg, dataset=base)
     rows = max(1, CANDIDATE_BLOCK // base.num_items)
-    catalog = repeats * (take + 1) > base.num_items
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(repeats)]
-    ranks = np.empty((repeats, len(users)), dtype=np.int64)
-    for lo in range(0, len(users), rows):
-        u = users[lo: lo + rows]
-        # the block's rows of the (users, items) rated mask, never held whole
-        mask = np.zeros((len(u), base.num_items), dtype=bool)
-        mask[np.repeat(np.arange(len(u)), n_rated[u]),
-             np.concatenate([rated[x] for x in u])] = True
-        if catalog:
+    if repeats * (take + 1) > base.num_items:
+        count = np.empty(len(users), dtype=np.int64)
+        for lo in range(0, len(users), rows):
+            u, p = users[lo: lo + rows], positives[lo: lo + rows]
+            at = np.arange(len(u))
+            # the block's rows of the (users, items) rated mask, never held whole,
+            # with each positive left out of it, so that it counts itself
+            mask = np.zeros((len(u), base.num_items), dtype=bool)
+            mask[np.repeat(at, n_rated[u]), np.concatenate([rated[x] for x in u])] = True
+            mask[at, p] = False
             uniq, inverse = np.unique(u, return_inverse=True)
             block = score_catalog(uniq, params, cfg, base, table=table)[inverse]
+            count[lo: lo + rows] = _ranks(block[at, p], block, ~mask, "item") - 1
+        drawn = np.minimum(take, pool)
+        ranks = 1 + np.array([rng.hypergeometric(count, pool - count, drawn) for rng in rngs])
+        return _report("item", split_name, k_list, ranks, warnings, n_negatives)
+
+    ranks = np.empty((repeats, len(users)), dtype=np.int64)
+    chunk = max(1, DRAW_BLOCK // base.num_items)
+    for lo in range(0, len(users), chunk):
+        u, pos = users[lo: lo + chunk], positives[lo: lo + chunk]
         for r, rng in enumerate(rngs):
-            negs, valid = _draw_negatives(rng, mask, take)
-            cands = np.column_stack([positives[lo: lo + rows], negs])
-            if catalog:
-                scores = np.take_along_axis(block, cands, axis=1)
-            else:
-                scores = score_pairs(u[:, None], cands, params, cfg, base, table=table)
+            negs, valid = _draw_pool(rng, pool[lo: lo + chunk], take)
+            # the positive first; a slot past the pool holds it again, not counted
+            cands = np.column_stack([pos, np.where(valid, base.unrated_items(u[:, None], negs),
+                                                   pos[:, None])])
             valid = np.column_stack([np.ones(len(u), dtype=bool), valid])
-            ranks[r, lo: lo + rows] = _ranks(scores, valid, "item")
+            for b in range(0, len(u), rows):
+                s = slice(b, b + rows)
+                scores = score_pairs(u[s, None], cands[s], params, cfg, base, table=table)
+                ranks[r, lo + b: lo + b + len(scores)] = _ranks(
+                    scores[:, 0], scores, valid[s], "item")
     return _report("item", split_name, k_list, ranks, warnings, n_negatives)
 
 
@@ -266,38 +282,24 @@ def _frame_report(task, split: SplitDataset, k_list, exclude_singletons, score):
     frames, valid = ids[items], mask[items]
     scores = np.zeros(frames.shape)
     scores[valid] = score(np.broadcast_to(pairs[:, :1], frames.shape)[valid], frames[valid])
-    # the liked frame's score trades places with column 0, the positive's
-    rows = np.arange(len(pairs))
-    liked = np.argmax(frames == pairs[:, 1:], axis=1)
-    scores[rows, 0], scores[rows, liked] = scores[rows, liked], scores[rows, 0]
-    return _report(task, "test", k_list, _ranks(scores, valid, task)[None], warnings)
+    liked = scores[np.arange(len(pairs)), np.argmax(frames == pairs[:, 1:], axis=1)]
+    return _report(task, "test", k_list, _ranks(liked, scores, valid, task)[None], warnings)
 
 
-def evaluate_frame_rec(
-    params: ModelParams,
-    cfg: ModelConfig,
-    split: SplitDataset,
-    k_list=(1, 2, 3),
-    exclude_singletons: bool = False,
-) -> EvalReport:
+def evaluate_frame_rec(params: ModelParams, cfg: ModelConfig, split: SplitDataset,
+                       k_list=(1, 2, 3), exclude_singletons: bool = False) -> EvalReport:
     """Rank each liked frame against all frames of its parent item.
 
     Exhaustive and deterministic, so repeats and negative sampling do not
     apply.  score_frames raises UnsupportedTaskError when the visual pathway
     is off, because the model then has no frame scores at all.
     """
-    return _frame_report(
-        "frame", split, k_list, exclude_singletons,
-        lambda users, frames: score_frames(users, frames, params, cfg, split.base),
-    )
+    return _frame_report("frame", split, k_list, exclude_singletons,
+                         lambda users, frames: score_frames(users, frames, params, cfg, split.base))
 
 
-def random_frame_baseline(
-    split: SplitDataset,
-    k_list=(1, 2, 3),
-    seed: int = 0,
-    exclude_singletons: bool = False,
-) -> EvalReport:
+def random_frame_baseline(split: SplitDataset, k_list=(1, 2, 3), seed: int = 0,
+                          exclude_singletons: bool = False) -> EvalReport:
     """Frame evaluation with uniform random scores instead of the model's.
 
     The reference point for the frame task: with m frames per item its
@@ -305,7 +307,5 @@ def random_frame_baseline(
     """
     check_seed(seed)
     rng = np.random.default_rng(seed)
-    return _frame_report(
-        "frame_baseline", split, k_list, exclude_singletons,
-        lambda users, frames: rng.random(len(frames)),
-    )
+    return _frame_report("frame_baseline", split, k_list, exclude_singletons,
+                         lambda users, frames: rng.random(len(frames)))

@@ -107,28 +107,25 @@ def sample_epoch(split: SplitDataset, neg_ratio: int, rng: np.random.Generator) 
 
     Every training rating contributes ``neg_ratio`` triples.  Negatives are
     uniform over the items the user never rated in any portion, drawn with
-    replacement; the returned rows are shuffled.  Raises SamplingError if a
-    training user has rated every item.
+    replacement: one uniform per triple, drawn in one call, picks an index
+    into the user's unrated pool (``Dataset.unrated_items``).  The returned
+    rows are shuffled.  Raises SamplingError, before any draw, if a training
+    user has rated every item.
     """
     base = split.base
     train = split.pairs("train")
     if train.size == 0:
         raise SamplingError("training split is empty")
-    reps = np.repeat(train, neg_ratio, axis=0)  # sorted, so each user's rows are contiguous
-    negs = np.empty(len(reps), dtype=np.int64)
-    counts = np.bincount(train[:, 0]) * neg_ratio
-    users = np.flatnonzero(counts)
-    starts = np.cumsum(counts) - counts
-    for u, lo, n in zip(users.tolist(), starts[users].tolist(), counts[users].tolist()):
-        rated = base.items_of_user[u]
-        if len(rated) == base.num_items:
-            raise SamplingError(
-                f"user {base.user_ids[u]!r} has rated every item; "
-                "cannot sample negatives"
-            )
-        # the k-th unrated item is k plus the rated items with at most k unrated ones below
-        k = rng.integers(0, base.num_items - len(rated), size=n)
-        negs[lo: lo + n] = k + np.searchsorted(rated - np.arange(len(rated)), k, side="right")
+    pool = base.num_items - np.bincount(base.ratings[:, 0], minlength=base.num_users)
+    full = np.flatnonzero(pool[train[:, 0]] == 0)
+    if len(full):
+        raise SamplingError(
+            f"user {base.user_ids[train[full[0], 0]]!r} has rated every item; "
+            "cannot sample negatives"
+        )
+    reps = np.repeat(train, neg_ratio, axis=0)
+    k = (rng.random(len(reps)) * pool[reps[:, 0]]).astype(np.int64)  # below the pool size
+    negs = base.unrated_items(reps[:, 0], k)
     triples = np.column_stack([reps, negs])
     return triples[rng.permutation(len(triples))]
 

@@ -1,6 +1,6 @@
 """Test oracles: scalar forward path, projected table, full-catalog backward, dense Adam,
-dense teacher, sorted top-k, set-based prune, split and split check, per-candidate sampled
-evaluation, per-line id reader, always-sorting pair array.
+dense teacher, sorted top-k, set-based prune, split and split check, key-draw sampled
+evaluation and the package's draw pair by pair, per-line id reader, always-sorting pair array.
 
 The package scores in bulk (``item_visual_table``, ``score_pairs``,
 ``score_frames``).  The scalar functions score one instance at a time,
@@ -41,12 +41,18 @@ split check as it ran while a split held its portions and frame likes as
 sets of tuples: set intersections, the union's sorted tuples against the
 ratings, and a membership test per frame_test pair, taken in sorted order.
 
-``sampled_item_eval`` is item evaluation as it ran before it learned to
-score each user's catalog once: repeat after repeat, every block of pairs
-draws its negatives and scores its (user, candidate) rows one by one.  It
-shares the package's draw, rank and report helpers, so a bit-identical
-report shows that the catalog block changed neither the draws nor the
-scores.
+``sampled_item_eval`` is item evaluation as it ran before it drew ranks
+from exact counts: each repeat gives every (pair, item) a uniform random key
+(``draw_negatives``), draws each pair's unrated items with the smallest
+keys, and scores every (user, candidate) row.  It is the distribution oracle
+for ``evaluate_item_rec``, and with the pools exhausted its candidates are
+fixed, so the reports match bit for bit.
+
+``protocol_item_eval`` is ``evaluate_item_rec``'s draw written out pair by
+pair: the count of each pair's unrated items scoring at least the positive,
+by ``score_pairs`` over the pair's whole pool, then the same hypergeometric
+draws; or Floyd's algorithm one pair at a time on the same uniforms, with
+each pool index looked up in the pair's ``np.setdiff1d`` pool.
 
 ``parse_pair_file`` is the id-file reader as it ran before the package read
 each file whole: Python's text mode splits the lines, and each line is
@@ -459,38 +465,99 @@ def items_of_user(dataset) -> list:
     return [sorted(i for v, i in pairs if v == u) for u in range(dataset.num_users)]
 
 
-def sampled_item_eval(params, cfg, split, k_list=(5, 10, 15, 20), n_negatives=1000,
-                      repeats=10, seed=0, split_name="test"):
-    """``evaluate_item_rec`` scoring every repeat's candidates of every pair."""
+def draw_negatives(rng: np.random.Generator, rated: np.ndarray, take: int):
+    """Draw ``take`` items per row of a (rows, N) rated mask, without replacement.
+
+    Each item gets a uniform random key, rated items +inf, and the ``take``
+    smallest keys are drawn.  Returns (negatives, valid); valid is False where
+    a row's unrated pool ran out and the slot holds a rated item.
+    """
+    keys = rng.random(rated.shape)
+    keys[rated] = np.inf
+    negs = np.argpartition(keys, take - 1, axis=1)[:, :take]
+    return negs, np.take_along_axis(keys, negs, axis=1) < np.inf
+
+
+def _item_eval_setup(split, k_list, n_negatives, repeats, split_name):
+    """(k_list, users, positives, pools, take, warnings) as evaluate_item_rec finds them."""
     k_list = evaluation.check_cutoffs(k_list)
     evaluation.check_sampling(n_negatives, repeats)
-    pairs = getattr(split, split_name)
     base = split.base
-    users, positives = np.array(sorted(pairs), dtype=np.int64).T
-    rated = base.items_of_user
-    n_rated = np.array([len(r) for r in rated], dtype=np.int64)
-    pool = base.num_items - n_rated[users]
-    take = int(min(n_negatives, pool.max()))
-    warnings = []
-    short = int(np.count_nonzero(pool < n_negatives))
-    if short:
-        warnings.append(f"{short} of {len(users)} pairs had fewer than {n_negatives} "
-                        "unrated items; used the full pool")
+    users, positives = split.pairs(split_name).T
+    all_items = np.arange(base.num_items)
+    pools = [np.setdiff1d(all_items, base.items_of_user[u]) for u in users.tolist()]
+    sizes = np.array([len(p) for p in pools])
+    take = int(min(n_negatives, sizes.max()))
+    short = int(np.count_nonzero(sizes < n_negatives))
+    warnings = [f"{short} of {len(users)} pairs had fewer than {n_negatives} "
+                "unrated items; used the full pool"] if short else []
+    return k_list, users, positives, pools, take, warnings
+
+
+def sampled_item_eval(params, cfg, split, k_list=(5, 10, 15, 20), n_negatives=1000,
+                      repeats=10, seed=0, split_name="test"):
+    """``evaluate_item_rec``'s protocol by the key draw, scoring every candidate."""
+    k_list, users, positives, _, take, warnings = _item_eval_setup(
+        split, k_list, n_negatives, repeats, split_name)
+    base = split.base
     table = item_visual_table(params, cfg, dataset=base)
-    rows = max(1, evaluation.CANDIDATE_BLOCK // base.num_items)
     ranks = np.empty((repeats, len(users)), dtype=np.int64)
     for r, seq in enumerate(np.random.SeedSequence(seed).spawn(repeats)):
         rng = np.random.default_rng(seq)
-        for lo in range(0, len(users), rows):
-            u = users[lo: lo + rows]
-            mask = np.zeros((len(u), base.num_items), dtype=bool)
-            mask[np.repeat(np.arange(len(u)), n_rated[u]),
-                 np.concatenate([rated[x] for x in u])] = True
-            negs, valid = evaluation._draw_negatives(rng, mask, take)
-            cands = np.column_stack([positives[lo: lo + rows], negs])
-            scores = score_pairs(u[:, None], cands, params, cfg, base, table=table)
-            valid = np.column_stack([np.ones(len(u), dtype=bool), valid])
-            ranks[r, lo: lo + rows] = evaluation._ranks(scores, valid, "item")
+        mask = np.zeros((len(users), base.num_items), dtype=bool)
+        for row, u in enumerate(users.tolist()):
+            mask[row, base.items_of_user[u]] = True
+        negs, valid = draw_negatives(rng, mask, take)
+        cands = np.column_stack([positives, negs])
+        scores = score_pairs(users[:, None], cands, params, cfg, base, table=table)
+        valid = np.column_stack([np.ones(len(users), dtype=bool), valid])
+        ranks[r] = evaluation.rank_of_first(np.where(valid, scores, -np.inf))
+    return evaluation._report("item", split_name, k_list, ranks, warnings, n_negatives)
+
+
+def catalog_counts(params, cfg, split, split_name="test"):
+    """(counts, pools): per sorted pair, its unrated items scoring at least the
+    positive, by ``score_pairs`` over the whole pool, and the pool's size."""
+    base = split.base
+    table = item_visual_table(params, cfg, dataset=base)
+    counts, sizes = [], []
+    for u, i in split.pairs(split_name).tolist():
+        pool = np.setdiff1d(np.arange(base.num_items), base.items_of_user[u])
+        s = score_pairs(np.full(len(pool) + 1, u), np.r_[i, pool], params, cfg, base,
+                        table=table)
+        counts.append(int(np.sum(s[1:] >= s[0])))
+        sizes.append(len(pool))
+    return np.array(counts, dtype=np.int64), np.array(sizes, dtype=np.int64)
+
+
+def protocol_item_eval(params, cfg, split, k_list=(5, 10, 15, 20), n_negatives=1000,
+                       repeats=10, seed=0, split_name="test"):
+    """``evaluate_item_rec``'s draws, one pair at a time."""
+    k_list, users, positives, pools, take, warnings = _item_eval_setup(
+        split, k_list, n_negatives, repeats, split_name)
+    base = split.base
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(repeats)]
+    if repeats * (take + 1) > base.num_items:
+        counts, sizes = catalog_counts(params, cfg, split, split_name)
+        drawn = np.minimum(take, sizes)
+        ranks = 1 + np.array([rng.hypergeometric(counts, sizes - counts, drawn)
+                              for rng in rngs])
+        return evaluation._report("item", split_name, k_list, ranks, warnings, n_negatives)
+    table = item_visual_table(params, cfg, dataset=base)
+    ranks = np.empty((repeats, len(users)), dtype=np.int64)
+    for r, rng in enumerate(rngs):
+        for row, (u, i, pool) in enumerate(zip(users.tolist(), positives.tolist(), pools)):
+            if len(pool) <= take:
+                picked = list(range(len(pool)))
+            else:
+                picked = []
+                for step, x in enumerate(rng.random(take).tolist()):
+                    j = len(pool) - take + step
+                    t = int(x * (j + 1))
+                    picked.append(j if t in picked else t)
+            cands = np.r_[i, pool[picked]].astype(np.int64)
+            s = score_pairs(np.full(len(cands), u), cands, params, cfg, base, table=table)
+            ranks[r, row] = 1 + int(np.sum(s[1:] >= s[0]))
     return evaluation._report("item", split_name, k_list, ranks, warnings, n_negatives)
 
 

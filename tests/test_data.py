@@ -425,6 +425,35 @@ class TestDatasetStructure:
             assert index == {t: k for k, t in enumerate(tokens)}
         assert toy_dataset.user_index is toy_dataset.user_index
 
+    def test_loaded_dataset_keeps_the_indexes_it_built(self, tmp_path):
+        # load_dataset hands its {token: id} dicts over, so reading a split builds none
+        ds = load_toy(tmp_path)
+        assert {"user_index", "item_index"} <= vars(ds).keys()
+        assert ds.user_index == {t: k for k, t in enumerate(ds.user_ids)}
+        assert ds.item_index == {t: k for k, t in enumerate(ds.item_ids)}
+
+    def test_unrated_items_matches_a_setdiff_loop(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        from hypothesis import strategies as st
+
+        # users without ratings, and users who rated every item, are drawn too
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(data=st.data())
+        def check(data):
+            ds = draw_dataset(data, st, min_frames=0)
+            pools = [np.setdiff1d(np.arange(ds.num_items), ds.items_of_user[u])
+                     for u in range(ds.num_users)]
+            for u, pool in enumerate(pools):
+                got = ds.unrated_items(np.full(len(pool), u), np.arange(len(pool)))
+                assert got.tolist() == pool.tolist()
+            # a (users, k) block, users broadcast down its rows
+            width = min(map(len, pools))
+            users = np.arange(ds.num_users)
+            got = ds.unrated_items(users[:, None], np.tile(np.arange(width), (len(users), 1)))
+            assert got.tolist() == [pool[:width].tolist() for pool in pools]
+
+        check()
+
     def test_equality_compares_arrays_by_value(self, toy_dataset):
         twin = replace(toy_dataset, frame_parent=toy_dataset.frame_parent.copy(),
                        frame_features=toy_dataset.frame_features.copy())

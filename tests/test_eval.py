@@ -1,5 +1,6 @@
 """Rank computation, metric values, and the two evaluation protocols."""
 
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -109,13 +110,24 @@ class TestItemEvaluation:
     # 3 negatives x 3 repeats score candidates; 8 and 10 000 score the catalog
     @pytest.mark.parametrize("n_negatives", [3, 8, 10_000])
     def test_scoring_blocks_do_not_change_the_report(self, monkeypatch, n_negatives):
-        split, planted = synth_split(seed=3)
+        split, _ = synth_split(seed=3)
         kw = dict(k_list=(1, 5), n_negatives=n_negatives, repeats=3, seed=4)
-        default = evaluate_item_rec(planted.params, planted.cfg, split, **kw)
-        monkeypatch.setattr(evaluation, "CANDIDATE_BLOCK", 1)  # one pair per block
-        blocked = evaluate_item_rec(planted.params, planted.cfg, split, **kw)
-        assert blocked.to_dict() == default.to_dict()
-        assert blocked.to_tsv() == default.to_tsv()
+        for visual in VISUAL_MODES:
+            for fusion in FUSION_MODES:
+                cfg = replace(make_cfg(), visual_mode=visual, fusion_mode=fusion)
+                params = init_params(cfg, split.base)
+                default = evaluate_item_rec(params, cfg, split, **kw)
+                # one pair per scoring block, per draw chunk, and per both; then
+                # draw chunks of 8 pairs, scored 3, 3 and 2 at a time
+                for blocks in ({"CANDIDATE_BLOCK": 1}, {"DRAW_BLOCK": 1},
+                               {"CANDIDATE_BLOCK": 1, "DRAW_BLOCK": 1},
+                               {"CANDIDATE_BLOCK": 75, "DRAW_BLOCK": 200}):
+                    with monkeypatch.context() as m:
+                        for name, value in blocks.items():
+                            m.setattr(evaluation, name, value)
+                        blocked = evaluate_item_rec(params, cfg, split, **kw)
+                    assert blocked.to_dict() == default.to_dict(), (visual, fusion, blocks)
+                    assert blocked.to_tsv() == default.to_tsv()
 
     def test_negative_count_must_be_positive(self):
         split, planted = synth_split(seed=3)
@@ -264,6 +276,9 @@ class TestCatalogScoring:
     @pytest.mark.parametrize("fusion", FUSION_MODES)
     def test_report_matches_per_candidate_oracle(self, monkeypatch, visual, fusion,
                                                  n_negatives, repeats, block):
+        # bit for bit against the same draws taken pair by pair, the catalog
+        # path's counts by brute force; with the pools exhausted the
+        # candidates are fixed, so the key draw's report matches too
         split, _ = synth_split(seed=3)
         cfg = replace(make_cfg(), visual_mode=visual, fusion_mode=fusion)
         params = init_params(cfg, split.base)
@@ -271,9 +286,13 @@ class TestCatalogScoring:
             monkeypatch.setattr(evaluation, "CANDIDATE_BLOCK", block)
         kw = dict(k_list=(1, 3, 5), n_negatives=n_negatives, repeats=repeats, seed=4)
         got = evaluate_item_rec(params, cfg, split, **kw)
-        want = reference.sampled_item_eval(params, cfg, split, **kw)
-        assert got.to_dict() == want.to_dict()
-        assert got.to_tsv() == want.to_tsv()
+        oracles = [reference.protocol_item_eval]
+        if got.warnings:  # every pool exhausted: 17 unrated items of 25
+            oracles.append(reference.sampled_item_eval)
+        for oracle in oracles:
+            want = oracle(params, cfg, split, **kw)
+            assert got.to_dict() == want.to_dict()
+            assert got.to_tsv() == want.to_tsv()
 
     def test_exhausted_pool_scores_each_block_user_once(self, monkeypatch):
         split, planted = synth_split(seed=3)
@@ -298,6 +317,65 @@ class TestCatalogScoring:
         assert not rep.warnings
         assert sum(counts["score_pairs"]) == len(split.test) * (100 + 1)
         assert counts["score_catalog"] == []
+
+
+def hit_rate_expected(counts, pools, take, k) -> float:
+    """The mean over pairs of P(rank <= k) when the positive, with c of its P
+    unrated items scoring at least it, is ranked against min(take, P) of them:
+    the hypergeometric CDF at k - 1, from log-gamma binomials."""
+
+    def log_choose(n, r):
+        return math.lgamma(n + 1) - math.lgamma(r + 1) - math.lgamma(n - r + 1)
+
+    total = 0.0
+    for c, p in zip(counts.tolist(), pools.tolist()):
+        n = min(take, p)
+        total += sum(math.exp(log_choose(c, x) + log_choose(p - c, n - x) - log_choose(p, n))
+                     for x in range(max(0, n - (p - c)), min(k - 1, c, n) + 1))
+    return total / len(counts)
+
+
+class TestSampledDistribution:
+    """Both paths against the hypergeometric law and against the key draw."""
+
+    def test_catalog_hit_rate_matches_its_expectation(self):
+        # 5 negatives x 60 repeats on 25 items scores the catalog
+        split, _ = synth_split(seed=3)
+        cfg = make_cfg()
+        params = init_params(cfg, split.base)
+        counts, pools = reference.catalog_counts(params, cfg, split)
+        assert 0 < counts.min() and counts.max() < pools.min()  # a draw decides the rank
+        rep = evaluate_item_rec(params, cfg, split, k_list=(1, 2, 3), n_negatives=5,
+                                repeats=60, seed=1)
+        for k in (1, 2, 3):
+            expected = hit_rate_expected(counts, pools, 5, k)
+            assert abs(rep.hr[k] - expected) < 4 * rep.hr_std[k] / math.sqrt(60)
+
+    def test_candidate_draw_matches_the_key_draw(self):
+        # 3 negatives x 100 repeats on 400 items scores candidates
+        split, _ = synth_split(seed=3, num_items=400, ratings_per_user=30)
+        cfg = make_cfg()
+        params = init_params(cfg, split.base)
+        kw = dict(k_list=(1, 2, 3), n_negatives=3, repeats=100, seed=2)
+        counts, pools = reference.catalog_counts(params, cfg, split)
+        got = evaluate_item_rec(params, cfg, split, **kw)
+        keys = reference.sampled_item_eval(params, cfg, split, **kw)
+        for k in (1, 2, 3):
+            se = math.hypot(got.hr_std[k], keys.hr_std[k]) / math.sqrt(100)
+            assert abs(got.hr[k] - keys.hr[k]) < 4 * se
+            expected = hit_rate_expected(counts, pools, 3, k)
+            for rep in (got, keys):
+                assert abs(rep.hr[k] - expected) < 4 * rep.hr_std[k] / math.sqrt(100)
+
+    def test_draw_includes_each_pool_index_evenly(self):
+        # 3 of 7, 20 000 times: each index is drawn 3/7 of the time, and a
+        # chi-square statistic on 6 degrees of freedom stays under 22.46 (p = 0.001)
+        rows, take, size = 20_000, 3, 7
+        negs, valid = evaluation._draw_pool(np.random.default_rng(0), np.full(rows, size), take)
+        assert valid.all()
+        seen = np.bincount(negs.ravel(), minlength=size)
+        expected = rows * take / size
+        assert ((seen - expected) ** 2 / expected).sum() < 22.46
 
 
 class TestFrameEvaluation:
@@ -444,15 +522,22 @@ def test_negative_draw_properties():
         seed=st.integers(0, 2**32 - 1),
     )
     def check(rated, n_negatives, seed):
+        m, n = rated.shape
+        ds = Dataset(ratings=np.argwhere(rated), frame_parent=np.arange(n),
+                     frame_features=np.ones((n, 1)), user_ids=tuple(range(m)),
+                     item_ids=tuple(range(n)), frame_ids=tuple(range(n)))
         pool = (~rated).sum(axis=1)
         take = int(min(n_negatives, pool.max()))
-        negs, valid = evaluation._draw_negatives(np.random.default_rng(seed), rated, take)
-        assert negs.shape == valid.shape == (len(rated), take)
-        for row in range(len(rated)):
+        negs, valid = evaluation._draw_pool(np.random.default_rng(seed), pool, take)
+        assert negs.shape == valid.shape == (m, take)
+        for row in range(m):
             drawn = negs[row][valid[row]]
             assert len(drawn) == min(n_negatives, pool[row])
-            assert not rated[row, drawn].any()
             assert len(np.unique(drawn)) == len(drawn)
+            if pool[row] <= take:  # a small pool is taken whole
+                assert drawn.tolist() == list(range(pool[row]))
+            items = ds.unrated_items(row, drawn)
+            assert ((0 <= items) & (items < n)).all() and not rated[row, items].any()
 
     check()
 

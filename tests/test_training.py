@@ -74,7 +74,8 @@ class TestPairLoss:
 
 
 def sample_epoch_loop(split, neg_ratio, rng):
-    """The per-user scan sample_epoch replaced, kept as its oracle."""
+    """sample_epoch's draw, one user at a time: the user's unrated pool by
+    np.setdiff1d, indexed at floor(u * pool size) for each triple's uniform u."""
     base = split.base
     train = split.pairs("train")
     all_items = np.arange(base.num_items, dtype=np.int64)
@@ -85,10 +86,11 @@ def sample_epoch_loop(split, neg_ratio, rng):
             raise SamplingError(f"user {base.user_ids[u]!r} has rated every item")
         pool_of_user[int(u)] = pool
     reps = np.repeat(train, neg_ratio, axis=0)
+    uniforms = rng.random(len(reps))
     negs = np.empty(len(reps), dtype=np.int64)
     for u, pool in pool_of_user.items():
         rows = np.nonzero(reps[:, 0] == u)[0]
-        negs[rows] = pool[rng.integers(0, len(pool), size=len(rows))]
+        negs[rows] = pool[(uniforms[rows] * len(pool)).astype(np.int64)]
     triples = np.column_stack([reps, negs])
     return triples[rng.permutation(len(triples))]
 
