@@ -30,17 +30,17 @@ from .model import (
     item_visual_table,
     score_catalog,
     score_frames,
-    score_pairs,
 )
 
 logger = logging.getLogger(__name__)
 
-# Item evaluation scores CANDIDATE_BLOCK // num_items pairs at a time (at
-# least one), so a block's rated mask, catalog scores and candidates hold at
-# most this many entries each, and draws DRAW_BLOCK // num_items pairs'
-# negatives at a time, over at most this many bools.  Neither changes a draw;
-# catalog scores may round apart by an ulp with CANDIDATE_BLOCK, because
-# score_catalog forms the user half of the fusion once per block.
+# Item evaluation's catalog path scores CANDIDATE_BLOCK // num_items pairs at
+# a time (at least one), so a block's rated mask and catalog scores hold at
+# most this many entries each; the candidate path draws DRAW_BLOCK // num_items
+# pairs' negatives at a time, over at most this many bools, and scores each
+# such chunk in one score_catalog call.  Neither changes a draw; catalog
+# scores may round apart by an ulp with CANDIDATE_BLOCK, because score_catalog
+# forms the user half of the fusion once per call.
 CANDIDATE_BLOCK = 1 << 17
 DRAW_BLOCK = 1 << 21
 
@@ -201,7 +201,7 @@ def evaluate_item_rec(params: ModelParams, cfg: ModelConfig, split: SplitDataset
     positive.  Of min(take, P) negatives, Hypergeometric(c, P - c, min(take,
     P)) score at least it (Krichene & Rendle, KDD 2020), so each repeat ranks
     it at 1 plus one such draw.  Otherwise each repeat draws the negatives by
-    ``_draw_pool`` and scores them with ``score_pairs``.
+    ``_draw_pool`` and ``score_catalog`` scores each pair's candidates.
     """
     k_list = check_cutoffs(k_list)
     if split_name not in ITEM_SPLITS:
@@ -224,10 +224,10 @@ def evaluate_item_rec(params: ModelParams, cfg: ModelConfig, split: SplitDataset
         logger.warning(warning)
 
     table = item_visual_table(params, cfg, dataset=base)
-    rows = max(1, CANDIDATE_BLOCK // base.num_items)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(repeats)]
     if repeats * (take + 1) > base.num_items:
         count = np.empty(len(users), dtype=np.int64)
+        rows = max(1, CANDIDATE_BLOCK // base.num_items)
         for lo in range(0, len(users), rows):
             u, p = users[lo: lo + rows], positives[lo: lo + rows]
             at = np.arange(len(u))
@@ -253,11 +253,8 @@ def evaluate_item_rec(params: ModelParams, cfg: ModelConfig, split: SplitDataset
             cands = np.column_stack([pos, np.where(valid, base.unrated_items(u[:, None], negs),
                                                    pos[:, None])])
             valid = np.column_stack([np.ones(len(u), dtype=bool), valid])
-            for b in range(0, len(u), rows):
-                s = slice(b, b + rows)
-                scores = score_pairs(u[s, None], cands[s], params, cfg, base, table=table)
-                ranks[r, lo + b: lo + b + len(scores)] = _ranks(
-                    scores[:, 0], scores, valid[s], "item")
+            scores = score_catalog(u, params, cfg, base, table=table, items=cands)
+            ranks[r, lo: lo + len(u)] = _ranks(scores[:, 0], scores, valid, "item")
     return _report("item", split_name, k_list, ranks, warnings, n_negatives)
 
 

@@ -340,34 +340,52 @@ def score_pairs(
     return (scores, cache) if want_cache else scores
 
 
-# score_catalog scores CATALOG_BLOCK // (N * attn_hidden_rating) users at a
-# time (at least one), so the (rows, N, h) fusion hidden intermediate holds
-# at most this many elements and stays in cache.  Scores do not depend on it.
+# score_catalog scores CATALOG_BLOCK // (C * attn_hidden_rating) users at a
+# time (at least one), C being the items each user is scored against, so the
+# (rows, C, h) fusion hidden intermediate holds at most this many elements
+# and stays in cache.  Scores do not depend on it.
 CATALOG_BLOCK = 1 << 18
 
 
 def score_catalog(users, params: ModelParams, cfg: ModelConfig, dataset: Dataset,
-                  table: VisualTable = None, keep=None):
+                  table: VisualTable = None, keep=None, items=None):
     """Score each of ``users`` against every item, a block of users at a time.
 
     Returns the (len(users), N) scores, which equal ``score_pairs`` of
-    ``users[:, None]`` against every item up to rounding.  Each fusion half
-    is formed once per call, the user half for all ``users`` and the item
-    half for all items, so the blocks change no bit.  With ``keep``, returns
-    ``keep(block)`` stacked over the blocks instead, so that only what it
-    keeps of each block is held.  Raises as ``score_pairs`` does: an
-    IntegrityError for a user id out of range, and, in a visual model, a
-    MissingFramesError for the first item without frames.
+    ``users[:, None]`` against every item up to rounding.  With ``items``, a
+    (len(users), C) candidate matrix, scores each user against its own row
+    of candidates instead, as ``score_pairs(users[:, None], items)`` does up
+    to rounding, and returns (len(users), C) scores.  Each fusion half is
+    formed once per call, the user half for all ``users`` and the item half
+    for all items, so the blocks change no bit; a block of candidates
+    gathers the item rows it needs.  With ``keep``, returns ``keep(block)``
+    stacked over the blocks instead, so that only what it keeps of each
+    block is held.  Raises as ``score_pairs`` does: an IntegrityError for a
+    user or candidate id out of range, and, in a visual model, a
+    MissingFramesError for the first item without frames, or with ``items``
+    the first such candidate in row-major order.
     """
     users = _checked_ids(users, dataset.num_users, "user")
-    n = dataset.num_items
+    if items is None:
+        n = dataset.num_items
+        pick = lambda per_item, b: per_item[None]  # every block scores every item
+        dot = lambda u, i: np.einsum("...d,...d->...", u[:, None, :], i)
+    else:
+        items = _checked_ids(items, dataset.num_items, "item")
+        if items.ndim != 2 or len(items) != len(users):
+            raise ValueError(f"items must be ({len(users)}, C), got {items.shape}")
+        n = items.shape[1]
+        pick = lambda per_item, b: np.take(per_item, items[b], axis=0)  # the block's candidates
+        dot = lambda u, i: (i @ u[:, :, None])[..., 0]  # stacked matvecs
     user_collab, item_collab = params.user_collab[users], params.item_collab
     if cfg.visual_mode != VISUAL_OFF:
         if table is None:
             table = item_visual_table(params, cfg, dataset)
-        counts = dataset.frame_table[2]
+        counts = dataset.frame_table[2] if items is None else dataset.frame_table[2][items]
         if counts.size and counts.min() == 0:
-            raise MissingFramesError(f"item {np.argmin(counts)} has no frames")
+            first = np.argmin(counts)
+            raise MissingFramesError(
+                f"item {first if items is None else items.flat[first]} has no frames")
         user_visual, item_visual = params.user_visual[users], table.x
     fused = cfg.visual_mode != VISUAL_OFF and cfg.fusion_mode == FUSION_ATT
     if fused:
@@ -378,13 +396,17 @@ def score_catalog(users, params: ModelParams, cfg: ModelConfig, dataset: Dataset
     blocks = []
     for lo in range(0, max(len(users), 1), rows):  # one empty block when there are no users
         b = slice(lo, lo + rows)
-        scores = np.einsum("...d,...d->...", user_collab[b, None, :], item_collab[None])
+        scores = dot(user_collab[b], pick(item_collab, b))
         if cfg.visual_mode != VISUAL_OFF:
-            visual = np.einsum("...d,...d->...", user_visual[b, None, :], item_visual[None])
+            visual = dot(user_visual[b], pick(item_visual, b))
             if fused:
-                hidden = [u[b, None, :] + i[None] for u, i in halves]
-                g1, g2 = (np.maximum(h, 0.0, out=h) @ params.fusion_out for h in hidden)
-                beta1, beta2 = _two_way_softmax(g1, g2)
+                logits = []
+                for u, i in halves:
+                    # gathered candidate rows are the block's own, so the sum overwrites them
+                    gathered = pick(i, b)
+                    h = np.add(u[b, None, :], gathered, out=None if items is None else gathered)
+                    logits.append(np.maximum(h, 0.0, out=h) @ params.fusion_out)
+                beta1, beta2 = _two_way_softmax(*logits)
                 scores = beta1 * scores + beta2 * visual
             else:
                 scores = scores + visual
@@ -393,14 +415,21 @@ def score_catalog(users, params: ModelParams, cfg: ModelConfig, dataset: Dataset
 
 
 def score_frames(users, frames, params: ModelParams, cfg: ModelConfig, dataset: Dataset):
-    """Visual-only frame scores for (user, frame) pairs in bulk."""
+    """Visual-only frame scores for (user, frame) pairs in bulk.
+
+    Projects the whole frame table once, ``frame_features @ visual_proj.T``,
+    and gathers the projected rows of ``frames``, which equal the per-row
+    projection ``frame_features[frames] @ visual_proj.T`` up to rounding.
+    Evaluation asks for more rows than the table holds, each item's frames
+    once per liked frame.
+    """
     if cfg.visual_mode == VISUAL_OFF:
         raise UnsupportedTaskError(
             "frame scoring needs the visual pathway; visual_mode is off"
         )
     users = _checked_ids(users, dataset.num_users, "user")
     frames = _checked_ids(frames, dataset.num_frames, "frame")
-    frame_emb = dataset.frame_features[frames] @ params.visual_proj.T
+    frame_emb = np.take(dataset.frame_features @ params.visual_proj.T, frames, axis=0)
     return np.einsum("bd,bd->b", params.user_visual[users], frame_emb)
 
 

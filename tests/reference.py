@@ -1,6 +1,7 @@
 """Test oracles: scalar forward path, projected table, full-catalog backward, dense Adam,
 dense teacher, sorted top-k, set-based prune, split and split check, key-draw sampled
-evaluation and the package's draw pair by pair, per-line id reader, always-sorting pair array.
+evaluation and the package's draw pair by pair, per-row frame projection, per-line id reader,
+always-sorting pair array.
 
 The package scores in bulk (``item_visual_table``, ``score_pairs``,
 ``score_frames``).  The scalar functions score one instance at a time,
@@ -22,6 +23,10 @@ each gradient scattered to dense first.
 ``visual_table_projected`` is the visual table as it was computed before
 pooling moved ahead of the projection: every frame projected, and the
 attention keys reduced, one frame at a time.
+
+``frame_scores_per_row`` is ``score_frames`` as it ran before it projected
+the frame table once: each scored row's frame features projected on their
+own, so a frame is projected once per row that names it.
 
 ``planted_item_scores`` and ``planted_frame_scores`` score every (user,
 item) and every (user, frame) pair under the synthetic teacher, the dense
@@ -184,6 +189,12 @@ def predict_frame_score(user_id: int, frame_id: int, params, cfg, dataset) -> fl
         raise IndexError(f"frame id {frame_id} out of range")
     emb = params.visual_proj @ dataset.frame_features[frame_id]
     return float(params.user_visual[user_id] @ emb)
+
+
+def frame_scores_per_row(users, frames, params, dataset) -> np.ndarray:
+    """Visual-only scores of (user, frame) id arrays, each row's frame projected apart."""
+    frame_emb = dataset.frame_features[frames] @ params.visual_proj.T
+    return np.einsum("bd,bd->b", params.user_visual[users], frame_emb)
 
 
 def attention_mlp_backward(out, hidden_pre, dlogits, halves):

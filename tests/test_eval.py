@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import reference
-from framerec import cli, evaluation
+from framerec import cli, evaluation, model
 from framerec.data import Dataset, split_ratings
 from framerec.errors import (
     ConfigError,
@@ -117,14 +117,20 @@ class TestItemEvaluation:
                 cfg = replace(make_cfg(), visual_mode=visual, fusion_mode=fusion)
                 params = init_params(cfg, split.base)
                 default = evaluate_item_rec(params, cfg, split, **kw)
-                # one pair per scoring block, per draw chunk, and per both; then
-                # draw chunks of 8 pairs, scored 3, 3 and 2 at a time
+                # one pair per catalog-path block, per draw chunk, per
+                # score_catalog block, and per the first two at once; then
+                # 8-pair draw chunks with 3-pair catalog-path blocks, and 8-pair
+                # draw chunks whose 4-candidate rows are scored 3, 3 and 2 at a time
                 for blocks in ({"CANDIDATE_BLOCK": 1}, {"DRAW_BLOCK": 1},
+                               {"CATALOG_BLOCK": 1},
                                {"CANDIDATE_BLOCK": 1, "DRAW_BLOCK": 1},
-                               {"CANDIDATE_BLOCK": 75, "DRAW_BLOCK": 200}):
+                               {"CANDIDATE_BLOCK": 75, "DRAW_BLOCK": 200},
+                               {"CATALOG_BLOCK": 3 * 4 * cfg.attn_hidden_rating,
+                                "DRAW_BLOCK": 200}):
                     with monkeypatch.context() as m:
                         for name, value in blocks.items():
-                            m.setattr(evaluation, name, value)
+                            m.setattr(model if name == "CATALOG_BLOCK" else evaluation,
+                                      name, value)
                         blocked = evaluate_item_rec(params, cfg, split, **kw)
                     assert blocked.to_dict() == default.to_dict(), (visual, fusion, blocks)
                     assert blocked.to_tsv() == default.to_tsv()
@@ -242,21 +248,19 @@ class TestItemEvaluation:
 
 
 def rows_scored(monkeypatch):
-    """For each scorer evaluation calls, a list of the (user, item) rows each call
-    scores: ``score_pairs`` its broadcast pairs, ``score_catalog`` each of its
-    users against every item."""
-    counts = {"score_pairs": [], "score_catalog": []}
-    score_pairs, score_catalog = evaluation.score_pairs, evaluation.score_catalog
+    """For each way evaluation calls ``score_catalog``, a list of the (user, item)
+    rows each call scores: under "catalog" each of its users against every
+    item, under "candidates" each of its ``items`` rows' candidates."""
+    counts = {"catalog": [], "candidates": []}
+    score_catalog = evaluation.score_catalog
 
-    def counting_pairs(users, items, *args, **kwargs):
-        counts["score_pairs"].append(np.broadcast(np.asarray(users), np.asarray(items)).size)
-        return score_pairs(users, items, *args, **kwargs)
+    def counting_catalog(users, params, cfg, dataset, *args, items=None, **kwargs):
+        if items is None:
+            counts["catalog"].append(len(users) * dataset.num_items)
+        else:
+            counts["candidates"].append(np.asarray(items).size)
+        return score_catalog(users, params, cfg, dataset, *args, items=items, **kwargs)
 
-    def counting_catalog(users, params, cfg, dataset, *args, **kwargs):
-        counts["score_catalog"].append(len(users) * dataset.num_items)
-        return score_catalog(users, params, cfg, dataset, *args, **kwargs)
-
-    monkeypatch.setattr(evaluation, "score_pairs", counting_pairs)
     monkeypatch.setattr(evaluation, "score_catalog", counting_catalog)
     return counts
 
@@ -306,8 +310,8 @@ class TestCatalogScoring:
         rows = 100 // n
         bound = sum(len(np.unique(users[lo: lo + rows])) * n
                     for lo in range(0, len(users), rows))
-        assert 0 < sum(counts["score_catalog"]) <= bound
-        assert counts["score_pairs"] == []
+        assert 0 < sum(counts["catalog"]) <= bound
+        assert counts["candidates"] == []
 
     def test_few_negatives_score_their_candidates(self, monkeypatch):
         split, planted = synth_split(seed=3, num_items=150)
@@ -315,8 +319,8 @@ class TestCatalogScoring:
         rep = evaluate_item_rec(planted.params, planted.cfg, split,
                                 n_negatives=100, repeats=1)
         assert not rep.warnings
-        assert sum(counts["score_pairs"]) == len(split.test) * (100 + 1)
-        assert counts["score_catalog"] == []
+        assert sum(counts["candidates"]) == len(split.test) * (100 + 1)
+        assert counts["catalog"] == []
 
 
 def hit_rate_expected(counts, pools, take, k) -> float:
@@ -494,6 +498,23 @@ class TestFrameOracle:
         assert bool(skipped) == any("skipped" in w for w in rep.warnings)
         if triples:
             assert (rep.hr, rep.ndcg) == frame_ranking_loop(triples, scores, k_list)
+
+    @pytest.mark.parametrize("seed", [9, 10, 12, 13, 14])
+    def test_report_matches_the_per_row_projection(self, monkeypatch, seed):
+        # score_frames projects the frame table once; projecting each scored
+        # row apart, as it did before, gives the same report
+        split, planted = synth_split(seed=seed, frames_per_item=1 + seed % 4)
+        cfg = make_cfg()
+        for params, model_cfg in ((planted.params, planted.cfg),
+                                  (init_params(cfg, split.base), cfg)):
+            got = evaluate_frame_rec(params, model_cfg, split)
+            with monkeypatch.context() as m:
+                m.setattr(evaluation, "score_frames",
+                          lambda users, frames, p, c, dataset:
+                          reference.frame_scores_per_row(users, frames, p, dataset))
+                want = evaluate_frame_rec(params, model_cfg, split)
+            assert got.to_dict() == want.to_dict()
+            assert got.to_tsv() == want.to_tsv()
 
     @pytest.mark.parametrize("seed", [9, 10, 12, 13, 14])
     @pytest.mark.parametrize("exclude_singletons", [False, True])

@@ -355,6 +355,16 @@ class TestScoring:
                 bulk = score_pairs(u, i, params, cfg, ds).reshape(users.shape)
                 np.testing.assert_allclose(bulk, scalar, rtol=1e-12, atol=1e-13)
 
+    @pytest.mark.parametrize("visual", ["avg", "att"])
+    def test_frame_scores_match_the_per_row_projection(self, visual):
+        params, cfg, ds, _ = catalog_instance(visual, "att")
+        rng = np.random.default_rng(4)
+        users = rng.integers(0, ds.num_users, size=200)
+        frames = rng.integers(0, ds.num_frames, size=200)  # more rows than frames
+        want = reference.frame_scores_per_row(users, frames, params, ds)
+        got = score_frames(users, frames, params, cfg, ds)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-14)
+
     def test_bulk_frame_scores_match_scalar(self):
         params, cfg, ds, _ = gradcheck_instance(seed=19)
         users = np.repeat(np.arange(ds.num_users), ds.num_frames)
@@ -466,6 +476,75 @@ class TestCatalogScoring:
             return
         for score in (pairs, catalog):
             with pytest.raises(MissingFramesError, match="^item 38 has no frames$"):
+                score()
+
+
+def candidate_matrix(ds, users, width=7):
+    """A (len(users), width) matrix of random candidate ids, repeats allowed."""
+    return np.random.default_rng(3).integers(0, ds.num_items, size=(len(users), width))
+
+
+class TestCandidateScoring:
+    """``score_catalog`` with an ``items`` matrix: each user against its own row."""
+
+    @pytest.mark.parametrize("visual,fusion", MODES)
+    def test_scores_match_score_pairs(self, visual, fusion):
+        params, cfg, ds, users = catalog_instance(visual, fusion)
+        items = candidate_matrix(ds, users)
+        got = score_catalog(users, params, cfg, ds, items=items)
+        want = score_pairs(users[:, None], items, params, cfg, ds)
+        assert got.shape == items.shape
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-14)
+
+    @pytest.mark.parametrize("visual,fusion", MODES)
+    def test_user_blocks_change_no_bit(self, monkeypatch, visual, fusion):
+        params, cfg, ds, users = catalog_instance(visual, fusion)
+        items = candidate_matrix(ds, users)
+        default = score_catalog(users, params, cfg, ds, items=items)
+        per_user = items.shape[1] * cfg.attn_hidden_rating
+        assert model.CATALOG_BLOCK // per_user >= len(users)  # one block
+        for block in (1, 7 * per_user, 7 * per_user - 1):  # one user, 7 users, and 6
+            monkeypatch.setattr(model, "CATALOG_BLOCK", block)
+            got = score_catalog(users, params, cfg, ds, items=items)
+            assert got.tobytes() == default.tobytes()
+
+    @pytest.mark.parametrize("visual,fusion", MODES)
+    def test_no_users_score_an_empty_block(self, visual, fusion):
+        params, cfg, ds, _ = catalog_instance(visual, fusion)
+        items = np.empty((0, 7), dtype=np.int64)
+        assert score_catalog([], params, cfg, ds, items=items).shape == (0, 7)
+
+    @pytest.mark.parametrize("visual,fusion", MODES)
+    @pytest.mark.parametrize("bad", [-1, 41])
+    def test_out_of_range_candidates_raise_as_score_pairs(self, visual, fusion, bad):
+        params, cfg, ds, _ = catalog_instance(visual, fusion)
+        users, items = np.array([0, 1]), np.array([[0, 1], [bad, 2]])
+        for score in (lambda: score_pairs(users[:, None], items, params, cfg, ds),
+                      lambda: score_catalog(users, params, cfg, ds, items=items)):
+            with pytest.raises(IntegrityError, match=f"^item id {bad} is outside 0..40$"):
+                score()
+
+    def test_candidate_rows_must_match_the_users(self):
+        params, cfg, ds, _ = catalog_instance("att", "att")
+        with pytest.raises(ValueError, match=r"items must be \(2, C\)"):
+            score_catalog([0, 1], params, cfg, ds, items=np.array([[0, 1]]))
+
+    @pytest.mark.parametrize("visual,fusion", MODES)
+    def test_frameless_candidates_raise_as_score_pairs(self, visual, fusion):
+        params, cfg, ds, _ = catalog_instance(visual, fusion)
+        ds = replace(ds, frame_parent=np.minimum(ds.frame_parent, 37))  # 38..40 frameless
+        users = np.array([3, 0])
+        # row-major, 40 comes before 38 and 39
+        items = np.array([[0, 40, 2], [38, 39, 1]])
+        pairs = lambda: score_pairs(users[:, None], items, params, cfg, ds)
+        candidates = lambda: score_catalog(users, params, cfg, ds, items=items)
+        framed = score_catalog(users, params, cfg, ds, items=items % 38)
+        assert framed.shape == items.shape  # frameless items that are not candidates
+        if visual == "off":  # no visual channel, so no frames needed
+            assert candidates().shape == pairs().shape == items.shape
+            return
+        for score in (pairs, candidates):
+            with pytest.raises(MissingFramesError, match="^item 40 has no frames$"):
                 score()
 
 
