@@ -39,7 +39,6 @@ from .evaluation import (
     evaluate_item_rec,
     random_frame_baseline,
     rank_metrics,
-    rank_of_first,
 )
 from .model import (
     ModelConfig,

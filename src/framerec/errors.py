@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the one seed check."""
+"""Exception types shared across the package, and the integer and seed checks."""
 
 import numbers
 
@@ -48,3 +48,13 @@ def check_seed(seed) -> None:
     """ConfigError unless ``seed`` is a non-negative integer, as numpy's generators need."""
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
+
+
+def check_integers(config, names) -> None:
+    """ConfigError unless each named field of the frozen dataclass ``config`` is an
+    integer (not a bool); a numpy integer is stored back as an int."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(config, name, int(value))

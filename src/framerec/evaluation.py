@@ -34,37 +34,21 @@ from .model import (
 
 logger = logging.getLogger(__name__)
 
-# Item evaluation's catalog path scores CANDIDATE_BLOCK // num_items pairs at
-# a time (at least one), so a block's rated mask and catalog scores hold at
-# most this many entries each; the candidate path draws DRAW_BLOCK // num_items
-# pairs' negatives at a time, over at most this many bools, and scores each
-# such chunk in one score_catalog call.  Neither changes a draw; catalog
-# scores may round apart by an ulp with CANDIDATE_BLOCK, because score_catalog
-# forms the user half of the fusion once per call.
-CANDIDATE_BLOCK = 1 << 17
+# Item evaluation's candidate path draws DRAW_BLOCK // num_items pairs'
+# negatives at a time, over at most this many bools, and scores each such
+# chunk in one score_catalog call.  It changes no draw.
 DRAW_BLOCK = 1 << 21
 
 # The split portions item evaluation ranks, named as in data.PORTIONS.
 ITEM_SPLITS = ("test", "validation")
 
 
-def rank_of_first(scores):
-    """1-based rank of scores[..., 0] along the last axis, ties ranked worst.
-
-    An int for one list of scores, an array for a (rows, C) matrix.
-    """
-    scores = np.asarray(scores)
-    ranks = (scores >= scores[..., :1]).sum(axis=-1)
-    return int(ranks) if ranks.ndim == 0 else ranks
-
-
-def rank_metrics(rank, k_list) -> tuple:
-    """(hr, ndcg) dicts keyed by cutoff: floats for one rank, arrays for many."""
-    rank = np.asarray(rank)
-    gain = 1.0 / np.log2(rank + 1.0)
-    out = float if rank.ndim == 0 else np.asarray
-    hr = {k: out(np.where(rank <= k, 1.0, 0.0)) for k in k_list}
-    ndcg = {k: out(np.where(rank <= k, gain, 0.0)) for k in k_list}
+def rank_metrics(ranks, k_list) -> tuple:
+    """(hr, ndcg) dicts keyed by cutoff, each value an array shaped like ``ranks``."""
+    ranks = np.asarray(ranks)
+    gain = 1.0 / np.log2(ranks + 1.0)
+    hr = {k: np.where(ranks <= k, 1.0, 0.0) for k in k_list}
+    ndcg = {k: np.where(ranks <= k, gain, 0.0) for k in k_list}
     return hr, ndcg
 
 
@@ -195,13 +179,14 @@ def evaluate_item_rec(params: ModelParams, cfg: ModelConfig, split: SplitDataset
     generator spawned from ``seed``.
 
     When ``repeats * (take + 1)`` exceeds the catalog, ``take`` being the
-    negatives drawn per pair, ``score_catalog`` scores each pair's user
-    against every item (so a visual model raises MissingFramesError for any
-    item without frames), and c counts the pool items scoring at least the
-    positive.  Of min(take, P) negatives, Hypergeometric(c, P - c, min(take,
-    P)) score at least it (Krichene & Rendle, KDD 2020), so each repeat ranks
-    it at 1 plus one such draw.  Otherwise each repeat draws the negatives by
-    ``_draw_pool`` and ``score_catalog`` scores each pair's candidates.
+    negatives drawn per pair, one ``score_catalog`` call scores each of the
+    portion's users against every item, once (so a visual model raises
+    MissingFramesError for any item without frames), and c counts the pool
+    items scoring at least the positive.  Of min(take, P) negatives,
+    Hypergeometric(c, P - c, min(take, P)) score at least it (Krichene &
+    Rendle, KDD 2020), so each repeat ranks it at 1 plus one such draw.
+    Otherwise each repeat draws the negatives by ``_draw_pool`` and
+    ``score_catalog`` scores each pair's candidates.
     """
     k_list = check_cutoffs(k_list)
     if split_name not in ITEM_SPLITS:
@@ -226,19 +211,23 @@ def evaluate_item_rec(params: ModelParams, cfg: ModelConfig, split: SplitDataset
     table = item_visual_table(params, cfg, dataset=base)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(repeats)]
     if repeats * (take + 1) > base.num_items:
-        count = np.empty(len(users), dtype=np.int64)
-        rows = max(1, CANDIDATE_BLOCK // base.num_items)
-        for lo in range(0, len(users), rows):
-            u, p = users[lo: lo + rows], positives[lo: lo + rows]
-            at = np.arange(len(u))
-            # the block's rows of the (users, items) rated mask, never held whole,
+        # pairs are sorted, so each block of users holds a run of pairs
+        uniq, first = np.unique(users, return_index=True)
+        bounds = np.append(first, len(users))
+
+        def count(scores, b):
+            # the run's rows of the (pairs, items) rated mask, never held whole,
             # with each positive left out of it, so that it counts itself
+            per_user = np.diff(bounds[b.start: b.stop + 1])
+            run = slice(bounds[b.start], bounds[b.start] + per_user.sum())
+            u, p, at = users[run], positives[run], np.arange(per_user.sum())
             mask = np.zeros((len(u), base.num_items), dtype=bool)
             mask[np.repeat(at, n_rated[u]), np.concatenate([rated[x] for x in u])] = True
             mask[at, p] = False
-            uniq, inverse = np.unique(u, return_inverse=True)
-            block = score_catalog(uniq, params, cfg, base, table=table)[inverse]
-            count[lo: lo + rows] = _ranks(block[at, p], block, ~mask, "item") - 1
+            scores = np.repeat(scores, per_user, axis=0)
+            return _ranks(scores[at, p], scores, ~mask, "item") - 1
+
+        count = score_catalog(uniq, params, cfg, base, table=table, keep=count)
         drawn = np.minimum(take, pool)
         ranks = 1 + np.array([rng.hypergeometric(count, pool - count, drawn) for rng in rngs])
         return _report("item", split_name, k_list, ranks, warnings, n_negatives)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import Dataset, atomic_writer
 from .errors import (ConfigError, IntegrityError, MissingFramesError, UnsupportedTaskError,
-                     check_seed)
+                     check_integers, check_seed)
 
 VISUAL_OFF = "off"
 VISUAL_AVG = "avg"
@@ -55,12 +55,8 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("d1", "d2", "attn_hidden_visual", "attn_hidden_rating",
-                     "reduced_visual_dim", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))  # a numpy integer becomes an int
+        check_integers(self, ("d1", "d2", "attn_hidden_visual", "attn_hidden_rating",
+                              "reduced_visual_dim", "seed"))
         check_seed(self.seed)
         if min(self.d1, self.attn_hidden_visual, self.attn_hidden_rating,
                self.reduced_visual_dim) < 1:
@@ -358,9 +354,10 @@ def score_catalog(users, params: ModelParams, cfg: ModelConfig, dataset: Dataset
     to rounding, and returns (len(users), C) scores.  Each fusion half is
     formed once per call, the user half for all ``users`` and the item half
     for all items, so the blocks change no bit; a block of candidates
-    gathers the item rows it needs.  With ``keep``, returns ``keep(block)``
-    stacked over the blocks instead, so that only what it keeps of each
-    block is held.  Raises as ``score_pairs`` does: an IntegrityError for a
+    gathers the item rows it needs.  With ``keep``, returns ``keep(block,
+    rows)`` stacked over the blocks instead, ``rows`` being the slice of
+    ``users`` the block scores, so that only what it keeps of each block is
+    held.  Raises as ``score_pairs`` does: an IntegrityError for a
     user or candidate id out of range, and, in a visual model, a
     MissingFramesError for the first item without frames, or with ``items``
     the first such candidate in row-major order.
@@ -410,7 +407,7 @@ def score_catalog(users, params: ModelParams, cfg: ModelConfig, dataset: Dataset
                 scores = beta1 * scores + beta2 * visual
             else:
                 scores = scores + visual
-        blocks.append(scores if keep is None else keep(scores))
+        blocks.append(scores if keep is None else keep(scores, b))
     return np.concatenate(blocks)
 
 

@@ -13,12 +13,12 @@ which gives the frame attention something to lock onto.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .data import Dataset, _pair_array, check_dataset
-from .errors import ConfigError, check_seed
+from .errors import ConfigError, check_integers, check_seed
 from .model import FUSION_ATT, VISUAL_ATT, ModelConfig, ModelParams, score_catalog
 
 
@@ -44,6 +44,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_integers(self, [f.name for f in fields(self)])  # every field is a count or the seed
         if min(
             self.num_users, self.num_items, self.frames_per_item,
             self.feature_dim, self.latent_dim, self.ratings_per_user,
@@ -135,7 +136,7 @@ def planted_top_items(planted: PlantedModel, dataset: Dataset, k: int) -> np.nda
     """
     users = np.arange(dataset.num_users, dtype=np.int64)
     return score_catalog(users, planted.params, planted.cfg, dataset,
-                         keep=lambda scores: _top_k(scores, k))
+                         keep=lambda scores, _: _top_k(scores, k))
 
 
 def planted_frame_likes(planted: PlantedModel, dataset: Dataset, k: int) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Test oracles: scalar forward path, projected table, full-catalog backward, dense Adam,
-dense teacher, sorted top-k, set-based prune, split and split check, key-draw sampled
-evaluation and the package's draw pair by pair, per-row frame projection, per-line id reader,
-always-sorting pair array.
+dense teacher, sorted top-k, set-based prune, split and split check, rank of the first
+score, key-draw sampled evaluation and the package's draw pair by pair, per-row frame
+projection, per-line id reader, always-sorting pair array.
 
 The package scores in bulk (``item_visual_table``, ``score_pairs``,
 ``score_frames``).  The scalar functions score one instance at a time,
@@ -45,6 +45,10 @@ sorted as tuples, permuted, and dealt into Python sets pair by pair.
 split check as it ran while a split held its portions and frame likes as
 sets of tuples: set intersections, the union's sorted tuples against the
 ratings, and a membership test per frame_test pair, taken in sorted order.
+
+``rank_of_first`` is the ranking the package exported before every report
+ranked through ``evaluation._ranks``: the rank of each list's first score,
+by a ``>=`` count with no validity mask.
 
 ``sampled_item_eval`` is item evaluation as it ran before it drew ranks
 from exact counts: each repeat gives every (pair, item) a uniform random key
@@ -489,6 +493,16 @@ def draw_negatives(rng: np.random.Generator, rated: np.ndarray, take: int):
     return negs, np.take_along_axis(keys, negs, axis=1) < np.inf
 
 
+def rank_of_first(scores):
+    """1-based rank of scores[..., 0] along the last axis, ties ranked worst.
+
+    An int for one list of scores, an array for a (rows, C) matrix.
+    """
+    scores = np.asarray(scores)
+    ranks = (scores >= scores[..., :1]).sum(axis=-1)
+    return int(ranks) if ranks.ndim == 0 else ranks
+
+
 def _item_eval_setup(split, k_list, n_negatives, repeats, split_name):
     """(k_list, users, positives, pools, take, warnings) as evaluate_item_rec finds them."""
     k_list = evaluation.check_cutoffs(k_list)
@@ -522,7 +536,7 @@ def sampled_item_eval(params, cfg, split, k_list=(5, 10, 15, 20), n_negatives=10
         cands = np.column_stack([positives, negs])
         scores = score_pairs(users[:, None], cands, params, cfg, base, table=table)
         valid = np.column_stack([np.ones(len(users), dtype=bool), valid])
-        ranks[r] = evaluation.rank_of_first(np.where(valid, scores, -np.inf))
+        ranks[r] = rank_of_first(np.where(valid, scores, -np.inf))
     return evaluation._report("item", split_name, k_list, ranks, warnings, n_negatives)
 
 

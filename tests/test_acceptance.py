@@ -19,11 +19,11 @@ from framerec.cli import run
 from framerec.data import split_ratings
 from framerec.errors import UnsupportedTaskError
 from framerec.evaluation import (
+    _ranks,
     evaluate_frame_rec,
     evaluate_item_rec,
     random_frame_baseline,
     rank_metrics,
-    rank_of_first,
 )
 from framerec.model import (
     ModelConfig,
@@ -155,18 +155,25 @@ def test_criterion_3_mode_degeneracies():
 
 
 def test_criterion_4_metrics_match_brute_force():
+    # 100 lists of 2 to 10 coarse scores (ties common), each the valid head
+    # of a row of 10, ranked at once as evaluation ranks them
     rng = np.random.default_rng(7)
+    scores = np.zeros((100, 10))
+    sizes = np.empty(100, dtype=np.int64)
+    for row in range(100):
+        sizes[row] = rng.integers(2, 11)
+        scores[row, :sizes[row]] = rng.integers(0, 4, size=sizes[row])
+    valid = np.arange(10) < sizes[:, None]
+    ranks = _ranks(scores[:, 0], scores, valid, "item")
+    hr, ndcg = rank_metrics(ranks, range(1, 11))
     mismatches = 0
-    for _ in range(100):
-        n = int(rng.integers(2, 11))
-        scores = rng.integers(0, 4, size=n).astype(float)  # coarse: ties common
-        rank = rank_of_first(scores)
-        ref_rank = 1 + int(sum(scores[1:] >= scores[0]))
+    for row, n in enumerate(sizes.tolist()):
+        ref_rank = 1 + int(sum(scores[row, 1:n] >= scores[row, 0]))
         for k in range(1, n + 1):
-            hr, ndcg = rank_metrics(rank, (k,))
             ref_hr = 1.0 if ref_rank <= k else 0.0
             ref_ndcg = 1.0 / np.log2(ref_rank + 1.0) if ref_rank <= k else 0.0
-            if rank != ref_rank or hr[k] != ref_hr or abs(ndcg[k] - ref_ndcg) > 1e-12:
+            if (ranks[row] != ref_rank or hr[k][row] != ref_hr
+                    or abs(ndcg[k][row] - ref_ndcg) > 1e-12):
                 mismatches += 1
 
     # protocol-level oracle: with the pool exhausted, candidates are fixed,
@@ -186,7 +193,7 @@ def test_criterion_4_metrics_match_brute_force():
     table = item_visual_table(params, cfg, ds)
     sums = {k: 0.0 for k in k_list}
     nsums = {k: 0.0 for k in k_list}
-    pairs = sorted(split.test)
+    pairs = split.pairs("test").tolist()
     for u, i in pairs:
         pool = np.setdiff1d(np.arange(ds.num_items), ds.items_of_user[u])
         cands = np.concatenate(([i], pool))

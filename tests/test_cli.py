@@ -366,6 +366,23 @@ class TestErrors:
     def test_seeds_numpy_takes_are_accepted(self, seed):
         check_seed(seed)
 
+    @pytest.mark.parametrize("config,field", [
+        (TrainConfig, "batch_size"), (TrainConfig, "neg_ratio"), (TrainConfig, "valid_k"),
+        (SynthConfig, "num_users"), (SynthConfig, "frame_likes_per_pair"),
+    ])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True])
+    def test_config_sizes_must_be_integers(self, config, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer, got "):
+            config(**{field: value})
+
+    @pytest.mark.parametrize("config", [TrainConfig, SynthConfig])
+    def test_config_numpy_integers_are_held_as_ints(self, config):
+        default = config()
+        sizes = {f.name: np.int64(getattr(default, f.name)) for f in fields(config)
+                 if type(getattr(default, f.name)) is int}
+        got = config(**sizes)
+        assert got == default and all(type(getattr(got, name)) is int for name in sizes)
+
     def test_unknown_command_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["frobnicate"])

@@ -31,6 +31,11 @@ import reference
 from conftest import TOY_FEATURES, TOY_FRAMES, TOY_RATINGS, pair_set, write_dataset_dir
 
 
+def portion_sets(split) -> list:
+    """The split's train, validation and test pairs, each as a set of (user, item) tuples."""
+    return [pair_set(split.pairs(name)) for name in PORTIONS]
+
+
 def load_toy(tmp_path, ratings=TOY_RATINGS, frames=TOY_FRAMES, features=TOY_FEATURES):
     d = write_dataset_dir(tmp_path / "data", ratings, frames, features)
     return load_dataset(d / "ratings.tsv", d / "frames.tsv", d / "features.npy")
@@ -136,8 +141,7 @@ class TestParsing:
         assert got == want
         assert got.user_ids == ("a", "b", "c")
         got_split = load_split(got, d)
-        assert (got_split.train, got_split.validation, got_split.test) == (
-            want_split.train, want_split.validation, want_split.test)
+        assert portion_sets(got_split) == portion_sets(want_split)
 
     def test_reader_matches_the_per_line_oracle(self, tmp_path):
         """Whole-file reading accepts the files the per-line reader accepts, with the same
@@ -560,7 +564,7 @@ class TestSplitting:
         # 6 ratings at 70/10: train floor(4.2)=4, valid floor(0.6)=0 is not
         # allowed by check... use 0.5/0.25 -> 3/1/2
         split = split_ratings(toy_dataset, 0.5, 0.25, seed=0)
-        assert (len(split.train), len(split.validation), len(split.test)) == (3, 1, 2)
+        assert [len(split.pairs(name)) for name in PORTIONS] == [3, 1, 2]
 
     def test_ten_ratings_split_seven_one_two(self):
         rng = np.random.default_rng(0)
@@ -573,19 +577,19 @@ class TestSplitting:
             frame_ids=tuple(f"f{k}" for k in range(5)),
         )
         split = split_ratings(ds, 0.7, 0.1, seed=3)
-        assert (len(split.train), len(split.validation), len(split.test)) == (7, 1, 2)
+        assert [len(split.pairs(name)) for name in PORTIONS] == [7, 1, 2]
 
     def test_partition_is_exact(self, toy_dataset):
         split = split_ratings(toy_dataset, 0.5, 0.25, seed=1)
         # disjoint and covering
-        reference.check_split(toy_dataset, split.train, split.validation, split.test, set())
+        reference.check_split(toy_dataset, *portion_sets(split), set())
 
     def test_deterministic_in_seed(self, toy_dataset):
         a = split_ratings(toy_dataset, 0.5, 0.25, seed=7)
         b = split_ratings(toy_dataset, 0.5, 0.25, seed=7)
         c = split_ratings(toy_dataset, 0.5, 0.25, seed=8)
-        assert a.train == b.train and a.test == b.test
-        assert (a.train, a.validation, a.test) != (c.train, c.validation, c.test)
+        assert portion_sets(a) == portion_sets(b)
+        assert portion_sets(a) != portion_sets(c)
 
     def test_per_user_keeps_every_user_in_train(self):
         rng = np.random.default_rng(1)
@@ -599,11 +603,8 @@ class TestSplitting:
             frame_ids=tuple(f"f{k}" for k in range(n)),
         )
         split = split_ratings(ds, 0.7, 0.1, seed=0, per_user=True)
-        trained = {u for u, _ in split.train}
-        assert trained == set(range(4))
-        for u in range(4):
-            rows = [p for p in split.train if p[0] == u]
-            assert len(rows) == 7
+        trained = split.pairs("train")[:, 0]
+        assert np.bincount(trained).tolist() == [7] * 4
 
     def test_cold_user_warning(self, caplog):
         # one user with a single rating: global split may leave them cold
@@ -619,7 +620,7 @@ class TestSplitting:
             caplog.clear()
             with caplog.at_level(logging.WARNING, logger="framerec.data"):
                 split = split_ratings(ds, 0.5, 0.25, seed=seed)
-            cold = {u for u, _ in ds.ratings} - {u for u, _ in split.train}
+            cold = {u for u, _ in ds.ratings} - set(split.pairs("train")[:, 0].tolist())
             warned = [r for r in caplog.records
                       if r.levelno == logging.WARNING and "(cold)" in r.getMessage()]
             assert len(warned) == len(cold)
@@ -629,12 +630,13 @@ class TestSplitting:
                  for f in np.flatnonzero(toy_dataset.frame_parent == i).tolist()}
         split = split_ratings(toy_dataset, 0.5, 0.25, seed=2, frame_likes=likes)
         parent = toy_dataset.frame_parent
+        test = pair_set(split.pairs("test"))
         assert len(split.frame_test)  # the test portion is non-empty, so likes exist
         for u, f in split.frame_test.tolist():
-            assert (u, int(parent[f])) in split.test
+            assert (u, int(parent[f])) in test
         # every test rating whose item frames were liked is represented
         covered = {(u, int(parent[f])) for u, f in split.frame_test.tolist()}
-        assert covered == set(split.test)
+        assert covered == test
 
     def test_split_properties(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -655,18 +657,17 @@ class TestSplitting:
                 st.integers(0, ds.num_users - 1), st.integers(0, ds.num_frames - 1))))
             split = split_ratings(ds, train_frac, valid_frac, seed=seed,
                                   per_user=per_user, frame_likes=likes)
-            portions = (split.train, split.validation, split.test)
-            assert sum(map(len, portions)) == len(ds.ratings)
-            assert sorted(split.train | split.validation | split.test) == list(
-                map(tuple, ds.ratings.tolist()))
+            train, validation, test = portion_sets(split)
+            assert len(train) + len(validation) + len(test) == len(ds.ratings)
+            assert sorted(train | validation | test) == list(map(tuple, ds.ratings.tolist()))
             groups = ([[p for p in ds.ratings if p[0] == u] for u in range(ds.num_users)]
                       if per_user else [list(ds.ratings)])
             n_train = sum(int(len(g) * train_frac) for g in groups)
             n_valid = sum(int(len(g) * valid_frac) for g in groups)
-            assert (len(split.train), len(split.validation)) == (n_train, n_valid)
+            assert (len(train), len(validation)) == (n_train, n_valid)
             parent = ds.frame_parent
             assert pair_set(split.frame_test) == {
-                (u, f) for u, f in likes if (u, int(parent[f])) in split.test}
+                (u, f) for u, f in likes if (u, int(parent[f])) in test}
 
         check()
 
@@ -693,7 +694,7 @@ class TestSplitting:
                                       per_user=per_user, frame_likes=likes)
             *want, cold = reference.split_ratings(ds, train_frac, valid_frac, seed,
                                                   per_user=per_user, frame_likes=likes)
-            assert [split.train, split.validation, split.test, pair_set(split.frame_test)] == want
+            assert [*portion_sets(split), pair_set(split.frame_test)] == want
             assert [r.args[0] for r in caplog.records if "(cold)" in r.getMessage()] == cold
 
         check()
@@ -746,9 +747,7 @@ class TestRoundTrips:
         split = split_ratings(toy_dataset, 0.5, 0.25, seed=4, frame_likes=likes)
         save_split(split, tmp_path / "sp")
         back = load_split(toy_dataset, tmp_path / "sp")
-        assert back.train == split.train
-        assert back.validation == split.validation
-        assert back.test == split.test
+        assert portion_sets(back) == portion_sets(split)
         assert np.array_equal(back.frame_test, split.frame_test)
 
     def test_frame_likes_load_drops_unknown(self, tmp_path, toy_dataset):
@@ -845,7 +844,7 @@ class TestRoundTrips:
             out = tmp_path / "out"
             save_split(split, out)
             files = ["train.tsv", "valid.tsv", "test.tsv"]
-            rated, test = pair_set(ds.ratings), split.test
+            rated, test = pair_set(ds.ratings), pair_set(split.pairs("test"))
 
             def pick(pool):
                 return data.draw(st.sampled_from(sorted(pool)))

@@ -21,7 +21,6 @@ from framerec.evaluation import (
     evaluate_item_rec,
     random_frame_baseline,
     rank_metrics,
-    rank_of_first,
 )
 from framerec.model import (
     FUSION_MODES,
@@ -44,47 +43,61 @@ def synth_split(seed=0, **kw):
     return split, planted
 
 
+def ranks_of_first(scores, valid=None):
+    """``evaluation._ranks`` of each row's first score among the row's valid scores."""
+    scores = np.atleast_2d(np.asarray(scores, dtype=float))
+    valid = np.ones(scores.shape, dtype=bool) if valid is None else valid
+    return evaluation._ranks(scores[:, 0], scores, valid, "item")
+
+
 class TestRanks:
     def test_strict_winner_ranks_first(self):
-        assert rank_of_first(np.array([3.0, 1.0, 2.0])) == 1
+        assert ranks_of_first([3.0, 1.0, 2.0]).tolist() == [1]
 
     def test_ties_rank_pessimistically(self):
         # a candidate equal to the positive outranks it
-        assert rank_of_first(np.array([1.0, 1.0, 0.0])) == 2
-        assert rank_of_first(np.array([1.0, 1.0, 1.0])) == 3
+        assert ranks_of_first([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]]).tolist() == [2, 3]
 
     def test_worst_case(self):
-        assert rank_of_first(np.array([0.0, 1.0, 2.0, 3.0])) == 4
+        assert ranks_of_first([0.0, 1.0, 2.0, 3.0]).tolist() == [4]
 
     def test_matches_brute_force_sort(self):
         # reference: place the positive after every candidate that scores
-        # >= it, then read its 1-based position
+        # >= it, then read its 1-based position.  Rows of 2 to 10 scores are
+        # padded to 10 with NaN slots that are not valid, so must not count.
         rng = np.random.default_rng(0)
-        for _ in range(100):
+        scores = np.full((100, 10), np.nan)
+        for row in scores:
             n = int(rng.integers(2, 11))
-            scores = rng.integers(0, 4, size=n).astype(float)  # ties likely
-            ref = 1 + sum(1 for c in scores[1:] if c >= scores[0])
-            assert rank_of_first(scores) == ref
+            row[:n] = rng.integers(0, 4, size=n)  # ties likely
+        valid = ~np.isnan(scores)
+        ref = [1 + sum(1 for c in row[ok][1:] if c >= row[0]) for row, ok in zip(scores, valid)]
+        assert ranks_of_first(scores, valid).tolist() == ref
+        # a non-finite score raises only in a valid slot
+        counted = int(scores[0, 1] >= scores[0, 0])
+        valid[0, 1], scores[0, 1] = False, np.inf
+        assert ranks_of_first(scores, valid)[0] == ref[0] - counted
+        with pytest.raises(NonFiniteError, match="1 non-finite"):
+            ranks_of_first([1.0, np.inf])
 
     def test_rows_rank_like_single_lists(self):
         rng = np.random.default_rng(1)
         scores = rng.integers(0, 4, size=(50, 6)).astype(float)
-        ranks = rank_of_first(scores)
-        assert ranks.tolist() == [rank_of_first(row) for row in scores]
+        ranks = ranks_of_first(scores)
+        assert ranks.tolist() == [int(ranks_of_first(row)[0]) for row in scores]
+        assert ranks.tolist() == reference.rank_of_first(scores).tolist()
         hr, ndcg = rank_metrics(ranks, (1, 3))
         for row, rank in enumerate(ranks):
-            one_hr, one_ndcg = rank_metrics(int(rank), (1, 3))
-            assert {k: hr[k][row] for k in (1, 3)} == one_hr
-            assert {k: ndcg[k][row] for k in (1, 3)} == one_ndcg
+            one_hr, one_ndcg = rank_metrics([rank], (1, 3))
+            assert {k: hr[k][row] for k in (1, 3)} == {k: v[0] for k, v in one_hr.items()}
+            assert {k: ndcg[k][row] for k in (1, 3)} == {k: v[0] for k, v in one_ndcg.items()}
 
     def test_metric_values(self):
-        hr, ndcg = rank_metrics(1, (1, 2, 3))
-        assert hr == {1: 1.0, 2: 1.0, 3: 1.0}
-        np.testing.assert_allclose(ndcg[1], 1.0)
-        hr, ndcg = rank_metrics(2, (1, 2, 3))
-        assert hr[1] == 0.0 and hr[2] == 1.0
-        np.testing.assert_allclose(ndcg[2], 1.0 / np.log2(3.0), rtol=1e-15)
-        assert ndcg[1] == 0.0
+        hr, ndcg = rank_metrics(np.array([1, 2]), (1, 2, 3))
+        assert {k: v.tolist() for k, v in hr.items()} == {
+            1: [1.0, 0.0], 2: [1.0, 1.0], 3: [1.0, 1.0]}
+        np.testing.assert_allclose(ndcg[1], [1.0, 0.0])
+        np.testing.assert_allclose(ndcg[2], [1.0, 1.0 / np.log2(3.0)], rtol=1e-15)
 
     def test_bad_cutoffs_rejected(self):
         split, planted = synth_split(seed=2)
@@ -117,14 +130,15 @@ class TestItemEvaluation:
                 cfg = replace(make_cfg(), visual_mode=visual, fusion_mode=fusion)
                 params = init_params(cfg, split.base)
                 default = evaluate_item_rec(params, cfg, split, **kw)
-                # one pair per catalog-path block, per draw chunk, per
-                # score_catalog block, and per the first two at once; then
-                # 8-pair draw chunks with 3-pair catalog-path blocks, and 8-pair
-                # draw chunks whose 4-candidate rows are scored 3, 3 and 2 at a time
-                for blocks in ({"CANDIDATE_BLOCK": 1}, {"DRAW_BLOCK": 1},
-                               {"CATALOG_BLOCK": 1},
-                               {"CANDIDATE_BLOCK": 1, "DRAW_BLOCK": 1},
-                               {"CANDIDATE_BLOCK": 75, "DRAW_BLOCK": 200},
+                # one pair per draw chunk, one user per score_catalog block,
+                # and both at once; three catalog users per block, with 8-pair
+                # draw chunks; and 8-pair draw chunks whose 4-candidate rows
+                # are scored 3, 3 and 2 at a time
+                n = split.base.num_items
+                for blocks in ({"DRAW_BLOCK": 1}, {"CATALOG_BLOCK": 1},
+                               {"CATALOG_BLOCK": 1, "DRAW_BLOCK": 1},
+                               {"CATALOG_BLOCK": 3 * n * cfg.attn_hidden_rating,
+                                "DRAW_BLOCK": 200},
                                {"CATALOG_BLOCK": 3 * 4 * cfg.attn_hidden_rating,
                                 "DRAW_BLOCK": 200}):
                     with monkeypatch.context() as m:
@@ -176,7 +190,7 @@ class TestItemEvaluation:
                                 k_list=(5,), n_negatives=5, repeats=1, seed=0,
                                 split_name="validation")
         assert rep.split_name == "validation"
-        assert rep.n_pairs == len(split.validation)
+        assert rep.n_pairs == len(split.pairs("validation"))
         with pytest.raises(ConfigError):
             evaluate_item_rec(planted.params, planted.cfg, split,
                               split_name="train")
@@ -217,7 +231,7 @@ class TestItemEvaluation:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert rep.n_pairs == len(split.test)
+            assert rep.n_pairs == len(split.pairs("test"))
             assert peak < dense_bytes / 2, (repeats, peak, dense_bytes)
 
     def test_frameless_item_fails_the_catalog_path(self, monkeypatch, tmp_path, capsys):
@@ -274,7 +288,7 @@ class TestCatalogScoring:
     # (10 000x1, 10 000x3)
     CASES = [(5, 2), (3, 5), (4, 5), (4, 6), (8, 3), (10_000, 1), (10_000, 3)]
 
-    @pytest.mark.parametrize("block", [None, 1])
+    @pytest.mark.parametrize("block", [None, 1, 3])
     @pytest.mark.parametrize("n_negatives, repeats", CASES)
     @pytest.mark.parametrize("visual", VISUAL_MODES)
     @pytest.mark.parametrize("fusion", FUSION_MODES)
@@ -282,12 +296,14 @@ class TestCatalogScoring:
                                                  n_negatives, repeats, block):
         # bit for bit against the same draws taken pair by pair, the catalog
         # path's counts by brute force; with the pools exhausted the
-        # candidates are fixed, so the key draw's report matches too
+        # candidates are fixed, so the key draw's report matches too.  block
+        # is the users per score_catalog block on the catalog path.
         split, _ = synth_split(seed=3)
         cfg = replace(make_cfg(), visual_mode=visual, fusion_mode=fusion)
         params = init_params(cfg, split.base)
         if block is not None:
-            monkeypatch.setattr(evaluation, "CANDIDATE_BLOCK", block)
+            monkeypatch.setattr(model, "CATALOG_BLOCK",
+                                block * split.base.num_items * cfg.attn_hidden_rating)
         kw = dict(k_list=(1, 3, 5), n_negatives=n_negatives, repeats=repeats, seed=4)
         got = evaluate_item_rec(params, cfg, split, **kw)
         oracles = [reference.protocol_item_eval]
@@ -300,17 +316,16 @@ class TestCatalogScoring:
 
     def test_exhausted_pool_scores_each_block_user_once(self, monkeypatch):
         split, planted = synth_split(seed=3)
-        monkeypatch.setattr(evaluation, "CANDIDATE_BLOCK", 100)  # 4 pairs per block
+        # 3 users per score_catalog block, which then holds a run of their pairs
+        monkeypatch.setattr(model, "CATALOG_BLOCK",
+                            3 * split.base.num_items * planted.cfg.attn_hidden_rating)
         counts = rows_scored(monkeypatch)
         rep = evaluate_item_rec(planted.params, planted.cfg, split,
                                 n_negatives=10_000, repeats=10)
         assert rep.warnings  # every pool ran out
-        n = split.base.num_items
-        users = np.array(sorted(split.test))[:, 0]
-        rows = 100 // n
-        bound = sum(len(np.unique(users[lo: lo + rows])) * n
-                    for lo in range(0, len(users), rows))
-        assert 0 < sum(counts["catalog"]) <= bound
+        users = split.pairs("test")[:, 0]
+        assert len(users) > len(np.unique(users))  # some user holds several pairs
+        assert counts["catalog"] == [len(np.unique(users)) * split.base.num_items]
         assert counts["candidates"] == []
 
     def test_few_negatives_score_their_candidates(self, monkeypatch):
@@ -319,7 +334,7 @@ class TestCatalogScoring:
         rep = evaluate_item_rec(planted.params, planted.cfg, split,
                                 n_negatives=100, repeats=1)
         assert not rep.warnings
-        assert sum(counts["candidates"]) == len(split.test) * (100 + 1)
+        assert sum(counts["candidates"]) == len(split.pairs("test")) * (100 + 1)
         assert counts["catalog"] == []
 
 

@@ -440,8 +440,10 @@ class TestCatalogScoring:
         for rows in (1, 7):
             monkeypatch.setattr(model, "CATALOG_BLOCK", rows * per_user)
             assert score_catalog(users, params, cfg, ds).tobytes() == default.tobytes()
-        kept = score_catalog(users, params, cfg, ds, keep=lambda block: block[:, :2])
-        assert kept.tobytes() == np.ascontiguousarray(default[:, :2]).tobytes()
+        # keep learns each block's slice of users: 7, 7, ... and the last 3
+        kept = score_catalog(users, params, cfg, ds,
+                             keep=lambda block, rows: np.column_stack([block[:, :2], users[rows]]))
+        assert kept.tobytes() == np.column_stack([default[:, :2], users]).tobytes()
 
     @pytest.mark.parametrize("visual,fusion", MODES)
     def test_scores_match_score_pairs(self, visual, fusion):

@@ -100,7 +100,7 @@ class TestSampling:
         split = small_split()
         rng = np.random.default_rng(0)
         triples = sample_epoch(split, neg_ratio=4, rng=rng)
-        assert triples.shape == (len(split.train) * 4, 3)
+        assert triples.shape == (len(split.pairs("train")) * 4, 3)
         rated = {(int(u), int(i)) for u, i in split.base.ratings}
         train = pair_set(split.pairs("train"))
         for u, i, j in triples.tolist():
@@ -112,7 +112,7 @@ class TestSampling:
         triples = sample_epoch(split, neg_ratio=3, rng=np.random.default_rng(1))
         pairs, counts = np.unique(triples[:, :2], axis=0, return_counts=True)
         assert (counts == 3).all()
-        assert len(pairs) == len(split.train)
+        assert len(pairs) == len(split.pairs("train"))
 
     def test_deterministic_given_rng(self):
         split = small_split()

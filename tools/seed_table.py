@@ -3,6 +3,7 @@
 Run from the repository root:
 
     python3 tools/seed_table.py --seeds 10 --out seed_table.json
+    python3 tools/seed_table.py --seeds 10 --out after.json --compare before.json
 
 For s = 1..N it generates criterion 6's S dataset with synth seed 1000+s,
 splits it with seed 2000+s, and trains att/att, avg/sum and off/sum with
@@ -12,6 +13,10 @@ mode's epochs, and whether each of the criterion's three clauses held.  It
 then gives the mean of every figure, and the paired differences att - mean
 (frame NDCG@3) and att - off (item NDCG@15) with their spread.  A seed
 takes about 7 s on one core, so the tool stays out of the test suite.
+
+With ``--compare``, it then prints what changed against an earlier table:
+each per-seed figure or epoch count that differs, each clause that flipped,
+and the change in every mean.  Wall seconds are not compared.
 """
 
 from __future__ import annotations
@@ -112,10 +117,43 @@ def table(rows) -> dict:
     }
 
 
+def compare(before: dict, after: dict) -> list:
+    """Lines naming what differs between two tables, per seed and in the means."""
+    lines = []
+    old = {r["seed"]: r for r in before["seeds"]}
+    for row in after["seeds"]:
+        was = old.pop(row["seed"], None)
+        if was is None:
+            lines.append(f"seed {row['seed']}: not in the earlier table")
+            continue
+        for key, value in row.items():
+            if key in ("seed", "seconds"):
+                continue
+            for sub, now in (value.items() if isinstance(value, dict) else [(None, value)]):
+                then = was[key] if sub is None else was[key][sub]
+                if then != now:
+                    name = key if sub is None else f"{key} {sub}"
+                    verb = "flipped" if key == "clauses" else "changed"
+                    lines.append(f"seed {row['seed']} {name} {verb}: {then!r} -> {now!r}")
+    lines += [f"seed {s}: only in the earlier table" for s in old]
+    changed = len(lines)
+    means = [(f"mean {k}", before["means"][k], v) for k, v in after["means"].items()]
+    means += [(f"mean {k}", before["paired"][k]["mean"], v["mean"])
+              for k, v in after["paired"].items()]
+    means += [(f"mean epochs {m}", before["epochs"][m]["mean"], v["mean"])
+              for m, v in after["epochs"].items()]
+    lines += [f"{name}: {then:.6f} -> {now:.6f} ({now - then:+.6g})"
+              for name, then, now in means]
+    lines.append(f"{changed} per-seed figures, epoch counts or clauses differ")
+    return lines
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--seeds", type=int, default=10, help="run seed sets 1..N (default 10)")
     p.add_argument("--out", required=True, help="JSON file to write")
+    p.add_argument("--compare", metavar="BEFORE.json",
+                   help="then print what changed against this earlier table")
     args = p.parse_args(argv)
     if args.seeds < 1:
         p.error("--seeds must be >= 1")
@@ -130,6 +168,9 @@ def main(argv=None) -> int:
     result = table(rows)
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     print(json.dumps({k: result[k] for k in ("paired", "clauses_held", "epochs")}))
+    if args.compare:
+        before = json.loads(Path(args.compare).read_text(encoding="utf-8"))
+        print("\n".join(compare(before, result)))
     return 0
 
 
