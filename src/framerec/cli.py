@@ -13,6 +13,7 @@ import inspect
 import itertools
 import json
 import logging
+import math
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -33,7 +34,7 @@ from .data import (
     save_split,
     split_ratings,
 )
-from .errors import FrameRecError, IntegrityError, check_seed
+from .errors import ConfigError, FrameRecError, IntegrityError, check_seed
 from .evaluation import (ITEM_SPLITS, check_cutoffs, check_sampling, evaluate_frame_rec,
                          evaluate_item_rec, random_frame_baseline)
 from .model import (
@@ -263,6 +264,8 @@ def _parse_modes(text: str) -> tuple:
 
 
 def _cmd_gradcheck(args: argparse.Namespace) -> int:
+    if not (math.isfinite(args.threshold) and args.threshold > 0):
+        raise ConfigError(f"threshold must be finite and > 0, got {args.threshold}")
     ok = True
     for visual, fusion in args.modes:
         params, cfg, dataset, batch = gradcheck_instance(

@@ -326,7 +326,13 @@ def load_dataset(ratings_path, frames_path, features_path) -> Dataset:
     """Load a dataset from ``ratings.tsv``, ``frames.tsv`` and ``features.npy``.
 
     The features file is a 2-D float ``.npy`` array (no pickles) whose row k
-    belongs to the k-th record of the frames file.  Duplicate rating lines
+    belongs to the k-th record of the frames file.  When the frames file
+    lists the frames in sorted-token order, as ``save_dataset`` writes a
+    dataset whose frame ids run item by item (synthetic data does), the
+    array as read becomes ``frame_features``, converted to float64 if it is
+    not; otherwise its rows are gathered once into that order.  Either way
+    at most one copy sits beside the array as read, and the records' tokens
+    are freed before it is read.  Duplicate rating lines
     collapse to one positive; items only in the frames file are kept unrated.
     Raises ParseError for malformed lines and IntegrityError for broken
     cross-references (a rated item without frames, a frame listed twice) and
@@ -340,6 +346,14 @@ def load_dataset(ratings_path, frames_path, features_path) -> Dataset:
         k = int((_ids(frames, row_of) != np.arange(n)).argmax())  # the first repeat
         raise IntegrityError(f"{frames_path}:{_line_of(frames_path, k)}: "
                              f"frame {frames[k]!r} is listed twice")
+    frame_tokens = sorted(row_of)
+    rows = _ids(frame_tokens, row_of)
+    user_tokens = sorted(set(users))
+    item_tokens = sorted(set(rated).union(parents))
+    user_index, item_index = _index(user_tokens), _index(item_tokens)
+    ratings = np.column_stack([_ids(users, user_index), _ids(rated, item_index)])
+    frame_parent = _ids(parents, item_index)[rows]
+    del users, rated, frames, parents, row_of  # a token per record, freed before the features
     try:
         with open(features_path, "rb") as fh:
             features = np.lib.format.read_array(fh, allow_pickle=False)
@@ -353,18 +367,13 @@ def load_dataset(ratings_path, frames_path, features_path) -> Dataset:
     finite = np.isfinite(features).all(axis=1)
     if not finite.all():
         raise IntegrityError(f"{features_path}: row {finite.argmin()} is not finite")
-
-    frame_tokens = sorted(row_of)
-    rows = _ids(frame_tokens, row_of)
-    # one copy, freeing the array as read (lower peak RSS)
-    features = np.asarray(features, dtype=np.float64)[rows]
-    user_tokens = sorted(set(users))
-    item_tokens = sorted(set(rated).union(parents))
-    user_index, item_index = _index(user_tokens), _index(item_tokens)
+    if (rows != np.arange(n)).any():
+        # one gather in the dtype as read; rebinding frees the array as read
+        features = features[rows]
     d = Dataset(
-        ratings=np.column_stack([_ids(users, user_index), _ids(rated, item_index)]),
-        frame_parent=_ids(parents, item_index)[rows],
-        frame_features=features,
+        ratings=ratings,
+        frame_parent=frame_parent,
+        frame_features=np.ascontiguousarray(features, dtype=np.float64),
         user_ids=tuple(user_tokens),
         item_ids=tuple(item_tokens),
         frame_ids=tuple(frame_tokens),

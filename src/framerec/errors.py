@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer and seed checks."""
+"""Exception types shared across the package, and the integer, real and seed checks."""
 
 import numbers
 
@@ -58,3 +58,13 @@ def check_integers(config, names) -> None:
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
         object.__setattr__(config, name, int(value))
+
+
+def check_reals(config, names) -> None:
+    """ConfigError unless each named field of the frozen dataclass ``config`` is a
+    real number (not a bool); it is stored back as a float."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigError(f"{name} must be a real number, got {value!r}")
+        object.__setattr__(config, name, float(value))

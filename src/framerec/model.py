@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import Dataset, atomic_writer
 from .errors import (ConfigError, IntegrityError, MissingFramesError, UnsupportedTaskError,
-                     check_integers, check_seed)
+                     check_integers, check_reals, check_seed)
 
 VISUAL_OFF = "off"
 VISUAL_AVG = "avg"
@@ -57,6 +57,7 @@ class ModelConfig:
     def __post_init__(self):
         check_integers(self, ("d1", "d2", "attn_hidden_visual", "attn_hidden_rating",
                               "reduced_visual_dim", "seed"))
+        check_reals(self, ("lambda1", "init_scale"))
         check_seed(self.seed)
         if min(self.d1, self.attn_hidden_visual, self.attn_hidden_rating,
                self.reduced_visual_dim) < 1:
@@ -336,10 +337,14 @@ def score_pairs(
     return (scores, cache) if want_cache else scores
 
 
-# score_catalog scores CATALOG_BLOCK // (C * attn_hidden_rating) users at a
-# time (at least one), C being the items each user is scored against, so the
-# (rows, C, h) fusion hidden intermediate holds at most this many elements
-# and stays in cache.  Scores do not depend on it.
+# The bulk scorers work a block of rows at a time, so that no intermediate
+# grows with the number of rows asked for.  score_catalog scores
+# CATALOG_BLOCK // (C * attn_hidden_rating) users at a time (at least one), C
+# being the items each user is scored against, so the (rows, C, h) fusion
+# hidden intermediate holds at most this many elements and stays in cache;
+# score_frames scores CATALOG_BLOCK // d2 (user, frame) pairs at a time, so
+# each of its two gathered (rows, d2) operands holds at most as many.
+# Scores do not depend on it.
 CATALOG_BLOCK = 1 << 18
 
 
@@ -415,7 +420,11 @@ def score_frames(users, frames, params: ModelParams, cfg: ModelConfig, dataset: 
     """Visual-only frame scores for (user, frame) pairs in bulk.
 
     Projects the whole frame table once, ``frame_features @ visual_proj.T``,
-    and gathers the projected rows of ``frames``, which equal the per-row
+    then scores ``CATALOG_BLOCK // d2`` pairs at a time (at least one) into
+    one output array: each block gathers only its own user rows and
+    projected frame rows, so memory beyond the projected table does not grow
+    with the number of pairs.  A score is a row-wise dot, so the blocks
+    change no bit, and the gathered projection equals the per-row
     projection ``frame_features[frames] @ visual_proj.T`` up to rounding.
     Evaluation asks for more rows than the table holds, each item's frames
     once per liked frame.
@@ -426,8 +435,17 @@ def score_frames(users, frames, params: ModelParams, cfg: ModelConfig, dataset: 
         )
     users = _checked_ids(users, dataset.num_users, "user")
     frames = _checked_ids(frames, dataset.num_frames, "frame")
-    frame_emb = np.take(dataset.frame_features @ params.visual_proj.T, frames, axis=0)
-    return np.einsum("bd,bd->b", params.user_visual[users], frame_emb)
+    if users.ndim != 1 or users.shape != frames.shape:
+        raise ValueError(f"users and frames must be two 1-D arrays of one length, "
+                         f"got {users.shape} and {frames.shape}")
+    projected = dataset.frame_features @ params.visual_proj.T
+    rows = max(1, CATALOG_BLOCK // cfg.d2)
+    scores = np.empty(len(users))
+    for lo in range(0, len(users), rows):
+        b = slice(lo, lo + rows)
+        scores[b] = np.einsum("bd,bd->b", params.user_visual[users[b]],
+                              np.take(projected, frames[b], axis=0))
+    return scores
 
 
 # ---------------------------------------------------------------------------

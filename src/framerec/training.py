@@ -33,7 +33,7 @@ import numpy as np
 
 from .data import Dataset, SplitDataset, atomic_writer, check_dataset
 from .errors import (ConfigError, EmptyDatasetError, NonFiniteError, SamplingError,
-                     check_integers, check_seed)
+                     check_integers, check_reals, check_seed)
 from .evaluation import evaluate_item_rec
 from .model import (
     FUSION_ATT,
@@ -77,6 +77,7 @@ class TrainConfig:
     def __post_init__(self):
         check_integers(self, ("batch_size", "epochs", "neg_ratio", "patience",
                               "valid_negatives", "valid_k", "seed"))
+        check_reals(self, ("lr",))
         if self.loss_reduction not in LOSS_REDUCTIONS:
             raise ConfigError(f"unknown loss_reduction {self.loss_reduction!r}")
         if min(self.batch_size, self.epochs, self.neg_ratio, self.patience,

@@ -1,6 +1,8 @@
-"""Shared fixtures: a small handcrafted dataset, data directory and checkpoint helpers."""
+"""Shared fixtures: a small handcrafted dataset, data directory, checkpoint and
+memory helpers."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,3 +69,14 @@ def write_members(path, members) -> None:
     """
     with open(path, "wb") as fh:
         np.savez(fh, **{**members, "meta": np.array(json.dumps(members["meta"]))})
+
+
+def traced_peak(fn):
+    """``(fn(), peak)``: the result of calling ``fn`` and the peak bytes
+    tracemalloc traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

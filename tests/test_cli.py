@@ -209,6 +209,13 @@ class TestBadCounts:
         assert code == 1
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
+    def test_gradcheck_threshold_that_judges_nothing(self, capsys, value):
+        # nan and -1 would fail correct gradients, inf would pass any finite error
+        code, out, err = call(capsys, "gradcheck", "--modes", "off:sum", "--threshold", value)
+        assert code == 1 and out == ""
+        assert err == f"error: threshold must be finite and > 0, got {float(value)}\n"
+
     def test_negative_min_count(self, pipeline_dirs, capsys):
         code, _, err = call(capsys, "split", "--data", str(pipeline_dirs / "data"),
                             "--out", str(pipeline_dirs / "split2"), "--min-count", "-3")
@@ -374,6 +381,22 @@ class TestErrors:
     def test_config_sizes_must_be_integers(self, config, field, value):
         with pytest.raises(ConfigError, match=f"^{field} must be an integer, got "):
             config(**{field: value})
+
+    @pytest.mark.parametrize("config,field", [
+        (TrainConfig, "lr"), (ModelConfig, "lambda1"), (ModelConfig, "init_scale"),
+    ])
+    @pytest.mark.parametrize("value", ["0.01", "x", None, True, 1j])
+    def test_config_rates_must_be_real_numbers(self, config, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be a real number, got "):
+            config(**{field: value})
+
+    @pytest.mark.parametrize("config,field", [
+        (TrainConfig, "lr"), (ModelConfig, "lambda1"), (ModelConfig, "init_scale"),
+    ])
+    @pytest.mark.parametrize("value", [np.float32(0.5), np.int64(1), 1])
+    def test_config_real_numbers_are_held_as_floats(self, config, field, value):
+        got = getattr(config(**{field: value}), field)
+        assert type(got) is float and got == float(value)
 
     @pytest.mark.parametrize("config", [TrainConfig, SynthConfig])
     def test_config_numpy_integers_are_held_as_ints(self, config):

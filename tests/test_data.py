@@ -28,7 +28,8 @@ from framerec.synth import SynthConfig, generate_synthetic
 from framerec.training import gradcheck_instance
 
 import reference
-from conftest import TOY_FEATURES, TOY_FRAMES, TOY_RATINGS, pair_set, write_dataset_dir
+from conftest import (TOY_FEATURES, TOY_FRAMES, TOY_RATINGS, pair_set, traced_peak,
+                      write_dataset_dir)
 
 
 def portion_sets(split) -> list:
@@ -741,6 +742,38 @@ class TestRoundTrips:
         assert np.array_equal(back.ratings, ds.ratings)
         assert back.frame_ids == ds.frame_ids
         np.testing.assert_array_equal(back.frame_features, ds.frame_features)
+
+    @pytest.mark.parametrize("shuffled,dtype,copies", [
+        (False, np.float64, 0), (True, np.float64, 1), (False, np.float32, 0.5),
+        (True, np.float32, 0.5)], ids=["saved", "shuffled", "saved-float32", "shuffled-float32"])
+    def test_every_frames_layout_loads_the_same_dataset(self, tmp_path, shuffled, dtype, copies):
+        # The frame ids run item by item, so save_dataset writes them in token
+        # order; "shuffled" permutes the frame records and feature rows alike.
+        # Against 8 MB of float64 features the tokens are a few hundred kB:
+        # beside the features it returns, a load holds at most one array of
+        # the features as read, and none for the saved float64 layout.
+        n, f = 2000, 512
+        ds = Dataset(
+            ratings=frozenset((u, u % 100) for u in range(200)),
+            frame_parent=np.arange(n, dtype=np.int64) // 20,
+            # values the float32 file holds exactly
+            frame_features=np.random.default_rng(1).normal(size=(n, f)).astype(np.float32)
+            .astype(np.float64),
+            user_ids=tuple(f"u{k:04d}" for k in range(200)),
+            item_ids=tuple(f"i{k:04d}" for k in range(100)),
+            frame_ids=tuple(f"f{k:05d}" for k in range(n)),
+        )
+        paths = save_dataset(ds, tmp_path)
+        frames = paths["frames"].read_text(encoding="utf-8").splitlines(keepends=True)
+        order = np.random.default_rng(2).permutation(n) if shuffled else np.arange(n)
+        paths["frames"].write_text("".join(frames[k] for k in order), encoding="utf-8")
+        np.save(paths["features"], np.load(paths["features"])[order].astype(dtype))
+        back, peak = traced_peak(
+            lambda: load_dataset(paths["ratings"], paths["frames"], paths["features"]))
+        assert back == ds
+        assert back.frame_features.dtype == np.float64 and back.frame_features.flags.c_contiguous
+        assert back.frame_features.tobytes() == ds.frame_features.tobytes()
+        assert peak < (1.25 + copies) * ds.frame_features.nbytes, (peak, copies)
 
     def test_split_save_load(self, toy_dataset, tmp_path):
         likes = {(0, 0), (0, 2), (1, 2), (2, 3)}

@@ -1,13 +1,13 @@
 """Rank computation, metric values, and the two evaluation protocols."""
 
 import math
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import reference
+from conftest import traced_peak
 from framerec import cli, evaluation, model
 from framerec.data import Dataset, split_ratings
 from framerec.errors import (
@@ -224,13 +224,8 @@ class TestItemEvaluation:
         # 100 x 1 scores candidates; 1000 x 10 asks for more candidates per
         # pair than the 5000 items, so it scores the catalog
         for n_negatives, repeats in [(100, 1), (1000, 10)]:
-            tracemalloc.start()
-            try:
-                rep = evaluate_item_rec(params, cfg, split, n_negatives=n_negatives,
-                                        repeats=repeats)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+            rep, peak = traced_peak(lambda: evaluate_item_rec(
+                params, cfg, split, n_negatives=n_negatives, repeats=repeats))
             assert rep.n_pairs == len(split.pairs("test"))
             assert peak < dense_bytes / 2, (repeats, peak, dense_bytes)
 
@@ -432,6 +427,23 @@ class TestFrameEvaluation:
         rep_ex = evaluate_frame_rec(planted.params, planted.cfg, split,
                                     k_list=(1,), exclude_singletons=True)
         assert rep_ex.n_pairs == 0
+
+    def test_scoring_holds_no_gather_as_large_as_the_pairs(self):
+        # d2 = 64 and 20 frames per item: a (slots, d2) float64 gather of the
+        # padded (pair, frame) slots would cost 512 bytes a slot.  Beyond the
+        # report's own padded matrices (under 64 bytes a slot), scoring holds
+        # the projected frame table and two blocks of CATALOG_BLOCK elements.
+        split, _ = synth_split(seed=3, num_users=300, num_items=200, frames_per_item=20,
+                               feature_dim=8, ratings_per_user=10, frame_likes_per_pair=4)
+        cfg = ModelConfig(d1=64, d2=64, attn_hidden_visual=8, attn_hidden_rating=8,
+                          reduced_visual_dim=8)
+        params = init_params(cfg, split.base)
+        slots = len(split.frame_test) * 20
+        rep, peak = traced_peak(lambda: evaluate_frame_rec(params, cfg, split))
+        budget = split.base.num_frames * cfg.d2 * 8 + 2 * model.CATALOG_BLOCK * 8 + 64 * slots
+        assert slots * cfg.d2 * 8 > budget  # one dense gather alone would not fit
+        assert peak < budget, (peak, budget)
+        assert rep.n_pairs == len(split.frame_test)
 
     def test_random_baseline_tracks_chance(self):
         split, _ = synth_split(seed=13, num_users=40, num_items=40,

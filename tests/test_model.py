@@ -2,7 +2,6 @@
 
 import json
 import math
-import tracemalloc
 import zipfile
 from dataclasses import replace
 
@@ -34,7 +33,7 @@ from framerec.synth import SynthConfig, generate_synthetic
 from framerec.training import gradcheck_instance
 
 import reference
-from conftest import read_members, write_members
+from conftest import read_members, traced_peak, write_members
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -481,6 +480,33 @@ class TestCatalogScoring:
                 score()
 
 
+class TestFrameScoring:
+    """``score_frames`` scores ``CATALOG_BLOCK // d2`` (user, frame) pairs at a time."""
+
+    @pytest.mark.parametrize("visual", ["avg", "att"])
+    def test_pair_blocks_change_no_bit(self, monkeypatch, visual):
+        params, cfg, ds, _ = catalog_instance(visual, "att")
+        rng = np.random.default_rng(6)
+        users = rng.integers(0, ds.num_users, size=200)
+        frames = rng.integers(0, ds.num_frames, size=200)
+        default = score_frames(users, frames, params, cfg, ds)
+        assert model.CATALOG_BLOCK // cfg.d2 >= len(users)  # one block
+        for block in (cfg.d2, 7 * cfg.d2, 7 * cfg.d2 + 1):  # one pair, 7 pairs, 7 again
+            monkeypatch.setattr(model, "CATALOG_BLOCK", block)
+            got = score_frames(users, frames, params, cfg, ds)
+            assert got.tobytes() == default.tobytes()
+
+    def test_no_pairs_score_nothing(self):
+        params, cfg, ds, _ = catalog_instance("att", "att")
+        assert score_frames([], [], params, cfg, ds).shape == (0,)
+
+    @pytest.mark.parametrize("users,frames", [([0, 1], [0]), ([], [0]), ([[0]], [[0]])])
+    def test_pairs_must_be_two_flat_arrays_of_one_length(self, users, frames):
+        params, cfg, ds, _ = catalog_instance("att", "att")
+        with pytest.raises(ValueError, match="^users and frames must be two 1-D arrays"):
+            score_frames(users, frames, params, cfg, ds)
+
+
 def candidate_matrix(ds, users, width=7):
     """A (len(users), width) matrix of random candidate ids, repeats allowed."""
     return np.random.default_rng(3).integers(0, ds.num_items, size=(len(users), width))
@@ -694,12 +720,7 @@ class TestCheckpoint:
         nbytes = sum(t.nbytes for t in params.tensors().values())  # about 2.6 MB
         path = tmp_path / "ck.npz"
         save_checkpoint(path, params, cfg, "digest")
-        tracemalloc.start()
-        try:
-            back, _, _ = load_checkpoint(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (back, _, _), peak = traced_peak(lambda: load_checkpoint(path))
         assert peak < 2 * nbytes, (peak, nbytes)
         np.testing.assert_array_equal(back.user_visual, params.user_visual)
 

@@ -1,7 +1,6 @@
 """Synthetic generator: determinism, sizes, and planted-model consistency."""
 
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +14,7 @@ from framerec.synth import (
     planted_frame_likes,
 )
 
+from conftest import traced_peak
 from reference import planted_frame_scores, planted_item_scores, top_k_stable
 
 SMALL = dict(num_users=12, num_items=20, frames_per_item=4, feature_dim=6,
@@ -107,12 +107,8 @@ class TestGeneration:
         cfg = SynthConfig(num_users=400, num_items=1000, frames_per_item=20, feature_dim=16)
         ds, likes, planted = generate_synthetic(cfg)
         dense_bytes = ds.num_users * ds.num_frames * 8  # a (users, frames) float64 matrix
-        tracemalloc.start()
-        try:
-            again = planted_frame_likes(planted, ds, cfg.frame_likes_per_pair)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        again, peak = traced_peak(lambda: planted_frame_likes(planted, ds,
+                                                              cfg.frame_likes_per_pair))
         assert np.array_equal(again, likes)
         assert peak < dense_bytes / 2, (peak, dense_bytes)
 
@@ -120,12 +116,7 @@ class TestGeneration:
         cfg = SynthConfig(num_users=4000, num_items=1500, frames_per_item=1, feature_dim=2,
                           latent_dim=2, ratings_per_user=5)
         dense_bytes = cfg.num_users * cfg.num_items * 8  # a (users, items) float64 matrix
-        tracemalloc.start()
-        try:
-            ds, _, _ = generate_synthetic(cfg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        (ds, _, _), peak = traced_peak(lambda: generate_synthetic(cfg))
         assert len(ds.ratings) == cfg.num_users * cfg.ratings_per_user
         assert peak < dense_bytes / 2, (peak, dense_bytes)
 
