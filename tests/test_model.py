@@ -413,25 +413,32 @@ class TestScoring:
             reference.predict_frame_score(0, 6, params, cfg, toy_dataset)
 
 
-def catalog_instance(visual, fusion):
+def catalog_instance(visual, fusion, hidden=8):
     """A random model on 30 users and 41 items, with 45 user ids in random order.
 
     Unit-scale parameters make the fusion logits large enough that a product
     whose height followed the user block would round some scores apart.
+    ``hidden`` is the fusion's hidden size; d1 is 8.
     """
     ds, _, _ = generate_synthetic(SynthConfig(num_users=30, num_items=41, frames_per_item=3,
                                               feature_dim=6, ratings_per_user=4, seed=2))
-    cfg = ModelConfig(d1=8, d2=8, attn_hidden_visual=8, attn_hidden_rating=8,
+    cfg = ModelConfig(d1=8, d2=8, attn_hidden_visual=8, attn_hidden_rating=hidden,
                       reduced_visual_dim=8, visual_mode=visual, fusion_mode=fusion,
                       init_scale=1.0, seed=5)
     users = np.random.default_rng(1).integers(0, ds.num_users, size=45)
     return init_params(cfg, ds), cfg, ds, users
 
 
+# the six modes, then the fused ones with a hidden size other than d1, so that
+# a (d, N) item array in place of an (h, N) one does not go unnoticed
+HIDDEN_CASES = [pytest.param(v, f, 8, id=f"{v}-{f}") for v, f in MODES] + [
+    pytest.param(v, "att", 5, id=f"{v}-att-hidden5") for v in ("avg", "att")]
+
+
 class TestCatalogScoring:
-    @pytest.mark.parametrize("visual,fusion", MODES)
-    def test_user_blocks_change_no_bit(self, monkeypatch, visual, fusion):
-        params, cfg, ds, users = catalog_instance(visual, fusion)
+    @pytest.mark.parametrize("visual,fusion,hidden", HIDDEN_CASES)
+    def test_user_blocks_change_no_bit(self, monkeypatch, visual, fusion, hidden):
+        params, cfg, ds, users = catalog_instance(visual, fusion, hidden)
         default = score_catalog(users, params, cfg, ds)
         assert default.shape == (len(users), ds.num_items)
         per_user = ds.num_items * cfg.attn_hidden_rating
@@ -444,9 +451,9 @@ class TestCatalogScoring:
                              keep=lambda block, rows: np.column_stack([block[:, :2], users[rows]]))
         assert kept.tobytes() == np.column_stack([default[:, :2], users]).tobytes()
 
-    @pytest.mark.parametrize("visual,fusion", MODES)
-    def test_scores_match_score_pairs(self, visual, fusion):
-        params, cfg, ds, users = catalog_instance(visual, fusion)
+    @pytest.mark.parametrize("visual,fusion,hidden", HIDDEN_CASES)
+    def test_scores_match_score_pairs(self, visual, fusion, hidden):
+        params, cfg, ds, users = catalog_instance(visual, fusion, hidden)
         got = score_catalog(users, params, cfg, ds)
         want = score_pairs(users[:, None], np.arange(ds.num_items)[None, :], params, cfg, ds)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-14)
@@ -454,6 +461,35 @@ class TestCatalogScoring:
     def test_no_users_score_an_empty_block(self):
         params, cfg, ds, _ = catalog_instance("att", "att")
         assert score_catalog([], params, cfg, ds).shape == (0, ds.num_items)
+
+    @pytest.mark.parametrize("form", ["catalog", "candidates"])
+    @pytest.mark.parametrize("visual,fusion", MODES)
+    def test_each_user_alone_scores_its_row_of_the_call(self, visual, fusion, form):
+        # a user's scores do not depend on which other users share the call
+        params, cfg, ds, users = catalog_instance(visual, fusion)
+        items = candidate_matrix(ds, users) if form == "candidates" else None
+        together = score_catalog(users, params, cfg, ds, items=items)
+        for row, user in enumerate(users):
+            alone = score_catalog([user], params, cfg, ds,
+                                  items=None if items is None else items[row:row + 1])
+            assert alone.tobytes() == together[row:row + 1].tobytes(), row
+
+    def test_peak_memory_holds_planes_not_a_hidden_array(self):
+        # at h = 32 one block's (rows, N, h) fusion hidden array alone is 32
+        # (rows, N) planes; the bound is the per-call copies plus 16 planes
+        params, cfg, ds, _ = catalog_instance("att", "att", hidden=32)
+        table = item_visual_table(params, cfg, ds)
+        users = np.random.default_rng(4).integers(0, ds.num_users, size=400)
+        h, n = cfg.attn_hidden_rating, ds.num_items
+        rows = model.CATALOG_BLOCK // (n * h)
+        assert rows < len(users)  # more than one block
+        # the item-major arrays, the users' rows and their fusion halves
+        copies = 8 * (n + len(users)) * (cfg.d1 + cfg.d2 + 2 * h)
+        plane = 8 * rows * n
+        _, peak = traced_peak(lambda: score_catalog(users, params, cfg, ds, table=table,
+                                                    keep=lambda block, _: block[:, :1]))
+        assert peak < copies + 16 * plane, (peak, copies, plane)
+        assert 32 * plane > copies + 16 * plane
 
     @pytest.mark.parametrize("bad", [-1, 30])
     def test_out_of_range_users_raise_as_score_pairs(self, bad):
@@ -515,18 +551,18 @@ def candidate_matrix(ds, users, width=7):
 class TestCandidateScoring:
     """``score_catalog`` with an ``items`` matrix: each user against its own row."""
 
-    @pytest.mark.parametrize("visual,fusion", MODES)
-    def test_scores_match_score_pairs(self, visual, fusion):
-        params, cfg, ds, users = catalog_instance(visual, fusion)
+    @pytest.mark.parametrize("visual,fusion,hidden", HIDDEN_CASES)
+    def test_scores_match_score_pairs(self, visual, fusion, hidden):
+        params, cfg, ds, users = catalog_instance(visual, fusion, hidden)
         items = candidate_matrix(ds, users)
         got = score_catalog(users, params, cfg, ds, items=items)
         want = score_pairs(users[:, None], items, params, cfg, ds)
         assert got.shape == items.shape
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-14)
 
-    @pytest.mark.parametrize("visual,fusion", MODES)
-    def test_user_blocks_change_no_bit(self, monkeypatch, visual, fusion):
-        params, cfg, ds, users = catalog_instance(visual, fusion)
+    @pytest.mark.parametrize("visual,fusion,hidden", HIDDEN_CASES)
+    def test_user_blocks_change_no_bit(self, monkeypatch, visual, fusion, hidden):
+        params, cfg, ds, users = catalog_instance(visual, fusion, hidden)
         items = candidate_matrix(ds, users)
         default = score_catalog(users, params, cfg, ds, items=items)
         per_user = items.shape[1] * cfg.attn_hidden_rating
