@@ -199,10 +199,15 @@ def _attention_mlp_backward(out, hidden_pre, dlogits, gout, halves):
     pre-activation gradient once per half, summed over the axes along which
     that half was broadcast.  A half's input gradient is its pre-activation
     gradient times its weight half; callers form only the ones they need.
+    The ReLU and the pre-activation gradient are formed in ``hidden_pre``'s
+    own buffer, which so ends up overwritten: callers pass a pre-activation
+    they no longer need.
     """
     h = hidden_pre.shape[-1]
-    gout += np.maximum(hidden_pre, 0.0).reshape(-1, h).T @ dlogits.reshape(-1)
-    dh = dlogits[..., None] * (out * (hidden_pre > 0))
+    relu = np.maximum(hidden_pre, 0.0, out=hidden_pre)
+    gout += relu.reshape(-1, h).T @ dlogits.reshape(-1)
+    dh = np.multiply(out, relu > 0, out=relu)
+    dh *= dlogits[..., None]
     dh_halves = []
     for x, gweight in halves:
         axes = tuple(a for a, n in enumerate(x.shape[:-1]) if n < dh.shape[a])
@@ -257,10 +262,19 @@ def item_visual_table(params: ModelParams, cfg: ModelConfig, dataset: Dataset):
 
 @dataclass
 class PairCache:
-    """Per-pair intermediates for one vectorised scoring call."""
+    """Per-pair intermediates for one vectorised scoring call.
+
+    ``user_collab``, ``item_collab``, ``user_visual`` and ``item_visual``
+    are the rows the call gathered for its pairs, so that the backward pass
+    reads them without gathering them again.
+    """
 
     collab: np.ndarray
+    user_collab: np.ndarray
+    item_collab: np.ndarray
     visual: np.ndarray = None
+    user_visual: np.ndarray = None
+    item_visual: np.ndarray = None
     h1_pre: np.ndarray = None
     h2_pre: np.ndarray = None
     beta1: np.ndarray = None
@@ -309,8 +323,8 @@ def score_pairs(
     items = _checked_ids(items, dataset.num_items, "item")
     user_collab, item_collab = params.user_collab[users], params.item_collab[items]
     collab = np.einsum("...d,...d->...", user_collab, item_collab)
+    cache = PairCache(collab=collab, user_collab=user_collab, item_collab=item_collab)
     if cfg.visual_mode == VISUAL_OFF:
-        cache = PairCache(collab=collab)
         return (collab, cache) if want_cache else collab
 
     if table is None:
@@ -320,20 +334,18 @@ def score_pairs(
         raise MissingFramesError(f"item {items.flat[np.argmin(counts)]} has no frames")
     user_visual, item_visual = params.user_visual[users], table.x[items]
     visual = np.einsum("...d,...d->...", user_visual, item_visual)
+    cache.visual, cache.user_visual, cache.item_visual = visual, user_visual, item_visual
 
     if cfg.fusion_mode == FUSION_SUM:
         scores = collab + visual
-        cache = PairCache(collab=collab, visual=visual)
         return (scores, cache) if want_cache else scores
 
     k = cfg.d1
     mlp = (params.fusion_hidden[:, :k], params.fusion_hidden[:, k:], params.fusion_out)
-    h1_pre, g1 = _attention_mlp(user_collab, item_collab, *mlp)
-    h2_pre, g2 = _attention_mlp(user_visual, item_visual, *mlp)
-    beta1, beta2 = _two_way_softmax(g1, g2)
-    scores = beta1 * collab + beta2 * visual
-    cache = PairCache(collab=collab, visual=visual, h1_pre=h1_pre, h2_pre=h2_pre,
-                      beta1=beta1, beta2=beta2)
+    cache.h1_pre, g1 = _attention_mlp(user_collab, item_collab, *mlp)
+    cache.h2_pre, g2 = _attention_mlp(user_visual, item_visual, *mlp)
+    cache.beta1, cache.beta2 = _two_way_softmax(g1, g2)
+    scores = cache.beta1 * collab + cache.beta2 * visual
     return (scores, cache) if want_cache else scores
 
 

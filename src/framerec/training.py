@@ -20,6 +20,15 @@ rows of the tensor and of both moments (the "lazy" Adam of TensorFlow's
 ``LazyAdamOptimizer`` and PyTorch's ``SparseAdam``).  An untouched row's
 moments do not decay, and momentum does not move it.  The other tensors are
 small and get dense gradients and updates.
+
+The rows a batch touches, the sorted users and items it names and each
+pair's position among them, come from ``_row_set``: a presence mask and a
+slot map over the catalog, without a sort.  The regulariser and the gradient
+read the same row sets.  The backward pass reads the embedding rows the
+forward gathered for each pair (``PairCache``) instead of gathering them
+again.  It sums each entity's per-pair gradients, one array per channel
+(collaborative, then visual), into the entity's touched rows in one
+``_row_sums`` call, which forms the flat bin index once for the channels.
 """
 
 from __future__ import annotations
@@ -168,7 +177,8 @@ def batch_loss(
     """
     batch = np.asarray(batch, dtype=np.int64)
     data = _score_batch(params, cfg, dataset, batch, reduction, None)[-1]
-    users, items = np.unique(batch[:, 0]), np.unique(batch[:, 1:3])
+    users = _row_set(batch[:, 0], dataset.num_users)[0]
+    items = _row_set(batch[:, 1:3].ravel(), dataset.num_items)[0]
     reg = float(np.sum(params.user_collab[users] ** 2))
     reg += float(np.sum(params.item_collab[items] ** 2))
     if cfg.visual_mode != VISUAL_OFF:
@@ -212,7 +222,8 @@ def batch_gradients(
     g = np.concatenate([-w, w])  # d(loss)/d(score) per pair
 
     # Per pair, the gradient w.r.t. the user's and the item's row of each
-    # embedding; each is summed into the rows the batch touches, once.
+    # channel's embedding, from the rows the forward gathered; each entity's
+    # channels are summed into the rows the batch touches in one call.
     dcf = dvs = g  # d(loss)/d(collaborative and visual channel score)
     visual = cfg.visual_mode != VISUAL_OFF
     fused = visual and cfg.fusion_mode == FUSION_ATT
@@ -234,25 +245,25 @@ def batch_gradients(
                 params.fusion_out, hidden_pre, sign * gamma, grads["fusion_out"],
                 ((user_rows, g_user), (item_rows, g_item)),
             )
-            du = du + dhu @ w_user
-            di = di + dhi @ w_item
+            du += dhu @ w_user
+            di += dhi @ w_item
         return du, di
 
-    du, di = pair_grads(params.user_collab[users], params.item_collab[items], dcf,
-                        cache.h1_pre, 1.0)
-    user_rows, user_of = np.unique(users, return_inverse=True)
-    rows, item_of = np.unique(items, return_inverse=True)
-    decay = 2.0 * cfg.lambda1  # d(lambda1 * |row|^2)/d(row) = decay * row
-    grads["user_collab"] = (user_rows, _row_sums(user_of, du, len(user_rows))
-                            + decay * params.user_collab[user_rows])
-    gi = _row_sums(item_of, di, len(rows)) + decay * params.item_collab[rows]
+    channels = [pair_grads(cache.user_collab, cache.item_collab, dcf, cache.h1_pre, 1.0)]
     if visual:
-        dv, dx = pair_grads(params.user_visual[users], table.x[items], dvs,
-                            cache.h2_pre, -1.0)
-        grads["user_visual"] = (user_rows, _row_sums(user_of, dv, len(user_rows))
-                                + decay * params.user_visual[user_rows])
-        gi += _table_backward(params, cfg, dataset, table, rows,
-                              _row_sums(item_of, dx, len(rows)), grads)
+        channels.append(
+            pair_grads(cache.user_visual, cache.item_visual, dvs, cache.h2_pre, -1.0))
+    user_grads, item_grads = zip(*channels)  # [du, dv] and [di, dx]
+    user_rows, user_of = _row_set(users, dataset.num_users)
+    rows, item_of = _row_set(items, dataset.num_items)
+    user_sums = _row_sums(user_of, user_grads, len(user_rows))
+    item_sums = _row_sums(item_of, item_grads, len(rows))
+    decay = 2.0 * cfg.lambda1  # d(lambda1 * |row|^2)/d(row) = decay * row
+    grads["user_collab"] = (user_rows, user_sums[0] + decay * params.user_collab[user_rows])
+    gi = item_sums[0] + decay * params.item_collab[rows]
+    if visual:
+        grads["user_visual"] = (user_rows, user_sums[1] + decay * params.user_visual[user_rows])
+        gi += _table_backward(params, cfg, dataset, table, rows, item_sums[1], grads)
     grads["item_collab"] = (rows, gi)
     return float(data), {name: grads[name] for name in active_param_names(cfg)}
 
@@ -268,22 +279,52 @@ def dense_gradient(param: np.ndarray, grad) -> np.ndarray:
     return dense
 
 
-def _row_sums(index, values, num_rows) -> np.ndarray:
-    """(num_rows, d) array whose row r sums the rows of ``values`` with index r.
+def _row_set(ids, size: int):
+    """(rows, inverse) for 1-D ``ids`` below ``size``, as ``np.unique(ids, return_inverse=True)``.
 
-    Adds in input order, like ``np.add.at`` into zeros, so the bits agree.
+    ``rows`` are the sorted distinct ids and ``inverse`` each id's position
+    among them, found without a sort: a presence mask over the ``size``
+    ids, ``rows = flatnonzero(mask)``, and a slot map, ``slot[rows] =
+    arange(len(rows))``, read at ``ids``.  Its cost grows with ``size``,
+    ``np.unique``'s with ``len(ids)``: for 1,024 ids it took 4.4 us against
+    21 us over 300 ids, 12.5 against 19 over 40,000, but 66 against 19 over
+    400,000 (one core of a 2-vCPU host).
     """
-    d = values.shape[1]
-    flat = (index[:, None] * d + np.arange(d)).ravel()
-    return np.bincount(flat, weights=values.ravel(), minlength=num_rows * d).reshape(num_rows, d)
+    mask = np.zeros(size, dtype=bool)
+    mask[ids] = True
+    rows = np.flatnonzero(mask)
+    slot = np.empty(size, dtype=np.int64)
+    slot[rows] = np.arange(len(rows))
+    return rows, slot[ids]
+
+
+def _row_sums(index, values, num_rows) -> list:
+    """Per (n, d) array of ``values``, the (num_rows, d) array whose row r
+    sums its rows with index r.
+
+    The sums run through ``np.bincount`` over one flat bin index, formed
+    once per width and shared by the arrays of that width, since forming it
+    costs more than a bincount.  Adds in input order, like ``np.add.at``
+    into zeros, so the bits agree.
+    """
+    flat = {}
+    sums = []
+    for v in values:
+        d = v.shape[1]
+        if d not in flat:
+            flat[d] = (index[:, None] * d + np.arange(d)).ravel()
+        sums.append(np.bincount(flat[d], weights=v.ravel(),
+                                minlength=num_rows * d).reshape(num_rows, d))
+    return sums
 
 
 def _table_backward(params, cfg, dataset, table, rows, gx, grads):
     """Push gradients w.r.t. the visual embeddings of items ``rows`` into the tensors.
 
     gx is (len(rows), d2); every other item's gradient is zero, so only the
-    frames of ``rows`` take part, gathered once.  ``x`` is the projection of
-    the alpha-pooled frame features, so the projection's gradient is
+    frames of ``rows`` take part, gathered once, and the attention backward
+    works in the buffer of their gathered ``hidden_pre`` rows.  ``x`` is the
+    projection of the alpha-pooled frame features, so the projection's gradient is
     ``gx.T @ _pool(alpha[rows], feats)``.  Attention additionally feeds its
     weight network: the query half's gradient goes straight into
     ``attn_hidden[:, :d1]``, and the key half, which acts on raw features
@@ -362,11 +403,19 @@ def adam_step(
         m *= b1
         m += (1.0 - b1) * grad
         v *= b2
-        v += (1.0 - b2) * grad * grad
-        state.m[name][rows] = m
-        state.v[name][rows] = v
-        update = (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
-        tensors[name][rows] -= tcfg.lr * update
+        square = (1.0 - b2) * grad
+        square *= grad
+        v += square
+        if not isinstance(rows, slice):  # gathered rows are copies: scatter them back
+            state.m[name][rows] = m
+            state.v[name][rows] = v
+        denom = np.divide(v, corr2, out=square)  # square's buffer, added to v already
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        update = m / corr1
+        update /= denom
+        update *= tcfg.lr
+        tensors[name][rows] -= update
 
 
 # ---------------------------------------------------------------------------

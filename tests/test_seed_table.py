@@ -1,0 +1,102 @@
+"""tools/seed_table.py's table and comparison, on hand-made seed rows (no training)."""
+
+import copy
+import importlib.util
+import json
+import os
+import sys
+from pathlib import Path
+from unittest import mock
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "seed_table.py"
+
+
+@pytest.fixture(scope="module")
+def seed_table():
+    """The tool as a module; the environment and search path it sets are restored."""
+    spec = importlib.util.spec_from_file_location("seed_table", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(os.environ), mock.patch.object(sys, "path", list(sys.path)):
+        spec.loader.exec_module(module)
+    return module
+
+
+def row(seed, **figures):
+    """One seed's record in the shape ``one_seed`` returns."""
+    r = {
+        "seed": seed,
+        "frame_hr3_att": 0.30 + seed / 100,
+        "frame_hr3_chance": 0.18,
+        "frame_hr3_over_chance": (0.30 + seed / 100) / 0.18,
+        "frame_ndcg3_att": 0.25,
+        "frame_ndcg3_avg": 0.19,
+        "item_ndcg15_att": 0.55,
+        "item_ndcg15_off": 0.25 - seed / 100,
+        "epochs": {"att/att": 30 + seed, "avg/sum": 20, "off/sum": 18},
+        "best_epoch": {"att/att": 20 + seed, "avg/sum": 10, "off/sum": 8},
+        "clauses": {"beats_chance": True, "beats_mean": True, "beats_blind": True},
+        "seconds": 3.0 + seed,
+    }
+    r.update(figures)
+    return r
+
+
+def tables(seed_table, change=lambda rows: None):
+    """(before, after): the table of two rows as read back from JSON, and the
+    table of the same rows after ``change``."""
+    rows = [row(1), row(2)]
+    before = json.loads(json.dumps(seed_table.table(rows)))
+    rows = copy.deepcopy(rows)
+    change(rows)
+    return before, seed_table.table(rows)
+
+
+def test_identical_tables_report_no_difference(seed_table):
+    def rerun(rows):  # a rerun takes other wall seconds, which are not compared
+        for r in rows:
+            r["seconds"] += 1.5
+
+    lines = seed_table.compare(*tables(seed_table, rerun))
+    assert lines[-1] == "0 per-seed figures, epoch counts or clauses differ"
+    assert not any(line.startswith("seed ") for line in lines)
+    assert all(line.endswith("(+0)") for line in lines[:-1])
+
+
+def test_a_changed_figure_is_named(seed_table):
+    def change(rows):
+        rows[1]["item_ndcg15_att"] = 0.6
+
+    lines = seed_table.compare(*tables(seed_table, change))
+    assert "seed 2 item_ndcg15_att changed: 0.55 -> 0.6" in lines
+    assert lines[-1] == "1 per-seed figures, epoch counts or clauses differ"
+    assert "mean item_ndcg15_att: 0.550000 -> 0.575000 (+0.025)" in lines
+
+
+def test_a_changed_epoch_count_is_named(seed_table):
+    def change(rows):
+        rows[0]["epochs"]["avg/sum"] = 21
+
+    lines = seed_table.compare(*tables(seed_table, change))
+    assert "seed 1 epochs avg/sum changed: 20 -> 21" in lines
+    assert lines[-1] == "1 per-seed figures, epoch counts or clauses differ"
+
+
+def test_a_flipped_clause_is_named(seed_table):
+    def change(rows):
+        rows[0]["clauses"]["beats_blind"] = False
+
+    lines = seed_table.compare(*tables(seed_table, change))
+    assert "seed 1 clauses beats_blind flipped: True -> False" in lines
+    assert lines[-1] == "1 per-seed figures, epoch counts or clauses differ"
+
+
+def test_table_summarises_the_rows(seed_table):
+    result = seed_table.table([row(1), row(2)])
+    assert result["means"]["frame_hr3_att"] == pytest.approx(0.315)
+    assert "seconds" not in result["means"]
+    assert result["clauses_held"] == {"beats_chance": 2, "beats_mean": 2, "beats_blind": 2}
+    assert result["epochs"]["att/att"]["min"] == 31 and result["epochs"]["att/att"]["max"] == 32
+    paired = result["paired"]["item_ndcg15_att_minus_off"]
+    assert paired["mean"] == pytest.approx(0.315)

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from framerec import training
 from framerec.data import PORTIONS, Dataset, split_ratings
 from framerec.errors import (
     ConfigError,
@@ -285,6 +286,32 @@ def s_split():
     return split_ratings(ds, 0.7, 0.1, seed=123, frame_likes=likes)
 
 
+def test_row_set_is_np_unique():
+    """The touched rows and each id's position among them, as np.unique gives them."""
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+
+    catalogs = st.integers(1, 60).flatmap(lambda size: st.tuples(
+        st.just(size), st.lists(st.integers(0, size - 1), min_size=1, max_size=80)))
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.example(case=(4, [3, 1, 3, 3, 0, 1]))  # repeats
+    @hypothesis.example(case=(9, [5]))  # a single id
+    @hypothesis.example(case=(9, [0, 8, 8, 0]))  # the catalog's first and last ids
+    @hypothesis.example(case=(5, [2, 0, 4, 1, 3]))  # every id of a small catalog
+    @hypothesis.given(case=catalogs)
+    def check(case):
+        size, ids = case
+        ids = np.array(ids, dtype=np.int64)
+        rows, inverse = training._row_set(ids, size)
+        want_rows, want_inverse = np.unique(ids, return_inverse=True)
+        for got, want in ((rows, want_rows), (inverse, want_inverse)):
+            assert got.dtype.kind == "i"
+            np.testing.assert_array_equal(got, want)
+
+    check()
+
+
 class TestTouchedRowBackward:
     @pytest.mark.parametrize("visual,fusion", MODES)
     def test_matches_the_full_catalog_backward(self, visual, fusion, s_split):
@@ -296,6 +323,9 @@ class TestTouchedRowBackward:
         base = s_split.base
         batch = sample_epoch(s_split, 10, np.random.default_rng(2))[:512]
         instances.append((init_params(cfg, base), cfg, base, batch))
+        if visual != "off" and fusion == "sum":  # channels of two widths, d1 != d2
+            uneven = replace(cfg, d2=5)
+            instances.append((init_params(uneven, base), uneven, base, batch))
         for params, cfg, ds, batch in instances:
             full = item_visual_table(params, cfg, ds)
             for reduction in ("mean", "sum"):
