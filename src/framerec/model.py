@@ -178,15 +178,13 @@ def _attention_mlp(query, key, w_query, w_key, out):
 
     The first layer is the two weight halves ``w_query`` and ``w_key``,
     applied to the query and the key apart, before they broadcast against
-    each other.  Serves the frame attention and the fusion.  When the key
-    half has the pre-activation's shape, as the frame keys do, the query
-    half is added in the key half's own buffer.
+    each other.  Serves the frame attention and the fusion.  The key half
+    has the pre-activation's full shape (the (N, m) frame keys take (N, 1)
+    queries, and ``score_pairs`` hands over keys and queries of one shape),
+    so the query half is added in the key half's own buffer.
     """
-    hidden_pre, query_half = _linear(key, w_key), _linear(query, w_query)
-    if np.broadcast_shapes(hidden_pre.shape, query_half.shape) == hidden_pre.shape:
-        hidden_pre += query_half
-    else:
-        hidden_pre = hidden_pre + query_half
+    hidden_pre = _linear(key, w_key)
+    hidden_pre += _linear(query, w_query)
     return hidden_pre, np.maximum(hidden_pre, 0.0) @ out
 
 
@@ -314,14 +312,20 @@ def score_pairs(
 
     ``users`` and ``items`` are id arrays that broadcast together; the
     scores have their broadcast shape, so ``users[:, None]`` against a
-    (U, C) item block scores each user's row of candidates.  ``table`` may
-    be passed to reuse a precomputed visual table; otherwise it is built on
-    the fly.  With want_cache=True also returns the PairCache consumed by
-    the training backward pass.
+    (U, C) item block scores each user's row of candidates.  Ids of
+    different shapes are broadcast to one shape up front, so every gathered
+    row array has the scores' shape plus one axis.  Rows are gathered with
+    ``take``, which copies the same values as fancy indexing in about a
+    third of the time.  ``table`` may be passed to reuse a precomputed
+    visual table; otherwise it is built on the fly.  With want_cache=True
+    also returns the PairCache consumed by the training backward pass.
     """
     users = _checked_ids(users, dataset.num_users, "user")
     items = _checked_ids(items, dataset.num_items, "item")
-    user_collab, item_collab = params.user_collab[users], params.item_collab[items]
+    if users.shape != items.shape:
+        users, items = np.broadcast_arrays(users, items)
+    user_collab = params.user_collab.take(users, axis=0)
+    item_collab = params.item_collab.take(items, axis=0)
     collab = np.einsum("...d,...d->...", user_collab, item_collab)
     cache = PairCache(collab=collab, user_collab=user_collab, item_collab=item_collab)
     if cfg.visual_mode == VISUAL_OFF:
@@ -332,7 +336,7 @@ def score_pairs(
     counts = dataset.frame_table[2][items]
     if counts.size and counts.min() == 0:
         raise MissingFramesError(f"item {items.flat[np.argmin(counts)]} has no frames")
-    user_visual, item_visual = params.user_visual[users], table.x[items]
+    user_visual, item_visual = params.user_visual.take(users, axis=0), table.x.take(items, axis=0)
     visual = np.einsum("...d,...d->...", user_visual, item_visual)
     cache.visual, cache.user_visual, cache.item_visual = visual, user_visual, item_visual
 
@@ -512,7 +516,7 @@ def score_frames(users, frames, params: ModelParams, cfg: ModelConfig, dataset: 
     scores = np.empty(len(users))
     for lo in range(0, len(users), rows):
         b = slice(lo, lo + rows)
-        scores[b] = np.einsum("bd,bd->b", params.user_visual[users[b]],
+        scores[b] = np.einsum("bd,bd->b", params.user_visual.take(users[b], axis=0),
                               np.take(projected, frames[b], axis=0))
     return scores
 

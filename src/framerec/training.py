@@ -19,7 +19,8 @@ gradient holds only the rows the batch touches, and Adam updates only those
 rows of the tensor and of both moments (the "lazy" Adam of TensorFlow's
 ``LazyAdamOptimizer`` and PyTorch's ``SparseAdam``).  An untouched row's
 moments do not decay, and momentum does not move it.  The other tensors are
-small and get dense gradients and updates.
+small and get dense gradients and updates, all in one pass over one flat
+vector (``AdamState``).
 
 The rows a batch touches, the sorted users and items it names and each
 pair's position among them, come from ``_row_set``: a presence mask and a
@@ -29,6 +30,9 @@ forward gathered for each pair (``PairCache``) instead of gathering them
 again.  It sums each entity's per-pair gradients, one array per channel
 (collaborative, then visual), into the entity's touched rows in one
 ``_row_sums`` call, which forms the flat bin index once for the channels.
+Rows of 2-D and 3-D arrays are gathered with ``take(rows, axis=0)``, which
+copies the same values as fancy indexing in about a third of the time; 1-D
+gathers keep fancy indexing, which is faster there.
 """
 
 from __future__ import annotations
@@ -140,7 +144,7 @@ def sample_epoch(split: SplitDataset, neg_ratio: int, rng: np.random.Generator) 
     k = (rng.random(len(reps)) * pool[reps[:, 0]]).astype(np.int64)  # below the pool size
     negs = base.unrated_items(reps[:, 0], k)
     triples = np.column_stack([reps, negs])
-    return triples[rng.permutation(len(triples))]
+    return triples.take(rng.permutation(len(triples)), axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -259,10 +263,12 @@ def batch_gradients(
     user_sums = _row_sums(user_of, user_grads, len(user_rows))
     item_sums = _row_sums(item_of, item_grads, len(rows))
     decay = 2.0 * cfg.lambda1  # d(lambda1 * |row|^2)/d(row) = decay * row
-    grads["user_collab"] = (user_rows, user_sums[0] + decay * params.user_collab[user_rows])
-    gi = item_sums[0] + decay * params.item_collab[rows]
+    grads["user_collab"] = (
+        user_rows, user_sums[0] + decay * params.user_collab.take(user_rows, axis=0))
+    gi = item_sums[0] + decay * params.item_collab.take(rows, axis=0)
     if visual:
-        grads["user_visual"] = (user_rows, user_sums[1] + decay * params.user_visual[user_rows])
+        grads["user_visual"] = (
+            user_rows, user_sums[1] + decay * params.user_visual.take(user_rows, axis=0))
         gi += _table_backward(params, cfg, dataset, table, rows, item_sums[1], grads)
     grads["item_collab"] = (rows, gi)
     return float(data), {name: grads[name] for name in active_param_names(cfg)}
@@ -333,8 +339,8 @@ def _table_backward(params, cfg, dataset, table, rows, gx, grads):
     Returns the (len(rows), d1) gradient w.r.t. the rows' item factors,
     which act as attention queries (0.0 in mean mode).
     """
-    alpha = table.alpha[rows]
-    feats = dataset.padded_features[rows]  # (R, m, F)
+    alpha = table.alpha.take(rows, axis=0)
+    feats = dataset.padded_features.take(rows, axis=0)  # (R, m, F)
     grads["visual_proj"] += gx.T @ _pool(alpha, feats)
     if cfg.visual_mode == VISUAL_AVG:
         return 0.0
@@ -345,8 +351,9 @@ def _table_backward(params, cfg, dataset, table, rows, gx, grads):
     k = cfg.d1
     dfold = np.zeros((params.attn_hidden.shape[0], feats.shape[-1]))
     dh_query, _ = _attention_mlp_backward(
-        params.attn_out, table.hidden_pre[rows], tau, grads["attn_out"],
-        ((params.item_collab[rows, None], grads["attn_hidden"][:, :k]), (feats, dfold)),
+        params.attn_out, table.hidden_pre.take(rows, axis=0), tau, grads["attn_out"],
+        ((params.item_collab.take(rows, axis=0)[:, None], grads["attn_hidden"][:, :k]),
+         (feats, dfold)),
     )
     grads["attn_hidden"][:, k:] += dfold @ params.attn_reduce.T
     grads["attn_reduce"] += params.attn_hidden[:, k:].T @ dfold
@@ -360,20 +367,57 @@ def _table_backward(params, cfg, dataset, table, rows, gx, grads):
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators for the active tensors."""
+    """First/second moment accumulators for the active tensors.
+
+    ``m`` and ``v`` map each active tensor's name to its moments.  The
+    moments of the active tensors outside ``EMBEDDINGS``, named in ``dense``
+    in that order, are reshaped views of the flat vectors ``flat_m`` and
+    ``flat_v``, so that one pass of Adam's operations updates them all.
+    """
 
     m: dict
     v: dict
+    dense: tuple
+    flat_m: np.ndarray
+    flat_v: np.ndarray
     step: int = 0
 
 
 def init_adam_state(params: ModelParams, cfg: ModelConfig) -> AdamState:
+    """Zero moments for the active tensors, laid out as ``AdamState`` says."""
     tensors = params.tensors()
     active = active_param_names(cfg)
-    return AdamState(
-        m={n: np.zeros_like(tensors[n]) for n in active},
-        v={n: np.zeros_like(tensors[n]) for n in active},
-    )
+    dense = tuple(n for n in active if n not in EMBEDDINGS)
+    size = sum(tensors[n].size for n in dense)
+    state = AdamState(m={}, v={}, dense=dense, flat_m=np.zeros(size), flat_v=np.zeros(size))
+    lo = 0
+    for name in active:
+        t = tensors[name]
+        if name in EMBEDDINGS:
+            state.m[name], state.v[name] = np.zeros_like(t), np.zeros_like(t)
+        else:
+            state.m[name] = state.flat_m[lo: lo + t.size].reshape(t.shape)
+            state.v[name] = state.flat_v[lo: lo + t.size].reshape(t.shape)
+            lo += t.size
+    return state
+
+
+def _adam_update(m, v, grad, t: int, lr: float) -> np.ndarray:
+    """Advance the moments ``m`` and ``v`` by ``grad`` in place; return step t's update."""
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    square = (1.0 - ADAM_BETA2) * grad
+    square *= grad
+    v += square
+    # square's buffer, added to v already
+    denom = np.divide(v, 1.0 - ADAM_BETA2 ** t, out=square)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    update = m / (1.0 - ADAM_BETA1 ** t)
+    update /= denom
+    update *= lr
+    return update
 
 
 def adam_step(
@@ -381,41 +425,47 @@ def adam_step(
 ) -> None:
     """One bias-corrected Adam update, in place, of the tensors in ``grads``.
 
-    A dense gradient updates its whole tensor and both moments.  A (rows,
-    values) gradient, as ``batch_gradients`` gives for ``EMBEDDINGS``,
-    updates only those rows (which must not repeat) of the tensor and of
-    both moments, through one gather and one scatter each; every other row
-    keeps its bits.  From a fresh state this equals the dense update bit for
-    bit, since at step one a dense update leaves a zero-gradient row in place.
+    The tensors of ``state.dense`` are updated as one flat vector: their
+    gradients are concatenated once, one pass of Adam's operations runs
+    over ``state.flat_m`` and ``state.flat_v``, and each tensor subtracts
+    its slice of the update.  The operations are elementwise and in the
+    same order, so the bits are those of a per-tensor update.  ``grads``
+    holds all of those tensors or none (``batch_gradients`` gives all),
+    else ValueError.
+
+    Every other gradient is applied on its own.  A dense gradient updates
+    its whole tensor and both moments.  A (rows, values) gradient, as
+    ``batch_gradients`` gives for ``EMBEDDINGS``, updates only those rows
+    (which must not repeat) of the tensor and of both moments, through one
+    gather (``take``) and one scatter each; every other row keeps its bits.
+    From a fresh state this equals the dense update bit for bit, since at
+    step one a dense update leaves a zero-gradient row in place.
     """
     state.step += 1
-    t = state.step
-    b1, b2 = ADAM_BETA1, ADAM_BETA2
-    corr1 = 1.0 - b1 ** t
-    corr2 = 1.0 - b2 ** t
+    t, lr = state.step, tcfg.lr
     tensors = params.tensors()
+    given = [name for name in state.dense if name in grads]
+    if given:
+        if len(given) != len(state.dense):
+            raise ValueError(f"adam_step takes gradients for all of {state.dense} or none, "
+                             f"got {given}")
+        grad = np.concatenate([grads[name].ravel() for name in state.dense])
+        update = _adam_update(state.flat_m, state.flat_v, grad, t, lr)
+        lo = 0
+        for name in state.dense:
+            param = tensors[name]
+            param -= update[lo: lo + param.size].reshape(param.shape)
+            lo += param.size
     for name, grad in grads.items():
-        rows = slice(None)  # a dense gradient: every row, with views updated in place
-        if isinstance(grad, tuple):
-            rows, grad = grad
-        m = state.m[name][rows]
-        v = state.v[name][rows]
-        m *= b1
-        m += (1.0 - b1) * grad
-        v *= b2
-        square = (1.0 - b2) * grad
-        square *= grad
-        v += square
-        if not isinstance(rows, slice):  # gathered rows are copies: scatter them back
-            state.m[name][rows] = m
-            state.v[name][rows] = v
-        denom = np.divide(v, corr2, out=square)  # square's buffer, added to v already
-        np.sqrt(denom, out=denom)
-        denom += ADAM_EPS
-        update = m / corr1
-        update /= denom
-        update *= tcfg.lr
-        tensors[name][rows] -= update
+        if name in state.dense:
+            continue
+        if not isinstance(grad, tuple):
+            tensors[name] -= _adam_update(state.m[name], state.v[name], grad, t, lr)
+            continue
+        rows, grad = grad  # gathered rows are copies: update them, then scatter them back
+        m, v, param = (a.take(rows, axis=0) for a in (state.m[name], state.v[name], tensors[name]))
+        param -= _adam_update(m, v, grad, t, lr)
+        state.m[name][rows], state.v[name][rows], tensors[name][rows] = m, v, param
 
 
 # ---------------------------------------------------------------------------

@@ -298,6 +298,45 @@ def adam_step_dense(params, grads, state, tcfg) -> None:
                                                       + training.ADAM_EPS))
 
 
+def adam_step_per_tensor(params, grads, state, tcfg) -> None:
+    """Row-sparse bias-corrected Adam, one tensor at a time, in place.
+
+    Each tensor in ``grads`` runs its own pass of Adam's operations: a dense
+    gradient over the whole tensor and both moments, a (rows, values)
+    gradient over those rows, gathered by fancy indexing and scattered back.
+    ``state`` is any object with per-tensor ``m`` and ``v`` dicts and a
+    ``step`` count.
+    """
+    state.step += 1
+    t = state.step
+    b1, b2 = training.ADAM_BETA1, training.ADAM_BETA2
+    corr1 = 1.0 - b1 ** t
+    corr2 = 1.0 - b2 ** t
+    tensors = params.tensors()
+    for name, grad in grads.items():
+        rows = slice(None)  # a dense gradient: every row, with views updated in place
+        if isinstance(grad, tuple):
+            rows, grad = grad
+        m = state.m[name][rows]
+        v = state.v[name][rows]
+        m *= b1
+        m += (1.0 - b1) * grad
+        v *= b2
+        square = (1.0 - b2) * grad
+        square *= grad
+        v += square
+        if not isinstance(rows, slice):  # gathered rows are copies: scatter them back
+            state.m[name][rows] = m
+            state.v[name][rows] = v
+        denom = np.divide(v, corr2, out=square)
+        np.sqrt(denom, out=denom)
+        denom += training.ADAM_EPS
+        update = m / corr1
+        update /= denom
+        update *= tcfg.lr
+        tensors[name][rows] -= update
+
+
 def table_backward_full(params, cfg, dataset, table, gx, grads) -> None:
     """Push the (N, d2) item-embedding gradient ``gx`` through every item's frames.
 

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,11 +16,10 @@ from framerec.errors import (
     NonFiniteError,
     SamplingError,
 )
-from framerec.model import ModelConfig, init_params, item_visual_table
+from framerec.model import ModelConfig, active_param_names, init_params, item_visual_table
 from framerec.synth import SynthConfig, generate_synthetic
 from framerec.training import (
     EMBEDDINGS,
-    AdamState,
     EpochRecord,
     TrainConfig,
     TrainLog,
@@ -35,7 +35,7 @@ from framerec.training import (
     sample_epoch,
 )
 from conftest import pair_set
-from reference import adam_step_dense, full_catalog_gradients
+from reference import adam_step_dense, adam_step_per_tensor, full_catalog_gradients
 
 LN2 = math.log(2.0)
 
@@ -431,6 +431,46 @@ class TestAdam:
                     np.testing.assert_array_equal(got[out], was[out])
                     if step > 1:  # the touched rows' moments decay, so they move
                         assert not np.array_equal(got[rows], was[rows])
+
+    @pytest.mark.parametrize("visual,fusion", MODES)
+    def test_matches_the_per_tensor_update(self, visual, fusion, s_split):
+        # the flat pass over the dense tensors keeps every bit of a per-tensor update
+        cfg = small_model(d1=8, d2=8, attn_hidden_visual=8, attn_hidden_rating=8,
+                          reduced_visual_dim=8, visual_mode=visual, fusion_mode=fusion)
+        base = s_split.base
+        triples = sample_epoch(s_split, 10, np.random.default_rng(6))
+        tcfg = TrainConfig(lr=0.01)
+        params = init_params(cfg, base)
+        oracle = params.copy()
+        state = init_adam_state(params, cfg)
+        oracle_state = SimpleNamespace(
+            m={n: np.zeros_like(t) for n, t in oracle.tensors().items() if n in state.m},
+            v={n: np.zeros_like(t) for n, t in oracle.tensors().items() if n in state.m},
+            step=0,
+        )
+        assert state.dense == tuple(n for n in active_param_names(cfg) if n not in EMBEDDINGS)
+        for name in state.dense:
+            for moments, flat in ((state.m, state.flat_m), (state.v, state.flat_v)):
+                assert np.shares_memory(moments[name], flat)
+                assert moments[name].base is flat
+        for lo in range(0, 5 * 512, 512):
+            _, grads = batch_gradients(params, cfg, base, triples[lo: lo + 512])
+            adam_step(params, grads, state, tcfg)
+            adam_step_per_tensor(oracle, grads, oracle_state, tcfg)
+            assert state.step == oracle_state.step
+            for name in params.names():
+                np.testing.assert_array_equal(params.tensors()[name], oracle.tensors()[name])
+            for name in state.m:
+                np.testing.assert_array_equal(state.m[name], oracle_state.m[name])
+                np.testing.assert_array_equal(state.v[name], oracle_state.v[name])
+
+    def test_partial_dense_gradients_raise(self):
+        params, cfg, ds, batch = gradcheck_instance(seed=2)
+        _, grads = batch_gradients(params, cfg, ds, batch)
+        state = init_adam_state(params, cfg)
+        del grads["attn_out"]
+        with pytest.raises(ValueError, match="attn_out"):
+            adam_step(params, grads, state, TrainConfig())
 
     def test_only_active_tensors_tracked(self):
         params, cfg, ds, _ = gradcheck_instance(seed=3, visual_mode="off",
