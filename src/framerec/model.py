@@ -159,13 +159,13 @@ class VisualTable:
     mean mode, the attention softmax in attention mode.  ``x`` is the
     alpha-pooled raw frame features times ``visual_proj.T`` (in mean mode up
     to rounding: there ``x`` is the exact mean of the projected frames).  In
-    attention mode ``hidden_pre`` is the (N, m, h) pre-activation of the
-    attention network.
+    attention mode ``hidden_relu`` is the (N, m, h) hidden layer of the
+    attention network, after its ReLU.
     """
 
     x: np.ndarray
     alpha: np.ndarray
-    hidden_pre: np.ndarray = None
+    hidden_relu: np.ndarray = None
 
 
 def _linear(a, weight):
@@ -174,35 +174,37 @@ def _linear(a, weight):
 
 
 def _attention_mlp(query, key, w_query, w_key, out):
-    """(pre-activation, logits) of the one-hidden-layer ReLU attention network.
+    """(hidden layer after the ReLU, logits) of the one-hidden-layer ReLU attention network.
 
     The first layer is the two weight halves ``w_query`` and ``w_key``,
     applied to the query and the key apart, before they broadcast against
     each other.  Serves the frame attention and the fusion.  The key half
-    has the pre-activation's full shape (the (N, m) frame keys take (N, 1)
+    has the hidden layer's full shape (the (N, m) frame keys take (N, 1)
     queries, and ``score_pairs`` hands over keys and queries of one shape),
-    so the query half is added in the key half's own buffer.
+    so the query half is added, and the ReLU applied, in the key half's own
+    buffer.
     """
-    hidden_pre = _linear(key, w_key)
-    hidden_pre += _linear(query, w_query)
-    return hidden_pre, np.maximum(hidden_pre, 0.0) @ out
+    hidden = _linear(key, w_key)
+    hidden += _linear(query, w_query)
+    relu = np.maximum(hidden, 0.0, out=hidden)
+    return relu, relu @ out
 
 
-def _attention_mlp_backward(out, hidden_pre, dlogits, gout, halves):
+def _attention_mlp_backward(out, relu, dlogits, gout, halves):
     """Backward of ``_attention_mlp`` for the logit gradients ``dlogits``.
 
-    ``halves`` holds one (input, weight gradient) pair per first-layer half;
-    each input has the rank of ``hidden_pre``.  Adds the weight gradients
-    into ``gout`` and each half's gradient array in place, and returns the
-    pre-activation gradient once per half, summed over the axes along which
-    that half was broadcast.  A half's input gradient is its pre-activation
-    gradient times its weight half; callers form only the ones they need.
-    The ReLU and the pre-activation gradient are formed in ``hidden_pre``'s
-    own buffer, which so ends up overwritten: callers pass a pre-activation
+    ``relu`` is the hidden layer after its ReLU, as ``_attention_mlp``
+    returns it.  ``halves`` holds one (input, weight gradient) pair per
+    first-layer half; each input has the rank of ``relu``.  Adds the weight
+    gradients into ``gout`` and each half's gradient array in place, and
+    returns the pre-activation gradient once per half, summed over the axes
+    along which that half was broadcast.  A half's input gradient is its
+    pre-activation gradient times its weight half; callers form only the
+    ones they need.  The pre-activation gradient is formed in ``relu``'s
+    own buffer, which so ends up overwritten: callers pass a hidden layer
     they no longer need.
     """
-    h = hidden_pre.shape[-1]
-    relu = np.maximum(hidden_pre, 0.0, out=hidden_pre)
+    h = relu.shape[-1]
     gout += relu.reshape(-1, h).T @ dlogits.reshape(-1)
     dh = np.multiply(out, relu > 0, out=relu)
     dh *= dlogits[..., None]
@@ -243,7 +245,7 @@ def item_visual_table(params: ModelParams, cfg: ModelConfig, dataset: Dataset):
         return VisualTable(x=x, alpha=mask / safe[:, None])
 
     feats = dataset.padded_features  # (N, m, F), padding holds a real frame
-    hidden_pre, logits = _attention_mlp(  # (N, m, h), (N, m)
+    hidden_relu, logits = _attention_mlp(  # (N, m, h), (N, m)
         params.item_collab[:, None, :], feats, params.attn_hidden[:, :cfg.d1],
         params.attn_hidden[:, cfg.d1:] @ params.attn_reduce, params.attn_out,
     )
@@ -255,7 +257,7 @@ def item_visual_table(params: ModelParams, cfg: ModelConfig, dataset: Dataset):
     # divide wherever the item has frames, so a NaN logit reaches the scores
     alpha = np.divide(expd, denom, out=np.zeros_like(expd), where=counts[:, None] > 0)
     return VisualTable(x=_pool(alpha, feats) @ params.visual_proj.T, alpha=alpha,
-                       hidden_pre=hidden_pre)
+                       hidden_relu=hidden_relu)
 
 
 @dataclass
@@ -273,8 +275,8 @@ class PairCache:
     visual: np.ndarray = None
     user_visual: np.ndarray = None
     item_visual: np.ndarray = None
-    h1_pre: np.ndarray = None
-    h2_pre: np.ndarray = None
+    h1_relu: np.ndarray = None
+    h2_relu: np.ndarray = None
     beta1: np.ndarray = None
     beta2: np.ndarray = None
 
@@ -346,8 +348,8 @@ def score_pairs(
 
     k = cfg.d1
     mlp = (params.fusion_hidden[:, :k], params.fusion_hidden[:, k:], params.fusion_out)
-    cache.h1_pre, g1 = _attention_mlp(user_collab, item_collab, *mlp)
-    cache.h2_pre, g2 = _attention_mlp(user_visual, item_visual, *mlp)
+    cache.h1_relu, g1 = _attention_mlp(user_collab, item_collab, *mlp)
+    cache.h2_relu, g2 = _attention_mlp(user_visual, item_visual, *mlp)
     cache.beta1, cache.beta2 = _two_way_softmax(g1, g2)
     scores = cache.beta1 * collab + cache.beta2 * visual
     return (scores, cache) if want_cache else scores

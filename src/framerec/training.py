@@ -241,22 +241,22 @@ def batch_gradients(
         w_user, w_item = params.fusion_hidden[:, :k], params.fusion_hidden[:, k:]
         g_user, g_item = grads["fusion_hidden"][:, :k], grads["fusion_hidden"][:, k:]
 
-    def pair_grads(user_rows, item_rows, dscore, hidden_pre, sign):
+    def pair_grads(user_rows, item_rows, dscore, hidden_relu, sign):
         """One channel's per-pair gradients w.r.t. its user and item rows."""
         du, di = dscore[:, None] * item_rows, dscore[:, None] * user_rows
         if fused:
             dhu, dhi = _attention_mlp_backward(
-                params.fusion_out, hidden_pre, sign * gamma, grads["fusion_out"],
+                params.fusion_out, hidden_relu, sign * gamma, grads["fusion_out"],
                 ((user_rows, g_user), (item_rows, g_item)),
             )
             du += dhu @ w_user
             di += dhi @ w_item
         return du, di
 
-    channels = [pair_grads(cache.user_collab, cache.item_collab, dcf, cache.h1_pre, 1.0)]
+    channels = [pair_grads(cache.user_collab, cache.item_collab, dcf, cache.h1_relu, 1.0)]
     if visual:
         channels.append(
-            pair_grads(cache.user_visual, cache.item_visual, dvs, cache.h2_pre, -1.0))
+            pair_grads(cache.user_visual, cache.item_visual, dvs, cache.h2_relu, -1.0))
     user_grads, item_grads = zip(*channels)  # [du, dv] and [di, dx]
     user_rows, user_of = _row_set(users, dataset.num_users)
     rows, item_of = _row_set(items, dataset.num_items)
@@ -329,7 +329,7 @@ def _table_backward(params, cfg, dataset, table, rows, gx, grads):
 
     gx is (len(rows), d2); every other item's gradient is zero, so only the
     frames of ``rows`` take part, gathered once, and the attention backward
-    works in the buffer of their gathered ``hidden_pre`` rows.  ``x`` is the
+    works in the buffer of their gathered ``hidden_relu`` rows.  ``x`` is the
     projection of the alpha-pooled frame features, so the projection's gradient is
     ``gx.T @ _pool(alpha[rows], feats)``.  Attention additionally feeds its
     weight network: the query half's gradient goes straight into
@@ -351,7 +351,7 @@ def _table_backward(params, cfg, dataset, table, rows, gx, grads):
     k = cfg.d1
     dfold = np.zeros((params.attn_hidden.shape[0], feats.shape[-1]))
     dh_query, _ = _attention_mlp_backward(
-        params.attn_out, table.hidden_pre.take(rows, axis=0), tau, grads["attn_out"],
+        params.attn_out, table.hidden_relu.take(rows, axis=0), tau, grads["attn_out"],
         ((params.item_collab.take(rows, axis=0)[:, None], grads["attn_hidden"][:, :k]),
          (feats, dfold)),
     )

@@ -201,18 +201,20 @@ def frame_scores_per_row(users, frames, params, dataset) -> np.ndarray:
     return np.einsum("bd,bd->b", params.user_visual[users], frame_emb)
 
 
-def attention_mlp_backward(out, hidden_pre, dlogits, halves):
-    """Gradients of the attention network whose pre-activation is ``hidden_pre``.
+def attention_mlp_backward(out, hidden, dlogits, halves):
+    """Gradients of the attention network whose hidden layer is ``hidden``.
 
-    ``halves`` holds one (input, first-layer weight half) pair per half.
-    Each input is broadcast to ``hidden_pre``'s leading shape before it
-    meets the gradient.  Returns (gradient of ``out``, per half the gradient
-    of its weight, per half the full-size gradient of its input).
+    ``hidden`` may be taken before or after the ReLU, which gives both the
+    same ReLU and the same units above zero.  ``halves`` holds one (input,
+    first-layer weight half) pair per half.  Each input is broadcast to
+    ``hidden``'s leading shape before it meets the gradient.  Returns
+    (gradient of ``out``, per half the gradient of its weight, per half the
+    full-size gradient of its input).
     """
-    h = hidden_pre.shape[-1]
-    lead = hidden_pre.shape[:-1]
-    dh = (dlogits[..., None] * out * (hidden_pre > 0)).reshape(-1, h)
-    gout = np.maximum(hidden_pre, 0.0).reshape(-1, h).T @ dlogits.reshape(-1)
+    h = hidden.shape[-1]
+    lead = hidden.shape[:-1]
+    dh = (dlogits[..., None] * out * (hidden > 0)).reshape(-1, h)
+    gout = np.maximum(hidden, 0.0).reshape(-1, h).T @ dlogits.reshape(-1)
     gweights, ginputs = [], []
     for x, weight in halves:
         full = np.broadcast_to(x, lead + x.shape[-1:]).reshape(-1, x.shape[-1])
@@ -249,14 +251,14 @@ def full_catalog_gradients(params, cfg, dataset, batch, reduction="mean", table=
             dcf, dvs = g * beta1, g * beta2
             gamma = g * (cache.collab - cache.visual) * beta1 * beta2
             wq, wk = params.fusion_hidden[:, :cfg.d1], params.fusion_hidden[:, cfg.d1:]
-            for user_rows, item_rows, gu, gi, hidden_pre, sign in (
+            for user_rows, item_rows, gu, gi, hidden, sign in (
                 (params.user_collab[users], params.item_collab[items],
-                 grads["user_collab"], grads["item_collab"], cache.h1_pre, 1.0),
+                 grads["user_collab"], grads["item_collab"], cache.h1_relu, 1.0),
                 (params.user_visual[users], table.x[items],
-                 grads["user_visual"], gx, cache.h2_pre, -1.0),
+                 grads["user_visual"], gx, cache.h2_relu, -1.0),
             ):
                 gout, (gwq, gwk), (du, di) = attention_mlp_backward(
-                    params.fusion_out, hidden_pre, sign * gamma,
+                    params.fusion_out, hidden, sign * gamma,
                     ((user_rows, wq), (item_rows, wk)))
                 grads["fusion_out"] += gout
                 grads["fusion_hidden"][:, :cfg.d1] += gwq
@@ -341,7 +343,7 @@ def table_backward_full(params, cfg, dataset, table, gx, grads) -> None:
     """Push the (N, d2) item-embedding gradient ``gx`` through every item's frames.
 
     Works on the projected frames and reduced keys, which it computes from
-    ``params``; the table supplies ``alpha`` and ``hidden_pre`` only.
+    ``params``; the table supplies ``alpha`` and ``hidden_relu`` only.
     """
     ids, mask, _ = dataset.frame_table
     alpha = table.alpha
@@ -363,7 +365,7 @@ def table_backward_full(params, cfg, dataset, table, gx, grads) -> None:
     tau = alpha * (s - sbar)
     wq, wk = params.attn_hidden[:, :cfg.d1], params.attn_hidden[:, cfg.d1:]
     gout, (gwq, gwk), (dq, dkey) = attention_mlp_backward(
-        params.attn_out, table.hidden_pre, tau,
+        params.attn_out, table.hidden_relu, tau,
         ((params.item_collab[:, None], wq), (keys[ids], wk)))
     grads["attn_out"] += gout
     grads["attn_hidden"][:, :cfg.d1] += gwq
@@ -373,12 +375,13 @@ def table_backward_full(params, cfg, dataset, table, gx, grads) -> None:
 
 
 def visual_table_projected(params, cfg, dataset):
-    """(x, alpha, hidden_pre) with every frame projected before pooling.
+    """(x, alpha, hidden_relu) with every frame projected before pooling.
 
     The table as it was computed before pooling moved ahead of the
     projection: each frame's features times ``visual_proj`` and, for the
     attention keys, times ``attn_reduce``; the keys then meet the key half
-    of ``attn_hidden`` unfolded.  ``hidden_pre`` is None in mean mode.
+    of ``attn_hidden`` unfolded.  ``hidden_relu``, the attention network's hidden
+    layer after its ReLU, is None in mean mode.
     """
     ids, mask, counts = dataset.frame_table
     frame_emb = dataset.frame_features @ params.visual_proj.T
@@ -389,11 +392,12 @@ def visual_table_projected(params, cfg, dataset):
     keys = dataset.frame_features @ params.attn_reduce.T
     hidden_pre = (params.item_collab @ params.attn_hidden[:, :cfg.d1].T)[:, None, :] \
         + keys[ids] @ params.attn_hidden[:, cfg.d1:].T
-    logits = np.maximum(hidden_pre, 0.0) @ params.attn_out
+    hidden_relu = np.maximum(hidden_pre, 0.0)
+    logits = hidden_relu @ params.attn_out
     shifted = np.where(mask, logits, -np.inf)
     expd = np.exp(shifted - shifted.max(axis=1, keepdims=True))
     alpha = expd / expd.sum(axis=1, keepdims=True)
-    return (alpha[:, :, None] * gathered).sum(axis=1), alpha, hidden_pre
+    return (alpha[:, :, None] * gathered).sum(axis=1), alpha, hidden_relu
 
 
 def planted_item_scores(planted, dataset) -> np.ndarray:

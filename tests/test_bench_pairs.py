@@ -106,3 +106,28 @@ def test_checkouts_declaring_other_run_seconds_are_refused(bench_pairs, tmp_path
         bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--seeds", "1"])
     assert exit_.value.code == 2
     assert "run_seconds is" in capsys.readouterr().err
+
+
+def test_phase_medians_come_from_each_runs_record(bench_pairs, tmp_path):
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    results = tmp_path / ".perfbench" / "results"
+    results.mkdir(parents=True)
+    for seed, load_s in ((1, 0.044), (2, 0.046), (3, 0.045)):
+        for workload in ("s_pipeline", "m_train", "m_eval"):
+            figures = {"step_s": 0.13, "setup_s": 0.2, "peak_rss_mb": 100.0}
+            figures |= {"s_pipeline": {"fit_s": 0.5, "test_hr10": 0.4},
+                        "m_train": {"train_triples_per_s": 2e4},
+                        "m_eval": {"load_s": load_s, "valid_eval_s": 0.05}}[workload]
+            units = {"peak_rss_mb": "MB", "test_hr10": "ratio", "train_triples_per_s": "1/s"}
+            record = {"end_to_end": {name: {"value": v, "unit": units.get(name, "s")}
+                                     for name, v in figures.items()}}
+            (results / f"{workload}-seed{seed}-trace0.json").write_text(
+                json.dumps(record), encoding="utf-8")
+    # the end-to-end metrics and the quality figures (a ratio) are left out
+    medians = bench_pairs.phase_medians(tmp_path, declared, [1, 2, 3])
+    assert medians == {"s_pipeline.fit_s": (0.5, "s"),
+                       "m_train.train_triples_per_s": (2e4, "1/s"),
+                       "m_eval.load_s": (0.045, "s"), "m_eval.valid_eval_s": (0.05, "s")}
+    change = {**medians, "m_eval.load_s": (0.036, "s")}
+    assert bench_pairs.phase_report(medians, change)[2] == (
+        "m_eval.load_s (s): parent median 0.045, change 0.036, -20.0%")

@@ -2,6 +2,7 @@
 
 import codecs
 import logging
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from framerec.data import (
     PORTIONS,
     Dataset,
+    _ID,
     _line_of,
     _pair_array,
     _read_ids,
@@ -45,6 +47,17 @@ def load_toy(tmp_path, ratings=TOY_RATINGS, frames=TOY_FRAMES, features=TOY_FEAT
 def write_npz(path):
     with open(path, "wb") as fh:  # given a path, np.savez would add an .npz suffix
         np.savez(fh, features=np.array(TOY_FEATURES))
+
+
+# every str.isspace character, all 29 of them; five go by name in test ids, the rest by code
+SPACES = [c for c in map(chr, range(0x110000)) if c.isspace()]
+SPACE_NAMES = dict(zip(map(chr, (0x20, 0xA0, 0x2003, 0x1C, 0x0B)),
+                       ("space", "nbsp", "em-space", "file-separator", "vtab")))
+# the code points next to each range _ID leaves out, and the first and last code points; the
+# neighbours of U+DC80-DCFF, U+DC7F and U+DD00, have no UTF-8 form, so no file holds them
+ID_EDGES = "".join(map(chr, (
+    0x00, 0x08, 0x0E, 0x1B, 0x21, 0x84, 0x86, 0x9F, 0xA1, 0x167F, 0x1681, 0x1FFF, 0x200B,
+    0x2027, 0x202A, 0x202E, 0x2030, 0x205E, 0x2060, 0x2FFF, 0x3001, 0x10FFFF)))
 
 
 # the lines each layout puts before every record; two layouts change the line ends instead
@@ -113,13 +126,37 @@ class TestParsing:
         with pytest.raises(ParseError):
             load_toy(tmp_path, ratings="a b\tx\n")
 
-    @pytest.mark.parametrize("space", [" ", "\u00a0", "\u2003", "\x1c", "\x0b"],
-                             ids=["space", "nbsp", "em-space", "file-separator", "vtab"])
+    @pytest.mark.parametrize("space", SPACES,
+                             ids=[SPACE_NAMES.get(c, f"U+{ord(c):04X}") for c in SPACES])
     def test_every_str_whitespace_in_an_id_is_rejected(self, tmp_path, space):
-        with pytest.raises(ParseError, match="ratings.tsv:2: ids must not contain whitespace"):
+        assert len(SPACES) == 29
+        # a tab makes a record of three fields; "\n" and "\r" end the line, which leaves "a"
+        # alone on ratings line 2 and "y" alone on frames line 2; any other space is in an id
+        ends_line = space in "\n\r"
+        want = ("expected two tab-separated ids" if ends_line or space == "\t"
+                else "ids must not contain whitespace")
+        with pytest.raises(ParseError, match=f"ratings.tsv:2: {want}"):
             load_toy(tmp_path, ratings=f"a\tx\na{space}b\tx\n")
-        with pytest.raises(ParseError, match="frames.tsv:1: ids must not contain whitespace"):
-            load_toy(tmp_path, frames=f"fx1\tx{space}\n" + TOY_FRAMES)
+        with pytest.raises(ParseError, match=f"frames.tsv:{1 + ends_line}: {want}"):
+            load_toy(tmp_path, frames=f"fx1\tx{space}y\n" + TOY_FRAMES)
+
+    def test_id_class_is_every_code_point_but_whitespace_and_bytes_not_utf8(self):
+        # _ID spells its code points out as ranges: over all of them, its runs of matches
+        # must cover exactly those that are neither str.isspace nor U+DC80-DCFF
+        text = "".join(map(chr, range(0x110000)))
+        want = bytes(not c.isspace() and not 0xDC80 <= ord(c) <= 0xDCFF for c in text)
+        got = bytearray(len(text))
+        for m in re.finditer(f"{_ID}+", text):
+            got[m.start():m.end()] = bytes([1]) * (m.end() - m.start())
+        assert got == want
+
+    def test_ids_next_to_each_excluded_range_load(self, tmp_path):
+        path = tmp_path / "ids.tsv"
+        left, right = [f"a{c}" for c in ID_EDGES], [f"{c}b" for c in ID_EDGES]
+        path.write_text("".join(f"{a}\t{b}\n" for a, b in zip(left, right)), encoding="utf-8")
+        assert _read_pairs(path) == (left, right)
+        ds = load_toy(tmp_path, ratings="".join(f"{c}\tx\n" for c in ID_EDGES))
+        assert ds.user_ids == tuple(sorted(ID_EDGES))
 
     @pytest.mark.parametrize("name", ["ratings.tsv", "frames.tsv", "valid.tsv"])
     def test_bytes_that_are_not_utf8_name_the_line(self, tmp_path, name):
@@ -431,11 +468,13 @@ class TestDatasetStructure:
         assert toy_dataset.user_index is toy_dataset.user_index
 
     def test_loaded_dataset_keeps_the_indexes_it_built(self, tmp_path):
-        # load_dataset hands its {token: id} dicts over, so reading a split builds none
+        # load_dataset hands its {token: id} dicts over, so reading a split builds none;
+        # the toy frames file lists its frames in token order, so the frame dict goes too
         ds = load_toy(tmp_path)
-        assert {"user_index", "item_index"} <= vars(ds).keys()
+        assert {"user_index", "item_index", "frame_index"} <= vars(ds).keys()
         assert ds.user_index == {t: k for k, t in enumerate(ds.user_ids)}
         assert ds.item_index == {t: k for k, t in enumerate(ds.item_ids)}
+        assert ds.frame_index == {t: k for k, t in enumerate(ds.frame_ids)}
 
     def test_unrated_items_matches_a_setdiff_loop(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -771,6 +810,8 @@ class TestRoundTrips:
         back, peak = traced_peak(
             lambda: load_dataset(paths["ratings"], paths["frames"], paths["features"]))
         assert back == ds
+        assert ("frame_index" in vars(back)) is not shuffled  # handed over in token order
+        assert back.frame_index == ds.frame_index
         assert back.frame_features.dtype == np.float64 and back.frame_features.flags.c_contiguous
         assert back.frame_features.tobytes() == ds.frame_features.tobytes()
         assert peak < (1.25 + copies) * ds.frame_features.nbytes, (peak, copies)
@@ -782,6 +823,16 @@ class TestRoundTrips:
         back = load_split(toy_dataset, tmp_path / "sp")
         assert portion_sets(back) == portion_sets(split)
         assert np.array_equal(back.frame_test, split.frame_test)
+
+    def test_a_pair_in_two_portions_is_an_overlap(self, toy_dataset, tmp_path):
+        # the pair sorts next to its own copy in the merged portions
+        split = split_ratings(toy_dataset, 0.5, 0.25, seed=4)
+        save_split(split, tmp_path)
+        u, i = split.pairs("test")[0].tolist()
+        with open(tmp_path / "train.tsv", "a", encoding="utf-8") as fh:
+            fh.write(f"{toy_dataset.user_ids[u]}\t{toy_dataset.item_ids[i]}\n")
+        with pytest.raises(IntegrityError, match="^split portions overlap$"):
+            load_split(toy_dataset, tmp_path)
 
     def test_frame_likes_load_drops_unknown(self, tmp_path, toy_dataset):
         p = tmp_path / "likes.tsv"

@@ -139,9 +139,9 @@ class TestVisualEmbedding:
             attn_out=[1.5, 5.0],
         )
         table = item_visual_table(params, toy_config(), toy_dataset)
-        hidden_pre = table.hidden_pre[0, :2]
-        np.testing.assert_allclose(hidden_pre, [[2.0, -1.0], [1.0, 0.0]], rtol=0, atol=0)
-        logits = np.maximum(hidden_pre, 0.0) @ params.attn_out
+        hidden_relu = table.hidden_relu[0, :2]  # f0's second unit is -1 before the ReLU
+        np.testing.assert_allclose(hidden_relu, [[2.0, 0.0], [1.0, 0.0]], rtol=0, atol=0)
+        logits = hidden_relu @ params.attn_out
         # f0: 1.5 * relu(1+1) + 5 * relu(-1+0) = 3; f1: 1.5 * relu(1+0) = 1.5
         np.testing.assert_allclose(logits, [3.0, 1.5], rtol=0, atol=0)
 
@@ -156,7 +156,7 @@ class TestVisualEmbedding:
         )
         table = item_visual_table(params, toy_config(), toy_dataset)
         np.testing.assert_allclose(
-            np.maximum(table.hidden_pre[0, :2], 0.0) @ params.attn_out, [2 * LN2, LN2]
+            table.hidden_relu[0, :2] @ params.attn_out, [2 * LN2, LN2]
         )
         np.testing.assert_allclose(table.alpha[0], [2 / 3, 1 / 3, 0.0], rtol=1e-15)
 
@@ -217,9 +217,9 @@ class TestVisualEmbedding:
         instances.append((init_params(cfg, ds), cfg, ds))
         for params, cfg, ds in instances:
             table = item_visual_table(params, cfg, ds)
-            x, alpha, hidden_pre = reference.visual_table_projected(params, cfg, ds)
-            got = {"x": table.x, "alpha": table.alpha, "hidden_pre": table.hidden_pre}
-            for name, want in (("x", x), ("alpha", alpha), ("hidden_pre", hidden_pre)):
+            x, alpha, hidden_relu = reference.visual_table_projected(params, cfg, ds)
+            got = {"x": table.x, "alpha": table.alpha, "hidden_relu": table.hidden_relu}
+            for name, want in (("x", x), ("alpha", alpha), ("hidden_relu", hidden_relu)):
                 if want is None:
                     assert got[name] is None
                     continue

@@ -23,11 +23,17 @@ its no-regression bound in the parent's ``BENCHMARK.json``: the change's
 median may be worse than the parent's by at most that fraction of the
 parent's median.  A metric whose parent quartiles lie further apart than
 its bound is reported as unresolved, unless every change run beats every
-parent run.
+parent run.  Last, to show where a saving sits, it prints each side's
+median of the runs' own phase timings, which get no verdict: every figure
+in seconds or per second that a run's record holds beside the end-to-end
+metrics (``m_eval``'s ``load_s``, ``valid_eval_s`` and ``frame_eval_s``,
+``s_pipeline``'s ``fit_s`` and ``eval_s``, ``m_train``'s
+``train_triples_per_s``).
 
-The tool only reads ``perfbench/`` and ``BENCHMARK.json`` (the runs write
-their records under ``.perfbench/``).  It exits 1 if a run fails, is not
-``correct`` or has a failed operation, or if a metric is over its bound.
+The tool reads only ``BENCHMARK.json`` and the records the runs write
+under ``.perfbench/results/`` (the runs write nothing outside
+``.perfbench/``).  It exits 1 if a run fails, is not ``correct`` or has a
+failed operation, or if a metric is over its bound.
 """
 
 from __future__ import annotations
@@ -123,6 +129,36 @@ def summary(pairs, end_to_end) -> list:
     return rows
 
 
+def phase_medians(checkout: Path, declared: dict, seeds) -> dict:
+    """{``workload.figure``: (median, unit)} of the runs' own phase timings in ``checkout``.
+
+    Read from the record of the run of each workload in ``declared`` (the
+    parsed ``BENCHMARK.json``) at each of ``seeds``: the figures of its
+    ``end_to_end`` part in ``s`` or ``1/s`` that are not end-to-end metrics.
+    """
+    metrics = {spec["name"] for spec in declared["end_to_end"]}
+    values, units = {}, {}
+    for workload in (w["name"] for w in declared["workloads"]):
+        for seed in seeds:
+            path = checkout / ".perfbench" / "results" / f"{workload}-seed{seed}-trace0.json"
+            figures = json.loads(path.read_text(encoding="utf-8"))["end_to_end"]
+            for name, figure in figures.items():
+                if name not in metrics and figure["unit"] in ("s", "1/s"):
+                    values.setdefault(f"{workload}.{name}", []).append(figure["value"])
+                    units[f"{workload}.{name}"] = figure["unit"]
+    return {name: (statistics.median(v), units[name]) for name, v in values.items()}
+
+
+def phase_report(parent: dict, change: dict) -> list:
+    """Text lines of both sides' phase medians, as ``phase_medians`` gives them."""
+    lines = []
+    for name, (pmed, unit) in parent.items():
+        cmed = change[name][0]
+        diff = f", {100.0 * (cmed - pmed) / pmed:+.1f}%" if pmed else ""
+        lines.append(f"{name} ({unit}): parent median {pmed:.6g}, change {cmed:.6g}{diff}")
+    return lines
+
+
 def report(rows) -> list:
     """The rows as text lines: median [lower quartile - upper quartile] per side."""
     lines = []
@@ -167,6 +203,9 @@ def main(argv=None) -> int:
         return 1
     rows = summary(pairs, declared["end_to_end"])
     print("\n".join(report(rows)))
+    phases = [phase_medians(c, declared, args.seeds) for c in (args.parent, args.change)]
+    print("phase medians, no verdict:")
+    print("\n".join(phase_report(*phases)))
     return 1 if any(r["verdict"] == "regressed" for r in rows) else 0
 
 
