@@ -333,17 +333,18 @@ def load_dataset(ratings_path, frames_path, features_path) -> Dataset:
 
     The features file is a 2-D float ``.npy`` array (no pickles) whose row k
     belongs to the k-th record of the frames file.  When the frames file
-    lists the frames in sorted-token order, as ``save_dataset`` writes a
-    dataset whose frame ids run item by item (synthetic data does), the
-    array as read becomes ``frame_features``, converted to float64 if it is
-    not; otherwise its rows are gathered once into that order.  Either way
-    at most one copy sits beside the array as read.  The ``{token: id}``
+    lists the frames in sorted-token order (its token list equals its sorted
+    copy), as ``save_dataset`` writes a dataset whose frame ids run item by
+    item (synthetic data does), the array as read becomes ``frame_features``,
+    converted to float64 if it is not; otherwise each frame's record is found
+    by dict lookup and the rows are gathered once into that order.  Either
+    way at most one copy sits beside the array as read.  The ``{token: id}``
     dicts built while reading become the dataset's ``user_index`` and
     ``item_index``, and, when the frames file is in sorted-token order, the
     frame dict built to find each frame's row becomes its ``frame_index``;
     the other per-record tokens are freed before the features are read.
-    Duplicate rating lines
-    collapse to one positive; items only in the frames file are kept unrated.
+    Duplicate rating lines collapse to one positive; items only in the
+    frames file are kept unrated.
     Raises ParseError for malformed lines and IntegrityError for broken
     cross-references (a rated item without frames, a frame listed twice) and
     for a feature array of the wrong shape or dtype or with a non-finite value.
@@ -357,8 +358,8 @@ def load_dataset(ratings_path, frames_path, features_path) -> Dataset:
         raise IntegrityError(f"{frames_path}:{_line_of(frames_path, k)}: "
                              f"frame {frames[k]!r} is listed twice")
     frame_tokens = sorted(row_of)
-    rows = _ids(frame_tokens, row_of)
-    in_order = not (rows != np.arange(n)).any()  # then row_of is _index(frame_tokens)
+    in_order = frames == frame_tokens  # then row_of is _index(frame_tokens)
+    rows = slice(None) if in_order else _ids(frame_tokens, row_of)  # each frame id's record
     frame_index = row_of if in_order else None
     user_tokens = sorted(set(users))
     item_tokens = sorted(set(rated).union(parents))
@@ -519,19 +520,52 @@ def atomic_writer(path, binary: bool = False):
         raise
 
 
-def _write_pairs(path, pairs: np.ndarray, left_ids, right_ids) -> None:
-    """Write (left id, right id) rows as their tokens, one line each, in token order."""
-    rows = sorted((left_ids[a], right_ids[b]) for a, b in pairs.tolist())
+def _token_ranks(tokens) -> np.ndarray:
+    """Each token's rank in sorted order, as an int64 array; equal tokens share a rank."""
+    tokens = np.array(tokens, dtype=object)
+    order = np.argsort(tokens, kind="stable")
+    ranks = np.empty(len(tokens), dtype=np.int64)
+    ranks[order] = np.cumsum(np.r_[False, tokens[order[1:]] != tokens[order[:-1]]])
+    return ranks
+
+
+def _write_rows(path, left, right, left_ids, right_ids) -> None:
+    """Write line k as the tokens ``left_ids[left[k]]`` and ``right_ids[right[k]]`` around a tab.
+
+    Each column's tokens are looked up once, as an object array in id order,
+    and the lines are joined into one string and written in one call.
+    """
+    cells = np.empty((len(left), 4), dtype=object)
+    cells[:, 0] = np.array(left_ids, dtype=object)[left]
+    cells[:, 1] = "\t"
+    cells[:, 2] = np.array(right_ids, dtype=object)[right]
+    cells[:, 3] = "\n"
     with atomic_writer(path) as fh:
-        fh.writelines(f"{a}\t{b}\n" for a, b in rows)
+        fh.write("".join(cells.ravel().tolist()))
+
+
+def _write_pairs(path, pairs: np.ndarray, left_ids, right_ids) -> None:
+    """Write (left id, right id) rows as their tokens, one line each, in token order.
+
+    The rows are ordered by one key each, the left token's rank times the
+    number of right ids plus the right token's rank (``_token_ranks``): the
+    order of the (left token, right token) tuples, whatever order the ids run
+    in, with equal lines side by side.
+    """
+    left, right = _token_ranks(left_ids)[pairs[:, 0]], _token_ranks(right_ids)[pairs[:, 1]]
+    rows = pairs[np.argsort(left * len(right_ids) + right, kind="stable")]
+    _write_rows(path, rows[:, 0], rows[:, 1], left_ids, right_ids)
 
 
 def save_dataset(dataset: Dataset, out_dir, frame_likes=None) -> dict:
     """Write ``ratings.tsv``, ``frames.tsv``, ``features.npy`` (and optionally frame likes).
 
-    Frames are written item by item, and row k of ``features.npy`` holds the
-    k-th frame's features, written by numpy's ``.npy`` writer so a reload
-    reproduces them bit-for-bit.  Returns a name -> path dict of everything written.
+    Frames are written item by item, each item's in id order, and row k of
+    ``features.npy`` holds the k-th frame's features, written by numpy's
+    ``.npy`` writer so a reload reproduces them bit-for-bit.  The pair files
+    are in token order (``_write_pairs``); every token file is built from the
+    id arrays and written in one call (``_write_rows``).  Returns a name ->
+    path dict of everything written.
     """
     out_dir = Path(out_dir)
     paths = {
@@ -543,9 +577,7 @@ def save_dataset(dataset: Dataset, out_dir, frame_likes=None) -> dict:
     _write_pairs(paths["ratings"], d.ratings, d.user_ids, d.item_ids)
     ids, mask, _ = d.frame_table
     frames = ids[mask]
-    with atomic_writer(paths["frames"]) as fh:
-        fh.writelines(f"{d.frame_ids[f]}\t{d.item_ids[i]}\n"
-                      for f, i in zip(frames.tolist(), d.frame_parent[frames].tolist()))
+    _write_rows(paths["frames"], frames, d.frame_parent[frames], d.frame_ids, d.item_ids)
     with atomic_writer(paths["features"], binary=True) as fh:
         np.save(fh, d.frame_features[frames], allow_pickle=False)
     if frame_likes is not None:

@@ -67,9 +67,13 @@ class PlantedModel:
 
 
 def _tokens(prefix: str, count: int) -> tuple:
-    """Zero-padded tokens whose lexical order matches numeric order."""
+    """Zero-padded tokens whose lexical order matches numeric order.
+
+    ``prefix`` and ``str(k).zfill(width)`` are joined, which is faster than
+    a nested format spec and gives the same strings for every ``k >= 0``.
+    """
     width = max(1, len(str(count - 1)))
-    return tuple(f"{prefix}{k:0{width}d}" for k in range(count))
+    return tuple(prefix + str(k).zfill(width) for k in range(count))
 
 
 def _planted_params(cfg: SynthConfig, rng: np.random.Generator) -> ModelParams:

@@ -140,11 +140,15 @@ def sample_epoch(split: SplitDataset, neg_ratio: int, rng: np.random.Generator) 
             f"user {base.user_ids[train[full[0], 0]]!r} has rated every item; "
             "cannot sample negatives"
         )
-    reps = np.repeat(train, neg_ratio, axis=0)
-    k = (rng.random(len(reps)) * pool[reps[:, 0]]).astype(np.int64)  # below the pool size
-    negs = base.unrated_items(reps[:, 0], k)
-    triples = np.column_stack([reps, negs])
-    return triples.take(rng.permutation(len(triples)), axis=0)
+    users = np.repeat(train[:, 0], neg_ratio)  # triple j is from training pair j // neg_ratio
+    k = (rng.random(len(users)) * pool[users]).astype(np.int64)  # below the pool size
+    negs = base.unrated_items(users, k)
+    perm = rng.permutation(len(users))
+    triples = np.empty((len(users), 3), dtype=np.int64)
+    triples[:, 0] = users[perm]
+    triples[:, 1] = train[perm // neg_ratio, 1]
+    triples[:, 2] = negs[perm]
+    return triples
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +529,10 @@ def fit(
     stay as they are.  A non-finite batch loss or gradient (of an embedding,
     its touched rows are read) raises NonFiniteError before the update,
     naming the epoch, batch and first such tensor, and so does a non-finite
-    validation score.  Then validation hit rate at
+    validation score.  One test per batch, whether the loss plus every
+    gradient's sum of squares is finite, looks for such a value; only when
+    it fails are the tensors scanned, in the order ``batch_gradients`` gives
+    them (the active order), for the first bad one.  Then validation hit rate at
     ``valid_k`` (fixed candidate sets across epochs) drives early stopping:
     after ``patience`` epochs without improvement training stops and the
     best epoch's snapshot is returned.
@@ -552,13 +559,15 @@ def fit(
             loss, grads = batch_gradients(
                 params, cfg, base, chunk, reduction=tcfg.loss_reduction
             )
-            bad = next((n for n, g in grads.items()
-                        if not np.isfinite(g[1] if isinstance(g, tuple) else g).all()), None)
-            if bad is not None or not np.isfinite(loss):
-                raise NonFiniteError(
-                    f"training diverged at epoch {epoch}, batch {batch}: loss {loss!r}, "
-                    f"first non-finite gradient {bad}"
-                )
+            values = [g[1] if isinstance(g, tuple) else g for g in grads.values()]
+            # finite when every value is; a sum of squares that overflows only costs the scan
+            if not math.isfinite(loss + sum([np.vdot(v, v) for v in values])):
+                bad = next((n for n, v in zip(grads, values) if not np.isfinite(v).all()), None)
+                if bad is not None or not np.isfinite(loss):
+                    raise NonFiniteError(
+                        f"training diverged at epoch {epoch}, batch {batch}: loss {loss!r}, "
+                        f"first non-finite gradient {bad}"
+                    )
             adam_step(params, grads, state, tcfg)
             loss_total += loss * (len(chunk) if tcfg.loss_reduction == "mean" else 1.0)
         denom = len(triples) if tcfg.loss_reduction == "mean" else 1.0

@@ -1,7 +1,8 @@
 """Test oracles: scalar forward path, projected table, full-catalog backward, dense Adam,
 dense teacher, sorted top-k, set-based prune, split and split check, rank of the first
 score, key-draw sampled evaluation and the package's draw pair by pair, per-row frame
-projection, per-line id reader, always-sorting pair array.
+projection, per-line id reader, always-sorting pair array, tuple-sorting token writers,
+stack-then-permute epoch draw.
 
 The package scores in bulk (``item_visual_table``, ``score_pairs``,
 ``score_frames``).  The scalar functions score one instance at a time,
@@ -70,6 +71,14 @@ dropping a leading byte-order mark.
 
 ``pair_array`` sorts and deduplicates integer pairs the way the package did
 before it learned to skip the sort for rows already in order.
+
+``write_pairs`` and ``write_frames`` write the token files as the package
+did before it built them from id arrays: one token tuple per record, a sort
+of those tuples, and one formatted line per record.
+
+``sample_epoch`` is the epoch draw as it ran before it built the shuffled
+triples in one array: the training pairs repeated whole, the negatives
+stacked beside them, then the rows permuted.
 """
 
 from __future__ import annotations
@@ -661,3 +670,31 @@ def pair_array(pairs: np.ndarray) -> np.ndarray:
     """(R, 2) integer rows lexsorted by (first, second) column, repeats dropped."""
     arr = pairs.astype(np.int64)[np.lexsort((pairs[:, 1], pairs[:, 0]))]
     return arr[np.r_[True, (arr[1:] != arr[:-1]).any(axis=1)]] if len(arr) else arr
+
+
+def write_pairs(path, pairs: np.ndarray, left_ids, right_ids) -> None:
+    """Write (left id, right id) rows as their tokens, one line each, in token order."""
+    rows = sorted((left_ids[a], right_ids[b]) for a, b in pairs.tolist())
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"{a}\t{b}\n" for a, b in rows)
+
+
+def write_frames(path, dataset) -> None:
+    """Write ``frames.tsv``: each frame and its item, item by item, each item's in id order."""
+    ids, mask, _ = dataset.frame_table
+    frames = ids[mask]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"{dataset.frame_ids[f]}\t{dataset.item_ids[i]}\n"
+                      for f, i in zip(frames.tolist(), dataset.frame_parent[frames].tolist()))
+
+
+def sample_epoch(split, neg_ratio: int, rng: np.random.Generator) -> np.ndarray:
+    """``training.sample_epoch``'s triples through (n, 2) repeated pairs and a stacked copy."""
+    base = split.base
+    train = split.pairs("train")
+    pool = base.num_items - np.bincount(base.ratings[:, 0], minlength=base.num_users)
+    reps = np.repeat(train, neg_ratio, axis=0)
+    k = (rng.random(len(reps)) * pool[reps[:, 0]]).astype(np.int64)
+    negs = base.unrated_items(reps[:, 0], k)
+    triples = np.column_stack([reps, negs])
+    return triples.take(rng.permutation(len(triples)), axis=0)

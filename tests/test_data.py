@@ -16,6 +16,7 @@ from framerec.data import (
     _pair_array,
     _read_ids,
     _read_pairs,
+    _write_pairs,
     check_dataset,
     load_dataset,
     load_frame_likes,
@@ -908,6 +909,70 @@ class TestRoundTrips:
                     (tmp_path / f"{name}.tsv").read_text(encoding="utf-8").splitlines()]
             assert rows == sorted(rows), name
         assert (tmp_path / "ratings.tsv").read_text(encoding="utf-8").startswith("u1\ti10\n")
+
+    def test_token_files_match_the_tuple_sorting_writers(self, tmp_path):
+        """_write_pairs and save_dataset's frames file write the oracles' bytes, or, for a
+        token with no UTF-8 form, raise as they do and leave no file."""
+        hypothesis = pytest.importorskip("hypothesis")
+        from hypothesis import strategies as st
+
+        # shared prefixes ("a", "a0", "b"), characters below the tab (so tuples do not sort
+        # as their lines do), non-ASCII ones
+        tokens = st.one_of(
+            st.sampled_from(["a", "a\x00", "a0", "b", "é", "\u4e2d\U0001f600"]),
+            st.text(alphabet=["a", "0", "\x00", "\x1f", "é"], min_size=1, max_size=3))
+
+        def written(write, path):
+            """The bytes ``write(path)`` leaves, or None if a token does not encode."""
+            path.unlink(missing_ok=True)
+            try:
+                write(path)
+            except UnicodeEncodeError:
+                return None
+            return path.read_bytes()
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(data=st.data())
+        def check(data):
+            # unsorted token tuples that may repeat a token
+            left = data.draw(st.lists(tokens, min_size=1, max_size=6))
+            right = tuple(data.draw(st.lists(tokens, min_size=1, max_size=6)))
+            if data.draw(st.integers(0, 3)) == 0:  # the surrogate escape of a byte not UTF-8
+                left[data.draw(st.integers(0, len(left) - 1))] = "b\udcff"
+            left = tuple(left)
+            # every pair once, some again, in any order
+            grid = [(a, b) for a in range(len(left)) for b in range(len(right))]
+            rows = data.draw(st.permutations(grid + data.draw(st.lists(
+                st.sampled_from(grid), max_size=6))))
+            pairs = np.array(rows, dtype=np.int64)
+            want = written(lambda p: reference.write_pairs(p, pairs, left, right),
+                           tmp_path / "want.tsv")
+            got = written(lambda p: _write_pairs(p, pairs, left, right), tmp_path / "got.tsv")
+            assert got == want
+            assert want is not None or not (tmp_path / "got.tsv").exists()
+
+            parent = data.draw(st.lists(st.integers(0, len(right) - 1),
+                                        min_size=len(left), max_size=len(left)))
+            ds = Dataset(ratings=(), frame_parent=np.array(parent, dtype=np.int64),
+                         frame_features=np.zeros((len(left), 1)), user_ids=("u",),
+                         item_ids=right, frame_ids=left)
+            want = written(lambda p: reference.write_frames(p, ds), tmp_path / "want.tsv")
+            got = written(lambda p: save_dataset(ds, p.parent), tmp_path / "frames.tsv")
+            assert got == want
+            assert want is not None or not (tmp_path / "frames.tsv").exists()
+
+        check()
+
+    def test_m_files_load_back_the_same_dataset_and_split(self, tmp_path):
+        ds, likes, _ = generate_synthetic(SynthConfig(
+            num_users=2000, num_items=3000, frames_per_item=8, feature_dim=64, seed=3))
+        split = split_ratings(ds, 0.8, 0.1, seed=4, frame_likes=likes)
+        save_dataset(ds, tmp_path, frame_likes=likes)
+        save_split(split, tmp_path)
+        back = load_dataset(tmp_path / "ratings.tsv", tmp_path / "frames.tsv",
+                            tmp_path / "features.npy")
+        assert back == ds
+        assert load_split(back, tmp_path) == split
 
     def test_split_check_matches_the_set_based_oracle(self, tmp_path):
         """load_split rejects a saved split with one kind of defect injected exactly as the

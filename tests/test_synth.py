@@ -70,6 +70,11 @@ class TestGeneration:
         assert list(ds.item_ids) == sorted(ds.item_ids)
         assert list(ds.user_ids) == sorted(ds.user_ids)
 
+    @pytest.mark.parametrize("count", [1, 2, 10, 11, 100, 101, 24000])
+    def test_tokens_match_the_nested_format(self, count):
+        width = len(str(count - 1))
+        assert synth._tokens("f", count) == tuple(f"f{k:0{width}d}" for k in range(count))
+
     def test_ratings_are_teacher_top_k(self):
         cfg = SynthConfig(**SMALL)
         ds, _, planted = generate_synthetic(cfg)

@@ -34,6 +34,7 @@ from framerec.training import (
     init_adam_state,
     sample_epoch,
 )
+import reference
 from conftest import pair_set
 from reference import adam_step_dense, adam_step_per_tensor, full_catalog_gradients
 
@@ -131,6 +132,14 @@ class TestSampling:
         split = split_ratings(ds, 0.5, 0.25, seed=0)
         with pytest.raises(SamplingError):
             sample_epoch(split, 1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("neg_ratio", [1, 2, 10])
+    def test_matches_the_stack_then_permute_draw(self, s_split, neg_ratio):
+        for seed in range(3):
+            got = sample_epoch(s_split, neg_ratio, np.random.default_rng(seed))
+            want = reference.sample_epoch(s_split, neg_ratio, np.random.default_rng(seed))
+            assert got.dtype == want.dtype and got.flags.c_contiguous
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_matches_the_per_user_loop(self, seed):
@@ -553,6 +562,35 @@ class TestFit:
             fit(split, cfg, TrainConfig(epochs=2, batch_size=64, neg_ratio=2),
                 params=params)
         np.testing.assert_array_equal(params.user_collab, before.user_collab)
+
+    @pytest.mark.parametrize("values,bad", [
+        ({"attn_out": 1e200}, None),
+        ({"attn_out": 1e200, "fusion_out": np.nan}, "fusion_out"),
+        ({"item_collab": -np.inf, "attn_out": np.nan}, "item_collab"),
+    ], ids=["overflow-only", "nan-after-overflow", "inf-embedding-rows"])
+    def test_the_scan_names_the_first_non_finite_gradient(self, monkeypatch, values, bad):
+        # a sum of squares that overflows sends the batch to the scan, which stops fit
+        # only for a tensor holding a non-finite value, and names the first in active order
+        real = training.batch_gradients
+
+        def filled(*args, **kwargs):
+            loss, grads = real(*args, **kwargs)
+            for name, value in values.items():
+                if isinstance(grads[name], tuple):  # an embedding's (rows, values)
+                    rows, g = grads[name]
+                    grads[name] = (rows, np.full_like(g, value))
+                else:
+                    grads[name] = np.full_like(grads[name], value)
+            return loss, grads
+
+        monkeypatch.setattr(training, "batch_gradients", filled)
+        split, cfg, tcfg = small_split(), small_model(), TrainConfig(batch_size=64, epochs=1)
+        if bad is None:
+            fit(split, cfg, tcfg)
+            return
+        with pytest.raises(NonFiniteError, match=rf"epoch 1, batch 1: loss [^,]+, "
+                                                 rf"first non-finite gradient {bad}$"):
+            fit(split, cfg, tcfg)
 
     def test_nan_attention_logits_stop_fit(self):
         # the NaN reaches the loss, not only the gradients
