@@ -15,7 +15,7 @@ import json
 import logging
 import math
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
@@ -125,18 +125,26 @@ def _dest(cls, name: str) -> str:
     return FLAG_NAMES.get((cls, name), name)
 
 
-def _add_config_args(p: argparse.ArgumentParser, cls, title: str) -> None:
-    """One flag per field of the config dataclass ``cls``."""
+def _add_config_args(p: argparse.ArgumentParser, cls, title: str, skip=()) -> None:
+    """One flag per field of the config dataclass ``cls``, but the fields in ``skip``."""
     g = p.add_argument_group(title)
     for f in fields(cls):
+        if f.name in skip:
+            continue
         dest = _dest(cls, f.name)
         g.add_argument("--" + dest.replace("_", "-"), type=type(f.default),
                        default=f.default, choices=CHOICES.get(f.name),
                        help=HELP.get(f.name))
 
 
+def _config_values(cls, args: argparse.Namespace) -> dict:
+    """The values of the fields of ``cls`` that the command has flags for."""
+    return {f.name: getattr(args, _dest(cls, f.name)) for f in fields(cls)
+            if _dest(cls, f.name) in args}
+
+
 def _config(cls, args: argparse.Namespace):
-    return cls(**{f.name: getattr(args, _dest(cls, f.name)) for f in fields(cls)})
+    return cls(**_config_values(cls, args))
 
 
 # ---------------------------------------------------------------------------
@@ -286,40 +294,40 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+def train_cells(split, cells, model: dict, tcfg: TrainConfig, item_k: int, frame_k: int,
+                negatives: int, repeats: int, seed: int) -> list:
+    """Train and evaluate one model per (visual_mode, fusion_mode) cell, ``model`` holding
+    the other ``ModelConfig`` fields; every config and evaluation argument is checked
+    before the first cell trains.  Per cell: ``(cfg, params, log, item, frame)``, the
+    item report at ``item_k`` and the frame report at ``frame_k`` (None with visuals off).
+    """
+    cfgs = [ModelConfig(**model, visual_mode=v, fusion_mode=f) for v, f in cells]
+    check_cutoffs((item_k,))
+    check_cutoffs((frame_k,))
+    check_sampling(negatives, repeats)
+    check_seed(seed)
+    results = []
+    for cfg in cfgs:
+        logger.info("training visual=%s fusion=%s", cfg.visual_mode, cfg.fusion_mode)
+        params, log = fit(split, cfg, tcfg)
+        item = evaluate_item_rec(params, cfg, split, k_list=(item_k,), n_negatives=negatives,
+                                 repeats=repeats, seed=seed)
+        frame = (None if cfg.visual_mode == VISUAL_OFF
+                 else evaluate_frame_rec(params, cfg, split, k_list=(frame_k,)))
+        results.append((cfg, params, log, item, frame))
+    return results
+
+
 def _cmd_ablate(args: argparse.Namespace) -> int:
-    split = _load_split_dir(args.data)
-    base_cfg = _config(ModelConfig, args)
-    tcfg = _config(TrainConfig, args)
-    # bad evaluation flags fail here, not after the first cell's training
-    check_cutoffs((args.item_k,))
-    check_cutoffs((args.frame_k,))
-    check_sampling(args.negatives, args.repeats)
-    check_seed(args.seed)
     # off/att scores exactly like off/sum: with no visual channel there is nothing to fuse
     cells = [c for c in GRADCHECK_COMBOS if c != (VISUAL_OFF, FUSION_ATT)]
-    reports = []
-    for visual, fusion in cells:
-        cfg = replace(base_cfg, visual_mode=visual, fusion_mode=fusion)
-        logger.info("ablate: training visual=%s fusion=%s", visual, fusion)
-        params, _ = fit(split, cfg, tcfg)
-        item = evaluate_item_rec(
-            params, cfg, split,
-            k_list=(args.item_k,),
-            n_negatives=args.negatives,
-            repeats=args.repeats,
-            seed=args.seed,
-        )
-        frame = (None if visual == VISUAL_OFF
-                 else evaluate_frame_rec(params, cfg, split, k_list=(args.frame_k,)))
-        reports.append((visual, fusion, item, frame))
-
-    ref_hr = next(item.hr[args.item_k] for visual, fusion, item, _ in reports
-                  if (visual, fusion) == ("avg", "sum"))
-    lines = [
-        f"visual\tfusion\titem_HR@{args.item_k}\titem_NDCG@{args.item_k}"
-        f"\tframe_HR@{args.frame_k}\tframe_NDCG@{args.frame_k}\tHR_vs_avg_sum%"
-    ]
-    for visual, fusion, item, frame in reports:
+    results = train_cells(_load_split_dir(args.data), cells, _config_values(ModelConfig, args),
+                          _config(TrainConfig, args), args.item_k, args.frame_k,
+                          args.negatives, args.repeats, args.seed)
+    ref_hr = results[cells.index(("avg", "sum"))][3].hr[args.item_k]
+    lines = [f"visual\tfusion\titem_HR@{args.item_k}\titem_NDCG@{args.item_k}"
+             f"\tframe_HR@{args.frame_k}\tframe_NDCG@{args.frame_k}\tHR_vs_avg_sum%"]
+    for (visual, fusion), (_, _, _, item, frame) in zip(cells, results):
         hr = item.hr[args.item_k]
         impr = 100.0 * (hr - ref_hr) / ref_hr if ref_hr else float("nan")
         frame_cols = ("-\t-" if frame is None
@@ -418,7 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--negatives", type=int, default=item_eval["n_negatives"].default)
     p.add_argument("--repeats", type=int, default=item_eval["repeats"].default)
     p.add_argument("--seed", type=int, default=item_eval["seed"].default)
-    _add_config_args(p, ModelConfig, "model")
+    # every cell sets the two modes
+    _add_config_args(p, ModelConfig, "model", skip=("visual_mode", "fusion_mode"))
     _add_config_args(p, TrainConfig, "training")
     p.set_defaults(func=_cmd_ablate)
 

@@ -1,13 +1,30 @@
 """Shared fixtures: a small handcrafted dataset, data directory, checkpoint and
-memory helpers."""
+memory helpers, and ``tools/seed_table.py`` as a module."""
 
+import importlib.util
 import json
+import os
+import sys
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from framerec.data import Dataset
+
+SEED_TABLE = Path(__file__).resolve().parent.parent / "tools" / "seed_table.py"
+
+
+@pytest.fixture(scope="session")
+def seed_table():
+    """The tool as a module; the environment and search path it sets are restored."""
+    spec = importlib.util.spec_from_file_location("seed_table", SEED_TABLE)
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(os.environ), mock.patch.object(sys, "path", list(sys.path)):
+        spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

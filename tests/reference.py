@@ -2,7 +2,7 @@
 dense teacher, sorted top-k, set-based prune, split and split check, rank of the first
 score, key-draw sampled evaluation and the package's draw pair by pair, per-row frame
 projection, per-line id reader, always-sorting pair array, tuple-sorting token writers,
-stack-then-permute epoch draw.
+stack-then-permute epoch draw, per-cell ablation loop.
 
 The package scores in bulk (``item_visual_table``, ``score_pairs``,
 ``score_frames``).  The scalar functions score one instance at a time,
@@ -79,10 +79,15 @@ of those tuples, and one formatted line per record.
 ``sample_epoch`` is the epoch draw as it ran before it built the shuffled
 triples in one array: the training pairs repeated whole, the negatives
 stacked beside them, then the rows permuted.
+
+``ablation_table`` is ``framerec ablate``'s table as the command made it
+before the mode cells ran through ``cli.train_cells``: its own loop over the
+five cells, each trained by ``fit`` and evaluated in turn, then the table.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import groupby
 from operator import itemgetter
 from typing import Iterator
@@ -698,3 +703,31 @@ def sample_epoch(split, neg_ratio: int, rng: np.random.Generator) -> np.ndarray:
     negs = base.unrated_items(reps[:, 0], k)
     triples = np.column_stack([reps, negs])
     return triples.take(rng.permutation(len(triples)), axis=0)
+
+
+def ablation_table(split, base_cfg, tcfg, item_k, frame_k, negatives, repeats, seed) -> str:
+    """The ablation table's text: off/sum, then the four visual cells, each trained from
+    ``base_cfg`` with its modes, with item HR and NDCG at ``item_k``, frame HR and NDCG
+    at ``frame_k`` and the item HR's change against avg/sum in percent."""
+    reports = []
+    for visual, fusion in (("off", "sum"), ("avg", "sum"), ("avg", "att"), ("att", "sum"),
+                           ("att", "att")):
+        cfg = replace(base_cfg, visual_mode=visual, fusion_mode=fusion)
+        params, _ = training.fit(split, cfg, tcfg)
+        item = evaluation.evaluate_item_rec(params, cfg, split, k_list=(item_k,),
+                                            n_negatives=negatives, repeats=repeats, seed=seed)
+        frame = (None if visual == "off"
+                 else evaluation.evaluate_frame_rec(params, cfg, split, k_list=(frame_k,)))
+        reports.append((visual, fusion, item, frame))
+    ref_hr = next(item.hr[item_k] for visual, fusion, item, _ in reports
+                  if (visual, fusion) == ("avg", "sum"))
+    lines = [f"visual\tfusion\titem_HR@{item_k}\titem_NDCG@{item_k}"
+             f"\tframe_HR@{frame_k}\tframe_NDCG@{frame_k}\tHR_vs_avg_sum%"]
+    for visual, fusion, item, frame in reports:
+        hr = item.hr[item_k]
+        impr = 100.0 * (hr - ref_hr) / ref_hr if ref_hr else float("nan")
+        frame_cols = ("-\t-" if frame is None
+                      else f"{frame.hr[frame_k]!r}\t{frame.ndcg[frame_k]!r}")
+        lines.append(f"{visual}\t{fusion}\t{hr!r}\t{item.ndcg[item_k]!r}\t{frame_cols}"
+                     f"\t{impr:+.1f}")
+    return "\n".join(lines) + "\n"

@@ -36,7 +36,7 @@ from framerec.model import (
     score_pairs,
 )
 from framerec.synth import SynthConfig, generate_synthetic
-from framerec.training import TrainConfig, finite_diff_check, fit, gradcheck_instance
+from framerec.training import finite_diff_check, gradcheck_instance
 
 from reference import frame_attention_logits
 
@@ -230,52 +230,20 @@ def test_criterion_5_random_frame_baseline_sits_at_chance():
     )
 
 
-def test_criterion_6_training_recovers_planted_structure():
+def test_criterion_6_training_recovers_planted_structure(seed_table):
     started = time.perf_counter()
-    scfg = SynthConfig(num_users=200, num_items=300, frames_per_item=5,
-                       feature_dim=16, latent_dim=8, ratings_per_user=20,
-                       frame_likes_per_pair=1, seed=42)
-    ds, likes, _ = generate_synthetic(scfg)
-    split = split_ratings(ds, 0.7, 0.1, seed=123, frame_likes=likes)
-    tcfg = TrainConfig(lr=0.01, epochs=50, batch_size=512, neg_ratio=10,
-                       patience=10, valid_negatives=100, seed=2)
-
-    def model(visual, fusion):
-        return ModelConfig(d1=8, d2=8, attn_hidden_visual=8, attn_hidden_rating=8,
-                           reduced_visual_dim=8, visual_mode=visual,
-                           fusion_mode=fusion, seed=1)
-
-    trained, epochs = {}, []
-    for visual, fusion in (("att", "att"), ("avg", "sum"), ("off", "sum")):
-        cfg = model(visual, fusion)
-        params, log = fit(split, cfg, tcfg)
-        trained[(visual, fusion)] = (params, cfg)
-        epochs.append(f"{visual}/{fusion} {len(log.epochs)} (best {log.best_epoch})")
-
-    baseline = random_frame_baseline(split, k_list=(3,), seed=9)
-    att_frames = evaluate_frame_rec(*trained[("att", "att")], split, k_list=(3,))
-    avg_frames = evaluate_frame_rec(*trained[("avg", "sum")], split, k_list=(3,))
+    fig, split, cells = seed_table.recovery(42, 123, 1, 2)
+    cfg, params = cells["off/sum"][:2]
     with pytest.raises(UnsupportedTaskError):
-        evaluate_frame_rec(*trained[("off", "sum")], split, k_list=(3,))
-
-    def items(key):
-        return evaluate_item_rec(*trained[key], split, k_list=(15,),
-                                 n_negatives=100, repeats=3, seed=77)
-
-    att_items = items(("att", "att"))
-    off_items = items(("off", "sum"))
+        evaluate_frame_rec(params, cfg, split, k_list=(3,))
     elapsed = time.perf_counter() - started
-
-    beats_chance = att_frames.hr[3] >= 1.5 * baseline.hr[3]
-    beats_mean = att_frames.ndcg[3] >= avg_frames.ndcg[3]
-    beats_blind = att_items.ndcg[15] >= off_items.ndcg[15]
-    ok = beats_chance and beats_mean and beats_blind and elapsed < 600.0
+    epochs = [f"{name} {n} (best {fig['best_epoch'][name]})" for name, n in fig["epochs"].items()]
     _verdict(
-        "recovery", ok,
-        f"frame HR@3 {att_frames.hr[3]:.3f} vs 1.5x chance "
-        f"{1.5 * baseline.hr[3]:.3f}; frame NDCG@3 att {att_frames.ndcg[3]:.3f} "
-        f">= mean {avg_frames.ndcg[3]:.3f}; item NDCG@15 att "
-        f"{att_items.ndcg[15]:.3f} >= off {off_items.ndcg[15]:.3f}; "
+        "recovery", all(fig["clauses"].values()) and elapsed < 600.0,
+        f"frame HR@3 {fig['frame_hr3_att']:.3f} vs {seed_table.CHANCE_FACTOR}x chance "
+        f"{seed_table.CHANCE_FACTOR * fig['frame_hr3_chance']:.3f}; frame NDCG@3 att "
+        f"{fig['frame_ndcg3_att']:.3f} >= mean {fig['frame_ndcg3_avg']:.3f}; item NDCG@15 att "
+        f"{fig['item_ndcg15_att']:.3f} >= off {fig['item_ndcg15_off']:.3f}; "
         f"frame scoring without visuals raises; epochs {', '.join(epochs)}; {elapsed:.0f}s",
     )
 

@@ -3,14 +3,15 @@
 import argparse
 import inspect
 import json
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from conftest import read_members, write_members
+from reference import ablation_table
 from framerec import cli
-from framerec.cli import _config, _dest, build_parser, run
+from framerec.cli import _config, _config_values, _dest, build_parser, run
 from framerec.data import split_ratings
 from framerec.errors import ConfigError, check_seed
 from framerec.evaluation import (ITEM_SPLITS, evaluate_frame_rec, evaluate_item_rec,
@@ -443,9 +444,11 @@ class TestConfigFlags:
                              ids=[f"{c}-{k.__name__}" for c, k in CONFIG_COMMANDS])
     def test_every_field_has_one_flag_that_sets_it(self, command, cls):
         actions = subparser(command)._actions
-        # fusion "sum" lets d1 and d2 differ; it is set for every other model field
-        base = ["--fusion", "sum"] if cls is ModelConfig else []
-        for f in fields(cls):
+        # ablate's cells set the two modes, so it has a flag for every other model field
+        modes = ("visual_mode", "fusion_mode") if (command, cls) == ("ablate", ModelConfig) else ()
+        # train's fusion "sum" lets d1 and d2 differ; it is set for every other model field
+        base = ["--fusion", "sum"] if command == "train" and cls is ModelConfig else []
+        for f in [f for f in fields(cls) if f.name not in modes]:
             matching = [a for a in actions if a.dest == _dest(cls, f.name)]
             assert len(matching) == 1 and len(matching[0].option_strings) == 1, f.name
             flag = matching[0].option_strings[0]
@@ -456,9 +459,16 @@ class TestConfigFlags:
             argv = [] if f.name == "fusion_mode" else base
             args = build_parser().parse_args(
                 [command, *REQUIRED[command], *argv, flag, str(value)])
-            want = _config(cls, build_parser().parse_args(
+            want = _config_values(cls, build_parser().parse_args(
                 [command, *REQUIRED[command], *argv]))
-            assert _config(cls, args) == replace(want, **{f.name: value}), f.name
+            assert _config_values(cls, args) == {**want, f.name: value}, f.name
+        assert not [a for a in actions for name in modes if a.dest == _dest(cls, name)]
+
+    @pytest.mark.parametrize("flag,value", [("--visual", "off"), ("--fusion", "sum")])
+    def test_ablate_takes_no_mode_flag(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            run(["ablate", *REQUIRED["ablate"], flag, value])
+        assert exc.value.code == 2
 
     def test_dimension_shorthand_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -548,3 +558,33 @@ class TestAblate:
         assert code == 1
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
         assert not (pipeline_dirs / "abl").exists()
+
+    def test_bad_cell_fails_before_training(self, pipeline_dirs, capsys, monkeypatch):
+        """A cell's bad config fails before the first cell trains, also when that cell comes
+        after good ones: off/sum and avg/sum take d1 != d2, avg/att does not."""
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a cell trained before every cell's config was checked")
+
+        monkeypatch.setattr(cli, "fit", no_fit)
+        split = cli._load_split_dir(pipeline_dirs / "split")
+        with pytest.raises(ConfigError, match="d1 == d2"):
+            cli.train_cells(split, [("off", "sum"), ("avg", "sum"), ("avg", "att")],
+                            {"d1": 4, "d2": 8}, TrainConfig(), 10, 3, 10, 1, 0)
+        code, _, err = call(capsys, "ablate", "--data", str(pipeline_dirs / "split"),
+                            "--out", str(pipeline_dirs / "abl"), "--d1", "4", "--d2", "8")
+        assert code == 1
+        assert "d1 == d2" in err and len(err.strip().splitlines()) == 1
+        assert not (pipeline_dirs / "abl").exists()
+
+    def test_table_matches_the_per_cell_loop(self, pipeline_dirs, capsys):
+        out = pipeline_dirs / "abl"
+        code, _, _ = call(capsys, "ablate", "--data", str(pipeline_dirs / "split"),
+                          "--out", str(out), *SMALL_MODEL, *SMALL_TRAIN, "--item-k", "5",
+                          "--negatives", "10", "--repeats", "2", "--seed", "4")
+        assert code == 0
+        cfg = ModelConfig(d1=4, d2=4, attn_hidden_visual=4, attn_hidden_rating=4,
+                          reduced_visual_dim=4)
+        tcfg = TrainConfig(epochs=2, batch_size=128, neg_ratio=2, valid_negatives=10, lr=0.01)
+        want = ablation_table(cli._load_split_dir(pipeline_dirs / "split"), cfg, tcfg,
+                              item_k=5, frame_k=3, negatives=10, repeats=2, seed=4)
+        assert (out / "ablation.tsv").read_bytes() == want.encode("utf-8")

@@ -1,26 +1,9 @@
 """tools/seed_table.py's table and comparison, on hand-made seed rows (no training)."""
 
 import copy
-import importlib.util
 import json
-import os
-import sys
-from pathlib import Path
-from unittest import mock
 
 import pytest
-
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "seed_table.py"
-
-
-@pytest.fixture(scope="module")
-def seed_table():
-    """The tool as a module; the environment and search path it sets are restored."""
-    spec = importlib.util.spec_from_file_location("seed_table", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    with mock.patch.dict(os.environ), mock.patch.object(sys, "path", list(sys.path)):
-        spec.loader.exec_module(module)
-    return module
 
 
 def row(seed, **figures):

@@ -1,4 +1,4 @@
-"""Static checks on the package source."""
+"""Static checks on the package source and the tools."""
 
 import ast
 from pathlib import Path
@@ -8,6 +8,7 @@ import pytest
 import framerec
 
 SOURCES = sorted(Path(framerec.__file__).parent.glob("*.py"))
+TOOLS = sorted((Path(__file__).resolve().parent.parent / "tools").glob("*.py"))
 
 
 def reads(node) -> set:
@@ -21,7 +22,7 @@ def reads(node) -> set:
     return found
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES + TOOLS, ids=lambda p: p.name)
 def test_every_parameter_is_read(path):
     """A parameter no function body reads is a dead argument every caller still passes."""
     unread = []
@@ -54,7 +55,7 @@ def test_every_private_helper_is_referenced(module, name):
     assert uses, f"{module}: {name} is never referenced outside its definition"
 
 
-@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
+@pytest.mark.parametrize("path", [p for p in SOURCES + TOOLS if p.name != "__init__.py"],
                          ids=lambda p: p.name)
 def test_every_import_is_used(path):
     """A name a module imports and never reads is a dead import, such as one left

@@ -5,14 +5,15 @@ Run from the repository root:
     python3 tools/seed_table.py --seeds 10 --out seed_table.json
     python3 tools/seed_table.py --seeds 10 --out after.json --compare before.json
 
-For s = 1..N it generates criterion 6's S dataset with synth seed 1000+s,
-splits it with seed 2000+s, and trains att/att, avg/sum and off/sum with
-model and train seed s, as ``tests/test_acceptance.py`` does for its one
-seed set.  Per seed it records the figures criterion 6 compares, each
-mode's epochs, and whether each of the criterion's three clauses held.  It
-then gives the mean of every figure, and the paired differences att - mean
-(frame NDCG@3) and att - off (item NDCG@15) with their spread.  A seed
-takes about 7 s on one core, so the tool stays out of the test suite.
+``recovery`` is criterion 6, which ``tests/test_acceptance.py`` calls with
+its one seed set: the S dataset, att/att, avg/sum and off/sum trained through
+``framerec.cli.train_cells``, and the three clauses.  For s = 1..N the tool
+calls it with synth seed 1000+s, split seed 2000+s and model and train seed
+s, and records the figures criterion 6 compares, each mode's epochs and
+whether each clause held.  It then gives the mean of every figure, and the
+paired differences att - mean (frame NDCG@3) and att - off (item NDCG@15)
+with their spread.  A seed takes about 3 s on one core, so the tool stays
+out of the test suite.
 
 With ``--compare``, it then prints what changed against an earlier table:
 each per-seed figure or epoch count that differs, each clause that flipped,
@@ -35,47 +36,36 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(var, "1")
 sys.path.insert(0, str(ROOT / "src"))
 
-from framerec import (  # noqa: E402
-    ModelConfig,
-    SynthConfig,
-    TrainConfig,
-    evaluate_frame_rec,
-    evaluate_item_rec,
-    fit,
-    generate_synthetic,
-    random_frame_baseline,
-    split_ratings,
-)
+from framerec import (SynthConfig, TrainConfig, generate_synthetic,  # noqa: E402
+                      random_frame_baseline, split_ratings)
+from framerec.cli import train_cells  # noqa: E402
 
-MODES = (("att", "att"), ("avg", "sum"), ("off", "sum"))
+MODES = ("att/att", "avg/sum", "off/sum")
 # Criterion 6's chance bound: att/att's frame HR@3 is at least this times random's.
 CHANCE_FACTOR = 1.5
 
 
-def one_seed(s: int) -> dict:
-    """Criterion 6's figures for seed set s."""
-    started = time.perf_counter()
+def recovery(synth_seed: int, split_seed: int, model_seed: int, train_seed: int):
+    """Acceptance criterion 6 on one seed set: ``(figures, split, cells)``.
+
+    ``figures`` holds the figures the criterion compares, each mode's epochs and
+    whether each of its three clauses held; ``cells`` maps "visual/fusion" to
+    ``train_cells``' ``(cfg, params, log, item, frame)``.
+    """
     ds, likes, _ = generate_synthetic(SynthConfig(
         num_users=200, num_items=300, frames_per_item=5, feature_dim=16, latent_dim=8,
-        ratings_per_user=20, frame_likes_per_pair=1, seed=1000 + s))
-    split = split_ratings(ds, 0.7, 0.1, seed=2000 + s, frame_likes=likes)
+        ratings_per_user=20, frame_likes_per_pair=1, seed=synth_seed))
+    split = split_ratings(ds, 0.7, 0.1, seed=split_seed, frame_likes=likes)
     tcfg = TrainConfig(lr=0.01, epochs=50, batch_size=512, neg_ratio=10, patience=10,
-                       valid_negatives=100, seed=s)
-    trained, epochs, best = {}, {}, {}
-    for visual, fusion in MODES:
-        cfg = ModelConfig(d1=8, d2=8, attn_hidden_visual=8, attn_hidden_rating=8,
-                          reduced_visual_dim=8, visual_mode=visual, fusion_mode=fusion, seed=s)
-        params, log = fit(split, cfg, tcfg)
-        name = f"{visual}/{fusion}"
-        trained[name], epochs[name], best[name] = (params, cfg), len(log.epochs), log.best_epoch
+                       valid_negatives=100, seed=train_seed)
+    model = dict(d1=8, d2=8, attn_hidden_visual=8, attn_hidden_rating=8,
+                 reduced_visual_dim=8, seed=model_seed)
+    cells = dict(zip(MODES, train_cells(split, [m.split("/") for m in MODES], model, tcfg,
+                                        item_k=15, frame_k=3, negatives=100, repeats=3, seed=77)))
     chance = random_frame_baseline(split, k_list=(3,), seed=9).hr[3]
-    att_frames = evaluate_frame_rec(*trained["att/att"], split, k_list=(3,))
-    avg_frames = evaluate_frame_rec(*trained["avg/sum"], split, k_list=(3,))
-    att_items, off_items = (
-        evaluate_item_rec(*trained[name], split, k_list=(15,), n_negatives=100, repeats=3,
-                          seed=77).ndcg[15] for name in ("att/att", "off/sum"))
-    return {
-        "seed": s,
+    att_frames, avg_frames = cells["att/att"][4], cells["avg/sum"][4]
+    att_items, off_items = cells["att/att"][3].ndcg[15], cells["off/sum"][3].ndcg[15]
+    figures = {
         "frame_hr3_att": att_frames.hr[3],
         "frame_hr3_chance": chance,
         "frame_hr3_over_chance": att_frames.hr[3] / chance,
@@ -83,15 +73,22 @@ def one_seed(s: int) -> dict:
         "frame_ndcg3_avg": avg_frames.ndcg[3],
         "item_ndcg15_att": att_items,
         "item_ndcg15_off": off_items,
-        "epochs": epochs,
-        "best_epoch": best,
+        "epochs": {name: len(cell[2].epochs) for name, cell in cells.items()},
+        "best_epoch": {name: cell[2].best_epoch for name, cell in cells.items()},
         "clauses": {
             "beats_chance": att_frames.hr[3] >= CHANCE_FACTOR * chance,
             "beats_mean": att_frames.ndcg[3] >= avg_frames.ndcg[3],
             "beats_blind": att_items >= off_items,
         },
-        "seconds": time.perf_counter() - started,
     }
+    return figures, split, cells
+
+
+def one_seed(s: int) -> dict:
+    """Criterion 6's figures for seed set s, with the seed and the wall seconds."""
+    started = time.perf_counter()
+    figures, _, _ = recovery(1000 + s, 2000 + s, s, s)
+    return {"seed": s, **figures, "seconds": time.perf_counter() - started}
 
 
 def spread(values) -> dict:
