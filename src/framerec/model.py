@@ -150,6 +150,17 @@ def init_params(cfg: ModelConfig, dataset: Dataset) -> ModelParams:
 # ---------------------------------------------------------------------------
 
 
+# item_visual_table builds the attention table TABLE_BLOCK // (m * h) items at
+# a time (at least one), m frames and h hidden units per item: a block's
+# (items, m, h) hidden layer holds at most TABLE_BLOCK floats, 512 KiB, and
+# stays in L2 while its ReLU and its logits read it.  It also lets the logits
+# be one 2-D product per block: numpy computes a 3-D hidden layer times
+# ``attn_out`` as one small product per item, and at M (3,000 items, m=8,
+# h=32) those took 311 us against about 98 us for 256-item blocks (one core
+# of a 2-vCPU host).  At S (m=5, h=8) the whole table is one block.
+TABLE_BLOCK = 1 << 16
+
+
 @dataclass
 class VisualTable:
     """Per-item visual embeddings plus the intermediates backprop needs.
@@ -160,7 +171,8 @@ class VisualTable:
     alpha-pooled raw frame features times ``visual_proj.T`` (in mean mode up
     to rounding: there ``x`` is the exact mean of the projected frames).  In
     attention mode ``hidden_relu`` is the (N, m, h) hidden layer of the
-    attention network, after its ReLU.
+    attention network, after its ReLU, filled ``TABLE_BLOCK // (m * h)``
+    items at a time so that a block stays in cache between its products.
     """
 
     x: np.ndarray
@@ -168,26 +180,35 @@ class VisualTable:
     hidden_relu: np.ndarray = None
 
 
-def _linear(a, weight):
-    """``a @ weight.T`` over the last axis, as one 2-D product at any rank of ``a``."""
-    return (a.reshape(-1, a.shape[-1]) @ weight.T).reshape(*a.shape[:-1], weight.shape[0])
+def _linear(a, weight, out=None):
+    """``a @ weight.T`` over the last axis, as one 2-D product at any rank of ``a``.
+
+    Writes into ``out``, a C-contiguous array of the result's shape, if given.
+    """
+    if out is None:
+        out = np.empty((*a.shape[:-1], weight.shape[0]))
+    np.matmul(a.reshape(-1, a.shape[-1]), weight.T, out=out.reshape(-1, weight.shape[0]))
+    return out
 
 
-def _attention_mlp(query, key, w_query, w_key, out):
+def _attention_mlp(query, key, w_query, w_key, out, hidden=None):
     """(hidden layer after the ReLU, logits) of the one-hidden-layer ReLU attention network.
 
     The first layer is the two weight halves ``w_query`` and ``w_key``,
     applied to the query and the key apart, before they broadcast against
     each other.  Serves the frame attention and the fusion.  The key half
-    has the hidden layer's full shape (the (N, m) frame keys take (N, 1)
+    has the hidden layer's full shape (the (B, m) frame keys take (B, 1)
     queries, and ``score_pairs`` hands over keys and queries of one shape),
     so the query half is added, and the ReLU applied, in the key half's own
-    buffer.
+    buffer: ``hidden`` if given (a C-contiguous array of that shape, which
+    ``item_visual_table`` passes one block of its table at a time), a new
+    array otherwise.  The logits are one 2-D product over the flattened
+    leading axes, not one small product per leading index.
     """
-    hidden = _linear(key, w_key)
-    hidden += _linear(query, w_query)
-    relu = np.maximum(hidden, 0.0, out=hidden)
-    return relu, relu @ out
+    relu = _linear(key, w_key, out=hidden)
+    relu += _linear(query, w_query)
+    np.maximum(relu, 0.0, out=relu)
+    return relu, (relu.reshape(-1, relu.shape[-1]) @ out).reshape(relu.shape[:-1])
 
 
 def _attention_mlp_backward(out, relu, dlogits, gout, halves):
@@ -198,11 +219,14 @@ def _attention_mlp_backward(out, relu, dlogits, gout, halves):
     first-layer half; each input has the rank of ``relu``.  Adds the weight
     gradients into ``gout`` and each half's gradient array in place, and
     returns the pre-activation gradient once per half, summed over the axes
-    along which that half was broadcast.  A half's input gradient is its
-    pre-activation gradient times its weight half; callers form only the
-    ones they need.  The pre-activation gradient is formed in ``relu``'s
-    own buffer, which so ends up overwritten: callers pass a hidden layer
-    they no longer need.
+    along which that half was broadcast (the frame axis, for the frame
+    attention's (R, 1, d1) queries).  The sum is an ``np.einsum``, which
+    adds in the same order as ``ndarray.sum`` and so gives its bits, in
+    about a third of its time at M (49 against 137 us for a (R, 8, 32)
+    layer).  A half's input gradient is its pre-activation gradient times
+    its weight half; callers form only the ones they need.  The
+    pre-activation gradient is formed in ``relu``'s own buffer, which so
+    ends up overwritten: callers pass a hidden layer they no longer need.
     """
     h = relu.shape[-1]
     gout += relu.reshape(-1, h).T @ dlogits.reshape(-1)
@@ -210,8 +234,10 @@ def _attention_mlp_backward(out, relu, dlogits, gout, halves):
     dh *= dlogits[..., None]
     dh_halves = []
     for x, gweight in halves:
-        axes = tuple(a for a, n in enumerate(x.shape[:-1]) if n < dh.shape[a])
-        dh_half = dh.sum(axis=axes, keepdims=True) if axes else dh
+        axes = [a for a, n in enumerate(x.shape[:-1]) if n < dh.shape[a]]
+        dh_half = dh if not axes else np.einsum(
+            dh, range(dh.ndim), [a for a in range(dh.ndim) if a not in axes]
+        ).reshape(x.shape[:-1] + (h,))
         gweight += dh_half.reshape(-1, h).T @ x.reshape(-1, x.shape[-1])
         dh_halves.append(dh_half)
     return tuple(dh_halves)
@@ -232,7 +258,11 @@ def item_visual_table(params: ModelParams, cfg: ModelConfig, dataset: Dataset):
     by one weight only: the attention's key half folded with the key
     reduction, ``attn_hidden[:, d1:] @ attn_reduce`` (h, F), formed once here.
     It reads the frames as ``dataset.padded_features``, which the dataset
-    holds, so a call copies no frame features.
+    holds, so a call copies no frame features.  It fills the (N, m, h)
+    hidden layer ``TABLE_BLOCK // (m * h)`` items at a time: per block, the
+    key product, the query half, the ReLU and the logits, one 2-D product,
+    while the block is in cache.  The softmax, the pooling and the
+    projection then run over the whole table.
     """
     if cfg.visual_mode == VISUAL_OFF:
         return None
@@ -245,10 +275,15 @@ def item_visual_table(params: ModelParams, cfg: ModelConfig, dataset: Dataset):
         return VisualTable(x=x, alpha=mask / safe[:, None])
 
     feats = dataset.padded_features  # (N, m, F), padding holds a real frame
-    hidden_relu, logits = _attention_mlp(  # (N, m, h), (N, m)
-        params.item_collab[:, None, :], feats, params.attn_hidden[:, :cfg.d1],
-        params.attn_hidden[:, cfg.d1:] @ params.attn_reduce, params.attn_out,
-    )
+    w_query = params.attn_hidden[:, :cfg.d1]
+    w_key = params.attn_hidden[:, cfg.d1:] @ params.attn_reduce
+    (n, m, _), h = feats.shape, len(w_key)
+    hidden_relu, logits = np.empty((n, m, h)), np.empty((n, m))
+    step = max(1, TABLE_BLOCK // max(m * h, 1))
+    for lo in range(0, n, step):
+        b = slice(lo, lo + step)
+        _, logits[b] = _attention_mlp(params.item_collab[b, None, :], feats[b], w_query, w_key,
+                                      params.attn_out, hidden=hidden_relu[b])
     neg_inf = np.finfo(logits.dtype).min
     shifted = np.where(mask, logits, neg_inf)
     shifted = shifted - shifted.max(axis=1, keepdims=True)

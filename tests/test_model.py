@@ -121,6 +121,31 @@ class TestInit:
         assert "visual_proj" in avg_sum and "attn_hidden" not in avg_sum
 
 
+def projected_instances(visual):
+    """(params, cfg, dataset) of five gradcheck instances (8 items, uneven
+    frame counts) and of the S dataset, in ``visual`` mode."""
+    instances = [gradcheck_instance(seed=seed, visual_mode=visual, fusion_mode="sum")[:3]
+                 for seed in range(5)]
+    ds, _, _ = generate_synthetic(SynthConfig(seed=3))  # S: 200 x 300 x 5, F=16
+    cfg = ModelConfig(d1=8, d2=8, attn_hidden_visual=8, attn_hidden_rating=8,
+                      reduced_visual_dim=8, visual_mode=visual, fusion_mode="sum", seed=2)
+    return instances + [(init_params(cfg, ds), cfg, ds)]
+
+
+def assert_near_projected(table, params, cfg, ds):
+    """Assert ``table`` within 1e-12 (relative to the largest value) of
+    ``reference.visual_table_projected``; return the reference's ``x``."""
+    x, alpha, hidden_relu = reference.visual_table_projected(params, cfg, ds)
+    got = {"x": table.x, "alpha": table.alpha, "hidden_relu": table.hidden_relu}
+    for name, want in (("x", x), ("alpha", alpha), ("hidden_relu", hidden_relu)):
+        if want is None:
+            assert got[name] is None
+            continue
+        err = np.abs(got[name] - want).max()
+        assert err <= 1e-12 * np.abs(want).max(), (name, err)
+    return x
+
+
 class TestVisualEmbedding:
     def test_mean_embedding_hand_value(self, toy_dataset):
         # identity projection, item 0 frames (1,0) and (0,1): mean (0.5, 0.5)
@@ -209,24 +234,44 @@ class TestVisualEmbedding:
 
     @pytest.mark.parametrize("visual", ["avg", "att"])
     def test_pooled_table_matches_the_projected_table(self, visual):
-        instances = [gradcheck_instance(seed=seed, visual_mode=visual, fusion_mode="sum")[:3]
-                     for seed in range(5)]
-        ds, _, _ = generate_synthetic(SynthConfig(seed=3))  # S: 200 x 300 x 5, F=16
-        cfg = ModelConfig(d1=8, d2=8, attn_hidden_visual=8, attn_hidden_rating=8,
-                          reduced_visual_dim=8, visual_mode=visual, fusion_mode="sum", seed=2)
-        instances.append((init_params(cfg, ds), cfg, ds))
-        for params, cfg, ds in instances:
+        for params, cfg, ds in projected_instances(visual):
             table = item_visual_table(params, cfg, ds)
-            x, alpha, hidden_relu = reference.visual_table_projected(params, cfg, ds)
-            got = {"x": table.x, "alpha": table.alpha, "hidden_relu": table.hidden_relu}
-            for name, want in (("x", x), ("alpha", alpha), ("hidden_relu", hidden_relu)):
-                if want is None:
-                    assert got[name] is None
-                    continue
-                err = np.abs(got[name] - want).max()
-                assert err <= 1e-12 * np.abs(want).max(), (name, err)
+            x = assert_near_projected(table, params, cfg, ds)
             if visual == "avg":  # the mean stays the exact mean of the projected frames
                 np.testing.assert_array_equal(table.x, x)
+
+    @pytest.mark.parametrize("items", [1, 7, "all"])
+    def test_table_blocks_match_the_projected_table(self, monkeypatch, items):
+        """Blocks of one item, of seven (the last one shorter) and of every
+        item stay within 1e-12 of the project-then-pool table."""
+        for params, cfg, ds in projected_instances("att"):
+            size = ds.num_items if items == "all" else items
+            per_item = ds.padded_features.shape[1] * cfg.attn_hidden_visual
+            monkeypatch.setattr(model, "TABLE_BLOCK", size * per_item)
+            assert_near_projected(item_visual_table(params, cfg, ds), params, cfg, ds)
+
+    def test_blocks_of_five_items_or_more_keep_the_bits(self, monkeypatch):
+        """At M's table shape (m=8 frames, F=64, h=32) every block size whose
+        blocks all hold at least five items gives the default blocks' bits.
+        Blocks of one to four items do not: their key products of 8 to 32
+        rows round apart on OpenBLAS 0.3.31's AVX-512 kernels, which take
+        small products through another kernel.  Those are held to 1e-12 by
+        the test above.  The logits, a product of 8 rows per item, keep
+        their bits at any block size."""
+        ds, _, _ = generate_synthetic(SynthConfig(
+            num_users=50, num_items=300, frames_per_item=8, feature_dim=64, seed=1))
+        cfg = ModelConfig(d1=8, d2=8, attn_hidden_visual=32, attn_hidden_rating=8,
+                          reduced_visual_dim=8, fusion_mode="sum", seed=2)
+        params = init_params(cfg, ds)
+        per_item = 8 * 32
+        assert model.TABLE_BLOCK // per_item == 256  # blocks of 256 and 44 items
+        default = item_visual_table(params, cfg, ds)
+        for items in (5, 7, 300):  # 60 blocks of 5; 42 of 7 and one of 6; one block
+            monkeypatch.setattr(model, "TABLE_BLOCK", items * per_item)
+            table = item_visual_table(params, cfg, ds)
+            for name in ("x", "alpha", "hidden_relu"):
+                assert getattr(table, name).tobytes() == getattr(default, name).tobytes(), \
+                    (items, name)
 
     def test_missing_frames_raise(self, toy_dataset):
         # an unrated item with no frames is structurally legal but unscorable
@@ -265,6 +310,43 @@ class TestVisualEmbedding:
         table = item_visual_table(toy_params(bare, attn_out=[np.nan, 0.0]), toy_config(), bare)
         assert np.isnan(table.alpha[0, 0]) and np.isnan(table.x[0]).all()
         assert not table.alpha[1].any() and not table.x[1].any()
+
+
+def assert_frame_sum_keeps_the_bits(relu, dlogits, rng):
+    """The attention backward's query half, summed over the broadcast frame
+    axis, and its weight gradient have the bits of ``ndarray.sum``'s.  With
+    one frame nothing is broadcast, and the half is the gradient itself
+    (``ndarray.sum`` would turn its -0.0 into 0.0)."""
+    h = relu.shape[-1]
+    out = rng.normal(size=h)
+    query, keys = rng.normal(size=(len(relu), 1, 4)), rng.normal(size=relu.shape[:-1] + (6,))
+    dh = out * (relu > 0) * dlogits[..., None]
+    want = dh.sum(axis=(1,), keepdims=True) if relu.shape[1] > 1 else dh
+    g_query, g_key = np.zeros((h, 4)), np.zeros((h, 6))
+    dh_query, dh_key = model._attention_mlp_backward(
+        out, relu.copy(), dlogits, np.zeros(h), ((query, g_query), (keys, g_key)))
+    assert dh_query.shape == want.shape and dh_query.tobytes() == want.tobytes()
+    assert dh_key.tobytes() == dh.tobytes()
+    assert g_query.tobytes() == (want.reshape(-1, h).T @ query.reshape(-1, 4)).tobytes()
+
+
+class TestAttentionBackward:
+    @pytest.mark.parametrize("frames", [1, 2, 5, 8, 20])
+    def test_frame_sum_matches_ndarray_sum(self, frames):
+        rng = np.random.default_rng(frames)
+        for rows, h in ((1, 8), (7, 4), (256, 32)):
+            relu = np.maximum(rng.normal(size=(rows, frames, h)), 0.0)
+            assert_frame_sum_keeps_the_bits(relu, rng.normal(size=(rows, frames)), rng)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_frame_sum_matches_ndarray_sum_on_uneven_frames(self, seed):
+        params, cfg, ds, _ = gradcheck_instance(seed=seed, visual_mode="att", fusion_mode="sum")
+        table = item_visual_table(params, cfg, ds)
+        rng = np.random.default_rng(seed)
+        mask = ds.frame_table[1]  # padding takes a zero logit gradient, as in training
+        assert len(set(ds.frame_table[2].tolist())) > 1
+        assert_frame_sum_keeps_the_bits(
+            table.hidden_relu, np.where(mask, rng.normal(size=mask.shape), 0.0), rng)
 
 
 class TestScoring:

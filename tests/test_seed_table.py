@@ -83,3 +83,32 @@ def test_table_summarises_the_rows(seed_table):
     assert result["epochs"]["att/att"]["min"] == 31 and result["epochs"]["att/att"]["max"] == 32
     paired = result["paired"]["item_ndcg15_att_minus_off"]
     assert paired["mean"] == pytest.approx(0.315)
+
+
+@pytest.mark.parametrize("case", ["missing", "not JSON", "a list", "no means", "directory"])
+def test_a_bad_compare_or_out_path_fails_before_the_first_seed(
+        seed_table, monkeypatch, tmp_path, capsys, case):
+    ran = []
+    monkeypatch.setattr(seed_table, "one_seed", lambda s: ran.append(s) or row(s))
+    texts = {"not JSON": "{", "a list": "[]", "no means": json.dumps({"seeds": [row(1)]})}
+    before, out = tmp_path / "before.json", tmp_path / "after.json"
+    if case in texts:
+        before.write_text(texts[case], encoding="utf-8")
+    argv = ["--seeds", "2", "--out", str(out), "--compare", str(before)]
+    if case == "directory":  # and no earlier table: the out path alone fails
+        argv = ["--seeds", "2", "--out", str(tmp_path / "missing" / "after.json")]
+    with pytest.raises(SystemExit) as exc:
+        seed_table.main(argv)
+    assert exc.value.code == 2 and not ran and not out.exists()
+    message = capsys.readouterr().err.splitlines()[-1]
+    assert ": error: --" in message and ("--out" in message) == (case == "directory")
+
+
+def test_a_good_compare_file_is_compared(seed_table, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(seed_table, "one_seed", row)
+    before, out = tmp_path / "before.json", tmp_path / "after.json"
+    before.write_text(json.dumps(seed_table.table([row(1), row(2)])), encoding="utf-8")
+    assert seed_table.main(["--seeds", "2", "--out", str(out), "--compare", str(before)]) == 0
+    assert json.loads(out.read_text(encoding="utf-8")) == json.loads(before.read_text("utf-8"))
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "0 per-seed figures, epoch counts or clauses differ"

@@ -154,6 +154,19 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     if args.seeds < 1:
         p.error("--seeds must be >= 1")
+    # both checks come before the first seed trains, not after the last
+    out = Path(args.out)
+    if out.is_dir() or not out.parent.is_dir():
+        p.error(f"--out {args.out}: not a file in an existing directory")
+    before = None
+    if args.compare:
+        try:
+            before = json.loads(Path(args.compare).read_text(encoding="utf-8"))
+            compare(before, before)  # reads every part of a table that a comparison reads
+        except OSError as exc:
+            p.error(f"--compare {args.compare}: {exc.strerror}")
+        except (ValueError, LookupError, TypeError, AttributeError) as exc:
+            p.error(f"--compare {args.compare}: not a seed table ({type(exc).__name__}: {exc})")
     rows = []
     for s in range(1, args.seeds + 1):
         rows.append(one_seed(s))
@@ -163,10 +176,9 @@ def main(argv=None) -> int:
               f"{r['item_ndcg15_att'] - r['item_ndcg15_off']:+.3f}, epochs "
               f"{'/'.join(map(str, r['epochs'].values()))}, {r['seconds']:.1f}s", flush=True)
     result = table(rows)
-    Path(args.out).write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
+    out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     print(json.dumps({k: result[k] for k in ("paired", "clauses_held", "epochs")}))
-    if args.compare:
-        before = json.loads(Path(args.compare).read_text(encoding="utf-8"))
+    if before is not None:
         print("\n".join(compare(before, result)))
     return 0
 
