@@ -156,8 +156,9 @@ def init_params(cfg: ModelConfig, dataset: Dataset) -> ModelParams:
 # stays in L2 while its ReLU and its logits read it.  It also lets the logits
 # be one 2-D product per block: numpy computes a 3-D hidden layer times
 # ``attn_out`` as one small product per item, and at M (3,000 items, m=8,
-# h=32) those took 311 us against about 98 us for 256-item blocks (one core
-# of a 2-vCPU host).  At S (m=5, h=8) the whole table is one block.
+# h=32) those took 276 us against about 95 us for 256-item blocks read from
+# L2 (one core of a 2-vCPU host).  At S (m=5, h=8) the whole table is one
+# block.
 TABLE_BLOCK = 1 << 16
 
 
@@ -222,7 +223,7 @@ def _attention_mlp_backward(out, relu, dlogits, gout, halves):
     along which that half was broadcast (the frame axis, for the frame
     attention's (R, 1, d1) queries).  The sum is an ``np.einsum``, which
     adds in the same order as ``ndarray.sum`` and so gives its bits, in
-    about a third of its time at M (49 against 137 us for a (R, 8, 32)
+    under half its time at M (55 against 130 us for a (768, 8, 32)
     layer).  A half's input gradient is its pre-activation gradient times
     its weight half; callers form only the ones they need.  The
     pre-activation gradient is formed in ``relu``'s own buffer, which so
@@ -279,7 +280,7 @@ def item_visual_table(params: ModelParams, cfg: ModelConfig, dataset: Dataset):
     w_key = params.attn_hidden[:, cfg.d1:] @ params.attn_reduce
     (n, m, _), h = feats.shape, len(w_key)
     hidden_relu, logits = np.empty((n, m, h)), np.empty((n, m))
-    step = max(1, TABLE_BLOCK // max(m * h, 1))
+    step = max(1, TABLE_BLOCK // (m * h))
     for lo in range(0, n, step):
         b = slice(lo, lo + step)
         _, logits[b] = _attention_mlp(params.item_collab[b, None, :], feats[b], w_query, w_key,

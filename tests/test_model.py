@@ -132,6 +132,16 @@ def projected_instances(visual):
     return instances + [(init_params(cfg, ds), cfg, ds)]
 
 
+def m_shape_instance():
+    """(params, cfg, dataset) with M's table shape, m=8 frames, F=64 and
+    h=32, over 300 items."""
+    ds, _, _ = generate_synthetic(SynthConfig(
+        num_users=50, num_items=300, frames_per_item=8, feature_dim=64, seed=1))
+    cfg = ModelConfig(d1=8, d2=8, attn_hidden_visual=32, attn_hidden_rating=8,
+                      reduced_visual_dim=8, fusion_mode="sum", seed=2)
+    return init_params(cfg, ds), cfg, ds
+
+
 def assert_near_projected(table, params, cfg, ds):
     """Assert ``table`` within 1e-12 (relative to the largest value) of
     ``reference.visual_table_projected``; return the reference's ``x``."""
@@ -258,13 +268,8 @@ class TestVisualEmbedding:
         small products through another kernel.  Those are held to 1e-12 by
         the test above.  The logits, a product of 8 rows per item, keep
         their bits at any block size."""
-        ds, _, _ = generate_synthetic(SynthConfig(
-            num_users=50, num_items=300, frames_per_item=8, feature_dim=64, seed=1))
-        cfg = ModelConfig(d1=8, d2=8, attn_hidden_visual=32, attn_hidden_rating=8,
-                          reduced_visual_dim=8, fusion_mode="sum", seed=2)
-        params = init_params(cfg, ds)
+        params, cfg, ds = m_shape_instance()
         per_item = 8 * 32
-        assert model.TABLE_BLOCK // per_item == 256  # blocks of 256 and 44 items
         default = item_visual_table(params, cfg, ds)
         for items in (5, 7, 300):  # 60 blocks of 5; 42 of 7 and one of 6; one block
             monkeypatch.setattr(model, "TABLE_BLOCK", items * per_item)
@@ -272,6 +277,24 @@ class TestVisualEmbedding:
             for name in ("x", "alpha", "hidden_relu"):
                 assert getattr(table, name).tobytes() == getattr(default, name).tobytes(), \
                     (items, name)
+
+    def test_block_sizes_follow_the_rule(self, monkeypatch):
+        """``TABLE_BLOCK // (m * h)`` items a block, at least one."""
+        m_shape, (params, cfg, ds) = m_shape_instance(), projected_instances("att")[-1]
+        sizes = []
+        mlp = model._attention_mlp
+        monkeypatch.setattr(model, "_attention_mlp",
+                            lambda query, key, *rest, **kw: sizes.append(len(key))
+                            or mlp(query, key, *rest, **kw))
+        item_visual_table(*m_shape)
+        assert sizes == [256, 44]  # m=8, h=32: 2**16 // 256 items
+        sizes.clear()
+        item_visual_table(params, cfg, ds)
+        assert sizes == [300]  # S, m=5, h=8: the whole table in one block
+        monkeypatch.setattr(model, "TABLE_BLOCK", 1)
+        sizes.clear()
+        item_visual_table(params, cfg, ds)
+        assert sizes == [1] * 300
 
     def test_missing_frames_raise(self, toy_dataset):
         # an unrated item with no frames is structurally legal but unscorable
