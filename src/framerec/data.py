@@ -377,9 +377,10 @@ def load_dataset(ratings_path, frames_path, features_path) -> Dataset:
         raise IntegrityError(f"{features_path}: want a float array with one row for each of "
                              f"the {n} records of {frames_path} and at "
                              f"least one column, got {features.dtype} {features.shape}")
-    finite = np.isfinite(features).all(axis=1)
-    if not finite.all():
-        raise IntegrityError(f"{features_path}: row {finite.argmin()} is not finite")
+    # the whole-array test is the cheap one; the first bad row is looked for only on failure
+    if not np.isfinite(features).all():
+        bad = np.isfinite(features).all(axis=1).argmin()
+        raise IntegrityError(f"{features_path}: row {bad} is not finite")
     if not in_order:
         # one gather in the dtype as read; rebinding frees the array as read
         features = features[rows]

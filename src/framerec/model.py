@@ -150,16 +150,20 @@ def init_params(cfg: ModelConfig, dataset: Dataset) -> ModelParams:
 # ---------------------------------------------------------------------------
 
 
-# item_visual_table builds the attention table TABLE_BLOCK // (m * h) items at
-# a time (at least one), m frames and h hidden units per item: a block's
-# (items, m, h) hidden layer holds at most TABLE_BLOCK floats, 512 KiB, and
-# stays in L2 while its ReLU and its logits read it.  It also lets the logits
-# be one 2-D product per block: numpy computes a 3-D hidden layer times
-# ``attn_out`` as one small product per item, and at M (3,000 items, m=8,
-# h=32) those took 276 us against about 95 us for 256-item blocks read from
-# L2 (one core of a 2-vCPU host).  At S (m=5, h=8) the whole table is one
-# block.
-TABLE_BLOCK = 1 << 16
+# Every block that gathers or forms rows per item, per user or per pair holds
+# at most CACHE_BLOCK floats, 512 KiB, so that it stays in one core's L2
+# while the products that read it run.  item_visual_table builds the
+# attention table CACHE_BLOCK // (m * h) items at a time, m frames and h
+# hidden units per item: a block's (items, m, h) hidden layer stays in L2
+# while its ReLU and its logits read it.  It also lets the logits be one 2-D
+# product per block: numpy computes a 3-D hidden layer times ``attn_out`` as
+# one small product per item, and at M (3,000 items, m=8, h=32) those took
+# 276 us against about 95 us for 256-item blocks read from L2 (one core of a
+# 2-vCPU host).  At S (m=5, h=8) the whole table is one block.  score_catalog
+# scores a block of CACHE_BLOCK // (C * attn_hidden_rating) users against
+# their C candidates each, and score_frames CACHE_BLOCK // d2 (user, frame)
+# pairs; see CATALOG_BLOCK.  Each count is at least one.
+CACHE_BLOCK = 1 << 16
 
 
 @dataclass
@@ -172,7 +176,7 @@ class VisualTable:
     alpha-pooled raw frame features times ``visual_proj.T`` (in mean mode up
     to rounding: there ``x`` is the exact mean of the projected frames).  In
     attention mode ``hidden_relu`` is the (N, m, h) hidden layer of the
-    attention network, after its ReLU, filled ``TABLE_BLOCK // (m * h)``
+    attention network, after its ReLU, filled ``CACHE_BLOCK // (m * h)``
     items at a time so that a block stays in cache between its products.
     """
 
@@ -244,6 +248,20 @@ def _attention_mlp_backward(out, relu, dlogits, gout, halves):
     return tuple(dh_halves)
 
 
+def _frame_max(a):
+    """Each row's max of an (N, m) array, as a running ``np.maximum`` over its m columns.
+
+    It has ``a.max(axis=1)``'s bits, a NaN included, but with few columns
+    runs in about a tenth of its time: at M, 14 against 135 us for the
+    (3000, 8) frame logits (one core of a 2-vCPU host), since numpy reduces
+    each short row on its own.
+    """
+    top = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        np.maximum(top, a[:, j], out=top)
+    return top
+
+
 def _pool(alpha, feats):
     """(N, F) sums of each item's (N, m, F) frame features weighted by (N, m) ``alpha``."""
     return (alpha[:, None, :] @ feats)[:, 0]
@@ -260,7 +278,7 @@ def item_visual_table(params: ModelParams, cfg: ModelConfig, dataset: Dataset):
     reduction, ``attn_hidden[:, d1:] @ attn_reduce`` (h, F), formed once here.
     It reads the frames as ``dataset.padded_features``, which the dataset
     holds, so a call copies no frame features.  It fills the (N, m, h)
-    hidden layer ``TABLE_BLOCK // (m * h)`` items at a time: per block, the
+    hidden layer ``CACHE_BLOCK // (m * h)`` items at a time: per block, the
     key product, the query half, the ReLU and the logits, one 2-D product,
     while the block is in cache.  The softmax, the pooling and the
     projection then run over the whole table.
@@ -280,14 +298,14 @@ def item_visual_table(params: ModelParams, cfg: ModelConfig, dataset: Dataset):
     w_key = params.attn_hidden[:, cfg.d1:] @ params.attn_reduce
     (n, m, _), h = feats.shape, len(w_key)
     hidden_relu, logits = np.empty((n, m, h)), np.empty((n, m))
-    step = max(1, TABLE_BLOCK // (m * h))
+    step = max(1, CACHE_BLOCK // (m * h))
     for lo in range(0, n, step):
         b = slice(lo, lo + step)
         _, logits[b] = _attention_mlp(params.item_collab[b, None, :], feats[b], w_query, w_key,
                                       params.attn_out, hidden=hidden_relu[b])
     neg_inf = np.finfo(logits.dtype).min
     shifted = np.where(mask, logits, neg_inf)
-    shifted = shifted - shifted.max(axis=1, keepdims=True)
+    shifted -= _frame_max(shifted)[:, None]
     expd = np.where(mask, np.exp(shifted), 0.0)
     denom = expd.sum(axis=1, keepdims=True)
     # divide wherever the item has frames, so a NaN logit reaches the scores
@@ -392,18 +410,22 @@ def score_pairs(
 
 
 # The bulk scorers work a block of rows at a time, so that no intermediate
-# grows with the number of rows asked for.  score_catalog scores
-# CATALOG_BLOCK // (C * attn_hidden_rating) users at a time (at least one), C
-# being the items each user is scored against.  Against candidates a block
-# gathers a (rows, C, h) fusion hidden array, which so holds at most this many
-# elements.  Against every item a block works on (rows, N) planes, one fusion
-# hidden unit at a time, so that its intermediates are a few planes of
-# CATALOG_BLOCK // h elements.  The rule stays there because larger blocks,
-# CATALOG_BLOCK // N users, measured slower: the synthetic generator at M
-# (2000 users x 3000 items, d = h = 8) took 277 ms against 221 ms.
-# score_frames scores CATALOG_BLOCK // d2 (user, frame) pairs at a time, so
-# each of its two gathered (rows, d2) operands holds at most as many.
-# Scores do not depend on it.
+# grows with the number of rows asked for.  Against candidates, score_catalog
+# scores CACHE_BLOCK // (C * attn_hidden_rating) users a block, C being each
+# user's candidates, so that a block's (rows, C, h) gathered fusion half holds
+# at most CACHE_BLOCK elements: 20 users at M (C=101, h=32), where gathering
+# a user's rows took about 1.5 us in 81-user (2 MiB) blocks and under 1 us
+# in 20-user ones.
+# score_frames scores CACHE_BLOCK // d2 (user, frame) pairs a block, so each
+# of its two gathered (rows, d2) operands holds at most as many.  Against
+# every item, score_catalog scores CATALOG_BLOCK // (N * attn_hidden_rating)
+# users a block, which works on (rows, N) planes, one fusion hidden unit at a
+# time, so that its intermediates are a few planes of CATALOG_BLOCK // h
+# elements.  That budget stays its own because others measured slower: the
+# synthetic generator at M (2000 users x 3000 items, d = h = 8) took 217 ms
+# at 2^18, 238 ms at 2^16 and 230 ms at 2^20 (and blocks of CATALOG_BLOCK // N
+# users slower still).  Each count is at least one.  Scores do not depend on
+# them.
 CATALOG_BLOCK = 1 << 18
 
 
@@ -422,7 +444,10 @@ def score_catalog(users, params: ModelParams, cfg: ModelConfig, dataset: Dataset
     the call change a bit of a user's scores.  Against every item, the
     item-side arrays are transposed once to item-major form and a block
     works on (rows, N) planes, forming each fusion logit one hidden unit at
-    a time; a block of candidates gathers the item rows it needs.  With
+    a time; a block of candidates gathers the item rows it needs.  A block
+    holds ``CATALOG_BLOCK // (N * attn_hidden_rating)`` users against every
+    item, and ``CACHE_BLOCK // (C * attn_hidden_rating)`` against
+    candidates (at least one either way).  With
     ``keep``, returns ``keep(block, rows)`` stacked over the blocks instead,
     ``rows`` being the slice of ``users`` the block scores, so that only
     what it keeps of each block is held.  Raises as ``score_pairs`` does: an
@@ -450,11 +475,11 @@ def score_catalog(users, params: ModelParams, cfg: ModelConfig, dataset: Dataset
         # an einsum, not a product over all the call's users, keeps each user's half its own
         w_user, w_item = params.fusion_hidden[:, :cfg.d1].T, params.fusion_hidden[:, cfg.d1:].T
         halves = [(np.einsum("ud,dh->uh", u, w_user), i @ w_item) for u, i in channels]
-    n = dataset.num_items if items is None else items.shape[1]
-    rows = max(1, CATALOG_BLOCK // (n * cfg.attn_hidden_rating))
     if items is None:
+        rows = max(1, CATALOG_BLOCK // (dataset.num_items * cfg.attn_hidden_rating))
         dots, logits = _every_item_blocks(channels, halves, params.fusion_out, rows)
     else:
+        rows = max(1, CACHE_BLOCK // (items.shape[1] * cfg.attn_hidden_rating))
         dots, logits = _candidate_blocks(items, channels, halves, params.fusion_out)
 
     def score(b):
@@ -531,10 +556,11 @@ def score_frames(users, frames, params: ModelParams, cfg: ModelConfig, dataset: 
     """Visual-only frame scores for (user, frame) pairs in bulk.
 
     Projects the whole frame table once, ``frame_features @ visual_proj.T``,
-    then scores ``CATALOG_BLOCK // d2`` pairs at a time (at least one) into
+    then scores ``CACHE_BLOCK // d2`` pairs at a time (at least one) into
     one output array: each block gathers only its own user rows and
-    projected frame rows, so memory beyond the projected table does not grow
-    with the number of pairs.  A score is a row-wise dot, so the blocks
+    projected frame rows, which stay in L2 while the dot reads them, so
+    memory beyond the projected table does not grow with the number of
+    pairs.  A score is a row-wise dot, so the blocks
     change no bit, and the gathered projection equals the per-row
     projection ``frame_features[frames] @ visual_proj.T`` up to rounding.
     Evaluation asks for more rows than the table holds, each item's frames
@@ -550,7 +576,7 @@ def score_frames(users, frames, params: ModelParams, cfg: ModelConfig, dataset: 
         raise ValueError(f"users and frames must be two 1-D arrays of one length, "
                          f"got {users.shape} and {frames.shape}")
     projected = dataset.frame_features @ params.visual_proj.T
-    rows = max(1, CATALOG_BLOCK // cfg.d2)
+    rows = max(1, CACHE_BLOCK // cfg.d2)
     scores = np.empty(len(users))
     for lo in range(0, len(users), rows):
         b = slice(lo, lo + rows)

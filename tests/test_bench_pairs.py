@@ -131,3 +131,83 @@ def test_phase_medians_come_from_each_runs_record(bench_pairs, tmp_path):
     change = {**medians, "m_eval.load_s": (0.036, "s")}
     assert bench_pairs.phase_report(medians, change)[2] == (
         "m_eval.load_s (s): parent median 0.045, change 0.036, -20.0%")
+
+
+def test_the_out_record_holds_pairs_verdicts_and_phases(bench_pairs):
+    pairs = pairs_of(PARENT, [0.45] * 9 + [0.53])
+    rows = bench_pairs.summary(pairs, END_TO_END)
+    phases = ({"m_eval.load_s": (0.045, "s")}, {"m_eval.load_s": (0.036, "s")})
+    seeds = list(range(101, 111))
+    record = json.loads(json.dumps(bench_pairs.record(seeds, pairs, rows, phases, 15)))
+    assert set(record) == {"run_seconds", "claim_rule", "pairs", "metrics", "phases"}
+    assert record["run_seconds"] == 15
+    assert record["claim_rule"] == {"pairs": 10, "share": 0.9}
+    assert len(record["pairs"]) == 10
+    assert record["pairs"][0] == {
+        "seed": 101, "first": "parent",
+        "parent": {"m_train.setup_s": 0.2, "m_train.step_s": 0.50, "m_train.peak_rss_mb": 80.0},
+        "change": {"m_train.setup_s": 0.2, "m_train.step_s": 0.45, "m_train.peak_rss_mb": 80.0}}
+    assert [p["first"] for p in record["pairs"][:3]] == ["parent", "change", "parent"]
+    step = next(m for m in record["metrics"] if m["metric"] == "m_train.step_s")
+    assert set(step) == {"metric", "unit", "better", "parent", "change", "wins", "pairs",
+                         "verdict"}
+    assert step["parent"] == pytest.approx(
+        {"lower_quartile": 0.50, "median": 0.51, "upper_quartile": 0.52})
+    assert step["change"]["median"] == 0.45
+    assert (step["wins"], step["pairs"], step["verdict"]) == (9, 10, "claimable")
+    assert [m["metric"] for m in record["metrics"]] == [r["metric"] for r in rows]
+    assert record["phases"] == [
+        {"name": "m_eval.load_s", "unit": "s", "parent": 0.045, "change": 0.036}]
+
+
+FAKE_RUN = '''
+import json, sys
+from pathlib import Path
+seed = sys.argv[sys.argv.index("--seed") + 1]
+step = float(Path("step").read_text())
+figures = {"setup_s": (0.2, "s"), "step_s": (step, "s"), "peak_rss_mb": (80.0, "MB"),
+           "load_s": (step / 4, "s")}
+results = Path(".perfbench/results")
+results.mkdir(parents=True, exist_ok=True)
+metrics = {}
+for workload in ("s_pipeline", "m_train", "m_eval"):
+    record = {name: {"value": v, "unit": u} for name, (v, u) in figures.items()}
+    (results / f"{workload}-seed{seed}-trace0.json").write_text(
+        json.dumps({"end_to_end": record}))
+    metrics |= {f"{workload}.{name}": record[name] for name in list(record)[:3]}
+print(json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": metrics}))
+'''
+
+
+def test_out_writes_the_record_of_the_runs(bench_pairs, tmp_path):
+    """Two fake checkouts whose ``perfbench/run.py`` prints fixed figures."""
+    declared = (ROOT / "BENCHMARK.json").read_text(encoding="utf-8")
+    for side, step in (("parent", 0.5), ("change", 0.4)):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text(FAKE_RUN, encoding="utf-8")
+        (tmp_path / side / "BENCHMARK.json").write_text(declared, encoding="utf-8")
+        (tmp_path / side / "step").write_text(str(step), encoding="utf-8")
+    out = tmp_path / "BENCH_test.json"
+    assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                             "--seeds", "7", "8", "--out", str(out)]) == 0
+    record = json.loads(out.read_text(encoding="utf-8"))
+    assert [(p["seed"], p["first"]) for p in record["pairs"]] == [(7, "parent"), (8, "change")]
+    assert record["pairs"][1]["change"]["m_eval.step_s"] == 0.4
+    assert len(record["metrics"]) == 9  # three workloads x three end-to-end metrics
+    assert {m["verdict"] for m in record["metrics"]} == {"held"}  # two pairs claim nothing
+    assert {p["name"]: (p["parent"], p["change"]) for p in record["phases"]} == {
+        f"{w}.load_s": (0.125, 0.1) for w in ("s_pipeline", "m_train", "m_eval")}
+
+
+def test_an_out_path_outside_a_directory_is_refused_before_a_run(bench_pairs, tmp_path,
+                                                                 capsys):
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text("raise SystemExit(3)")
+        (tmp_path / side / "BENCHMARK.json").write_text(
+            (ROOT / "BENCHMARK.json").read_text(encoding="utf-8"), encoding="utf-8")
+    with pytest.raises(SystemExit) as exit_:
+        bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--seeds", "1",
+                          "--out", str(tmp_path / "missing" / "BENCH_x.json")])
+    assert exit_.value.code == 2
+    assert "--out" in capsys.readouterr().err

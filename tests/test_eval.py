@@ -130,20 +130,21 @@ class TestItemEvaluation:
                 cfg = replace(make_cfg(), visual_mode=visual, fusion_mode=fusion)
                 params = init_params(cfg, split.base)
                 default = evaluate_item_rec(params, cfg, split, **kw)
-                # one pair per draw chunk, one user per score_catalog block,
-                # and both at once; three catalog users per block, with 8-pair
-                # draw chunks; and 8-pair draw chunks whose 4-candidate rows
-                # are scored 3, 3 and 2 at a time
+                # one pair per draw chunk, one user per score_catalog block
+                # (CATALOG_BLOCK against every item, CACHE_BLOCK against
+                # candidates), and both at once; three catalog users per
+                # block, with 8-pair draw chunks; and 8-pair draw chunks whose
+                # 4-candidate rows are scored 3, 3 and 2 at a time
                 n = split.base.num_items
-                for blocks in ({"DRAW_BLOCK": 1}, {"CATALOG_BLOCK": 1},
-                               {"CATALOG_BLOCK": 1, "DRAW_BLOCK": 1},
+                one_user = {"CATALOG_BLOCK": 1, "CACHE_BLOCK": 1}
+                for blocks in ({"DRAW_BLOCK": 1}, one_user, {**one_user, "DRAW_BLOCK": 1},
                                {"CATALOG_BLOCK": 3 * n * cfg.attn_hidden_rating,
                                 "DRAW_BLOCK": 200},
-                               {"CATALOG_BLOCK": 3 * 4 * cfg.attn_hidden_rating,
+                               {"CACHE_BLOCK": 3 * 4 * cfg.attn_hidden_rating,
                                 "DRAW_BLOCK": 200}):
                     with monkeypatch.context() as m:
                         for name, value in blocks.items():
-                            m.setattr(model if name == "CATALOG_BLOCK" else evaluation,
+                            m.setattr(evaluation if name == "DRAW_BLOCK" else model,
                                       name, value)
                         blocked = evaluate_item_rec(params, cfg, split, **kw)
                     assert blocked.to_dict() == default.to_dict(), (visual, fusion, blocks)
@@ -432,7 +433,7 @@ class TestFrameEvaluation:
         # d2 = 64 and 20 frames per item: a (slots, d2) float64 gather of the
         # padded (pair, frame) slots would cost 512 bytes a slot.  Beyond the
         # report's own padded matrices (under 64 bytes a slot), scoring holds
-        # the projected frame table and two blocks of CATALOG_BLOCK elements.
+        # the projected frame table and two blocks of CACHE_BLOCK elements.
         split, _ = synth_split(seed=3, num_users=300, num_items=200, frames_per_item=20,
                                feature_dim=8, ratings_per_user=10, frame_likes_per_pair=4)
         cfg = ModelConfig(d1=64, d2=64, attn_hidden_visual=8, attn_hidden_rating=8,
@@ -440,7 +441,7 @@ class TestFrameEvaluation:
         params = init_params(cfg, split.base)
         slots = len(split.frame_test) * 20
         rep, peak = traced_peak(lambda: evaluate_frame_rec(params, cfg, split))
-        budget = split.base.num_frames * cfg.d2 * 8 + 2 * model.CATALOG_BLOCK * 8 + 64 * slots
+        budget = split.base.num_frames * cfg.d2 * 8 + 2 * model.CACHE_BLOCK * 8 + 64 * slots
         assert slots * cfg.d2 * 8 > budget  # one dense gather alone would not fit
         assert peak < budget, (peak, budget)
         assert rep.n_pairs == len(split.frame_test)

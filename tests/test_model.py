@@ -257,7 +257,7 @@ class TestVisualEmbedding:
         for params, cfg, ds in projected_instances("att"):
             size = ds.num_items if items == "all" else items
             per_item = ds.padded_features.shape[1] * cfg.attn_hidden_visual
-            monkeypatch.setattr(model, "TABLE_BLOCK", size * per_item)
+            monkeypatch.setattr(model, "CACHE_BLOCK", size * per_item)
             assert_near_projected(item_visual_table(params, cfg, ds), params, cfg, ds)
 
     def test_blocks_of_five_items_or_more_keep_the_bits(self, monkeypatch):
@@ -272,14 +272,14 @@ class TestVisualEmbedding:
         per_item = 8 * 32
         default = item_visual_table(params, cfg, ds)
         for items in (5, 7, 300):  # 60 blocks of 5; 42 of 7 and one of 6; one block
-            monkeypatch.setattr(model, "TABLE_BLOCK", items * per_item)
+            monkeypatch.setattr(model, "CACHE_BLOCK", items * per_item)
             table = item_visual_table(params, cfg, ds)
             for name in ("x", "alpha", "hidden_relu"):
                 assert getattr(table, name).tobytes() == getattr(default, name).tobytes(), \
                     (items, name)
 
     def test_block_sizes_follow_the_rule(self, monkeypatch):
-        """``TABLE_BLOCK // (m * h)`` items a block, at least one."""
+        """``CACHE_BLOCK // (m * h)`` items a block, at least one."""
         m_shape, (params, cfg, ds) = m_shape_instance(), projected_instances("att")[-1]
         sizes = []
         mlp = model._attention_mlp
@@ -291,10 +291,28 @@ class TestVisualEmbedding:
         sizes.clear()
         item_visual_table(params, cfg, ds)
         assert sizes == [300]  # S, m=5, h=8: the whole table in one block
-        monkeypatch.setattr(model, "TABLE_BLOCK", 1)
+        monkeypatch.setattr(model, "CACHE_BLOCK", 1)
         sizes.clear()
         item_visual_table(params, cfg, ds)
         assert sizes == [1] * 300
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 8])
+    def test_frame_max_keeps_the_bits_of_the_row_max(self, m):
+        """The softmax's running max over the frame slots has
+        ``max(axis=1)``'s bytes on uneven frame counts, padding at the
+        float minimum as the table puts it, with a NaN, a +inf and an
+        all-padding row."""
+        rng = np.random.default_rng(m)
+        counts = rng.integers(1, m + 1, size=40)
+        counts[3] = 0  # an item without frames: all padding
+        mask = np.arange(m) < counts[:, None]
+        logits = rng.normal(size=(40, m))
+        logits[5, rng.integers(counts[5])] = np.nan
+        logits[7, rng.integers(counts[7])] = np.inf
+        shifted = np.where(mask, logits, np.finfo(logits.dtype).min)
+        got = model._frame_max(shifted)
+        assert got.tobytes() == shifted.max(axis=1).tobytes()
+        assert np.isnan(got[5]) and got[7] == np.inf
 
     def test_missing_frames_raise(self, toy_dataset):
         # an unrated item with no frames is structurally legal but unscorable
@@ -622,7 +640,7 @@ class TestCatalogScoring:
 
 
 class TestFrameScoring:
-    """``score_frames`` scores ``CATALOG_BLOCK // d2`` (user, frame) pairs at a time."""
+    """``score_frames`` scores ``CACHE_BLOCK // d2`` (user, frame) pairs at a time."""
 
     @pytest.mark.parametrize("visual", ["avg", "att"])
     def test_pair_blocks_change_no_bit(self, monkeypatch, visual):
@@ -631,9 +649,9 @@ class TestFrameScoring:
         users = rng.integers(0, ds.num_users, size=200)
         frames = rng.integers(0, ds.num_frames, size=200)
         default = score_frames(users, frames, params, cfg, ds)
-        assert model.CATALOG_BLOCK // cfg.d2 >= len(users)  # one block
+        assert model.CACHE_BLOCK // cfg.d2 >= len(users)  # one block
         for block in (cfg.d2, 7 * cfg.d2, 7 * cfg.d2 + 1):  # one pair, 7 pairs, 7 again
-            monkeypatch.setattr(model, "CATALOG_BLOCK", block)
+            monkeypatch.setattr(model, "CACHE_BLOCK", block)
             got = score_frames(users, frames, params, cfg, ds)
             assert got.tobytes() == default.tobytes()
 
@@ -669,12 +687,15 @@ class TestCandidateScoring:
     def test_user_blocks_change_no_bit(self, monkeypatch, visual, fusion, hidden):
         params, cfg, ds, users = catalog_instance(visual, fusion, hidden)
         items = candidate_matrix(ds, users)
-        default = score_catalog(users, params, cfg, ds, items=items)
+        # built once, since CACHE_BLOCK also sizes the table's blocks, whose
+        # products of one to four items may round apart
+        table = item_visual_table(params, cfg, ds)
+        default = score_catalog(users, params, cfg, ds, table=table, items=items)
         per_user = items.shape[1] * cfg.attn_hidden_rating
-        assert model.CATALOG_BLOCK // per_user >= len(users)  # one block
+        assert model.CACHE_BLOCK // per_user >= len(users)  # one block
         for block in (1, 7 * per_user, 7 * per_user - 1):  # one user, 7 users, and 6
-            monkeypatch.setattr(model, "CATALOG_BLOCK", block)
-            got = score_catalog(users, params, cfg, ds, items=items)
+            monkeypatch.setattr(model, "CACHE_BLOCK", block)
+            got = score_catalog(users, params, cfg, ds, table=table, items=items)
             assert got.tobytes() == default.tobytes()
 
     @pytest.mark.parametrize("visual,fusion", MODES)
@@ -715,6 +736,52 @@ class TestCandidateScoring:
         for score in (pairs, candidates):
             with pytest.raises(MissingFramesError, match="^item 40 has no frames$"):
                 score()
+
+
+def test_block_rules_at_m_shape(monkeypatch):
+    """At M's shapes (d1 = d2 = 32 and both hidden sizes 32, m = 8 frames,
+    3,000 items, 101 candidates a user) CACHE_BLOCK's 512 KiB give 256 table
+    items, 20 candidate users and 2,048 frame pairs a block, and the
+    every-item path keeps its own rule: CATALOG_BLOCK // (N * h), 2 users."""
+    ds, _, _ = generate_synthetic(SynthConfig(num_users=50, num_items=3000, frames_per_item=8,
+                                              feature_dim=4, ratings_per_user=5, seed=1))
+    cfg = ModelConfig(seed=2)
+    assert (cfg.d1, cfg.d2, cfg.attn_hidden_visual, cfg.attn_hidden_rating) == (32,) * 4
+    params, sizes = init_params(cfg, ds), []
+
+    def spy(name, size):
+        real = getattr(model, name)
+        monkeypatch.setattr(model, name,
+                            lambda *args, **kw: sizes.append(size(*args)) or real(*args, **kw))
+
+    spy("_attention_mlp", lambda query, key, *rest: len(key))
+    table = item_visual_table(params, cfg, ds)
+    assert sizes == [256] * 11 + [184]
+
+    spy("_two_way_softmax", lambda g1, g2: len(g1))  # once a block in att/att
+    rng = np.random.default_rng(0)
+    users = rng.integers(0, ds.num_users, size=45)
+    sizes.clear()
+    score_catalog(users, params, cfg, ds, table=table,
+                  items=rng.integers(0, ds.num_items, size=(45, 101)))
+    assert sizes == [20, 20, 5]
+    sizes.clear()
+    score_catalog(users, params, cfg, ds, table=table, keep=lambda block, rows: block[:, :1])
+    assert sizes == [2] * 22 + [1]
+
+    class TakeSpy:  # score_frames gathers a block's projected frames with np.take
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def take(self, a, indices, **kw):
+            sizes.append(len(indices))
+            return np.take(a, indices, **kw)
+
+    monkeypatch.setattr(model, "np", TakeSpy())
+    sizes.clear()
+    score_frames(rng.integers(0, ds.num_users, size=5000),
+                 rng.integers(0, ds.num_frames, size=5000), params, cfg, ds)
+    assert sizes == [2048, 2048, 904]
 
 
 class TestCheckpoint:

@@ -112,3 +112,37 @@ def test_a_good_compare_file_is_compared(seed_table, monkeypatch, tmp_path, caps
     assert json.loads(out.read_text(encoding="utf-8")) == json.loads(before.read_text("utf-8"))
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == "0 per-seed figures, epoch counts or clauses differ"
+
+
+def test_a_table_from_an_older_version_is_compared(seed_table, monkeypatch, tmp_path, capsys):
+    """An earlier table whose rows lack ``best_epoch`` and whose means lack one
+    figure: the figures both hold are compared, and each key that only one
+    table holds is named once, after every seed has run."""
+    old_rows = [row(1), row(2)]
+    for r in old_rows:
+        del r["best_epoch"]
+    older = seed_table.table(old_rows)
+    del older["means"]["frame_hr3_chance"]
+    older["epochs"]["mean/sum"] = older["epochs"]["avg/sum"]
+    before, out = tmp_path / "before.json", tmp_path / "after.json"
+    before.write_text(json.dumps(older), encoding="utf-8")
+    monkeypatch.setattr(seed_table, "one_seed", row)
+    assert seed_table.main(["--seeds", "2", "--out", str(out), "--compare", str(before)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "0 per-seed figures, epoch counts or clauses differ"
+    only = [line for line in lines if "only in the" in line]
+    assert only == ["seed rows' best_epoch: only in the later table",
+                    "means frame_hr3_chance: only in the later table",
+                    "epochs mean/sum: only in the earlier table"]
+    assert "mean frame_hr3_att: 0.315000 -> 0.315000 (+0)" in lines
+    assert not any(line.startswith("mean frame_hr3_chance") for line in lines)
+
+
+def test_a_sub_key_only_one_table_holds_is_named(seed_table):
+    def change(rows):
+        for r in rows:
+            r["clauses"]["beats_random"] = True
+
+    lines = seed_table.compare(*tables(seed_table, change))
+    assert "seed rows' clauses beats_random: only in the later table" in lines
+    assert lines[-1] == "0 per-seed figures, epoch counts or clauses differ"

@@ -30,10 +30,17 @@ metrics (``m_eval``'s ``load_s``, ``valid_eval_s`` and ``frame_eval_s``,
 ``s_pipeline``'s ``fit_s`` and ``eval_s``, ``m_train``'s
 ``train_triples_per_s``).
 
+With ``--out BENCH_<label>.json`` it also writes all of that as one JSON
+record: each pair's seed, which side ran first and both sides' end-to-end
+figures; each metric's quartiles per side, the pairs the change won and the
+verdict; and each phase timing's median per side.  The ``--out`` path is
+checked before the first run.
+
 The tool reads only ``BENCHMARK.json`` and the records the runs write
 under ``.perfbench/results/`` (the runs write nothing outside
 ``.perfbench/``).  It exits 1 if a run fails, is not ``correct`` or has a
-failed operation, or if a metric is over its bound.
+failed operation (and then writes no ``--out`` record), or if a metric is
+over its bound.
 """
 
 from __future__ import annotations
@@ -172,12 +179,40 @@ def report(rows) -> list:
     return lines
 
 
+def record(seeds, pairs, rows, phases, seconds) -> dict:
+    """The JSON record ``--out`` writes of a finished set of pairs.
+
+    ``pairs`` holds the (parent, change) run results taken at ``seeds``,
+    ``rows`` their ``summary``, ``phases`` the (parent, change)
+    ``phase_medians`` and ``seconds`` each run's length.  The record holds
+    each pair's end-to-end figures, each metric's quartiles, wins and
+    verdict, and each phase timing's medians.
+    """
+    quarts = lambda q: dict(zip(("lower_quartile", "median", "upper_quartile"), q))
+    return {
+        "run_seconds": seconds,
+        "claim_rule": {"pairs": CLAIM_PAIRS, "share": CLAIM_SHARE},
+        "pairs": [{"seed": seed, "first": "parent" if n % 2 == 0 else "change",
+                   **{side: {m: fig["value"] for m, fig in r["metrics"].items()}
+                      for side, r in zip(("parent", "change"), runs)}}
+                  for n, (seed, runs) in enumerate(zip(seeds, pairs))],
+        "metrics": [{**r, "parent": quarts(r["parent"]), "change": quarts(r["change"])}
+                    for r in rows],
+        "phases": [{"name": name, "unit": unit, "parent": pmed, "change": phases[1][name][0]}
+                   for name, (pmed, unit) in phases[0].items()],
+    }
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent", type=Path, help="checkout of the parent commit")
     p.add_argument("change", type=Path, help="checkout of the change")
     p.add_argument("--seeds", type=int, nargs="+", required=True, help="one pair per seed")
+    p.add_argument("--out", type=Path, metavar="BENCH_<label>.json",
+                   help="also write the pairs, the verdicts and the phase medians here")
     args = p.parse_args(argv)
+    if args.out is not None and (args.out.is_dir() or not args.out.parent.is_dir()):
+        p.error(f"--out {args.out}: not a file in an existing directory")
     for checkout in (args.parent, args.change):
         if not (checkout / "perfbench" / "run.py").is_file():
             p.error(f"{checkout} holds no perfbench/run.py")
@@ -206,6 +241,9 @@ def main(argv=None) -> int:
     phases = [phase_medians(c, declared, args.seeds) for c in (args.parent, args.change)]
     print("phase medians, no verdict:")
     print("\n".join(phase_report(*phases)))
+    if args.out is not None:
+        args.out.write_text(json.dumps(record(args.seeds, pairs, rows, phases, seconds),
+                                       indent=1) + "\n", encoding="utf-8")
     return 1 if any(r["verdict"] == "regressed" for r in rows) else 0
 
 

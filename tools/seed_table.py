@@ -17,7 +17,10 @@ out of the test suite.
 
 With ``--compare``, it then prints what changed against an earlier table:
 each per-seed figure or epoch count that differs, each clause that flipped,
-and the change in every mean.  Wall seconds are not compared.  A
+and the change in every mean.  Wall seconds are not compared.  Only the
+figures both tables hold are compared, so a table an older version wrote
+(say, without ``best_epoch``) can be read; each key that only one table
+holds is named on a line of its own.  A
 ``--compare`` file that is missing or is not such a table, and an ``--out``
 path outside an existing directory, end in a one-line argument error before
 the first seed trains.
@@ -117,33 +120,53 @@ def table(rows) -> dict:
     }
 
 
+def shared(then: dict, now: dict, name: str, only: dict) -> list:
+    """The keys of ``now`` that ``then`` holds too, in ``now``'s order.
+
+    Each key that only one of them holds goes into ``only``, as ``name``
+    followed by the key, mapped to the table that holds it.
+    """
+    for side, keys in (("earlier", then.keys() - now.keys()), ("later", now.keys() - then.keys())):
+        only.update((f"{name}{key}", side) for key in sorted(keys))
+    return [key for key in now if key in then]
+
+
 def compare(before: dict, after: dict) -> list:
-    """Lines naming what differs between two tables, per seed and in the means."""
-    lines = []
+    """Lines naming what differs between two tables, per seed and in the means.
+
+    Only the figures both tables hold are compared, so that a table an older
+    version wrote can be read; each key that only one table's seed rows,
+    means, paired differences or epochs hold is named on a line of its own.
+    """
+    lines, only = [], {}
     old = {r["seed"]: r for r in before["seeds"]}
     for row in after["seeds"]:
         was = old.pop(row["seed"], None)
         if was is None:
             lines.append(f"seed {row['seed']}: not in the earlier table")
             continue
-        for key, value in row.items():
+        for key in shared(was, row, "seed rows' ", only):
             if key in ("seed", "seconds"):
                 continue
-            for sub, now in (value.items() if isinstance(value, dict) else [(None, value)]):
-                then = was[key] if sub is None else was[key][sub]
-                if then != now:
-                    name = key if sub is None else f"{key} {sub}"
-                    verb = "flipped" if key == "clauses" else "changed"
-                    lines.append(f"seed {row['seed']} {name} {verb}: {then!r} -> {now!r}")
+            if isinstance(row[key], dict):
+                figures = [(f"{key} {sub}", was[key][sub], row[key][sub])
+                           for sub in shared(was[key], row[key], f"seed rows' {key} ", only)]
+            else:
+                figures = [(key, was[key], row[key])]
+            verb = "flipped" if key == "clauses" else "changed"
+            lines += [f"seed {row['seed']} {name} {verb}: {then!r} -> {now!r}"
+                      for name, then, now in figures if then != now]
     lines += [f"seed {s}: only in the earlier table" for s in old]
     changed = len(lines)
-    means = [(f"mean {k}", before["means"][k], v) for k, v in after["means"].items()]
-    means += [(f"mean {k}", before["paired"][k]["mean"], v["mean"])
-              for k, v in after["paired"].items()]
-    means += [(f"mean epochs {m}", before["epochs"][m]["mean"], v["mean"])
-              for m, v in after["epochs"].items()]
+    means = [(f"mean {k}", before["means"][k], after["means"][k])
+             for k in shared(before["means"], after["means"], "means ", only)]
+    means += [(f"mean {k}", before["paired"][k]["mean"], after["paired"][k]["mean"])
+              for k in shared(before["paired"], after["paired"], "paired ", only)]
+    means += [(f"mean epochs {m}", before["epochs"][m]["mean"], after["epochs"][m]["mean"])
+              for m in shared(before["epochs"], after["epochs"], "epochs ", only)]
     lines += [f"{name}: {then:.6f} -> {now:.6f} ({now - then:+.6g})"
               for name, then, now in means]
+    lines += [f"{name}: only in the {side} table" for name, side in only.items()]
     lines.append(f"{changed} per-seed figures, epoch counts or clauses differ")
     return lines
 
