@@ -159,10 +159,9 @@ def init_params(cfg: ModelConfig, dataset: Dataset) -> ModelParams:
 # product per block: numpy computes a 3-D hidden layer times ``attn_out`` as
 # one small product per item, and at M (3,000 items, m=8, h=32) those took
 # 276 us against about 95 us for 256-item blocks read from L2 (one core of a
-# 2-vCPU host).  At S (m=5, h=8) the whole table is one block.  score_catalog
-# scores a block of CACHE_BLOCK // (C * attn_hidden_rating) users against
-# their C candidates each, and score_frames CACHE_BLOCK // d2 (user, frame)
-# pairs; see CATALOG_BLOCK.  Each count is at least one.
+# 2-vCPU host).  At S (m=5, h=8) the whole table is one block.  The same
+# budget sizes score_catalog's candidate blocks and score_frames' pair
+# blocks (see CATALOG_BLOCK).  Each count is at least one.
 CACHE_BLOCK = 1 << 16
 
 
