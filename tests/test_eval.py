@@ -132,7 +132,8 @@ class TestItemEvaluation:
                 default = evaluate_item_rec(params, cfg, split, **kw)
                 # one pair per draw chunk, one user per score_catalog block
                 # (CATALOG_BLOCK against every item, CACHE_BLOCK against
-                # candidates), and both at once; three catalog users per
+                # candidates, which also builds the visual table one item a
+                # block), and both at once; three catalog users per
                 # block, with 8-pair draw chunks; and 8-pair draw chunks whose
                 # 4-candidate rows are scored 3, 3 and 2 at a time
                 n = split.base.num_items
