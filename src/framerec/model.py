@@ -13,7 +13,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import threading
 import zipfile
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -161,8 +164,73 @@ def init_params(cfg: ModelConfig, dataset: Dataset) -> ModelParams:
 # 276 us against about 95 us for 256-item blocks read from L2 (one core of a
 # 2-vCPU host).  At S (m=5, h=8) the whole table is one block.  The same
 # budget sizes score_catalog's candidate blocks and score_frames' pair
-# blocks (see CATALOG_BLOCK).  Each count is at least one.
+# blocks (see CATALOG_BLOCK).  Each count is at least one.  The blocks of a
+# call run on up to one thread per CPU (_run_blocks), so the memory in
+# flight is one block per thread, and the budget is per core, not shared.
 CACHE_BLOCK = 1 << 16
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity set, else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+_workers = None  # this process's block threads, made by its first parallel call
+_workers_lock = threading.Lock()
+_in_worker = threading.local()
+
+
+def _forget_workers():
+    """Drop the parent's pool in a forked child, which has none of its threads."""
+    global _workers, _workers_lock
+    _workers, _workers_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # no fork, and so no hook, on Windows
+    os.register_at_fork(after_in_child=_forget_workers)
+
+
+def _mark_worker():
+    _in_worker.flag = True
+
+
+def _run_blocks(run, size, step):
+    """``[run(b) for b in blocks]``, the blocks being ``slice(lo, lo + step)`` for lo in
+    ``range(0, size, step)``, spread over the CPUs.
+
+    The blocks are split into contiguous parts, one per CPU (``_cpus``): the
+    calling thread runs the first part, and a pool of ``cpus - 1`` threads,
+    made by the process's first parallel call, runs the others.  Each part
+    runs its blocks in order and stops at the first that raises.  Only after
+    every part has finished, so that no thread still writes into the call's
+    arrays, does the call return the results in block order, or raise the
+    first failing block's exception.  A block is a whole computation of its
+    own rows, so its bits do not depend on the thread that runs it or on
+    the number of parts.  Runs serially on one CPU, for a single block, and
+    inside a pool thread (a ``run`` that itself runs blocks), which would
+    otherwise wait on the pool it occupies.
+    """
+    global _workers
+    blocks = [slice(lo, lo + step) for lo in range(0, size, step)]
+    parts = min(_cpus(), len(blocks))
+    if parts < 2 or getattr(_in_worker, "flag", False):
+        return [run(b) for b in blocks]
+    with _workers_lock:
+        if _workers is None:
+            _workers = ThreadPoolExecutor(_cpus() - 1, thread_name_prefix="framerec-blocks",
+                                          initializer=_mark_worker)
+        pool = _workers
+    cuts = [len(blocks) * p // parts for p in range(parts + 1)]
+    part = lambda p: [run(b) for b in blocks[cuts[p]: cuts[p + 1]]]
+    futures = [pool.submit(part, p) for p in range(1, parts)]
+    try:
+        first = part(0)
+    finally:
+        wait(futures)
+    return first + [result for f in futures for result in f.result()]
 
 
 @dataclass
@@ -171,16 +239,19 @@ class VisualTable:
 
     ``x`` is (N, d2) and ``alpha`` (N, m) the weights that pool each item's
     frames (``dataset.frame_table`` order), zero at padding: 1 / count in
-    mean mode, the attention softmax in attention mode.  ``x`` is the
-    alpha-pooled raw frame features times ``visual_proj.T`` (in mean mode up
-    to rounding: there ``x`` is the exact mean of the projected frames).  In
-    attention mode ``hidden_relu`` is the (N, m, h) hidden layer of the
-    attention network, after its ReLU, filled ``CACHE_BLOCK // (m * h)``
-    items at a time so that a block stays in cache between its products.
+    mean mode, the attention softmax in attention mode.  ``pooled`` is the
+    (N, F) alpha-pooled raw frame features, and ``x`` is ``pooled @
+    visual_proj.T`` (in mean mode up to rounding: there ``x`` is the exact
+    mean of the projected frames); the backward reads ``visual_proj``'s
+    gradient from it.  In attention mode ``hidden_relu`` is the (N, m, h)
+    hidden layer of the attention network, after its ReLU, filled
+    ``CACHE_BLOCK // (m * h)`` items at a time, the blocks spread over the
+    CPUs, so that a block stays in its core's cache between its products.
     """
 
     x: np.ndarray
     alpha: np.ndarray
+    pooled: np.ndarray
     hidden_relu: np.ndarray = None
 
 
@@ -276,40 +347,46 @@ def item_visual_table(params: ModelParams, cfg: ModelConfig, dataset: Dataset):
     by one weight only: the attention's key half folded with the key
     reduction, ``attn_hidden[:, d1:] @ attn_reduce`` (h, F), formed once here.
     It reads the frames as ``dataset.padded_features``, which the dataset
-    holds, so a call copies no frame features.  It fills the (N, m, h)
-    hidden layer ``CACHE_BLOCK // (m * h)`` items at a time: per block, the
-    key product, the query half, the ReLU and the logits, one 2-D product,
-    while the block is in cache.  The softmax, the pooling and the
-    projection then run over the whole table.
+    holds, so a call copies no frame features.  It builds the table
+    ``CACHE_BLOCK // (m * h)`` items at a time, the blocks spread over the
+    CPUs (``_run_blocks``): per block, the key product, the query half, the
+    ReLU and the logits, one 2-D product, then the masked softmax and the
+    pooling, while the block is in its core's cache.  The projection is then
+    one product over the whole pooled table; projecting each block apart
+    rounds ``x`` differently from blocks of five items up.  Every step is a
+    per-item computation, so neither the blocks nor the threads move a bit.
     """
     if cfg.visual_mode == VISUAL_OFF:
         return None
     ids, mask, counts = dataset.frame_table
+    feats = dataset.padded_features  # (N, m, F), padding holds a real frame
     if cfg.visual_mode == VISUAL_AVG:
         safe = np.maximum(counts, 1).astype(dataset.frame_features.dtype)
         frame_emb = dataset.frame_features @ params.visual_proj.T  # (L, d2)
         # the exact sum / count, not the pooled projection, which rounds apart
         x = (frame_emb[ids] * mask[:, :, None]).sum(axis=1) / safe[:, None]
-        return VisualTable(x=x, alpha=mask / safe[:, None])
+        alpha = mask / safe[:, None]
+        return VisualTable(x=x, alpha=alpha, pooled=_pool(alpha, feats))
 
-    feats = dataset.padded_features  # (N, m, F), padding holds a real frame
     w_query = params.attn_hidden[:, :cfg.d1]
     w_key = params.attn_hidden[:, cfg.d1:] @ params.attn_reduce
-    (n, m, _), h = feats.shape, len(w_key)
-    hidden_relu, logits = np.empty((n, m, h)), np.empty((n, m))
-    step = max(1, CACHE_BLOCK // (m * h))
-    for lo in range(0, n, step):
-        b = slice(lo, lo + step)
-        _, logits[b] = _attention_mlp(params.item_collab[b, None, :], feats[b], w_query, w_key,
-                                      params.attn_out, hidden=hidden_relu[b])
-    neg_inf = np.finfo(logits.dtype).min
-    shifted = np.where(mask, logits, neg_inf)
-    shifted -= _frame_max(shifted)[:, None]
-    expd = np.where(mask, np.exp(shifted), 0.0)
-    denom = expd.sum(axis=1, keepdims=True)
-    # divide wherever the item has frames, so a NaN logit reaches the scores
-    alpha = np.divide(expd, denom, out=np.zeros_like(expd), where=counts[:, None] > 0)
-    return VisualTable(x=_pool(alpha, feats) @ params.visual_proj.T, alpha=alpha,
+    (n, m, f), h = feats.shape, len(w_key)
+    hidden_relu, alpha, pooled = np.empty((n, m, h)), np.zeros((n, m)), np.empty((n, f))
+    neg_inf = np.finfo(alpha.dtype).min
+
+    def block(b):
+        _, logits = _attention_mlp(params.item_collab[b, None, :], feats[b], w_query, w_key,
+                                   params.attn_out, hidden=hidden_relu[b])
+        shifted = np.where(mask[b], logits, neg_inf)
+        shifted -= _frame_max(shifted)[:, None]
+        expd = np.where(mask[b], np.exp(shifted), 0.0)
+        denom = expd.sum(axis=1, keepdims=True)
+        # divide wherever the item has frames, so a NaN logit reaches the scores
+        np.divide(expd, denom, out=alpha[b], where=counts[b, None] > 0)
+        pooled[b] = _pool(alpha[b], feats[b])
+
+    _run_blocks(block, n, max(1, CACHE_BLOCK // (m * h)))
+    return VisualTable(x=pooled @ params.visual_proj.T, alpha=alpha, pooled=pooled,
                        hidden_relu=hidden_relu)
 
 
@@ -446,10 +523,16 @@ def score_catalog(users, params: ModelParams, cfg: ModelConfig, dataset: Dataset
     a time; a block of candidates gathers the item rows it needs.  A block
     holds ``CATALOG_BLOCK // (N * attn_hidden_rating)`` users against every
     item, and ``CACHE_BLOCK // (C * attn_hidden_rating)`` against
-    candidates (at least one either way).  With
+    candidates (at least one either way).  The blocks are spread over the
+    CPUs (``_run_blocks``), in parts of consecutive blocks, so memory in
+    flight is one block per thread.  With
     ``keep``, returns ``keep(block, rows)`` stacked over the blocks instead,
     ``rows`` being the slice of ``users`` the block scores, so that only
-    what it keeps of each block is held.  Raises as ``score_pairs`` does: an
+    what it keeps of each block is held.  ``keep`` runs on several threads
+    at once, each block on one of them and in no fixed order across
+    threads, so it must not write to state another block reads or writes.
+    If it raises, the call raises the first failing block's exception once
+    every thread is done.  Raises as ``score_pairs`` does: an
     IntegrityError for a user or candidate id out of range, and, in a visual
     model, a MissingFramesError for the first item without frames, or with
     ``items`` the first such candidate in row-major order.
@@ -490,11 +573,9 @@ def score_catalog(users, params: ModelParams, cfg: ModelConfig, dataset: Dataset
         beta1, beta2 = _two_way_softmax(*logits(b))
         return beta1 * collab + beta2 * visual[0]
 
-    blocks = []
-    for lo in range(0, max(len(users), 1), rows):  # one empty block when there are no users
-        b = slice(lo, lo + rows)
-        blocks.append(score(b) if keep is None else keep(score(b), b))
-    return np.concatenate(blocks)
+    run = score if keep is None else lambda b: keep(score(b), b)
+    # one empty block when there are no users
+    return np.concatenate(_run_blocks(run, max(len(users), 1), rows))
 
 
 def _every_item_blocks(channels, halves, fusion_out, rows):
@@ -506,7 +587,8 @@ def _every_item_blocks(channels, halves, fusion_out, rows):
     ``einsum("rd,dn->rn")``, and each fusion logit plane is the sum over the
     hidden units k, in order, of ``fusion_out[k] * relu(user_half[:, k] +
     item_half[k])``, formed one unit at a time in preallocated planes,
-    which the next block overwrites.
+    which the thread's next block overwrites: each thread that runs blocks
+    has planes of its own.
     """
     item_major = lambda pairs: [(u, np.ascontiguousarray(i.T)) for u, i in pairs]
     channels = item_major(channels)
@@ -515,9 +597,12 @@ def _every_item_blocks(channels, halves, fusion_out, rows):
         return dots, None
     halves = item_major(halves)
     n, height = halves[0][1].shape[1], min(rows, len(halves[0][0]))
-    hidden, planes = np.empty((height, n)), np.empty((2, height, n))
+    buffers = threading.local()  # each thread that runs blocks fills planes of its own
 
     def logits(b):
+        if not hasattr(buffers, "planes"):
+            buffers.hidden, buffers.planes = np.empty((height, n)), np.empty((2, height, n))
+        hidden, planes = buffers.hidden, buffers.planes
         size = len(halves[0][0][b])
         for (u, i), logit in zip(halves, planes):
             logit, unit = logit[:size], hidden[:size]
@@ -556,11 +641,12 @@ def score_frames(users, frames, params: ModelParams, cfg: ModelConfig, dataset: 
 
     Projects the whole frame table once, ``frame_features @ visual_proj.T``,
     then scores ``CACHE_BLOCK // d2`` pairs at a time (at least one) into
-    one output array: each block gathers only its own user rows and
-    projected frame rows, which stay in L2 while the dot reads them, so
-    memory beyond the projected table does not grow with the number of
-    pairs.  A score is a row-wise dot, so the blocks
-    change no bit, and the gathered projection equals the per-row
+    one output array, the blocks spread over the CPUs: each block gathers
+    only its own user rows and projected frame rows, which stay in its
+    core's L2 while the dot reads them, so memory beyond the projected
+    table is one block per thread, whatever the number of pairs.  A score
+    is a row-wise dot, so neither the blocks nor the threads change a bit,
+    and the gathered projection equals the per-row
     projection ``frame_features[frames] @ visual_proj.T`` up to rounding.
     Evaluation asks for more rows than the table holds, each item's frames
     once per liked frame.
@@ -575,12 +661,13 @@ def score_frames(users, frames, params: ModelParams, cfg: ModelConfig, dataset: 
         raise ValueError(f"users and frames must be two 1-D arrays of one length, "
                          f"got {users.shape} and {frames.shape}")
     projected = dataset.frame_features @ params.visual_proj.T
-    rows = max(1, CACHE_BLOCK // cfg.d2)
     scores = np.empty(len(users))
-    for lo in range(0, len(users), rows):
-        b = slice(lo, lo + rows)
+
+    def block(b):
         scores[b] = np.einsum("bd,bd->b", params.user_visual.take(users[b], axis=0),
                               np.take(projected, frames[b], axis=0))
+
+    _run_blocks(block, len(users), max(1, CACHE_BLOCK // cfg.d2))
     return scores
 
 

@@ -56,7 +56,6 @@ from .model import (
     ModelConfig,
     ModelParams,
     _attention_mlp_backward,
-    _pool,
     active_param_names,
     init_params,
     item_visual_table,
@@ -335,7 +334,7 @@ def _table_backward(params, cfg, dataset, table, rows, gx, grads):
     frames of ``rows`` take part, gathered once, and the attention backward
     works in the buffer of their gathered ``hidden_relu`` rows.  ``x`` is the
     projection of the alpha-pooled frame features, so the projection's gradient is
-    ``gx.T @ _pool(alpha[rows], feats)``.  Attention additionally feeds its
+    ``gx.T @ table.pooled[rows]``.  Attention additionally feeds its
     weight network: the query half's gradient goes straight into
     ``attn_hidden[:, :d1]``, and the key half, which acts on raw features
     through the folded weight ``attn_hidden[:, d1:] @ attn_reduce``, has its
@@ -343,12 +342,12 @@ def _table_backward(params, cfg, dataset, table, rows, gx, grads):
     Returns the (len(rows), d1) gradient w.r.t. the rows' item factors,
     which act as attention queries (0.0 in mean mode).
     """
-    alpha = table.alpha.take(rows, axis=0)
-    feats = dataset.padded_features.take(rows, axis=0)  # (R, m, F)
-    grads["visual_proj"] += gx.T @ _pool(alpha, feats)
+    grads["visual_proj"] += gx.T @ table.pooled.take(rows, axis=0)
     if cfg.visual_mode == VISUAL_AVG:
         return 0.0
 
+    alpha = table.alpha.take(rows, axis=0)
+    feats = dataset.padded_features.take(rows, axis=0)  # (R, m, F)
     s = (feats @ (gx @ params.visual_proj)[:, :, None])[:, :, 0]  # d(loss)/d(alpha)
     sbar = (alpha * s).sum(axis=1, keepdims=True)
     tau = alpha * (s - sbar)  # gradient w.r.t. the attention logits

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -138,9 +139,11 @@ def test_the_out_record_holds_pairs_verdicts_and_phases(bench_pairs):
     rows = bench_pairs.summary(pairs, END_TO_END)
     phases = ({"m_eval.load_s": (0.045, "s")}, {"m_eval.load_s": (0.036, "s")})
     seeds = list(range(101, 111))
-    record = json.loads(json.dumps(bench_pairs.record(seeds, pairs, rows, phases, 15)))
-    assert set(record) == {"run_seconds", "claim_rule", "pairs", "metrics", "phases"}
+    machine = {"cpus": 2, "blas_threads": [1]}
+    record = json.loads(json.dumps(bench_pairs.record(seeds, pairs, rows, phases, 15, machine)))
+    assert set(record) == {"run_seconds", "host", "claim_rule", "pairs", "metrics", "phases"}
     assert record["run_seconds"] == 15
+    assert record["host"] == machine
     assert record["claim_rule"] == {"pairs": 10, "share": 0.9}
     assert len(record["pairs"]) == 10
     assert record["pairs"][0] == {
@@ -165,6 +168,7 @@ import json, sys
 from pathlib import Path
 seed = sys.argv[sys.argv.index("--seed") + 1]
 step = float(Path("step").read_text())
+blas = int(Path("blas").read_text()) if Path("blas").exists() else 1
 figures = {"setup_s": (0.2, "s"), "step_s": (step, "s"), "peak_rss_mb": (80.0, "MB"),
            "load_s": (step / 4, "s")}
 results = Path(".perfbench/results")
@@ -173,20 +177,28 @@ metrics = {}
 for workload in ("s_pipeline", "m_train", "m_eval"):
     record = {name: {"value": v, "unit": u} for name, (v, u) in figures.items()}
     (results / f"{workload}-seed{seed}-trace0.json").write_text(
-        json.dumps({"end_to_end": record}))
+        json.dumps({"environment": {"blas_threads": blas}, "end_to_end": record}))
     metrics |= {f"{workload}.{name}": record[name] for name in list(record)[:3]}
 print(json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": metrics}))
 '''
 
 
+def fake_checkouts(root, blas=(1, 1)):
+    """Parent and change checkouts under ``root`` whose ``perfbench/run.py``
+    (``FAKE_RUN``) prints fixed figures, step_s 0.5 and 0.4, and records
+    ``blas`` BLAS threads."""
+    declared = (ROOT / "BENCHMARK.json").read_text(encoding="utf-8")
+    for side, step, threads in (("parent", 0.5, blas[0]), ("change", 0.4, blas[1])):
+        (root / side / "perfbench").mkdir(parents=True)
+        (root / side / "perfbench" / "run.py").write_text(FAKE_RUN, encoding="utf-8")
+        (root / side / "BENCHMARK.json").write_text(declared, encoding="utf-8")
+        (root / side / "step").write_text(str(step), encoding="utf-8")
+        (root / side / "blas").write_text(str(threads), encoding="utf-8")
+
+
 def test_out_writes_the_record_of_the_runs(bench_pairs, tmp_path):
     """Two fake checkouts whose ``perfbench/run.py`` prints fixed figures."""
-    declared = (ROOT / "BENCHMARK.json").read_text(encoding="utf-8")
-    for side, step in (("parent", 0.5), ("change", 0.4)):
-        (tmp_path / side / "perfbench").mkdir(parents=True)
-        (tmp_path / side / "perfbench" / "run.py").write_text(FAKE_RUN, encoding="utf-8")
-        (tmp_path / side / "BENCHMARK.json").write_text(declared, encoding="utf-8")
-        (tmp_path / side / "step").write_text(str(step), encoding="utf-8")
+    fake_checkouts(tmp_path)
     out = tmp_path / "BENCH_test.json"
     assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
                              "--seeds", "7", "8", "--out", str(out)]) == 0
@@ -197,6 +209,19 @@ def test_out_writes_the_record_of_the_runs(bench_pairs, tmp_path):
     assert {m["verdict"] for m in record["metrics"]} == {"held"}  # two pairs claim nothing
     assert {p["name"]: (p["parent"], p["change"]) for p in record["phases"]} == {
         f"{w}.load_s": (0.125, 0.1) for w in ("s_pipeline", "m_train", "m_eval")}
+
+
+def test_out_records_the_cpus_and_the_blas_threads_of_the_runs(bench_pairs, tmp_path, capsys):
+    """The CPUs are the tool's affinity set, which its runs inherit; the BLAS
+    threads are each value the runs' records name."""
+    fake_checkouts(tmp_path, blas=(1, 2))
+    out = tmp_path / "BENCH_test.json"
+    assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                             "--seeds", "7", "--out", str(out)]) == 0
+    cpus = len(os.sched_getaffinity(0))
+    assert json.loads(out.read_text(encoding="utf-8"))["host"] == {
+        "cpus": cpus, "blas_threads": [1, 2]}
+    assert f"host: {cpus} CPUs, BLAS threads [1, 2]" in capsys.readouterr().out
 
 
 def test_an_out_path_outside_a_directory_is_refused_before_a_run(bench_pairs, tmp_path,

@@ -108,17 +108,32 @@ class TestRanks:
 
 
 class TestItemEvaluation:
-    def test_deterministic_and_thread_invariant(self):
+    def test_deterministic_and_thread_invariant(self, monkeypatch):
+        """A second call gives the same report, and so does running the scoring
+        blocks on one thread or on two (``model._cpus`` patched, so that the
+        pool runs on a one-CPU host too), in all six modes, on the candidate
+        path (3 negatives) and the catalog path (8); another seed draws others."""
         split, _ = synth_split(seed=3)
-        from framerec.model import init_params
-
         cfg = make_cfg()
-        params = init_params(cfg, split.base)
-        a = evaluate_item_rec(params, cfg, split, n_negatives=8, repeats=4, seed=5)
-        b = evaluate_item_rec(params, cfg, split, n_negatives=8, repeats=4, seed=5)
-        assert a.hr == b.hr and a.ndcg == b.ndcg
-        d = evaluate_item_rec(params, cfg, split, n_negatives=8, repeats=4, seed=6)
-        assert d.hr != a.hr or d.ndcg != a.ndcg
+        h, n = cfg.attn_hidden_rating, split.base.num_items
+        # several blocks a call: 3 catalog users, 2 candidate users of 4, 2 table items
+        monkeypatch.setattr(model, "CATALOG_BLOCK", 3 * n * h)
+        monkeypatch.setattr(model, "CACHE_BLOCK", 2 * 4 * h)
+        for visual in VISUAL_MODES:
+            for fusion in FUSION_MODES:
+                cfg = replace(make_cfg(), visual_mode=visual, fusion_mode=fusion)
+                params = init_params(cfg, split.base)
+                for negatives in (3, 8):
+                    kw = dict(n_negatives=negatives, repeats=3, seed=5)
+                    reports = []
+                    for cpus in (1, 2, 2):
+                        monkeypatch.setattr(model, "_cpus", lambda: cpus)
+                        reports.append(evaluate_item_rec(params, cfg, split, **kw))
+                    for other in reports[1:]:
+                        assert other.to_dict() == reports[0].to_dict(), (visual, fusion, kw)
+                        assert other.to_tsv() == reports[0].to_tsv()
+                    d = evaluate_item_rec(params, cfg, split, **{**kw, "seed": 6})
+                    assert d.hr != reports[0].hr or d.ndcg != reports[0].ndcg
 
     # 3 negatives x 3 repeats score candidates; 8 and 10 000 score the catalog
     @pytest.mark.parametrize("n_negatives", [3, 8, 10_000])

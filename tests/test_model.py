@@ -2,6 +2,11 @@
 
 import json
 import math
+import os
+import signal
+import sys
+import threading
+import time
 import zipfile
 from dataclasses import replace
 
@@ -742,7 +747,9 @@ def test_block_rules_at_m_shape(monkeypatch):
     """At M's shapes (d1 = d2 = 32 and both hidden sizes 32, m = 8 frames,
     3,000 items, 101 candidates a user) CACHE_BLOCK's 512 KiB give 256 table
     items, 20 candidate users and 2,048 frame pairs a block, and the
-    every-item path keeps its own rule: CATALOG_BLOCK // (N * h), 2 users."""
+    every-item path keeps its own rule: CATALOG_BLOCK // (N * h), 2 users.
+    Blocks run on several threads in no fixed order, so the sizes are
+    compared sorted."""
     ds, _, _ = generate_synthetic(SynthConfig(num_users=50, num_items=3000, frames_per_item=8,
                                               feature_dim=4, ratings_per_user=5, seed=1))
     cfg = ModelConfig(seed=2)
@@ -756,7 +763,7 @@ def test_block_rules_at_m_shape(monkeypatch):
 
     spy("_attention_mlp", lambda query, key, *rest: len(key))
     table = item_visual_table(params, cfg, ds)
-    assert sizes == [256] * 11 + [184]
+    assert sorted(sizes) == [184] + [256] * 11
 
     spy("_two_way_softmax", lambda g1, g2: len(g1))  # once a block in att/att
     rng = np.random.default_rng(0)
@@ -764,10 +771,10 @@ def test_block_rules_at_m_shape(monkeypatch):
     sizes.clear()
     score_catalog(users, params, cfg, ds, table=table,
                   items=rng.integers(0, ds.num_items, size=(45, 101)))
-    assert sizes == [20, 20, 5]
+    assert sorted(sizes) == [5, 20, 20]
     sizes.clear()
     score_catalog(users, params, cfg, ds, table=table, keep=lambda block, rows: block[:, :1])
-    assert sizes == [2] * 22 + [1]
+    assert sorted(sizes) == [1] + [2] * 22
 
     class TakeSpy:  # score_frames gathers a block's projected frames with np.take
         def __getattr__(self, name):
@@ -781,7 +788,134 @@ def test_block_rules_at_m_shape(monkeypatch):
     sizes.clear()
     score_frames(rng.integers(0, ds.num_users, size=5000),
                  rng.integers(0, ds.num_frames, size=5000), params, cfg, ds)
-    assert sizes == [2048, 2048, 904]
+    assert sorted(sizes) == [904, 2048, 2048]
+
+
+def block_outputs(visual, fusion):
+    """The bytes of every blocked forward of ``catalog_instance``, several blocks each.
+
+    Blocks of 5 table items, 2 candidate users (of 7 candidates), 3 catalog
+    users and 15 frame pairs; the catalog keeps each block's best score and
+    its first row.  Also returns the names of the threads that ran ``keep``.
+    """
+    params, cfg, ds, users = catalog_instance(visual, fusion)
+    threads = set()
+
+    def keep(scores, rows):
+        threads.add(threading.current_thread().name)
+        return np.column_stack([scores.max(axis=1), np.full(len(scores), rows.start)])
+
+    out = {"candidates": score_catalog(users, params, cfg, ds, items=candidate_matrix(ds, users)),
+           "catalog": score_catalog(users, params, cfg, ds, keep=keep)}
+    table = item_visual_table(params, cfg, ds)
+    if table is not None:
+        out |= {name: getattr(table, name) for name in ("x", "alpha", "pooled", "hidden_relu")}
+        rng = np.random.default_rng(6)
+        out["frames"] = score_frames(rng.integers(0, ds.num_users, size=200),
+                                     rng.integers(0, ds.num_frames, size=200), params, cfg, ds)
+    return {k: None if v is None else v.tobytes() for k, v in out.items()}, threads
+
+
+class TestBlockThreads:
+    """``_run_blocks`` spreads a call's blocks over one thread per CPU; ``_cpus`` is
+    patched, so that the pool runs on a one-CPU host too."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(model, "CACHE_BLOCK", 5 * 3 * 8)
+        monkeypatch.setattr(model, "CATALOG_BLOCK", 3 * 41 * 8)
+
+    @pytest.mark.parametrize("visual,fusion", MODES)
+    def test_the_bytes_do_not_depend_on_the_threads(self, monkeypatch, visual, fusion):
+        monkeypatch.setattr(model, "_cpus", lambda: 1)
+        serial, threads = block_outputs(visual, fusion)
+        assert threads == {threading.current_thread().name}
+        # two threads, then more parts than the pool has threads, switching often
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for cpus in (2, 5):
+                monkeypatch.setattr(model, "_cpus", lambda: cpus)
+                got, threads = block_outputs(visual, fusion)
+                assert got == serial, (cpus, [k for k in got if got[k] != serial[k]])
+                assert len(threads) >= 2  # the caller and the pool ran blocks
+        finally:
+            sys.setswitchinterval(interval)
+
+    # 15 blocks of 3 users.  Blocks ``first`` and 14 raise, and block ``slow`` sleeps
+    # first: at 2 CPUs the caller's block 1 fails while the pool's block 14 still
+    # runs; at 3, block 7 (the second part) fails after block 14 (the third).
+    @pytest.mark.parametrize("cpus,first,slow", [(2, 1, 14), (3, 7, 7)])
+    def test_a_failing_keep_raises_the_first_blocks_error_once_every_block_is_done(
+            self, monkeypatch, cpus, first, slow):
+        monkeypatch.setattr(model, "_cpus", lambda: cpus)
+        params, cfg, ds, users = catalog_instance("att", "att")
+        running, done = set(), []
+
+        def keep(scores, rows):
+            block = rows.start // 3
+            running.add(block)
+            try:
+                if block == slow:
+                    time.sleep(0.2)
+                if block in (first, 14):
+                    raise ValueError(f"block {block}")
+                return scores
+            finally:
+                running.discard(block)
+                done.append(block)
+
+        with pytest.raises(ValueError, match=f"^block {first}$"):
+            score_catalog(users, params, cfg, ds, keep=keep)
+        assert not running and {first, 14} <= set(done)
+        assert first + 1 not in done  # a part stops at its first failing block
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+    def test_a_forked_child_runs_blocks_on_a_pool_of_its_own(self, monkeypatch):
+        monkeypatch.setattr(model, "_cpus", lambda: 2)
+        params, cfg, ds, _ = catalog_instance("att", "att")
+        want = item_visual_table(params, cfg, ds).x.tobytes()
+        parent_pool = model._workers
+        assert parent_pool is not None
+        pid = os.fork()
+        if pid == 0:  # the child exits 0 only if a pool of its own built the same table
+            code = 1
+            try:
+                got = item_visual_table(params, cfg, ds).x.tobytes()
+                code = 0 if got == want and model._workers not in (None, parent_pool) else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30
+        while True:
+            reaped, status = os.waitpid(pid, os.WNOHANG)
+            if reaped:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child's table build hung")
+            time.sleep(0.01)
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0, status
+
+    def test_blocks_asked_for_on_a_pool_thread_run_on_it(self, monkeypatch):
+        """A ``keep`` that builds a table runs that table's blocks itself: handed
+        to the pool, they would wait for the thread that waits for them."""
+        monkeypatch.setattr(model, "_cpus", lambda: 2)
+        params, cfg, ds, users = catalog_instance("att", "att")
+        want = item_visual_table(params, cfg, ds).x
+
+        def keep(scores, rows):
+            same = np.array_equal(item_visual_table(params, cfg, ds).x, want)
+            return np.full((len(scores), 1), same)
+
+        result = []
+        caller = threading.Thread(
+            target=lambda: result.append(score_catalog(users, params, cfg, ds, keep=keep)),
+            daemon=True)
+        caller.start()
+        caller.join(timeout=30)
+        assert not caller.is_alive(), "blocks run from a pool thread waited on the pool"
+        assert result[0].shape == (len(users), 1) and result[0].all()
 
 
 class TestCheckpoint:

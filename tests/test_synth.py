@@ -108,6 +108,14 @@ class TestGeneration:
         text = repr((sorted(map(tuple, ds.ratings.tolist())), sorted(map(tuple, likes.tolist()))))
         assert hashlib.sha256(text.encode()).hexdigest() == PINNED[name]
 
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_data_is_pinned_on_two_threads(self, monkeypatch, name):
+        """The pins hold when two threads score the user blocks, one user a block
+        (``model._cpus`` patched, so that the pool runs on a one-CPU host too)."""
+        monkeypatch.setattr(model, "_cpus", lambda: 2)
+        monkeypatch.setattr(model, "CATALOG_BLOCK", 1)
+        self.test_data_is_pinned(name)
+
     def test_frame_likes_score_only_the_rated_pairs_frames(self):
         cfg = SynthConfig(num_users=400, num_items=1000, frames_per_item=20, feature_dim=16)
         ds, likes, planted = generate_synthetic(cfg)

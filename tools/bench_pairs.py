@@ -33,8 +33,12 @@ metrics (``m_eval``'s ``load_s``, ``valid_eval_s`` and ``frame_eval_s``,
 With ``--out BENCH_<label>.json`` it also writes all of that as one JSON
 record: each pair's seed, which side ran first and both sides' end-to-end
 figures; each metric's quartiles per side, the pairs the change won and the
-verdict; and each phase timing's median per side.  The ``--out`` path is
-checked before the first run.
+verdict; each phase timing's median per side; and the host the runs had:
+the CPUs the tool may use (its affinity set, which the runs inherit) and
+the BLAS threads the runs' records name.  The program spreads its blocks
+over one thread per CPU, so a claim holds for that CPU count; ``taskset``
+pins the tool and its runs to fewer.  The ``--out`` path is checked before
+the first run.
 
 The tool reads only ``BENCHMARK.json`` and the records the runs write
 under ``.perfbench/results/`` (the runs write nothing outside
@@ -48,6 +52,7 @@ from __future__ import annotations
 import argparse
 import json
 import operator
+import os
 import statistics
 import subprocess
 import sys
@@ -136,24 +141,42 @@ def summary(pairs, end_to_end) -> list:
     return rows
 
 
+def run_records(checkout: Path, declared: dict, seeds):
+    """(workload, record) of the run of each workload in ``declared`` (the parsed
+    ``BENCHMARK.json``) at each of ``seeds``, as perfbench wrote it in ``checkout``."""
+    for workload in (w["name"] for w in declared["workloads"]):
+        for seed in seeds:
+            path = checkout / ".perfbench" / "results" / f"{workload}-seed{seed}-trace0.json"
+            yield workload, json.loads(path.read_text(encoding="utf-8"))
+
+
 def phase_medians(checkout: Path, declared: dict, seeds) -> dict:
     """{``workload.figure``: (median, unit)} of the runs' own phase timings in ``checkout``.
 
-    Read from the record of the run of each workload in ``declared`` (the
-    parsed ``BENCHMARK.json``) at each of ``seeds``: the figures of its
+    Read from each ``run_records`` record: the figures of its
     ``end_to_end`` part in ``s`` or ``1/s`` that are not end-to-end metrics.
     """
     metrics = {spec["name"] for spec in declared["end_to_end"]}
     values, units = {}, {}
-    for workload in (w["name"] for w in declared["workloads"]):
-        for seed in seeds:
-            path = checkout / ".perfbench" / "results" / f"{workload}-seed{seed}-trace0.json"
-            figures = json.loads(path.read_text(encoding="utf-8"))["end_to_end"]
-            for name, figure in figures.items():
-                if name not in metrics and figure["unit"] in ("s", "1/s"):
-                    values.setdefault(f"{workload}.{name}", []).append(figure["value"])
-                    units[f"{workload}.{name}"] = figure["unit"]
+    for workload, rec in run_records(checkout, declared, seeds):
+        for name, figure in rec["end_to_end"].items():
+            if name not in metrics and figure["unit"] in ("s", "1/s"):
+                values.setdefault(f"{workload}.{name}", []).append(figure["value"])
+                units[f"{workload}.{name}"] = figure["unit"]
     return {name: (statistics.median(v), units[name]) for name, v in values.items()}
+
+
+def host(checkouts, declared: dict, seeds) -> dict:
+    """The CPUs this process may run on, which the runs it starts inherit (its
+    affinity set, else the CPU count), and the distinct BLAS thread counts the
+    ``run_records`` of ``checkouts`` name."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count()
+    blas = {rec["environment"]["blas_threads"]
+            for c in checkouts for _, rec in run_records(c, declared, seeds)}
+    return {"cpus": cpus, "blas_threads": sorted(blas)}
 
 
 def phase_report(parent: dict, change: dict) -> list:
@@ -179,18 +202,20 @@ def report(rows) -> list:
     return lines
 
 
-def record(seeds, pairs, rows, phases, seconds) -> dict:
+def record(seeds, pairs, rows, phases, seconds, machine) -> dict:
     """The JSON record ``--out`` writes of a finished set of pairs.
 
     ``pairs`` holds the (parent, change) run results taken at ``seeds``,
     ``rows`` their ``summary``, ``phases`` the (parent, change)
-    ``phase_medians`` and ``seconds`` each run's length.  The record holds
-    each pair's end-to-end figures, each metric's quartiles, wins and
-    verdict, and each phase timing's medians.
+    ``phase_medians``, ``seconds`` each run's length and ``machine`` the
+    runs' ``host``.  The record holds the host, each pair's end-to-end
+    figures, each metric's quartiles, wins and verdict, and each phase
+    timing's medians.
     """
     quarts = lambda q: dict(zip(("lower_quartile", "median", "upper_quartile"), q))
     return {
         "run_seconds": seconds,
+        "host": machine,
         "claim_rule": {"pairs": CLAIM_PAIRS, "share": CLAIM_SHARE},
         "pairs": [{"seed": seed, "first": "parent" if n % 2 == 0 else "change",
                    **{side: {m: fig["value"] for m, fig in r["metrics"].items()}
@@ -241,8 +266,10 @@ def main(argv=None) -> int:
     phases = [phase_medians(c, declared, args.seeds) for c in (args.parent, args.change)]
     print("phase medians, no verdict:")
     print("\n".join(phase_report(*phases)))
+    machine = host((args.parent, args.change), declared, args.seeds)
+    print(f"host: {machine['cpus']} CPUs, BLAS threads {machine['blas_threads']}")
     if args.out is not None:
-        args.out.write_text(json.dumps(record(args.seeds, pairs, rows, phases, seconds),
+        args.out.write_text(json.dumps(record(args.seeds, pairs, rows, phases, seconds, machine),
                                        indent=1) + "\n", encoding="utf-8")
     return 1 if any(r["verdict"] == "regressed" for r in rows) else 0
 
