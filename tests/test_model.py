@@ -794,7 +794,7 @@ def test_block_rules_at_m_shape(monkeypatch):
 def block_outputs(visual, fusion):
     """The bytes of every blocked forward of ``catalog_instance``, several blocks each.
 
-    Blocks of 5 table items, 2 candidate users (of 7 candidates), 3 catalog
+    Blocks of 5 table items, 2 candidate users (of 7 candidates), 13 catalog
     users and 15 frame pairs; the catalog keeps each block's best score and
     its first row.  Also returns the names of the threads that ran ``keep``.
     """
@@ -827,6 +827,9 @@ class TestBlockThreads:
 
     @pytest.mark.parametrize("visual,fusion", MODES)
     def test_the_bytes_do_not_depend_on_the_threads(self, monkeypatch, visual, fusion):
+        # catalog planes of 13 x 41 scores, large enough that numpy lets the
+        # other thread run while it fills them
+        monkeypatch.setattr(model, "CATALOG_BLOCK", 13 * 41 * 8)
         monkeypatch.setattr(model, "_cpus", lambda: 1)
         serial, threads = block_outputs(visual, fusion)
         assert threads == {threading.current_thread().name}

@@ -110,10 +110,12 @@ class TestGeneration:
 
     @pytest.mark.parametrize("name", sorted(PINNED))
     def test_data_is_pinned_on_two_threads(self, monkeypatch, name):
-        """The pins hold when two threads score the user blocks, one user a block
-        (``model._cpus`` patched, so that the pool runs on a one-CPU host too)."""
+        """The pins hold when two threads score the user blocks (``model._cpus``
+        patched, so that the pool runs on a one-CPU host too): the default
+        data's two blocks of 109 users, and the small data one user a block."""
         monkeypatch.setattr(model, "_cpus", lambda: 2)
-        monkeypatch.setattr(model, "CATALOG_BLOCK", 1)
+        if name == "small":  # else one block
+            monkeypatch.setattr(model, "CATALOG_BLOCK", 1)
         self.test_data_is_pinned(name)
 
     def test_frame_likes_score_only_the_rated_pairs_frames(self):
