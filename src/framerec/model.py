@@ -353,8 +353,8 @@ def item_visual_table(params: ModelParams, cfg: ModelConfig, dataset: Dataset):
     ReLU and the logits, one 2-D product, then the masked softmax and the
     pooling, while the block is in its core's cache.  The projection is then
     one product over the whole pooled table; projecting each block apart
-    rounds ``x`` differently from blocks of five items up.  Every step is a
-    per-item computation, so neither the blocks nor the threads move a bit.
+    rounds ``x`` differently from blocks of five items up.  Every step of a
+    block is a per-item computation, so the threads move no bit.
     """
     if cfg.visual_mode == VISUAL_OFF:
         return None
@@ -412,11 +412,16 @@ class PairCache:
 
 
 def _two_way_softmax(g1: np.ndarray, g2: np.ndarray):
+    """(beta1, beta2), the two-way softmax of the fusion logits ``g1`` and ``g2``,
+    formed in their buffers, which it overwrites: each caller passes logits
+    it no longer needs, so a call allocates only the running max.  The
+    operations and so the bits are those of ``exp(g - max)`` over the sum.
+    """
     top = np.maximum(g1, g2)
-    e1 = np.exp(g1 - top)
-    e2 = np.exp(g2 - top)
-    beta1 = e1 / (e1 + e2)
-    return beta1, 1.0 - beta1
+    e1 = np.exp(np.subtract(g1, top, out=g1), out=g1)
+    e2 = np.exp(np.subtract(g2, top, out=g2), out=g2)
+    beta1 = np.divide(e1, np.add(e1, e2, out=top), out=e1)
+    return beta1, np.subtract(1.0, beta1, out=e2)
 
 
 def _checked_ids(ids, size: int, kind: str) -> np.ndarray:
@@ -559,7 +564,7 @@ def score_catalog(users, params: ModelParams, cfg: ModelConfig, dataset: Dataset
         halves = [(np.einsum("ud,dh->uh", u, w_user), i @ w_item) for u, i in channels]
     if items is None:
         rows = max(1, CATALOG_BLOCK // (dataset.num_items * cfg.attn_hidden_rating))
-        dots, logits = _every_item_blocks(channels, halves, params.fusion_out, rows)
+        dots, logits = _every_item_blocks(channels, halves, params.fusion_out)
     else:
         rows = max(1, CACHE_BLOCK // (items.shape[1] * cfg.attn_hidden_rating))
         dots, logits = _candidate_blocks(items, channels, halves, params.fusion_out)
@@ -571,14 +576,18 @@ def score_catalog(users, params: ModelParams, cfg: ModelConfig, dataset: Dataset
         if halves is None:
             return collab + visual[0]
         beta1, beta2 = _two_way_softmax(*logits(b))
-        return beta1 * collab + beta2 * visual[0]
+        # beta1 * collab + beta2 * visual, in the block's own dot arrays
+        collab *= beta1
+        visual[0] *= beta2
+        collab += visual[0]
+        return collab
 
     run = score if keep is None else lambda b: keep(score(b), b)
     # one empty block when there are no users
     return np.concatenate(_run_blocks(run, max(len(users), 1), rows))
 
 
-def _every_item_blocks(channels, halves, fusion_out, rows):
+def _every_item_blocks(channels, halves, fusion_out):
     """``score_catalog``'s per-block (channel dots, fusion logits) against every item.
 
     Each is a function of a block's slice of users.  The item-side arrays
@@ -586,9 +595,9 @@ def _every_item_blocks(channels, halves, fusion_out, rows):
     block works on (rows, N) planes: the channel dots are
     ``einsum("rd,dn->rn")``, and each fusion logit plane is the sum over the
     hidden units k, in order, of ``fusion_out[k] * relu(user_half[:, k] +
-    item_half[k])``, formed one unit at a time in preallocated planes,
-    which the thread's next block overwrites: each thread that runs blocks
-    has planes of its own.
+    item_half[k])``, formed one unit at a time in planes that each thread
+    running blocks allocates for its first block and its next block
+    overwrites.
     """
     item_major = lambda pairs: [(u, np.ascontiguousarray(i.T)) for u, i in pairs]
     channels = item_major(channels)
@@ -596,14 +605,13 @@ def _every_item_blocks(channels, halves, fusion_out, rows):
     if halves is None:
         return dots, None
     halves = item_major(halves)
-    n, height = halves[0][1].shape[1], min(rows, len(halves[0][0]))
-    buffers = threading.local()  # each thread that runs blocks fills planes of its own
+    n, buffers = halves[0][1].shape[1], threading.local()
 
     def logits(b):
-        if not hasattr(buffers, "planes"):
-            buffers.hidden, buffers.planes = np.empty((height, n)), np.empty((2, height, n))
-        hidden, planes = buffers.hidden, buffers.planes
         size = len(halves[0][0][b])
+        if not hasattr(buffers, "hidden") or len(buffers.hidden) < size:  # first, or larger
+            buffers.hidden, buffers.planes = np.empty((size, n)), np.empty((2, size, n))
+        hidden, planes = buffers.hidden, buffers.planes
         for (u, i), logit in zip(halves, planes):
             logit, unit = logit[:size], hidden[:size]
             logit.fill(0.0)
