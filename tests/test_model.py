@@ -794,9 +794,10 @@ def test_block_rules_at_m_shape(monkeypatch):
 def block_outputs(visual, fusion):
     """The bytes of every blocked forward of ``catalog_instance``, several blocks each.
 
-    Blocks of 5 table items, 2 candidate users (of 7 candidates), 13 catalog
-    users and 15 frame pairs; the catalog keeps each block's best score and
-    its first row.  Also returns the names of the threads that ran ``keep``.
+    Under ``TestBlockThreads``' blocks: 5 table items, 2 candidate users (of
+    7 candidates) and 15 frame pairs, and the catalog users the caller sets;
+    the catalog keeps each block's best score and its first row.  Also
+    returns the names of the threads that ran ``keep``.
     """
     params, cfg, ds, users = catalog_instance(visual, fusion)
     threads = set()
