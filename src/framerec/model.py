@@ -214,13 +214,13 @@ def _run_blocks(run, size, step):
     otherwise wait on the pool it occupies.
     """
     global _workers
-    blocks = [slice(lo, lo + step) for lo in range(0, size, step)]
-    parts = min(_cpus(), len(blocks))
+    blocks, cpus = [slice(lo, lo + step) for lo in range(0, size, step)], _cpus()
+    parts = min(cpus, len(blocks))
     if parts < 2 or getattr(_in_worker, "flag", False):
         return [run(b) for b in blocks]
     with _workers_lock:
         if _workers is None:
-            _workers = ThreadPoolExecutor(_cpus() - 1, thread_name_prefix="framerec-blocks",
+            _workers = ThreadPoolExecutor(cpus - 1, thread_name_prefix="framerec-blocks",
                                           initializer=_mark_worker)
         pool = _workers
     cuts = [len(blocks) * p // parts for p in range(parts + 1)]
