@@ -240,13 +240,13 @@ class VisualTable:
     ``x`` is (N, d2) and ``alpha`` (N, m) the weights that pool each item's
     frames (``dataset.frame_table`` order), zero at padding: 1 / count in
     mean mode, the attention softmax in attention mode.  ``pooled`` is the
-    (N, F) alpha-pooled raw frame features, and ``x`` is ``pooled @
-    visual_proj.T`` (in mean mode up to rounding: there ``x`` is the exact
-    mean of the projected frames); the backward reads ``visual_proj``'s
-    gradient from it.  In attention mode ``hidden_relu`` is the (N, m, h)
-    hidden layer of the attention network, after its ReLU, filled
-    ``CACHE_BLOCK // (m * h)`` items at a time, the blocks spread over the
-    CPUs, so that a block stays in its core's cache between its products.
+    (N, F) alpha-pooled raw frame features (in mean mode each item's exact
+    mean frame), and ``x`` is ``pooled @ visual_proj.T``; the backward reads
+    ``visual_proj``'s gradient from ``pooled``.  In attention mode
+    ``hidden_relu`` is the (N, m, h) hidden layer of the attention network,
+    after its ReLU, filled ``CACHE_BLOCK // (m * h)`` items at a time, the
+    blocks spread over the CPUs, so that a block stays in its core's cache
+    between its products.
     """
 
     x: np.ndarray
@@ -341,51 +341,49 @@ def item_visual_table(params: ModelParams, cfg: ModelConfig, dataset: Dataset):
     """Compute visual embeddings for every item at once.
 
     Returns None when the visual pathway is off.  Items without frames get a
-    zero row; scoring such an item raises at the call site.  Mean mode
-    averages the projected frames.  Attention mode pools the raw frame
-    features before it projects them, so it multiplies each frame's features
-    by one weight only: the attention's key half folded with the key
-    reduction, ``attn_hidden[:, d1:] @ attn_reduce`` (h, F), formed once here.
-    It reads the frames as ``dataset.padded_features``, which the dataset
-    holds, so a call copies no frame features.  It builds the table
-    ``CACHE_BLOCK // (m * h)`` items at a time, the blocks spread over the
-    CPUs (``_run_blocks``): per block, the key product, the query half, the
-    ReLU and the logits, one 2-D product, then the masked softmax and the
-    pooling, while the block is in its core's cache.  The projection is then
-    one product over the whole pooled table; projecting each block apart
-    rounds ``x`` differently from blocks of five items up.  Every step of a
-    block is a per-item computation, so the threads move no bit.
+    zero row; scoring such an item raises at the call site.  Both modes pool
+    each item's raw frame features into ``pooled`` and project it once, ``x =
+    pooled @ visual_proj.T``, one product over the whole table (projecting
+    per block rounds ``x`` apart from blocks of five items up).  Mean mode
+    pools each item's exact mean frame: a masked sum over the frame slots,
+    then one division.  Attention mode multiplies each frame's features by
+    one weight only: the attention's key half folded with the key
+    reduction, ``attn_hidden[:, d1:] @ attn_reduce`` (h, F), formed once
+    here.  Both read the frames as ``dataset.padded_features``, which the
+    dataset holds, so a call copies no frame features.  Attention mode
+    builds its table ``CACHE_BLOCK // (m * h)`` items at a time, the blocks
+    spread over the CPUs (``_run_blocks``): per block, the key product, the
+    query half, the ReLU and the logits, one 2-D product, then the masked
+    softmax and the pooling, while the block is in its core's cache.  Every
+    step of a block is a per-item computation, so the threads move no bit.
     """
     if cfg.visual_mode == VISUAL_OFF:
         return None
-    ids, mask, counts = dataset.frame_table
+    _, mask, counts = dataset.frame_table
     feats = dataset.padded_features  # (N, m, F), padding holds a real frame
     if cfg.visual_mode == VISUAL_AVG:
-        safe = np.maximum(counts, 1).astype(dataset.frame_features.dtype)
-        frame_emb = dataset.frame_features @ params.visual_proj.T  # (L, d2)
-        # the exact sum / count, not the pooled projection, which rounds apart
-        x = (frame_emb[ids] * mask[:, :, None]).sum(axis=1) / safe[:, None]
-        alpha = mask / safe[:, None]
-        return VisualTable(x=x, alpha=alpha, pooled=_pool(alpha, feats))
+        count = np.maximum(counts, 1).astype(feats.dtype)[:, None]
+        alpha, hidden_relu = mask / count, None
+        pooled = feats.sum(axis=1, where=mask[:, :, None]) / count
+    else:
+        w_query = params.attn_hidden[:, :cfg.d1]
+        w_key = params.attn_hidden[:, cfg.d1:] @ params.attn_reduce
+        (n, m, f), h = feats.shape, len(w_key)
+        hidden_relu, alpha, pooled = np.empty((n, m, h)), np.zeros((n, m)), np.empty((n, f))
+        neg_inf = np.finfo(alpha.dtype).min
 
-    w_query = params.attn_hidden[:, :cfg.d1]
-    w_key = params.attn_hidden[:, cfg.d1:] @ params.attn_reduce
-    (n, m, f), h = feats.shape, len(w_key)
-    hidden_relu, alpha, pooled = np.empty((n, m, h)), np.zeros((n, m)), np.empty((n, f))
-    neg_inf = np.finfo(alpha.dtype).min
+        def block(b):
+            _, logits = _attention_mlp(params.item_collab[b, None, :], feats[b], w_query, w_key,
+                                       params.attn_out, hidden=hidden_relu[b])
+            shifted = np.where(mask[b], logits, neg_inf)
+            shifted -= _frame_max(shifted)[:, None]
+            expd = np.where(mask[b], np.exp(shifted), 0.0)
+            denom = expd.sum(axis=1, keepdims=True)
+            # divide wherever the item has frames, so a NaN logit reaches the scores
+            np.divide(expd, denom, out=alpha[b], where=counts[b, None] > 0)
+            pooled[b] = _pool(alpha[b], feats[b])
 
-    def block(b):
-        _, logits = _attention_mlp(params.item_collab[b, None, :], feats[b], w_query, w_key,
-                                   params.attn_out, hidden=hidden_relu[b])
-        shifted = np.where(mask[b], logits, neg_inf)
-        shifted -= _frame_max(shifted)[:, None]
-        expd = np.where(mask[b], np.exp(shifted), 0.0)
-        denom = expd.sum(axis=1, keepdims=True)
-        # divide wherever the item has frames, so a NaN logit reaches the scores
-        np.divide(expd, denom, out=alpha[b], where=counts[b, None] > 0)
-        pooled[b] = _pool(alpha[b], feats[b])
-
-    _run_blocks(block, n, max(1, CACHE_BLOCK // (m * h)))
+        _run_blocks(block, n, max(1, CACHE_BLOCK // (m * h)))
     return VisualTable(x=pooled @ params.visual_proj.T, alpha=alpha, pooled=pooled,
                        hidden_relu=hidden_relu)
 
@@ -503,10 +501,11 @@ def score_pairs(
 # users a block, which works on (rows, N) planes, one fusion hidden unit at a
 # time, so that its intermediates are a few planes of CATALOG_BLOCK // h
 # elements.  That budget stays its own because others measured slower: the
-# synthetic generator at M (2000 users x 3000 items, d = h = 8) took 217 ms
-# at 2^18, 238 ms at 2^16 and 230 ms at 2^20 (and blocks of CATALOG_BLOCK // N
-# users slower still).  Each count is at least one.  Scores do not depend on
-# them.
+# synthetic generator at M (2000 users x 3000 items, d = h = 8, seed 11, one
+# BLAS thread, median of 7) took 202 ms at 2^18, 246 ms at 2^16 and 215 ms
+# at 2^20 on one CPU, but 150 ms at 2^18, 340 ms at 2^16 and 139 ms at 2^20
+# with its blocks on two (2-vCPU host).  Each count is at least one.  Scores
+# do not depend on them.
 CATALOG_BLOCK = 1 << 18
 
 

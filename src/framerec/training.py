@@ -332,8 +332,8 @@ def _table_backward(params, cfg, dataset, table, rows, gx, grads):
 
     gx is (len(rows), d2); every other item's gradient is zero, so only the
     frames of ``rows`` take part, gathered once, and the attention backward
-    works in the buffer of their gathered ``hidden_relu`` rows.  ``x`` is the
-    projection of the alpha-pooled frame features, so the projection's gradient is
+    works in the buffer of their gathered ``hidden_relu`` rows.  In both modes
+    ``x`` is ``table.pooled @ visual_proj.T``, so the projection's gradient is
     ``gx.T @ table.pooled[rows]``.  Attention additionally feeds its
     weight network: the query half's gradient goes straight into
     ``attn_hidden[:, :d1]``, and the key half, which acts on raw features

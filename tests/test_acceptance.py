@@ -116,9 +116,10 @@ def test_criterion_3_mode_degeneracies():
     users = np.repeat(np.arange(ds.num_users), ds.num_items)
     items = np.tile(np.arange(ds.num_items), ds.num_users)
     got = score_pairs(users, items, params, cfg, ds)
-    emb = ds.frame_features @ params.visual_proj.T
-    xbar = np.stack([emb[np.flatnonzero(ds.frame_parent == i)].mean(axis=0)
-                     for i in range(ds.num_items)])
+    # each item's mean raw frame, projected once by visual_proj
+    mean_frame = np.stack([ds.frame_features[np.flatnonzero(ds.frame_parent == i)].mean(axis=0)
+                           for i in range(ds.num_items)])
+    xbar = mean_frame @ params.visual_proj.T
     ref = (
         np.einsum("bd,bd->b", params.user_collab[users], params.item_collab[items])
         + np.einsum("bd,bd->b", params.user_visual[users], xbar[items])

@@ -149,7 +149,7 @@ def m_shape_instance():
 
 def assert_near_projected(table, params, cfg, ds):
     """Assert ``table`` within 1e-12 (relative to the largest value) of
-    ``reference.visual_table_projected``; return the reference's ``x``."""
+    ``reference.visual_table_projected``."""
     x, alpha, hidden_relu = reference.visual_table_projected(params, cfg, ds)
     got = {"x": table.x, "alpha": table.alpha, "hidden_relu": table.hidden_relu}
     for name, want in (("x", x), ("alpha", alpha), ("hidden_relu", hidden_relu)):
@@ -158,7 +158,6 @@ def assert_near_projected(table, params, cfg, ds):
             continue
         err = np.abs(got[name] - want).max()
         assert err <= 1e-12 * np.abs(want).max(), (name, err)
-    return x
 
 
 class TestVisualEmbedding:
@@ -249,11 +248,29 @@ class TestVisualEmbedding:
 
     @pytest.mark.parametrize("visual", ["avg", "att"])
     def test_pooled_table_matches_the_projected_table(self, visual):
+        """Within 1e-12 of the project-then-pool table, ``x`` having the bytes
+        of ``pooled @ visual_proj.T``, and mean mode's ``pooled`` the bytes of
+        each item's ``np.mean`` of its frames."""
         for params, cfg, ds in projected_instances(visual):
             table = item_visual_table(params, cfg, ds)
-            x = assert_near_projected(table, params, cfg, ds)
-            if visual == "avg":  # the mean stays the exact mean of the projected frames
-                np.testing.assert_array_equal(table.x, x)
+            assert_near_projected(table, params, cfg, ds)
+            assert table.x.tobytes() == (table.pooled @ params.visual_proj.T).tobytes()
+            if visual == "avg":
+                mean = np.stack([ds.frame_features[np.flatnonzero(ds.frame_parent == i)]
+                                 .mean(axis=0) for i in range(ds.num_items)])
+                assert table.pooled.tobytes() == mean.tobytes()
+
+    def test_mean_table_holds_no_projected_frames(self):
+        """The mean table's peak stays below one (N, m, d2) array of projected
+        frames, at a shape whose d2 exceeds F: 2,000 items x 8 frames, F=16,
+        d2=64."""
+        ds, _, _ = generate_synthetic(SynthConfig(num_users=20, num_items=2000,
+                                                  frames_per_item=8, seed=1))
+        cfg = ModelConfig(d2=64, visual_mode="avg", fusion_mode="sum", seed=2)
+        params = init_params(cfg, ds)
+        assert ds.padded_features.shape == (2000, 8, 16)  # held by the dataset, untraced
+        _, peak = traced_peak(lambda: item_visual_table(params, cfg, ds))
+        assert peak < 2000 * 8 * 64 * 8, peak
 
     @pytest.mark.parametrize("items", [1, 7, "all"])
     def test_table_blocks_match_the_projected_table(self, monkeypatch, items):
