@@ -33,6 +33,14 @@ again.  It sums each entity's per-pair gradients, one array per channel
 Rows of 2-D and 3-D arrays are gathered with ``take(rows, axis=0)``, which
 copies the same values as fancy indexing in about a third of the time; 1-D
 gathers keep fancy indexing, which is faster there.
+
+Two pieces of a step run in blocks on up to one thread per CPU, through
+the forward's runner (``model._run_blocks``) and sized by its budget
+(``model.CACHE_BLOCK``): the visual table's backward, a block of touched
+items at a time, and ``sample_epoch``'s negative lookup and column fills, a
+block of triples at a time.  A block writes only its own rows; a sum
+across blocks adds the blocks' partial results in block order on the
+calling thread, so no bit depends on the thread count.
 """
 
 from __future__ import annotations
@@ -48,14 +56,15 @@ from .data import Dataset, SplitDataset, atomic_writer, check_dataset
 from .errors import (ConfigError, EmptyDatasetError, NonFiniteError, SamplingError,
                      check_integers, check_reals, check_seed)
 from .evaluation import evaluate_item_rec
+from . import model
 from .model import (
     FUSION_ATT,
     VISUAL_ATT,
-    VISUAL_AVG,
     VISUAL_OFF,
     ModelConfig,
     ModelParams,
     _attention_mlp_backward,
+    _run_blocks,
     active_param_names,
     init_params,
     item_visual_table,
@@ -127,6 +136,15 @@ def sample_epoch(split: SplitDataset, neg_ratio: int, rng: np.random.Generator) 
     into the user's unrated pool (``Dataset.unrated_items``).  The returned
     rows are shuffled.  Raises SamplingError, before any draw, if a training
     user has rated every item.
+
+    The two draws, the uniforms and then the permutation, are made whole on
+    the calling thread.  The rest runs ``CACHE_BLOCK`` triples a block, the
+    blocks spread over the CPUs (``_run_blocks``): first the lookups, in
+    training-pair order, where a block's users ascend and the search keeps
+    to a small part of the ratings (the permuted order took twice as long
+    at M), then the rows, filled from the permutation.  Each block writes
+    only its own slice, so the bytes are those of the permuted whole-epoch
+    draw at any block size or thread count.
     """
     base = split.base
     train = split.pairs("train")
@@ -139,14 +157,25 @@ def sample_epoch(split: SplitDataset, neg_ratio: int, rng: np.random.Generator) 
             f"user {base.user_ids[train[full[0], 0]]!r} has rated every item; "
             "cannot sample negatives"
         )
-    users = np.repeat(train[:, 0], neg_ratio)  # triple j is from training pair j // neg_ratio
-    k = (rng.random(len(users)) * pool[users]).astype(np.int64)  # below the pool size
-    negs = base.unrated_items(users, k)
-    perm = rng.permutation(len(users))
-    triples = np.empty((len(users), 3), dtype=np.int64)
-    triples[:, 0] = users[perm]
-    triples[:, 1] = train[perm // neg_ratio, 1]
-    triples[:, 2] = negs[perm]
+    n = len(train) * neg_ratio  # triple j is from training pair j // neg_ratio
+    draws = rng.random(n)
+    negs = np.empty(n, dtype=np.int64)
+
+    def lookup(b):
+        users = train[:, 0].take(np.arange(b.start, min(b.stop, n)) // neg_ratio)
+        k = (draws[b] * pool[users]).astype(np.int64)  # below the pool size
+        negs[b] = base.unrated_items(users, k)
+
+    _run_blocks(lookup, n, model.CACHE_BLOCK)
+    perm = rng.permutation(n)
+    triples = np.empty((n, 3), dtype=np.int64)
+
+    def fill(b):
+        source = perm[b]
+        triples[b, :2] = train.take(source // neg_ratio, axis=0)
+        triples[b, 2] = negs.take(source)
+
+    _run_blocks(fill, n, model.CACHE_BLOCK)
     return triples
 
 
@@ -331,36 +360,65 @@ def _table_backward(params, cfg, dataset, table, rows, gx, grads):
     """Push gradients w.r.t. the visual embeddings of items ``rows`` into the tensors.
 
     gx is (len(rows), d2); every other item's gradient is zero, so only the
-    frames of ``rows`` take part, gathered once, and the attention backward
-    works in the buffer of their gathered ``hidden_relu`` rows.  In both modes
-    ``x`` is ``table.pooled @ visual_proj.T``, so the projection's gradient is
-    ``gx.T @ table.pooled[rows]``.  Attention additionally feeds its
-    weight network: the query half's gradient goes straight into
-    ``attn_hidden[:, :d1]``, and the key half, which acts on raw features
-    through the folded weight ``attn_hidden[:, d1:] @ attn_reduce``, has its
-    gradient collected in one (h, F) array and chained into both factors.
+    frames of ``rows`` take part.  The rows are worked ``CACHE_BLOCK // (m *
+    max(h, F))`` at a time (at least one; 128 at M, one block at S), the
+    blocks spread over the CPUs (``_run_blocks``): each block gathers its
+    own rows' pooled features, weights, frames and ``hidden_relu`` rows, and
+    the attention backward works in the buffer of its gathered hidden layer.
+    In both modes ``x`` is ``table.pooled @ visual_proj.T``, so a block's
+    part of the projection's gradient is ``gx[b].T @ table.pooled[rows[b]]``.
+    Attention additionally feeds its weight network: a block forms ``s``
+    and ``tau``, writes its rows of the query half's pre-activation
+    gradient, and returns its parts of the ``attn_out`` and query-half
+    gradients and of the key half's, which acts on raw features through the
+    folded weight ``attn_hidden[:, d1:] @ attn_reduce``, as one (h, F)
+    array.  The calling thread adds each tensor's parts in block order, so
+    no bit depends on the thread count, then chains the folded key's sum
+    into both factors.  The two row-wise products that lead to the item
+    factors' gradient, ``gx @ visual_proj`` and the query gradient times its
+    weight half, run over all the rows at once: in a block of one row they
+    would go through a matrix-vector kernel, which rounds apart, so this way
+    the item factors' gradient has the same bits at any block size.
     Returns the (len(rows), d1) gradient w.r.t. the rows' item factors,
     which act as attention queries (0.0 in mean mode).
     """
-    grads["visual_proj"] += gx.T @ table.pooled.take(rows, axis=0)
-    if cfg.visual_mode == VISUAL_AVG:
-        return 0.0
+    _, m, f = dataset.padded_features.shape
+    h, k = params.attn_hidden.shape[0], cfg.d1
+    attention = cfg.visual_mode == VISUAL_ATT
+    if attention:
+        dpooled = gx @ params.visual_proj  # d(loss)/d(pooled), (len(rows), F)
+        dh_query = np.empty((len(rows), h))
 
-    alpha = table.alpha.take(rows, axis=0)
-    feats = dataset.padded_features.take(rows, axis=0)  # (R, m, F)
-    s = (feats @ (gx @ params.visual_proj)[:, :, None])[:, :, 0]  # d(loss)/d(alpha)
-    sbar = (alpha * s).sum(axis=1, keepdims=True)
-    tau = alpha * (s - sbar)  # gradient w.r.t. the attention logits
-    k = cfg.d1
-    dfold = np.zeros((params.attn_hidden.shape[0], feats.shape[-1]))
-    dh_query, _ = _attention_mlp_backward(
-        params.attn_out, table.hidden_relu.take(rows, axis=0), tau, grads["attn_out"],
-        ((params.item_collab.take(rows, axis=0)[:, None], grads["attn_hidden"][:, :k]),
-         (feats, dfold)),
-    )
+    def block(b):
+        r, g = rows[b], gx[b]
+        dproj = g.T @ table.pooled.take(r, axis=0)
+        if not attention:
+            return (dproj,)
+        alpha = table.alpha.take(r, axis=0)
+        feats = dataset.padded_features.take(r, axis=0)  # (R, m, F)
+        s = (feats @ dpooled[b, :, None])[:, :, 0]  # d(loss)/d(alpha)
+        sbar = (alpha * s).sum(axis=1, keepdims=True)
+        tau = alpha * (s - sbar)  # gradient w.r.t. the attention logits
+        dout, dq, dfold = np.zeros(h), np.zeros((h, k)), np.zeros((h, f))
+        dh_query[b] = _attention_mlp_backward(
+            params.attn_out, table.hidden_relu.take(r, axis=0), tau, dout,
+            ((params.item_collab.take(r, axis=0)[:, None], dq), (feats, dfold)),
+        )[0][:, 0]
+        return dproj, dout, dq, dfold
+
+    parts = _run_blocks(block, len(rows), max(1, model.CACHE_BLOCK // (m * max(h, f))))
+    sums = [grads["visual_proj"]]
+    if attention:
+        dfold = np.zeros((h, f))
+        sums += [grads["attn_out"], grads["attn_hidden"][:, :k], dfold]
+    for part in parts:  # in block order
+        for total, p in zip(sums, part):
+            total += p
+    if not attention:
+        return 0.0
     grads["attn_hidden"][:, k:] += dfold @ params.attn_reduce.T
     grads["attn_reduce"] += params.attn_hidden[:, k:].T @ dfold
-    return dh_query[:, 0] @ params.attn_hidden[:, :k]
+    return dh_query @ params.attn_hidden[:, :k]
 
 
 # ---------------------------------------------------------------------------

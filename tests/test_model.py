@@ -8,12 +8,14 @@ import sys
 import threading
 import time
 import zipfile
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from framerec import model
+from framerec.data import split_ratings
 from framerec.errors import (
     ConfigError,
     IntegrityError,
@@ -35,7 +37,7 @@ from framerec.model import (
     score_pairs,
 )
 from framerec.synth import SynthConfig, generate_synthetic
-from framerec.training import gradcheck_instance
+from framerec.training import batch_gradients, dense_gradient, gradcheck_instance, sample_epoch
 
 import reference
 from conftest import read_members, traced_peak, write_members
@@ -834,6 +836,17 @@ def block_outputs(visual, fusion):
     return {k: None if v is None else v.tobytes() for k, v in out.items()}, threads
 
 
+@contextmanager
+def switching_often():
+    """Threads switch every microsecond, so that blocks on two threads interleave."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
 class TestBlockThreads:
     """``_run_blocks`` spreads a call's blocks over one thread per CPU; ``_cpus`` is
     patched, so that the pool runs on a one-CPU host too."""
@@ -852,16 +865,40 @@ class TestBlockThreads:
         serial, threads = block_outputs(visual, fusion)
         assert threads == {threading.current_thread().name}
         # two threads, then more parts than the pool has threads, switching often
-        interval = sys.getswitchinterval()
-        try:
-            sys.setswitchinterval(1e-6)
+        with switching_often():
             for cpus in (2, 5):
                 monkeypatch.setattr(model, "_cpus", lambda: cpus)
                 got, threads = block_outputs(visual, fusion)
                 assert got == serial, (cpus, [k for k in got if got[k] != serial[k]])
                 assert len(threads) >= 2  # the caller and the pool ran blocks
-        finally:
-            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("visual,fusion", MODES)
+    def test_training_bytes_do_not_depend_on_the_threads(self, monkeypatch, visual, fusion):
+        """``sample_epoch`` (blocks of 120 triples) and ``batch_gradients``, whose table
+        backward works 5 items a block, give one CPU's bytes on 2 and 5 CPUs; the
+        triples are also those of the stack-then-permute oracle."""
+        params, cfg, ds, _ = catalog_instance(visual, fusion)
+        split = split_ratings(ds, 0.7, 0.1, seed=3)
+
+        def outputs():
+            triples = sample_epoch(split, 10, np.random.default_rng(4))
+            loss, grads = batch_gradients(params, cfg, ds, triples[:64])
+            return {"triples": triples.tobytes(), "loss": loss} | {
+                name: dense_gradient(getattr(params, name), g).tobytes()
+                for name, g in grads.items()}
+
+        monkeypatch.setattr(model, "_cpus", lambda: 1)
+        serial = outputs()
+        want = reference.sample_epoch(split, 10, np.random.default_rng(4))
+        assert serial["triples"] == want.tobytes()
+        # three or more blocks of each: triples, and items the batch touches
+        assert len(want) > 2 * model.CACHE_BLOCK
+        assert len(np.unique(want[:64, 1:3])) > 2 * 5
+        with switching_often():
+            for cpus in (2, 5):
+                monkeypatch.setattr(model, "_cpus", lambda: cpus)
+                got = outputs()
+                assert got == serial, (cpus, [k for k in got if got[k] != serial[k]])
 
     # 15 blocks of 3 users.  Blocks ``first`` and 14 raise, and block ``slow`` sleeps
     # first: at 2 CPUs the caller's block 1 fails while the pool's block 14 still

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from framerec import training
+from framerec import model, training
 from framerec.data import PORTIONS, Dataset, split_ratings
 from framerec.errors import (
     ConfigError,
@@ -321,9 +321,25 @@ def test_row_set_is_np_unique():
     check()
 
 
+def assert_matches_the_full_catalog_backward(params, cfg, ds, batch):
+    """``batch_gradients`` against the whole-catalog oracle, with the table built on the
+    fly and handed over, under both reductions: the loss exactly, each gradient within
+    1e-12 of its largest entry."""
+    full = item_visual_table(params, cfg, ds)
+    for reduction in ("mean", "sum"):
+        for table in (None, full):
+            loss, grads = batch_gradients(params, cfg, ds, batch, reduction, table)
+            want_loss, want = full_catalog_gradients(params, cfg, ds, batch, reduction, table)
+            assert loss == want_loss
+            assert set(grads) == set(want)
+            for name, g in want.items():
+                err = np.abs(dense_gradient(g, grads[name]) - g).max()
+                assert err <= 1e-12 * np.abs(g).max(), (name, err)
+
+
 class TestTouchedRowBackward:
     @pytest.mark.parametrize("visual,fusion", MODES)
-    def test_matches_the_full_catalog_backward(self, visual, fusion, s_split):
+    def test_matches_the_full_catalog_backward(self, visual, fusion, s_split, monkeypatch):
         instances = [gradcheck_instance(seed=seed, visual_mode=visual, fusion_mode=fusion)
                      for seed in range(5)]
         cfg = ModelConfig(d1=8, d2=8, attn_hidden_visual=8, attn_hidden_rating=8,
@@ -336,17 +352,16 @@ class TestTouchedRowBackward:
             uneven = replace(cfg, d2=5)
             instances.append((init_params(uneven, base), uneven, base, batch))
         for params, cfg, ds, batch in instances:
-            full = item_visual_table(params, cfg, ds)
-            for reduction in ("mean", "sum"):
-                for table in (None, full):
-                    loss, grads = batch_gradients(params, cfg, ds, batch, reduction, table)
-                    want_loss, want = full_catalog_gradients(
-                        params, cfg, ds, batch, reduction, table)
-                    assert loss == want_loss
-                    assert set(grads) == set(want)
-                    for name, g in want.items():
-                        err = np.abs(dense_gradient(g, grads[name]) - g).max()
-                        assert err <= 1e-12 * np.abs(g).max(), (name, err)
+            assert_matches_the_full_catalog_backward(params, cfg, ds, batch)
+            # again with the table backward in blocks of a third of the touched items
+            # (CACHE_BLOCK // (m * max(h, F)) items a block), so in three or more
+            touched = len(np.unique(batch[:, 1:3]))
+            _, m, f = ds.padded_features.shape
+            per_item = m * max(cfg.attn_hidden_visual, f)
+            with monkeypatch.context() as patch:
+                patch.setattr(model, "CACHE_BLOCK", touched // 3 * per_item)
+                assert -(-touched // (model.CACHE_BLOCK // per_item)) >= 3
+                assert_matches_the_full_catalog_backward(params, cfg, ds, batch)
 
 
 class TestAdam:
