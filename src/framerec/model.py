@@ -166,8 +166,8 @@ def init_params(cfg: ModelConfig, dataset: Dataset) -> ModelParams:
 # budget sizes score_catalog's candidate blocks and score_frames' pair
 # blocks (see CATALOG_BLOCK), and in training the table backward's blocks of
 # CACHE_BLOCK // (m * max(h, F)) touched items (128 at M, where F=64; one
-# block at S) and sample_epoch's blocks of CACHE_BLOCK triples.  Each count
-# is at least one.  The blocks of a call run on up to one thread per CPU
+# block at S) and sample_epoch's blocks: CACHE_BLOCK // neg_ratio training
+# pairs to look up, CACHE_BLOCK triples to fill.  Each count is at least one.  The blocks of a call run on up to one thread per CPU
 # (_run_blocks), so the memory in flight is one block per thread, and the
 # budget is per core, not shared.
 CACHE_BLOCK = 1 << 16
@@ -215,13 +215,15 @@ def _run_blocks(run, size, step):
     the number of parts.  A sum across blocks is left to the caller, which
     adds the blocks' partial results in block order on its own thread, so
     that sum's bits do not depend on them either.  Runs serially on one
-    CPU, for a single block, and inside a pool thread (a ``run`` that
-    itself runs blocks), which would otherwise wait on the pool it occupies.
+    CPU, for a single block (without reading the CPU count, which costs a
+    system call), and inside a pool thread (a ``run`` that itself runs
+    blocks), which would otherwise wait on the pool it occupies.
     """
     global _workers
-    blocks, cpus = [slice(lo, lo + step) for lo in range(0, size, step)], _cpus()
+    blocks = [slice(lo, lo + step) for lo in range(0, size, step)]
+    cpus = 1 if len(blocks) < 2 or getattr(_in_worker, "flag", False) else _cpus()
     parts = min(cpus, len(blocks))
-    if parts < 2 or getattr(_in_worker, "flag", False):
+    if parts < 2:
         return [run(b) for b in blocks]
     with _workers_lock:
         if _workers is None:

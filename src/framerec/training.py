@@ -138,11 +138,12 @@ def sample_epoch(split: SplitDataset, neg_ratio: int, rng: np.random.Generator) 
     user has rated every item.
 
     The two draws, the uniforms and then the permutation, are made whole on
-    the calling thread.  The rest runs ``CACHE_BLOCK`` triples a block, the
-    blocks spread over the CPUs (``_run_blocks``): first the lookups, in
-    training-pair order, where a block's users ascend and the search keeps
-    to a small part of the ratings (the permuted order took twice as long
-    at M), then the rows, filled from the permutation.  Each block writes
+    the calling thread.  The rest runs in blocks spread over the CPUs
+    (``_run_blocks``): first the lookups, ``CACHE_BLOCK // neg_ratio``
+    training pairs' triples a block in training-pair order, where a block's
+    users ascend and the search keeps to a small part of the ratings (in
+    the permuted order the lookups took twice as long at M), then the rows,
+    ``CACHE_BLOCK`` a block, filled from the permutation.  Each block writes
     only its own slice, so the bytes are those of the permuted whole-epoch
     draw at any block size or thread count.
     """
@@ -161,18 +162,21 @@ def sample_epoch(split: SplitDataset, neg_ratio: int, rng: np.random.Generator) 
     draws = rng.random(n)
     negs = np.empty(n, dtype=np.int64)
 
-    def lookup(b):
-        users = train[:, 0].take(np.arange(b.start, min(b.stop, n)) // neg_ratio)
-        k = (draws[b] * pool[users]).astype(np.int64)  # below the pool size
-        negs[b] = base.unrated_items(users, k)
+    def lookup(b):  # a block of training pairs and their neg_ratio times as many triples
+        span = slice(b.start * neg_ratio, b.stop * neg_ratio)
+        users = np.repeat(train[b, 0], neg_ratio)
+        k = (draws[span] * pool[users]).astype(np.int64)  # below the pool size
+        negs[span] = base.unrated_items(users, k)
 
-    _run_blocks(lookup, n, model.CACHE_BLOCK)
+    _run_blocks(lookup, len(train), max(1, model.CACHE_BLOCK // neg_ratio))
     perm = rng.permutation(n)
     triples = np.empty((n, 3), dtype=np.int64)
 
     def fill(b):
         source = perm[b]
-        triples[b, :2] = train.take(source // neg_ratio, axis=0)
+        pair = source // neg_ratio
+        triples[b, 0] = train[:, 0].take(pair)
+        triples[b, 1] = train[:, 1].take(pair)
         triples[b, 2] = negs.take(source)
 
     _run_blocks(fill, n, model.CACHE_BLOCK)
@@ -369,12 +373,15 @@ def _table_backward(params, cfg, dataset, table, rows, gx, grads):
     part of the projection's gradient is ``gx[b].T @ table.pooled[rows[b]]``.
     Attention additionally feeds its weight network: a block forms ``s``
     and ``tau``, writes its rows of the query half's pre-activation
-    gradient, and returns its parts of the ``attn_out`` and query-half
+    gradient, and forms its parts of the ``attn_out`` and query-half
     gradients and of the key half's, which acts on raw features through the
     folded weight ``attn_hidden[:, d1:] @ attn_reduce``, as one (h, F)
-    array.  The calling thread adds each tensor's parts in block order, so
-    no bit depends on the thread count, then chains the folded key's sum
-    into both factors.  The two row-wise products that lead to the item
+    array.  The first block adds its parts into the totals themselves
+    (zero until then), so a call of one block makes no parts; every other
+    block forms them in zeros of its own and returns them, and the calling
+    thread adds them to the totals in block order once every block is done,
+    so no bit depends on the thread count.  Then it chains the folded key's
+    sum into both factors.  The two row-wise products that lead to the item
     factors' gradient, ``gx @ visual_proj`` and the query gradient times its
     weight half, run over all the rows at once: in a block of one row they
     would go through a matrix-vector kernel, which rounds apart, so this way
@@ -385,34 +392,33 @@ def _table_backward(params, cfg, dataset, table, rows, gx, grads):
     _, m, f = dataset.padded_features.shape
     h, k = params.attn_hidden.shape[0], cfg.d1
     attention = cfg.visual_mode == VISUAL_ATT
+    totals = [grads["visual_proj"]]
     if attention:
         dpooled = gx @ params.visual_proj  # d(loss)/d(pooled), (len(rows), F)
         dh_query = np.empty((len(rows), h))
+        dfold = np.zeros((h, f))
+        totals += [grads["attn_out"], grads["attn_hidden"][:, :k], dfold]
 
     def block(b):
+        # the first block adds into the totals, which no other block touches
+        parts = totals if b.start == 0 else [np.zeros_like(t) for t in totals]
         r, g = rows[b], gx[b]
-        dproj = g.T @ table.pooled.take(r, axis=0)
-        if not attention:
-            return (dproj,)
-        alpha = table.alpha.take(r, axis=0)
-        feats = dataset.padded_features.take(r, axis=0)  # (R, m, F)
-        s = (feats @ dpooled[b, :, None])[:, :, 0]  # d(loss)/d(alpha)
-        sbar = (alpha * s).sum(axis=1, keepdims=True)
-        tau = alpha * (s - sbar)  # gradient w.r.t. the attention logits
-        dout, dq, dfold = np.zeros(h), np.zeros((h, k)), np.zeros((h, f))
-        dh_query[b] = _attention_mlp_backward(
-            params.attn_out, table.hidden_relu.take(r, axis=0), tau, dout,
-            ((params.item_collab.take(r, axis=0)[:, None], dq), (feats, dfold)),
-        )[0][:, 0]
-        return dproj, dout, dq, dfold
+        parts[0] += g.T @ table.pooled.take(r, axis=0)
+        if attention:
+            alpha = table.alpha.take(r, axis=0)
+            feats = dataset.padded_features.take(r, axis=0)  # (R, m, F)
+            s = (feats @ dpooled[b, :, None])[:, :, 0]  # d(loss)/d(alpha)
+            sbar = (alpha * s).sum(axis=1, keepdims=True)
+            tau = alpha * (s - sbar)  # gradient w.r.t. the attention logits
+            dh_query[b] = _attention_mlp_backward(
+                params.attn_out, table.hidden_relu.take(r, axis=0), tau, parts[1],
+                ((params.item_collab.take(r, axis=0)[:, None], parts[2]), (feats, parts[3])),
+            )[0][:, 0]
+        return parts
 
-    parts = _run_blocks(block, len(rows), max(1, model.CACHE_BLOCK // (m * max(h, f))))
-    sums = [grads["visual_proj"]]
-    if attention:
-        dfold = np.zeros((h, f))
-        sums += [grads["attn_out"], grads["attn_hidden"][:, :k], dfold]
-    for part in parts:  # in block order
-        for total, p in zip(sums, part):
+    blocks = _run_blocks(block, len(rows), max(1, model.CACHE_BLOCK // (m * max(h, f))))
+    for parts in blocks[1:]:  # in block order
+        for total, p in zip(totals, parts):
             total += p
     if not attention:
         return 0.0

@@ -363,6 +363,28 @@ class TestTouchedRowBackward:
                 assert -(-touched // (model.CACHE_BLOCK // per_item)) >= 3
                 assert_matches_the_full_catalog_backward(params, cfg, ds, batch)
 
+    @pytest.mark.parametrize("fusion", ["sum", "att"])
+    def test_the_factor_gradients_keep_their_bits_in_blocks(self, fusion, s_split, monkeypatch):
+        """Only the weight gradients add parts across the table backward's blocks: the
+        factors' gradients have the one block's bytes at any block size, blocks of
+        one touched item included, whose row products would round apart."""
+        cfg = ModelConfig(d1=8, d2=8, attn_hidden_visual=8, attn_hidden_rating=8,
+                          reduced_visual_dim=8, fusion_mode=fusion, seed=1)
+        base = s_split.base
+        params = init_params(cfg, base)
+        batch = sample_epoch(s_split, 10, np.random.default_rng(2))[:512]
+        table = item_visual_table(params, cfg, base)  # the forward's blocks stay as they are
+        want = batch_gradients(params, cfg, base, batch, table=table)[1]
+        touched = len(np.unique(batch[:, 1:3]))
+        per_item = 5 * max(cfg.attn_hidden_visual, base.feature_dim)
+        assert model.CACHE_BLOCK // per_item >= touched  # one block
+        for items in (1, touched - 1):  # every block of one item; one left over
+            monkeypatch.setattr(model, "CACHE_BLOCK", items * per_item)
+            got = batch_gradients(params, cfg, base, batch, table=table)[1]
+            for name in EMBEDDINGS:
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(got[name], want[name])), \
+                    (items, name)
+
 
 class TestAdam:
     def test_first_step_hand_value(self):
