@@ -167,9 +167,10 @@ def init_params(cfg: ModelConfig, dataset: Dataset) -> ModelParams:
 # blocks (see CATALOG_BLOCK), and in training the table backward's blocks of
 # CACHE_BLOCK // (m * max(h, F)) touched items (128 at M, where F=64; one
 # block at S) and sample_epoch's blocks: CACHE_BLOCK // neg_ratio training
-# pairs to look up, CACHE_BLOCK triples to fill.  Each count is at least one.  The blocks of a call run on up to one thread per CPU
-# (_run_blocks), so the memory in flight is one block per thread, and the
-# budget is per core, not shared.
+# pairs to look up, CACHE_BLOCK triples to fill.  Each count is at least
+# one.  The blocks of a call run on up to one thread per CPU (_run_blocks),
+# so the memory in flight is one block per thread, and the budget is per
+# core, not shared.
 CACHE_BLOCK = 1 << 16
 
 

@@ -38,9 +38,9 @@ Two pieces of a step run in blocks on up to one thread per CPU, through
 the forward's runner (``model._run_blocks``) and sized by its budget
 (``model.CACHE_BLOCK``): the visual table's backward, a block of touched
 items at a time, and ``sample_epoch``'s negative lookup and column fills, a
-block of triples at a time.  A block writes only its own rows; a sum
-across blocks adds the blocks' partial results in block order on the
-calling thread, so no bit depends on the thread count.
+block of training pairs or triples at a time.  A block writes only its own
+rows; a sum across blocks adds the blocks' partial results in block order
+on the calling thread, so no bit depends on the thread count.
 """
 
 from __future__ import annotations
@@ -373,52 +373,51 @@ def _table_backward(params, cfg, dataset, table, rows, gx, grads):
     part of the projection's gradient is ``gx[b].T @ table.pooled[rows[b]]``.
     Attention additionally feeds its weight network: a block forms ``s``
     and ``tau``, writes its rows of the query half's pre-activation
-    gradient, and forms its parts of the ``attn_out`` and query-half
+    gradient, and returns its parts of the ``attn_out`` and query-half
     gradients and of the key half's, which acts on raw features through the
     folded weight ``attn_hidden[:, d1:] @ attn_reduce``, as one (h, F)
-    array.  The first block adds its parts into the totals themselves
-    (zero until then), so a call of one block makes no parts; every other
-    block forms them in zeros of its own and returns them, and the calling
-    thread adds them to the totals in block order once every block is done,
-    so no bit depends on the thread count.  Then it chains the folded key's
-    sum into both factors.  The two row-wise products that lead to the item
-    factors' gradient, ``gx @ visual_proj`` and the query gradient times its
-    weight half, run over all the rows at once: in a block of one row they
-    would go through a matrix-vector kernel, which rounds apart, so this way
-    the item factors' gradient has the same bits at any block size.
+    array, each in zeros of its own.  The calling thread adds each tensor's
+    parts in block order once every block is done, so no bit depends on the
+    thread count, then chains the folded key's sum into both factors.  The
+    two row-wise products that lead to the item factors' gradient, ``gx @
+    visual_proj`` and the query gradient times its weight half, run over
+    all the rows at once: in a block of one row they would go through a
+    matrix-vector kernel, which rounds apart, so this way the item factors'
+    gradient has the same bits at any block size.
     Returns the (len(rows), d1) gradient w.r.t. the rows' item factors,
     which act as attention queries (0.0 in mean mode).
     """
     _, m, f = dataset.padded_features.shape
     h, k = params.attn_hidden.shape[0], cfg.d1
     attention = cfg.visual_mode == VISUAL_ATT
-    totals = [grads["visual_proj"]]
     if attention:
         dpooled = gx @ params.visual_proj  # d(loss)/d(pooled), (len(rows), F)
         dh_query = np.empty((len(rows), h))
-        dfold = np.zeros((h, f))
-        totals += [grads["attn_out"], grads["attn_hidden"][:, :k], dfold]
 
     def block(b):
-        # the first block adds into the totals, which no other block touches
-        parts = totals if b.start == 0 else [np.zeros_like(t) for t in totals]
         r, g = rows[b], gx[b]
-        parts[0] += g.T @ table.pooled.take(r, axis=0)
-        if attention:
-            alpha = table.alpha.take(r, axis=0)
-            feats = dataset.padded_features.take(r, axis=0)  # (R, m, F)
-            s = (feats @ dpooled[b, :, None])[:, :, 0]  # d(loss)/d(alpha)
-            sbar = (alpha * s).sum(axis=1, keepdims=True)
-            tau = alpha * (s - sbar)  # gradient w.r.t. the attention logits
-            dh_query[b] = _attention_mlp_backward(
-                params.attn_out, table.hidden_relu.take(r, axis=0), tau, parts[1],
-                ((params.item_collab.take(r, axis=0)[:, None], parts[2]), (feats, parts[3])),
-            )[0][:, 0]
-        return parts
+        dproj = g.T @ table.pooled.take(r, axis=0)
+        if not attention:
+            return (dproj,)
+        alpha = table.alpha.take(r, axis=0)
+        feats = dataset.padded_features.take(r, axis=0)  # (R, m, F)
+        s = (feats @ dpooled[b, :, None])[:, :, 0]  # d(loss)/d(alpha)
+        sbar = (alpha * s).sum(axis=1, keepdims=True)
+        tau = alpha * (s - sbar)  # gradient w.r.t. the attention logits
+        dout, dq, dfold = np.zeros(h), np.zeros((h, k)), np.zeros((h, f))
+        dh_query[b] = _attention_mlp_backward(
+            params.attn_out, table.hidden_relu.take(r, axis=0), tau, dout,
+            ((params.item_collab.take(r, axis=0)[:, None], dq), (feats, dfold)),
+        )[0][:, 0]
+        return dproj, dout, dq, dfold
 
-    blocks = _run_blocks(block, len(rows), max(1, model.CACHE_BLOCK // (m * max(h, f))))
-    for parts in blocks[1:]:  # in block order
-        for total, p in zip(totals, parts):
+    parts = _run_blocks(block, len(rows), max(1, model.CACHE_BLOCK // (m * max(h, f))))
+    totals = [grads["visual_proj"]]
+    if attention:
+        dfold = np.zeros((h, f))
+        totals += [grads["attn_out"], grads["attn_hidden"][:, :k], dfold]
+    for part in parts:  # in block order
+        for total, p in zip(totals, part):
             total += p
     if not attention:
         return 0.0
