@@ -142,7 +142,7 @@ def sample_epoch(split: SplitDataset, neg_ratio: int, rng: np.random.Generator) 
     (``_run_blocks``): first the lookups, ``CACHE_BLOCK // neg_ratio``
     training pairs' triples a block in training-pair order, where a block's
     users ascend and the search keeps to a small part of the ratings (in
-    the permuted order the lookups took twice as long at M), then the rows,
+    the permuted order the whole draw took twice as long at M), then the rows,
     ``CACHE_BLOCK`` a block, filled from the permutation.  Each block writes
     only its own slice, so the bytes are those of the permuted whole-epoch
     draw at any block size or thread count.
