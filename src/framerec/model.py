@@ -10,6 +10,8 @@ by a learned two-way attention.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import hashlib
 import json
 import math
@@ -163,14 +165,15 @@ def init_params(cfg: ModelConfig, dataset: Dataset) -> ModelParams:
 # one small product per item, and at M (3,000 items, m=8, h=32) those took
 # 276 us against about 95 us for 256-item blocks read from L2 (one core of a
 # 2-vCPU host).  At S (m=5, h=8) the whole table is one block.  The same
-# budget sizes score_catalog's candidate blocks and score_frames' pair
-# blocks (see CATALOG_BLOCK), and in training the table backward's blocks of
-# CACHE_BLOCK // (m * max(h, F)) touched items (128 at M, where F=64; one
-# block at S) and sample_epoch's blocks: CACHE_BLOCK // neg_ratio training
-# pairs to look up, CACHE_BLOCK triples to fill.  Each count is at least
-# one.  The blocks of a call run on up to one thread per CPU (_run_blocks),
-# so the memory in flight is one block per thread, and the budget is per
-# core, not shared.
+# budget sizes every other block: score_catalog's candidate and every-item
+# user blocks, score_frames' pair blocks (see the note above score_catalog),
+# the synthetic teacher's frame-like blocks of CACHE_BLOCK // (m * d) rated
+# pairs, and in training the table backward's blocks of CACHE_BLOCK // (m *
+# max(h, F)) touched items (128 at M, where F=64; one block at S) and
+# sample_epoch's blocks: CACHE_BLOCK // neg_ratio training pairs to look up,
+# CACHE_BLOCK triples to fill.  Each count is at least one.  The blocks of a
+# call run on up to one thread per CPU (_run_blocks), so the memory in
+# flight is one block per thread, and the budget is per core, not shared.
 CACHE_BLOCK = 1 << 16
 
 
@@ -180,6 +183,39 @@ def _cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def _pin_blas() -> bool:
+    """Pin numpy's bundled OpenBLAS to one thread; True if it now runs one.
+
+    The blocks of a call run on one thread per CPU (``_run_blocks``), so a
+    BLAS that ran threads of its own would compete with them for the same
+    CPUs, and its products would round by its thread count.  numpy's wheel
+    bundles its OpenBLAS under ``numpy.libs``, with the thread setter and
+    getter exported under build-specific names, looked up here.  Without
+    that library or those symbols (another BLAS, another build) BLAS keeps
+    its own threads, as the environment sets them, and the call returns
+    False.  The setting is the process's: it holds for every caller of
+    numpy's BLAS, and in a forked child.
+    """
+    libs = os.path.join(os.path.dirname(np.__file__) + ".libs", "libscipy_openblas64_*")
+    for path in sorted(glob.glob(libs)):
+        try:
+            lib = ctypes.CDLL(path)  # the library numpy loaded, not a second copy
+            set_threads = lib.scipy_openblas_set_num_threads64_
+            get_threads = lib.scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        set_threads(1)
+        return get_threads() == 1
+    return False
+
+
+# Pinned at import, not at the first parallel call, so that every product,
+# in a single block or in many, rounds alike from the first call on.
+_blas_pinned = _pin_blas()
 
 
 _workers = None  # this process's block threads, made by its first parallel call
@@ -507,16 +543,17 @@ def score_pairs(
 # in 20-user ones.
 # score_frames scores CACHE_BLOCK // d2 (user, frame) pairs a block, so each
 # of its two gathered (rows, d2) operands holds at most as many.  Against
-# every item, score_catalog scores CATALOG_BLOCK // (N * attn_hidden_rating)
-# users a block, which works on (rows, N) planes, one fusion hidden unit at a
-# time, so that its intermediates are a few planes of CATALOG_BLOCK // h
-# elements.  That budget stays its own because others measured slower: the
-# synthetic generator at M (2000 users x 3000 items, d = h = 8, seed 11, one
-# BLAS thread, median of 7) took 202 ms at 2^18, 246 ms at 2^16 and 215 ms
-# at 2^20 on one CPU, but 150 ms at 2^18, 340 ms at 2^16 and 139 ms at 2^20
-# with its blocks on two (2-vCPU host).  Each count is at least one.  Scores
-# do not depend on them.
-CATALOG_BLOCK = 1 << 18
+# every item, a block works on (rows, N) planes, forming the fusion logits
+# one hidden unit at a time, so it is sized by its planes, not by h: it
+# holds min(CACHE_BLOCK // N, ceil(users / CPUs)) users, so that each plane
+# holds at most CACHE_BLOCK floats and a call with enough users keeps at
+# least one block per CPU.  That is 21 users at M (N = 3,000) and 100 of
+# S's 200 on two CPUs (N = 300).  The rule it replaced, 2^18 // (N * h)
+# users, gave 2 users at h = 32, whose dozens of small numpy calls a block
+# made a second CPU slower than one; on a 2-vCPU host the CLI's M test
+# evaluation (1,000 negatives x 10 repeats) went from 629 ms on one CPU and
+# 876 ms on two to 454 and 239 ms.  Each count is at least one.  Scores do
+# not depend on them.
 
 
 def score_catalog(users, params: ModelParams, cfg: ModelConfig, dataset: Dataset,
@@ -535,11 +572,13 @@ def score_catalog(users, params: ModelParams, cfg: ModelConfig, dataset: Dataset
     item-side arrays are transposed once to item-major form and a block
     works on (rows, N) planes, forming each fusion logit one hidden unit at
     a time; a block of candidates gathers the item rows it needs.  A block
-    holds ``CATALOG_BLOCK // (N * attn_hidden_rating)`` users against every
-    item, and ``CACHE_BLOCK // (C * attn_hidden_rating)`` against
-    candidates (at least one either way).  The blocks are spread over the
-    CPUs (``_run_blocks``), in parts of consecutive blocks, so memory in
-    flight is one block per thread.  With
+    holds ``min(CACHE_BLOCK // N, ceil(len(users) / _cpus()))`` users
+    against every item, so that each of its planes holds at most
+    ``CACHE_BLOCK`` floats whatever the hidden size, and a call with enough
+    users has a block for each CPU; against candidates it holds ``CACHE_BLOCK
+    // (C * attn_hidden_rating)`` users (at least one either way).  The
+    blocks are spread over the CPUs (``_run_blocks``), in parts of
+    consecutive blocks, so memory in flight is one block per thread.  With
     ``keep``, returns ``keep(block, rows)`` stacked over the blocks instead,
     ``rows`` being the slice of ``users`` the block scores, so that only
     what it keeps of each block is held.  ``keep`` runs on several threads
@@ -572,7 +611,7 @@ def score_catalog(users, params: ModelParams, cfg: ModelConfig, dataset: Dataset
         w_user, w_item = params.fusion_hidden[:, :cfg.d1].T, params.fusion_hidden[:, cfg.d1:].T
         halves = [(np.einsum("ud,dh->uh", u, w_user), i @ w_item) for u, i in channels]
     if items is None:
-        rows = max(1, CATALOG_BLOCK // (dataset.num_items * cfg.attn_hidden_rating))
+        rows = max(1, min(CACHE_BLOCK // dataset.num_items, -(-len(users) // _cpus())))
         dots, logits = _every_item_blocks(channels, halves, params.fusion_out)
     else:
         rows = max(1, CACHE_BLOCK // (items.shape[1] * cfg.attn_hidden_rating))

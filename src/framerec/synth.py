@@ -19,6 +19,7 @@ import numpy as np
 
 from .data import Dataset, _pair_array, check_dataset
 from .errors import ConfigError, check_integers, check_seed
+from . import model
 from .model import FUSION_ATT, VISUAL_ATT, ModelConfig, ModelParams, score_catalog
 
 
@@ -149,17 +150,32 @@ def planted_frame_likes(planted: PlantedModel, dataset: Dataset, k: int) -> np.n
     Scores only the rated pairs' frames, by the visual channel alone.  Ties
     break toward the smaller frame id.  Returns the (user, frame) likes of
     all ratings as sorted (L, 2) int64 rows; split_ratings keeps the test ones.
+    The frame table is projected once; then ``CACHE_BLOCK // (m * d)``
+    rated pairs a block (at least one), the blocks spread over the CPUs
+    (``model._run_blocks``), each block gathers and scores its own pairs'
+    (pairs, m, d) frames, sorts them and writes its own rows of the top
+    frames, so memory in flight is one block per thread.  A pair's scores
+    and sort are its own, so neither the blocks nor the threads move a like.
     """
     ids, mask, _ = dataset.frame_table
     users, items = dataset.ratings.T
+    user_visual = planted.params.user_visual
     frame_emb = dataset.frame_features @ planted.params.visual_proj.T  # (L, d)
-    frames = ids[items]  # (pairs, m), each row in ascending frame id
-    scores = np.einsum("pd,pmd->pm", planted.params.user_visual[users], frame_emb[frames])
-    keys = np.where(mask[items], -scores, np.inf)
-    top = np.argsort(keys, axis=1, kind="stable")[:, :k]  # ties keep the smaller id first
-    liked = np.take_along_axis(keys, top, axis=1) < np.inf
+    top = np.empty((len(users), k), dtype=ids.dtype)
+    liked = np.empty((len(users), k), dtype=bool)
+
+    def block(b):
+        frames = ids[items[b]]  # (pairs, m), each row in ascending frame id
+        scores = np.einsum("pd,pmd->pm", user_visual[users[b]], frame_emb[frames])
+        keys = np.where(mask[items[b]], -scores, np.inf)
+        order = np.argsort(keys, axis=1, kind="stable")[:, :k]  # ties keep the smaller id first
+        liked[b] = np.take_along_axis(keys, order, axis=1) < np.inf
+        top[b] = np.take_along_axis(frames, order, axis=1)
+
+    step = max(1, model.CACHE_BLOCK // (ids.shape[1] * frame_emb.shape[1]))
+    model._run_blocks(block, len(users), step)
     return _pair_array(np.column_stack([np.broadcast_to(users[:, None], top.shape)[liked],
-                                        np.take_along_axis(frames, top, axis=1)[liked]]))
+                                        top[liked]]))
 
 
 def generate_synthetic(cfg: SynthConfig):

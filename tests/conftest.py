@@ -97,3 +97,29 @@ def traced_peak(fn):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def every_item_blocks(monkeypatch, module):
+    """Spy on the every-item ``score_catalog`` calls that ``module`` makes with a ``keep``.
+
+    Returns a list that gets one list per such call: the sizes of the user
+    blocks its ``keep`` saw, in block order.
+    """
+    calls, real = [], module.score_catalog
+
+    def spy(users, *args, keep=None, items=None, **kw):
+        if keep is None or items is not None:
+            return real(users, *args, keep=keep, items=items, **kw)
+        seen = []
+
+        def seen_keep(scores, rows):
+            seen.append((rows.start, len(scores)))  # blocks run on several threads
+            return keep(scores, rows)
+
+        try:
+            return real(users, *args, keep=seen_keep, **kw)
+        finally:
+            calls.append([size for _, size in sorted(seen)])
+
+    monkeypatch.setattr(module, "score_catalog", spy)
+    return calls

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import reference
-from conftest import traced_peak
+from conftest import every_item_blocks, traced_peak
 from framerec import cli, evaluation, model
 from framerec.data import Dataset, split_ratings
 from framerec.errors import (
@@ -114,11 +114,10 @@ class TestItemEvaluation:
         pool runs on a one-CPU host too), in all six modes, on the candidate
         path (3 negatives) and the catalog path (8); another seed draws others."""
         split, _ = synth_split(seed=3)
-        cfg = make_cfg()
-        h, n = cfg.attn_hidden_rating, split.base.num_items
-        # several blocks a call: 3 catalog users, 2 candidate users of 4, 2 table items
-        monkeypatch.setattr(model, "CATALOG_BLOCK", 3 * n * h)
-        monkeypatch.setattr(model, "CACHE_BLOCK", 2 * 4 * h)
+        # several blocks a call: 3 catalog users (75 // 25 items), 4 candidate
+        # users of 4 (75 // (4 * h)), 4 table items of 25 (75 // (m * h))
+        monkeypatch.setattr(model, "CACHE_BLOCK", 3 * split.base.num_items)
+        catalog_calls = every_item_blocks(monkeypatch, evaluation)
         for visual in VISUAL_MODES:
             for fusion in FUSION_MODES:
                 cfg = replace(make_cfg(), visual_mode=visual, fusion_mode=fusion)
@@ -134,37 +133,47 @@ class TestItemEvaluation:
                         assert other.to_tsv() == reports[0].to_tsv()
                     d = evaluate_item_rec(params, cfg, split, **{**kw, "seed": 6})
                     assert d.hr != reports[0].hr or d.ndcg != reports[0].ndcg
+        assert catalog_calls and all(len(c) > 2 and max(c) == 3 for c in catalog_calls)
 
     # 3 negatives x 3 repeats score candidates; 8 and 10 000 score the catalog
     @pytest.mark.parametrize("n_negatives", [3, 8, 10_000])
     def test_scoring_blocks_do_not_change_the_report(self, monkeypatch, n_negatives):
         split, _ = synth_split(seed=3)
         kw = dict(k_list=(1, 5), n_negatives=n_negatives, repeats=3, seed=4)
+        # two CPUs on any host, so that a default catalog call splits its users in two
+        monkeypatch.setattr(model, "_cpus", lambda: 2)
         for visual in VISUAL_MODES:
             for fusion in FUSION_MODES:
                 cfg = replace(make_cfg(), visual_mode=visual, fusion_mode=fusion)
                 params = init_params(cfg, split.base)
-                default = evaluate_item_rec(params, cfg, split, **kw)
+                with monkeypatch.context() as m:
+                    catalog_calls = every_item_blocks(m, evaluation)
+                    default = evaluate_item_rec(params, cfg, split, **kw)
+                # the default budget holds every catalog user: two blocks on two CPUs
+                assert all(len(c) == 2 for c in catalog_calls)
                 # one pair per draw chunk, one user per score_catalog block
-                # (CATALOG_BLOCK against every item, CACHE_BLOCK against
-                # candidates, which also builds the visual table one item a
-                # block), and both at once; three catalog users per
-                # block, with 8-pair draw chunks; and 8-pair draw chunks whose
-                # 4-candidate rows are scored 3, 3 and 2 at a time
+                # (CACHE_BLOCK against every item and against candidates,
+                # which also builds the visual table one item a block), and
+                # both at once; three catalog users per block (75 // 25
+                # items), with 8-pair draw chunks; and 8-pair draw chunks
+                # whose 4-candidate rows are scored 3, 3 and 2 at a time
                 n = split.base.num_items
-                one_user = {"CATALOG_BLOCK": 1, "CACHE_BLOCK": 1}
-                for blocks in ({"DRAW_BLOCK": 1}, one_user, {**one_user, "DRAW_BLOCK": 1},
-                               {"CATALOG_BLOCK": 3 * n * cfg.attn_hidden_rating,
-                                "DRAW_BLOCK": 200},
-                               {"CACHE_BLOCK": 3 * 4 * cfg.attn_hidden_rating,
-                                "DRAW_BLOCK": 200}):
+                one_user = {"CACHE_BLOCK": 1}
+                for blocks, users in (({"DRAW_BLOCK": 1}, None), (one_user, 1),
+                                      ({**one_user, "DRAW_BLOCK": 1}, 1),
+                                      ({"CACHE_BLOCK": 3 * n, "DRAW_BLOCK": 200}, 3),
+                                      ({"CACHE_BLOCK": 3 * 4 * cfg.attn_hidden_rating,
+                                        "DRAW_BLOCK": 200}, 1)):
                     with monkeypatch.context() as m:
                         for name, value in blocks.items():
                             m.setattr(evaluation if name == "DRAW_BLOCK" else model,
                                       name, value)
+                        catalog_calls = every_item_blocks(m, evaluation)
                         blocked = evaluate_item_rec(params, cfg, split, **kw)
                     assert blocked.to_dict() == default.to_dict(), (visual, fusion, blocks)
                     assert blocked.to_tsv() == default.to_tsv()
+                    if users is not None:  # each catalog call in several blocks of that many
+                        assert all(len(c) > 2 and max(c) == users for c in catalog_calls)
 
     def test_negative_count_must_be_positive(self):
         split, planted = synth_split(seed=3)
@@ -313,11 +322,15 @@ class TestCatalogScoring:
         split, _ = synth_split(seed=3)
         cfg = replace(make_cfg(), visual_mode=visual, fusion_mode=fusion)
         params = init_params(cfg, split.base)
+        monkeypatch.setattr(model, "_cpus", lambda: 2)
         if block is not None:
-            monkeypatch.setattr(model, "CATALOG_BLOCK",
-                                block * split.base.num_items * cfg.attn_hidden_rating)
+            monkeypatch.setattr(model, "CACHE_BLOCK", block * split.base.num_items)
+        catalog_calls = every_item_blocks(monkeypatch, evaluation)
         kw = dict(k_list=(1, 3, 5), n_negatives=n_negatives, repeats=repeats, seed=4)
         got = evaluate_item_rec(params, cfg, split, **kw)
+        # the default budget splits a call's users in two, one block per CPU
+        assert all(len(c) == 2 if block is None else max(c) == block and len(c) > 2
+                   for c in catalog_calls)
         oracles = [reference.protocol_item_eval]
         if got.warnings:  # every pool exhausted: 17 unrated items of 25
             oracles.append(reference.sampled_item_eval)
@@ -329,8 +342,9 @@ class TestCatalogScoring:
     def test_exhausted_pool_scores_each_block_user_once(self, monkeypatch):
         split, planted = synth_split(seed=3)
         # 3 users per score_catalog block, which then holds a run of their pairs
-        monkeypatch.setattr(model, "CATALOG_BLOCK",
-                            3 * split.base.num_items * planted.cfg.attn_hidden_rating)
+        monkeypatch.setattr(model, "CACHE_BLOCK", 3 * split.base.num_items)
+        monkeypatch.setattr(model, "_cpus", lambda: 1)
+        catalog_calls = every_item_blocks(monkeypatch, evaluation)
         counts = rows_scored(monkeypatch)
         rep = evaluate_item_rec(planted.params, planted.cfg, split,
                                 n_negatives=10_000, repeats=10)
@@ -339,6 +353,8 @@ class TestCatalogScoring:
         assert len(users) > len(np.unique(users))  # some user holds several pairs
         assert counts["catalog"] == [len(np.unique(users)) * split.base.num_items]
         assert counts["candidates"] == []
+        blocks = -(-len(np.unique(users)) // 3)
+        assert blocks > 2 and catalog_calls == [[3] * (blocks - 1) + [catalog_calls[0][-1]]]
 
     def test_few_negatives_score_their_candidates(self, monkeypatch):
         split, planted = synth_split(seed=3, num_items=150)

@@ -586,17 +586,23 @@ class TestCatalogScoring:
     @pytest.mark.parametrize("visual,fusion,hidden", HIDDEN_CASES)
     def test_user_blocks_change_no_bit(self, monkeypatch, visual, fusion, hidden):
         params, cfg, ds, users = catalog_instance(visual, fusion, hidden)
-        default = score_catalog(users, params, cfg, ds)
+        # the table is built once: CACHE_BLOCK also sizes its item blocks
+        table = item_visual_table(params, cfg, ds)
+        monkeypatch.setattr(model, "_cpus", lambda: 1)
+        assert model.CACHE_BLOCK // ds.num_items >= len(users)  # one block on one CPU
+        default = score_catalog(users, params, cfg, ds, table=table)
         assert default.shape == (len(users), ds.num_items)
-        per_user = ds.num_items * cfg.attn_hidden_rating
-        assert model.CATALOG_BLOCK // per_user >= len(users)  # one block
         for rows in (1, 7):
-            monkeypatch.setattr(model, "CATALOG_BLOCK", rows * per_user)
-            assert score_catalog(users, params, cfg, ds).tobytes() == default.tobytes()
+            monkeypatch.setattr(model, "CACHE_BLOCK", rows * ds.num_items)
+            got = score_catalog(users, params, cfg, ds, table=table)
+            assert got.tobytes() == default.tobytes()
         # keep learns each block's slice of users: 7, 7, ... and the last 3
-        kept = score_catalog(users, params, cfg, ds,
-                             keep=lambda block, rows: np.column_stack([block[:, :2], users[rows]]))
+        sizes = []
+        kept = score_catalog(users, params, cfg, ds, table=table,
+                             keep=lambda block, rows: sizes.append(len(block))
+                             or np.column_stack([block[:, :2], users[rows]]))
         assert kept.tobytes() == np.column_stack([default[:, :2], users]).tobytes()
+        assert sizes == [7] * 6 + [3]
 
     @pytest.mark.parametrize("visual,fusion,hidden", HIDDEN_CASES)
     def test_scores_match_score_pairs(self, visual, fusion, hidden):
@@ -621,14 +627,16 @@ class TestCatalogScoring:
                                   items=None if items is None else items[row:row + 1])
             assert alone.tobytes() == together[row:row + 1].tobytes(), row
 
-    def test_peak_memory_holds_planes_not_a_hidden_array(self):
+    def test_peak_memory_holds_planes_not_a_hidden_array(self, monkeypatch):
         # at h = 32 one block's (rows, N, h) fusion hidden array alone is 32
-        # (rows, N) planes; the bound is the per-call copies plus 16 planes
+        # (rows, N) planes; the bound is the per-call copies plus 16 planes,
+        # with one block in flight on each of two CPUs
+        monkeypatch.setattr(model, "_cpus", lambda: 2)
         params, cfg, ds, _ = catalog_instance("att", "att", hidden=32)
         table = item_visual_table(params, cfg, ds)
         users = np.random.default_rng(4).integers(0, ds.num_users, size=400)
         h, n = cfg.attn_hidden_rating, ds.num_items
-        rows = model.CATALOG_BLOCK // (n * h)
+        rows = min(model.CACHE_BLOCK // n, -(-len(users) // 2))
         assert rows < len(users)  # more than one block
         # the item-major arrays, the users' rows and their fusion halves
         copies = 8 * (n + len(users)) * (cfg.d1 + cfg.d2 + 2 * h)
@@ -765,14 +773,15 @@ class TestCandidateScoring:
 def test_block_rules_at_m_shape(monkeypatch):
     """At M's shapes (d1 = d2 = 32 and both hidden sizes 32, m = 8 frames,
     3,000 items, 101 candidates a user) CACHE_BLOCK's 512 KiB give 256 table
-    items, 20 candidate users and 2,048 frame pairs a block, and the
-    every-item path keeps its own rule: CATALOG_BLOCK // (N * h), 2 users.
-    Blocks run on several threads in no fixed order, so the sizes are
-    compared sorted."""
+    items, 20 candidate users and 2,048 frame pairs a block, and against
+    every item min(CACHE_BLOCK // N, ceil(users / CPUs)) users: 21 of 45 on
+    two CPUs.  Blocks run on several threads in no fixed order, so the sizes
+    are compared sorted."""
     ds, _, _ = generate_synthetic(SynthConfig(num_users=50, num_items=3000, frames_per_item=8,
                                               feature_dim=4, ratings_per_user=5, seed=1))
     cfg = ModelConfig(seed=2)
     assert (cfg.d1, cfg.d2, cfg.attn_hidden_visual, cfg.attn_hidden_rating) == (32,) * 4
+    monkeypatch.setattr(model, "_cpus", lambda: 2)
     params, sizes = init_params(cfg, ds), []
 
     def spy(name, size):
@@ -793,7 +802,7 @@ def test_block_rules_at_m_shape(monkeypatch):
     assert sorted(sizes) == [5, 20, 20]
     sizes.clear()
     score_catalog(users, params, cfg, ds, table=table, keep=lambda block, rows: block[:, :1])
-    assert sorted(sizes) == [1] + [2] * 22
+    assert sorted(sizes) == [3, 21, 21]
 
     class TakeSpy:  # score_frames gathers a block's projected frames with np.take
         def __getattr__(self, name):
@@ -813,17 +822,17 @@ def test_block_rules_at_m_shape(monkeypatch):
 def block_outputs(visual, fusion):
     """The bytes of every blocked forward of ``catalog_instance``, several blocks each.
 
-    Under ``TestBlockThreads``' blocks: 5 table items, 2 candidate users (of
-    7 candidates) and 15 frame pairs, and the catalog users the caller sets;
-    the catalog keeps each block's best score and its first row.  Also
-    returns the names of the threads that ran ``keep``.
+    Under ``TestBlockThreads``' budget: 5 table items, 2 candidate users (of
+    7 candidates), 15 frame pairs and 3 catalog users a block, unless the
+    caller sets another; the catalog keeps each block's best score and its
+    users.  Also returns the names of the threads that ran ``keep``.
     """
     params, cfg, ds, users = catalog_instance(visual, fusion)
     threads = set()
 
     def keep(scores, rows):
         threads.add(threading.current_thread().name)
-        return np.column_stack([scores.max(axis=1), np.full(len(scores), rows.start)])
+        return np.column_stack([scores.max(axis=1), users[rows]])
 
     out = {"candidates": score_catalog(users, params, cfg, ds, items=candidate_matrix(ds, users)),
            "catalog": score_catalog(users, params, cfg, ds, keep=keep)}
@@ -853,14 +862,15 @@ class TestBlockThreads:
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
-        monkeypatch.setattr(model, "CACHE_BLOCK", 5 * 3 * 8)
-        monkeypatch.setattr(model, "CATALOG_BLOCK", 3 * 41 * 8)
+        # 123 floats: 3 catalog users of 41 items, 5 table items of 3 frames x 8
+        # hidden units, 2 users of 7 candidates x 8 and 15 frame pairs of d2 = 8
+        monkeypatch.setattr(model, "CACHE_BLOCK", 3 * 41)
 
     @pytest.mark.parametrize("visual,fusion", MODES)
     def test_the_bytes_do_not_depend_on_the_threads(self, monkeypatch, visual, fusion):
-        # catalog planes of 13 x 41 scores, large enough that numpy lets the
-        # other thread run while it fills them
-        monkeypatch.setattr(model, "CATALOG_BLOCK", 13 * 41 * 8)
+        # catalog planes of up to 13 x 41 scores, large enough that numpy lets
+        # the other thread run while it fills them (9 users a block on 5 CPUs)
+        monkeypatch.setattr(model, "CACHE_BLOCK", 13 * 41)
         monkeypatch.setattr(model, "_cpus", lambda: 1)
         serial, threads = block_outputs(visual, fusion)
         assert threads == {threading.current_thread().name}
@@ -871,6 +881,33 @@ class TestBlockThreads:
                 got, threads = block_outputs(visual, fusion)
                 assert got == serial, (cpus, [k for k in got if got[k] != serial[k]])
                 assert len(threads) >= 2  # the caller and the pool ran blocks
+
+    @pytest.mark.parametrize("visual,fusion", MODES)
+    def test_every_item_bytes_do_not_depend_on_the_cpus(self, monkeypatch, visual, fusion):
+        """Against every item a block holds min(CACHE_BLOCK // N, ceil(users / CPUs))
+        users, so the blocks follow the CPU count: 45 users in blocks of 30 and 15
+        on 1 CPU, 23 and 22 on 2, and 9 each on 5.  The scores keep their bytes, and
+        ``keep`` sees every user once, with its blocks stacked in order."""
+        params, cfg, ds, users = catalog_instance(visual, fusion)
+        table = item_visual_table(params, cfg, ds)  # CACHE_BLOCK also sizes its blocks
+        monkeypatch.setattr(model, "CACHE_BLOCK", 30 * ds.num_items)
+        scores = []
+        with switching_often():
+            for cpus, sizes in ((1, [30, 15]), (2, [23, 22]), (5, [9] * 5)):
+                monkeypatch.setattr(model, "_cpus", lambda: cpus)
+                scores.append(score_catalog(users, params, cfg, ds, table=table).tobytes())
+                seen = []
+
+                def keep(block, rows):
+                    seen.append((rows.start, len(block)))
+                    return np.column_stack([users[rows], block])
+
+                kept = score_catalog(users, params, cfg, ds, table=table, keep=keep)
+                assert [n for _, n in sorted(seen)] == sizes, cpus
+                assert [start for start, _ in sorted(seen)] == np.cumsum([0] + sizes[:-1]).tolist()
+                assert kept[:, 0].tolist() == users.tolist()
+                assert kept[:, 1:].tobytes() == scores[-1]
+        assert scores[1] == scores[0] and scores[2] == scores[0]
 
     @pytest.mark.parametrize("visual,fusion", MODES)
     def test_training_bytes_do_not_depend_on_the_threads(self, monkeypatch, visual, fusion):

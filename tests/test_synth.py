@@ -14,7 +14,7 @@ from framerec.synth import (
     planted_frame_likes,
 )
 
-from conftest import traced_peak
+from conftest import every_item_blocks, traced_peak
 from reference import planted_frame_scores, planted_item_scores, top_k_stable
 
 SMALL = dict(num_users=12, num_items=20, frames_per_item=4, feature_dim=6,
@@ -41,8 +41,11 @@ class TestGeneration:
 
     def test_user_blocks_do_not_change_the_dataset(self, monkeypatch):
         ds, likes, _ = generate_synthetic(SynthConfig(**SMALL))
-        monkeypatch.setattr(model, "CATALOG_BLOCK", 1)  # one user per block
+        # one user per every-item block, one item per table block, one pair per like block
+        monkeypatch.setattr(model, "CACHE_BLOCK", 1)
+        catalog_calls = every_item_blocks(monkeypatch, synth)
         one_ds, one_likes, _ = generate_synthetic(SynthConfig(**SMALL))
+        assert catalog_calls == [[1] * SMALL["num_users"]]
         assert np.array_equal(one_ds.ratings, ds.ratings) and np.array_equal(one_likes, likes)
 
     # integer scores in 0..3 over 30 items: every row ties across its k-th place
@@ -112,11 +115,13 @@ class TestGeneration:
     def test_data_is_pinned_on_two_threads(self, monkeypatch, name):
         """The pins hold when two threads score the user blocks (``model._cpus``
         patched, so that the pool runs on a one-CPU host too): the default
-        data's two blocks of 109 users, and the small data one user a block."""
+        data's two blocks of 100 users, and the small data one user a block."""
         monkeypatch.setattr(model, "_cpus", lambda: 2)
-        if name == "small":  # else one block
-            monkeypatch.setattr(model, "CATALOG_BLOCK", 1)
+        if name == "small":  # else one block per CPU
+            monkeypatch.setattr(model, "CACHE_BLOCK", 1)
+        catalog_calls = every_item_blocks(monkeypatch, synth)
         self.test_data_is_pinned(name)
+        assert catalog_calls == [[1] * SMALL["num_users"] if name == "small" else [100, 100]]
 
     def test_frame_likes_score_only_the_rated_pairs_frames(self):
         cfg = SynthConfig(num_users=400, num_items=1000, frames_per_item=20, feature_dim=16)
@@ -126,6 +131,22 @@ class TestGeneration:
                                                               cfg.frame_likes_per_pair))
         assert np.array_equal(again, likes)
         assert peak < dense_bytes / 2, (peak, dense_bytes)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_frame_likes_do_not_depend_on_the_blocks_or_the_cpus(self, monkeypatch, cpus):
+        """Blocks of 1, 7 and 16 rated pairs (``CACHE_BLOCK // (m * d)``), and one
+        block of all 60, give the default call's likes, on one CPU and on two."""
+        ds, likes, planted = generate_synthetic(SynthConfig(**SMALL))
+        monkeypatch.setattr(model, "_cpus", lambda: cpus)
+        steps, run_blocks = [], model._run_blocks
+        monkeypatch.setattr(model, "_run_blocks",
+                            lambda run, size, step: steps.append(step) or run_blocks(run, size, step))
+        per_pair = SMALL["frames_per_item"] * SMALL["latent_dim"]
+        for pairs in (1, 7, 16, 60):
+            monkeypatch.setattr(model, "CACHE_BLOCK", pairs * per_pair)
+            got = planted_frame_likes(planted, ds, SMALL["frame_likes_per_pair"])
+            assert got.tobytes() == likes.tobytes(), pairs
+        assert steps == [1, 7, 16, 60] and len(ds.ratings) == 60
 
     def test_ratings_never_hold_the_dense_score_matrix(self):
         cfg = SynthConfig(num_users=4000, num_items=1500, frames_per_item=1, feature_dim=2,

@@ -1,7 +1,11 @@
 """Loss values, sampling, gradients, the optimiser, and the fit loop."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -671,3 +675,41 @@ class TestFit:
                     {"patience": 0}, {"patience": -3}):
             with pytest.raises(ConfigError):
                 TrainConfig(**bad)
+
+
+# Four M training steps in a fresh process; prints the sha256 of the parameters.
+M_STEPS = """
+import hashlib
+import numpy as np
+from framerec import (ModelConfig, SynthConfig, TrainConfig, adam_step, batch_gradients,
+                      generate_synthetic, init_adam_state, init_params, sample_epoch, split_ratings)
+ds, _, _ = generate_synthetic(SynthConfig(num_users=2000, num_items=3000, frames_per_item=8,
+                                          feature_dim=64, seed=1))
+split = split_ratings(ds, 0.7, 0.1, seed=1)
+cfg, tcfg = ModelConfig(seed=1), TrainConfig(lr=0.01)
+params = init_params(cfg, ds)
+state = init_adam_state(params, cfg)
+triples = sample_epoch(split, 1, np.random.default_rng(1))
+for lo in range(0, 4 * 512, 512):
+    _, grads = batch_gradients(params, cfg, ds, triples[lo: lo + 512])
+    adam_step(params, grads, state, tcfg)
+print(hashlib.sha256(b"".join(t.tobytes() for t in params.tensors().values())).hexdigest())
+"""
+
+
+@pytest.mark.skipif(model._cpus() < 2, reason="needs 2 CPUs: on one, OpenBLAS runs one "
+                                                "thread whatever OPENBLAS_NUM_THREADS asks")
+@pytest.mark.skipif(not model._blas_pinned, reason="numpy's BLAS exports no thread setter "
+                                                   "that the package knows, so it is not pinned")
+def test_training_bytes_do_not_depend_on_the_blas_threads():
+    """The package pins numpy's OpenBLAS to one thread at import, so four M
+    ``batch_gradients`` + ``adam_step`` steps give the same parameters under
+    ``OPENBLAS_NUM_THREADS=1`` and ``=2`` (unpinned, they round apart)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    digests = [subprocess.run([sys.executable, "-c", M_STEPS], env={**env, "OPENBLAS_NUM_THREADS": n},
+                              capture_output=True, text=True, check=True, timeout=300).stdout
+               for n in ("1", "2")]
+    assert len(digests[0].strip()) == 64 and digests[0] == digests[1]
