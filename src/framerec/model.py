@@ -550,10 +550,10 @@ def score_pairs(
 # least one block per CPU.  That is 21 users at M (N = 3,000) and 100 of
 # S's 200 on two CPUs (N = 300).  The rule it replaced, 2^18 // (N * h)
 # users, gave 2 users at h = 32, whose dozens of small numpy calls a block
-# made a second CPU slower than one; on a 2-vCPU host the CLI's M test
-# evaluation (1,000 negatives x 10 repeats) went from 629 ms on one CPU and
-# 876 ms on two to 454 and 239 ms.  Each count is at least one.  Scores do
-# not depend on them.
+# made a second CPU slower than one.  On a 2-vCPU host with one BLAS
+# thread, the CLI's M test evaluation (1,000 negatives x 10 repeats, median
+# of 7) went from 684 ms on one CPU and 893 ms on two to 425 and 239 ms.
+# Each count is at least one.  Scores do not depend on them.
 
 
 def score_catalog(users, params: ModelParams, cfg: ModelConfig, dataset: Dataset,

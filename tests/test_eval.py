@@ -353,8 +353,8 @@ class TestCatalogScoring:
         assert len(users) > len(np.unique(users))  # some user holds several pairs
         assert counts["catalog"] == [len(np.unique(users)) * split.base.num_items]
         assert counts["candidates"] == []
-        blocks = -(-len(np.unique(users)) // 3)
-        assert blocks > 2 and catalog_calls == [[3] * (blocks - 1) + [catalog_calls[0][-1]]]
+        n = len(np.unique(users))
+        assert n > 6 and catalog_calls == [[3] * (n // 3) + [n % 3] * (n % 3 > 0)]
 
     def test_few_negatives_score_their_candidates(self, monkeypatch):
         split, planted = synth_split(seed=3, num_items=150)

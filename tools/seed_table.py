@@ -37,7 +37,9 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# One BLAS thread, set before numpy loads, so that every run rounds alike.
+# One BLAS thread, set before numpy loads, so that every run rounds alike.  The
+# package pins numpy's bundled OpenBLAS to one thread itself; the variables
+# also cover a BLAS it cannot pin.
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(var, "1")
 sys.path.insert(0, str(ROOT / "src"))
