@@ -553,7 +553,10 @@ def score_pairs(
 # made a second CPU slower than one.  On a 2-vCPU host with one BLAS
 # thread, the CLI's M test evaluation (1,000 negatives x 10 repeats, median
 # of 7) went from 684 ms on one CPU and 893 ms on two to 425 and 239 ms.
-# Each count is at least one.  Scores do not depend on them.
+# The CPU term was measured on one and two CPUs only: on many more it makes
+# the planes small again (S's 200 users on 64 CPUs would run 4 a block), and
+# whether those still pay is unmeasured.  Each count is at least one.
+# Scores do not depend on them.
 
 
 def score_catalog(users, params: ModelParams, cfg: ModelConfig, dataset: Dataset,
@@ -611,7 +614,9 @@ def score_catalog(users, params: ModelParams, cfg: ModelConfig, dataset: Dataset
         w_user, w_item = params.fusion_hidden[:, :cfg.d1].T, params.fusion_hidden[:, cfg.d1:].T
         halves = [(np.einsum("ud,dh->uh", u, w_user), i @ w_item) for u, i in channels]
     if items is None:
-        rows = max(1, min(CACHE_BLOCK // dataset.num_items, -(-len(users) // _cpus())))
+        rows = max(1, CACHE_BLOCK // dataset.num_items)
+        if len(users) > 1:  # a single user cannot split, so needs no CPU count
+            rows = max(1, min(rows, -(-len(users) // _cpus())))
         dots, logits = _every_item_blocks(channels, halves, params.fusion_out)
     else:
         rows = max(1, CACHE_BLOCK // (items.shape[1] * cfg.attn_hidden_rating))

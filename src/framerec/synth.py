@@ -148,8 +148,9 @@ def planted_frame_likes(planted: PlantedModel, dataset: Dataset, k: int) -> np.n
     """Top-k teacher-scored frames of every rated (user, item) pair.
 
     Scores only the rated pairs' frames, by the visual channel alone.  Ties
-    break toward the smaller frame id.  Returns the (user, frame) likes of
-    all ratings as sorted (L, 2) int64 rows; split_ratings keeps the test ones.
+    break toward the smaller frame id; a pair with k or fewer frames likes
+    them all.  Returns the (user, frame) likes of all ratings as sorted
+    (L, 2) int64 rows; split_ratings keeps the test ones.
     The frame table is projected once; then ``CACHE_BLOCK // (m * d)``
     rated pairs a block (at least one), the blocks spread over the CPUs
     (``model._run_blocks``), each block gathers and scores its own pairs'
@@ -161,8 +162,9 @@ def planted_frame_likes(planted: PlantedModel, dataset: Dataset, k: int) -> np.n
     users, items = dataset.ratings.T
     user_visual = planted.params.user_visual
     frame_emb = dataset.frame_features @ planted.params.visual_proj.T  # (L, d)
-    top = np.empty((len(users), k), dtype=ids.dtype)
-    liked = np.empty((len(users), k), dtype=bool)
+    width = min(k, ids.shape[1])  # a pair has at most m frames to like
+    top = np.empty((len(users), width), dtype=ids.dtype)
+    liked = np.empty((len(users), width), dtype=bool)
 
     def block(b):
         frames = ids[items[b]]  # (pairs, m), each row in ascending frame id

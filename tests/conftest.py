@@ -12,6 +12,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from framerec import model
 from framerec.data import Dataset
 
 SEED_TABLE = Path(__file__).resolve().parent.parent / "tools" / "seed_table.py"
@@ -99,11 +100,13 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
-def every_item_blocks(monkeypatch, module):
+def every_item_blocks(monkeypatch, module, budget=None):
     """Spy on the every-item ``score_catalog`` calls that ``module`` makes with a ``keep``.
 
     Returns a list that gets one list per such call: the sizes of the user
-    blocks its ``keep`` saw, in block order.
+    blocks its ``keep`` saw, in block order.  With ``budget``, those calls
+    alone run under ``model.CACHE_BLOCK = budget``, so that a test can size
+    their user blocks apart from the table, candidate and frame blocks.
     """
     calls, real = [], module.score_catalog
 
@@ -117,7 +120,10 @@ def every_item_blocks(monkeypatch, module):
             return keep(scores, rows)
 
         try:
-            return real(users, *args, keep=seen_keep, **kw)
+            with pytest.MonkeyPatch.context() as m:
+                if budget is not None:
+                    m.setattr(model, "CACHE_BLOCK", budget)
+                return real(users, *args, keep=seen_keep, **kw)
         finally:
             calls.append([size for _, size in sorted(seen)])
 

@@ -114,10 +114,12 @@ class TestItemEvaluation:
         pool runs on a one-CPU host too), in all six modes, on the candidate
         path (3 negatives) and the catalog path (8); another seed draws others."""
         split, _ = synth_split(seed=3)
-        # several blocks a call: 3 catalog users (75 // 25 items), 4 candidate
-        # users of 4 (75 // (4 * h)), 4 table items of 25 (75 // (m * h))
-        monkeypatch.setattr(model, "CACHE_BLOCK", 3 * split.base.num_items)
-        catalog_calls = every_item_blocks(monkeypatch, evaluation)
+        # several blocks a call: 2 candidate users of 4 (32 // (4 * h)), 2 table
+        # items of 25 (32 // (m * h)), and 3 catalog users under a budget of
+        # their own (75 // 25 items)
+        h, n = make_cfg().attn_hidden_rating, split.base.num_items
+        monkeypatch.setattr(model, "CACHE_BLOCK", 2 * 4 * h)
+        catalog_calls = every_item_blocks(monkeypatch, evaluation, budget=3 * n)
         for visual in VISUAL_MODES:
             for fusion in FUSION_MODES:
                 cfg = replace(make_cfg(), visual_mode=visual, fusion_mode=fusion)
@@ -154,21 +156,23 @@ class TestItemEvaluation:
                 # one pair per draw chunk, one user per score_catalog block
                 # (CACHE_BLOCK against every item and against candidates,
                 # which also builds the visual table one item a block), and
-                # both at once; three catalog users per block (75 // 25
-                # items), with 8-pair draw chunks; and 8-pair draw chunks
-                # whose 4-candidate rows are scored 3, 3 and 2 at a time
+                # both at once; three catalog users per block (a budget of
+                # 75 // 25 items for the catalog calls alone), with 8-pair
+                # draw chunks; and 8-pair draw chunks whose 4-candidate rows
+                # are scored 3, 3 and 2 at a time
                 n = split.base.num_items
                 one_user = {"CACHE_BLOCK": 1}
-                for blocks, users in (({"DRAW_BLOCK": 1}, None), (one_user, 1),
-                                      ({**one_user, "DRAW_BLOCK": 1}, 1),
-                                      ({"CACHE_BLOCK": 3 * n, "DRAW_BLOCK": 200}, 3),
-                                      ({"CACHE_BLOCK": 3 * 4 * cfg.attn_hidden_rating,
-                                        "DRAW_BLOCK": 200}, 1)):
+                for blocks, budget, users in (
+                        ({"DRAW_BLOCK": 1}, None, None), (one_user, None, 1),
+                        ({**one_user, "DRAW_BLOCK": 1}, None, 1),
+                        ({"DRAW_BLOCK": 200}, 3 * n, 3),
+                        ({"CACHE_BLOCK": 3 * 4 * cfg.attn_hidden_rating, "DRAW_BLOCK": 200},
+                         None, 1)):
                     with monkeypatch.context() as m:
                         for name, value in blocks.items():
                             m.setattr(evaluation if name == "DRAW_BLOCK" else model,
                                       name, value)
-                        catalog_calls = every_item_blocks(m, evaluation)
+                        catalog_calls = every_item_blocks(m, evaluation, budget=budget)
                         blocked = evaluate_item_rec(params, cfg, split, **kw)
                     assert blocked.to_dict() == default.to_dict(), (visual, fusion, blocks)
                     assert blocked.to_tsv() == default.to_tsv()
@@ -323,9 +327,8 @@ class TestCatalogScoring:
         cfg = replace(make_cfg(), visual_mode=visual, fusion_mode=fusion)
         params = init_params(cfg, split.base)
         monkeypatch.setattr(model, "_cpus", lambda: 2)
-        if block is not None:
-            monkeypatch.setattr(model, "CACHE_BLOCK", block * split.base.num_items)
-        catalog_calls = every_item_blocks(monkeypatch, evaluation)
+        catalog_calls = every_item_blocks(
+            monkeypatch, evaluation, budget=None if block is None else block * split.base.num_items)
         kw = dict(k_list=(1, 3, 5), n_negatives=n_negatives, repeats=repeats, seed=4)
         got = evaluate_item_rec(params, cfg, split, **kw)
         # the default budget splits a call's users in two, one block per CPU
@@ -342,9 +345,8 @@ class TestCatalogScoring:
     def test_exhausted_pool_scores_each_block_user_once(self, monkeypatch):
         split, planted = synth_split(seed=3)
         # 3 users per score_catalog block, which then holds a run of their pairs
-        monkeypatch.setattr(model, "CACHE_BLOCK", 3 * split.base.num_items)
         monkeypatch.setattr(model, "_cpus", lambda: 1)
-        catalog_calls = every_item_blocks(monkeypatch, evaluation)
+        catalog_calls = every_item_blocks(monkeypatch, evaluation, budget=3 * split.base.num_items)
         counts = rows_scored(monkeypatch)
         rep = evaluate_item_rec(planted.params, planted.cfg, split,
                                 n_negatives=10_000, repeats=10)

@@ -819,13 +819,14 @@ def test_block_rules_at_m_shape(monkeypatch):
     assert sorted(sizes) == [904, 2048, 2048]
 
 
-def block_outputs(visual, fusion):
+def block_outputs(visual, fusion, catalog_budget):
     """The bytes of every blocked forward of ``catalog_instance``, several blocks each.
 
     Under ``TestBlockThreads``' budget: 5 table items, 2 candidate users (of
-    7 candidates), 15 frame pairs and 3 catalog users a block, unless the
-    caller sets another; the catalog keeps each block's best score and its
-    users.  Also returns the names of the threads that ran ``keep``.
+    7 candidates) and 15 frame pairs a block.  The every-item call, handed
+    that table, runs under ``CACHE_BLOCK = catalog_budget``; it keeps each
+    block's best score and its users.  Also returns the names of the threads
+    that ran ``keep``.
     """
     params, cfg, ds, users = catalog_instance(visual, fusion)
     threads = set()
@@ -834,9 +835,11 @@ def block_outputs(visual, fusion):
         threads.add(threading.current_thread().name)
         return np.column_stack([scores.max(axis=1), users[rows]])
 
-    out = {"candidates": score_catalog(users, params, cfg, ds, items=candidate_matrix(ds, users)),
-           "catalog": score_catalog(users, params, cfg, ds, keep=keep)}
+    out = {"candidates": score_catalog(users, params, cfg, ds, items=candidate_matrix(ds, users))}
     table = item_visual_table(params, cfg, ds)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(model, "CACHE_BLOCK", catalog_budget)
+        out["catalog"] = score_catalog(users, params, cfg, ds, table=table, keep=keep)
     if table is not None:
         out |= {name: getattr(table, name) for name in ("x", "alpha", "pooled", "hidden_relu")}
         rng = np.random.default_rng(6)
@@ -870,15 +873,14 @@ class TestBlockThreads:
     def test_the_bytes_do_not_depend_on_the_threads(self, monkeypatch, visual, fusion):
         # catalog planes of up to 13 x 41 scores, large enough that numpy lets
         # the other thread run while it fills them (9 users a block on 5 CPUs)
-        monkeypatch.setattr(model, "CACHE_BLOCK", 13 * 41)
         monkeypatch.setattr(model, "_cpus", lambda: 1)
-        serial, threads = block_outputs(visual, fusion)
+        serial, threads = block_outputs(visual, fusion, 13 * 41)
         assert threads == {threading.current_thread().name}
         # two threads, then more parts than the pool has threads, switching often
         with switching_often():
             for cpus in (2, 5):
                 monkeypatch.setattr(model, "_cpus", lambda: cpus)
-                got, threads = block_outputs(visual, fusion)
+                got, threads = block_outputs(visual, fusion, 13 * 41)
                 assert got == serial, (cpus, [k for k in got if got[k] != serial[k]])
                 assert len(threads) >= 2  # the caller and the pool ran blocks
 

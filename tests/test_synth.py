@@ -148,6 +148,23 @@ class TestGeneration:
             assert got.tobytes() == likes.tobytes(), pairs
         assert steps == [1, 7, 16, 60] and len(ds.ratings) == 60
 
+    @pytest.mark.parametrize("frames", [1, 4])
+    def test_frame_likes_past_the_frame_count_like_every_frame(self, monkeypatch, frames):
+        """``k`` above the frame table's width m likes each rated pair's every frame,
+        as ``k = m`` does, in one block and in 1-pair blocks on two CPUs."""
+        ds, _, planted = generate_synthetic(
+            SynthConfig(**{**SMALL, "frames_per_item": frames, "frame_likes_per_pair": 1}))
+        ids, mask, _ = ds.frame_table
+        users, items = ds.ratings.T
+        every = np.unique(np.column_stack([np.repeat(users, mask[items].sum(axis=1)),
+                                           ids[items][mask[items]]]), axis=0)
+        assert ids.shape[1] == frames
+        for k in (frames, frames + 3):
+            assert np.array_equal(planted_frame_likes(planted, ds, k), every), k
+        monkeypatch.setattr(model, "_cpus", lambda: 2)
+        monkeypatch.setattr(model, "CACHE_BLOCK", 1)
+        assert np.array_equal(planted_frame_likes(planted, ds, frames + 3), every)
+
     def test_ratings_never_hold_the_dense_score_matrix(self):
         cfg = SynthConfig(num_users=4000, num_items=1500, frames_per_item=1, feature_dim=2,
                           latent_dim=2, ratings_per_user=5)
