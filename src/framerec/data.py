@@ -181,7 +181,7 @@ class SplitDataset:
         return self.base.ratings[self.portion == PORTIONS.index(name)]
 
     # The portions as frozensets of (user, item) tuples, only for perfbench/workloads.py's
-    # set reads until ROADMAP item 1 changes them; the package reads pairs(name).
+    # set reads until ROADMAP item 1b changes them; the package reads pairs(name).
     train = property(lambda self: frozenset(map(tuple, self.pairs("train").tolist())))
     validation = property(lambda self: frozenset(map(tuple, self.pairs("validation").tolist())))
     test = property(lambda self: frozenset(map(tuple, self.pairs("test").tolist())))

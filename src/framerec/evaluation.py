@@ -250,9 +250,10 @@ def evaluate_item_rec(params: ModelParams, cfg: ModelConfig, split: SplitDataset
 def _frame_report(task, split: SplitDataset, k_list, exclude_singletons, score):
     """Rank each liked frame among its parent item's frames.
 
-    ``score(users, frames)`` is called once, on the (user, frame) pairs of
-    the padded (pairs, max frames) matrix in row-major order: pair by pair,
-    and within a pair in the item's frame order.
+    ``score(users, items, valid)`` is called once, on the test pairs'
+    users, their items and those items' (pairs, m) frame slot mask; it
+    returns each pair's (pairs, m) row of frame scores in the item's frame
+    order, of which only the valid slots are read.
     """
     k_list = check_cutoffs(k_list)
     base = split.base
@@ -265,10 +266,9 @@ def _frame_report(task, split: SplitDataset, k_list, exclude_singletons, score):
         if single.any():
             warnings.append(f"skipped {int(single.sum())} single-frame items")
         pairs, items = pairs[~single], items[~single]
-    frames, valid = ids[items], mask[items]
-    scores = np.zeros(frames.shape)
-    scores[valid] = score(np.broadcast_to(pairs[:, :1], frames.shape)[valid], frames[valid])
-    liked = scores[np.arange(len(pairs)), np.argmax(frames == pairs[:, 1:], axis=1)]
+    valid = mask[items]
+    scores = score(pairs[:, 0], items, valid)
+    liked = scores[np.arange(len(pairs)), np.argmax(ids[items] == pairs[:, 1:], axis=1)]
     return _report(task, "test", k_list, _ranks(liked, scores, valid, task)[None], warnings)
 
 
@@ -281,7 +281,7 @@ def evaluate_frame_rec(params: ModelParams, cfg: ModelConfig, split: SplitDatase
     is off, because the model then has no frame scores at all.
     """
     return _frame_report("frame", split, k_list, exclude_singletons,
-                         lambda users, frames: score_frames(users, frames, params, cfg, split.base))
+                         lambda u, i, _: score_frames(u, i, params, cfg, split.base))
 
 
 def random_frame_baseline(split: SplitDataset, k_list=(1, 2, 3), seed: int = 0,
@@ -289,9 +289,15 @@ def random_frame_baseline(split: SplitDataset, k_list=(1, 2, 3), seed: int = 0,
     """Frame evaluation with uniform random scores instead of the model's.
 
     The reference point for the frame task: with m frames per item its
-    expected hit rate at K is K/m.
+    expected hit rate at K is min(K, m)/m.  One uniform is drawn per valid
+    frame slot, in row-major order: pair by pair, each in its frame order.
     """
     check_seed(seed)
     rng = np.random.default_rng(seed)
+
+    def draw(valid):
+        scores = np.zeros(valid.shape)
+        scores[valid] = rng.random(np.count_nonzero(valid))
+        return scores
     return _frame_report("frame_baseline", split, k_list, exclude_singletons,
-                         lambda users, frames: rng.random(len(frames)))
+                         lambda users, items, valid: draw(valid))

@@ -166,9 +166,9 @@ def init_params(cfg: ModelConfig, dataset: Dataset) -> ModelParams:
 # 276 us against about 95 us for 256-item blocks read from L2 (one core of a
 # 2-vCPU host).  At S (m=5, h=8) the whole table is one block.  The same
 # budget sizes every other block: score_catalog's candidate and every-item
-# user blocks, score_frames' pair blocks (see the note above score_catalog),
-# the synthetic teacher's frame-like blocks of CACHE_BLOCK // (m * d) rated
-# pairs, and in training the table backward's blocks of CACHE_BLOCK // (m *
+# user blocks, score_frames' blocks of CACHE_BLOCK // (m * d2) pairs (see the
+# note above score_catalog), which the synthetic teacher's frame likes also
+# sort in, and in training the table backward's blocks of CACHE_BLOCK // (m *
 # max(h, F)) touched items (128 at M, where F=64; one block at S) and
 # sample_epoch's blocks: CACHE_BLOCK // neg_ratio training pairs to look up,
 # CACHE_BLOCK triples to fill.  Each count is at least one.  The blocks of a
@@ -541,9 +541,9 @@ def score_pairs(
 # at most CACHE_BLOCK elements: 20 users at M (C=101, h=32), where gathering
 # a user's rows took about 1.5 us in 81-user (2 MiB) blocks and under 1 us
 # in 20-user ones.
-# score_frames scores CACHE_BLOCK // d2 (user, frame) pairs a block, so each
-# of its two gathered (rows, d2) operands holds at most as many.  Against
-# every item, a block works on (rows, N) planes, forming the fusion logits
+# score_frames scores CACHE_BLOCK // (m * d2) (user, item) pairs a block, so
+# its gathered (pairs, m, d2) frame rows hold at most as many.  Against every
+# item, a block works on (rows, N) planes, forming the fusion logits
 # one hidden unit at a time, so it is sized by its planes, not by h: it
 # holds min(CACHE_BLOCK // N, ceil(users / CPUs)) users, so that each plane
 # holds at most CACHE_BLOCK floats and a call with enough users keeps at
@@ -697,38 +697,37 @@ def _candidate_blocks(items, channels, halves, fusion_out):
     return dots, logits
 
 
-def score_frames(users, frames, params: ModelParams, cfg: ModelConfig, dataset: Dataset):
-    """Visual-only frame scores for (user, frame) pairs in bulk.
+def score_frames(users, items, params: ModelParams, cfg: ModelConfig, dataset: Dataset):
+    """Visual-only scores of each (user, item) pair's frames, (len(users), m).
 
-    Projects the whole frame table once, ``frame_features @ visual_proj.T``,
-    then scores ``CACHE_BLOCK // d2`` pairs at a time (at least one) into
-    one output array, the blocks spread over the CPUs: each block gathers
-    only its own user rows and projected frame rows, which stay in its
-    core's L2 while the dot reads them, so memory beyond the projected
-    table is one block per thread, whatever the number of pairs.  A score
-    is a row-wise dot, so neither the blocks nor the threads change a bit,
-    and the gathered projection equals the per-row
-    projection ``frame_features[frames] @ visual_proj.T`` up to rounding.
-    Evaluation asks for more rows than the table holds, each item's frames
-    once per liked frame.
+    Row r holds ``users[r]``'s scores of ``items[r]``'s frames in
+    ``dataset.frame_table`` order (ascending frame id), ``-inf`` in the
+    item's padding slots.  Projects the frame table once, then scores
+    ``CACHE_BLOCK // (m * d2)`` pairs at a time (at least one) into one
+    output, the blocks spread over the CPUs: each block gathers only its own
+    user rows and (pairs, m, d2) projected frame rows, which stay in its
+    core's L2 while the dots read them.  A score is a per-pair dot, so
+    neither the blocks nor the threads change a bit.
     """
     if cfg.visual_mode == VISUAL_OFF:
         raise UnsupportedTaskError(
             "frame scoring needs the visual pathway; visual_mode is off"
         )
     users = _checked_ids(users, dataset.num_users, "user")
-    frames = _checked_ids(frames, dataset.num_frames, "frame")
-    if users.ndim != 1 or users.shape != frames.shape:
-        raise ValueError(f"users and frames must be two 1-D arrays of one length, "
-                         f"got {users.shape} and {frames.shape}")
+    items = _checked_ids(items, dataset.num_items, "item")
+    if users.ndim != 1 or users.shape != items.shape:
+        raise ValueError(f"users and items must be two 1-D arrays of one length, "
+                         f"got {users.shape} and {items.shape}")
+    ids, mask, _ = dataset.frame_table
     projected = dataset.frame_features @ params.visual_proj.T
-    scores = np.empty(len(users))
+    scores = np.empty((len(users), ids.shape[1]))
 
     def block(b):
-        scores[b] = np.einsum("bd,bd->b", params.user_visual.take(users[b], axis=0),
-                              np.take(projected, frames[b], axis=0))
+        rows = np.einsum("pd,pmd->pm", params.user_visual.take(users[b], axis=0),
+                         np.take(projected, ids[items[b]], axis=0))
+        scores[b] = np.where(mask[items[b]], rows, -np.inf)
 
-    _run_blocks(block, len(users), max(1, CACHE_BLOCK // cfg.d2))
+    _run_blocks(block, len(users), max(1, CACHE_BLOCK // (ids.shape[1] * cfg.d2)))
     return scores
 
 
@@ -779,20 +778,21 @@ def load_checkpoint(path):
     def broken(why):
         return IntegrityError(f"{path}: {why}")
 
-    with open(path, "rb") as fh:
+    with open(path, "rb") as fh:  # np.load reads this handle, so every path closes it
         magic = fh.read(4)
-    if magic[:1] == b"{":
-        raise broken(f"a JSON checkpoint (v3 or older), which {CHECKPOINT_FORMAT} "
-                     "cannot read: retrain the model")
-    try:
-        if magic != b"PK\x03\x04":
-            raise ValueError("no zip header")
-        with np.load(path, allow_pickle=False) as z:
-            data = {name: z[name] for name in z.files}
-        meta = np.asarray(data.pop("meta", None))
-        doc = json.loads(str(meta)) if meta.dtype.kind == "U" and meta.ndim == 0 else None
-    except (zipfile.BadZipFile, EOFError, ValueError) as exc:
-        raise broken(f"not a readable .npz archive: {exc}") from None
+        if magic[:1] == b"{":
+            raise broken(f"a JSON checkpoint (v3 or older), which {CHECKPOINT_FORMAT} "
+                         "cannot read: retrain the model")
+        try:
+            if magic != b"PK\x03\x04":
+                raise ValueError("no zip header")
+            fh.seek(0)
+            with np.load(fh, allow_pickle=False) as z:
+                data = {name: z[name] for name in z.files}
+            meta = np.asarray(data.pop("meta", None))
+            doc = json.loads(str(meta)) if meta.dtype.kind == "U" and meta.ndim == 0 else None
+        except (zipfile.BadZipFile, EOFError, ValueError) as exc:
+            raise broken(f"not a readable .npz archive: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise broken(f"not a {CHECKPOINT_FORMAT} archive")
     config = doc.get("config")

@@ -20,7 +20,7 @@ import numpy as np
 from .data import Dataset, _pair_array, check_dataset
 from .errors import ConfigError, check_integers, check_seed
 from . import model
-from .model import FUSION_ATT, VISUAL_ATT, ModelConfig, ModelParams, score_catalog
+from .model import FUSION_ATT, VISUAL_ATT, ModelConfig, ModelParams, score_catalog, score_frames
 
 
 SALIENT_FRAC, SALIENT_SHIFT = 0.25, 2.5  # the share of each item's frames shifted, and by how much
@@ -147,35 +147,27 @@ def planted_top_items(planted: PlantedModel, dataset: Dataset, k: int) -> np.nda
 def planted_frame_likes(planted: PlantedModel, dataset: Dataset, k: int) -> np.ndarray:
     """Top-k teacher-scored frames of every rated (user, item) pair.
 
-    Scores only the rated pairs' frames, by the visual channel alone.  Ties
-    break toward the smaller frame id; a pair with k or fewer frames likes
-    them all.  Returns the (user, frame) likes of all ratings as sorted
-    (L, 2) int64 rows; split_ratings keeps the test ones.
-    The frame table is projected once; then ``CACHE_BLOCK // (m * d)``
-    rated pairs a block (at least one), the blocks spread over the CPUs
-    (``model._run_blocks``), each block gathers and scores its own pairs'
-    (pairs, m, d) frames, sorts them and writes its own rows of the top
-    frames, so memory in flight is one block per thread.  A pair's scores
-    and sort are its own, so neither the blocks nor the threads move a like.
+    Scores only the rated pairs' frames, by the visual channel alone
+    (``score_frames``).  Ties break toward the smaller frame id; a pair with
+    k or fewer frames likes them all.  Returns the (user, frame) likes of
+    all ratings as sorted (L, 2) int64 rows; split_ratings keeps the test
+    ones.  Each pair's row is sorted on its own, in ``score_frames``' blocks
+    of pairs spread over the CPUs (``model._run_blocks``), so neither the
+    blocks nor the threads move a like.
     """
-    ids, mask, _ = dataset.frame_table
+    ids = dataset.frame_table[0]
     users, items = dataset.ratings.T
-    user_visual = planted.params.user_visual
-    frame_emb = dataset.frame_features @ planted.params.visual_proj.T  # (L, d)
-    width = min(k, ids.shape[1])  # a pair has at most m frames to like
-    top = np.empty((len(users), width), dtype=ids.dtype)
-    liked = np.empty((len(users), width), dtype=bool)
+    scores = score_frames(users, items, planted.params, planted.cfg, dataset)
+    top = np.empty((len(users), min(k, ids.shape[1])), dtype=ids.dtype)  # at most m frames each
+    liked = np.empty(top.shape, dtype=bool)
 
     def block(b):
-        frames = ids[items[b]]  # (pairs, m), each row in ascending frame id
-        scores = np.einsum("pd,pmd->pm", user_visual[users[b]], frame_emb[frames])
-        keys = np.where(mask[items[b]], -scores, np.inf)
-        order = np.argsort(keys, axis=1, kind="stable")[:, :k]  # ties keep the smaller id first
-        liked[b] = np.take_along_axis(keys, order, axis=1) < np.inf
-        top[b] = np.take_along_axis(frames, order, axis=1)
+        order = np.argsort(-scores[b], axis=1, kind="stable")[:, :k]  # ties keep the smaller id
+        liked[b] = np.take_along_axis(scores[b], order, axis=1) > -np.inf  # not padding
+        top[b] = np.take_along_axis(ids[items[b]], order, axis=1)
 
-    step = max(1, model.CACHE_BLOCK // (ids.shape[1] * frame_emb.shape[1]))
-    model._run_blocks(block, len(users), step)
+    step = model.CACHE_BLOCK // (ids.shape[1] * planted.cfg.d2)  # score_frames' blocks
+    model._run_blocks(block, len(users), max(1, step))
     return _pair_array(np.column_stack([np.broadcast_to(users[:, None], top.shape)[liked],
                                         top[liked]]))
 

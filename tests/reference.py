@@ -1,8 +1,8 @@
 """Test oracles: scalar forward path, projected table, full-catalog backward, dense Adam,
 dense teacher, sorted top-k, set-based prune, split and split check, rank of the first
-score, key-draw sampled evaluation and the package's draw pair by pair, per-row frame
-projection, per-line id reader, always-sorting pair array, tuple-sorting token writers,
-stack-then-permute epoch draw, per-cell ablation loop.
+score, key-draw sampled evaluation and the package's draw pair by pair, per-pair frame
+rows and frame likes, per-line id reader, always-sorting pair array, tuple-sorting token
+writers, stack-then-permute epoch draw, per-cell ablation loop.
 
 The package scores in bulk (``item_visual_table``, ``score_pairs``,
 ``score_frames``).  The scalar functions score one instance at a time,
@@ -25,15 +25,17 @@ each gradient scattered to dense first.
 pooling moved ahead of the projection: every frame projected, and the
 attention keys reduced, one frame at a time.
 
-``frame_scores_per_row`` is ``score_frames`` as it ran before it projected
-the frame table once: each scored row's frame features projected on their
-own, so a frame is projected once per row that names it.
+``frame_scores_per_row`` scores each (user, item) pair's frames in a loop
+over the pairs, each pair's frame features projected on their own, so a
+frame is projected once per pair that names its item.
 
 ``planted_item_scores`` and ``planted_frame_scores`` score every (user,
 item) and every (user, frame) pair under the synthetic teacher, the dense
 matrices the generator no longer builds; they check the teacher's ratings
-and frame likes.  ``top_k_stable`` is the full stable sort the generator
-ran before it took each user's top items by partition.
+and frame likes.  ``planted_frame_likes_per_pair`` picks each rated pair's
+liked frames by the scalar frame score, one pair at a time.
+``top_k_stable`` is the full stable sort the generator ran before it took
+each user's top items by partition.
 
 ``prune_dataset`` is the set-based prune the package ran before it pruned
 with arrays: a fixed point over Python sets of users, items and ratings,
@@ -209,10 +211,20 @@ def predict_frame_score(user_id: int, frame_id: int, params, cfg, dataset) -> fl
     return float(params.user_visual[user_id] @ emb)
 
 
-def frame_scores_per_row(users, frames, params, dataset) -> np.ndarray:
-    """Visual-only scores of (user, frame) id arrays, each row's frame projected apart."""
-    frame_emb = dataset.frame_features[frames] @ params.visual_proj.T
-    return np.einsum("bd,bd->b", params.user_visual[users], frame_emb)
+def frame_scores_per_row(users, items, params, dataset) -> np.ndarray:
+    """Visual-only scores of each (user, item) pair's frames, one pair at a time.
+
+    Row r holds ``users[r]``'s scores of ``items[r]``'s frames in ascending
+    frame id, each pair's frames projected apart, and -inf after them, up
+    to the largest item's frame count.
+    """
+    width = max(1, int(np.bincount(dataset.frame_parent).max(initial=0)))
+    out = np.full((len(users), width), -np.inf)
+    for row, (user, item) in enumerate(zip(users, items)):
+        frames = np.flatnonzero(dataset.frame_parent == item)
+        emb = dataset.frame_features[frames] @ params.visual_proj.T
+        out[row, :len(frames)] = emb @ params.user_visual[user]
+    return out
 
 
 def attention_mlp_backward(out, hidden, dlogits, halves):
@@ -425,6 +437,18 @@ def planted_frame_scores(planted, dataset) -> np.ndarray:
     """Teacher visual-only scores for every (user, frame) pair, shape (M, L)."""
     frame_emb = dataset.frame_features @ planted.params.visual_proj.T
     return planted.params.user_visual @ frame_emb.T
+
+
+def planted_frame_likes_per_pair(planted, dataset, k: int) -> np.ndarray:
+    """Sorted (user, frame) rows: each rated pair's k best frames by the scalar
+    frame score, ties toward the smaller frame id."""
+    likes = []
+    for user, item in dataset.ratings.tolist():
+        frames = np.flatnonzero(dataset.frame_parent == item).tolist()
+        score = {f: predict_frame_score(user, f, planted.params, planted.cfg, dataset)
+                 for f in frames}
+        likes += [(user, f) for f in sorted(frames, key=lambda f: (-score[f], f))[:k]]
+    return np.array(sorted(likes), dtype=np.int64).reshape(-1, 2)
 
 
 def top_k_stable(scores, k: int) -> np.ndarray:

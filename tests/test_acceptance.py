@@ -318,18 +318,17 @@ def test_criterion_8_checkpoint_round_trip_preserves_scores(tmp_path):
     rng = np.random.default_rng(0)
     users = rng.integers(0, ds.num_users, size=1000)
     items = rng.integers(0, ds.num_items, size=1000)
-    frames = rng.integers(0, ds.num_frames, size=1000)
     items_ok = bool(np.array_equal(
         score_pairs(users, items, params, cfg, ds),
         score_pairs(users, items, back, cfg2, ds),
     ))
     frames_ok = bool(np.array_equal(
-        score_frames(users, frames, params, cfg, ds),
-        score_frames(users, frames, back, cfg2, ds),
+        score_frames(users, items, params, cfg, ds),
+        score_frames(users, items, back, cfg2, ds),
     ))
     _verdict(
         "round-trip", items_ok and frames_ok and tensors_ok,
         f"1000 item queries bit-equal={items_ok}, "
-        f"1000 frame queries bit-equal={frames_ok}, "
+        f"1000 frame rows bit-equal={frames_ok}, "
         f"every tensor bit-equal in all {len(modes)} modes={tensors_ok}",
     )

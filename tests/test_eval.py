@@ -549,11 +549,10 @@ class TestFrameOracle:
         split, planted = synth_split(seed=seed, frames_per_item=1 + seed % 4)
         k_list = (1, 2, 3)
         triples, skipped = frame_ranking_pairs(split, exclude_singletons)
-        users = [u for u, _, fr in triples for _ in fr]
-        frames = [f for _, _, fr in triples for f in fr]
-        scores = score_frames(np.array(users, dtype=np.int64),
-                              np.array(frames, dtype=np.int64),
-                              planted.params, planted.cfg, split.base)
+        items = split.base.frame_parent[[f for _, f, _ in triples]]
+        rows = score_frames(np.array([u for u, _, _ in triples], dtype=np.int64), items,
+                            planted.params, planted.cfg, split.base)
+        scores = rows[split.base.frame_table[1][items]]  # each triple's frames in turn
         rep = evaluate_frame_rec(planted.params, planted.cfg, split, k_list=k_list,
                                  exclude_singletons=exclude_singletons)
         assert rep.n_pairs == len(triples)
@@ -563,8 +562,8 @@ class TestFrameOracle:
 
     @pytest.mark.parametrize("seed", [9, 10, 12, 13, 14])
     def test_report_matches_the_per_row_projection(self, monkeypatch, seed):
-        # score_frames projects the frame table once; projecting each scored
-        # row apart, as it did before, gives the same report
+        # score_frames projects the frame table once; projecting each pair's
+        # frames apart, in a loop over the pairs, gives the same report
         split, planted = synth_split(seed=seed, frames_per_item=1 + seed % 4)
         cfg = make_cfg()
         for params, model_cfg in ((planted.params, planted.cfg),
@@ -572,8 +571,8 @@ class TestFrameOracle:
             got = evaluate_frame_rec(params, model_cfg, split)
             with monkeypatch.context() as m:
                 m.setattr(evaluation, "score_frames",
-                          lambda users, frames, p, c, dataset:
-                          reference.frame_scores_per_row(users, frames, p, dataset))
+                          lambda users, items, p, c, dataset:
+                          reference.frame_scores_per_row(users, items, p, dataset))
                 want = evaluate_frame_rec(params, model_cfg, split)
             assert got.to_dict() == want.to_dict()
             assert got.to_tsv() == want.to_tsv()

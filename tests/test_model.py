@@ -480,9 +480,9 @@ class TestScoring:
             visual_proj=np.eye(2),
         )
         cfg = toy_config(fusion_mode="sum")
+        # item 0's frames (1, 0) and (0, 1), item 2's (2, 0), (0, 2) and (1, 1)
         scores = score_frames([0, 0], [0, 2], params, cfg, toy_dataset)
-        assert scores[0] == 1.0
-        assert scores[1] == 2.0
+        assert scores.tolist() == [[1.0, 1.0, -np.inf], [2.0, 2.0, 2.0]]
 
     def test_vectorised_scores_match_scalar_path(self):
         for visual, fusion in MODES:
@@ -501,26 +501,32 @@ class TestScoring:
                 bulk = score_pairs(u, i, params, cfg, ds).reshape(users.shape)
                 np.testing.assert_allclose(bulk, scalar, rtol=1e-12, atol=1e-13)
 
+    @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("visual", ["avg", "att"])
-    def test_frame_scores_match_the_per_row_projection(self, visual):
-        params, cfg, ds, _ = catalog_instance(visual, "att")
+    def test_frame_rows_match_the_per_pair_loop(self, visual, seed):
+        # 8 items of uneven frame counts, so most rows end in padding
+        params, cfg, ds, _ = gradcheck_instance(seed=seed, visual_mode=visual)
+        assert len(set(ds.frame_table[2].tolist())) > 1
         rng = np.random.default_rng(4)
         users = rng.integers(0, ds.num_users, size=200)
-        frames = rng.integers(0, ds.num_frames, size=200)  # more rows than frames
-        want = reference.frame_scores_per_row(users, frames, params, ds)
-        got = score_frames(users, frames, params, cfg, ds)
+        items = rng.integers(0, ds.num_items, size=200)  # more rows than items
+        want = reference.frame_scores_per_row(users, items, params, ds)
+        got = score_frames(users, items, params, cfg, ds)
+        assert got.shape == want.shape == (200, ds.frame_table[0].shape[1])
+        assert (np.isneginf(got) == ~ds.frame_table[1][items]).all()  # -inf at padding only
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-14)
 
     def test_bulk_frame_scores_match_scalar(self):
         params, cfg, ds, _ = gradcheck_instance(seed=19)
-        users = np.repeat(np.arange(ds.num_users), ds.num_frames)
-        frames = np.tile(np.arange(ds.num_frames), ds.num_users)
-        bulk = score_frames(users, frames, params, cfg, ds)
+        users = np.repeat(np.arange(ds.num_users), ds.num_items)
+        items = np.tile(np.arange(ds.num_items), ds.num_users)
+        ids, mask, _ = ds.frame_table
+        bulk = score_frames(users, items, params, cfg, ds)
         scalar = np.array([
             reference.predict_frame_score(int(u), int(f), params, cfg, ds)
-            for u, f in zip(users, frames)
+            for u, i in zip(users, items) for f in ids[i][mask[i]]
         ])
-        np.testing.assert_allclose(bulk, scalar, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(bulk[mask[items]], scalar, rtol=1e-12, atol=1e-14)
 
     def test_visual_off_cannot_score_frames(self, toy_dataset):
         params = toy_params(toy_dataset)
@@ -531,19 +537,17 @@ class TestScoring:
             score_frames([0], [0], params, cfg, toy_dataset)
 
     @pytest.mark.parametrize("task,kind", [
-        ("pairs", "user"), ("pairs", "item"), ("frames", "user"), ("frames", "frame"),
+        ("pairs", "user"), ("pairs", "item"), ("frames", "user"), ("frames", "item"),
     ])
     @pytest.mark.parametrize("past_end", [False, True])
     def test_bulk_out_of_range_ids_raise(self, task, kind, past_end):
         params, cfg, ds, _ = gradcheck_instance(seed=1)
-        bad = {"user": ds.num_users, "item": ds.num_items,
-               "frame": ds.num_frames}[kind] if past_end else -1
-        ids = {"user": [0, 0], "item": [0, 1], "frame": [0, 1]}
+        bad = {"user": ds.num_users, "item": ds.num_items}[kind] if past_end else -1
+        ids = {"user": [0, 0], "item": [0, 1]}
         ids[kind] = [0, bad]
         score = score_pairs if task == "pairs" else score_frames
-        other = "item" if task == "pairs" else "frame"
         with pytest.raises(IntegrityError, match=f"{kind} id {bad} "):
-            score(ids["user"], ids[other], params, cfg, ds)
+            score(ids["user"], ids["item"], params, cfg, ds)
         if task == "pairs":  # a (2, 1) user column against a (1, 2) item row
             with pytest.raises(IntegrityError, match=f"{kind} id {bad} "):
                 score(np.array(ids["user"])[:, None], np.array(ids["item"])[None, :],
@@ -672,30 +676,32 @@ class TestCatalogScoring:
 
 
 class TestFrameScoring:
-    """``score_frames`` scores ``CACHE_BLOCK // d2`` (user, frame) pairs at a time."""
+    """``score_frames`` scores ``CACHE_BLOCK // (m * d2)`` (user, item) pairs' frame
+    rows at a time."""
 
     @pytest.mark.parametrize("visual", ["avg", "att"])
     def test_pair_blocks_change_no_bit(self, monkeypatch, visual):
         params, cfg, ds, _ = catalog_instance(visual, "att")
         rng = np.random.default_rng(6)
         users = rng.integers(0, ds.num_users, size=200)
-        frames = rng.integers(0, ds.num_frames, size=200)
-        default = score_frames(users, frames, params, cfg, ds)
-        assert model.CACHE_BLOCK // cfg.d2 >= len(users)  # one block
-        for block in (cfg.d2, 7 * cfg.d2, 7 * cfg.d2 + 1):  # one pair, 7 pairs, 7 again
+        items = rng.integers(0, ds.num_items, size=200)
+        default = score_frames(users, items, params, cfg, ds)
+        per_pair = ds.frame_table[0].shape[1] * cfg.d2
+        assert model.CACHE_BLOCK // per_pair >= len(users)  # one block
+        for block in (per_pair, 7 * per_pair, 7 * per_pair + 1):  # one pair, 7 pairs, 7 again
             monkeypatch.setattr(model, "CACHE_BLOCK", block)
-            got = score_frames(users, frames, params, cfg, ds)
+            got = score_frames(users, items, params, cfg, ds)
             assert got.tobytes() == default.tobytes()
 
     def test_no_pairs_score_nothing(self):
         params, cfg, ds, _ = catalog_instance("att", "att")
-        assert score_frames([], [], params, cfg, ds).shape == (0,)
+        assert score_frames([], [], params, cfg, ds).shape == (0, ds.frame_table[0].shape[1])
 
-    @pytest.mark.parametrize("users,frames", [([0, 1], [0]), ([], [0]), ([[0]], [[0]])])
-    def test_pairs_must_be_two_flat_arrays_of_one_length(self, users, frames):
+    @pytest.mark.parametrize("users,items", [([0, 1], [0]), ([], [0]), ([[0]], [[0]])])
+    def test_pairs_must_be_two_flat_arrays_of_one_length(self, users, items):
         params, cfg, ds, _ = catalog_instance("att", "att")
-        with pytest.raises(ValueError, match="^users and frames must be two 1-D arrays"):
-            score_frames(users, frames, params, cfg, ds)
+        with pytest.raises(ValueError, match="^users and items must be two 1-D arrays"):
+            score_frames(users, items, params, cfg, ds)
 
 
 def candidate_matrix(ds, users, width=7):
@@ -773,7 +779,7 @@ class TestCandidateScoring:
 def test_block_rules_at_m_shape(monkeypatch):
     """At M's shapes (d1 = d2 = 32 and both hidden sizes 32, m = 8 frames,
     3,000 items, 101 candidates a user) CACHE_BLOCK's 512 KiB give 256 table
-    items, 20 candidate users and 2,048 frame pairs a block, and against
+    items, 20 candidate users and 256 frame pairs a block, and against
     every item min(CACHE_BLOCK // N, ceil(users / CPUs)) users: 21 of 45 on
     two CPUs.  Blocks run on several threads in no fixed order, so the sizes
     are compared sorted."""
@@ -804,7 +810,7 @@ def test_block_rules_at_m_shape(monkeypatch):
     score_catalog(users, params, cfg, ds, table=table, keep=lambda block, rows: block[:, :1])
     assert sorted(sizes) == [3, 21, 21]
 
-    class TakeSpy:  # score_frames gathers a block's projected frames with np.take
+    class TakeSpy:  # score_frames gathers a block's projected frame rows with np.take
         def __getattr__(self, name):
             return getattr(np, name)
 
@@ -815,18 +821,18 @@ def test_block_rules_at_m_shape(monkeypatch):
     monkeypatch.setattr(model, "np", TakeSpy())
     sizes.clear()
     score_frames(rng.integers(0, ds.num_users, size=5000),
-                 rng.integers(0, ds.num_frames, size=5000), params, cfg, ds)
-    assert sorted(sizes) == [904, 2048, 2048]
+                 rng.integers(0, ds.num_items, size=5000), params, cfg, ds)
+    assert sorted(sizes) == [136] + [256] * 19
 
 
 def block_outputs(visual, fusion, catalog_budget):
     """The bytes of every blocked forward of ``catalog_instance``, several blocks each.
 
     Under ``TestBlockThreads``' budget: 5 table items, 2 candidate users (of
-    7 candidates) and 15 frame pairs a block.  The every-item call, handed
-    that table, runs under ``CACHE_BLOCK = catalog_budget``; it keeps each
-    block's best score and its users.  Also returns the names of the threads
-    that ran ``keep``.
+    7 candidates) and 5 frame pairs (of 3 frames) a block.  The every-item
+    call, handed that table, runs under ``CACHE_BLOCK = catalog_budget``; it
+    keeps each block's best score and its users.  Also returns the names of
+    the threads that ran ``keep``.
     """
     params, cfg, ds, users = catalog_instance(visual, fusion)
     threads = set()
@@ -844,7 +850,7 @@ def block_outputs(visual, fusion, catalog_budget):
         out |= {name: getattr(table, name) for name in ("x", "alpha", "pooled", "hidden_relu")}
         rng = np.random.default_rng(6)
         out["frames"] = score_frames(rng.integers(0, ds.num_users, size=200),
-                                     rng.integers(0, ds.num_frames, size=200), params, cfg, ds)
+                                     rng.integers(0, ds.num_items, size=200), params, cfg, ds)
     return {k: None if v is None else v.tobytes() for k, v in out.items()}, threads
 
 
@@ -866,7 +872,8 @@ class TestBlockThreads:
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
         # 123 floats: 3 catalog users of 41 items, 5 table items of 3 frames x 8
-        # hidden units, 2 users of 7 candidates x 8 and 15 frame pairs of d2 = 8
+        # hidden units, 2 users of 7 candidates x 8 and 5 frame pairs of 3 frames
+        # x d2 = 8
         monkeypatch.setattr(model, "CACHE_BLOCK", 3 * 41)
 
     @pytest.mark.parametrize("visual,fusion", MODES)

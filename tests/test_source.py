@@ -69,7 +69,7 @@ def test_every_import_is_used(path):
 
 
 # SplitDataset's set views of its portions, kept for the benchmark's reads alone; they go,
-# with this check, when the benchmark reads split.pairs(name) (ROADMAP item 1).
+# with this check, when the benchmark reads split.pairs(name) (ROADMAP item 1b).
 PORTION_SETS = {"train", "validation", "test"}
 
 
@@ -80,4 +80,15 @@ def test_no_module_reads_the_portion_sets(module):
              if isinstance(n, ast.Attribute) and n.attr in PORTION_SETS
              or isinstance(n, ast.Call) and getattr(n.func, "id", None) == "getattr"
              and any(isinstance(a, ast.Constant) and a.value in PORTION_SETS for a in n.args)]
+    assert not found, found
+
+
+@pytest.mark.parametrize("module", sorted(set(TREES) - {"model.py"}))
+def test_only_the_model_projects_frames(module):
+    """``model.score_frames`` is the one frame scorer: no other module multiplies
+    the frame features by a projection."""
+    found = [f"{module}:{n.lineno}" for n in ast.walk(TREES[module])
+             if isinstance(n, ast.BinOp) and isinstance(n.op, ast.MatMult)
+             and any(isinstance(a, ast.Attribute) and a.attr == "frame_features"
+                     for a in ast.walk(n.left))]
     assert not found, found

@@ -1,6 +1,7 @@
 """Synthetic generator: determinism, sizes, and planted-model consistency."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from framerec.synth import (
     planted_frame_likes,
 )
 
+import reference
 from conftest import every_item_blocks, traced_peak
 from reference import planted_frame_scores, planted_item_scores, top_k_stable
 
@@ -132,10 +134,24 @@ class TestGeneration:
         assert np.array_equal(again, likes)
         assert peak < dense_bytes / 2, (peak, dense_bytes)
 
+    @pytest.mark.parametrize("k", [1, "m"])
+    def test_frame_likes_match_a_per_pair_oracle_on_uneven_frames(self, k):
+        """On items of 1 to 10 frames, each rated pair likes its k best frames by
+        the scalar frame score, ties toward the smaller frame id, for k = 1 and
+        k = m, the widest item's frame count."""
+        ds, _, planted = generate_synthetic(SynthConfig(**SMALL))
+        counts = np.random.default_rng(5).multinomial(60, np.full(20, 1 / 20)) + 1
+        ds = replace(ds, frame_parent=np.repeat(np.arange(20, dtype=np.int64), counts))
+        assert len(set(counts.tolist())) > 2 and counts.sum() == ds.num_frames
+        k = ds.frame_table[0].shape[1] if k == "m" else k
+        got = planted_frame_likes(planted, ds, k)
+        assert np.array_equal(got, reference.planted_frame_likes_per_pair(planted, ds, k))
+
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_frame_likes_do_not_depend_on_the_blocks_or_the_cpus(self, monkeypatch, cpus):
         """Blocks of 1, 7 and 16 rated pairs (``CACHE_BLOCK // (m * d)``), and one
-        block of all 60, give the default call's likes, on one CPU and on two."""
+        block of all 60, give the default call's likes, on one CPU and on two;
+        ``score_frames`` and the sort run those blocks in turn."""
         ds, likes, planted = generate_synthetic(SynthConfig(**SMALL))
         monkeypatch.setattr(model, "_cpus", lambda: cpus)
         steps, run_blocks = [], model._run_blocks
@@ -146,7 +162,7 @@ class TestGeneration:
             monkeypatch.setattr(model, "CACHE_BLOCK", pairs * per_pair)
             got = planted_frame_likes(planted, ds, SMALL["frame_likes_per_pair"])
             assert got.tobytes() == likes.tobytes(), pairs
-        assert steps == [1, 7, 16, 60] and len(ds.ratings) == 60
+        assert steps == [1, 1, 7, 7, 16, 16, 60, 60] and len(ds.ratings) == 60
 
     @pytest.mark.parametrize("frames", [1, 4])
     def test_frame_likes_past_the_frame_count_like_every_frame(self, monkeypatch, frames):
