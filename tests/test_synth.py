@@ -15,9 +15,9 @@ from framerec.synth import (
     planted_frame_likes,
 )
 
-import reference
 from conftest import every_item_blocks, traced_peak
-from reference import planted_frame_scores, planted_item_scores, top_k_stable
+from reference import (planted_frame_likes_per_pair, planted_frame_scores, planted_item_scores,
+                       top_k_stable)
 
 SMALL = dict(num_users=12, num_items=20, frames_per_item=4, feature_dim=6,
              latent_dim=4, ratings_per_user=5, frame_likes_per_pair=2, seed=11)
@@ -136,7 +136,7 @@ class TestGeneration:
 
     @pytest.mark.parametrize("k", [1, "m"])
     def test_frame_likes_match_a_per_pair_oracle_on_uneven_frames(self, k):
-        """On items of 1 to 10 frames, each rated pair likes its k best frames by
+        """On items of 2 to 11 frames, each rated pair likes its k best frames by
         the scalar frame score, ties toward the smaller frame id, for k = 1 and
         k = m, the widest item's frame count."""
         ds, _, planted = generate_synthetic(SynthConfig(**SMALL))
@@ -145,7 +145,7 @@ class TestGeneration:
         assert len(set(counts.tolist())) > 2 and counts.sum() == ds.num_frames
         k = ds.frame_table[0].shape[1] if k == "m" else k
         got = planted_frame_likes(planted, ds, k)
-        assert np.array_equal(got, reference.planted_frame_likes_per_pair(planted, ds, k))
+        assert np.array_equal(got, planted_frame_likes_per_pair(planted, ds, k))
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_frame_likes_do_not_depend_on_the_blocks_or_the_cpus(self, monkeypatch, cpus):
