@@ -155,25 +155,8 @@ def init_params(cfg: ModelConfig, dataset: Dataset) -> ModelParams:
 # ---------------------------------------------------------------------------
 
 
-# Every block that gathers or forms rows per item, per user or per pair holds
-# at most CACHE_BLOCK floats, 512 KiB, so that it stays in one core's L2
-# while the products that read it run.  item_visual_table builds the
-# attention table CACHE_BLOCK // (m * h) items at a time, m frames and h
-# hidden units per item: a block's (items, m, h) hidden layer stays in L2
-# while its ReLU and its logits read it.  It also lets the logits be one 2-D
-# product per block: numpy computes a 3-D hidden layer times ``attn_out`` as
-# one small product per item, and at M (3,000 items, m=8, h=32) those took
-# 276 us against about 95 us for 256-item blocks read from L2 (one core of a
-# 2-vCPU host).  At S (m=5, h=8) the whole table is one block.  The same
-# budget sizes every other block: score_catalog's candidate and every-item
-# user blocks, score_frames' blocks of CACHE_BLOCK // (m * d2) pairs (see the
-# note above score_catalog), which the synthetic teacher's frame likes also
-# sort in, and in training the table backward's blocks of CACHE_BLOCK // (m *
-# max(h, F)) touched items (128 at M, where F=64; one block at S) and
-# sample_epoch's blocks: CACHE_BLOCK // neg_ratio training pairs to look up,
-# CACHE_BLOCK triples to fill.  Each count is at least one.  The blocks of a
-# call run on up to one thread per CPU (_run_blocks), so the memory in
-# flight is one block per thread, and the budget is per core, not shared.
+# The floats one block may hold, 512 KiB, so that it stays in one core's L2
+# while the products that read it run; _run_blocks sizes every block by it.
 CACHE_BLOCK = 1 << 16
 
 
@@ -237,9 +220,43 @@ def _mark_worker():
     _in_worker.flag = True
 
 
-def _run_blocks(run, size, step):
+def _run_blocks(run, size, row, per_cpu=False):
     """``[run(b) for b in blocks]``, the blocks being ``slice(lo, lo + step)`` for lo in
     ``range(0, size, step)``, spread over the CPUs.
+
+    The one place that sizes blocks.  ``row`` is the number of floats one row
+    of the caller's block holds, and a block holds ``step = CACHE_BLOCK //
+    row`` rows (at least one, and ``CACHE_BLOCK`` when ``row`` is 0), so
+    that it stays in its core's L2 while the products that read it run.
+    With ``per_cpu``, and more than one row, a block also holds at most
+    ``ceil(size / CPUs)`` rows, so that a call with enough rows has a block
+    for each CPU.  Since the blocks of a call run on up to one thread per
+    CPU, the memory in flight is one block per thread, and the budget is per
+    core, not shared.  The callers, with their rows a block at M (3,000
+    items, m = 8 frames, F = 64, d2 = 32, both hidden sizes h = 32, 101
+    candidates a user; timings on one core of a 2-vCPU host):
+
+    - ``item_visual_table``, ``m * h``: 256 items.  A block's (items, m, h)
+      hidden layer stays in L2 while its ReLU and its logits read it, and
+      its logits are one 2-D product: numpy computes a 3-D hidden layer
+      times ``attn_out`` as one small product per item, 276 us for the
+      table against about 95 us in 256-item blocks.  At S the whole table
+      is one block.
+    - ``score_catalog`` against C candidates, ``C * attn_hidden_rating``: 20
+      users, whose (users, C, h) gathered fusion half fits; gathering a
+      user's rows took about 1.5 us in 81-user blocks and under 1 us in
+      20-user ones.
+    - ``score_catalog`` against every item, ``N`` with ``per_cpu``: 21
+      users (100 of S's 200 on two CPUs).  A block forms the fusion logits
+      one hidden unit at a time in (users, N) planes, so a plane, not h,
+      sizes it.  The CPU term was measured on one and two CPUs only: on
+      many more it makes the planes small again (S's 200 users on 64 CPUs
+      would run 4 a block), and whether those still pay is unmeasured.
+    - ``score_frames``, ``m * d2``: 256 pairs, whose (pairs, m, d2) gathered
+      frame rows fit.
+    - ``_table_backward``, ``m * max(h, F)``: 128 items (one block at S).
+    - ``sample_epoch``, ``neg_ratio`` for its lookups (training pairs, and
+      their triples) and 1 for its fills (``CACHE_BLOCK`` triples).
 
     The blocks are split into contiguous parts, one per CPU (``_cpus``): the
     calling thread runs the first part, and a pool of ``cpus - 1`` threads,
@@ -257,6 +274,9 @@ def _run_blocks(run, size, step):
     blocks), which would otherwise wait on the pool it occupies.
     """
     global _workers
+    step = max(1, CACHE_BLOCK // max(row, 1))  # an empty row, as of no candidates, takes no room
+    if per_cpu and size > 1:  # a single row cannot split, so needs no CPU count
+        step = min(step, -(-size // _cpus()))
     blocks = [slice(lo, lo + step) for lo in range(0, size, step)]
     cpus = 1 if len(blocks) < 2 or getattr(_in_worker, "flag", False) else _cpus()
     parts = min(cpus, len(blocks))
@@ -288,9 +308,8 @@ class VisualTable:
     mean frame), and ``x`` is ``pooled @ visual_proj.T``; the backward reads
     ``visual_proj``'s gradient from ``pooled``.  In attention mode
     ``hidden_relu`` is the (N, m, h) hidden layer of the attention network,
-    after its ReLU, filled ``CACHE_BLOCK // (m * h)`` items at a time, the
-    blocks spread over the CPUs, so that a block stays in its core's cache
-    between its products.
+    after its ReLU, filled a block of items at a time (``_run_blocks``), so
+    that a block stays in its core's cache between its products.
     """
 
     x: np.ndarray
@@ -397,8 +416,8 @@ def item_visual_table(params: ModelParams, cfg: ModelConfig, dataset: Dataset):
     reduction, ``attn_hidden[:, d1:] @ attn_reduce`` (h, F), formed once
     here.  Both read the frames as ``dataset.padded_features``, which the
     dataset holds, so a call copies no frame features.  Attention mode
-    builds its table ``CACHE_BLOCK // (m * h)`` items at a time, the blocks
-    spread over the CPUs (``_run_blocks``): per block, the key product, the
+    builds its table in blocks of items, ``m * h`` floats an item, spread
+    over the CPUs (``_run_blocks``): per block, the key product, the
     query half, the ReLU and the logits, one 2-D product, then the masked
     softmax and the pooling, while the block is in its core's cache.  Every
     step of a block is a per-item computation, so the threads move no bit.
@@ -429,7 +448,7 @@ def item_visual_table(params: ModelParams, cfg: ModelConfig, dataset: Dataset):
             np.divide(expd, denom, out=alpha[b], where=counts[b, None] > 0)
             pooled[b] = _pool(alpha[b], feats[b])
 
-        _run_blocks(block, n, max(1, CACHE_BLOCK // (m * h)))
+        _run_blocks(block, n, m * h)
     return VisualTable(x=pooled @ params.visual_proj.T, alpha=alpha, pooled=pooled,
                        hidden_relu=hidden_relu)
 
@@ -534,31 +553,6 @@ def score_pairs(
     return (scores, cache) if want_cache else scores
 
 
-# The bulk scorers work a block of rows at a time, so that no intermediate
-# grows with the number of rows asked for.  Against candidates, score_catalog
-# scores CACHE_BLOCK // (C * attn_hidden_rating) users a block, C being each
-# user's candidates, so that a block's (rows, C, h) gathered fusion half holds
-# at most CACHE_BLOCK elements: 20 users at M (C=101, h=32), where gathering
-# a user's rows took about 1.5 us in 81-user (2 MiB) blocks and under 1 us
-# in 20-user ones.
-# score_frames scores CACHE_BLOCK // (m * d2) (user, item) pairs a block, so
-# its gathered (pairs, m, d2) frame rows hold at most as many.  Against every
-# item, a block works on (rows, N) planes, forming the fusion logits
-# one hidden unit at a time, so it is sized by its planes, not by h: it
-# holds min(CACHE_BLOCK // N, ceil(users / CPUs)) users, so that each plane
-# holds at most CACHE_BLOCK floats and a call with enough users keeps at
-# least one block per CPU.  That is 21 users at M (N = 3,000) and 100 of
-# S's 200 on two CPUs (N = 300).  The rule it replaced, 2^18 // (N * h)
-# users, gave 2 users at h = 32, whose dozens of small numpy calls a block
-# made a second CPU slower than one.  On a 2-vCPU host with one BLAS
-# thread, the CLI's M test evaluation (1,000 negatives x 10 repeats, median
-# of 7) went from 684 ms on one CPU and 893 ms on two to 425 and 239 ms.
-# The CPU term was measured on one and two CPUs only: on many more it makes
-# the planes small again (S's 200 users on 64 CPUs would run 4 a block), and
-# whether those still pay is unmeasured.  Each count is at least one.
-# Scores do not depend on them.
-
-
 def score_catalog(users, params: ModelParams, cfg: ModelConfig, dataset: Dataset,
                   table: VisualTable = None, keep=None, items=None):
     """Score each of ``users`` against every item, a block of users at a time.
@@ -574,14 +568,11 @@ def score_catalog(users, params: ModelParams, cfg: ModelConfig, dataset: Dataset
     the call change a bit of a user's scores.  Against every item, the
     item-side arrays are transposed once to item-major form and a block
     works on (rows, N) planes, forming each fusion logit one hidden unit at
-    a time; a block of candidates gathers the item rows it needs.  A block
-    holds ``min(CACHE_BLOCK // N, ceil(len(users) / _cpus()))`` users
-    against every item, so that each of its planes holds at most
-    ``CACHE_BLOCK`` floats whatever the hidden size, and a call with enough
-    users has a block for each CPU; against candidates it holds ``CACHE_BLOCK
-    // (C * attn_hidden_rating)`` users (at least one either way).  The
-    blocks are spread over the CPUs (``_run_blocks``), in parts of
-    consecutive blocks, so memory in flight is one block per thread.  With
+    a time; a block of candidates gathers the item rows it needs.
+    ``_run_blocks`` sizes the blocks and spreads them over the CPUs: a user
+    is ``N`` floats against every item, with a block for each CPU when
+    there are enough users, and ``C * attn_hidden_rating`` against
+    candidates.  With
     ``keep``, returns ``keep(block, rows)`` stacked over the blocks instead,
     ``rows`` being the slice of ``users`` the block scores, so that only
     what it keeps of each block is held.  ``keep`` runs on several threads
@@ -614,12 +605,10 @@ def score_catalog(users, params: ModelParams, cfg: ModelConfig, dataset: Dataset
         w_user, w_item = params.fusion_hidden[:, :cfg.d1].T, params.fusion_hidden[:, cfg.d1:].T
         halves = [(np.einsum("ud,dh->uh", u, w_user), i @ w_item) for u, i in channels]
     if items is None:
-        rows = max(1, CACHE_BLOCK // dataset.num_items)
-        if len(users) > 1:  # a single user cannot split, so needs no CPU count
-            rows = max(1, min(rows, -(-len(users) // _cpus())))
+        row, per_cpu = dataset.num_items, True
         dots, logits = _every_item_blocks(channels, halves, params.fusion_out)
     else:
-        rows = max(1, CACHE_BLOCK // (items.shape[1] * cfg.attn_hidden_rating))
+        row, per_cpu = items.shape[1] * cfg.attn_hidden_rating, False
         dots, logits = _candidate_blocks(items, channels, halves, params.fusion_out)
 
     def score(b):
@@ -637,7 +626,7 @@ def score_catalog(users, params: ModelParams, cfg: ModelConfig, dataset: Dataset
 
     run = score if keep is None else lambda b: keep(score(b), b)
     # one empty block when there are no users
-    return np.concatenate(_run_blocks(run, max(len(users), 1), rows))
+    return np.concatenate(_run_blocks(run, max(len(users), 1), row, per_cpu))
 
 
 def _every_item_blocks(channels, halves, fusion_out):
@@ -648,9 +637,7 @@ def _every_item_blocks(channels, halves, fusion_out):
     block works on (rows, N) planes: the channel dots are
     ``einsum("rd,dn->rn")``, and each fusion logit plane is the sum over the
     hidden units k, in order, of ``fusion_out[k] * relu(user_half[:, k] +
-    item_half[k])``, formed one unit at a time in planes that each thread
-    running blocks allocates for its first block and its next block
-    overwrites.
+    item_half[k])``, formed one unit at a time in planes the block allocates.
     """
     item_major = lambda pairs: [(u, np.ascontiguousarray(i.T)) for u, i in pairs]
     channels = item_major(channels)
@@ -658,22 +645,17 @@ def _every_item_blocks(channels, halves, fusion_out):
     if halves is None:
         return dots, None
     halves = item_major(halves)
-    n, buffers = halves[0][1].shape[1], threading.local()
 
     def logits(b):
-        size = len(halves[0][0][b])
-        if not hasattr(buffers, "hidden") or len(buffers.hidden) < size:  # first, or larger
-            buffers.hidden, buffers.planes = np.empty((size, n)), np.empty((2, size, n))
-        hidden, planes = buffers.hidden, buffers.planes
+        shape = (len(halves[0][0][b]), halves[0][1].shape[1])  # (rows, N)
+        unit, planes = np.empty(shape), [np.zeros(shape) for _ in halves]
         for (u, i), logit in zip(halves, planes):
-            logit, unit = logit[:size], hidden[:size]
-            logit.fill(0.0)
             for k in range(len(fusion_out)):
                 np.add(u[b, k, None], i[k], out=unit)
                 np.maximum(unit, 0.0, out=unit)
                 unit *= fusion_out[k]
                 logit += unit
-        return planes[0, :size], planes[1, :size]
+        return planes
     return dots, logits
 
 
@@ -697,17 +679,22 @@ def _candidate_blocks(items, channels, halves, fusion_out):
     return dots, logits
 
 
-def score_frames(users, items, params: ModelParams, cfg: ModelConfig, dataset: Dataset):
+def score_frames(users, items, params: ModelParams, cfg: ModelConfig, dataset: Dataset,
+                 keep=None):
     """Visual-only scores of each (user, item) pair's frames, (len(users), m).
 
     Row r holds ``users[r]``'s scores of ``items[r]``'s frames in
     ``dataset.frame_table`` order (ascending frame id), ``-inf`` in the
-    item's padding slots.  Projects the frame table once, then scores
-    ``CACHE_BLOCK // (m * d2)`` pairs at a time (at least one) into one
-    output, the blocks spread over the CPUs: each block gathers only its own
-    user rows and (pairs, m, d2) projected frame rows, which stay in its
-    core's L2 while the dots read them.  A score is a per-pair dot, so
-    neither the blocks nor the threads change a bit.
+    item's padding slots.  Projects the frame table once, then scores the
+    pairs in blocks, ``m * d2`` floats a pair, spread over the CPUs
+    (``_run_blocks``): each block gathers only its own user rows and (pairs,
+    m, d2) projected frame rows, which stay in its core's L2 while the dots
+    read them.  A score is a per-pair dot, so neither the blocks nor the
+    threads change a bit.  With ``keep``, returns ``keep(block, rows)``
+    stacked over the blocks instead, as ``score_catalog`` does: ``rows`` is
+    the slice of the pairs the block scores, no pairs give one empty block,
+    ``keep`` runs on several threads at once, and if it raises, the call
+    raises the first failing block's exception once every thread is done.
     """
     if cfg.visual_mode == VISUAL_OFF:
         raise UnsupportedTaskError(
@@ -720,15 +707,14 @@ def score_frames(users, items, params: ModelParams, cfg: ModelConfig, dataset: D
                          f"got {users.shape} and {items.shape}")
     ids, mask, _ = dataset.frame_table
     projected = dataset.frame_features @ params.visual_proj.T
-    scores = np.empty((len(users), ids.shape[1]))
 
-    def block(b):
+    def score(b):
         rows = np.einsum("pd,pmd->pm", params.user_visual.take(users[b], axis=0),
                          np.take(projected, ids[items[b]], axis=0))
-        scores[b] = np.where(mask[items[b]], rows, -np.inf)
+        return np.where(mask[items[b]], rows, -np.inf)
 
-    _run_blocks(block, len(users), max(1, CACHE_BLOCK // (ids.shape[1] * cfg.d2)))
-    return scores
+    run = score if keep is None else lambda b: keep(score(b), b)
+    return np.concatenate(_run_blocks(run, max(len(users), 1), ids.shape[1] * cfg.d2))
 
 
 # ---------------------------------------------------------------------------

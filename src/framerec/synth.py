@@ -19,7 +19,6 @@ import numpy as np
 
 from .data import Dataset, _pair_array, check_dataset
 from .errors import ConfigError, check_integers, check_seed
-from . import model
 from .model import FUSION_ATT, VISUAL_ATT, ModelConfig, ModelParams, score_catalog, score_frames
 
 
@@ -151,23 +150,21 @@ def planted_frame_likes(planted: PlantedModel, dataset: Dataset, k: int) -> np.n
     (``score_frames``).  Ties break toward the smaller frame id; a pair with
     k or fewer frames likes them all.  Returns the (user, frame) likes of
     all ratings as sorted (L, 2) int64 rows; split_ratings keeps the test
-    ones.  Each pair's row is sorted on its own, in ``score_frames``' blocks
-    of pairs spread over the CPUs (``model._run_blocks``), so neither the
-    blocks nor the threads move a like.
+    ones.  Each pair's row is sorted on its own, by ``score_frames``' own
+    ``keep``, in its blocks of pairs and on its threads, so neither the
+    blocks nor the threads move a like, and of the scores only each pair's
+    top k frame ids are held.
     """
     ids = dataset.frame_table[0]
     users, items = dataset.ratings.T
-    scores = score_frames(users, items, planted.params, planted.cfg, dataset)
-    top = np.empty((len(users), min(k, ids.shape[1])), dtype=ids.dtype)  # at most m frames each
-    liked = np.empty(top.shape, dtype=bool)
 
-    def block(b):
-        order = np.argsort(-scores[b], axis=1, kind="stable")[:, :k]  # ties keep the smaller id
-        liked[b] = np.take_along_axis(scores[b], order, axis=1) > -np.inf  # not padding
-        top[b] = np.take_along_axis(ids[items[b]], order, axis=1)
+    def keep(scores, rows):  # each pair's top k frame ids, -1 in a padding slot
+        order = np.argsort(-scores, axis=1, kind="stable")[:, :k]  # ties keep the smaller id
+        top = np.take_along_axis(ids[items[rows]], order, axis=1)
+        return np.where(np.take_along_axis(scores, order, axis=1) > -np.inf, top, -1)
 
-    step = model.CACHE_BLOCK // (ids.shape[1] * planted.cfg.d2)  # score_frames' blocks
-    model._run_blocks(block, len(users), max(1, step))
+    top = score_frames(users, items, planted.params, planted.cfg, dataset, keep=keep)
+    liked = top >= 0
     return _pair_array(np.column_stack([np.broadcast_to(users[:, None], top.shape)[liked],
                                         top[liked]]))
 

@@ -35,12 +35,12 @@ copies the same values as fancy indexing in about a third of the time; 1-D
 gathers keep fancy indexing, which is faster there.
 
 Two pieces of a step run in blocks on up to one thread per CPU, through
-the forward's runner (``model._run_blocks``) and sized by its budget
-(``model.CACHE_BLOCK``): the visual table's backward, a block of touched
-items at a time, and ``sample_epoch``'s negative lookup and column fills, a
-block of training pairs or triples at a time.  A block writes only its own
-rows; a sum across blocks adds the blocks' partial results in block order
-on the calling thread, so no bit depends on the thread count.
+the forward's runner (``model._run_blocks``), which sizes every block: the
+visual table's backward, a block of touched items at a time, and
+``sample_epoch``'s negative lookup and column fills, a block of training
+pairs or triples at a time.  A block writes only its own rows; a sum
+across blocks adds the blocks' partial results in block order on the
+calling thread, so no bit depends on the thread count.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ from .data import Dataset, SplitDataset, atomic_writer, check_dataset
 from .errors import (ConfigError, EmptyDatasetError, NonFiniteError, SamplingError,
                      check_integers, check_reals, check_seed)
 from .evaluation import evaluate_item_rec
-from . import model
 from .model import (
     FUSION_ATT,
     VISUAL_ATT,
@@ -140,12 +139,13 @@ def sample_epoch(split: SplitDataset, neg_ratio: int, rng: np.random.Generator) 
     The two draws, the uniforms and then the permutation, are made whole on
     the calling thread.  The rest runs in blocks spread over the CPUs
     (``_run_blocks``): first the lookups, ``CACHE_BLOCK // neg_ratio``
-    training pairs' triples a block in training-pair order, where a block's
-    users ascend and the search keeps to a small part of the ratings (in
-    the permuted order the whole draw took twice as long at M), then the rows,
-    ``CACHE_BLOCK`` a block, filled from the permutation.  Each block writes
-    only its own slice, so the bytes are those of the permuted whole-epoch
-    draw at any block size or thread count.
+    training pairs a block (a row of ``neg_ratio``, one per triple) in
+    training-pair order, where a block's users ascend and the search keeps
+    to a small part of the ratings (in the permuted order the whole draw
+    took twice as long at M), then the rows, ``CACHE_BLOCK`` triples a
+    block (a row of 1), filled from the permutation.
+    Each block writes only its own slice, so the bytes are those of the
+    permuted whole-epoch draw at any block size or thread count.
     """
     base = split.base
     train = split.pairs("train")
@@ -168,7 +168,7 @@ def sample_epoch(split: SplitDataset, neg_ratio: int, rng: np.random.Generator) 
         k = (draws[span] * pool[users]).astype(np.int64)  # below the pool size
         negs[span] = base.unrated_items(users, k)
 
-    _run_blocks(lookup, len(train), max(1, model.CACHE_BLOCK // neg_ratio))
+    _run_blocks(lookup, len(train), neg_ratio)
     perm = rng.permutation(n)
     triples = np.empty((n, 3), dtype=np.int64)
 
@@ -179,7 +179,7 @@ def sample_epoch(split: SplitDataset, neg_ratio: int, rng: np.random.Generator) 
         triples[b, 1] = train[:, 1].take(pair)
         triples[b, 2] = negs.take(source)
 
-    _run_blocks(fill, n, model.CACHE_BLOCK)
+    _run_blocks(fill, n, 1)
     return triples
 
 
@@ -364,11 +364,11 @@ def _table_backward(params, cfg, dataset, table, rows, gx, grads):
     """Push gradients w.r.t. the visual embeddings of items ``rows`` into the tensors.
 
     gx is (len(rows), d2); every other item's gradient is zero, so only the
-    frames of ``rows`` take part.  The rows are worked ``CACHE_BLOCK // (m *
-    max(h, F))`` at a time (at least one; 128 at M, one block at S), the
-    blocks spread over the CPUs (``_run_blocks``): each block gathers its
-    own rows' pooled features, weights, frames and ``hidden_relu`` rows, and
-    the attention backward works in the buffer of its gathered hidden layer.
+    frames of ``rows`` take part.  The rows are worked in blocks, ``m *
+    max(h, F)`` floats a row, spread over the CPUs (``_run_blocks``; 128
+    rows a block at M, one block at S): each block gathers its own rows'
+    pooled features, weights, frames and ``hidden_relu`` rows, and the
+    attention backward works in the buffer of its gathered hidden layer.
     In both modes ``x`` is ``table.pooled @ visual_proj.T``, so a block's
     part of the projection's gradient is ``gx[b].T @ table.pooled[rows[b]]``.
     Attention additionally feeds its weight network: a block forms ``s``
@@ -411,7 +411,7 @@ def _table_backward(params, cfg, dataset, table, rows, gx, grads):
         )[0][:, 0]
         return dproj, dout, dq, dfold
 
-    parts = _run_blocks(block, len(rows), max(1, model.CACHE_BLOCK // (m * max(h, f))))
+    parts = _run_blocks(block, len(rows), m * max(h, f))
     totals = [grads["visual_proj"]]
     if attention:
         dfold = np.zeros((h, f))

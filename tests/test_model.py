@@ -675,8 +675,8 @@ class TestCatalogScoring:
 
 
 class TestFrameScoring:
-    """``score_frames`` scores ``CACHE_BLOCK // (m * d2)`` (user, item) pairs' frame
-    rows at a time."""
+    """``score_frames`` scores (user, item) pairs' frame rows in blocks of
+    ``CACHE_BLOCK // (m * d2)`` pairs."""
 
     @pytest.mark.parametrize("visual", ["avg", "att"])
     def test_pair_blocks_change_no_bit(self, monkeypatch, visual):
@@ -695,6 +695,65 @@ class TestFrameScoring:
     def test_no_pairs_score_nothing(self):
         params, cfg, ds, _ = catalog_instance("att", "att")
         assert score_frames([], [], params, cfg, ds).shape == (0, ds.frame_table[0].shape[1])
+
+    def test_kept_blocks_stack_to_the_scores_on_any_cpus(self, monkeypatch):
+        """200 pairs in 29 blocks of 7 (the last of 4): ``keep`` sees each block once,
+        and its stacked rows have the bytes of the scores without it, on 1, 2 and
+        5 CPUs."""
+        params, cfg, ds, _ = catalog_instance("att", "att")
+        rng = np.random.default_rng(6)
+        users = rng.integers(0, ds.num_users, size=200)
+        items = rng.integers(0, ds.num_items, size=200)
+        monkeypatch.setattr(model, "CACHE_BLOCK", 7 * ds.frame_table[0].shape[1] * cfg.d2)
+        want = score_frames(users, items, params, cfg, ds).tobytes()
+        with switching_often():
+            for cpus in (1, 2, 5):
+                monkeypatch.setattr(model, "_cpus", lambda: cpus)
+                seen = []
+
+                def keep(scores, rows):
+                    seen.append((rows.start, len(scores)))  # blocks run on several threads
+                    return scores
+
+                got = score_frames(users, items, params, cfg, ds, keep=keep)
+                assert got.tobytes() == want, cpus
+                assert sorted(seen) == [(start, 7) for start in range(0, 196, 7)] + [(196, 4)]
+
+    def test_no_pairs_keep_one_empty_block(self):
+        params, cfg, ds, _ = catalog_instance("att", "att")
+        seen = []
+        got = score_frames([], [], params, cfg, ds,
+                           keep=lambda scores, rows: seen.append(scores.shape) or scores[:, :1])
+        assert seen == [(0, ds.frame_table[0].shape[1])] and got.shape == (0, 1)
+
+    # 15 blocks of 3 pairs.  Blocks ``first`` and 14 raise, and block ``slow`` sleeps
+    # first, as in TestBlockThreads' every-item case.
+    @pytest.mark.parametrize("cpus,first,slow", [(2, 1, 14), (3, 7, 7)])
+    def test_a_failing_keep_raises_once_every_block_is_done(self, monkeypatch, cpus, first,
+                                                             slow):
+        params, cfg, ds, users = catalog_instance("att", "att")
+        items = np.random.default_rng(6).integers(0, ds.num_items, size=len(users))
+        monkeypatch.setattr(model, "_cpus", lambda: cpus)
+        monkeypatch.setattr(model, "CACHE_BLOCK", 3 * ds.frame_table[0].shape[1] * cfg.d2)
+        running, done = set(), []
+
+        def keep(scores, rows):
+            block = rows.start // 3
+            running.add(block)
+            try:
+                if block == slow:
+                    time.sleep(0.2)
+                if block in (first, 14):
+                    raise ValueError(f"block {block}")
+                return scores
+            finally:
+                running.discard(block)
+                done.append(block)
+
+        with pytest.raises(ValueError, match=f"^block {first}$"):
+            score_frames(users, items, params, cfg, ds, keep=keep)
+        assert not running and {first, 14} <= set(done)
+        assert first + 1 not in done  # a part stops at its first failing block
 
     @pytest.mark.parametrize("users,items", [([0, 1], [0]), ([], [0]), ([[0]], [[0]])])
     def test_pairs_must_be_two_flat_arrays_of_one_length(self, users, items):
@@ -740,6 +799,13 @@ class TestCandidateScoring:
         params, cfg, ds, _ = catalog_instance(visual, fusion)
         items = np.empty((0, 7), dtype=np.int64)
         assert score_catalog([], params, cfg, ds, items=items).shape == (0, 7)
+
+    @pytest.mark.parametrize("visual,fusion", MODES)
+    def test_no_candidates_score_empty_rows_as_score_pairs(self, visual, fusion):
+        params, cfg, ds, users = catalog_instance(visual, fusion)
+        items = np.empty((len(users), 0), dtype=np.int64)
+        got = score_catalog(users, params, cfg, ds, items=items)
+        assert got.shape == score_pairs(users[:, None], items, params, cfg, ds).shape == (45, 0)
 
     @pytest.mark.parametrize("visual,fusion", MODES)
     @pytest.mark.parametrize("bad", [-1, 41])

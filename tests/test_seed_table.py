@@ -146,3 +146,24 @@ def test_a_sub_key_only_one_table_holds_is_named(seed_table):
     lines = seed_table.compare(*tables(seed_table, change))
     assert "seed rows' clauses beats_random: only in the later table" in lines
     assert lines[-1] == "0 per-seed figures, epoch counts or clauses differ"
+
+
+def test_the_table_records_its_environment(seed_table):
+    env = seed_table.table([row(1)])["environment"]
+    assert set(env) == {"blas_pinned", "cpus", "numpy"}
+    assert isinstance(env["blas_pinned"], bool) and env["cpus"] >= 1
+
+
+@pytest.mark.parametrize("case", ["other CPUs", "an older table"])
+def test_a_changed_environment_is_one_uncounted_line(seed_table, case):
+    before, after = tables(seed_table)
+    if case == "other CPUs":
+        before["environment"]["cpus"] = after["environment"]["cpus"] + 3
+    else:
+        del before["environment"]
+    lines = seed_table.compare(before, after)
+    named = [line for line in lines if line.startswith("environment differs: ")]
+    assert named == [f"environment differs: {before.get('environment')} -> "
+                     f"{after['environment']}"]
+    assert lines[-1] == "0 per-seed figures, epoch counts or clauses differ"
+    assert not any("environment" in line for line in lines if line not in named)

@@ -92,3 +92,44 @@ def test_only_the_model_projects_frames(module):
              and any(isinstance(a, ast.Attribute) and a.attr == "frame_features"
                      for a in ast.walk(n.left))]
     assert not found, found
+
+
+def loads(tree, names) -> list:
+    """The nodes of ``tree`` that read one of ``names``, as a name or as an attribute."""
+    return [n for n in ast.walk(tree) if isinstance(n, (ast.Name, ast.Attribute))
+            and isinstance(n.ctx, ast.Load) and getattr(n, "id", getattr(n, "attr", None)) in names]
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_only_the_runner_sizes_blocks(module):
+    """``model._run_blocks`` is the one reader of the block budget and the CPU count;
+    every other function hands it the floats one row of its block holds."""
+    runner = [n for n in TREES[module].body if getattr(n, "name", None) == "_run_blocks"]
+    inside = {id(n) for r in runner for n in ast.walk(r)}
+    found = [f"{module}:{n.lineno}" for n in loads(TREES[module], {"CACHE_BLOCK", "_cpus"})
+             if id(n) not in inside]
+    assert not found, found
+
+
+def test_synth_calls_only_public_scorers():
+    """The generator scores through the model's public functions: it neither imports
+    ``model`` as a module nor uses a private ``model`` name."""
+    found = [f"synth.py:{n.lineno} {alias.name}" for n in ast.walk(TREES["synth.py"])
+             if isinstance(n, (ast.Import, ast.ImportFrom)) for alias in n.names
+             if alias.name.split(".")[-1] == "model"
+             or getattr(n, "module", None) == "model" and alias.name.startswith("_")]
+    found += [f"synth.py:{n.lineno} model.{n.attr}" for n in ast.walk(TREES["synth.py"])
+              if isinstance(n, ast.Attribute) and getattr(n.value, "id", None) == "model"]
+    assert not found, found
+
+
+def test_the_runners_flag_is_the_only_per_thread_state():
+    """``model._in_worker``, which keeps blocks run from a pool thread on that thread,
+    is the package's one ``threading.local``."""
+    found = [(module, n.lineno) for module, tree in TREES.items() for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute) and n.attr == "local"
+             and getattr(n.value, "id", None) == "threading"
+             or isinstance(n, ast.ImportFrom) and n.module == "threading"]
+    flag = [(module, n.lineno) for module, tree in TREES.items() for n in tree.body
+            if isinstance(n, ast.Assign) and ast.unparse(n.targets[0]) == "_in_worker"]
+    assert found == flag == [("model.py", flag[0][1])], found

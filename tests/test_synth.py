@@ -149,20 +149,28 @@ class TestGeneration:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_frame_likes_do_not_depend_on_the_blocks_or_the_cpus(self, monkeypatch, cpus):
-        """Blocks of 1, 7 and 16 rated pairs (``CACHE_BLOCK // (m * d)``), and one
-        block of all 60, give the default call's likes, on one CPU and on two;
-        ``score_frames`` and the sort run those blocks in turn."""
+        """Blocks of 1, 7 and 16 rated pairs (``m * d`` floats a pair), and one block
+        of all 60, give the default call's likes, on one CPU and on two; the likes
+        are sorted in ``score_frames``' own blocks, by its ``keep``."""
         ds, likes, planted = generate_synthetic(SynthConfig(**SMALL))
         monkeypatch.setattr(model, "_cpus", lambda: cpus)
-        steps, run_blocks = [], model._run_blocks
-        monkeypatch.setattr(model, "_run_blocks",
-                            lambda run, size, step: steps.append(step) or run_blocks(run, size, step))
+        seen, real = [], synth.score_frames
+
+        def spy(*args, keep):
+            def seen_keep(scores, rows):
+                seen.append((rows.start, len(scores)))  # blocks run on several threads
+                return keep(scores, rows)
+            return real(*args, keep=seen_keep)
+
+        monkeypatch.setattr(synth, "score_frames", spy)
         per_pair = SMALL["frames_per_item"] * SMALL["latent_dim"]
-        for pairs in (1, 7, 16, 60):
+        for pairs, sizes in ((1, [1] * 60), (7, [7] * 8 + [4]), (16, [16] * 3 + [12]), (60, [60])):
             monkeypatch.setattr(model, "CACHE_BLOCK", pairs * per_pair)
+            seen.clear()
             got = planted_frame_likes(planted, ds, SMALL["frame_likes_per_pair"])
             assert got.tobytes() == likes.tobytes(), pairs
-        assert steps == [1, 1, 7, 7, 16, 16, 60, 60] and len(ds.ratings) == 60
+            assert [size for _, size in sorted(seen)] == sizes, pairs
+        assert len(ds.ratings) == 60
 
     @pytest.mark.parametrize("frames", [1, 4])
     def test_frame_likes_past_the_frame_count_like_every_frame(self, monkeypatch, frames):

@@ -96,8 +96,8 @@ def bad_runs(pairs) -> list:
 
 
 def quartiles(values) -> tuple:
-    """(lower quartile, median, upper quartile), by ``statistics.quantiles``'
-    default (exclusive) method, as ``perfbench/baseline.py`` measures spread."""
+    """(lower quartile, median, upper quartile) by ``statistics.quantiles(values, n=4)``,
+    its default (exclusive) method; one value is all three."""
     if len(values) == 1:
         return values[0], values[0], values[0]
     return tuple(statistics.quantiles(values, n=4))

@@ -15,12 +15,17 @@ paired differences att - mean (frame NDCG@3) and att - off (item NDCG@15)
 with their spread.  A seed takes about 3 s on one core, so the tool stays
 out of the test suite.
 
+The table also records its ``environment``: whether the package pinned
+numpy's BLAS to one thread, the CPUs the blocks ran on and numpy's version.
+
 With ``--compare``, it then prints what changed against an earlier table:
 each per-seed figure or epoch count that differs, each clause that flipped,
 and the change in every mean.  Wall seconds are not compared.  Only the
 figures both tables hold are compared, so a table an older version wrote
 (say, without ``best_epoch``) can be read; each key that only one table
-holds is named on a line of its own.  A
+holds is named on a line of its own.  One line names the two environments
+when they differ (an older table has none); it is not counted among the
+differing figures.  A
 ``--compare`` file that is missing or is not such a table, and an ``--out``
 path outside an existing directory, end in a one-line argument error before
 the first seed trains.
@@ -44,9 +49,12 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(var, "1")
 sys.path.insert(0, str(ROOT / "src"))
 
+import numpy as np  # noqa: E402
+
 from framerec import (SynthConfig, TrainConfig, generate_synthetic,  # noqa: E402
                       random_frame_baseline, split_ratings)
 from framerec.cli import train_cells  # noqa: E402
+from framerec.model import _blas_pinned, _cpus  # noqa: E402
 
 MODES = ("att/att", "avg/sum", "off/sum")
 # Criterion 6's chance bound: att/att's frame HR@3 is at least this times random's.
@@ -109,6 +117,7 @@ def table(rows) -> dict:
     return {
         "setup": "criterion 6: S (200 users x 300 items x 5 frames, F=16, d=8), synth seed "
                  "1000+s, split seed 2000+s, model and train seed s",
+        "environment": {"blas_pinned": _blas_pinned, "cpus": _cpus(), "numpy": np.__version__},
         "seeds": rows,
         "means": {k: statistics.fmean(r[k] for r in rows) for k in figures},
         "paired": {
@@ -169,6 +178,9 @@ def compare(before: dict, after: dict) -> list:
     lines += [f"{name}: {then:.6f} -> {now:.6f} ({now - then:+.6g})"
               for name, then, now in means]
     lines += [f"{name}: only in the {side} table" for name, side in only.items()]
+    envs = before.get("environment"), after.get("environment")
+    if envs[0] != envs[1]:  # named, but not counted as a difference
+        lines.append(f"environment differs: {envs[0]} -> {envs[1]}")
     lines.append(f"{changed} per-seed figures, epoch counts or clauses differ")
     return lines
 
