@@ -27,7 +27,7 @@ from .errors import ConfigError, NonFiniteError, check_seed
 from .model import (
     ModelConfig,
     ModelParams,
-    item_visual_table,
+    _visual_table,
     score_catalog,
     score_frames,
 )
@@ -186,7 +186,11 @@ def evaluate_item_rec(params: ModelParams, cfg: ModelConfig, split: SplitDataset
     Hypergeometric(c, P - c, min(take, P)) score at least it (Krichene &
     Rendle, KDD 2020), so each repeat ranks it at 1 plus one such draw.
     Otherwise each repeat draws the negatives by ``_draw_pool`` and
-    ``score_catalog`` scores each pair's candidates.
+    ``score_catalog`` scores each pair's candidates.  Both paths read one
+    visual table, built once per call, that holds the item embeddings
+    ``x`` alone: not the attention's (N, m, h) hidden layer, the pooled
+    features or the frame weights, which only training reads (7.9 MB at
+    M, about 105 MB at 30k x 40k).
     """
     k_list = check_cutoffs(k_list)
     if split_name not in ITEM_SPLITS:
@@ -208,7 +212,7 @@ def evaluate_item_rec(params: ModelParams, cfg: ModelConfig, split: SplitDataset
     for warning in warnings:
         logger.warning(warning)
 
-    table = item_visual_table(params, cfg, dataset=base)
+    table = _visual_table(params, cfg, base, backward=False)  # x alone: no backward reads it
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(repeats)]
     if repeats * (take + 1) > base.num_items:
         # pairs are sorted, so each block of users holds a run of pairs

@@ -299,22 +299,27 @@ def _run_blocks(run, size, row, per_cpu=False):
 
 @dataclass
 class VisualTable:
-    """Per-item visual embeddings plus the intermediates backprop needs.
+    """Per-item visual embeddings, plus the intermediates backprop needs in a
+    table built for training.
 
-    ``x`` is (N, d2) and ``alpha`` (N, m) the weights that pool each item's
+    ``x`` is the (N, d2) item embeddings, the one array scoring reads.  A
+    training table (``item_visual_table``) also holds what the table's
+    backward reads: ``alpha``, the (N, m) weights that pool each item's
     frames (``dataset.frame_table`` order), zero at padding: 1 / count in
-    mean mode, the attention softmax in attention mode.  ``pooled`` is the
+    mean mode, the attention softmax in attention mode; ``pooled``, the
     (N, F) alpha-pooled raw frame features (in mean mode each item's exact
-    mean frame), and ``x`` is ``pooled @ visual_proj.T``; the backward reads
-    ``visual_proj``'s gradient from ``pooled``.  In attention mode
-    ``hidden_relu`` is the (N, m, h) hidden layer of the attention network,
+    mean frame), with ``x = pooled @ visual_proj.T``, so that the backward
+    reads ``visual_proj``'s gradient from ``pooled``; and in attention mode
+    ``hidden_relu``, the (N, m, h) hidden layer of the attention network
     after its ReLU, filled a block of items at a time (``_run_blocks``), so
-    that a block stays in its core's cache between its products.
+    that a block stays in its core's cache between its products.  A table
+    built for scoring (by ``score_pairs`` or ``score_catalog`` without a
+    table, and by item evaluation) holds ``x`` alone, the other three None.
     """
 
     x: np.ndarray
-    alpha: np.ndarray
-    pooled: np.ndarray
+    alpha: np.ndarray = None
+    pooled: np.ndarray = None
     hidden_relu: np.ndarray = None
 
 
@@ -338,10 +343,12 @@ def _attention_mlp(query, key, w_query, w_key, out, hidden=None):
     has the hidden layer's full shape (the (B, m) frame keys take (B, 1)
     queries, and ``score_pairs`` hands over keys and queries of one shape),
     so the query half is added, and the ReLU applied, in the key half's own
-    buffer: ``hidden`` if given (a C-contiguous array of that shape, which
-    ``item_visual_table`` passes one block of its table at a time), a new
-    array otherwise.  The logits are one 2-D product over the flattened
-    leading axes, not one small product per leading index.
+    buffer: ``hidden`` if given (a C-contiguous array of that shape: a
+    training table's builder passes one block of the table's ``hidden_relu``
+    at a time), a new array otherwise (a table built for scoring lets each
+    block allocate its own, so it never holds the whole (N, m, h) layer).
+    The logits are one 2-D product over the flattened leading axes, not one
+    small product per leading index.
     """
     relu = _linear(key, w_key, out=hidden)
     relu += _linear(query, w_query)
@@ -401,7 +408,8 @@ def _pool(alpha, feats):
 
 
 def item_visual_table(params: ModelParams, cfg: ModelConfig, dataset: Dataset):
-    """Compute visual embeddings for every item at once.
+    """Compute every item's visual embedding, with the intermediates the
+    training backward reads: a full ``VisualTable``.
 
     Returns None when the visual pathway is off.  Items without frames get a
     zero row; scoring such an item raises at the call site.  Both modes pool
@@ -421,6 +429,21 @@ def item_visual_table(params: ModelParams, cfg: ModelConfig, dataset: Dataset):
     query half, the ReLU and the logits, one 2-D product, then the masked
     softmax and the pooling, while the block is in its core's cache.  Every
     step of a block is a per-item computation, so the threads move no bit.
+    The table is built for ``training.batch_gradients``; scoring builds one
+    that holds ``x`` alone (``_visual_table``), with the same bytes.
+    """
+    return _visual_table(params, cfg, dataset, backward=True)
+
+
+def _visual_table(params: ModelParams, cfg: ModelConfig, dataset: Dataset, backward: bool):
+    """``item_visual_table``'s body: with ``backward`` its full table, else one of ``x`` alone.
+
+    Without ``backward`` each attention block fills a hidden layer of its
+    own, so the (N, m, h) layer is never held whole, and ``alpha`` and
+    ``pooled`` are dropped once the table's one projection has formed ``x``.
+    At M (3,000 items, m = 8, F = 64, h = 32) that is 7.9 MB less a table,
+    and at 30k x 40k about 105 MB.  The blocks and the products are the
+    same either way, so ``x`` has the same bytes.
     """
     if cfg.visual_mode == VISUAL_OFF:
         return None
@@ -434,12 +457,14 @@ def item_visual_table(params: ModelParams, cfg: ModelConfig, dataset: Dataset):
         w_query = params.attn_hidden[:, :cfg.d1]
         w_key = params.attn_hidden[:, cfg.d1:] @ params.attn_reduce
         (n, m, f), h = feats.shape, len(w_key)
-        hidden_relu, alpha, pooled = np.empty((n, m, h)), np.zeros((n, m)), np.empty((n, f))
+        hidden_relu = np.empty((n, m, h)) if backward else None
+        alpha, pooled = np.zeros((n, m)), np.empty((n, f))
         neg_inf = np.finfo(alpha.dtype).min
 
         def block(b):
             _, logits = _attention_mlp(params.item_collab[b, None, :], feats[b], w_query, w_key,
-                                       params.attn_out, hidden=hidden_relu[b])
+                                       params.attn_out,
+                                       hidden=hidden_relu[b] if backward else None)
             shifted = np.where(mask[b], logits, neg_inf)
             shifted -= _frame_max(shifted)[:, None]
             expd = np.where(mask[b], np.exp(shifted), 0.0)
@@ -449,8 +474,10 @@ def item_visual_table(params: ModelParams, cfg: ModelConfig, dataset: Dataset):
             pooled[b] = _pool(alpha[b], feats[b])
 
         _run_blocks(block, n, m * h)
-    return VisualTable(x=pooled @ params.visual_proj.T, alpha=alpha, pooled=pooled,
-                       hidden_relu=hidden_relu)
+    x = pooled @ params.visual_proj.T
+    if not backward:
+        return VisualTable(x=x)
+    return VisualTable(x=x, alpha=alpha, pooled=pooled, hidden_relu=hidden_relu)
 
 
 @dataclass
@@ -517,8 +544,10 @@ def score_pairs(
     row array has the scores' shape plus one axis.  Rows are gathered with
     ``take``, which copies the same values as fancy indexing in about a
     third of the time.  ``table`` may be passed to reuse a precomputed
-    visual table; otherwise it is built on the fly.  With want_cache=True
-    also returns the PairCache consumed by the training backward pass.
+    visual table, of which only ``x`` is read (a training table from
+    ``item_visual_table`` or a scoring one); otherwise a table of ``x``
+    alone is built on the fly.  With want_cache=True also returns the
+    PairCache consumed by the training backward pass.
     """
     users = _checked_ids(users, dataset.num_users, "user")
     items = _checked_ids(items, dataset.num_items, "item")
@@ -532,7 +561,7 @@ def score_pairs(
         return (collab, cache) if want_cache else collab
 
     if table is None:
-        table = item_visual_table(params, cfg, dataset)
+        table = _visual_table(params, cfg, dataset, backward=False)
     counts = dataset.frame_table[2][items]
     if counts.size and counts.min() == 0:
         raise MissingFramesError(f"item {items.flat[np.argmin(counts)]} has no frames")
@@ -572,7 +601,8 @@ def score_catalog(users, params: ModelParams, cfg: ModelConfig, dataset: Dataset
     ``_run_blocks`` sizes the blocks and spreads them over the CPUs: a user
     is ``N`` floats against every item, with a block for each CPU when
     there are enough users, and ``C * attn_hidden_rating`` against
-    candidates.  With
+    candidates.  ``table``, as in ``score_pairs``, is read for ``x`` alone,
+    and without one a table of ``x`` alone is built.  With
     ``keep``, returns ``keep(block, rows)`` stacked over the blocks instead,
     ``rows`` being the slice of ``users`` the block scores, so that only
     what it keeps of each block is held.  ``keep`` runs on several threads
@@ -592,7 +622,7 @@ def score_catalog(users, params: ModelParams, cfg: ModelConfig, dataset: Dataset
     channels = [(params.user_collab[users], params.item_collab)]
     if cfg.visual_mode != VISUAL_OFF:
         if table is None:
-            table = item_visual_table(params, cfg, dataset)
+            table = _visual_table(params, cfg, dataset, backward=False)
         counts = dataset.frame_table[2] if items is None else dataset.frame_table[2][items]
         if counts.size and counts.min() == 0:
             first = np.argmin(counts)

@@ -243,15 +243,24 @@ def batch_gradients(
     the batch touches and their gradient rows; every other row's gradient
     is zero.  The other tensors get dense arrays (``dense_gradient`` turns
     either form into a dense array).  The returned loss is the reduced
-    ranking term without the regulariser.  Raises EmptyDatasetError for a
-    batch without triples.
+    ranking term without the regulariser.  ``table``, if passed, is a
+    training table from ``item_visual_table``; one without the arrays the
+    table's backward reads (``pooled``, and in attention mode ``alpha`` and
+    ``hidden_relu``), such as a table built for scoring, raises ValueError.
+    Raises EmptyDatasetError for a batch without triples.
     """
     batch = np.asarray(batch, dtype=np.int64)
     b = len(batch)
     if b == 0:
         raise EmptyDatasetError("empty batch")
-    if table is None and cfg.visual_mode != VISUAL_OFF:
-        table = item_visual_table(params, cfg, dataset)
+    if cfg.visual_mode != VISUAL_OFF:
+        if table is None:
+            table = item_visual_table(params, cfg, dataset)
+        needed = ["pooled"] + (["alpha", "hidden_relu"] if cfg.visual_mode == VISUAL_ATT else [])
+        missing = [name for name in needed if getattr(table, name, None) is None]
+        if missing:
+            raise ValueError(f"batch_gradients needs a training table from item_visual_table; "
+                             f"this one holds no {', '.join(missing)}")
 
     users, items, scores, cache, data = _score_batch(
         params, cfg, dataset, batch, reduction, table

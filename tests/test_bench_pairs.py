@@ -20,6 +20,20 @@ def bench_pairs():
     return module
 
 
+# one CPU-bound child alone, and one per CPU at once: two concurrent pure-Python
+# loops on a 2-vCPU host that shares its cores (1.26 s against 0.70 s alone)
+SPIN_ALONE, SPIN_TOGETHER = 0.70, 1.26
+
+
+@pytest.fixture(autouse=True)
+def stub_spin(bench_pairs, monkeypatch):
+    """``host`` times stubbed children, so that no test starts a process to time."""
+    calls = []
+    monkeypatch.setattr(bench_pairs, "spin_seconds", lambda n: calls.append(n) or (
+        SPIN_ALONE if n == 1 else SPIN_TOGETHER))
+    return calls
+
+
 def result(step_s, setup_s=0.2, peak_rss_mb=80.0, correct=True, failed=0):
     """One run's last output line, as ``perfbench/run.py --workload all`` prints it."""
     figures = {"setup_s": (setup_s, "s"), "step_s": (step_s, "s"),
@@ -219,9 +233,25 @@ def test_out_records_the_cpus_and_the_blas_threads_of_the_runs(bench_pairs, tmp_
     assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
                              "--seeds", "7", "--out", str(out)]) == 0
     cpus = len(os.sched_getaffinity(0))
+    speedup = round(cpus * SPIN_ALONE / (SPIN_ALONE if cpus == 1 else SPIN_TOGETHER), 2)
     assert json.loads(out.read_text(encoding="utf-8"))["host"] == {
-        "cpus": cpus, "blas_threads": [1, 2]}
-    assert f"host: {cpus} CPUs, BLAS threads [1, 2]" in capsys.readouterr().out
+        "cpus": cpus, "parallel_speedup": speedup, "blas_threads": [1, 2]}
+    assert (f"host: {cpus} CPUs, parallel speed-up {speedup}, BLAS threads [1, 2]"
+            in capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_parallel_speedup_is_n_times_the_lone_child_over_the_children_together(
+        bench_pairs, monkeypatch, stub_spin, cpus):
+    """n t1 / tn over the tool's n CPUs, each time the fastest of three rounds
+    that alternate one child alone with one child per CPU."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    times = iter([0.75, 1.40, 0.70, 1.30, 0.80, 1.26])
+    monkeypatch.setattr(bench_pairs, "spin_seconds", lambda n: stub_spin.append(n) or next(times))
+    machine = bench_pairs.host((), {"workloads": []}, [])
+    assert stub_spin == [1, cpus] * 3
+    assert machine == {"cpus": cpus, "parallel_speedup": round(cpus * 0.70 / 1.26, 2),
+                       "blas_threads": []}
 
 
 def test_an_out_path_outside_a_directory_is_refused_before_a_run(bench_pairs, tmp_path,

@@ -368,6 +368,61 @@ class TestCatalogScoring:
         assert counts["catalog"] == []
 
 
+class TestScoringTable:
+    """Scoring builds a visual table of the item embeddings ``x`` alone."""
+
+    @staticmethod
+    def hidden_heavy():
+        """(params, cfg, split, hidden layer bytes) at an att shape whose (N, m, h)
+        frame-attention hidden layer is the largest array a scoring call could
+        hold: 2,000 items x 8 frames, h = 64, F = 16, d = 8."""
+        split, _ = synth_split(seed=5, num_users=30, num_items=2000, frames_per_item=8,
+                               feature_dim=16, ratings_per_user=6)
+        cfg = ModelConfig(d1=8, d2=8, attn_hidden_visual=64, attn_hidden_rating=8,
+                          reduced_visual_dim=8, seed=2)
+        n, m, _ = split.base.padded_features.shape
+        return init_params(cfg, split.base), cfg, split, 8 * n * m * cfg.attn_hidden_visual
+
+    @pytest.mark.parametrize("n_negatives, repeats", [(100, 1), (1000, 10)])
+    def test_peak_memory_holds_no_hidden_layer(self, monkeypatch, n_negatives, repeats):
+        """Item evaluation, on the candidate path (101 candidates a pair) and on
+        the catalog path (10 x 1,001 > 2,000 items), and ``score_catalog``
+        without a table peak below half the (N, m, h) hidden layer, which a
+        table holding it would exceed on its own."""
+        monkeypatch.setattr(model, "_cpus", lambda: 2)  # two table blocks in flight
+        params, cfg, split, hidden = self.hidden_heavy()
+        assert hidden > 2 * split.base.padded_features.nbytes
+        for call in (lambda: evaluate_item_rec(params, cfg, split, n_negatives=n_negatives,
+                                               repeats=repeats),
+                     lambda: model.score_catalog(np.arange(10), params, cfg, split.base)):
+            call()  # fills the dataset's and the split's cached arrays untraced
+            _, peak = traced_peak(call)
+            assert peak < hidden / 2, (peak, hidden)
+
+    @pytest.mark.parametrize("n_negatives, repeats", [(5, 2), (4, 6)])
+    @pytest.mark.parametrize("visual", ["avg", "att"])
+    def test_own_table_gives_the_training_tables_bytes(self, monkeypatch, visual,
+                                                       n_negatives, repeats):
+        """``score_catalog`` without a table and item evaluation, which builds its
+        own, give the bytes they give from ``item_visual_table``'s full table, on
+        the candidate path and on the catalog path."""
+        split, _ = synth_split(seed=3)
+        cfg = replace(make_cfg(), visual_mode=visual)
+        params, base = init_params(cfg, split.base), split.base
+        users = np.arange(base.num_users)
+        full = model.item_visual_table(params, cfg, base)
+        cands = np.random.default_rng(0).integers(0, base.num_items, size=(len(users), 6))
+        for items in (None, cands):
+            own = model.score_catalog(users, params, cfg, base, items=items)
+            passed = model.score_catalog(users, params, cfg, base, table=full, items=items)
+            assert own.tobytes() == passed.tobytes()
+        kw = dict(k_list=(1, 3), n_negatives=n_negatives, repeats=repeats, seed=4)
+        own = evaluate_item_rec(params, cfg, split, **kw)
+        monkeypatch.setattr(evaluation, "_visual_table",
+                            lambda p, c, d, backward: model.item_visual_table(p, c, d))
+        assert evaluate_item_rec(params, cfg, split, **kw).to_tsv() == own.to_tsv()
+
+
 def hit_rate_expected(counts, pools, take, k) -> float:
     """The mean over pairs of P(rank <= k) when the positive, with c of its P
     unrated items scoring at least it, is ranked against min(take, P) of them:

@@ -262,6 +262,19 @@ class TestVisualEmbedding:
                                  .mean(axis=0) for i in range(ds.num_items)])
                 assert table.pooled.tobytes() == mean.tobytes()
 
+    @pytest.mark.parametrize("visual", ["avg", "att"])
+    def test_scoring_table_holds_the_training_tables_x_alone(self, visual):
+        """The table built for scoring holds ``x`` alone, with the bytes of
+        ``item_visual_table``'s ``x``, in one block and in several (M's table
+        shape, 300 items in blocks of 256 and 44)."""
+        instances = projected_instances(visual)
+        if visual == "att":
+            instances.append(m_shape_instance())
+        for params, cfg, ds in instances:
+            table = model._visual_table(params, cfg, ds, backward=False)
+            assert (table.alpha, table.pooled, table.hidden_relu) == (None, None, None)
+            assert table.x.tobytes() == item_visual_table(params, cfg, ds).x.tobytes()
+
     def test_mean_table_holds_no_projected_frames(self):
         """The mean table's peak stays below one (N, m, d2) array of projected
         frames, at a shape whose d2 exceeds F: 2,000 items x 8 frames, F=16,

@@ -111,6 +111,15 @@ def test_only_the_runner_sizes_blocks(module):
     assert not found, found
 
 
+def test_only_training_builds_the_training_table():
+    """``item_visual_table``'s full table, with the arrays its backward reads, is
+    built for training alone; scoring builds a table of the item embeddings."""
+    found = [f"{module}:{n.lineno}" for module, tree in TREES.items() for n in ast.walk(tree)
+             if isinstance(n, ast.Call) and getattr(n.func, "id", getattr(n.func, "attr", None))
+             == "item_visual_table"]
+    assert found and {f.split(":")[0] for f in found} == {"training.py"}, found
+
+
 def test_synth_calls_only_public_scorers():
     """The generator scores through the model's public functions: it neither imports
     ``model`` as a module nor uses a private ``model`` name."""

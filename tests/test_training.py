@@ -279,6 +279,21 @@ class TestGradients:
         with pytest.raises(NonFiniteError, match=r"gradient check: \w+\[\d+\] has analytic"):
             finite_diff_check(params, cfg, ds, batch)
 
+    @pytest.mark.parametrize("visual,drop,missing", [
+        ("avg", None, "pooled"), ("att", None, "pooled, alpha, hidden_relu"),
+        ("att", "hidden_relu", "hidden_relu")])
+    def test_a_table_without_the_backwards_arrays_raises(self, visual, drop, missing):
+        """A table built for scoring (``drop`` None) holds ``x`` alone; the call
+        names the arrays the table's backward would read and the table lacks."""
+        params, cfg, ds, batch = gradcheck_instance(seed=2, visual_mode=visual,
+                                                    fusion_mode="att")
+        table = (model._visual_table(params, cfg, ds, backward=False) if drop is None
+                 else replace(item_visual_table(params, cfg, ds), **{drop: None}))
+        with pytest.raises(ValueError, match=f"^batch_gradients needs a training table "
+                                             f"from item_visual_table; this one holds no "
+                                             f"{missing}$"):
+            batch_gradients(params, cfg, ds, batch, table=table)
+
     def test_empty_batch_raises(self):
         params, cfg, ds, batch = gradcheck_instance(seed=2)
         with pytest.raises(EmptyDatasetError, match="empty batch") as info:

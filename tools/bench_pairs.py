@@ -34,11 +34,13 @@ With ``--out BENCH_<label>.json`` it also writes all of that as one JSON
 record: each pair's seed, which side ran first and both sides' end-to-end
 figures; each metric's quartiles per side, the pairs the change won and the
 verdict; each phase timing's median per side; and the host the runs had:
-the CPUs the tool may use (its affinity set, which the runs inherit) and
-the BLAS threads the runs' records name.  The program spreads its blocks
-over one thread per CPU, so a claim holds for that CPU count; ``taskset``
-pins the tool and its runs to fewer.  The ``--out`` path is checked before
-the first run.
+the CPUs the tool may use (its affinity set, which the runs inherit), how
+far they run in parallel (``parallel_speedup``, measured after the runs;
+see ``host``) and the BLAS threads the runs' records name.  The program
+spreads its blocks over one thread per CPU, so a claim holds for that CPU
+count, and a speed-up from more threads shows only as far as the CPUs run
+in parallel; ``taskset`` pins the tool and its runs to fewer.  The
+``--out`` path is checked before the first run.
 
 The tool reads only ``BENCHMARK.json`` and the records the runs write
 under ``.perfbench/results/`` (the runs write nothing outside
@@ -56,10 +58,14 @@ import os
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 CLAIM_SHARE = 0.9  # the share of pairs the change must win for a claim
 CLAIM_PAIRS = 10  # the fewest pairs a claim may rest on
+# the child process host() times: a pure-Python loop, about 0.45 s alone on one core
+# of a 2-vCPU host
+SPIN = "x = 0\nfor i in range(5_000_000):\n    x += i\n"
 
 
 def run(checkout: Path, seed: int, seconds: float) -> dict:
@@ -166,17 +172,38 @@ def phase_medians(checkout: Path, declared: dict, seeds) -> dict:
     return {name: (statistics.median(v), units[name]) for name, v in values.items()}
 
 
+def spin_seconds(n: int) -> float:
+    """Wall seconds from starting ``n`` copies of the ``SPIN`` child at once to the
+    last one's exit."""
+    start = time.perf_counter()
+    children = [subprocess.Popen([sys.executable, "-c", SPIN]) for _ in range(n)]
+    for child in children:
+        child.wait()
+    return time.perf_counter() - start
+
+
 def host(checkouts, declared: dict, seeds) -> dict:
     """The CPUs this process may run on, which the runs it starts inherit (its
-    affinity set, else the CPU count), and the distinct BLAS thread counts the
-    ``run_records`` of ``checkouts`` name."""
+    affinity set, else the CPU count), how far they run in parallel, and the
+    distinct BLAS thread counts the ``run_records`` of ``checkouts`` name.
+
+    ``parallel_speedup`` is n t1 / tn for n CPUs: t1 is ``spin_seconds(1)``,
+    one CPU-bound child alone, and tn ``spin_seconds(n)``, one child per CPU
+    at once, each the fastest of three rounds that alternate the two.  It
+    reads about n on CPUs of their own, and about 1 where the CPUs share
+    one core's time, as on an oversubscribed virtual host: there a program's
+    threads cannot run faster than one.
+    """
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count()
+    rounds = [(spin_seconds(1), spin_seconds(cpus)) for _ in range(3)]
+    alone, together = (min(t) for t in zip(*rounds))
     blas = {rec["environment"]["blas_threads"]
             for c in checkouts for _, rec in run_records(c, declared, seeds)}
-    return {"cpus": cpus, "blas_threads": sorted(blas)}
+    return {"cpus": cpus, "parallel_speedup": round(cpus * alone / together, 2),
+            "blas_threads": sorted(blas)}
 
 
 def phase_report(parent: dict, change: dict) -> list:
@@ -267,7 +294,8 @@ def main(argv=None) -> int:
     print("phase medians, no verdict:")
     print("\n".join(phase_report(*phases)))
     machine = host((args.parent, args.change), declared, args.seeds)
-    print(f"host: {machine['cpus']} CPUs, BLAS threads {machine['blas_threads']}")
+    print(f"host: {machine['cpus']} CPUs, parallel speed-up {machine['parallel_speedup']}, "
+          f"BLAS threads {machine['blas_threads']}")
     if args.out is not None:
         args.out.write_text(json.dumps(record(args.seeds, pairs, rows, phases, seconds, machine),
                                        indent=1) + "\n", encoding="utf-8")
